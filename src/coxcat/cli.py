@@ -39,6 +39,13 @@ def _enumerate_objects(args):
     t = _group(args)
     if args.object == "ideal":
         return [("ideal", i) for i in rootposets.ideals(t, unsafe=args.unsafe)]
+    if args.object in ("nc", "revnc", "partition"):
+        # |NC(W)| = |ideals|, so the ideal guards bound this walk too
+        guard = rootposets.IDEAL_GUARDS[family]
+        if t.rank > guard and not args.unsafe:
+            raise SizeGuardError(
+                f"non-crossing enumeration guarded at rank {guard} for type {family}"
+            )
     if args.object == "nc":
         return [("perm", w) for w in noncrossing.nc_elements(t)]
     if args.object == "revnc":
@@ -167,7 +174,7 @@ def cmd_map(args) -> int:
     family = "A" if args.via.endswith("A") else "B"
     n = args.n
     t = GroupType(family, n - 1 if family == "A" else n)
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin, start=1):
         if not line.strip():
             continue
         if args.inverse:
@@ -192,6 +199,11 @@ def cmd_map(args) -> int:
             image = bijmaps.phi(t, ideal)
         else:
             word = _parse_path_line(line)
+            if len(word) != 2 * n:
+                raise ValueError(
+                    f"line {lineno}: {line.strip()!r} has {len(word)} steps, "
+                    f"but --n {n} needs {2 * n}"
+                )
             image = (bijmaps.psi_a if family == "A" else bijmaps.psi_b)(word)[0]
         ls = signedperm.length_s(image, family)
         mm = signedperm.maj(image, family) + signedperm.imaj(image, family)
@@ -217,6 +229,8 @@ def _verify_task(task) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = []
     if args.which == "all":
         max_a = args.max_n if args.max_n else _VERIFY_DEFAULT_A

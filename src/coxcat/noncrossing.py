@@ -22,8 +22,9 @@ from .signedperm import (
     length_s,
     length_t,
     _abs_length_table,
-    leq_t,
+    group_order_key,
     mul,
+    reflections,
     rev,
     simple_reflection,
     to_cycles,
@@ -106,13 +107,31 @@ def _lt(t: GroupType):
 
 
 def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
-    """The interval [1, c] in absolute order; defaults to the standard c."""
+    """The interval [1, c] in absolute order; defaults to the standard c.
+
+    Walks down from c: w covers w*r, for a reflection r, exactly when l_T
+    drops by one, and absolute order is graded, so the closure of {c} under
+    such steps is the whole interval.  The cost is |[1, c]| times the number
+    of reflections.  The result is listed in ``enumerate_group`` order.
+    """
     if c is None:
         c = coxeter_element(t.family, t.n, "nc" if t.family != "D" else "sorting")[0]
     lt = _lt(t)
     if lt(c) != t.rank:
         raise ValueError(f"{c!r} is not a Coxeter element of {t}")
-    return [w for w in enumerate_group(t.family, t.n) if leq_t(w, c, t.family)]
+    refl = reflections(t.family, t.n)
+    found = {c}
+    level = [c]
+    for rank in range(t.rank - 1, -1, -1):
+        below = []
+        for w in level:
+            for r in refl:
+                u = mul(w, r)
+                if u not in found and lt(u) == rank:
+                    found.add(u)
+                    below.append(u)
+        level = below
+    return sorted(found, key=group_order_key)
 
 
 def rev_nc(t: GroupType, c: Perm | None = None) -> list[Perm]:

@@ -263,6 +263,11 @@ def enumerate_group(family: str, n: int):
             yield tuple(-v if mask >> i & 1 else v for i, v in enumerate(base))
 
 
+def group_order_key(p: Perm) -> tuple[Perm, int]:
+    """Sort key that lists elements in the order ``enumerate_group`` yields them."""
+    return tuple(map(abs, p)), sum(1 << i for i, v in enumerate(p) if v < 0)
+
+
 @lru_cache(maxsize=None)
 def _abs_length_table(family: str, n: int) -> dict[Perm, int]:
     if group_order(family, n) > BFS_ORDER_GUARD:

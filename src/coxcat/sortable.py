@@ -3,7 +3,11 @@
 The sorting word of w is the greedy (equivalently, lexicographically
 first) reduced subword of the infinite repetition c|c|c|... ; w is
 sortable when the letter sets of consecutive factors weakly decrease
-under inclusion.
+under inclusion.  Every prefix of a sortable element's sorting word is
+again the sorting word of a sortable element (Reading, Clusters,
+Coxeter-sortable elements and noncrossing partitions, 2007), so the
+sortable elements form a subtree of the right weak order rooted at e and
+are enumerated by walking up it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from .qseries import SizeGuardError
 from .signedperm import (
     Perm,
     check_perm,
-    enumerate_group,
+    group_order_key,
+    identity,
     length_s,
 )
 
@@ -113,8 +118,29 @@ def is_c_sortable(w: Perm, c_word, family: str) -> bool:
     return c_sorting_word(w, c_word, family).is_sortable_chain()
 
 
+def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:
+    """w * s_s when s is a right ascent of w, else None.
+
+    Right multiplication acts on positions, so the tests are those of
+    ``c_sorting_word`` read on the one-line notation instead of its inverse.
+    """
+    if s == 0:
+        if family == "B":
+            return (-w[0],) + w[1:] if w[0] > 0 else None
+        return (-w[1], -w[0]) + w[2:] if w[0] + w[1] > 0 else None
+    if w[s - 1] > w[s]:
+        return None
+    return w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :]
+
+
 def enumerate_sortables(family: str, n: int, c_word=None, unsafe: bool = False) -> list[Perm]:
-    """All sortable elements for the given Coxeter word, by filtering the group."""
+    """All sortable elements for the given Coxeter word, in group order.
+
+    Walks up the right weak order from e, stepping by ascents that are
+    letters of c and keeping the sortable results: dropping the last letter
+    of a sortable element's sorting word leaves a sortable element, so every
+    one is reached.  The result is listed in ``enumerate_group`` order.
+    """
     guard = SORTABLE_GUARDS[family]
     rank = n - 1 if family == "A" else n
     if rank > guard and not unsafe:
@@ -123,7 +149,17 @@ def enumerate_sortables(family: str, n: int, c_word=None, unsafe: bool = False) 
         )
     if c_word is None:
         c_word = tuple(range(n - 1, 0, -1)) if family == "A" else tuple(range(n - 1, -1, -1))
-    return [w for w in enumerate_group(family, n) if is_c_sortable(w, c_word, family)]
+    _check_c_word(c_word, n, family)
+    found = [identity(n)]
+    seen = set(found)
+    for w in found:
+        for s in c_word:
+            u = _times_ascent(w, s, family)
+            if u is not None and u not in seen:
+                seen.add(u)
+                if is_c_sortable(u, c_word, family):
+                    found.append(u)
+    return sorted(found, key=group_order_key)
 
 
 def avoids_231(p: Perm) -> bool:

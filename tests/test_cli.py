@@ -70,6 +70,19 @@ class TestEnumerate:
         code, _ = run(capsys, ["enumerate", "--object", "ideal", "--type", "B", "--n", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "obj,family,n", [("nc", "A", 11), ("revnc", "B", 7), ("partition", "A", 11), ("nc", "D", 6)]
+    )
+    def test_nc_guard_exit_code(self, capsys, obj, family, n):
+        code = main(["enumerate", "--object", obj, "--type", family, "--n", str(n)])
+        assert code == 2
+        assert "non-crossing enumeration guarded" in capsys.readouterr().err
+
+    def test_nc_at_guard_allowed(self, capsys):
+        code, out = run(capsys, ["poly", "--object", "nc", "--type", "B", "--n", "6", "--stat", "lt"])
+        assert code == 0
+        assert out.strip() == "1 + 36q + 225q^2 + 400q^3 + 225q^4 + 36q^5 + q^6"
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--object", "nonsense", "--n", "2"])
@@ -109,6 +122,13 @@ class TestMap:
     def test_bad_input(self, capsys, monkeypatch):
         code, _ = run(capsys, ["map", "--via", "phiA", "--n", "3"], stdin='{"roots": ["x"]}\n', monkeypatch=monkeypatch)
         assert code == 2
+
+    @pytest.mark.parametrize("via,n,word", [("psiA", 5, "NNEE"), ("psiB", 2, "NNN"), ("psiA", 2, "NNEENE")])
+    def test_psi_word_length_must_be_2n(self, capsys, monkeypatch, via, n, word):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{word}\n"))
+        code = main(["map", "--via", via, "--n", str(n)])
+        assert code == 2
+        assert repr(word) in capsys.readouterr().err
 
     def test_inverse_accepts_cycle_notation(self, capsys, monkeypatch):
         code, out = run(
@@ -157,6 +177,13 @@ class TestVerify:
         reports = [json.loads(l) for l in out.splitlines()]
         assert any(r["identity"] == "d4-counterexample" for r in reports)
         assert all(r["failures"] == [] for r in reports)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        code = main(["verify", "--which", "d4", "--jobs", jobs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and jobs in err
 
     def test_requires_n(self, capsys):
         with pytest.raises(SystemExit):

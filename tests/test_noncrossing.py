@@ -104,6 +104,50 @@ class TestNCInterval:
         assert count > 1
 
 
+def nc_filter_oracle(t, c=None):
+    """The interval [1, c] by filtering the whole group with leq_t."""
+    if c is None:
+        c = sp.coxeter_element(t.family, t.n, "nc" if t.family != "D" else "sorting")[0]
+    return [w for w in sp.enumerate_group(t.family, t.n) if sp.leq_t(w, c, t.family)]
+
+
+def coxeter_class(fam, n):
+    """All conjugates of the standard Coxeter element, sorted."""
+    gens = [sp.simple_reflection(i, n, fam) for i in range(1 if fam == "A" else 0, n)]
+    c0 = sp.coxeter_element(fam, n, "nc")[0]
+    cls, frontier = {c0}, [c0]
+    while frontier:
+        w = frontier.pop()
+        for s in gens:
+            u = sp.mul(sp.mul(s, w), s)
+            if u not in cls:
+                cls.add(u)
+                frontier.append(u)
+    return sorted(cls)
+
+
+class TestNCWalkAgainstFilter:
+    @pytest.mark.parametrize(
+        "fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 7)]
+    )
+    def test_standard_c(self, fam, rank):
+        t = GroupType(fam, rank)
+        assert nc.nc_elements(t) == nc_filter_oracle(t)
+
+    @pytest.mark.parametrize("fam,rank,size", [("A", 3, 6), ("A", 4, 24), ("B", 3, 8)])
+    def test_every_coxeter_element(self, fam, rank, size):
+        t = GroupType(fam, rank)
+        cls = coxeter_class(fam, t.n)
+        assert len(cls) == size
+        for c in cls:
+            assert nc.nc_elements(t, c) == nc_filter_oracle(t, c)
+
+    def test_every_coxeter_element_d4(self):
+        t = GroupType("D", 4)
+        for c in nc.coxeter_elements_d4():
+            assert nc.nc_elements(t, c) == nc_filter_oracle(t, c)
+
+
 class TestNCPermTestA:
     def test_examples(self):
         assert nc.nc_perm_test_a(sp.identity(4))

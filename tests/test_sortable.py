@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from coxcat import signedperm as sp
@@ -150,6 +152,34 @@ class TestSortable:
         # reduced words for the same Coxeter element and must classify alike
         for w in sp.enumerate_group("B", 3):
             assert so.is_c_sortable(w, (1, 2, 0), "B") == so.is_c_sortable(w, (1, 0, 2), "B")
+
+
+def sortable_filter_oracle(fam, n, c_word):
+    """The sortable elements by filtering the whole group."""
+    return [w for w in sp.enumerate_group(fam, n) if so.is_c_sortable(w, c_word, fam)]
+
+
+def default_c_word(fam, n):
+    return tuple(range(n - 1, 0, -1)) if fam == "A" else tuple(range(n - 1, -1, -1))
+
+
+class TestSortableWalkAgainstFilter:
+    @pytest.mark.parametrize(
+        "fam,n",
+        [("A", n) for n in range(1, 9)] + [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 5)],
+    )
+    def test_default_c_word(self, fam, n):
+        assert so.enumerate_sortables(fam, n) == sortable_filter_oracle(fam, n, default_c_word(fam, n))
+
+    @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 3), ("B", 4), ("D", 4)])
+    def test_every_c_word(self, fam, rank):
+        n = GroupType(fam, rank).n
+        for c_word in itertools.permutations(default_c_word(fam, n)):
+            assert so.enumerate_sortables(fam, n, c_word) == sortable_filter_oracle(fam, n, c_word)
+
+    def test_bad_c_word(self):
+        with pytest.raises(ValueError):
+            so.enumerate_sortables("A", 3, (1, 1))
 
 
 class TestEnumerateSortables:
