@@ -2,9 +2,15 @@
 
 ``phi`` peels an order ideal into shells (maximal antichains) and reads
 each shell as a set of disjoint cycles; iterating over the stripped ideal
-yields a signed permutation.  ``psi_a``/``psi_b`` read the cells under a
-Dyck path, diagonal by diagonal, as a sorting word.  The verifiers check
-the counting and major-index identities exhaustively at a given rank.
+yields a signed permutation.  It works on the ideal's row starts (see
+``rootposets.PlanarCells``): row j of the ideal's cells is the interval
+[x_j, cap_j), the shell is the row starts (x_j, j) that row j + 1 does
+not cover, and stripping is the shift x'_{j-1} = min(x_j + 1, cap_{j-1}),
+so each shell costs O(n).  Reading the row starts rejects any input that
+is not an order ideal.  ``psi_a``/``psi_b`` read the cells under a Dyck
+path, diagonal by diagonal, as a sorting word, sorting the cells into
+diagonals in one pass.  The verifiers check the counting and major-index
+identities exhaustively at a given rank.
 
 Shelling conventions.  A root unfolds to one or two intervals over the
 signed baseline -n < ... < -1 < 1 < ... < n:
@@ -35,53 +41,64 @@ from .signedperm import Perm
 Root = rootposets.Root
 
 
-def _unfold_spans(root: Root, family: str) -> set[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _unfold_spans(root: Root, family: str) -> tuple[tuple[int, int], ...]:
     if family == "A":
-        return {(root[1], root[2])}
-    if root[0] == "diff":
-        return {(root[1], root[2]), (-root[2], -root[1])}
-    if root[0] == "short":
-        return {(-1, root[1]), (-root[1], 1)}
-    a, b = root[1], root[2]
-    return {(-(a + 1), b), (-b, a + 1)}
+        spans = {(root[1], root[2])}
+    elif root[0] == "diff":
+        spans = {(root[1], root[2]), (-root[2], -root[1])}
+    elif root[0] == "short":
+        spans = {(-1, root[1]), (-root[1], 1)}
+    else:
+        a, b = root[1], root[2]
+        spans = {(-(a + 1), b), (-b, a + 1)}
+    return tuple(sorted(spans))
 
 
 def shell_cycles(maximal, family: str) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles read off one shell (an antichain of roots)."""
     spans: list[tuple[int, int]] = []
     for r in maximal:
-        spans.extend(_unfold_spans(r, family))
+        spans += _unfold_spans(r, family)
     spans.sort()
     # an antichain unfolds to spans with strictly increasing lo AND hi
-    if any(a[0] >= b[0] or a[1] >= b[1] for a, b in zip(spans, spans[1:])):
-        raise ValueError("not an antichain: nested or repeated spans")
+    for k in range(1, len(spans)):
+        if spans[k - 1][0] >= spans[k][0] or spans[k - 1][1] >= spans[k][1]:
+            raise ValueError("not an antichain: nested or repeated spans")
 
-    blocks: list[list[tuple[int, int]]] = []
-    for span in spans:
-        if blocks and blocks[-1][-1][1] >= span[0]:
-            blocks[-1].append(span)
+    cycles: list[tuple[int, ...]] = []
+    seq: list[int] = []
+    end = 0
+    for lo, hi in spans:
+        if seq and end >= lo:
+            if end == lo:
+                seq.append(lo)
         else:
-            blocks.append([span])
-
-    cycles = []
-    for block in blocks:
-        seq = [block[0][0]]
-        for prev, cur in zip(block, block[1:]):
-            if cur[0] == prev[1]:
-                seq.append(cur[0])
-        seq.append(block[-1][1])
-        if any(a >= b for a, b in zip(seq, seq[1:])):
-            raise ValueError("block endpoints are not increasing")
-        if seq[0] == -seq[-1]:
-            if set(seq) != {-v for v in seq}:
-                raise ValueError("fold block is not symmetric")
-            positives = [v for v in seq if v > 0]
-            cycles.append(tuple(positives) + (-positives[0],))
-        elif seq[0] > 0:
-            cycles.append(tuple(seq))
-        elif seq[-1] >= 0:
-            raise ValueError("asymmetric block straddling the fold")
+            if seq:
+                seq.append(end)
+                _read_block(seq, cycles)
+            seq = [lo]
+        end = hi
+    if seq:
+        seq.append(end)
+        _read_block(seq, cycles)
     return tuple(cycles)
+
+
+def _read_block(seq: list[int], cycles: list[tuple[int, ...]]) -> None:
+    """Append the cycle of one block, given its start, chain points and end."""
+    for k in range(1, len(seq)):
+        if seq[k - 1] >= seq[k]:
+            raise ValueError("block endpoints are not increasing")
+    if seq[0] == -seq[-1]:
+        if seq != [-v for v in reversed(seq)]:
+            raise ValueError("fold block is not symmetric")
+        positives = [v for v in seq if v > 0]
+        cycles.append(tuple(positives) + (-positives[0],))
+    elif seq[0] > 0:
+        cycles.append(tuple(seq))
+    elif seq[-1] >= 0:
+        raise ValueError("asymmetric block straddling the fold")
 
 
 def strip_ideal(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
@@ -91,39 +108,50 @@ def strip_ideal(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
     return rootposets.ideal_from_cells(t, inner)
 
 
+def _strip_rows(x: list[int], caps: tuple[int, ...]) -> list[int]:
+    """``strip_ideal`` on row starts: x'[j-1] = min(x[j] + 1, caps[j-1])."""
+    return [a + 1 if a < cap else cap for a, cap in zip(x[1:], caps)] + [caps[-1]]
+
+
 def phi(t: GroupType, ideal: frozenset[Root]) -> Perm:
-    """Shell an ideal into cycles; the product is the image permutation."""
-    poset = rootposets.root_poset(t)
+    """Shell an ideal into cycles; the product is the image permutation.
+
+    Raises ValueError unless ``ideal`` is an order ideal of ``t``.
+    """
+    x = rootposets.ideal_row_starts(t, ideal)
+    _, rows, caps = rootposets.planar_cells(t)
+    caps_up = caps[1:] + (0,)
+    fam = t.family
     cycles: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    cur = ideal
-    while cur:
-        shell = shell_cycles(poset.maximal_elements(cur), t.family)
+    while True:
+        # the shell: row starts that the next row up does not cover
+        maximal = [
+            rows[j][a]
+            for j, (a, up, cap, cap_up) in enumerate(zip(x, x[1:] + [0], caps, caps_up))
+            if a < cap and not up <= a < cap_up
+        ]
+        if not maximal:
+            break
+        shell = shell_cycles(maximal, fam)
         for cyc in shell:
-            body = {abs(v) for v in cyc[:-1]} if cyc[-1] == -cyc[0] else {abs(v) for v in cyc}
+            body = {abs(v) for v in (cyc[:-1] if cyc[-1] == -cyc[0] else cyc)}
             if body & seen:
                 raise AssertionError("shell cycles are not disjoint")
             seen |= body
-        cycles.extend(shell)
-        cur = strip_ideal(t, cur)
+        cycles += shell
+        x = _strip_rows(x, caps)
     return signedperm.from_cycles(cycles, t.n)
-
-
-def _psi_factors_a(cells: frozenset[tuple[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
-    factors = []
-    for f in range(1, n):
-        diag = sorted((i, j) for i, j in cells if j - i == f)
-        if not diag:
-            break
-        factors.append(tuple(n - 1 - i for i, _ in diag))
-    return tuple(factors)
 
 
 def psi_a(word: str) -> tuple[Perm, SortingWord]:
     """Label cell (i, j) by letter n-1-i and read the diagonals in order."""
-    n = len(word) // 2
-    factors = _psi_factors_a(paths.cells_a(word), n)
-    sw = SortingWord(factors)
+    n = paths._check(word, "A")
+    diagonals: list[list[int]] = [[] for _ in range(n)]
+    for j, x in enumerate(paths._north_columns(word)):
+        for i in range(x, j):
+            diagonals[j - i].append(n - 1 - i)
+    sw = SortingWord(_leading_factors(diagonals[1:]))
     return signedperm.word_to_perm(sw.letters, n, "A"), sw
 
 
@@ -134,17 +162,28 @@ def psi_b(word: str) -> tuple[Perm, SortingWord]:
     letter 2n-1-i-j.  Factor f reads the lower diagonal j - i = f by
     ascending i, then the upper column i = n - f by ascending j.
     """
-    n = len(word) // 2
-    ordered = sorted(paths.cells_b(word))
-    factors = []
-    for f in range(1, 2 * n):
-        letters = [n - 1 - i for i, j in ordered if j < n and j - i == f]
-        letters += [2 * n - 1 - i - j for i, j in ordered if j >= n and i == n - f]
-        if not letters:
-            break
-        factors.append(tuple(letters))
-    sw = SortingWord(tuple(factors))
+    n = paths._check(word, "B")
+    lower: list[list[int]] = [[] for _ in range(n + 1)]
+    upper: list[list[int]] = [[] for _ in range(n + 1)]
+    for j, x in enumerate(paths._north_columns(word)):
+        if j < n:
+            for i in range(x, j):
+                lower[j - i].append(n - 1 - i)
+        else:
+            for i in range(x, 2 * n - j):
+                upper[n - i].append(2 * n - 1 - i - j)
+    sw = SortingWord(_leading_factors([a + b for a, b in zip(lower[1:], upper[1:])]))
     return signedperm.word_to_perm(sw.letters, n, "B"), sw
+
+
+def _leading_factors(factors: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The factors up to, not including, the first empty one."""
+    out = []
+    for factor in factors:
+        if not factor:
+            break
+        out.append(tuple(factor))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

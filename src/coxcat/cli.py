@@ -30,11 +30,7 @@ def _group(args) -> GroupType:
 def _enumerate_objects(args):
     family, n = args.type, args.n
     if args.object == "dyck":
-        limit = paths.AREA_GUARD_A if family == "A" else paths.AREA_GUARD_B
-        if family == "D":
-            raise ValueError("no type-D Dyck paths")
-        if n > limit and not args.unsafe:
-            raise SizeGuardError(f"type {family} path enumeration guarded at n <= {limit}")
+        paths._guard(family, n, args.unsafe)
         return [("path", w) for w in (paths.enumerate_a if family == "A" else paths.enumerate_b)(n)]
     t = _group(args)
     if args.object == "ideal":
@@ -154,7 +150,9 @@ def _parse_path_line(line: str) -> str:
 def _parse_ideal_line(line: str):
     data = json.loads(line)
     if isinstance(data, dict):
-        data = data["roots"]
+        data = data.get("roots")
+    if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
+        raise ValueError(f'expected a list of root strings or {{"roots": [...]}}, got {line.strip()!r}')
     return frozenset(rootposets.parse_root(s) for s in data)
 
 
@@ -195,8 +193,10 @@ def cmd_map(args) -> int:
                 print(f"{serialized}  ls={ls}")
             continue
         if args.via.startswith("phi"):
-            ideal = _parse_ideal_line(line)
-            image = bijmaps.phi(t, ideal)
+            try:
+                image = bijmaps.phi(t, _parse_ideal_line(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         else:
             word = _parse_path_line(line)
             if len(word) != 2 * n:

@@ -211,11 +211,6 @@ def neg_b(word: str) -> int:
     return word.count("E")
 
 
-def des_b(word: str) -> int:
-    _check(word, "B")
-    return len(descent_set(word))
-
-
 def maj_b(word: str) -> int:
     """Twice (number of east steps plus the sum of 2n - i over descents)."""
     n = _check(word, "B")
@@ -322,19 +317,3 @@ def _gen_poly(values: list[int]) -> QPoly:
     for v in values:
         out[v] += 1
     return QPoly(out)
-
-
-def to_json(word: str) -> dict:
-    return {"steps": word}
-
-
-def from_json(data: dict) -> str:
-    return data["steps"]
-
-
-def cells_to_json(cells: frozenset[Cell]) -> list[list[int]]:
-    return [list(c) for c in sorted(cells)]
-
-
-def cells_from_json(data) -> frozenset[Cell]:
-    return frozenset((int(i), int(j)) for i, j in data)

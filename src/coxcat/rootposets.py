@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import paths
 from .qseries import GroupType, QPoly, SizeGuardError
@@ -202,6 +203,73 @@ def root_poset(t: GroupType) -> RootPoset:
     return RootPoset(t)
 
 
+class PlanarCells(NamedTuple):
+    """The cell/root dictionary of a type-A or type-B rank, by rows.
+
+    Row j holds the cells (i, j) with i < ``caps[j]``, where the cap is j
+    in type A and min(j, 2n - j) in type B; ``rows[j][i]`` is the root at
+    cell (i, j) and ``cell_of`` inverts it.  Cell (i, j) is covered by
+    (i, j + 1) and (i - 1, j), so an order ideal fills each row j with an
+    interval [x_j, caps[j]): its row starts x are the ideal's Dyck path.
+    """
+
+    cell_of: dict[Root, Cell]
+    rows: tuple[tuple[Root, ...], ...]
+    caps: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def planar_cells(t: GroupType) -> PlanarCells:
+    n = t.n
+    if t.family == "A":
+        caps, root_of = tuple(range(n)), root_of_cell_a
+    elif t.family == "B":
+        caps, root_of = tuple(min(j, 2 * n - j) for j in range(2 * n)), root_of_cell_b
+    else:
+        raise ValueError("no planar cells for type D")
+    rows = tuple(tuple(root_of((i, j), n) for i in range(cap)) for j, cap in enumerate(caps))
+    cell_of = {r: (i, j) for j, row in enumerate(rows) for i, r in enumerate(row)}
+    return PlanarCells(cell_of, rows, caps)
+
+
+def ideal_row_starts(t: GroupType, ideal: frozenset[Root]) -> list[int]:
+    """Row starts x of an order ideal: row j of its cells is [x[j], caps[j]).
+
+    Raises ValueError, naming a root, unless ``ideal`` is an order ideal of
+    positive roots of ``t``.  Every row must be an interval ending at its
+    cap, and a row reaching under the previous row's cap must start no
+    further left than that row does.
+    """
+    cell_of, _, caps = planar_cells(t)
+    x = list(caps)
+    count = [0] * len(caps)
+    try:
+        for i, j in map(cell_of.__getitem__, ideal):
+            if i < x[j]:
+                x[j] = i
+            count[j] += 1
+    except KeyError as exc:
+        root = exc.args[0]
+        raise ValueError(f"{root_str(root)} is not a positive root of {t.family}{t.rank}") from None
+    for j in range(1, len(caps)):
+        xj = x[j]
+        if count[j] != caps[j] - xj or (count[j] and xj < caps[j - 1] and x[j - 1] > xj):
+            raise ValueError(_not_ideal_message(t, ideal))
+    return x
+
+
+def _not_ideal_message(t: GroupType, ideal: frozenset[Root]) -> str:
+    poset = root_poset(t)
+    for r in sorted(ideal, key=poset.index.__getitem__):
+        for k in poset.lower_covers[poset.index[r]]:
+            if poset.roots[k] not in ideal:
+                return (
+                    f"not an order ideal of {t.family}{t.rank}: "
+                    f"it holds {root_str(r)} but not {root_str(poset.roots[k])}"
+                )
+    return f"not a set of distinct roots of {t.family}{t.rank}"
+
+
 def ideals(t: GroupType, unsafe: bool = False) -> list[frozenset[Root]]:
     return root_poset(t).ideals(unsafe=unsafe)
 
@@ -337,10 +405,6 @@ def ideal_to_arc_partition_a(t: GroupType, ideal: frozenset[Root]) -> frozenset[
     for x in range(1, n + 1):
         blocks.setdefault(find(x), set()).add(x)
     return frozenset(frozenset(b) for b in blocks.values())
-
-
-def ideal_str(ideal: frozenset[Root]) -> str:
-    return "[" + ",".join(f'"{s}"' for s in sorted(root_str(r) for r in ideal)) + "]"
 
 
 def ideal_to_json(ideal: frozenset[Root]) -> dict:

@@ -26,10 +26,9 @@ for _i in range(1, 16):
 
 
 def check_perm(p: Perm, family: str = "B") -> None:
-    n = len(p)
-    if sorted(abs(v) for v in p) != list(range(1, n + 1)) or 0 in p:
+    if sorted(map(abs, p)) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a signed permutation: {p!r}")
-    if family == "A" and any(v < 0 for v in p):
+    if family == "A" and p and min(p) < 0:
         raise ValueError(f"type A forbids negative entries: {p!r}")
     if family == "D" and sum(1 for v in p if v < 0) % 2:
         raise ValueError(f"type D needs an even number of negatives: {p!r}")
@@ -60,13 +59,12 @@ def inverse(p: Perm) -> Perm:
 
 def inv_word(w) -> int:
     """Number of pairs i < j with w[i] > w[j], for any integer sequence."""
-    return sum(
-        1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
-    )
-
-
-def neg_set(p: Perm) -> set[int]:
-    return {i for i, v in enumerate(p, start=1) if v < 0}
+    count = 0
+    for i, a in enumerate(w):
+        for b in w[i + 1 :]:
+            if a > b:
+                count += 1
+    return count
 
 
 def neg(p: Perm) -> int:
@@ -93,7 +91,12 @@ def descent_set_word(w) -> set[int]:
 
 
 def maj_word(w) -> int:
-    return sum(descent_set_word(w))
+    """Sum of the descent positions of an integer sequence."""
+    total = 0
+    for i in range(1, len(w)):
+        if w[i - 1] > w[i]:
+            total += i
+    return total
 
 
 def des_set(p: Perm) -> set[int]:
@@ -358,13 +361,3 @@ def coxeter_element(family: str, n: int, variant: str = "sorting") -> tuple[Perm
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return word_to_perm(word, n, family), word
-
-
-def to_json(p: Perm) -> list[int]:
-    return list(p)
-
-
-def from_json(data) -> Perm:
-    p = tuple(int(v) for v in data)
-    check_perm(p)
-    return p

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from coxcat import bijmaps as bm
 from coxcat import paths
@@ -6,7 +9,7 @@ from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType, QPoly
-from coxcat.sortable import enumerate_sortables
+from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 
 
 A8_IDEAL = frozenset(
@@ -204,3 +207,218 @@ class TestVerifiers:
                 m = two_n - sp.maj(w, t.family) - sp.imaj(w, t.family)
                 rhs[m] = rhs.get(m, 0) + 1
             assert lhs == rhs
+
+
+# -- oracles: the frozenset shelling loop and the per-diagonal psi scans --------
+
+
+def _unfold_spans_oracle(root, family):
+    if family == "A":
+        return {(root[1], root[2])}
+    if root[0] == "diff":
+        return {(root[1], root[2]), (-root[2], -root[1])}
+    if root[0] == "short":
+        return {(-1, root[1]), (-root[1], 1)}
+    a, b = root[1], root[2]
+    return {(-(a + 1), b), (-b, a + 1)}
+
+
+def shell_cycles_oracle(maximal, family):
+    spans = []
+    for r in maximal:
+        spans.extend(_unfold_spans_oracle(r, family))
+    spans.sort()
+    if any(a[0] >= b[0] or a[1] >= b[1] for a, b in zip(spans, spans[1:])):
+        raise ValueError("not an antichain: nested or repeated spans")
+    blocks = []
+    for span in spans:
+        if blocks and blocks[-1][-1][1] >= span[0]:
+            blocks[-1].append(span)
+        else:
+            blocks.append([span])
+    cycles = []
+    for block in blocks:
+        seq = [block[0][0]]
+        for prev, cur in zip(block, block[1:]):
+            if cur[0] == prev[1]:
+                seq.append(cur[0])
+        seq.append(block[-1][1])
+        if any(a >= b for a, b in zip(seq, seq[1:])):
+            raise ValueError("block endpoints are not increasing")
+        if seq[0] == -seq[-1]:
+            if set(seq) != {-v for v in seq}:
+                raise ValueError("fold block is not symmetric")
+            positives = [v for v in seq if v > 0]
+            cycles.append(tuple(positives) + (-positives[0],))
+        elif seq[0] > 0:
+            cycles.append(tuple(seq))
+        elif seq[-1] >= 0:
+            raise ValueError("asymmetric block straddling the fold")
+    return tuple(cycles)
+
+
+def phi_oracle(t, ideal):
+    """Shell by frozensets: the maximal elements, then strip_ideal, until empty."""
+    poset = rp.root_poset(t)
+    cycles = []
+    cur = ideal
+    while cur:
+        cycles.extend(shell_cycles_oracle(poset.maximal_elements(cur), t.family))
+        cur = bm.strip_ideal(t, cur)
+    return sp.from_cycles(cycles, t.n)
+
+
+def psi_a_oracle(word):
+    """Rescan the cell set once per diagonal."""
+    n = len(word) // 2
+    cells = paths.cells_a(word)
+    factors = []
+    for f in range(1, n):
+        diag = sorted((i, j) for i, j in cells if j - i == f)
+        if not diag:
+            break
+        factors.append(tuple(n - 1 - i for i, _ in diag))
+    sw = SortingWord(tuple(factors))
+    return sp.word_to_perm(sw.letters, n, "A"), sw
+
+
+def psi_b_oracle(word):
+    n = len(word) // 2
+    ordered = sorted(paths.cells_b(word))
+    factors = []
+    for f in range(1, 2 * n):
+        letters = [n - 1 - i for i, j in ordered if j < n and j - i == f]
+        letters += [2 * n - 1 - i - j for i, j in ordered if j >= n and i == n - f]
+        if not letters:
+            break
+        factors.append(tuple(letters))
+    sw = SortingWord(tuple(factors))
+    return sp.word_to_perm(sw.letters, n, "B"), sw
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize(
+        "fam,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)]
+    )
+    def test_phi_on_every_ideal(self, fam, rank):
+        t = GroupType(fam, rank)
+        for ideal in rp.ideals(t):
+            assert bm.phi(t, ideal) == phi_oracle(t, ideal)
+
+    @pytest.mark.parametrize("fam,n", [("A", n) for n in range(1, 10)] + [("B", n) for n in range(1, 7)])
+    def test_psi_on_every_word(self, fam, n):
+        words = paths.enumerate_a(n) if fam == "A" else paths.enumerate_b(n)
+        fn, oracle = (bm.psi_a, psi_a_oracle) if fam == "A" else (bm.psi_b, psi_b_oracle)
+        for word in words:
+            assert fn(word) == oracle(word)
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 5)] + [("B", r) for r in range(1, 4)])
+    def test_phi_rejects_exactly_the_non_ideals(self, fam, rank):
+        t = GroupType(fam, rank)
+        poset = rp.root_poset(t)
+        for k in range(len(poset.roots) + 1):
+            for subset in itertools.combinations(poset.roots, k):
+                rs = frozenset(subset)
+                if poset.is_ideal(rs):
+                    assert bm.phi(t, rs) == phi_oracle(t, rs)
+                else:
+                    with pytest.raises(ValueError, match="not an order ideal"):
+                        bm.phi(t, rs)
+
+    @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 3), ("B", 4)])
+    def test_shell_cycles_on_small_subsets(self, fam, rank):
+        roots = rp.positive_roots(GroupType(fam, rank))
+        for k in (1, 2, 3):
+            for subset in itertools.combinations(roots, k):
+                assert _outcome(bm.shell_cycles, subset, fam) == _outcome(
+                    shell_cycles_oracle, subset, fam
+                )
+
+
+class TestPhiRejects:
+    def test_root_outside_rank_is_named(self):
+        with pytest.raises(ValueError, match="e9-e1 is not a positive root of A2"):
+            bm.phi(GroupType("A", 2), frozenset([rp.diff(1, 9)]))
+
+    def test_short_root_in_type_a(self):
+        with pytest.raises(ValueError, match="e1 is not a positive root of A3"):
+            bm.phi(GroupType("A", 3), frozenset([rp.short(1)]))
+
+    def test_missing_lower_cover_is_named(self):
+        with pytest.raises(ValueError, match="holds e3-e1 but not e2-e1"):
+            bm.phi(GroupType("A", 2), frozenset([rp.diff(1, 3)]))
+
+    def test_gap_in_upper_row_b(self):
+        # e1+e2 needs e2, which needs e1 and e2-e1
+        t = GroupType("B", 2)
+        with pytest.raises(ValueError, match="not an order ideal of B2"):
+            bm.phi(t, frozenset([rp.diff(1, 2), rp.short(1), rp.sum_root(1, 2)]))
+
+    def test_type_d_has_no_planar_cells(self):
+        with pytest.raises(ValueError, match="type D"):
+            bm.phi(GroupType("D", 4), frozenset([rp.diff(1, 2)]))
+
+
+# -- properties past the exhaustive ranks ---------------------------------------
+
+A16 = GroupType("A", 15)
+B10 = GroupType("B", 10)
+
+
+@st.composite
+def random_ideals(draw, t):
+    """The down-set of a random antichain: the maximal roots of a random draw."""
+    poset = rp.root_poset(t)
+    drawn = set(draw(st.lists(st.sampled_from(poset.roots), max_size=6)))
+    antichain = [r for r in drawn if not any(r != s and poset.leq(r, s) for s in drawn)]
+    assert poset.is_antichain(antichain)
+    return poset.ideal_from_antichain(antichain)
+
+
+def _phi_identities(t, ideal):
+    n = t.n
+    two_n = n * (n - 1) if t.family == "A" else 2 * n * n
+    sigma = bm.phi(t, ideal)
+    assert sigma == phi_oracle(t, ideal)
+    assert sp.length_s(sigma, t.family) == len(ideal)
+    total = rp.ideal_maj(t, ideal) + sp.maj(sigma, t.family) + sp.imaj(sigma, t.family)
+    assert total == two_n
+    return sigma
+
+
+def _psi_identities(t, ideal):
+    fam, n = t.family, t.n
+    word = rp.ideal_to_dyck(t, ideal)
+    sigma, sw = bm.psi_a(word) if fam == "A" else bm.psi_b(word)
+    c_word = tuple(range(n - 1, 0, -1)) if fam == "A" else tuple(range(n - 1, -1, -1))
+    assert c_sorting_word(sigma, c_word, fam) == sw
+    assert sw.is_sortable_chain()
+    area = paths.area_a(word) if fam == "A" else paths.area_b(word)
+    assert len(sw) == sp.length_s(sigma, fam) == area
+
+
+class TestRandomPastExhaustive:
+    @given(random_ideals(A16))
+    def test_phi_a16(self, ideal):
+        _phi_identities(A16, ideal)
+
+    @given(random_ideals(B10))
+    def test_phi_b10_and_lift(self, ideal):
+        sigma = _phi_identities(B10, ideal)
+        lifted = bm.phi(GroupType("B", 11), rp.lift_delta(B10, ideal))
+        assert lifted == sigma + (-11,)
+
+    @given(random_ideals(A16))
+    def test_psi_a16(self, ideal):
+        _psi_identities(A16, ideal)
+
+    @given(random_ideals(B10))
+    def test_psi_b10(self, ideal):
+        _psi_identities(B10, ideal)

@@ -66,6 +66,12 @@ class TestEnumerate:
         rows = [l.split(",") for l in out.splitlines()]
         assert rows == [["NENE", "0", "2"], ["NNEE", "1", "0"]]
 
+    @pytest.mark.parametrize("family,n", [("A", 13), ("B", 9), ("D", 3)])
+    def test_dyck_guard_exit_code(self, capsys, family, n):
+        code = main(["enumerate", "--object", "dyck", "--type", family, "--n", str(n)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_guard_exit_code(self, capsys):
         code, _ = run(capsys, ["enumerate", "--object", "ideal", "--type", "B", "--n", "9"])
         assert code == 2
@@ -122,6 +128,36 @@ class TestMap:
     def test_bad_input(self, capsys, monkeypatch):
         code, _ = run(capsys, ["map", "--via", "phiA", "--n", "3"], stdin='{"roots": ["x"]}\n', monkeypatch=monkeypatch)
         assert code == 2
+
+    def test_phi_rejects_non_ideal(self, capsys, monkeypatch):
+        # e3-e1 sits above e2-e1 and e3-e2, so {e3-e1} alone is not an order ideal
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"roots":["e3-e1"]}\n'))
+        code = main(["map", "--via", "phiA", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "line 1: not an order ideal of A2: it holds e3-e1 but not e2-e1" in captured.err
+
+    def test_phi_names_root_outside_rank(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"roots":["e2-e1"]}\n{"roots":["e9-e1"]}\n'))
+        code = main(["map", "--via", "phiA", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.strip() == "[2,1,3]  ls=1"
+        assert "line 2: e9-e1 is not a positive root of A2" in captured.err
+
+    @pytest.mark.parametrize("line", ['{"root": ["e2-e1"]}', "[1, 2]", '"e2-e1"'])
+    def test_phi_rejects_malformed_line(self, capsys, monkeypatch, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code = main(["map", "--via", "phiA", "--n", "3"])
+        assert code == 2
+        assert "line 1: expected a list of root strings" in capsys.readouterr().err
+
+    def test_phi_b_rejects_non_ideal(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"roots":["e2"]}\n'))
+        code = main(["map", "--via", "phiB", "--n", "2"])
+        assert code == 2
+        assert "line 1: not an order ideal of B2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("via,n,word", [("psiA", 5, "NNEE"), ("psiB", 2, "NNN"), ("psiA", 2, "NNEENE")])
     def test_psi_word_length_must_be_2n(self, capsys, monkeypatch, via, n, word):

@@ -179,6 +179,54 @@ class TestCellDictionary:
         assert rp.ideal_to_dyck(ta, frozenset(rp.positive_roots(ta))) == "NNNNEEEE"
 
 
+class TestRowStarts:
+    RANKS = [("A", r) for r in range(1, 7)] + [("B", r) for r in range(1, 6)]
+
+    @pytest.mark.parametrize("fam,rank", RANKS)
+    def test_planar_cells_match_dictionary(self, fam, rank):
+        t = GroupType(fam, rank)
+        n = t.n
+        cell_of, rows, caps = rp.planar_cells(t)
+        assert set(cell_of) == set(rp.positive_roots(t))
+        assert [len(row) for row in rows] == list(caps)
+        to_cell = rp.cell_of_root_a if fam == "A" else rp.cell_of_root_b
+        for r, (i, j) in cell_of.items():
+            assert to_cell(r, n) == (i, j)
+            assert rows[j][i] == r
+
+    @pytest.mark.parametrize("fam,rank", RANKS)
+    def test_covers_are_up_a_row_and_left_a_column(self, fam, rank):
+        t = GroupType(fam, rank)
+        poset = rp.root_poset(t)
+        cell_of, rows, caps = rp.planar_cells(t)
+        for r, (i, j) in cell_of.items():
+            above = {
+                rows[b][a]
+                for a, b in [(i, j + 1), (i - 1, j)]
+                if 0 <= a and b < len(caps) and a < caps[b]
+            }
+            assert above == {poset.roots[k] for k in poset.upper_covers[poset.index[r]]}
+
+    @pytest.mark.parametrize("fam,rank", RANKS)
+    def test_round_trip(self, fam, rank):
+        t = GroupType(fam, rank)
+        rows = rp.planar_cells(t).rows
+        for ideal in rp.ideals(t):
+            x = rp.ideal_row_starts(t, ideal)
+            assert frozenset(r for row, start in zip(rows, x) for r in row[start:]) == ideal
+            if fam == "A":
+                assert x == paths._north_columns(rp.ideal_to_dyck(t, ideal))
+
+    def test_rejects_type_d(self):
+        with pytest.raises(ValueError, match="type D"):
+            rp.ideal_row_starts(GroupType("D", 4), frozenset())
+
+    def test_repeated_roots_rejected(self):
+        t = GroupType("A", 2)
+        with pytest.raises(ValueError, match="not a set of distinct roots of A2"):
+            rp.ideal_row_starts(t, [rp.diff(1, 2), rp.diff(1, 2)])
+
+
 class TestIdealStatistics:
     def test_worked_example(self):
         t = GroupType("A", 8)

@@ -56,6 +56,38 @@ class TestBasics:
         sp.check_perm((-1, -2), "D")
 
 
+class TestKernelsAgainstDefinitions:
+    @given(st.lists(st.integers(-20, 20), max_size=16))
+    def test_inv_and_maj_word(self, w):
+        pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
+        assert sp.inv_word(w) == sum(1 for i, j in pairs if w[i] > w[j])
+        assert sp.maj_word(w) == sum(sp.descent_set_word(w))
+
+    @given(
+        st.one_of(st.lists(st.integers(-4, 4), max_size=4), signed_perms(4).map(list)),
+        st.sampled_from("ABD"),
+    )
+    def test_check_perm(self, p, family):
+        p = tuple(p)
+        negatives = sum(1 for v in p if v < 0)
+        valid = (
+            sorted(abs(v) for v in p) == list(range(1, len(p) + 1))
+            and 0 not in p
+            and not (family == "A" and negatives)
+            and not (family == "D" and negatives % 2)
+        )
+        if valid:
+            sp.check_perm(p, family)
+        else:
+            with pytest.raises(ValueError):
+                sp.check_perm(p, family)
+
+    def test_empty_perm(self):
+        for family in "ABD":
+            sp.check_perm((), family)
+            assert sp.length_s((), family) == sp.maj((), family) == 0
+
+
 class TestLengthS:
     def test_examples(self):
         assert sp.length_s(sp.identity(4), "B") == 0
