@@ -192,10 +192,10 @@ def phi_inverse_table(t: GroupType) -> dict[Perm, frozenset[Root]]:
 
 
 @lru_cache(maxsize=None)
-def psi_inverse_table(family: str, n: int) -> dict[Perm, str]:
-    words = paths.enumerate_a(n) if family == "A" else paths.enumerate_b(n)
-    fn = psi_a if family == "A" else psi_b
-    return {fn(w)[0]: w for w in words}
+def psi_inverse_table(t: GroupType) -> dict[Perm, str]:
+    if t.family == "A":
+        return {psi_a(w)[0]: w for w in paths.enumerate_a(t.n)}
+    return {psi_b(w)[0]: w for w in paths.enumerate_b(t.n)}
 
 
 def _report(identity: str, rank: int) -> dict:
@@ -254,9 +254,7 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     two_n = n * (n - 1) if fam == "A" else 2 * n * n
     report = _report(f"psi{fam}", t.rank)
     words = paths.enumerate_a(n) if fam == "A" else paths.enumerate_b(n)
-    c_word = (
-        tuple(range(n - 1, 0, -1)) if fam == "A" else tuple(range(n - 1, -1, -1))
-    )
+    c_word = signedperm.coxeter_element(fam, n)[1]
     images = {}
     for word in words:
         report["checked"] += 1
@@ -288,7 +286,7 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
         if sigma in images:
             _fail(report, "injectivity", image=sigma)
         images[sigma] = word
-    target = set(enumerate_sortables(fam, n, c_word, unsafe=unsafe))
+    target = set(enumerate_sortables(t, c_word, unsafe=unsafe))
     if set(images) != target:
         _fail(report, "image-set", missing=sorted(target - set(images))[:3])
     return report

@@ -14,53 +14,37 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
-from .qseries import GroupType, QPoly, SizeGuardError, cat_number, qcat_a
+from .qseries import GroupType, SizeGuardError, cat_number, check_guard, gen_poly, qcat_a
 
 _OBJECTS = ("dyck", "ideal", "nc", "revnc", "sortable", "partition")
 _STATS = ("area", "maj", "ls", "lt", "majimaj")
 _VIAS = ("phiA", "phiB", "psiA", "psiB")
 
 
-def _group(args) -> GroupType:
-    family, n = args.type, args.n
-    rank = n - 1 if family == "A" else n
-    return GroupType(family, rank)
+def _group(family: str, n: int) -> GroupType:
+    """The group whose paths have semilength n: A_{n-1}, B_n or D_n."""
+    return GroupType(family, n - 1 if family == "A" else n)
 
 
 def _enumerate_objects(args):
     family, n = args.type, args.n
     if args.object == "dyck":
-        paths._guard(family, n, args.unsafe)
+        check_guard("path", family, n, args.unsafe)
         return [("path", w) for w in (paths.enumerate_a if family == "A" else paths.enumerate_b)(n)]
-    t = _group(args)
+    t = _group(family, n)
     if args.object == "ideal":
         return [("ideal", i) for i in rootposets.ideals(t, unsafe=args.unsafe)]
-    if args.object in ("nc", "revnc", "partition"):
-        # |NC(W)| = |ideals|, so the ideal guards bound this walk too
-        guard = rootposets.IDEAL_GUARDS[family]
-        if t.rank > guard and not args.unsafe:
-            raise SizeGuardError(
-                f"non-crossing enumeration guarded at rank {guard} for type {family}"
-            )
+    if args.object == "sortable":
+        return [("perm", w) for w in sortable.enumerate_sortables(t, unsafe=args.unsafe)]
+    check_guard("non-crossing", family, t.rank, args.unsafe)
     if args.object == "nc":
         return [("perm", w) for w in noncrossing.nc_elements(t)]
     if args.object == "revnc":
         return [("perm", w) for w in noncrossing.rev_nc(t)]
-    if args.object == "sortable":
-        return [("perm", w) for w in sortable.enumerate_sortables(family, n, unsafe=args.unsafe)]
-    if args.object == "partition":
-        if family == "A":
-            return [
-                ("partition", noncrossing.perm_to_partition_a(w))
-                for w in noncrossing.nc_elements(t)
-            ]
-        if family == "B":
-            return [
-                ("partition", noncrossing.perm_to_partition_b(w))
-                for w in noncrossing.nc_elements(t)
-            ]
+    if family == "D":
         raise ValueError("no type-D set partitions")
-    raise ValueError(f"unknown object {args.object!r}")
+    to_partition = noncrossing.perm_to_partition_a if family == "A" else noncrossing.perm_to_partition_b
+    return [("partition", to_partition(w)) for w in noncrossing.nc_elements(t)]
 
 
 def _serialize(kind: str, obj, fmt: str) -> str:
@@ -91,7 +75,7 @@ def _stat_value(kind: str, obj, stat: str, args) -> int:
         if stat == "area":
             return len(obj)
         if stat == "maj":
-            return rootposets.ideal_maj(_group(args), obj)
+            return rootposets.ideal_maj(_group(family, args.n), obj)
     if kind == "perm":
         if stat == "ls":
             return signedperm.length_s(obj, family)
@@ -125,12 +109,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    objs = _enumerate_objects(args)
-    values = [_stat_value(kind, obj, args.stat, args) for kind, obj in objs]
-    counts = [0] * (max(values, default=0) + 1)
-    for v in values:
-        counts[v] += 1
-    poly = QPoly(counts)
+    poly = gen_poly(_stat_value(kind, obj, args.stat, args) for kind, obj in _enumerate_objects(args))
     if args.format == "json":
         print(json.dumps(poly.to_json()))
     else:
@@ -140,20 +119,13 @@ def cmd_poly(args) -> int:
 
 def _parse_path_line(line: str) -> str:
     line = line.strip()
-    if line.startswith("{"):
-        return json.loads(line)["steps"]
-    if line.startswith('"'):
-        return json.loads(line)
-    return line
-
-
-def _parse_ideal_line(line: str):
+    if not line.startswith(("{", '"')):
+        return line
     data = json.loads(line)
-    if isinstance(data, dict):
-        data = data.get("roots")
-    if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
-        raise ValueError(f'expected a list of root strings or {{"roots": [...]}}, got {line.strip()!r}')
-    return frozenset(rootposets.parse_root(s) for s in data)
+    word = data.get("steps") if isinstance(data, dict) else data
+    if not isinstance(word, str):
+        raise ValueError(f'expected a step string or {{"steps": "..."}}, got {line!r}')
+    return word
 
 
 def _parse_perm_line(line: str, n: int):
@@ -161,56 +133,55 @@ def _parse_perm_line(line: str, n: int):
     if line.startswith("("):
         return signedperm.from_cycles(signedperm.parse_cycles(line), n)
     data = json.loads(line)
-    if isinstance(data, dict):
-        data = data["oneline"]
-    p = tuple(int(v) for v in data)
+    p = data.get("oneline") if isinstance(data, dict) else data
+    # type(), not isinstance(): a bool is an int; floats are refused, not truncated
+    if not isinstance(p, list) or not all(type(v) is int for v in p):
+        raise ValueError(f'expected a list of integers or {{"oneline": [...]}}, got {line!r}')
+    p = tuple(p)
     signedperm.check_perm(p)
     return p
 
 
+def _map_line(args, t: GroupType, line: str) -> str:
+    family, n = t.family, t.n
+    if args.inverse:
+        image = _parse_perm_line(line, n)
+        if args.via.startswith("phi"):
+            kind, preimage = "ideal", bijmaps.phi_inverse_table(t).get(image)
+        else:
+            kind, preimage = "path", bijmaps.psi_inverse_table(t).get(image)
+        if preimage is None:
+            raise ValueError(f"{image!r} is not in the image of {args.via}")
+        serialized = _serialize(kind, preimage, args.format)
+        ls = signedperm.length_s(image, family)
+        if args.format == "json":
+            return json.dumps({"preimage": json.loads(serialized) if kind == "ideal" else {"steps": preimage}, "ls": ls})
+        return f"{serialized}  ls={ls}"
+    if args.via.startswith("phi"):
+        image = bijmaps.phi(t, rootposets.ideal_from_json(json.loads(line)))
+    else:
+        word = _parse_path_line(line)
+        if len(word) != 2 * n:
+            raise ValueError(f"{line.strip()!r} has {len(word)} steps, but --n {n} needs {2 * n}")
+        image = (bijmaps.psi_a if family == "A" else bijmaps.psi_b)(word)[0]
+    ls = signedperm.length_s(image, family)
+    mm = signedperm.maj(image, family) + signedperm.imaj(image, family)
+    if args.format == "json":
+        return json.dumps({"image": {"oneline": list(image)}, "ls": ls, "majimaj": mm})
+    return f"{json.dumps(list(image), separators=(',', ':'))}  ls={ls}"
+
+
 def cmd_map(args) -> int:
-    family = "A" if args.via.endswith("A") else "B"
-    n = args.n
-    t = GroupType(family, n - 1 if family == "A" else n)
+    t = _group("A" if args.via.endswith("A") else "B", args.n)
     for lineno, line in enumerate(sys.stdin, start=1):
         if not line.strip():
             continue
-        if args.inverse:
-            image = _parse_perm_line(line, n)
-            if args.via.startswith("phi"):
-                table = bijmaps.phi_inverse_table(t)
-                kind, preimage = "ideal", table.get(image)
-            else:
-                table = bijmaps.psi_inverse_table(family, n)
-                kind, preimage = "path", table.get(image)
-            if preimage is None:
-                raise ValueError(f"{image!r} is not in the image of {args.via}")
-            serialized = _serialize(kind, preimage, args.format)
-            ls = signedperm.length_s(image, family)
-            if args.format == "json":
-                print(json.dumps({"preimage": json.loads(serialized) if kind == "ideal" else {"steps": preimage}, "ls": ls}))
-            else:
-                print(f"{serialized}  ls={ls}")
-            continue
-        if args.via.startswith("phi"):
-            try:
-                image = bijmaps.phi(t, _parse_ideal_line(line))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        else:
-            word = _parse_path_line(line)
-            if len(word) != 2 * n:
-                raise ValueError(
-                    f"line {lineno}: {line.strip()!r} has {len(word)} steps, "
-                    f"but --n {n} needs {2 * n}"
-                )
-            image = (bijmaps.psi_a if family == "A" else bijmaps.psi_b)(word)[0]
-        ls = signedperm.length_s(image, family)
-        mm = signedperm.maj(image, family) + signedperm.imaj(image, family)
-        if args.format == "json":
-            print(json.dumps({"image": {"oneline": list(image)}, "ls": ls, "majimaj": mm}))
-        else:
-            print(f"{json.dumps(list(image), separators=(',', ':'))}  ls={ls}")
+        try:
+            print(_map_line(args, t, line))
+        except SizeGuardError:
+            raise
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return 0
 
 
@@ -219,10 +190,10 @@ _VERIFY_DEFAULT_B = 4
 
 
 def _verify_task(task) -> dict:
-    which, rank = task
+    which, n = task
     if which == "d4":
         return noncrossing.d4_counterexample()
-    t = GroupType("A" if which.endswith("A") else "B", rank)
+    t = _group(which[-1], n)
     if which.startswith("phi"):
         return bijmaps.verify_phi_theorems(t)
     return bijmaps.verify_psi_theorems(t)
@@ -236,18 +207,16 @@ def cmd_verify(args) -> int:
         max_a = args.max_n if args.max_n else _VERIFY_DEFAULT_A
         max_b = args.max_n if args.max_n else _VERIFY_DEFAULT_B
         for n in range(2, max_a + 1):
-            tasks += [("phiA", n - 1), ("psiA", n - 1)]
+            tasks += [("phiA", n), ("psiA", n)]
         for n in range(2, max_b + 1):
             tasks += [("phiB", n), ("psiB", n)]
         tasks.append(("d4", 4))
     elif args.which == "d4":
         tasks = [("d4", 4)]
     else:
-        n = args.n
-        if n is None:
+        if args.n is None:
             raise SystemExit("verify --which <single> requires --n")
-        rank = n - 1 if args.which.endswith("A") else n
-        tasks = [(args.which, rank)]
+        tasks = [(args.which, args.n)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_verify_task, tasks))

@@ -11,14 +11,13 @@ import itertools
 from functools import lru_cache
 
 from . import rootposets
-from .qseries import GroupType, QPoly
+from .qseries import GroupType, gen_poly
 from .signedperm import (
     Perm,
     apply_value,
     check_perm,
     coxeter_element,
     enumerate_group,
-    inverse,
     length_s,
     length_t,
     _abs_length_table,
@@ -29,6 +28,7 @@ from .signedperm import (
     simple_reflection,
     to_cycles,
 )
+from .sortable import enumerate_sortables
 
 Block = frozenset[int]
 SetPartition = frozenset[Block]
@@ -78,25 +78,19 @@ def _blocks_cross(x: Block, y: Block, key) -> bool:
     return len(collapsed) >= 4
 
 
+def _any_cross(blocks, key) -> bool:
+    return any(_blocks_cross(x, y, key) for x, y in itertools.combinations(blocks, 2))
+
+
 def is_noncrossing_a(p: SetPartition) -> bool:
-    blocks = list(p)
-    return not any(
-        _blocks_cross(blocks[i], blocks[j], int)
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-    )
+    return not _any_cross(p, int)
 
 
 def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
     if n is None:
         n = max(abs(v) for b in p for v in b)
     check_partition_b(p, n)
-    blocks = list(p)
-    return not any(
-        _blocks_cross(blocks[i], blocks[j], _order_key_b)
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-    )
+    return not _any_cross(p, _order_key_b)
 
 
 def _lt(t: GroupType):
@@ -145,12 +139,7 @@ def nc_perm_test_a(p: Perm) -> bool:
     cycles = to_cycles(p)
     if any(list(c) != sorted(c) for c in cycles):
         return False
-    blocks = [frozenset(c) for c in cycles]
-    return not any(
-        _blocks_cross(blocks[i], blocks[j], int)
-        for i in range(len(blocks))
-        for j in range(i + 1, len(blocks))
-    )
+    return not _any_cross(map(frozenset, cycles), int)
 
 
 def partition_to_perm_a(p: SetPartition, n: int) -> Perm:
@@ -248,21 +237,15 @@ def d4_counterexample() -> dict:
     over the sortable elements for every ordering of the simple
     reflections, although all counts agree at q = 1.
     """
-    from .sortable import is_c_sortable
-
     t = GroupType("D", 4)
     cat_poly = rootposets.cat_q(t)
-    table = _abs_length_table("D", 4)
-    group = list(enumerate_group("D", 4))
     report = {"identity": "d4-counterexample", "rank": 4, "checked": 0, "failures": []}
     cardinality = cat_poly(1)
 
     for c in coxeter_elements_d4():
         report["checked"] += 1
-        interval = [
-            w for w in group if table[w] + table[mul(inverse(w), c)] == table[c]
-        ]
-        poly = _length_poly([rev(w) for w in interval])
+        interval = nc_elements(t, c)
+        poly = gen_poly(length_s(rev(w), "D") for w in interval)
         if poly == cat_poly:
             report["failures"].append({"check": "nc-side-equality", "c": repr(c)})
         if poly(1) != cardinality or len(interval) != cardinality:
@@ -270,8 +253,8 @@ def d4_counterexample() -> dict:
 
     for word in itertools.permutations(range(4)):
         report["checked"] += 1
-        sortables = [w for w in group if is_c_sortable(w, word, "D")]
-        poly = _length_poly(sortables)
+        sortables = enumerate_sortables(t, word)
+        poly = gen_poly(length_s(w, "D") for w in sortables)
         if poly == cat_poly:
             report["failures"].append({"check": "sortable-side-equality", "word": repr(word)})
         if len(sortables) != cardinality:
@@ -280,17 +263,6 @@ def d4_counterexample() -> dict:
     return report
 
 
-def _length_poly(elements) -> QPoly:
-    vals = [length_s(w, "D") for w in elements]
-    out = [0] * (max(vals, default=0) + 1)
-    for v in vals:
-        out[v] += 1
-    return QPoly(out)
-
-
 def partition_to_json(p: SetPartition) -> list[list[int]]:
     return sorted((sorted(b) for b in p), key=lambda b: b[0])
 
-
-def partition_from_json(data) -> SetPartition:
-    return frozenset(frozenset(int(v) for v in b) for b in data)

@@ -9,25 +9,14 @@ with a free endpoint.  Both identify with staircase-closed sets of cells
 
 from __future__ import annotations
 
-from .qseries import QPoly, SizeGuardError
+from .qseries import QPoly, check_guard, gen_poly
 
 Cell = tuple[int, int]
-
-AREA_GUARD_A = 12
-AREA_GUARD_B = 8
 
 
 def is_dyck_a(word: str) -> bool:
     """Balanced N/E word whose prefixes never have more E's than N's."""
-    n2 = len(word)
-    if n2 % 2 or any(c not in "NE" for c in word):
-        return False
-    lvl = 0
-    for c in word:
-        lvl += 1 if c == "N" else -1
-        if lvl < 0:
-            return False
-    return lvl == 0
+    return is_dyck_b(word) and 2 * word.count("N") == len(word)
 
 
 def is_dyck_b(word: str) -> bool:
@@ -51,29 +40,16 @@ def _check(word: str, family: str) -> int:
 
 def enumerate_a(n: int) -> list[str]:
     """All type-A Dyck words of semilength n, in lexicographic order (E < N)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out: list[str] = []
-
-    def rec(prefix: list[str], norths: int, easts: int):
-        if norths + easts == 2 * n:
-            out.append("".join(prefix))
-            return
-        if easts < norths:
-            prefix.append("E")
-            rec(prefix, norths, easts + 1)
-            prefix.pop()
-        if norths < n:
-            prefix.append("N")
-            rec(prefix, norths + 1, easts)
-            prefix.pop()
-
-    rec([], 0, 0)
-    return out
+    return _enumerate(n, n)
 
 
 def enumerate_b(n: int) -> list[str]:
     """All type-B Dyck words of 2n steps, in lexicographic order (E < N)."""
+    return _enumerate(n, 2 * n)
+
+
+def _enumerate(n: int, max_norths: int) -> list[str]:
+    """Words of 2n steps never below the diagonal, with at most max_norths N's."""
     if n < 0:
         raise ValueError("n must be >= 0")
     out: list[str] = []
@@ -86,9 +62,10 @@ def enumerate_b(n: int) -> list[str]:
             prefix.append("E")
             rec(prefix, norths, easts + 1)
             prefix.pop()
-        prefix.append("N")
-        rec(prefix, norths + 1, easts)
-        prefix.pop()
+        if norths < max_norths:
+            prefix.append("N")
+            rec(prefix, norths + 1, easts)
+            prefix.pop()
 
     rec([], 0, 0)
     return out
@@ -286,34 +263,15 @@ def path_from_partition(lam: tuple[int, ...], n: int) -> str:
 
 def area_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:
     """Generating polynomial of the area statistic over all paths."""
-    _guard(family, n, unsafe)
+    check_guard("path", family, n, unsafe)
     if family == "A":
-        sizes = [area_a(w) for w in enumerate_a(n)]
-    else:
-        sizes = [area_b(w) for w in enumerate_b(n)]
-    return _gen_poly(sizes)
+        return gen_poly(map(area_a, enumerate_a(n)))
+    return gen_poly(map(area_b, enumerate_b(n)))
 
 
 def maj_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:
     """Generating polynomial of the major index over all paths."""
-    _guard(family, n, unsafe)
+    check_guard("path", family, n, unsafe)
     if family == "A":
-        sizes = [maj_a(w) for w in enumerate_a(n)]
-    else:
-        sizes = [maj_b(w) for w in enumerate_b(n)]
-    return _gen_poly(sizes)
-
-
-def _guard(family: str, n: int, unsafe: bool):
-    if family not in ("A", "B"):
-        raise ValueError(f"no paths of type {family!r}")
-    limit = AREA_GUARD_A if family == "A" else AREA_GUARD_B
-    if n > limit and not unsafe:
-        raise SizeGuardError(f"type {family} path enumeration guarded at n <= {limit}")
-
-
-def _gen_poly(values: list[int]) -> QPoly:
-    out = [0] * (max(values, default=0) + 1)
-    for v in values:
-        out[v] += 1
-    return QPoly(out)
+        return gen_poly(map(maj_a, enumerate_a(n)))
+    return gen_poly(map(maj_b, enumerate_b(n)))

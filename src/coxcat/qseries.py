@@ -21,6 +21,27 @@ class SizeGuardError(ValueError):
     """An enumeration was requested beyond its guarded rank."""
 
 
+# The largest size each enumeration runs at unless ``unsafe`` is given:
+# paths by their semilength n, everything else by rank.  |NC(W)| is the
+# number of ideals, so the non-crossing walks share the ideal limits.
+SIZE_GUARDS = {
+    "path": {"A": 12, "B": 8},
+    "ideal": {"A": 9, "B": 6, "D": 5},
+    "non-crossing": {"A": 9, "B": 6, "D": 5},
+    "sortable": {"A": 8, "B": 5, "D": 4},
+}
+
+
+def check_guard(kind: str, family: str, size: int, unsafe: bool = False) -> None:
+    """Raise SizeGuardError if ``size`` exceeds the ``SIZE_GUARDS`` limit."""
+    limits = SIZE_GUARDS[kind]
+    if family not in limits:
+        raise ValueError(f"no {kind}s of type {family!r}")
+    if size > limits[family] and not unsafe:
+        measure = "n <=" if kind == "path" else "rank"
+        raise SizeGuardError(f"{kind} enumeration guarded at {measure} {limits[family]} for type {family}")
+
+
 class QPoly:
     """Polynomial in q with integer coefficients, constant term first.
 
@@ -178,6 +199,17 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
+
+
+def gen_poly(values: Iterable[int]) -> QPoly:
+    """The sum of q^v over the values: coefficient k counts the values equal to k."""
+    values = list(values)
+    if min(values, default=0) < 0:
+        raise ValueError("values must be >= 0")
+    counts = [0] * (max(values, default=0) + 1)
+    for v in values:
+        counts[v] += 1
+    return QPoly(counts)
 
 
 _FIXED_RANK = {"H3": 3, "H4": 4, "F4": 4, "E6": 6, "E7": 7, "E8": 8}

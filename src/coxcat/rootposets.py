@@ -14,12 +14,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import paths
-from .qseries import GroupType, QPoly, SizeGuardError
+from .qseries import GroupType, QPoly, check_guard, gen_poly
 
 Root = tuple
 Cell = tuple[int, int]
-
-IDEAL_GUARDS = {"A": 9, "B": 6, "D": 5}
 
 
 def diff(a: int, b: int) -> Root:
@@ -171,11 +169,7 @@ class RootPoset:
 
     def ideals(self, unsafe: bool = False) -> list[frozenset[Root]]:
         """All order ideals, by backtracking along a height linear extension."""
-        guard = IDEAL_GUARDS[self.type.family]
-        if self.type.rank > guard and not unsafe:
-            raise SizeGuardError(
-                f"ideal enumeration guarded at rank {guard} for type {self.type.family}"
-            )
+        check_guard("ideal", self.type.family, self.type.rank, unsafe)
         m = len(self.roots)
         lower = self.lower_covers  # roots are already height-sorted
         out: list[frozenset[Root]] = []
@@ -276,11 +270,7 @@ def ideals(t: GroupType, unsafe: bool = False) -> list[frozenset[Root]]:
 
 def cat_q(t: GroupType, unsafe: bool = False) -> QPoly:
     """Generating polynomial of ideal sizes; the q-Catalan number by areas."""
-    sizes = [len(i) for i in ideals(t, unsafe=unsafe)]
-    counts = [0] * (max(sizes, default=0) + 1)
-    for s in sizes:
-        counts[s] += 1
-    return QPoly(counts)
+    return gen_poly(map(len, ideals(t, unsafe=unsafe)))
 
 
 def cell_of_root_a(r: Root, n: int) -> Cell:
@@ -411,5 +401,9 @@ def ideal_to_json(ideal: frozenset[Root]) -> dict:
     return {"roots": sorted(root_str(r) for r in ideal)}
 
 
-def ideal_from_json(data: dict) -> frozenset[Root]:
-    return frozenset(parse_root(s) for s in data["roots"])
+def ideal_from_json(data) -> frozenset[Root]:
+    """Decode ``{"roots": [...]}``, or a bare list, of root strings."""
+    roots = data.get("roots") if isinstance(data, dict) else data
+    if not isinstance(roots, list) or not all(isinstance(s, str) for s in roots):
+        raise ValueError(f'expected a list of root strings or {{"roots": [...]}}, got {data!r}')
+    return frozenset(parse_root(s) for s in roots)

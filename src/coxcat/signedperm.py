@@ -346,18 +346,18 @@ def coxeter_element(family: str, n: int, variant: str = "sorting") -> tuple[Perm
     gives the cycles (1,2,...,n) and (1,2,...,n,-1) used for the
     non-crossing partition interval.
     """
-    if variant in ("sorting", "long-cycle-down"):
+    if variant == "sorting":
         if family == "A":
             word = tuple(range(n - 1, 0, -1))
         else:
             word = tuple(range(n - 1, -1, -1))
-    elif variant in ("nc", "standard"):
+    elif variant == "nc":
         if family == "A":
             word = tuple(range(1, n))
         elif family == "B":
             word = tuple(range(0, n))
         else:
-            raise ValueError("no standard nc variant for type D")
+            raise ValueError("no nc variant for type D")
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return word_to_perm(word, n, family), word

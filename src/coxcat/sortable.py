@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import SizeGuardError
+from .qseries import GroupType, check_guard
 from .signedperm import (
     Perm,
     check_perm,
+    coxeter_element,
     group_order_key,
     identity,
     length_s,
 )
-
-SORTABLE_GUARDS = {"A": 8, "B": 5, "D": 4}
 
 
 @dataclass(frozen=True)
@@ -133,22 +132,19 @@ def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:
     return w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :]
 
 
-def enumerate_sortables(family: str, n: int, c_word=None, unsafe: bool = False) -> list[Perm]:
+def enumerate_sortables(t: GroupType, c_word=None, unsafe: bool = False) -> list[Perm]:
     """All sortable elements for the given Coxeter word, in group order.
 
     Walks up the right weak order from e, stepping by ascents that are
     letters of c and keeping the sortable results: dropping the last letter
     of a sortable element's sorting word leaves a sortable element, so every
-    one is reached.  The result is listed in ``enumerate_group`` order.
+    one is reached.  The word defaults to that of ``coxeter_element``.  The
+    result is listed in ``enumerate_group`` order.
     """
-    guard = SORTABLE_GUARDS[family]
-    rank = n - 1 if family == "A" else n
-    if rank > guard and not unsafe:
-        raise SizeGuardError(
-            f"sortable enumeration guarded at rank {guard} for type {family}"
-        )
+    family, n = t.family, t.n
+    check_guard("sortable", family, t.rank, unsafe)
     if c_word is None:
-        c_word = tuple(range(n - 1, 0, -1)) if family == "A" else tuple(range(n - 1, -1, -1))
+        c_word = coxeter_element(family, n)[1]
     _check_c_word(c_word, n, family)
     found = [identity(n)]
     seen = set(found)

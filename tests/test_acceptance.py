@@ -112,7 +112,7 @@ def test_criterion_07_psi(fam, ranks):
         t = GroupType(fam, rank)
         rep = bm.verify_psi_theorems(t)
         ok &= rep["failures"] == []
-        sortables = so.enumerate_sortables(fam, t.n)
+        sortables = so.enumerate_sortables(t)
         ok &= gen_poly([sp.length_s(w, fam) for w in sortables]) == rp.cat_q(t)
         majimaj = gen_poly([sp.maj(w, fam) + sp.imaj(w, fam) for w in sortables])
         ok &= majimaj == (qcat_a(t.n) if fam == "A" else qcat_product(t))

@@ -197,6 +197,57 @@ class TestMap:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ([], 'expected a step string or {"steps": "..."}'),
+            (["--inverse"], 'expected a list of integers or {"oneline": [...]}'),
+        ],
+    )
+    def test_json_object_without_its_key(self, capsys, monkeypatch, args, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"a":1}\n'))
+        code = main(["map", "--via", "psiA", "--n", "2", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"line 1: {message}" in captured.err
+
+    @pytest.mark.parametrize("line", ['{"steps": 3}', '{"steps": ["N", "E", "N", "E"]}', '{"steps": null}'])
+    def test_psi_rejects_non_string_steps(self, capsys, monkeypatch, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"NENE\n{line}\n"))
+        code = main(["map", "--via", "psiA", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.strip() == "[1,2]  ls=0"
+        assert "line 2: expected a step string" in captured.err
+
+    @pytest.mark.parametrize(
+        "line", ["[1.7,2]", "[1.0,2]", "[true,2]", '["1",2]', '{"oneline": [2.0, 1]}', "7"]
+    )
+    def test_inverse_rejects_non_integer_entries(self, capsys, monkeypatch, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code = main(["map", "--via", "psiA", "--n", "2", "--inverse"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "line 1: expected a list of integers" in captured.err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("[3,1,2]", "(3, 1, 2) is not in the image of psiA"),
+            ("(1,5)", "entry out of range in cycle (1, 5)"),
+            ("[1,1]", "not a signed permutation: (1, 1)"),
+        ],
+    )
+    def test_inverse_errors_name_the_line(self, capsys, monkeypatch, line, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"[2,1]\n\n{line}\n"))
+        code = main(["map", "--via", "psiA", "--n", "2", "--inverse"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.strip() == "NNEE  ls=1"
+        assert f"line 3: {message}" in captured.err
+
 
 class TestVerify:
     def test_single(self, capsys):

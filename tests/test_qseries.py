@@ -8,6 +8,7 @@ from coxcat.qseries import (
     cat_number,
     coxeter_number,
     degrees,
+    gen_poly,
     is_palindromic,
     q_binomial,
     q_factorial,
@@ -176,6 +177,28 @@ class TestPalindromic:
         assert not is_palindromic(QPoly([1, 1]), 2)
         assert is_palindromic(qcat_a(3), 6)
         assert is_palindromic(QPoly(), 5)
+
+
+class TestGenPoly:
+    def test_counts_values(self):
+        assert gen_poly([0, 2, 2, 3, 0, 2]) == QPoly([2, 0, 3, 1])
+
+    def test_empty_input_is_zero(self):
+        assert gen_poly([]) == QPoly()
+        assert str(gen_poly(iter(()))) == "0"
+
+    def test_accepts_a_generator(self):
+        assert gen_poly(k % 3 for k in range(7)) == QPoly([3, 2, 2])
+
+    def test_rejects_negative_values(self):
+        with pytest.raises(ValueError):
+            gen_poly([1, -1])
+
+    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=50))
+    def test_value_at_one_counts_inputs(self, values):
+        poly = gen_poly(values)
+        assert poly(1) == len(values)
+        assert all(poly.coeff(k) == values.count(k) for k in range(32))
 
 
 class TestGroupType:

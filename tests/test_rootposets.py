@@ -321,3 +321,11 @@ class TestSerialization:
         data = rp.ideal_to_json(ideal)
         assert data == {"roots": ["e1", "e2-e1"]}
         assert rp.ideal_from_json(data) == ideal
+
+    def test_ideal_from_json_accepts_a_bare_list(self):
+        assert rp.ideal_from_json(["e1", "e2-e1"]) == frozenset([rp.short(1), rp.diff(1, 2)])
+
+    @pytest.mark.parametrize("data", [{"root": ["e1"]}, {"roots": "e1"}, [1, 2], "e1", None, ["e1", 2]])
+    def test_ideal_from_json_rejects_other_shapes(self, data):
+        with pytest.raises(ValueError, match="expected a list of root strings"):
+            rp.ideal_from_json(data)

@@ -212,10 +212,10 @@ class TestLeqT:
 
 class TestCoxeterElement:
     def test_variants(self):
-        perm, word = sp.coxeter_element("A", 3, "long-cycle-down")
+        perm, word = sp.coxeter_element("A", 3, "sorting")
         assert word == (2, 1)
         assert perm == (3, 1, 2)
-        perm, word = sp.coxeter_element("B", 4, "standard")
+        perm, word = sp.coxeter_element("B", 4, "nc")
         assert perm == (2, 3, 4, -1)
         perm, word = sp.coxeter_element("A", 2)
         assert perm == (2, 1)
