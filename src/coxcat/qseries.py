@@ -18,7 +18,7 @@ class InexactDivisionError(ArithmeticError):
 
 
 class SizeGuardError(ValueError):
-    """An enumeration was requested beyond its guarded rank."""
+    """An enumeration was requested beyond its limit in ``SIZE_GUARDS``."""
 
 
 # The largest size each enumeration runs at unless ``unsafe`` is given:
