@@ -9,8 +9,8 @@ not cover, and stripping is the shift x'_{j-1} = min(x_j + 1, cap_{j-1}),
 so each shell costs O(n).  Reading the row starts rejects any input that
 is not an order ideal.  ``psi_a``/``psi_b`` read the cells under a Dyck
 path, diagonal by diagonal, as a sorting word, sorting the cells into
-diagonals in one pass.  The verifiers check the counting and major-index
-identities exhaustively at a given rank.
+factors in one pass over the rows.  The verifiers check the counting and
+major-index identities exhaustively at a given rank.
 
 Shelling conventions.  A root unfolds to one or two intervals over the
 signed baseline -n < ... < -1 < 1 < ... < n:
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from . import paths, rootposets, signedperm
 from .noncrossing import rev_nc
-from .qseries import GroupType
+from .qseries import GroupType, check_guard
 from .sortable import SortingWord, c_sorting_word, enumerate_sortables
 from .signedperm import Perm
 
@@ -103,9 +103,13 @@ def _read_block(seq: list[int], cycles: list[tuple[int, ...]]) -> None:
 
 def strip_ideal(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
     """Shrink every cell (i, j) with j - i > 2 to (i+1, j-1); drop the rest."""
-    cells = rootposets.ideal_cells(t, ideal)
-    inner = frozenset((i + 1, j - 1) for i, j in cells if j - i > 2)
-    return rootposets.ideal_from_cells(t, inner)
+    cell_of, rows, _ = rootposets.planar_cells(t)
+    try:
+        cells = [cell_of[r] for r in ideal]
+    except KeyError as exc:
+        root = rootposets.root_str(exc.args[0])
+        raise ValueError(f"{root} is not a positive root of {t.family}{t.rank}") from None
+    return frozenset(rows[j - 1][i + 1] for i, j in cells if j - i > 2)
 
 
 def _strip_rows(x: list[int], caps: tuple[int, ...]) -> list[int]:
@@ -146,34 +150,31 @@ def phi(t: GroupType, ideal: frozenset[Root]) -> Perm:
 
 def psi_a(word: str) -> tuple[Perm, SortingWord]:
     """Label cell (i, j) by letter n-1-i and read the diagonals in order."""
-    n = paths._check(word, "A")
-    diagonals: list[list[int]] = [[] for _ in range(n)]
-    for j, x in enumerate(paths._north_columns(word)):
-        for i in range(x, j):
-            diagonals[j - i].append(n - 1 - i)
-    sw = SortingWord(_leading_factors(diagonals[1:]))
-    return signedperm.word_to_perm(sw.letters, n, "A"), sw
+    return _psi(word, "A")
 
 
 def psi_b(word: str) -> tuple[Perm, SortingWord]:
-    """Type-B cell reading: lower cells as in type A, upper cells by rows.
+    """Type-B cell reading: lower cells as in type A, upper cells by columns."""
+    return _psi(word, "B")
 
-    Lower cells (j < n) carry letter n-1-i; upper cells (j >= n) carry
-    letter 2n-1-i-j.  Factor f reads the lower diagonal j - i = f by
-    ascending i, then the upper column i = n - f by ascending j.
+
+def _psi(word: str, family: str) -> tuple[Perm, SortingWord]:
+    """Lower cells (j < n) carry letter n-1-i; upper cells (j >= n, type B
+    only) carry letter 2n-1-i-j.  Reading rows in order, factor f collects
+    the lower diagonal j - i = f by ascending i, then the upper column
+    i = n - f by ascending j.
     """
-    n = paths._check(word, "B")
-    lower: list[list[int]] = [[] for _ in range(n + 1)]
-    upper: list[list[int]] = [[] for _ in range(n + 1)]
+    n = paths._check(word, family)
+    factors: list[list[int]] = [[] for _ in range(n + 1)]
     for j, x in enumerate(paths._north_columns(word)):
         if j < n:
             for i in range(x, j):
-                lower[j - i].append(n - 1 - i)
+                factors[j - i].append(n - 1 - i)
         else:
             for i in range(x, 2 * n - j):
-                upper[n - i].append(2 * n - 1 - i - j)
-    sw = SortingWord(_leading_factors([a + b for a, b in zip(lower[1:], upper[1:])]))
-    return signedperm.word_to_perm(sw.letters, n, "B"), sw
+                factors[n - i].append(2 * n - 1 - i - j)
+    sw = SortingWord(_leading_factors(factors[1:]))
+    return signedperm.word_to_perm(sw.letters, n, family), sw
 
 
 def _leading_factors(factors: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -193,9 +194,9 @@ def phi_inverse_table(t: GroupType) -> dict[Perm, frozenset[Root]]:
 
 @lru_cache(maxsize=None)
 def psi_inverse_table(t: GroupType) -> dict[Perm, str]:
-    if t.family == "A":
-        return {psi_a(w)[0]: w for w in paths.enumerate_a(t.n)}
-    return {psi_b(w)[0]: w for w in paths.enumerate_b(t.n)}
+    check_guard("path", t.family, t.n)
+    words = paths.enumerate_a(t.n) if t.family == "A" else paths.enumerate_b(t.n)
+    return {_psi(w, t.family)[0]: w for w in words}
 
 
 def _report(identity: str, rank: int) -> dict:

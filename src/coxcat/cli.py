@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
 from .qseries import GroupType, SizeGuardError, cat_number, check_guard, gen_poly, qcat_a
@@ -217,15 +218,13 @@ def cmd_verify(args) -> int:
         if args.n is None:
             raise SystemExit("verify --which <single> requires --n")
         tasks = [(args.which, args.n)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_task, tasks))
-    else:
-        reports = [_verify_task(t) for t in tasks]
     bad = 0
-    for report in reports:
-        print(json.dumps(report))
-        bad += len(report["failures"])
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        # print each report once it is ready, in task order, so that a later
+        # task's error (a size guard, say) keeps the reports already computed
+        for report in (pool.map if pool else map)(_verify_task, tasks):
+            print(json.dumps(report), flush=True)
+            bad += len(report["failures"])
     return 1 if bad else 0
 
 

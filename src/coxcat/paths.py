@@ -85,9 +85,7 @@ def _north_columns(word: str) -> list[int]:
 
 def cells_a(word: str) -> frozenset[Cell]:
     """Cells (i, j), 0 <= i < j < n, strictly below the path and above the diagonal."""
-    _check(word, "A")
-    xs = _north_columns(word)
-    return frozenset((i, j) for j, x in enumerate(xs) for i in range(x, j))
+    return _cells(word, "A")
 
 
 def area_a(word: str) -> int:
@@ -96,62 +94,33 @@ def area_a(word: str) -> int:
 
 def cells_b(word: str) -> frozenset[Cell]:
     """Cells (i, j), 0 <= i < j <= 2n-1-i, below a type-B path."""
-    n = _check(word, "B")
-    xs = _north_columns(word)
-    return frozenset(
-        (i, j) for j, x in enumerate(xs) for i in range(x, min(j, 2 * n - j))
-    )
+    return _cells(word, "B")
 
 
 def area_b(word: str) -> int:
     return len(cells_b(word))
 
 
-def path_a_from_cells(cells: frozenset[Cell], n: int) -> str:
-    """Inverse of cells_a: the unique Dyck word with the given cell set."""
-    counts = [0] * n
-    for i, j in cells:
-        if not 0 <= i < j < n:
-            raise ValueError(f"invalid type-A cell {(i, j)}")
-        counts[j] += 1
-    xs = [j - counts[j] for j in range(n)]
-    return _word_from_columns(xs, 2 * n, n)
+def _cells(word: str, family: str) -> frozenset[Cell]:
+    """Row j holds the cells from its north column up to its cap min(j, 2n - j)."""
+    n = _check(word, family)
+    xs = _north_columns(word)
+    return frozenset((i, j) for j, x in enumerate(xs) for i in range(x, min(j, 2 * n - j)))
 
 
-def path_b_from_cells(cells: frozenset[Cell], n: int) -> str:
-    """Inverse of cells_b for staircase-closed cell sets."""
-    counts = [0] * (2 * n)
-    for i, j in cells:
-        if not (0 <= i < j <= 2 * n - 1 - i):
-            raise ValueError(f"invalid type-B cell {(i, j)}")
-        counts[j] += 1
-    xs = [j - counts[j] for j in range(n)]
-    # rows at or above height n are crossed iff they carry a cell, contiguously
-    m = n
-    for j in range(n, 2 * n):
-        if counts[j]:
-            if j != m:
-                raise ValueError("cell rows are not contiguous")
-            xs.append(2 * n - j - counts[j])
-            m += 1
-    return _word_from_columns(xs, 2 * n, n)
-
-
-def _word_from_columns(xs: list[int], total: int, n: int) -> str:
+def _word_from_columns(xs: list[int], total: int) -> str:
+    """The word of ``total`` steps whose j-th north step follows xs[j] east steps."""
     word = []
     easts = 0
-    prev = 0
     for j, x in enumerate(xs):
-        if x < prev or x > j:
-            raise ValueError("cell set is not staircase-closed")
-        word.append("E" * (x - easts))
-        word.append("N")
+        if x < easts or x > j:
+            raise ValueError("north columns must weakly increase and stay left of the diagonal")
+        word.append("E" * (x - easts) + "N")
         easts = x
-        prev = x
     word.append("E" * (total - len(xs) - easts))
     out = "".join(word)
     if len(out) != total:
-        raise ValueError("cell set does not fit a path of the requested size")
+        raise ValueError(f"north columns do not fit a path of {total} steps")
     return out
 
 
@@ -258,7 +227,7 @@ def path_from_partition(lam: tuple[int, ...], n: int) -> str:
     xs = list(reversed(parts))
     if any(x > j for j, x in enumerate(xs)):
         raise ValueError("partition does not fit inside the staircase")
-    return _word_from_columns(xs, 2 * n, n)
+    return _word_from_columns(xs, 2 * n)
 
 
 def area_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:

@@ -314,36 +314,30 @@ def root_of_cell_b(cell: Cell, n: int) -> Root:
     return sum_root(k - b, b)
 
 
-def ideal_cells(t: GroupType, ideal: frozenset[Root]) -> frozenset[Cell]:
-    n = t.n
-    if t.family == "A":
-        return frozenset(cell_of_root_a(r, n) for r in ideal)
-    if t.family == "B":
-        return frozenset(cell_of_root_b(r, n) for r in ideal)
-    raise ValueError("no planar cells for type D")
-
-
-def ideal_from_cells(t: GroupType, cells: frozenset[Cell]) -> frozenset[Root]:
-    n = t.n
-    if t.family == "A":
-        return frozenset(root_of_cell_a(c, n) for c in cells)
-    if t.family == "B":
-        return frozenset(root_of_cell_b(c, n) for c in cells)
-    raise ValueError("no planar cells for type D")
+def _ideal_of_rows(t: GroupType, x: list[int]) -> frozenset[Root]:
+    """The roots in cells [x[j], caps[j]) of each row j: the inverse of ``ideal_row_starts``."""
+    rows = planar_cells(t).rows
+    return frozenset(r for row, a in zip(rows, x) for r in row[a:])
 
 
 def ideal_to_dyck(t: GroupType, ideal: frozenset[Root]) -> str:
-    """The Dyck word whose cell set realizes the ideal; area equals |ideal|."""
-    cells = ideal_cells(t, ideal)
-    if t.family == "A":
-        return paths.path_a_from_cells(cells, t.n)
-    return paths.path_b_from_cells(cells, t.n)
+    """The Dyck word whose north steps sit at the ideal's row starts; area equals |ideal|.
+
+    A type-B row j >= n gets a north step only when it holds a cell.
+    Raises ValueError unless ``ideal`` is an order ideal of ``t``.
+    """
+    x = ideal_row_starts(t, ideal)
+    n = t.n
+    caps = planar_cells(t).caps
+    xs = x[:n] + [a for a, cap in zip(x[n:], caps[n:]) if a < cap]
+    return paths._word_from_columns(xs, 2 * n)
 
 
 def dyck_to_ideal(t: GroupType, word: str) -> frozenset[Root]:
-    if t.family == "A":
-        return ideal_from_cells(t, paths.cells_a(word))
-    return ideal_from_cells(t, paths.cells_b(word))
+    """The ideal under a type-``t`` Dyck word of 2n steps: row j from its north column on."""
+    if paths._check(word, t.family) != t.n:
+        raise ValueError(f"{word!r} has {len(word)} steps, but {t.family}{t.rank} needs {2 * t.n}")
+    return _ideal_of_rows(t, paths._north_columns(word))
 
 
 def ideal_des(t: GroupType, ideal: frozenset[Root]) -> set[int]:
@@ -356,20 +350,11 @@ def ideal_maj(t: GroupType, ideal: frozenset[Root]) -> int:
 
 
 def lift_delta(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
-    """Embed an ideal one rank up by shifting its cells and filling the
+    """Embed an ideal one rank up by shifting its rows up and filling the
     bottom row (type A) or the bottom two rows (type B)."""
-    if t.family not in ("A", "B"):
-        raise ValueError("lift is defined for types A and B")
+    x = ideal_row_starts(t, ideal)
     big = GroupType(t.family, t.rank + 1)
-    n = big.n
-    shift = 1 if t.family == "A" else 2
-    cells = {(i, j + shift) for i, j in ideal_cells(t, ideal)}
-    if t.family == "A":
-        cells |= {(i, i + 1) for i in range(n - 1)}
-    else:
-        cells |= {(i, i + 1) for i in range(n)}
-        cells |= {(i, i + 2) for i in range(n - 1)}
-    out = ideal_from_cells(big, frozenset(cells))
+    out = _ideal_of_rows(big, [0] * (1 if t.family == "A" else 2) + x)
     if not root_poset(big).is_ideal(out):
         raise AssertionError("lift produced a non-ideal")
     return out

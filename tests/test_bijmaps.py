@@ -8,7 +8,7 @@ from coxcat import paths
 from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat.noncrossing import rev_nc
-from coxcat.qseries import GroupType, QPoly
+from coxcat.qseries import GroupType
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 
 
@@ -74,6 +74,10 @@ class TestStrip:
         assert bm.strip_ideal(t, full) == frozenset(
             [rp.diff(1, 2), rp.short(1), rp.short(2), rp.sum_root(1, 2)]
         )
+
+    def test_root_outside_the_rank(self):
+        with pytest.raises(ValueError, match="e9-e1 is not a positive root of A2"):
+            bm.strip_ideal(GroupType("A", 2), frozenset([rp.diff(1, 9)]))
 
     @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 4)])
     def test_strip_yields_ideals(self, fam, rank):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from coxcat import qseries
 from coxcat.cli import main
 
 
@@ -188,6 +189,14 @@ class TestMap:
         assert code == 0
         assert out.strip() == "NNNNEEENNNNE  ls=14"
 
+    def test_inverse_psi_guarded_like_path_enumeration(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1,2,3,4,5,6,7,8,9]\n"))
+        code = main(["map", "--via", "psiB", "--n", "9", "--inverse"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "path enumeration guarded at n <= 8 for type B" in captured.err
+
     def test_inverse_outside_image(self, capsys, monkeypatch):
         code, _ = run(
             capsys,
@@ -264,6 +273,18 @@ class TestVerify:
         reports = [json.loads(l) for l in out.splitlines()]
         assert any(r["identity"] == "d4-counterexample" for r in reports)
         assert all(r["failures"] == [] for r in reports)
+
+    def test_reports_before_a_guard_are_printed(self, capsys, monkeypatch):
+        monkeypatch.setitem(qseries.SIZE_GUARDS["sortable"], "B", 2)
+        code = main(["verify", "--all", "--max-n", "3", "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        reports = [json.loads(line) for line in captured.out.splitlines()]
+        assert [(r["identity"], r["rank"]) for r in reports] == [
+            ("phiA", 1), ("psiA", 1), ("phiA", 2), ("psiA", 2), ("phiB", 2), ("psiB", 2), ("phiB", 3),
+        ]
+        assert all(r["failures"] == [] for r in reports)
+        assert "sortable enumeration guarded at rank 2 for type B" in captured.err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_must_be_positive(self, capsys, jobs):

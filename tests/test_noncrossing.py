@@ -47,8 +47,6 @@ class TestNonCrossingPredicates:
             nc.is_noncrossing_b(two_symmetric, 2)
 
     def test_against_oracle_a(self):
-        import itertools
-
         def partitions(values):
             if not values:
                 yield []

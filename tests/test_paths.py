@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcat import paths
+from coxcat import rootposets as rp
 from coxcat.qseries import GroupType, QPoly, SizeGuardError, q_binomial, qcat_a, qcat_product
 
 
@@ -95,7 +96,9 @@ class TestCells:
                     assert (i + 1, j) in cells
                 if j - 1 > i:
                     assert (i, j - 1) in cells
-            assert paths.path_a_from_cells(cells, n) == w
+            if n >= 2:  # the cells name the roots of an ideal of A_{n-1}, whose path is w
+                ideal = frozenset(rp.root_of_cell_a(c, n) for c in cells)
+                assert rp.ideal_to_dyck(GroupType("A", n - 1), ideal) == w
         for w in paths.enumerate_b(n):
             cells = paths.cells_b(w)
             for i, j in cells:
@@ -103,7 +106,9 @@ class TestCells:
                     assert (i + 1, j) in cells
                 if j - 1 > i:
                     assert (i, j - 1) in cells
-            assert paths.path_b_from_cells(cells, n) == w
+            if n >= 1:
+                ideal = frozenset(rp.root_of_cell_b(c, n) for c in cells)
+                assert rp.ideal_to_dyck(GroupType("B", n), ideal) == w
 
 
 class TestMaj:

@@ -227,6 +227,30 @@ class TestRowStarts:
             rp.ideal_row_starts(t, [rp.diff(1, 2), rp.diff(1, 2)])
 
 
+class TestCodecRejects:
+    """The ideal/path codec refuses what is not an ideal or a type-t Dyck word."""
+
+    @pytest.mark.parametrize("fn", [rp.ideal_to_dyck, rp.ideal_maj, rp.ideal_des, rp.lift_delta])
+    def test_non_ideal_names_its_missing_cover(self, fn):
+        with pytest.raises(ValueError, match="it holds e3-e1 but not e2-e1"):
+            fn(GroupType("A", 2), frozenset([rp.diff(1, 3)]))
+
+    def test_non_ideal_b(self):
+        with pytest.raises(ValueError, match="not an order ideal of B3"):
+            rp.ideal_to_dyck(GroupType("B", 3), frozenset([rp.sum_root(1, 2)]))
+
+    @pytest.mark.parametrize(
+        "fam,rank,word", [("A", 3, "NENE"), ("A", 3, "NNEE"), ("A", 3, "NNNNNEEEEE"), ("B", 3, "NNNN")]
+    )
+    def test_dyck_word_of_the_wrong_length(self, fam, rank, word):
+        with pytest.raises(ValueError, match=f"has {len(word)} steps"):
+            rp.dyck_to_ideal(GroupType(fam, rank), word)
+
+    def test_non_dyck_word(self):
+        with pytest.raises(ValueError, match="not a type-A Dyck word"):
+            rp.dyck_to_ideal(GroupType("A", 3), "NNEENEEN")
+
+
 class TestIdealStatistics:
     def test_worked_example(self):
         t = GroupType("A", 8)
