@@ -81,8 +81,6 @@ def _stat_value(kind: str, obj, stat: str, args) -> int:
         if stat == "ls":
             return signedperm.length_s(obj, family)
         if stat == "lt":
-            if family == "D":
-                return signedperm.length_t_bfs(obj, family)
             return signedperm.length_t(obj)
         if stat == "maj":
             return signedperm.maj(obj, family)

@@ -11,17 +11,16 @@ import itertools
 from functools import lru_cache
 
 from . import rootposets
-from .qseries import GroupType, gen_poly
+from .qseries import GroupType, coxeter_number, gen_poly
 from .signedperm import (
     Perm,
     apply_value,
     check_perm,
     coxeter_element,
-    enumerate_group,
+    group_order,
+    group_order_key,
     length_s,
     length_t,
-    _abs_length_table,
-    group_order_key,
     mul,
     reflections,
     rev,
@@ -93,25 +92,18 @@ def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
     return not _any_cross(p, _order_key_b)
 
 
-def _lt(t: GroupType):
-    if t.family == "D":
-        table = _abs_length_table("D", t.n)
-        return table.__getitem__
-    return length_t
-
-
 def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
     """The interval [1, c] in absolute order; defaults to the standard c.
 
     Walks down from c: w covers w*r, for a reflection r, exactly when l_T
     drops by one, and absolute order is graded, so the closure of {c} under
-    such steps is the whole interval.  The cost is |[1, c]| times the number
-    of reflections.  The result is listed in ``enumerate_group`` order.
+    such steps is the whole interval.  l_T is the cycle formula ``length_t``
+    in every type, so the cost is |[1, c]| times the number of reflections,
+    never the group order.  The result is listed in ``enumerate_group`` order.
     """
     if c is None:
         c = coxeter_element(t.family, t.n, "nc" if t.family != "D" else "sorting")[0]
-    lt = _lt(t)
-    if lt(c) != t.rank:
+    if length_t(c) != t.rank:
         raise ValueError(f"{c!r} is not a Coxeter element of {t}")
     refl = reflections(t.family, t.n)
     found = {c}
@@ -121,7 +113,7 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
         for w in level:
             for r in refl:
                 u = mul(w, r)
-                if u not in found and lt(u) == rank:
+                if u not in found and length_t(u) == rank:
                     found.add(u)
                     below.append(u)
         level = below
@@ -209,7 +201,12 @@ def _orbits(p: Perm, values) -> list[set[int]]:
 
 @lru_cache(maxsize=None)
 def coxeter_elements_d4() -> tuple[Perm, ...]:
-    """The conjugacy class of the standard Coxeter element of D_4."""
+    """The conjugacy class of the standard Coxeter element of D_4.
+
+    The class is the closure of c under conjugation by simple reflections.
+    Its size is checked against |W|/h: the centralizer of a Coxeter element
+    is the cyclic group it generates, of order h (Springer, 1974).
+    """
     c0 = coxeter_element("D", 4, "sorting")[0]
     gens = [simple_reflection(i, 4, "D") for i in range(4)]
     cls = {c0}
@@ -221,10 +218,7 @@ def coxeter_elements_d4() -> tuple[Perm, ...]:
             if u not in cls:
                 cls.add(u)
                 frontier.append(u)
-    # conjugacy class size must match the orbit-stabilizer count
-    group = list(enumerate_group("D", 4))
-    centralizer = sum(1 for g in group if mul(g, c0) == mul(c0, g))
-    if len(cls) * centralizer != len(group):
+    if len(cls) * coxeter_number(GroupType("D", 4)) != group_order("D", 4):
         raise AssertionError("conjugacy class size mismatch")
     return tuple(sorted(cls))
 

@@ -10,15 +10,9 @@ reflections act on positions under right multiplication.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from functools import lru_cache
-
-from .qseries import SizeGuardError
 
 Perm = tuple[int, ...]
 Cycle = tuple[int, ...]
-
-BFS_ORDER_GUARD = 50_000
 
 _FACTORIAL = [1]
 for _i in range(1, 16):
@@ -219,8 +213,26 @@ def parse_cycles(s: str) -> tuple[Cycle, ...]:
 
 
 def length_t(p: Perm) -> int:
-    """Absolute (reflection) length via the cycle decomposition; types A and B."""
-    return sum(len(c) - 1 for c in to_cycles(p))
+    """Absolute (reflection) length in types A, B and D.
+
+    It is n minus the number of cycles of |p| whose entries change sign an
+    even number of times: such a cycle fixes a line and an odd one fixes
+    nothing, so this is codim Fix(p), which is l_T in every Weyl group
+    (Carter, 1972).
+    """
+    check_perm(p)
+    seen = [False] * len(p)
+    fixed_lines = 0
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        flips, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            flips += p[i] < 0
+            i = abs(p[i]) - 1
+        fixed_lines += flips % 2 == 0
+    return len(p) - fixed_lines
 
 
 def reflections(family: str, n: int) -> list[Perm]:
@@ -271,55 +283,16 @@ def group_order_key(p: Perm) -> tuple[Perm, int]:
     return tuple(map(abs, p)), sum(1 << i for i, v in enumerate(p) if v < 0)
 
 
-@lru_cache(maxsize=None)
-def _abs_length_table(family: str, n: int) -> dict[Perm, int]:
-    if group_order(family, n) > BFS_ORDER_GUARD:
-        raise SizeGuardError(f"group {family}{n} too large for reflection BFS")
-    gens = reflections(family, n)
-    start = identity(n)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        d = dist[w] + 1
-        for t in gens:
-            u = mul(w, t)
-            if u not in dist:
-                dist[u] = d
-                queue.append(u)
-    return dist
-
-
-def length_t_bfs(p: Perm, family: str) -> int:
-    """Reflection length as graph distance in the full-reflection Cayley graph."""
-    check_perm(p, family)
-    return _abs_length_table(family, len(p))[p]
-
-
-def leq_t(u: Perm, v: Perm, family: str) -> bool:
+def leq_t(u: Perm, v: Perm) -> bool:
     """Absolute order: l_T(v) == l_T(u) + l_T(u^-1 v)."""
     if len(u) != len(v):
         raise ValueError("rank mismatch")
-    w = mul(inverse(u), v)
-    if family == "D":
-        table = _abs_length_table("D", len(u))
-        return table[v] == table[u] + table[w]
-    return length_t(v) == length_t(u) + length_t(w)
+    return length_t(v) == length_t(u) + length_t(mul(inverse(u), v))
 
 
 def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
     """s_i for i >= 1 swaps positions i, i+1; s_0 is the type-specific extra one."""
-    line = list(range(1, n + 1))
-    if i == 0:
-        if family == "B":
-            line[0] = -1
-        elif family == "D":
-            line[0], line[1] = -2, -1
-        else:
-            raise ValueError("type A has no s_0")
-    else:
-        line[i - 1], line[i] = line[i], line[i - 1]
-    return tuple(line)
+    return word_to_perm((i,), n, family)
 
 
 def word_to_perm(word, n: int, family: str = "B") -> Perm:

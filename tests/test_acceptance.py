@@ -13,6 +13,7 @@ from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat import sortable as so
 from coxcat.qseries import GroupType, QPoly, cat_number, q_binomial, qcat_a, qcat_product, is_palindromic
+from oracles import length_t_bfs
 
 
 def gen_poly(values) -> QPoly:
@@ -175,10 +176,10 @@ def test_criterion_09_d4_negative_result():
 def test_criterion_10_oracle_cross_checks():
     ok = True
     # rank 5 in the symmetric-group family means one-line size 6
-    for fam, ns in [("A", range(2, 7)), ("B", range(1, 4))]:
+    for fam, ns in [("A", range(2, 7)), ("B", range(1, 4)), ("D", range(2, 6))]:
         for n in ns:
             for w in sp.enumerate_group(fam, n):
-                ok &= sp.length_t(w) == sp.length_t_bfs(w, fam)
+                ok &= sp.length_t(w) == length_t_bfs(w, fam)
     # cell poset is isomorphic to the B_n root poset, covers both ways
     for n in range(1, 7):
         t = GroupType("B", n)

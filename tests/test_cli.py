@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,15 @@ class TestEnumerate:
         code, out = run(capsys, ["poly", "--object", "nc", "--type", "B", "--n", "6", "--stat", "lt"])
         assert code == 0
         assert out.strip() == "1 + 36q + 225q^2 + 400q^3 + 225q^4 + 36q^5 + q^6"
+
+    def test_unsafe_overrides_every_guard(self, capsys):
+        argv = ["poly", "--object", "nc", "--type", "D", "--n", "7", "--stat", "ls", "--format", "json"]
+        code = main(argv)
+        assert code == 2
+        assert "non-crossing enumeration guarded at rank 5 for type D" in capsys.readouterr().err
+        code, out = run(capsys, argv + ["--unsafe"])
+        assert code == 0
+        assert sum(json.loads(out)["coeffs"]) == 2508  # Cat(D7)
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -304,3 +317,13 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok:") >= 20
+
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxcat", "selftest"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "FAIL" not in proc.stdout
+        assert proc.stdout.count("ok:") >= 20

@@ -4,6 +4,7 @@ from coxcat import noncrossing as nc
 from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat.qseries import GroupType, QPoly, cat_number
+from oracles import length_t_bfs
 
 
 def oracle_crossing(blocks, key):
@@ -106,7 +107,7 @@ def nc_filter_oracle(t, c=None):
     """The interval [1, c] by filtering the whole group with leq_t."""
     if c is None:
         c = sp.coxeter_element(t.family, t.n, "nc" if t.family != "D" else "sorting")[0]
-    return [w for w in sp.enumerate_group(t.family, t.n) if sp.leq_t(w, c, t.family)]
+    return [w for w in sp.enumerate_group(t.family, t.n) if sp.leq_t(w, c)]
 
 
 def coxeter_class(fam, n):
@@ -160,7 +161,7 @@ class TestNCPermTestA:
             return
         c = sp.coxeter_element("A", n, "nc")[0]
         for w in sp.enumerate_group("A", n):
-            assert nc.nc_perm_test_a(w) == sp.leq_t(w, c, "A")
+            assert nc.nc_perm_test_a(w) == sp.leq_t(w, c)
 
 
 class TestPartitionCodec:
@@ -218,7 +219,7 @@ class TestRevNC:
 class TestD4Counterexample:
     def test_class_of_coxeter_elements(self):
         cls = nc.coxeter_elements_d4()
-        assert all(sp.length_t_bfs(c, "D") == 4 for c in cls)
+        assert all(length_t_bfs(c, "D") == 4 for c in cls)
         assert len(cls) > 1
 
     def test_report(self):
