@@ -19,6 +19,8 @@ from .signedperm import (
     coxeter_element,
     group_order,
     group_order_key,
+    identity,
+    inverse,
     length_s,
     length_t,
     mul,
@@ -92,17 +94,80 @@ def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
     return not _any_cross(p, _order_key_b)
 
 
-def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
-    """The interval [1, c] in absolute order; defaults to the standard c.
+def _nc_scan(family: str, n: int) -> list[Perm]:
+    """The interval [1, c] below c = (1, 2, ..., n) in type A, or below
+    c = (1, ..., n, -1, ..., -n) in type B, in no particular order.
 
-    Walks down from c: w covers w*r, for a reflection r, exactly when l_T
-    drops by one, and absolute order is graded, so the closure of {c} under
-    such steps is the whole interval.  l_T is the cycle formula ``length_t``
-    in every type, so the cost is |[1, c]| times the number of reflections,
-    never the group order.  The result is listed in ``enumerate_group`` order.
+    Reads the points 1..n left to right.  Each point opens a block or joins
+    the innermost open block, then closes that block or leaves it open: the
+    step pairs NN, NE, EN and EE of a Dyck word, and a closed block is an
+    increasing cycle (Kreweras, 1972).  Type A keeps the scans that close
+    every block, one per Dyck path of length 2n.  Type B keeps every scan,
+    one per prefix of 2n steps (Reiner, 1997): the blocks O_1..O_h still
+    open, in opening order, close through the negatives with -O_{h+1-j},
+    so the last entry of O_j is sent to -first(O_{h+1-j}).  The one-line
+    notation is written as the blocks grow, so no group product is taken.
+    """
+    out = [0] * n
+    firsts: list[int] = []  # the open blocks, outermost first
+    lasts: list[int] = []
+    found: list[Perm] = []
+
+    def place(p: int) -> None:
+        if p > n:
+            if family == "B":
+                for last, first in zip(lasts, reversed(firsts)):
+                    out[last - 1] = -first
+                found.append(tuple(out))
+            elif not firsts:
+                found.append(tuple(out))
+            return
+        if family == "A" and len(firsts) > n - p + 1:
+            return  # too few points left to close every open block
+        out[p - 1] = p  # NE: a singleton
+        place(p + 1)
+        firsts.append(p)  # NN: open a block and leave it open
+        lasts.append(p)
+        place(p + 1)
+        firsts.pop()
+        lasts.pop()
+        if firsts:
+            prev = lasts[-1]
+            out[prev - 1] = p
+            lasts[-1] = p  # EN: join the innermost block and leave it open
+            place(p + 1)
+            first = firsts.pop()  # EE: join it and close it
+            lasts.pop()
+            out[p - 1] = first
+            place(p + 1)
+            firsts.append(first)
+            lasts.append(prev)
+
+    place(1)
+    return found
+
+
+def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
+    """The interval [1, c] in absolute order, listed in ``enumerate_group`` order.
+
+    c defaults to the standard Coxeter element: (1, 2, ..., n) in type A,
+    (1, ..., n, -1, ..., -n) in type B, and the sorting element in type D.
+    The default interval in types A and B is read off non-crossing
+    partitions by ``_nc_scan``.  Otherwise the interval is walked down from
+    c: w covers w*r, for a reflection r, exactly when l_T drops by one, and
+    absolute order is graded, so the closure of {c} under such steps is the
+    whole interval.  l_T is the cycle formula ``length_t`` in every type, so
+    the walk costs |[1, c]| times the number of reflections, never the group
+    order.
     """
     if c is None:
-        c = coxeter_element(t.family, t.n, "nc" if t.family != "D" else "sorting")[0]
+        if t.family != "D":
+            return sorted(_nc_scan(t.family, t.n), key=group_order_key)
+        c = coxeter_element("D", t.n, "sorting")[0]
+    elif len(c) != t.n:
+        raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
+    else:
+        check_perm(c, t.family)
     if length_t(c) != t.rank:
         raise ValueError(f"{c!r} is not a Coxeter element of {t}")
     refl = reflections(t.family, t.n)
@@ -200,27 +265,47 @@ def _orbits(p: Perm, values) -> list[set[int]]:
 
 
 @lru_cache(maxsize=None)
-def coxeter_elements_d4() -> tuple[Perm, ...]:
-    """The conjugacy class of the standard Coxeter element of D_4.
+def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
+    """Pairs (c, g) with c = g c0 g^-1, one for each conjugate c of the
+    standard Coxeter element c0 of D_4, sorted by c.
 
-    The class is the closure of c under conjugation by simple reflections.
-    Its size is checked against |W|/h: the centralizer of a Coxeter element
-    is the cyclic group it generates, of order h (Springer, 1974).
+    The class is the closure of c0 under conjugation by simple reflections;
+    conjugating by s takes (c, g) to (s c s, s g).  Its size is checked
+    against |W|/h: the centralizer of a Coxeter element is the cyclic group
+    it generates, of order h (Springer, 1974).
     """
     c0 = coxeter_element("D", 4, "sorting")[0]
     gens = [simple_reflection(i, 4, "D") for i in range(4)]
-    cls = {c0}
+    conj = {c0: identity(4)}
     frontier = [c0]
     while frontier:
         w = frontier.pop()
         for s in gens:
             u = mul(mul(s, w), s)
-            if u not in cls:
-                cls.add(u)
+            if u not in conj:
+                conj[u] = mul(s, conj[w])
                 frontier.append(u)
-    if len(cls) * coxeter_number(GroupType("D", 4)) != group_order("D", 4):
+    if len(conj) * coxeter_number(GroupType("D", 4)) != group_order("D", 4):
         raise AssertionError("conjugacy class size mismatch")
-    return tuple(sorted(cls))
+    return tuple(sorted(conj.items()))
+
+
+def coxeter_elements_d4() -> tuple[Perm, ...]:
+    """The conjugacy class of the standard Coxeter element of D_4, sorted."""
+    return tuple(c for c, _ in _coxeter_class_d4())
+
+
+def _d4_intervals():
+    """Yield (c, [1, c]) for every Coxeter element c of D_4, sorted by c.
+
+    Only [1, c0] is walked.  Conjugation by g permutes the reflections and
+    keeps l_T, so it carries [1, c0] onto [1, g c0 g^-1]; each interval is
+    listed in the order of [1, c0], not in ``enumerate_group`` order.
+    """
+    base = nc_elements(GroupType("D", 4), coxeter_element("D", 4, "sorting")[0])
+    for c, g in _coxeter_class_d4():
+        g_inv = inverse(g)
+        yield c, [mul(mul(g, w), g_inv) for w in base]
 
 
 def d4_counterexample() -> dict:
@@ -236,9 +321,8 @@ def d4_counterexample() -> dict:
     report = {"identity": "d4-counterexample", "rank": 4, "checked": 0, "failures": []}
     cardinality = cat_poly(1)
 
-    for c in coxeter_elements_d4():
+    for c, interval in _d4_intervals():
         report["checked"] += 1
-        interval = nc_elements(t, c)
         poly = gen_poly(length_s(rev(w), "D") for w in interval)
         if poly == cat_poly:
             report["failures"].append({"check": "nc-side-equality", "c": repr(c)})

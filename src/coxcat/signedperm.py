@@ -297,6 +297,8 @@ def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
 
 def word_to_perm(word, n: int, family: str = "B") -> Perm:
     """Evaluate a word in simple reflections by right multiplication."""
+    if word and not 0 <= min(word) <= max(word) < n:
+        raise ValueError(f"letter outside 0..{n - 1} in {tuple(word)!r}")
     line = list(range(1, n + 1))
     for i in word:
         if i == 0:

@@ -103,6 +103,48 @@ class TestNCInterval:
         assert count > 1
 
 
+class TestNCScan:
+    """The default A/B interval comes from ``_nc_scan``; the walk is its oracle."""
+
+    @pytest.mark.parametrize("fam,rank", [("A", 8), ("B", 6)])
+    def test_scan_equals_walk(self, fam, rank):
+        t = GroupType(fam, rank)
+        c = sp.coxeter_element(fam, t.n, "nc")[0]
+        assert nc.nc_elements(t) == nc.nc_elements(t, c)
+
+    @pytest.mark.parametrize("fam,rank", [("A", 9), ("B", 7)])
+    def test_beyond_the_walk(self, fam, rank):
+        t = GroupType(fam, rank)
+        c = sp.coxeter_element(fam, t.n, "nc")[0]
+        elems = nc.nc_elements(t)
+        assert len(set(elems)) == len(elems) == cat_number(t)
+        assert all(sp.leq_t(w, c) for w in elems)
+        assert all(sp.length_t(w) <= t.rank for w in elems)
+
+    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 4)])
+    def test_no_group_arithmetic(self, fam, rank, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("group arithmetic on the default A/B path")
+
+        monkeypatch.setattr(nc, "mul", forbidden)
+        monkeypatch.setattr(nc, "length_t", forbidden)
+        assert len(nc.nc_elements(GroupType(fam, rank))) == cat_number(GroupType(fam, rank))
+
+    @pytest.mark.parametrize(
+        "fam,rank,c",
+        [
+            ("A", 3, (2, 3, 4, 1, 5)),  # one entry too many
+            ("A", 3, (2, 3, 1)),  # one entry too few
+            ("A", 3, (2, 3, 4, 4)),  # not a permutation
+            ("A", 3, (2, 3, 4, -1)),  # a sign in type A
+            ("D", 4, (2, 3, -4, 1)),  # an odd number of signs in type D
+        ],
+    )
+    def test_malformed_c_rejected(self, fam, rank, c):
+        with pytest.raises(ValueError):
+            nc.nc_elements(GroupType(fam, rank), c)
+
+
 def nc_filter_oracle(t, c=None):
     """The interval [1, c] by filtering the whole group with leq_t."""
     if c is None:
@@ -221,6 +263,14 @@ class TestD4Counterexample:
         cls = nc.coxeter_elements_d4()
         assert all(length_t_bfs(c, "D") == 4 for c in cls)
         assert len(cls) > 1
+
+    def test_conjugated_intervals_equal_the_walk(self):
+        t = GroupType("D", 4)
+        pairs = list(nc._d4_intervals())
+        assert [c for c, _ in pairs] == list(nc.coxeter_elements_d4())
+        assert len(pairs) == 32
+        for c, interval in pairs:
+            assert sorted(interval, key=sp.group_order_key) == nc.nc_elements(t, c)
 
     def test_report(self):
         report = nc.d4_counterexample()

@@ -230,6 +230,15 @@ class TestCoxeterElement:
         assert sp.word_to_perm((0,), 2, "B") == (-1, 2)
         assert sp.word_to_perm((0,), 4, "D") == (-2, -1, 3, 4)
 
+    @pytest.mark.parametrize("word", [(-1,), (3,), (1, 2, 3), (1, -1)])
+    def test_letter_out_of_range_rejected(self, word):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            sp.word_to_perm(word, 3, "B")
+
+    def test_simple_reflection_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            sp.simple_reflection(3, 3)
+
     def test_words_are_reduced(self):
         for fam, n in [("A", 5), ("B", 4), ("D", 4)]:
             for variant in ("sorting",) + (("nc",) if fam != "D" else ()):
