@@ -174,7 +174,7 @@ def _psi(word: str, family: str) -> tuple[Perm, SortingWord]:
             for i in range(x, 2 * n - j):
                 factors[n - i].append(2 * n - 1 - i - j)
     sw = SortingWord(_leading_factors(factors[1:]))
-    return signedperm.word_to_perm(sw.letters, n, family), sw
+    return signedperm._word_to_perm(sw.letters, n, family), sw
 
 
 def _leading_factors(factors: list[list[int]]) -> tuple[tuple[int, ...], ...]:

@@ -107,8 +107,28 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _path_poly(args):
+    """Area or maj of type-A/B paths or ideals, by one path DFS; None for any other poly.
+
+    An ideal's row starts are its Dyck path, |I| is the path's area and
+    ``ideal_maj`` is the path's maj, so both objects share the path
+    polynomials.  An ideal answers to the ideal guard alone.
+    """
+    family = args.type
+    if family == "D" or args.object not in ("dyck", "ideal") or args.stat not in ("area", "maj"):
+        return None
+    unsafe = args.unsafe
+    if args.object == "ideal":
+        check_guard("ideal", family, _group(family, args.n).rank, unsafe)
+        unsafe = True
+    poly = paths.area_polynomial if args.stat == "area" else paths.maj_polynomial
+    return poly(family, args.n, unsafe)
+
+
 def cmd_poly(args) -> int:
-    poly = gen_poly(_stat_value(kind, obj, args.stat, args) for kind, obj in _enumerate_objects(args))
+    poly = _path_poly(args)
+    if poly is None:
+        poly = gen_poly(_stat_value(kind, obj, args.stat, args) for kind, obj in _enumerate_objects(args))
     if args.format == "json":
         print(json.dumps(poly.to_json()))
     else:

@@ -9,7 +9,7 @@ with a free endpoint.  Both identify with staircase-closed sets of cells
 
 from __future__ import annotations
 
-from .qseries import QPoly, check_guard, gen_poly
+from .qseries import QPoly, check_guard
 
 Cell = tuple[int, int]
 
@@ -230,17 +230,49 @@ def path_from_partition(lam: tuple[int, ...], n: int) -> str:
     return _word_from_columns(xs, 2 * n)
 
 
+def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
+    """The area and maj polynomials over all type-``family`` paths of 2n steps.
+
+    One depth-first pass over the paths, one leaf per path, carries both
+    statistics as it goes: a north step in row j adds the cap_j - easts
+    cells to its right (cap_j is j in type A and min(j, 2n - j) in type B),
+    and a north step at 0-indexed position p after an east step closes a
+    descent worth 2n - p.  A type-B leaf doubles the maj and the east
+    count, as ``maj_b`` does.  No word is built and none is re-checked;
+    ``area_a``/``maj_a``/``area_b``/``maj_b`` remain the per-word oracles.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    total = 2 * n
+    if family == "A":
+        top, caps, maj_top = n, list(range(n)), n * (n - 1)
+    else:
+        top, caps, maj_top = total, [min(j, total - j) for j in range(total)], 2 * n * n
+    area = [0] * (sum(caps) + 1)
+    maj = [0] * (maj_top + 1)
+    double = family == "B"
+
+    def rec(norths: int, easts: int, after_east: bool, a: int, m: int):
+        # after the last north step the rest of the path is forced: east steps only
+        if norths == top or norths + easts == total:
+            area[a] += 1
+            maj[2 * (m + total - norths) if double else m] += 1
+            return
+        if easts < norths:
+            rec(norths, easts + 1, True, a, m)
+        rec(norths + 1, easts, False, a + caps[norths] - easts, m + total - norths - easts if after_east else m)
+
+    rec(0, 0, False, 0, 0)
+    return QPoly(area), QPoly(maj)
+
+
 def area_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:
     """Generating polynomial of the area statistic over all paths."""
     check_guard("path", family, n, unsafe)
-    if family == "A":
-        return gen_poly(map(area_a, enumerate_a(n)))
-    return gen_poly(map(area_b, enumerate_b(n)))
+    return _stat_counts(family, n)[0]
 
 
 def maj_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:
     """Generating polynomial of the major index over all paths."""
     check_guard("path", family, n, unsafe)
-    if family == "A":
-        return gen_poly(map(maj_a, enumerate_a(n)))
-    return gen_poly(map(maj_b, enumerate_b(n)))
+    return _stat_counts(family, n)[1]

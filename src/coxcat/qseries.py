@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class InexactDivisionError(ArithmeticError):
@@ -155,6 +155,12 @@ class QPoly:
         if any(rem):
             raise InexactDivisionError(f"{self} not divisible by {other}")
         return QPoly(q)
+
+    def shift(self, k: int) -> "QPoly":
+        """The polynomial times q^k."""
+        if k < 0:
+            raise ValueError("negative exponent")
+        return QPoly((0,) * k + self.coeffs) if self.coeffs else self
 
     def substitute_power(self, m: int) -> "QPoly":
         """The polynomial with q replaced by q^m."""
@@ -314,7 +320,7 @@ def q_binomial(k: int, l: int) -> QPoly:
     row = [QPoly.one()] + [QPoly.zero()] * l
     for i in range(1, k + 1):
         for j in range(min(i, l), 0, -1):
-            row[j] = row[j - 1] + QPoly.monomial(j) * row[j]
+            row[j] = row[j - 1] + row[j].shift(j)
     return row[l]
 
 
@@ -329,28 +335,69 @@ def cat_number(t: GroupType) -> int:
     return num // den
 
 
+def _times_q_integer(cs: list[int], k: int) -> list[int]:
+    """The coefficients of cs times [k]_q: each is the sum of a window of k of cs."""
+    out = []
+    window = 0
+    for i in range(len(cs) + k - 1):
+        if i < len(cs):
+            window += cs[i]
+        if i >= k:
+            window -= cs[i - k]
+        out.append(window)
+    return out
+
+
+def _over_q_integer(cs: list[int], d: int) -> list[int]:
+    """The coefficients of cs / [d]_q, dividing cs (1 - q) by 1 - q^d.
+
+    The quotient by 1 - q^d satisfies c[i] = b[i] + c[i - d]; it is exact
+    iff that recurrence dies out, i.e. its last d terms are zero.  Raises
+    InexactDivisionError otherwise.
+    """
+    if d < 1:
+        raise ZeroDivisionError("division by [0]_q = 0")
+    c = [x - y for x, y in zip(cs + [0], [0] + cs)]
+    for i in range(d, len(c)):
+        c[i] += c[i - d]
+    cut = max(len(c) - d, 0)
+    if any(c[cut:]):
+        raise InexactDivisionError(f"{QPoly(cs)} not divisible by {q_integer(d)}")
+    return c[:cut]
+
+
+def _qcat(ds: Sequence[int], h: int) -> QPoly:
+    """prod [d + h]_q / [d]_q over the degrees d, in O(degree) steps per factor.
+
+    Every partial quotient is a polynomial, since the full quotient times
+    the [d]_q not yet divided out is one.
+    """
+    cs = [1]
+    for d in ds:
+        cs = _times_q_integer(cs, d + h)
+    for d in ds:
+        cs = _over_q_integer(cs, d)
+    return QPoly(cs)
+
+
 @lru_cache(maxsize=None)
 def qcat_product(t: GroupType) -> QPoly:
     """The q-Catalan number prod [d_i + h]_q / [d_i]_q as an exact polynomial."""
-    ds = degrees(t)
-    h = coxeter_number(t)
-    num = QPoly.one()
-    for d in ds:
-        num = num * q_integer(d + h)
-    den = QPoly.one()
-    for d in ds:
-        den = den * q_integer(d)
     try:
-        return num.divexact(den)
+        return _qcat(degrees(t), coxeter_number(t))
     except InexactDivisionError as exc:
         raise ArithmeticError(f"degree table for {t} is inconsistent") from exc
 
 
 def qcat_a(n: int) -> QPoly:
-    """The classical q-Catalan number qbinom(2n, n) / [n+1]_q."""
+    """The classical q-Catalan number qbinom(2n, n) / [n+1]_q.
+
+    It is the product over the degrees d = 2..n of A_{n-1}, whose Coxeter
+    number is n: prod [n + d]_q / [d]_q.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return q_binomial(2 * n, n).divexact(q_integer(n + 1))
+    return _qcat(range(2, n + 1), n)
 
 
 def is_palindromic(p: QPoly, center: int) -> bool:

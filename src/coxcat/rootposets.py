@@ -269,8 +269,17 @@ def ideals(t: GroupType, unsafe: bool = False) -> list[frozenset[Root]]:
 
 
 def cat_q(t: GroupType, unsafe: bool = False) -> QPoly:
-    """Generating polynomial of ideal sizes; the q-Catalan number by areas."""
-    return gen_poly(map(len, ideals(t, unsafe=unsafe)))
+    """Generating polynomial of ideal sizes; the q-Catalan number by areas.
+
+    In types A and B the row starts of an ideal are its Dyck path and |I|
+    is that path's area, so this is the area polynomial of the paths of
+    2n steps, counted in one pass without building an ideal.  Type D
+    enumerates its ideals.
+    """
+    if t.family == "D":
+        return gen_poly(map(len, ideals(t, unsafe=unsafe)))
+    check_guard("ideal", t.family, t.rank, unsafe)
+    return paths.area_polynomial(t.family, t.n, unsafe=True)
 
 
 def cell_of_root_a(r: Root, n: int) -> Cell:

@@ -299,6 +299,13 @@ def word_to_perm(word, n: int, family: str = "B") -> Perm:
     """Evaluate a word in simple reflections by right multiplication."""
     if word and not 0 <= min(word) <= max(word) < n:
         raise ValueError(f"letter outside 0..{n - 1} in {tuple(word)!r}")
+    if family == "D" and n < 2 and 0 in word:
+        raise ValueError(f"type D's s_0 acts on the first two entries, so it needs n >= 2, got n = {n}")
+    return _word_to_perm(word, n, family)
+
+
+def _word_to_perm(word, n: int, family: str) -> Perm:
+    """``word_to_perm`` for a word already known to have letters in 0..n-1."""
     line = list(range(1, n + 1))
     for i in word:
         if i == 0:

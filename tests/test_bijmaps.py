@@ -172,6 +172,16 @@ class TestPsi:
         assert sigma == sp.mul(sigma1, sigma2)
         assert sp.ides_set(sigma) == sp.ides_set(sigma1)
 
+    def test_skips_the_public_range_check(self, monkeypatch):
+        # psi builds its letters in 0..n-1, so it evaluates them without word_to_perm's check
+        want = bm.psi_a("NNNNEEENNEEE"), bm.psi_b("NNNNEEENNNNE")
+
+        def refuse(*args):
+            raise AssertionError("psi called the checked word_to_perm")
+
+        monkeypatch.setattr(sp, "word_to_perm", refuse)
+        assert (bm.psi_a("NNNNEEENNEEE"), bm.psi_b("NNNNEEENNNNE")) == want
+
     @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 6), ("B", 2), ("B", 4)])
     def test_bijection_onto_sortables(self, fam, n):
         words = paths.enumerate_a(n) if fam == "A" else paths.enumerate_b(n)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coxcat import qseries
+from coxcat import paths, qseries, rootposets
 from coxcat.cli import main
 
 
@@ -39,6 +39,46 @@ class TestPoly:
         code, out = run(capsys, ["poly", "--object", "revnc", "--type", "B", "--n", "2", "--stat", "majimaj"])
         assert code == 0
         assert out.strip() == "1 + q^2 + 2q^4 + q^6 + q^8"
+
+
+class TestPathPolynomials:
+    """``poly`` of A/B paths and ideals by area or maj: one path DFS, no enumeration."""
+
+    @pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)])
+    def test_ideal_polys_match_ideal_enumeration(self, capsys, family, rank):
+        t = qseries.GroupType(family, rank)
+        ideals = rootposets.ideals(t)
+        want = {"area": qseries.gen_poly(map(len, ideals)), "maj": qseries.gen_poly(rootposets.ideal_maj(t, i) for i in ideals)}
+        for stat, poly in want.items():
+            code, out = run(capsys, ["poly", "--object", "ideal", "--stat", stat, "--type", family, "--n", str(t.n), "--format", "json"])
+            assert code == 0
+            assert qseries.QPoly.from_json(json.loads(out)) == poly
+
+    def test_nothing_is_enumerated_or_rechecked(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the one-pass route enumerated or re-checked a path")
+
+        monkeypatch.setattr(rootposets.RootPoset, "ideals", refuse)
+        monkeypatch.setattr(paths, "_check", refuse)
+        monkeypatch.setattr(paths, "enumerate_a", refuse)
+        for obj in ("dyck", "ideal"):
+            code, out = run(capsys, ["poly", "--object", obj, "--stat", "maj", "--type", "A", "--n", "6"])
+            assert code == 0
+            assert out.strip() == str(qseries.qcat_a(6))
+        assert rootposets.cat_q(qseries.GroupType("A", 5))(1) == 132
+        # the patches bite on the routes that still enumerate
+        with pytest.raises(AssertionError):
+            rootposets.cat_q(qseries.GroupType("D", 4))
+        with pytest.raises(AssertionError):
+            main(["poly", "--object", "dyck", "--stat", "ls", "--type", "A", "--n", "6"])
+
+    def test_unsafe_ideal_meets_no_path_guard(self, capsys):
+        # B9 ideals pass the ideal guard with --unsafe; the path guard (B8) is not consulted
+        code, out = run(capsys, ["poly", "--object", "ideal", "--stat", "area", "--type", "B", "--n", "9", "--unsafe", "--format", "json"])
+        assert code == 0
+        assert qseries.QPoly.from_json(json.loads(out))(1) == qseries.cat_number(qseries.GroupType("B", 9))
+        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "B", "--n", "9"]) == 2
+        assert "ideal enumeration guarded at rank 6 for type B" in capsys.readouterr().err
 
 
 class TestEnumerate:

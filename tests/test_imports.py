@@ -9,6 +9,10 @@ re-exports are used through ``__all__``.
 A second scan pins the structural target that building the Catalan objects
 costs in proportion to their number, not to the group order: the modules
 in ``CATALAN_LAYERS`` may not name a function that walks the whole group.
+
+A third keeps the generating polynomials of area and maj one pass over the
+paths: in types A and B the functions in ``ONE_PASS`` may not name the
+per-object enumerations, the Dyck check or the per-word statistics.
 """
 
 import ast
@@ -20,6 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "coxcat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 CATALAN_LAYERS = ("noncrossing", "sortable", "bijmaps", "rootposets", "paths")
 WHOLE_GROUP = {"enumerate_group", "length_t_bfs", "_abs_length_table"}
+ONE_PASS = {"paths": ("_stat_counts", "area_polynomial", "maj_polynomial"), "rootposets": ("cat_q",)}
+PER_OBJECT = {"enumerate_a", "enumerate_b", "_check", "area_a", "maj_a", "ideals"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -90,3 +96,66 @@ def test_no_whole_group_code(layer):
 )
 def test_whole_group_scan(source, names):
     assert whole_group_names(source) == names
+
+
+def _is_type_d_test(test: ast.expr) -> bool:
+    """``x == "D"`` or ``"D" == x``: the test of an ``if`` that opens type D's route."""
+    return (
+        isinstance(test, ast.Compare)
+        and [type(op) for op in test.ops] == [ast.Eq]
+        and any(isinstance(side, ast.Constant) and side.value == "D" for side in (test.left, *test.comparators))
+    )
+
+
+def per_object_names(source: str, functions) -> tuple[list[str], list[str]]:
+    """The ``PER_OBJECT`` names on the A/B route of the named functions, and
+    the functions found.
+
+    The body of an ``if`` testing for type D is that type's route and is
+    skipped; its ``else`` branch is scanned like the rest of the function.
+    """
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.If) and _is_type_d_test(node.test):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    scanned = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            scanned.append(node.name)
+            for statement in node.body:
+                visit(statement)
+    return sorted(found & PER_OBJECT), sorted(scanned)
+
+
+@pytest.mark.parametrize("layer", ONE_PASS)
+def test_polynomials_take_one_pass(layer):
+    source = (ROOT / "src" / "coxcat" / f"{layer}.py").read_text()
+    assert per_object_names(source, ONE_PASS[layer]) == ([], sorted(ONE_PASS[layer]))
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def cat_q(t):\n    return gen_poly(map(len, ideals(t)))\n", ["ideals"]),
+        ("def area_polynomial(f, n):\n    return gen_poly(map(area_a, paths.enumerate_a(n)))\n", ["area_a", "enumerate_a"]),
+        ("def maj_polynomial(f, n):\n    return sum(1 for w in words if _check(w, f))\n", ["_check"]),
+        ("def cat_q(t):\n    if t.family == 'D':\n        return ideals(t)\n    return area_polynomial(t)\n", []),
+        ("def cat_q(t):\n    if 'D' == t.family:\n        return 0\n    else:\n        return ideals(t)\n", ["ideals"]),
+        ("def cat_q(t):\n    if t.family == 'A':\n        return root_poset(t).ideals()\n", ["ideals"]),
+        ("def cat_q(t):\n    if t.family != 'D':\n        return ideals(t)\n", ["ideals"]),
+        ('def cat_q(t):\n    """Counts without ``ideals``."""\n', []),
+        ("def helper(n):\n    return enumerate_a(n)\n", []),
+    ],
+)
+def test_one_pass_scan(source, names):
+    assert per_object_names(source, ("cat_q", "area_polynomial", "maj_polynomial"))[0] == names

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import paths
 from coxcat import rootposets as rp
-from coxcat.qseries import GroupType, QPoly, SizeGuardError, q_binomial, qcat_a, qcat_product
+from coxcat.qseries import GroupType, QPoly, SizeGuardError, gen_poly, q_binomial, qcat_a, qcat_product
 
 
 def oracle_area(word, family):
@@ -168,6 +168,21 @@ class TestPolynomials:
             paths.area_polynomial("A", 13)
         with pytest.raises(SizeGuardError):
             paths.maj_polynomial("B", 9)
+
+    @pytest.mark.parametrize(
+        "family,n", [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 8)]
+    )
+    def test_one_pass_matches_per_word_statistics(self, family, n):
+        # the per-word statistics over the enumerated words are the oracle for the DFS
+        words = paths.enumerate_a(n) if family == "A" else paths.enumerate_b(n)
+        area, maj = (paths.area_a, paths.maj_a) if family == "A" else (paths.area_b, paths.maj_b)
+        assert paths.area_polynomial(family, n) == gen_poly(map(area, words))
+        assert paths.maj_polynomial(family, n) == gen_poly(map(maj, words))
+
+    def test_empty_path_and_negative_n(self):
+        assert paths.area_polynomial("A", 0) == paths.maj_polynomial("B", 0) == QPoly([1])
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            paths.maj_polynomial("A", -1)
 
     @pytest.mark.parametrize("n", range(8))
     def test_area_recurrence_a(self, n):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcat.qseries import (
+    FAMILIES,
     GroupType,
     InexactDivisionError,
     QPoly,
@@ -16,6 +17,7 @@ from coxcat.qseries import (
     qcat_a,
     qcat_product,
 )
+from coxcat.qseries import _over_q_integer, _qcat, _times_q_integer
 
 
 def oracle_q_binomial(k, l):
@@ -142,6 +144,72 @@ class TestQCat:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_qcat_b_is_doubled_binomial(self, n):
         assert qcat_product(GroupType("B", n)) == q_binomial(2 * n, n).substitute_power(2)
+
+
+def dense_qcat(t):
+    """prod [d + h]_q over prod [d]_q as dense products, by long division."""
+    h = coxeter_number(t)
+    num, den = QPoly.one(), QPoly.one()
+    for d in degrees(t):
+        num = num * q_integer(d + h)
+        den = den * q_integer(d)
+    return num.divexact(den)
+
+
+EVERY_FAMILY = (
+    [GroupType("A", r) for r in (1, 4, 9)]
+    + [GroupType("B", r) for r in (1, 4, 8)]
+    + [GroupType("D", r) for r in (2, 4, 7)]
+    + [GroupType("I2", k) for k in (2, 5, 12)]
+    + [GroupType(f, r) for f, r in [("H3", 3), ("H4", 4), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]]
+)
+
+
+class TestQIntegerKernels:
+    @pytest.mark.parametrize("n", range(41))
+    def test_qcat_a_matches_pascal_quotient(self, n):
+        assert qcat_a(n) == q_binomial(2 * n, n).divexact(q_integer(n + 1))
+
+    def test_every_family_is_sampled(self):
+        assert {t.family for t in EVERY_FAMILY} == set(FAMILIES)
+
+    @pytest.mark.parametrize("t", EVERY_FAMILY, ids=str)
+    def test_qcat_product_matches_dense_quotient(self, t):
+        assert qcat_product(t) == dense_qcat(t)
+
+    @given(st.lists(st.integers(-5, 5), max_size=8), st.integers(1, 6))
+    def test_times_is_the_dense_product_and_over_inverts_it(self, cs, k):
+        times = _times_q_integer(cs, k)
+        assert QPoly(times) == QPoly(cs) * q_integer(k)
+        assert QPoly(_over_q_integer(times, k)) == QPoly(cs)
+
+    @given(st.lists(st.integers(-5, 5), max_size=8), st.integers(1, 6))
+    def test_over_agrees_with_long_division(self, cs, d):
+        try:
+            want = QPoly(cs).divexact(q_integer(d))
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError):
+                _over_q_integer(cs, d)
+        else:
+            assert QPoly(_over_q_integer(cs, d)) == want
+
+    def test_over_rejects_a_non_multiple(self):
+        with pytest.raises(InexactDivisionError):
+            _over_q_integer([1, 1, 1], 2)
+        with pytest.raises(InexactDivisionError):
+            _over_q_integer([1], 2)
+        with pytest.raises(InexactDivisionError):
+            _over_q_integer([0, 1, 0], 5)  # a divisor of higher degree
+        with pytest.raises(InexactDivisionError):
+            _qcat((3,), 2)  # [5]_q / [3]_q
+        with pytest.raises(ZeroDivisionError):
+            _over_q_integer([1], 0)
+
+    def test_shift(self):
+        assert QPoly([1, 2]).shift(3) == QPoly([0, 0, 0, 1, 2])
+        assert QPoly().shift(2) == QPoly()
+        with pytest.raises(ValueError):
+            QPoly.one().shift(-1)
 
 
 class TestCatNumbers:

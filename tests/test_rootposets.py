@@ -2,7 +2,7 @@ import pytest
 
 from coxcat import paths
 from coxcat import rootposets as rp
-from coxcat.qseries import GroupType, QPoly, SizeGuardError, cat_number
+from coxcat.qseries import GroupType, QPoly, SizeGuardError, cat_number, gen_poly
 
 
 A8_IDEAL = frozenset(
@@ -103,6 +103,25 @@ class TestCatQ:
     @pytest.mark.parametrize("rank", range(2, 6))
     def test_matches_area_polynomial_b(self, rank):
         assert rp.cat_q(GroupType("B", rank)) == paths.area_polynomial("B", rank)
+
+
+    @pytest.mark.parametrize(
+        "t", [GroupType("A", r) for r in range(1, 9)] + [GroupType("B", r) for r in range(1, 7)], ids=str
+    )
+    def test_matches_ideal_sizes(self, t):
+        # the frozenset recursion is the oracle for the one-pass route
+        assert rp.cat_q(t) == gen_poly(map(len, rp.ideals(t)))
+
+    def test_type_d_enumerates_ideals(self):
+        t = GroupType("D", 4)
+        assert rp.cat_q(t) == gen_poly(map(len, rp.ideals(t)))
+        assert rp.cat_q(t)(1) == cat_number(t)
+
+    def test_guard(self):
+        with pytest.raises(SizeGuardError, match="ideal enumeration guarded at rank 9 for type A"):
+            rp.cat_q(GroupType("A", 10))
+        with pytest.raises(SizeGuardError, match="ideal enumeration guarded at rank 6 for type B"):
+            rp.cat_q(GroupType("B", 7))
 
 
 class TestCellDictionary:

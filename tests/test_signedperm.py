@@ -235,6 +235,12 @@ class TestCoxeterElement:
         with pytest.raises(ValueError, match="outside 0..2"):
             sp.word_to_perm(word, 3, "B")
 
+    def test_type_d_s0_needs_two_entries(self):
+        with pytest.raises(ValueError, match="type D's s_0 .* needs n >= 2, got n = 1"):
+            sp.word_to_perm((0,), 1, "D")
+        assert sp.word_to_perm((0,), 1, "B") == (-1,)
+        assert sp.word_to_perm((), 1, "D") == (1,)
+
     def test_simple_reflection_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside 0..2"):
             sp.simple_reflection(3, 3)
