@@ -2,15 +2,20 @@
 
 ``phi`` peels an order ideal into shells (maximal antichains) and reads
 each shell as a set of disjoint cycles; iterating over the stripped ideal
-yields a signed permutation.  It works on the ideal's row starts (see
-``rootposets.PlanarCells``): row j of the ideal's cells is the interval
-[x_j, cap_j), the shell is the row starts (x_j, j) that row j + 1 does
-not cover, and stripping is the shift x'_{j-1} = min(x_j + 1, cap_{j-1}),
-so each shell costs O(n).  Reading the row starts rejects any input that
-is not an order ideal.  ``psi_a``/``psi_b`` read the cells under a Dyck
-path, diagonal by diagonal, as a sorting word, sorting the cells into
-factors in one pass over the rows.  The verifiers check the counting and
-major-index identities exhaustively at a given rank.
+yields a signed permutation.  ``phi`` reads the ideal's row starts (see
+``rootposets.PlanarCells``), which rejects any input that is not an order
+ideal, and hands them to the row kernel ``_phi_rows``: row j of the
+ideal's cells is the interval [x_j, cap_j), the first shell is the row
+starts (x_j, j) that row j + 1 does not cover, and stripping moves each
+start one step along its anti-diagonal, so every shell's intervals come
+from the starts by arithmetic, without a root in sight, and the cycles
+are written straight into the one-line notation.  ``psi_a``/``psi_b``
+read the cells under a Dyck path, diagonal by diagonal, as a sorting
+word, sorting the cells into factors in one pass over the rows.  The
+verifiers check the counting and major-index identities exhaustively at
+a given rank; the phi verifier takes each ideal's row starts, size, maj
+and descent count from one pass over the Dyck paths
+(``paths._row_stream``) and builds no ideal unless a check fails.
 
 Shelling conventions.  A root unfolds to one or two intervals over the
 signed baseline -n < ... < -1 < 1 < ... < n:
@@ -61,6 +66,11 @@ def shell_cycles(maximal, family: str) -> tuple[tuple[int, ...], ...]:
     for r in maximal:
         spans += _unfold_spans(r, family)
     spans.sort()
+    return tuple(_span_cycles(spans))
+
+
+def _span_cycles(spans: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The cycles of a shell, given its spans sorted by left endpoint."""
     # an antichain unfolds to spans with strictly increasing lo AND hi
     for k in range(1, len(spans)):
         if spans[k - 1][0] >= spans[k][0] or spans[k - 1][1] >= spans[k][1]:
@@ -82,7 +92,7 @@ def shell_cycles(maximal, family: str) -> tuple[tuple[int, ...], ...]:
     if seq:
         seq.append(end)
         _read_block(seq, cycles)
-    return tuple(cycles)
+    return cycles
 
 
 def _read_block(seq: list[int], cycles: list[tuple[int, ...]]) -> None:
@@ -112,40 +122,61 @@ def strip_ideal(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
     return frozenset(rows[j - 1][i + 1] for i, j in cells if j - i > 2)
 
 
-def _strip_rows(x: list[int], caps: tuple[int, ...]) -> list[int]:
-    """``strip_ideal`` on row starts: x'[j-1] = min(x[j] + 1, caps[j-1])."""
-    return [a + 1 if a < cap else cap for a, cap in zip(x[1:], caps)] + [caps[-1]]
-
-
 def phi(t: GroupType, ideal: frozenset[Root]) -> Perm:
     """Shell an ideal into cycles; the product is the image permutation.
 
     Raises ValueError unless ``ideal`` is an order ideal of ``t``.
     """
-    x = rootposets.ideal_row_starts(t, ideal)
-    _, rows, caps = rootposets.planar_cells(t)
-    caps_up = caps[1:] + (0,)
-    fam = t.family
-    cycles: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    while True:
-        # the shell: row starts that the next row up does not cover
-        maximal = [
-            rows[j][a]
-            for j, (a, up, cap, cap_up) in enumerate(zip(x, x[1:] + [0], caps, caps_up))
-            if a < cap and not up <= a < cap_up
-        ]
-        if not maximal:
-            break
-        shell = shell_cycles(maximal, fam)
-        for cyc in shell:
-            body = {abs(v) for v in (cyc[:-1] if cyc[-1] == -cyc[0] else cyc)}
-            if body & seen:
-                raise AssertionError("shell cycles are not disjoint")
-            seen |= body
-        cycles += shell
-        x = _strip_rows(x, caps)
-    return signedperm.from_cycles(cycles, t.n)
+    return _phi_rows(t, rootposets.ideal_row_starts(t, ideal))
+
+
+def _phi_rows(t: GroupType, x) -> Perm:
+    """``phi`` of the ideal with row starts ``x`` (valid ones, as ``ideal_row_starts`` gives).
+
+    Row m's start (x_m, m) is in the first shell unless row m + 1 covers
+    it.  Stripping moves every start to (x_m + 1, m - 1), and the caps
+    climb by one up to row n and fall by one after it, so a covered start
+    stays covered and an uncovered one stays uncovered: row m adds the cell
+    (x_m + k, m - k) to shell k for as long as that cell stays left of its
+    row's cap.  Cell (i, j) spans (v(j), v(i)) on the signed baseline,
+    where v(j) is n - j for j < n and n - j - 1 past it (type B's rows
+    j >= n reach below the fold); type B adds the mirror span
+    (-v(i), -v(j)) unless it is the same one.  The cycles go straight into
+    the one-line notation.
+    """
+    n = t.n
+    caps = rootposets.planar_cells(t).caps
+    last = len(caps) - 1
+    mirror = t.family == "B"
+    shells: list[list[tuple[int, int]]] = []
+    for m, a in enumerate(x):
+        if m < last and x[m + 1] <= a < caps[m + 1]:
+            continue
+        k = 0
+        while a + k < caps[m - k]:
+            j = m - k
+            lo, hi = n - j if j < n else n - j - 1, n - a - k
+            if k == len(shells):
+                shells.append([])
+            shells[k].append((lo, hi))
+            if mirror and lo != -hi:
+                shells[k].append((-hi, -lo))
+            k += 1
+    line = list(range(1, n + 1))
+    used = [False] * (n + 1)
+    for spans in shells:
+        spans.sort()
+        for cyc in _span_cycles(spans):
+            fold = cyc[-1] == -cyc[0]
+            for v in cyc[:-1] if fold else cyc:
+                if used[v]:
+                    raise AssertionError("shell cycles are not disjoint")
+                used[v] = True
+            for v, w in zip(cyc, cyc[1:]):
+                line[v - 1] = w
+            if not fold:
+                line[cyc[-1] - 1] = cyc[0]
+    return tuple(line)
 
 
 def psi_a(word: str) -> tuple[Perm, SortingWord]:
@@ -209,30 +240,38 @@ def _fail(report: dict, what: str, **context):
     report["failures"].append(entry)
 
 
+def _roots(t: GroupType, x) -> list[str]:
+    """The roots of the ideal with row starts ``x``, as a failure entry names them."""
+    return sorted(map(rootposets.root_str, rootposets._ideal_of_rows(t, x)))
+
+
 def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
-    """Exhaustively check the shelling bijection and its statistics at rank t."""
+    """Exhaustively check the shelling bijection and its statistics at rank t.
+
+    The ideals come as row starts from one pass over the Dyck paths, which
+    carries each ideal's size, maj and descent count; the type-B lift pads
+    the rows with two filled bottom rows.
+    """
     fam, n = t.family, t.n
+    rootposets.planar_cells(t)  # raises for type D, which has no row starts
+    check_guard("ideal", fam, t.rank, unsafe)
     two_n = n * (n - 1) if fam == "A" else 2 * n * n
     report = _report(f"phi{fam}", t.rank)
     images = {}
-    for ideal in rootposets.ideals(t, unsafe=unsafe):
+    for x, area, maj, descents in paths._row_stream(fam, n):
         report["checked"] += 1
-        sigma = phi(t, ideal)
-        if signedperm.length_s(sigma, fam) != len(ideal):
-            _fail(report, "length", ideal=sorted(map(rootposets.root_str, ideal)), image=sigma)
-        total = (
-            rootposets.ideal_maj(t, ideal)
-            + signedperm.maj(sigma, fam)
-            + signedperm.imaj(sigma, fam)
-        )
+        sigma = _phi_rows(t, x)
+        if signedperm.length_s(sigma, fam) != area:
+            _fail(report, "length", ideal=_roots(t, x), image=sigma)
+        total = maj + signedperm.maj(sigma, fam) + signedperm.imaj(sigma, fam)
         if total != two_n:
-            _fail(report, "maj-identity", ideal=sorted(map(rootposets.root_str, ideal)), total=total)
+            _fail(report, "maj-identity", ideal=_roots(t, x), total=total)
         if fam == "A":
-            if len(rootposets.ideal_des(t, ideal)) + signedperm.des(sigma) != n - 1:
-                _fail(report, "des-sum", ideal=sorted(map(rootposets.root_str, ideal)))
+            if descents + signedperm.des(sigma) != n - 1:
+                _fail(report, "des-sum", ideal=_roots(t, x))
         if sigma in images:
             _fail(report, "injectivity", image=sigma)
-        images[sigma] = ideal
+        images[sigma] = x
     target = set(rev_nc(t))
     if set(images) != target:
         _fail(report, "image-set", missing=sorted(target - set(images))[:3])
@@ -242,10 +281,9 @@ def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
                 _fail(report, "des-ides", image=sigma)
     if fam == "B":
         big = GroupType("B", t.rank + 1)
-        for sigma, ideal in images.items():
-            lifted = phi(big, rootposets.lift_delta(t, ideal))
-            if lifted != sigma + (-(n + 1),):
-                _fail(report, "lift-identity", ideal=sorted(map(rootposets.root_str, ideal)))
+        for sigma, x in images.items():
+            if _phi_rows(big, (0, 0) + x) != sigma + (-(n + 1),):
+                _fail(report, "lift-identity", ideal=_roots(t, x))
     return report
 
 

@@ -90,6 +90,9 @@ def _stat_value(kind: str, obj, stat: str, args) -> int:
 
 
 _DEFAULT_STATS = {"path": ("area", "maj"), "ideal": ("area", "maj"), "perm": ("ls", "majimaj")}
+# what ``_enumerate_objects`` yields for each object, and the statistics ``_stat_value`` defines on it
+_KIND = {"dyck": "path", "ideal": "ideal", "nc": "perm", "revnc": "perm", "sortable": "perm", "partition": "partition"}
+_KIND_STATS = {"path": ("area", "maj"), "ideal": ("area", "maj"), "perm": ("ls", "lt", "maj", "majimaj")}
 
 
 def cmd_enumerate(args) -> int:
@@ -126,6 +129,9 @@ def _path_poly(args):
 
 
 def cmd_poly(args) -> int:
+    kind = _KIND[args.object]
+    if args.stat not in _KIND_STATS.get(kind, ()):
+        raise ValueError(f"statistic {args.stat!r} undefined for {kind}")
     poly = _path_poly(args)
     if poly is None:
         poly = gen_poly(_stat_value(kind, obj, args.stat, args) for kind, obj in _enumerate_objects(args))

@@ -266,6 +266,41 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     return QPoly(area), QPoly(maj)
 
 
+def _row_stream(family: str, n: int):
+    """Row starts, area, maj and descent count of every type-``family`` path of 2n steps.
+
+    The depth-first pass of ``_stat_counts`` (E before N, one leaf per
+    path, the same area and maj tallies) that also keeps the north columns
+    and counts the E->N steps.  Row j starts at the east count of its north
+    step; a row with no north step (type B, j past the last one) starts at
+    its cap, so each leaf's starts are ``rootposets.ideal_row_starts`` of
+    the ideal under the path.  Yields ``(starts, area, maj, descents)``;
+    the starts are a tuple of n (type A) or 2n (type B) entries.
+    """
+    total = 2 * n
+    if family == "A":
+        top, caps = n, list(range(n))
+    else:
+        top, caps = total, [min(j, total - j) for j in range(total)]
+    x = list(caps)
+    double = family == "B"
+
+    def rec(norths: int, easts: int, after_east: bool, a: int, m: int, d: int):
+        if norths == top or norths + easts == total:
+            yield tuple(x), a, 2 * (m + total - norths) if double else m, d
+            return
+        if easts < norths:
+            yield from rec(norths, easts + 1, True, a, m, d)
+        x[norths] = easts
+        yield from rec(
+            norths + 1, easts, False, a + caps[norths] - easts,
+            m + total - norths - easts if after_east else m, d + after_east,
+        )
+        x[norths] = caps[norths]
+
+    return rec(0, 0, False, 0, 0, 0)
+
+
 def area_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:
     """Generating polynomial of the area statistic over all paths."""
     check_guard("path", family, n, unsafe)

@@ -280,7 +280,10 @@ def enumerate_group(family: str, n: int):
 
 def group_order_key(p: Perm) -> tuple[Perm, int]:
     """Sort key that lists elements in the order ``enumerate_group`` yields them."""
-    return tuple(map(abs, p)), sum(1 << i for i, v in enumerate(p) if v < 0)
+    magnitudes = tuple(map(abs, p))
+    if magnitudes == p:  # sign-free: no sign mask to build
+        return p, 0
+    return magnitudes, sum(1 << i for i, v in enumerate(p) if v < 0)
 
 
 def leq_t(u: Perm, v: Perm) -> bool:

@@ -10,6 +10,7 @@ from coxcat import signedperm as sp
 from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
+from oracles import verify_phi_theorems_frozensets
 
 
 A8_IDEAL = frozenset(
@@ -354,6 +355,75 @@ class TestAgainstOracles:
                 assert _outcome(bm.shell_cycles, subset, fam) == _outcome(
                     shell_cycles_oracle, subset, fam
                 )
+
+
+def _stream(t):
+    return list(paths._row_stream(t.family, t.n))
+
+
+class TestRowKernel:
+    """The verifier's row-start stream and ``_phi_rows`` against the frozenset oracles.
+
+    ``phi`` is ``_phi_rows`` on ``ideal_row_starts``, so ``test_phi_on_every_ideal``
+    holds the kernel to ``phi_oracle`` on every ideal's rows; the lift test
+    does so on the padded rows.
+    """
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)])
+    def test_stream_lists_every_ideal_once_with_its_statistics(self, fam, rank):
+        t = GroupType(fam, rank)
+        want = {
+            tuple(rp.ideal_row_starts(t, ideal)): (len(ideal), rp.ideal_maj(t, ideal), len(rp.ideal_des(t, ideal)))
+            for ideal in rp.root_poset(t).ideals()
+        }
+        got = _stream(t)
+        assert len(got) == len(want)
+        assert {x: (area, maj, descents) for x, area, maj, descents in got} == want
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 6)])
+    def test_padded_rows_are_the_lift(self, fam, rank):
+        t, big = GroupType(fam, rank), GroupType(fam, rank + 1)
+        pad = (0,) if fam == "A" else (0, 0)
+        for x, *_ in _stream(t):
+            lifted = rp.lift_delta(t, rp._ideal_of_rows(t, x))
+            assert list(pad + x) == rp.ideal_row_starts(big, lifted)
+            assert bm._phi_rows(big, pad + x) == phi_oracle(big, lifted)
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 7)])
+    def test_verifier_reports_match_the_frozenset_verifier(self, fam, rank):
+        t = GroupType(fam, rank)
+        report = bm.verify_phi_theorems(t)
+        assert report == verify_phi_theorems_frozensets(t)
+        assert report["checked"] == len(rp.ideals(t)) and report["failures"] == []
+
+    def test_clean_run_names_no_ideal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a clean run built an ideal")
+
+        monkeypatch.setattr(rp, "_ideal_of_rows", refuse)
+        for t in (GroupType("A", 5), GroupType("B", 4)):
+            assert bm.verify_phi_theorems(t)["failures"] == []
+
+    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3)])
+    def test_corrupted_image_is_reported(self, monkeypatch, fam, rank):
+        # send the full ideal to the identity, the empty ideal's image
+        t = GroupType(fam, rank)
+        full = tuple(rp.ideal_row_starts(t, frozenset(rp.positive_roots(t))))
+        kernel = bm._phi_rows
+
+        def corrupt(u, x):
+            return sp.identity(u.n) if u == t and tuple(x) == full else kernel(u, x)
+
+        monkeypatch.setattr(bm, "_phi_rows", corrupt)
+        report = bm.verify_phi_theorems(t)
+        assert report == verify_phi_theorems_frozensets(t)
+        checks = [f["check"] for f in report["failures"]]
+        assert {"length", "maj-identity", "injectivity", "image-set"} <= set(checks)
+        assert ("des-sum" in checks) == (fam == "A") and ("lift-identity" in checks) == (fam == "B")
+        roots = repr(sorted(map(rp.root_str, rp.positive_roots(t))))
+        identity = repr(sp.identity(t.n))
+        assert {"check": "length", "ideal": roots, "image": identity} in report["failures"]
+        assert {"check": "injectivity", "image": identity} in report["failures"]
 
 
 class TestPhiRejects:

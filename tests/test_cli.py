@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coxcat import paths, qseries, rootposets
+from coxcat import cli, paths, qseries, rootposets
 from coxcat.cli import main
 
 
@@ -41,6 +42,35 @@ class TestPoly:
         assert out.strip() == "1 + q^2 + 2q^4 + q^6 + q^8"
 
 
+class TestPolyUsageErrors:
+    """An object/statistic pair with no meaning exits 2 before anything is enumerated."""
+
+    @pytest.mark.parametrize(
+        "obj,stat,kind",
+        [("dyck", "ls", "path"), ("ideal", "lt", "ideal"), ("nc", "area", "perm"), ("partition", "maj", "partition")],
+    )
+    def test_undefined_statistic_fails_before_enumerating(self, capsys, monkeypatch, obj, stat, kind):
+        def refuse(*args):
+            raise AssertionError("poly enumerated the objects of an undefined statistic")
+
+        monkeypatch.setattr(cli, "_enumerate_objects", refuse)
+        assert main(["poly", "--object", obj, "--stat", stat, "--type", "A", "--n", "12"]) == 2
+        assert capsys.readouterr().err == f"error: statistic {stat!r} undefined for {kind}\n"
+
+    def test_the_table_is_what_stat_value_defines(self, capsys):
+        args = argparse.Namespace(type="B", n=2)
+        samples = {"path": "NENE", "ideal": frozenset(), "perm": (1, 2), "partition": frozenset()}
+        assert tuple(cli._KIND) == cli._OBJECTS
+        for obj, kind in cli._KIND.items():
+            for stat in cli._STATS:
+                if stat in cli._KIND_STATS.get(kind, ()):
+                    assert main(["poly", "--object", obj, "--stat", stat, "--type", "B", "--n", "2"]) == 0, (obj, stat)
+                else:
+                    with pytest.raises(ValueError, match="undefined"):
+                        cli._stat_value(kind, samples[kind], stat, args)
+        capsys.readouterr()
+
+
 class TestPathPolynomials:
     """``poly`` of A/B paths and ideals by area or maj: one path DFS, no enumeration."""
 
@@ -70,7 +100,9 @@ class TestPathPolynomials:
         with pytest.raises(AssertionError):
             rootposets.cat_q(qseries.GroupType("D", 4))
         with pytest.raises(AssertionError):
-            main(["poly", "--object", "dyck", "--stat", "ls", "--type", "A", "--n", "6"])
+            main(["poly", "--object", "ideal", "--stat", "area", "--type", "D", "--n", "4"])
+        with pytest.raises(AssertionError):
+            main(["enumerate", "--object", "dyck", "--type", "A", "--n", "6"])
 
     def test_unsafe_ideal_meets_no_path_guard(self, capsys):
         # B9 ideals pass the ideal guard with --unsafe; the path guard (B8) is not consulted

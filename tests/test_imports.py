@@ -11,8 +11,10 @@ costs in proportion to their number, not to the group order: the modules
 in ``CATALAN_LAYERS`` may not name a function that walks the whole group.
 
 A third keeps the generating polynomials of area and maj one pass over the
-paths: in types A and B the functions in ``ONE_PASS`` may not name the
-per-object enumerations, the Dyck check or the per-word statistics.
+paths, and the phi verifier on row starts: in types A and B the functions
+in ``ONE_PASS`` may not name the per-object enumerations, the Dyck check or
+the per-word statistics, and ``phi`` and its verifier may not name the
+frozenset ideals, their statistics and lift, or ``from_cycles``.
 """
 
 import ast
@@ -24,8 +26,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "coxcat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 CATALAN_LAYERS = ("noncrossing", "sortable", "bijmaps", "rootposets", "paths")
 WHOLE_GROUP = {"enumerate_group", "length_t_bfs", "_abs_length_table"}
-ONE_PASS = {"paths": ("_stat_counts", "area_polynomial", "maj_polynomial"), "rootposets": ("cat_q",)}
 PER_OBJECT = {"enumerate_a", "enumerate_b", "_check", "area_a", "maj_a", "ideals"}
+ROW_STARTS = {"ideals", "ideal_maj", "ideal_des", "lift_delta", "ideal_to_dyck", "from_cycles"}
+# layer -> (functions, the names they may not use)
+ONE_PASS = {
+    "paths": (("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
+    "rootposets": (("cat_q",), PER_OBJECT),
+    "bijmaps": (("verify_phi_theorems", "phi", "_phi_rows"), ROW_STARTS),
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -107,8 +115,8 @@ def _is_type_d_test(test: ast.expr) -> bool:
     )
 
 
-def per_object_names(source: str, functions) -> tuple[list[str], list[str]]:
-    """The ``PER_OBJECT`` names on the A/B route of the named functions, and
+def per_object_names(source: str, functions, forbidden=PER_OBJECT) -> tuple[list[str], list[str]]:
+    """The ``forbidden`` names on the A/B route of the named functions, and
     the functions found.
 
     The body of an ``if`` testing for type D is that type's route and is
@@ -134,13 +142,14 @@ def per_object_names(source: str, functions) -> tuple[list[str], list[str]]:
             scanned.append(node.name)
             for statement in node.body:
                 visit(statement)
-    return sorted(found & PER_OBJECT), sorted(scanned)
+    return sorted(found & forbidden), sorted(scanned)
 
 
 @pytest.mark.parametrize("layer", ONE_PASS)
 def test_polynomials_take_one_pass(layer):
     source = (ROOT / "src" / "coxcat" / f"{layer}.py").read_text()
-    assert per_object_names(source, ONE_PASS[layer]) == ([], sorted(ONE_PASS[layer]))
+    functions, forbidden = ONE_PASS[layer]
+    assert per_object_names(source, functions, forbidden) == ([], sorted(functions))
 
 
 @pytest.mark.parametrize(
@@ -159,3 +168,16 @@ def test_polynomials_take_one_pass(layer):
 )
 def test_one_pass_scan(source, names):
     assert per_object_names(source, ("cat_q", "area_polynomial", "maj_polynomial"))[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def phi(t, ideal):\n    return signedperm.from_cycles(cycles, t.n)\n", ["from_cycles"]),
+        ("def verify_phi_theorems(t):\n    for i in rootposets.ideals(t):\n        ideal_maj(t, i)\n", ["ideal_maj", "ideals"]),
+        ("def verify_phi_theorems(t):\n    return phi(big, rootposets.lift_delta(t, i)), ideal_des(t, i)\n", ["ideal_des", "lift_delta"]),
+        ("def verify_phi_theorems(t):\n    return paths._row_stream(t.family, t.n)\n", []),
+    ],
+)
+def test_row_start_scan(source, names):
+    assert per_object_names(source, ("phi", "verify_phi_theorems"), ROW_STARTS)[0] == names

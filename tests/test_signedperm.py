@@ -1,6 +1,7 @@
-import pytest
+import random
 from collections import deque
 
+import pytest
 from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
@@ -258,6 +259,14 @@ class TestGroupEnumeration:
         assert len(list(sp.enumerate_group("B", 3))) == 48
         assert len(list(sp.enumerate_group("D", 3))) == 24
         assert sp.group_order("D", 4) == 192
+
+    @pytest.mark.parametrize("fam,n", [("A", n) for n in range(2, 7)] + [("B", n) for n in range(1, 5)])
+    def test_order_key_sorts_into_enumeration_order(self, fam, n):
+        # A1-A5 and B1-B4; sign-free elements take the key's shortcut, the rest its sign mask
+        elements = list(sp.enumerate_group(fam, n))
+        shuffled = elements[::-1]
+        random.Random(n).shuffle(shuffled)
+        assert sorted(shuffled, key=sp.group_order_key) == elements
 
 
 def test_doctests():
