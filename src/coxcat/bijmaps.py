@@ -1,41 +1,29 @@
 """The statistic-preserving bijections between the Catalan families.
 
-``phi`` peels an order ideal into shells (maximal antichains) and reads
-each shell as a set of disjoint cycles; iterating over the stripped ideal
-yields a signed permutation.  ``phi`` reads the ideal's row starts (see
-``rootposets.PlanarCells``), which rejects any input that is not an order
-ideal, and hands them to the row kernel ``_phi_rows``: row j of the
-ideal's cells is the interval [x_j, cap_j), the first shell is the row
-starts (x_j, j) that row j + 1 does not cover, and stripping moves each
-start one step along its anti-diagonal, so every shell's intervals come
-from the starts by arithmetic, without a root in sight, and the cycles
-are written straight into the one-line notation.  ``psi_a``/``psi_b``
-read the cells under a Dyck path, diagonal by diagonal, as a sorting
-word, sorting the cells into factors in one pass over the rows.  The
-verifiers check the counting and major-index identities exhaustively at
-a given rank; the phi verifier takes each ideal's row starts, size, maj
-and descent count from one pass over the Dyck paths
-(``paths._row_stream``) and builds no ideal unless a check fails.
-
-Shelling conventions.  A root unfolds to one or two intervals over the
-signed baseline -n < ... < -1 < 1 < ... < n:
-
-* ``diff(a, b)``  -> (a, b) and (-b, -a),
-* ``short(b)``    -> (-1, b) and (-b, 1),
-* ``sum(a, b)``   -> (-(a+1), b) and (-b, a+1),
-
-where coinciding mirror images (the right-boundary roots) collapse to a
-single symmetric interval.  Sorted by left endpoint, the intervals of an
-antichain split into blocks wherever the previous right endpoint is
-strictly smaller than the next left endpoint; inside a block every
-touching pair contributes a chain point.  A block fixed by negation
-yields the sign-crossing cycle on its positive endpoints, and mirror-pair
-blocks are emitted once, as the cycle of the positive one.
+Both maps run on row starts: row j of the cells under a type-A or type-B
+Dyck path, or of an order ideal's cells, is the interval [x_j, cap_j)
+(see ``rootposets.PlanarCells``).  ``phi`` peels an order ideal into
+shells (maximal antichains) and reads each shell as a set of disjoint
+cycles; iterating over the stripped ideal yields a signed permutation.
+It reads the ideal's row starts, which rejects any input that is not an
+order ideal, and hands them to the row kernel ``_phi_rows``: the first
+shell is the row starts (x_j, j) that row j + 1 does not cover, and
+stripping moves each start one step along its anti-diagonal, so every
+shell's intervals come from the starts by arithmetic and the cycles are
+written straight into the one-line notation.  ``psi_a``/``psi_b`` check a
+Dyck word and hand its north columns to the row kernel ``_psi``, which
+reads the cells under the path, diagonal by diagonal, as a sorting word,
+sorting the cells into factors in one pass over the rows.  The verifiers
+check the counting and major-index identities exhaustively at a given
+rank; both take each path's row starts, area and maj from one pass over
+the Dyck paths (``paths._row_stream``) and build no ideal or word unless
+a check fails.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import takewhile
 
 from . import paths, rootposets, signedperm
 from .noncrossing import rev_nc
@@ -46,31 +34,15 @@ from .signedperm import Perm
 Root = rootposets.Root
 
 
-@lru_cache(maxsize=None)
-def _unfold_spans(root: Root, family: str) -> tuple[tuple[int, int], ...]:
-    if family == "A":
-        spans = {(root[1], root[2])}
-    elif root[0] == "diff":
-        spans = {(root[1], root[2]), (-root[2], -root[1])}
-    elif root[0] == "short":
-        spans = {(-1, root[1]), (-root[1], 1)}
-    else:
-        a, b = root[1], root[2]
-        spans = {(-(a + 1), b), (-b, a + 1)}
-    return tuple(sorted(spans))
-
-
-def shell_cycles(maximal, family: str) -> tuple[tuple[int, ...], ...]:
-    """Disjoint cycles read off one shell (an antichain of roots)."""
-    spans: list[tuple[int, int]] = []
-    for r in maximal:
-        spans += _unfold_spans(r, family)
-    spans.sort()
-    return tuple(_span_cycles(spans))
-
-
 def _span_cycles(spans: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """The cycles of a shell, given its spans sorted by left endpoint."""
+    """The cycles of a shell, given its spans sorted by left endpoint.
+
+    The spans split into blocks wherever the previous right endpoint is
+    strictly smaller than the next left endpoint; inside a block every
+    touching pair contributes a chain point.  A block fixed by negation
+    yields the sign-crossing cycle on its positive endpoints, and of a
+    mirror pair of blocks only the positive one is read.
+    """
     # an antichain unfolds to spans with strictly increasing lo AND hi
     for k in range(1, len(spans)):
         if spans[k - 1][0] >= spans[k][0] or spans[k - 1][1] >= spans[k][1]:
@@ -109,17 +81,6 @@ def _read_block(seq: list[int], cycles: list[tuple[int, ...]]) -> None:
         cycles.append(tuple(seq))
     elif seq[-1] >= 0:
         raise ValueError("asymmetric block straddling the fold")
-
-
-def strip_ideal(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
-    """Shrink every cell (i, j) with j - i > 2 to (i+1, j-1); drop the rest."""
-    cell_of, rows, _ = rootposets.planar_cells(t)
-    try:
-        cells = [cell_of[r] for r in ideal]
-    except KeyError as exc:
-        root = rootposets.root_str(exc.args[0])
-        raise ValueError(f"{root} is not a positive root of {t.family}{t.rank}") from None
-    return frozenset(rows[j - 1][i + 1] for i, j in cells if j - i > 2)
 
 
 def phi(t: GroupType, ideal: frozenset[Root]) -> Perm:
@@ -181,41 +142,36 @@ def _phi_rows(t: GroupType, x) -> Perm:
 
 def psi_a(word: str) -> tuple[Perm, SortingWord]:
     """Label cell (i, j) by letter n-1-i and read the diagonals in order."""
-    return _psi(word, "A")
+    n = paths._check(word, "A")
+    return _psi(paths._north_columns(word), n, "A")
 
 
 def psi_b(word: str) -> tuple[Perm, SortingWord]:
     """Type-B cell reading: lower cells as in type A, upper cells by columns."""
-    return _psi(word, "B")
+    n = paths._check(word, "B")
+    return _psi(paths._north_columns(word), n, "B")
 
 
-def _psi(word: str, family: str) -> tuple[Perm, SortingWord]:
-    """Lower cells (j < n) carry letter n-1-i; upper cells (j >= n, type B
+def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
+    """``psi`` of the path of 2n steps whose row j starts at x[j].
+
+    Row j holds the cells (i, j) with x[j] <= i < cap_j, so a type-B row at
+    its cap adds none, and ``x`` may stop after the last north step.
+    Lower cells (j < n) carry letter n-1-i; upper cells (j >= n, type B
     only) carry letter 2n-1-i-j.  Reading rows in order, factor f collects
     the lower diagonal j - i = f by ascending i, then the upper column
-    i = n - f by ascending j.
+    i = n - f by ascending j; the word ends before the first empty factor.
     """
-    n = paths._check(word, family)
     factors: list[list[int]] = [[] for _ in range(n + 1)]
-    for j, x in enumerate(paths._north_columns(word)):
+    for j, a in enumerate(x):
         if j < n:
-            for i in range(x, j):
+            for i in range(a, j):
                 factors[j - i].append(n - 1 - i)
         else:
-            for i in range(x, 2 * n - j):
+            for i in range(a, 2 * n - j):
                 factors[n - i].append(2 * n - 1 - i - j)
-    sw = SortingWord(_leading_factors(factors[1:]))
+    sw = SortingWord(tuple(map(tuple, takewhile(bool, factors[1:]))))
     return signedperm._word_to_perm(sw.letters, n, family), sw
-
-
-def _leading_factors(factors: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """The factors up to, not including, the first empty one."""
-    out = []
-    for factor in factors:
-        if not factor:
-            break
-        out.append(tuple(factor))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -226,8 +182,8 @@ def phi_inverse_table(t: GroupType) -> dict[Perm, frozenset[Root]]:
 @lru_cache(maxsize=None)
 def psi_inverse_table(t: GroupType) -> dict[Perm, str]:
     check_guard("path", t.family, t.n)
-    words = paths.enumerate_a(t.n) if t.family == "A" else paths.enumerate_b(t.n)
-    return {_psi(w, t.family)[0]: w for w in words}
+    psi, words = (psi_a, paths.enumerate_a) if t.family == "A" else (psi_b, paths.enumerate_b)
+    return {psi(w)[0]: w for w in words(t.n)}
 
 
 def _report(identity: str, rank: int) -> dict:
@@ -288,44 +244,46 @@ def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
 
 
 def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
-    """Exhaustively check the cell-reading bijection and its statistics."""
+    """Exhaustively check the cell-reading bijection and its statistics.
+
+    The paths come as row starts from one pass over the Dyck paths, which
+    carries each path's area and maj; the east count and the lower part of
+    a type-B path are read off its rows.
+    """
     fam, n = t.family, t.n
+    rootposets.planar_cells(t)  # raises for type D, which has no row starts
+    check_guard("sortable", fam, t.rank, unsafe)
     two_n = n * (n - 1) if fam == "A" else 2 * n * n
     report = _report(f"psi{fam}", t.rank)
-    words = paths.enumerate_a(n) if fam == "A" else paths.enumerate_b(n)
     c_word = signedperm.coxeter_element(fam, n)[1]
-    images = {}
-    for word in words:
+    images = set()
+    for x, area, maj, _ in paths._row_stream(fam, n):
         report["checked"] += 1
-        sigma, sw = (psi_a if fam == "A" else psi_b)(word)
-        area = paths.area_a(word) if fam == "A" else paths.area_b(word)
+        sigma, sw = _psi(x, n, fam)
         if signedperm.length_s(sigma, fam) != area or len(sw) != area:
-            _fail(report, "length", word=word, image=sigma)
+            _fail(report, "length", word=paths._word_of_rows(fam, n, x), image=sigma)
         if c_sorting_word(sigma, c_word, fam) != sw or not sw.is_sortable_chain():
-            _fail(report, "sorting-word", word=word, emitted=str(sw))
-        maj_d = paths.maj_a(word) if fam == "A" else paths.maj_b(word)
-        total = maj_d + signedperm.maj(sigma, fam) + signedperm.imaj(sigma, fam)
+            _fail(report, "sorting-word", word=paths._word_of_rows(fam, n, x), emitted=str(sw))
+        total = maj + signedperm.maj(sigma, fam) + signedperm.imaj(sigma, fam)
         if total != two_n:
-            _fail(report, "maj-identity", word=word, total=total)
+            _fail(report, "maj-identity", word=paths._word_of_rows(fam, n, x), total=total)
         if fam == "A":
-            easts_after = len(word) - word.rindex("N") - 1 if "N" in word else 0
-            if easts_after:
-                k = easts_after
-                if sigma[k - 1] != 1 or not set(range(1, k)) <= signedperm.des_set(sigma):
-                    _fail(report, "last-descent", word=word, image=sigma)
+            k = n - x[n - 1]  # the east steps after the last north step
+            if sigma[k - 1] != 1 or not set(range(1, k)) <= signedperm.des_set(sigma):
+                _fail(report, "last-descent", word=paths._word_of_rows(fam, n, x), image=sigma)
         else:
-            if paths.neg_b(word) + signedperm.neg(sigma) != n:
-                _fail(report, "neg-sum", word=word, image=sigma)
-            lower, _ = paths.split_lower_upper(word)
-            sigma1, _ = psi_a(lower)
+            easts = n - sum(x[j] < 2 * n - j for j in range(n, 2 * n))
+            if easts + signedperm.neg(sigma) != n:
+                _fail(report, "neg-sum", word=paths._word_of_rows(fam, n, x), image=sigma)
+            sigma1, _ = _psi(x[:n], n, "A")
             if signedperm.ides_set(sigma) != signedperm.ides_set(sigma1):
-                _fail(report, "ides-split", word=word)
+                _fail(report, "ides-split", word=paths._word_of_rows(fam, n, x))
             if signedperm.imaj(sigma, "B") != signedperm.imaj(sigma1, "B") + signedperm.neg(sigma):
-                _fail(report, "imaj-split", word=word)
+                _fail(report, "imaj-split", word=paths._word_of_rows(fam, n, x))
         if sigma in images:
             _fail(report, "injectivity", image=sigma)
-        images[sigma] = word
+        images.add(sigma)
     target = set(enumerate_sortables(t, c_word, unsafe=unsafe))
-    if set(images) != target:
-        _fail(report, "image-set", missing=sorted(target - set(images))[:3])
+    if images != target:
+        _fail(report, "image-set", missing=sorted(target - images)[:3])
     return report

@@ -124,6 +124,16 @@ def _word_from_columns(xs: list[int], total: int) -> str:
     return out
 
 
+def _word_of_rows(family: str, n: int, x) -> str:
+    """The type-``family`` path of 2n steps with row starts ``x``, as ``_row_stream`` yields them.
+
+    Row j's north step follows x[j] east steps; a type-B row j >= n at its
+    cap 2n - j has no north step.
+    """
+    cols = x if family == "A" else [a for j, a in enumerate(x) if j < n or a < 2 * n - j]
+    return _word_from_columns(cols, 2 * n)
+
+
 def descent_set(word: str, order: str = "NE") -> set[int]:
     """1-indexed positions i with word[i] > word[i+1] in the given step order.
 

@@ -335,11 +335,7 @@ def ideal_to_dyck(t: GroupType, ideal: frozenset[Root]) -> str:
     A type-B row j >= n gets a north step only when it holds a cell.
     Raises ValueError unless ``ideal`` is an order ideal of ``t``.
     """
-    x = ideal_row_starts(t, ideal)
-    n = t.n
-    caps = planar_cells(t).caps
-    xs = x[:n] + [a for a, cap in zip(x[n:], caps[n:]) if a < cap]
-    return paths._word_from_columns(xs, 2 * n)
+    return paths._word_of_rows(t.family, t.n, ideal_row_starts(t, ideal))
 
 
 def dyck_to_ideal(t: GroupType, word: str) -> frozenset[Root]:

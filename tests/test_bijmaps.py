@@ -8,9 +8,9 @@ from coxcat import paths
 from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat.noncrossing import rev_nc
-from coxcat.qseries import GroupType
+from coxcat.qseries import GroupType, SizeGuardError
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
-from oracles import verify_phi_theorems_frozensets
+from oracles import verify_phi_theorems_frozensets, verify_psi_theorems_words
 
 
 A8_IDEAL = frozenset(
@@ -28,64 +28,173 @@ def b4_ideal():
     return rp.root_poset(GroupType("B", 4)).ideal_from_antichain(B4_IDEAL_ANTICHAIN)
 
 
+# -- oracles: the frozenset shelling loop and the per-diagonal psi scans --------
+#
+# A root unfolds to one or two intervals over the signed baseline
+# -n < ... < -1 < 1 < ... < n:
+#
+#   diff(a, b)  -> (a, b) and (-b, -a),
+#   short(b)    -> (-1, b) and (-b, 1),
+#   sum(a, b)   -> (-(a+1), b) and (-b, a+1),
+#
+# where coinciding mirror images (the right-boundary roots) collapse to a
+# single symmetric interval.  A shell's intervals, sorted by left endpoint,
+# are read into cycles as ``bijmaps._span_cycles`` does.
+
+
+def _unfold_spans_oracle(root, family):
+    if family == "A":
+        return {(root[1], root[2])}
+    if root[0] == "diff":
+        return {(root[1], root[2]), (-root[2], -root[1])}
+    if root[0] == "short":
+        return {(-1, root[1]), (-root[1], 1)}
+    a, b = root[1], root[2]
+    return {(-(a + 1), b), (-b, a + 1)}
+
+
+def _spans_oracle(maximal, family):
+    return sorted(span for r in maximal for span in _unfold_spans_oracle(r, family))
+
+
+def shell_cycles_oracle(maximal, family):
+    spans = _spans_oracle(maximal, family)
+    if any(a[0] >= b[0] or a[1] >= b[1] for a, b in zip(spans, spans[1:])):
+        raise ValueError("not an antichain: nested or repeated spans")
+    blocks = []
+    for span in spans:
+        if blocks and blocks[-1][-1][1] >= span[0]:
+            blocks[-1].append(span)
+        else:
+            blocks.append([span])
+    cycles = []
+    for block in blocks:
+        seq = [block[0][0]]
+        for prev, cur in zip(block, block[1:]):
+            if cur[0] == prev[1]:
+                seq.append(cur[0])
+        seq.append(block[-1][1])
+        if any(a >= b for a, b in zip(seq, seq[1:])):
+            raise ValueError("block endpoints are not increasing")
+        if seq[0] == -seq[-1]:
+            if set(seq) != {-v for v in seq}:
+                raise ValueError("fold block is not symmetric")
+            positives = [v for v in seq if v > 0]
+            cycles.append(tuple(positives) + (-positives[0],))
+        elif seq[0] > 0:
+            cycles.append(tuple(seq))
+        elif seq[-1] >= 0:
+            raise ValueError("asymmetric block straddling the fold")
+    return tuple(cycles)
+
+
+def strip_ideal(t, ideal):
+    """Shrink every cell (i, j) with j - i > 2 to (i+1, j-1); drop the rest."""
+    cell_of, rows, _ = rp.planar_cells(t)
+    try:
+        cells = [cell_of[r] for r in ideal]
+    except KeyError as exc:
+        raise ValueError(f"{rp.root_str(exc.args[0])} is not a positive root of {t.family}{t.rank}") from None
+    return frozenset(rows[j - 1][i + 1] for i, j in cells if j - i > 2)
+
+
+def phi_oracle(t, ideal):
+    """Shell by frozensets: the maximal elements, then strip_ideal, until empty."""
+    poset = rp.root_poset(t)
+    cycles = []
+    cur = ideal
+    while cur:
+        cycles.extend(shell_cycles_oracle(poset.maximal_elements(cur), t.family))
+        cur = strip_ideal(t, cur)
+    return sp.from_cycles(cycles, t.n)
+
+
+def psi_a_oracle(word):
+    """Rescan the cell set once per diagonal."""
+    n = len(word) // 2
+    cells = paths.cells_a(word)
+    factors = []
+    for f in range(1, n):
+        diag = sorted((i, j) for i, j in cells if j - i == f)
+        if not diag:
+            break
+        factors.append(tuple(n - 1 - i for i, _ in diag))
+    sw = SortingWord(tuple(factors))
+    return sp.word_to_perm(sw.letters, n, "A"), sw
+
+
+def psi_b_oracle(word):
+    n = len(word) // 2
+    ordered = sorted(paths.cells_b(word))
+    factors = []
+    for f in range(1, 2 * n):
+        letters = [n - 1 - i for i, j in ordered if j < n and j - i == f]
+        letters += [2 * n - 1 - i - j for i, j in ordered if j >= n and i == n - f]
+        if not letters:
+            break
+        factors.append(tuple(letters))
+    sw = SortingWord(tuple(factors))
+    return sp.word_to_perm(sw.letters, n, "B"), sw
+
+
 class TestShellCycles:
     def test_a_worked_example(self):
         maximal = [rp.diff(1, 4), rp.diff(2, 5), rp.diff(3, 6), rp.diff(5, 7), rp.diff(7, 9)]
-        assert bm.shell_cycles(maximal, "A") == ((1, 7, 9),)
+        assert shell_cycles_oracle(maximal, "A") == ((1, 7, 9),)
 
     def test_b_worked_example(self):
-        assert bm.shell_cycles([rp.diff(1, 4), rp.short(1)], "B") == ((1, 4, -1),)
+        assert shell_cycles_oracle([rp.diff(1, 4), rp.short(1)], "B") == ((1, 4, -1),)
 
     def test_b_strict_overlap_through_fold(self):
         # pinned by the oracle suite: the unique choice keeping l_S = area
-        assert bm.shell_cycles([rp.short(2), rp.diff(1, 4)], "B") == ((4, -4),)
+        assert shell_cycles_oracle([rp.short(2), rp.diff(1, 4)], "B") == ((4, -4),)
 
     def test_two_short_sum_roots(self):
         # {e_3, e_1+e_2} is an antichain in B_3 with two fold-touching roots
-        assert bm.shell_cycles([rp.short(3), rp.sum_root(1, 2)], "B") == ((3, -3),)
+        assert shell_cycles_oracle([rp.short(3), rp.sum_root(1, 2)], "B") == ((3, -3),)
 
     def test_touching_chains(self):
         # [5,7] and [7,9] touch, so 7 is a chain point; [1,4]..[3,6] overlap strictly
         maximal = [rp.diff(2, 3), rp.diff(3, 4), rp.diff(4, 5)]
-        assert bm.shell_cycles(maximal, "A") == ((2, 3, 4, 5),)
+        assert shell_cycles_oracle(maximal, "A") == ((2, 3, 4, 5),)
 
     def test_split_blocks(self):
         maximal = [rp.diff(1, 2), rp.diff(3, 4)]
-        assert bm.shell_cycles(maximal, "A") == ((1, 2), (3, 4))
+        assert shell_cycles_oracle(maximal, "A") == ((1, 2), (3, 4))
 
     def test_nested_rejected(self):
         with pytest.raises(ValueError):
-            bm.shell_cycles([rp.diff(1, 4), rp.diff(2, 3)], "A")
+            shell_cycles_oracle([rp.diff(1, 4), rp.diff(2, 3)], "A")
 
 
 class TestStrip:
     def test_a_worked_example(self):
         t = GroupType("A", 8)
-        got = bm.strip_ideal(t, A8_IDEAL)
+        got = strip_ideal(t, A8_IDEAL)
         assert got == frozenset([rp.diff(2, 3), rp.diff(3, 4), rp.diff(4, 5)])
 
     def test_low_ideals_empty(self):
         t = GroupType("A", 4)
         low = frozenset([rp.diff(1, 2), rp.diff(1, 3)])
-        assert bm.strip_ideal(t, low) == frozenset()
+        assert strip_ideal(t, low) == frozenset()
 
     def test_full_b3(self):
         t = GroupType("B", 3)
         full = frozenset(rp.positive_roots(t))
-        assert bm.strip_ideal(t, full) == frozenset(
+        assert strip_ideal(t, full) == frozenset(
             [rp.diff(1, 2), rp.short(1), rp.short(2), rp.sum_root(1, 2)]
         )
 
     def test_root_outside_the_rank(self):
         with pytest.raises(ValueError, match="e9-e1 is not a positive root of A2"):
-            bm.strip_ideal(GroupType("A", 2), frozenset([rp.diff(1, 9)]))
+            strip_ideal(GroupType("A", 2), frozenset([rp.diff(1, 9)]))
 
     @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 4)])
     def test_strip_yields_ideals(self, fam, rank):
         t = GroupType(fam, rank)
         poset = rp.root_poset(t)
         for ideal in rp.ideals(t):
-            assert poset.is_ideal(bm.strip_ideal(t, ideal))
+            assert poset.is_ideal(strip_ideal(t, ideal))
 
 
 class TestPhi:
@@ -224,93 +333,6 @@ class TestVerifiers:
             assert lhs == rhs
 
 
-# -- oracles: the frozenset shelling loop and the per-diagonal psi scans --------
-
-
-def _unfold_spans_oracle(root, family):
-    if family == "A":
-        return {(root[1], root[2])}
-    if root[0] == "diff":
-        return {(root[1], root[2]), (-root[2], -root[1])}
-    if root[0] == "short":
-        return {(-1, root[1]), (-root[1], 1)}
-    a, b = root[1], root[2]
-    return {(-(a + 1), b), (-b, a + 1)}
-
-
-def shell_cycles_oracle(maximal, family):
-    spans = []
-    for r in maximal:
-        spans.extend(_unfold_spans_oracle(r, family))
-    spans.sort()
-    if any(a[0] >= b[0] or a[1] >= b[1] for a, b in zip(spans, spans[1:])):
-        raise ValueError("not an antichain: nested or repeated spans")
-    blocks = []
-    for span in spans:
-        if blocks and blocks[-1][-1][1] >= span[0]:
-            blocks[-1].append(span)
-        else:
-            blocks.append([span])
-    cycles = []
-    for block in blocks:
-        seq = [block[0][0]]
-        for prev, cur in zip(block, block[1:]):
-            if cur[0] == prev[1]:
-                seq.append(cur[0])
-        seq.append(block[-1][1])
-        if any(a >= b for a, b in zip(seq, seq[1:])):
-            raise ValueError("block endpoints are not increasing")
-        if seq[0] == -seq[-1]:
-            if set(seq) != {-v for v in seq}:
-                raise ValueError("fold block is not symmetric")
-            positives = [v for v in seq if v > 0]
-            cycles.append(tuple(positives) + (-positives[0],))
-        elif seq[0] > 0:
-            cycles.append(tuple(seq))
-        elif seq[-1] >= 0:
-            raise ValueError("asymmetric block straddling the fold")
-    return tuple(cycles)
-
-
-def phi_oracle(t, ideal):
-    """Shell by frozensets: the maximal elements, then strip_ideal, until empty."""
-    poset = rp.root_poset(t)
-    cycles = []
-    cur = ideal
-    while cur:
-        cycles.extend(shell_cycles_oracle(poset.maximal_elements(cur), t.family))
-        cur = bm.strip_ideal(t, cur)
-    return sp.from_cycles(cycles, t.n)
-
-
-def psi_a_oracle(word):
-    """Rescan the cell set once per diagonal."""
-    n = len(word) // 2
-    cells = paths.cells_a(word)
-    factors = []
-    for f in range(1, n):
-        diag = sorted((i, j) for i, j in cells if j - i == f)
-        if not diag:
-            break
-        factors.append(tuple(n - 1 - i for i, _ in diag))
-    sw = SortingWord(tuple(factors))
-    return sp.word_to_perm(sw.letters, n, "A"), sw
-
-
-def psi_b_oracle(word):
-    n = len(word) // 2
-    ordered = sorted(paths.cells_b(word))
-    factors = []
-    for f in range(1, 2 * n):
-        letters = [n - 1 - i for i, j in ordered if j < n and j - i == f]
-        letters += [2 * n - 1 - i - j for i, j in ordered if j >= n and i == n - f]
-        if not letters:
-            break
-        factors.append(tuple(letters))
-    sw = SortingWord(tuple(factors))
-    return sp.word_to_perm(sw.letters, n, "B"), sw
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -349,10 +371,12 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 3), ("B", 4)])
     def test_shell_cycles_on_small_subsets(self, fam, rank):
+        # the kernel's span reader, on the oracle's unfolding of every small subset
         roots = rp.positive_roots(GroupType(fam, rank))
         for k in (1, 2, 3):
             for subset in itertools.combinations(roots, k):
-                assert _outcome(bm.shell_cycles, subset, fam) == _outcome(
+                spans = _spans_oracle(subset, fam)
+                assert _outcome(lambda: tuple(bm._span_cycles(spans))) == _outcome(
                     shell_cycles_oracle, subset, fam
                 )
 
@@ -424,6 +448,71 @@ class TestRowKernel:
         identity = repr(sp.identity(t.n))
         assert {"check": "length", "ideal": roots, "image": identity} in report["failures"]
         assert {"check": "injectivity", "image": identity} in report["failures"]
+
+
+class TestPsiRows:
+    """``_psi`` on streamed row starts and the psi verifier against the word verifier."""
+
+    @pytest.mark.parametrize("fam,n", [("A", n) for n in range(1, 9)] + [("B", n) for n in range(1, 7)])
+    def test_stream_rows_are_the_words_in_order(self, fam, n):
+        words = paths.enumerate_a(n) if fam == "A" else paths.enumerate_b(n)
+        psi = bm.psi_a if fam == "A" else bm.psi_b
+        rows = [x for x, *_ in paths._row_stream(fam, n)]
+        assert [paths._word_of_rows(fam, n, x) for x in rows] == words
+        for x, word in zip(rows, words):
+            assert bm._psi(x, n, fam) == psi(word)
+
+    @pytest.mark.parametrize("fam,n", [("A", n) for n in range(2, 9)] + [("B", n) for n in range(1, 6)])
+    def test_verifier_reports_match_the_word_verifier(self, fam, n):
+        t = GroupType(fam, n - 1 if fam == "A" else n)
+        report = bm.verify_psi_theorems(t)
+        assert report == verify_psi_theorems_words(t)
+        assert report["checked"] == len(rp.ideals(t)) and report["failures"] == []
+
+    def test_clean_run_names_no_word(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a clean run built a word")
+
+        monkeypatch.setattr(paths, "_word_of_rows", refuse)
+        for t in (GroupType("A", 5), GroupType("B", 4)):
+            assert bm.verify_psi_theorems(t)["failures"] == []
+
+    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3)])
+    def test_corrupted_kernel_is_reported(self, monkeypatch, fam, rank):
+        # send the full path's rows to the identity, the image of the path with no cells
+        t = GroupType(fam, rank)
+        n = t.n
+        full = (0,) * (n if fam == "A" else 2 * n)
+        kernel = bm._psi
+
+        def corrupt(x, m, family):
+            if family == fam and m == n and tuple(x) == full:
+                return sp.identity(n), SortingWord(())
+            return kernel(x, m, family)
+
+        monkeypatch.setattr(bm, "_psi", corrupt)
+        report = bm.verify_psi_theorems(t)
+        assert report == verify_psi_theorems_words(t)
+        checks = {f["check"] for f in report["failures"]}
+        assert {"length", "maj-identity", "injectivity", "image-set"} <= checks
+        word = repr(paths._word_of_rows(fam, n, full))
+        identity = repr(sp.identity(n))
+        assert {"check": "length", "word": word, "image": identity} in report["failures"]
+        assert {"check": "injectivity", "image": identity} in report["failures"]
+
+    def test_guard_comes_before_the_paths(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the paths were streamed before the guard")
+
+        monkeypatch.setattr(paths, "_row_stream", refuse)
+        for t in (GroupType("A", 9), GroupType("B", 6)):
+            with pytest.raises(SizeGuardError, match=f"sortable enumeration guarded at rank .* for type {t.family}"):
+                bm.verify_psi_theorems(t)
+
+    def test_type_d_is_refused_by_name(self):
+        # not an error from inside the loop ("type D needs an even number of negatives")
+        with pytest.raises(ValueError, match="no planar cells for type D"):
+            bm.verify_psi_theorems(GroupType("D", 4))
 
 
 class TestPhiRejects:

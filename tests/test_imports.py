@@ -11,10 +11,13 @@ costs in proportion to their number, not to the group order: the modules
 in ``CATALAN_LAYERS`` may not name a function that walks the whole group.
 
 A third keeps the generating polynomials of area and maj one pass over the
-paths, and the phi verifier on row starts: in types A and B the functions
+paths, and both verifiers on row starts: in types A and B the functions
 in ``ONE_PASS`` may not name the per-object enumerations, the Dyck check or
-the per-word statistics, and ``phi`` and its verifier may not name the
-frozenset ideals, their statistics and lift, or ``from_cycles``.
+the per-word statistics, ``phi`` and its verifier may not name the
+frozenset ideals, their statistics and lift, or ``from_cycles``, and the
+psi verifier and its row kernel may not name the word enumerations, the
+Dyck check, the per-word statistics and split, or the word entries
+``psi_a``/``psi_b``.
 """
 
 import ast
@@ -28,11 +31,16 @@ CATALAN_LAYERS = ("noncrossing", "sortable", "bijmaps", "rootposets", "paths")
 WHOLE_GROUP = {"enumerate_group", "length_t_bfs", "_abs_length_table"}
 PER_OBJECT = {"enumerate_a", "enumerate_b", "_check", "area_a", "maj_a", "ideals"}
 ROW_STARTS = {"ideals", "ideal_maj", "ideal_des", "lift_delta", "ideal_to_dyck", "from_cycles"}
-# layer -> (functions, the names they may not use)
+PSI_WORDS = {
+    "enumerate_a", "enumerate_b", "_check", "area_a", "area_b", "maj_a", "maj_b",
+    "neg_b", "split_lower_upper", "psi_a", "psi_b",
+}
+# row -> (layer, functions, the names they may not use)
 ONE_PASS = {
-    "paths": (("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
-    "rootposets": (("cat_q",), PER_OBJECT),
-    "bijmaps": (("verify_phi_theorems", "phi", "_phi_rows"), ROW_STARTS),
+    "paths": ("paths", ("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
+    "rootposets": ("rootposets", ("cat_q",), PER_OBJECT),
+    "bijmaps": ("bijmaps", ("verify_phi_theorems", "phi", "_phi_rows"), ROW_STARTS),
+    "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi"), PSI_WORDS),
 }
 
 
@@ -145,10 +153,10 @@ def per_object_names(source: str, functions, forbidden=PER_OBJECT) -> tuple[list
     return sorted(found & forbidden), sorted(scanned)
 
 
-@pytest.mark.parametrize("layer", ONE_PASS)
-def test_polynomials_take_one_pass(layer):
+@pytest.mark.parametrize("row", ONE_PASS)
+def test_polynomials_take_one_pass(row):
+    layer, functions, forbidden = ONE_PASS[row]
     source = (ROOT / "src" / "coxcat" / f"{layer}.py").read_text()
-    functions, forbidden = ONE_PASS[layer]
     assert per_object_names(source, functions, forbidden) == ([], sorted(functions))
 
 
@@ -181,3 +189,18 @@ def test_one_pass_scan(source, names):
 )
 def test_row_start_scan(source, names):
     assert per_object_names(source, ("phi", "verify_phi_theorems"), ROW_STARTS)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def verify_psi_theorems(t):\n    for w in paths.enumerate_b(t.n):\n        psi_b(w)\n", ["enumerate_b", "psi_b"]),
+        ("def _psi(word, family):\n    n = paths._check(word, family)\n", ["_check"]),
+        ("def verify_psi_theorems(t):\n    lower, _ = paths.split_lower_upper(w)\n    return paths.neg_b(w), area_b(w)\n", ["area_b", "neg_b", "split_lower_upper"]),
+        ("def verify_psi_theorems(t):\n    return maj_a(w) if t.family == 'A' else bijmaps.psi_a(lower)\n", ["maj_a", "psi_a"]),
+        ("def verify_psi_theorems(t):\n    return _psi(x[:n], n, 'A'), paths._word_of_rows(t.family, t.n, x)\n", []),
+        ("def psi_a(word):\n    return _psi(paths._north_columns(word), paths._check(word, 'A'), 'A')\n", []),
+    ],
+)
+def test_psi_row_scan(source, names):
+    assert per_object_names(source, ("_psi", "verify_psi_theorems"), PSI_WORDS)[0] == names
