@@ -13,6 +13,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from functools import lru_cache
 
 from . import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
 from .qseries import GroupType, SizeGuardError, cat_number, check_guard, gen_poly, qcat_a
@@ -227,6 +228,8 @@ def _verify_task(task) -> dict:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.max_n and args.max_n < 2:
+        raise ValueError(f"--max-n must be 0 or at least 2, got {args.max_n}")
     tasks = []
     if args.which == "all":
         max_a = args.max_n if args.max_n else _VERIFY_DEFAULT_A
@@ -305,7 +308,9 @@ def cmd_selftest(args) -> int:
     return 1 if bad else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="coxcat")
     sub = parser.add_subparsers(dest="verb", required=True)
 

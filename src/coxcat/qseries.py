@@ -248,7 +248,7 @@ class GroupType:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+            raise ValueError(f"rank must be >= 1, got {self.family}{self.rank}")
         if self.family == "D" and self.rank < 2:
             raise ValueError("type D needs rank >= 2")
         if self.family == "I2" and self.rank < 2:

@@ -68,6 +68,11 @@ def neg(p: Perm) -> int:
 def length_s(p: Perm, family: str) -> int:
     """Coxeter length: inversions, corrected by the negative entries in B/D."""
     check_perm(p, family)
+    return _length_s(p, family)
+
+
+def _length_s(p: Perm, family: str) -> int:
+    """``length_s`` of a ``p`` that ``check_perm`` has already passed."""
     base = inv_word(p)
     if family == "A":
         return base
@@ -105,6 +110,11 @@ def maj(p: Perm, family: str) -> int:
     """Major index: A uses the one-line word; B doubles it and adds neg;
     D subtracts the negative entries and their count."""
     check_perm(p, family)
+    return _maj(p, family)
+
+
+def _maj(p: Perm, family: str) -> int:
+    """``maj`` of a ``p`` that ``check_perm`` has already passed."""
     base = maj_word(p)
     if family == "A":
         return base
@@ -124,7 +134,13 @@ def ides(p: Perm) -> int:
 
 
 def imaj(p: Perm, family: str) -> int:
-    return maj(inverse(p), family)
+    check_perm(p, family)
+    return _imaj(p, family)
+
+
+def _imaj(p: Perm, family: str) -> int:
+    """``imaj`` of a ``p`` that ``check_perm`` has already passed."""
+    return _maj(inverse(p), family)
 
 
 def rev(p: Perm) -> Perm:

@@ -8,6 +8,10 @@ again the sorting word of a sortable element (Reading, Clusters,
 Coxeter-sortable elements and noncrossing partitions, 2007), so the
 sortable elements form a subtree of the right weak order rooted at e and
 are enumerated by walking up it.
+
+``c_sorting_word`` and ``is_c_sortable`` check the element and the word;
+``_sorting_word`` is the same scan on inputs already checked, which the
+walk and the verifiers call once per element.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .signedperm import (
     coxeter_element,
     group_order_key,
     identity,
-    length_s,
 )
 
 
@@ -74,11 +77,17 @@ def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
 
     The inverse of the shrinking remainder is kept as the array of signed
     positions of each value, which makes every descent test and update O(1).
+    The scan stops at the first pass through c that consumes nothing: a
+    remainder other than e has a left descent, which that pass would reach.
     """
-    n = len(w)
     check_perm(w, family)
-    _check_c_word(c_word, n, family)
-    remaining = length_s(w, family)
+    _check_c_word(c_word, len(w), family)
+    return _sorting_word(w, c_word, family)
+
+
+def _sorting_word(w: Perm, c_word, family: str) -> SortingWord:
+    """``c_sorting_word`` for a ``w`` and ``c_word`` already checked."""
+    n = len(w)
     # pos[v-1] = signed position p with w(p) = v
     pos = [0] * n
     for p, v in enumerate(w, start=1):
@@ -87,7 +96,7 @@ def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
         else:
             pos[-v - 1] = -p
     factors = []
-    while remaining:
+    while True:
         factor = []
         for s in c_word:
             if s == 0:
@@ -106,11 +115,9 @@ def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
                 else:
                     pos[s - 1], pos[s] = pos[s], pos[s - 1]
                 factor.append(s)
-                remaining -= 1
-                if not remaining:
-                    break
+        if not factor:
+            return SortingWord(tuple(factors))
         factors.append(tuple(factor))
-    return SortingWord(tuple(factors))
 
 
 def is_c_sortable(w: Perm, c_word, family: str) -> bool:
@@ -153,7 +160,7 @@ def enumerate_sortables(t: GroupType, c_word=None, unsafe: bool = False) -> list
             u = _times_ascent(w, s, family)
             if u is not None and u not in seen:
                 seen.add(u)
-                if is_c_sortable(u, c_word, family):
+                if _sorting_word(u, c_word, family).is_sortable_chain():
                     found.append(u)
     return sorted(found, key=group_order_key)
 

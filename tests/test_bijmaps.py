@@ -7,8 +7,9 @@ from coxcat import bijmaps as bm
 from coxcat import paths
 from coxcat import rootposets as rp
 from coxcat import signedperm as sp
+from coxcat import sortable as so
 from coxcat.noncrossing import rev_nc
-from coxcat.qseries import GroupType, SizeGuardError
+from coxcat.qseries import GroupType, SizeGuardError, cat_number
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from oracles import verify_phi_theorems_frozensets, verify_psi_theorems_words
 
@@ -499,6 +500,58 @@ class TestPsiRows:
         identity = repr(sp.identity(n))
         assert {"check": "length", "word": word, "image": identity} in report["failures"]
         assert {"check": "injectivity", "image": identity} in report["failures"]
+
+    @pytest.mark.parametrize("fam,n", [("A", n) for n in range(2, 9)] + [("B", n) for n in range(1, 6)])
+    def test_clean_run_walks_no_sortables(self, monkeypatch, fam, n):
+        # distinct sortable images that number Cat(W) are all of Sort(W, c)
+        t = GroupType(fam, n - 1 if fam == "A" else n)
+        expected = verify_psi_theorems_words(t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a clean run walked the sortable elements")
+
+        monkeypatch.setattr(bm, "enumerate_sortables", refuse)
+        assert bm.verify_psi_theorems(t) == expected
+
+    @pytest.mark.parametrize("fam,rank", [("A", 7), ("B", 5)])
+    def test_clean_run_sorts_each_image_once(self, monkeypatch, fam, rank):
+        t = GroupType(fam, rank)
+        body = so._sorting_word
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return body(*args)
+
+        monkeypatch.setattr(so, "_sorting_word", counted)
+        monkeypatch.setattr(bm, "_sorting_word", counted)
+        assert bm.verify_psi_theorems(t)["failures"] == []
+        assert len(calls) == cat_number(t)
+
+    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3)])
+    def test_non_sortable_image_is_caught_by_membership(self, monkeypatch, fam, rank):
+        # the full path's image becomes an element outside Sort(W, c): the images stay
+        # distinct and number Cat(W), so only the sorting-word check sees it
+        t = GroupType(fam, rank)
+        n = t.n
+        full = (0,) * (n if fam == "A" else 2 * n)
+        c_word = sp.coxeter_element(fam, n)[1]
+        bad = next(w for w in sp.enumerate_group(fam, n) if not so.is_c_sortable(w, c_word, fam))
+        kernel = bm._psi
+        lost = kernel(full, n, fam)[0]
+
+        def corrupt(x, m, family):
+            sigma, sw = kernel(x, m, family)
+            if family == fam and m == n and tuple(x) == full:
+                return bad, sw
+            return sigma, sw
+
+        monkeypatch.setattr(bm, "_psi", corrupt)
+        report = bm.verify_psi_theorems(t)
+        assert report == verify_psi_theorems_words(t)
+        checks = {f["check"] for f in report["failures"]}
+        assert {"sorting-word", "image-set"} <= checks and "injectivity" not in checks
+        assert {"check": "image-set", "missing": repr([lost])} in report["failures"]
 
     def test_guard_comes_before_the_paths(self, monkeypatch):
         def refuse(*args):

@@ -382,6 +382,30 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--which", "phiA"])
 
+    @pytest.mark.parametrize("max_n", ["1", "-1", "-5"])
+    def test_max_n_below_two_is_refused_before_any_report(self, capsys, max_n):
+        # a sweep capped below 2 would drop every phi/psi task and check only d4
+        code = main(["verify", "--all", "--max-n", max_n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--max-n must be 0 or at least 2, got {max_n}" in captured.err
+
+    def test_rank_error_names_the_group(self, capsys):
+        # --n is the classical n, so --n 1 in type A asks for A0
+        code = main(["verify", "--which", "phiA", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "rank must be >= 1, got A0" in captured.err
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+        first = cli.build_parser().parse_args(["verify", "--which", "psiA", "--n", "4"])
+        second = cli.build_parser().parse_args(["verify", "--all"])
+        assert (first.which, first.n, first.max_n) == ("psiA", 4, 0)
+        assert (second.which, second.n, second.max_n) == ("all", None, 0)
+
 
 class TestSelftest:
     def test_passes(self, capsys):

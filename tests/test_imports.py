@@ -17,7 +17,11 @@ the per-word statistics, ``phi`` and its verifier may not name the
 frozenset ideals, their statistics and lift, or ``from_cycles``, and the
 psi verifier and its row kernel may not name the word enumerations, the
 Dyck check, the per-word statistics and split, or the word entries
-``psi_a``/``psi_b``.
+``psi_a``/``psi_b``.  The verifiers check each image once and then call
+the unchecked statistic bodies, so they may not name the checked
+statistics, ``c_sorting_word`` or the sorted ``rev_nc``; the walk of the
+sortable elements checks its word once, so it may not name
+``is_c_sortable`` or ``c_sorting_word``.
 """
 
 import ast
@@ -35,12 +39,16 @@ PSI_WORDS = {
     "enumerate_a", "enumerate_b", "_check", "area_a", "area_b", "maj_a", "maj_b",
     "neg_b", "split_lower_upper", "psi_a", "psi_b",
 }
+CHECKED_STATS = {"length_s", "maj", "imaj", "c_sorting_word", "rev_nc"}
+CHECKED_SORT = {"is_c_sortable", "c_sorting_word"}
 # row -> (layer, functions, the names they may not use)
 ONE_PASS = {
     "paths": ("paths", ("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
     "rootposets": ("rootposets", ("cat_q",), PER_OBJECT),
     "bijmaps": ("bijmaps", ("verify_phi_theorems", "phi", "_phi_rows"), ROW_STARTS),
     "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi"), PSI_WORDS),
+    "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
+    "sortable-walk": ("sortable", ("enumerate_sortables",), CHECKED_SORT),
 }
 
 
@@ -204,3 +212,30 @@ def test_row_start_scan(source, names):
 )
 def test_psi_row_scan(source, names):
     assert per_object_names(source, ("_psi", "verify_psi_theorems"), PSI_WORDS)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def verify_phi_theorems(t):\n    return signedperm.length_s(s, f) + maj(s, f) + imaj(s, f)\n", ["imaj", "length_s", "maj"]),
+        ("def verify_phi_theorems(t):\n    target = set(rev_nc(t))\n", ["rev_nc"]),
+        ("def verify_psi_theorems(t):\n    if c_sorting_word(s, c, f) != sw:\n        pass\n", ["c_sorting_word"]),
+        ("def verify_psi_theorems(t):\n    for x, area, maj, _ in rows:\n        pass\n", ["maj"]),
+        ("def verify_psi_theorems(t):\n    check_perm(s, f)\n    return _length_s(s, f), _maj(s, f), _imaj(s, f), _sorting_word(s, c, f)\n", []),
+        ("def length_s(p, f):\n    return _length_s(p, f)\n", []),
+    ],
+)
+def test_unchecked_stats_scan(source, names):
+    assert per_object_names(source, ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def enumerate_sortables(t):\n    return [u for u in found if is_c_sortable(u, c, f)]\n", ["is_c_sortable"]),
+        ("def enumerate_sortables(t):\n    return sortable.c_sorting_word(u, c, f).is_sortable_chain()\n", ["c_sorting_word"]),
+        ("def enumerate_sortables(t):\n    return _sorting_word(u, c, f).is_sortable_chain()\n", []),
+    ],
+)
+def test_sortable_walk_scan(source, names):
+    assert per_object_names(source, ("enumerate_sortables",), CHECKED_SORT)[0] == names

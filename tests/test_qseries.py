@@ -280,6 +280,11 @@ class TestGroupType:
         with pytest.raises(ValueError):
             GroupType("H3", 4)
 
+    @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 0), ("D", -1)])
+    def test_rank_error_names_what_it_got(self, family, rank):
+        with pytest.raises(ValueError, match=f"rank must be >= 1, got {family}{rank}$"):
+            GroupType(family, rank)
+
     def test_classical_index(self):
         assert GroupType("A", 8).n == 9
         assert GroupType("B", 5).n == 5

@@ -198,7 +198,11 @@ class TestEnumerateSortables:
         assert QPoly(counts) == QPoly([1, 2, 1, 1, 1])
         assert QPoly(counts) == cat_q(GroupType("B", 2))
 
-    @pytest.mark.parametrize("fam,rank", [("A", 4), ("A", 5), ("B", 3), ("B", 4), ("D", 4)])
+    # |Sort(W, c)| = Cat(W) (Reading 2007), which the psi verifier's count route
+    # rests on: every rank the sortable guard allows for the default word
+    @pytest.mark.parametrize(
+        "fam,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 6)] + [("D", r) for r in range(2, 5)]
+    )
     def test_counts_match_catalan(self, fam, rank):
         t = GroupType(fam, rank)
         assert len(so.enumerate_sortables(t)) == cat_number(t)
@@ -206,3 +210,31 @@ class TestEnumerateSortables:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             so.enumerate_sortables(GroupType("B", 6))
+
+
+class TestUncheckedBodies:
+    """The private bodies the verifiers call after one ``check_perm`` per element."""
+
+    @pytest.mark.parametrize(
+        "fam,n", [("A", n) for n in range(1, 6)] + [("B", n) for n in range(1, 5)] + [("D", n) for n in range(2, 5)]
+    )
+    def test_bodies_equal_the_public_forms(self, fam, n):
+        c = default_c_word(fam, n)
+        for w in sp.enumerate_group(fam, n):
+            assert sp._length_s(w, fam) == sp.length_s(w, fam)
+            assert sp._maj(w, fam) == sp.maj(w, fam)
+            assert sp._imaj(w, fam) == sp.imaj(w, fam) == sp.maj(sp.inverse(w), fam)
+            sw = so._sorting_word(w, c, fam)
+            assert sw == so.c_sorting_word(w, c, fam)
+            assert len(sw) == sp.length_s(w, fam)
+
+    @pytest.mark.parametrize(
+        "p,fam",
+        [((1, 1), "B"), ((5, 1), "B"), ((0, 1), "A"), ((2, 3), "A"), ((1, -2), "A"), ((1, -2), "D")],
+    )
+    def test_public_forms_still_check(self, p, fam):
+        for stat in (sp.length_s, sp.maj, sp.imaj):
+            with pytest.raises(ValueError):
+                stat(p, fam)
+        with pytest.raises(ValueError):
+            so.c_sorting_word(p, default_c_word(fam, len(p)), fam)
