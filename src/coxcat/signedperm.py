@@ -10,13 +10,10 @@ reflections act on positions under right multiplication.
 from __future__ import annotations
 
 import itertools
+import math
 
 Perm = tuple[int, ...]
 Cycle = tuple[int, ...]
-
-_FACTORIAL = [1]
-for _i in range(1, 16):
-    _FACTORIAL.append(_FACTORIAL[-1] * _i)
 
 
 def check_perm(p: Perm, family: str = "B") -> None:
@@ -84,11 +81,6 @@ def _length_s(p: Perm, family: str) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def descent_set_word(w) -> set[int]:
-    """1-indexed descent positions of an integer sequence."""
-    return {i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]}
-
-
 def maj_word(w) -> int:
     """Sum of the descent positions of an integer sequence."""
     total = 0
@@ -98,12 +90,13 @@ def maj_word(w) -> int:
     return total
 
 
-def des_set(p: Perm) -> set[int]:
-    return descent_set_word(p)
+def des_set(w) -> set[int]:
+    """1-indexed descent positions of an integer sequence."""
+    return {i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]}
 
 
 def des(p: Perm) -> int:
-    return len(descent_set_word(p))
+    return len(des_set(p))
 
 
 def maj(p: Perm, family: str) -> int:
@@ -273,12 +266,14 @@ def reflections(family: str, n: int) -> list[Perm]:
 
 
 def group_order(family: str, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if family == "A":
-        return _FACTORIAL[n]
+        return math.factorial(n)
     if family == "B":
-        return _FACTORIAL[n] << n
+        return math.factorial(n) << n
     if family == "D":
-        return _FACTORIAL[n] << (n - 1)
+        return math.factorial(n) << (n - 1)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -300,13 +295,6 @@ def group_order_key(p: Perm) -> tuple[Perm, int]:
     if magnitudes == p:  # sign-free: no sign mask to build
         return p, 0
     return magnitudes, sum(1 << i for i, v in enumerate(p) if v < 0)
-
-
-def leq_t(u: Perm, v: Perm) -> bool:
-    """Absolute order: l_T(v) == l_T(u) + l_T(u^-1 v)."""
-    if len(u) != len(v):
-        raise ValueError("rank mismatch")
-    return length_t(v) == length_t(u) + length_t(mul(inverse(u), v))
 
 
 def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
@@ -339,26 +327,11 @@ def _word_to_perm(word, n: int, family: str) -> Perm:
     return tuple(line)
 
 
-def coxeter_element(family: str, n: int, variant: str = "sorting") -> tuple[Perm, tuple[int, ...]]:
+def coxeter_element(family: str, n: int) -> tuple[Perm, tuple[int, ...]]:
     """A Coxeter element together with its defining reduced word.
 
-    ``variant="sorting"`` gives the word s_{n-1} ... s_1 (type A) or
-    s_{n-1} ... s_1 s_0 (types B/D) used for sorting words; ``variant="nc"``
-    gives the cycles (1,2,...,n) and (1,2,...,n,-1) used for the
-    non-crossing partition interval.
+    The word is s_{n-1} ... s_1 in type A and s_{n-1} ... s_1 s_0 in types
+    B and D, the word the sorting words are read against.
     """
-    if variant == "sorting":
-        if family == "A":
-            word = tuple(range(n - 1, 0, -1))
-        else:
-            word = tuple(range(n - 1, -1, -1))
-    elif variant == "nc":
-        if family == "A":
-            word = tuple(range(1, n))
-        elif family == "B":
-            word = tuple(range(0, n))
-        else:
-            raise ValueError("no nc variant for type D")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    word = tuple(range(n - 1, 0 if family == "A" else -1, -1))
     return word_to_perm(word, n, family), word

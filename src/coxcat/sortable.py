@@ -164,18 +164,3 @@ def enumerate_sortables(t: GroupType, c_word=None, unsafe: bool = False) -> list
                     found.append(u)
     return sorted(found, key=group_order_key)
 
-
-def avoids_231(p: Perm) -> bool:
-    """No indices i < j < k with p[k] < p[i] < p[j]."""
-    check_perm(p, "A")
-    n = len(p)
-    # best[j]: the largest value playing the "2" before position j, given "3" = p[j]
-    best = 0
-    for j in range(1, n - 1):
-        for i in range(j):
-            if p[i] < p[j] and p[i] > best:
-                best = p[i]
-        for k in range(j + 1, n):
-            if p[k] < best:
-                return False
-    return True

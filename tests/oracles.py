@@ -13,16 +13,36 @@ The psi verifier on words: every Dyck word from ``paths.enumerate_a/b``,
 its statistics from the per-word ``area``/``maj``/``neg_b`` and its lower
 part from ``split_lower_upper``, against the row-start verifier
 ``bijmaps.verify_psi_theorems``.
+
+The reference helpers that only the tests call, each checked against the
+library or against a definition: path conjugation, the east count and
+lower/upper split of a type-B path, the partition above a path, the
+root-to-cell maps, an ideal's descent set and arc partition, the
+root-poset order, maximal elements and antichains, the non-crossing
+predicates and the partition-to-permutation codecs, absolute order,
+231-avoidance, the non-crossing Coxeter elements (1, ..., n) and
+(1, ..., n, -1, ..., -n), and the class of Coxeter elements of D_4.
 """
 
 from collections import deque
 from functools import lru_cache
 
-from coxcat import bijmaps, paths, rootposets, signedperm
-from coxcat.noncrossing import rev_nc
+from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
+from coxcat.noncrossing import SetPartition, rev_nc
 from coxcat.qseries import GroupType, SizeGuardError
+from coxcat.rootposets import Cell, Root, RootPoset
 from coxcat.sortable import c_sorting_word, enumerate_sortables
-from coxcat.signedperm import Perm, check_perm, group_order, identity, mul, reflections
+from coxcat.signedperm import (
+    Perm,
+    check_perm,
+    group_order,
+    identity,
+    inverse,
+    length_t,
+    mul,
+    reflections,
+    word_to_perm,
+)
 
 BFS_ORDER_GUARD = 50_000
 
@@ -72,7 +92,7 @@ def verify_phi_theorems_frozensets(t: GroupType, unsafe: bool = False) -> dict:
         if total != two_n:
             fail(report, "maj-identity", ideal=sorted(map(rootposets.root_str, ideal)), total=total)
         if fam == "A":
-            if len(rootposets.ideal_des(t, ideal)) + signedperm.des(sigma) != n - 1:
+            if len(ideal_des(t, ideal)) + signedperm.des(sigma) != n - 1:
                 fail(report, "des-sum", ideal=sorted(map(rootposets.root_str, ideal)))
         if sigma in images:
             fail(report, "injectivity", image=sigma)
@@ -121,9 +141,9 @@ def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
                 if sigma[k - 1] != 1 or not set(range(1, k)) <= signedperm.des_set(sigma):
                     fail(report, "last-descent", word=word, image=sigma)
         else:
-            if paths.neg_b(word) + signedperm.neg(sigma) != n:
+            if neg_b(word) + signedperm.neg(sigma) != n:
                 fail(report, "neg-sum", word=word, image=sigma)
-            lower, _ = paths.split_lower_upper(word)
+            lower, _ = split_lower_upper(word)
             sigma1, _ = bijmaps.psi_a(lower)
             if signedperm.ides_set(sigma) != signedperm.ides_set(sigma1):
                 fail(report, "ides-split", word=word)
@@ -136,3 +156,228 @@ def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
     if set(images) != target:
         fail(report, "image-set", missing=sorted(target - set(images))[:3])
     return report
+
+
+# -- paths ---------------------------------------------------------------------
+
+
+def conjugate_a(word: str) -> str:
+    """Reverse the word and swap N with E; an involution on Dyck words."""
+    paths._check(word, "A")
+    swap = {"N": "E", "E": "N"}
+    return "".join(swap[c] for c in reversed(word))
+
+
+def neg_b(word: str) -> int:
+    """Number of east steps of a type-B path."""
+    paths._check(word, "B")
+    return word.count("E")
+
+
+def split_lower_upper(word: str) -> tuple[str, str]:
+    """Split a type-B path into its balanced lower part and the upper suffix.
+
+    The lower part replaces every north step after the n-th by an east
+    step; the upper part is the suffix following the n-th north step, and
+    is empty when the path is balanced (nothing rises above height n).
+    """
+    n = paths._check(word, "B")
+    norths = 0
+    cut = len(word)
+    for pos, c in enumerate(word):
+        if c == "N":
+            norths += 1
+            if norths == n:
+                cut = pos + 1
+                break
+    lower = word[:cut] + word[cut:].replace("N", "E")
+    upper = word[cut:] if "N" in word[cut:] else ""
+    return lower, upper
+
+
+def partition_of_path(word: str) -> tuple[int, ...]:
+    """The partition above a type-A path inside the staircase, largest part first."""
+    paths._check(word, "A")
+    xs = paths._north_columns(word)
+    return tuple(x for x in reversed(xs) if x > 0)
+
+
+def path_from_partition(lam: tuple[int, ...], n: int) -> str:
+    """Inverse of partition_of_path for partitions inside the (n-1, ..., 1) staircase."""
+    parts = list(lam) + [0] * (n - len(lam))
+    if len(parts) != n or any(parts[i] < parts[i + 1] for i in range(n - 1)):
+        raise ValueError("not a weakly decreasing partition fitting the staircase")
+    xs = list(reversed(parts))
+    if any(x > j for j, x in enumerate(xs)):
+        raise ValueError("partition does not fit inside the staircase")
+    return paths._word_from_columns(xs, 2 * n)
+
+
+# -- root posets ---------------------------------------------------------------
+
+
+def cell_of_root_a(r: Root, n: int) -> Cell:
+    if r[0] != "diff":
+        raise ValueError("type A has only difference roots")
+    return (n - r[2], n - r[1])
+
+
+def cell_of_root_b(r: Root, n: int) -> Cell:
+    """Planar coordinates of a type-B root: column n-b, diagonal offset k.
+
+    Writing b for the larger index of the root and k for its offset
+    (b - a for differences, b for the short root e_b, a + b for sums) the
+    cell is (n - b, n - b + k).
+    """
+    if r[0] == "diff":
+        b, k = r[2], r[2] - r[1]
+    elif r[0] == "short":
+        b, k = r[1], r[1]
+    else:
+        b, k = r[2], r[1] + r[2]
+    return (n - b, n - b + k)
+
+
+def leq(poset: RootPoset, a: Root, b: Root) -> bool:
+    """a <= b in the root poset."""
+    return a in poset.down_set(b)
+
+
+def maximal_elements(poset: RootPoset, ideal: frozenset[Root]) -> list[Root]:
+    """The maximal roots of an ideal, in the poset's height order."""
+    idx = {poset.index[r] for r in ideal}
+    return [poset.roots[i] for i in sorted(idx) if not any(j in idx for j in poset.upper_covers[i])]
+
+
+def is_antichain(poset: RootPoset, rs) -> bool:
+    rs = list(rs)
+    return all(
+        not leq(poset, a, b) and not leq(poset, b, a) for i, a in enumerate(rs) for b in rs[i + 1 :]
+    )
+
+
+def ideal_des(t: GroupType, ideal: frozenset[Root]) -> set[int]:
+    """The descent set of the ideal's Dyck path."""
+    return paths.descent_set(rootposets.ideal_to_dyck(t, ideal))
+
+
+def ideal_to_arc_partition_a(t: GroupType, ideal: frozenset[Root]) -> frozenset[frozenset[int]]:
+    """The non-nesting set partition whose arcs are the maximal roots."""
+    if t.family != "A":
+        raise ValueError("arc partitions here are type A only")
+    n = t.n
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r in maximal_elements(rootposets.root_poset(t), ideal):
+        ra, rb = find(r[1]), find(r[2])
+        parent[max(ra, rb)] = min(ra, rb)
+    blocks: dict[int, set[int]] = {}
+    for x in range(1, n + 1):
+        blocks.setdefault(find(x), set()).add(x)
+    return frozenset(frozenset(b) for b in blocks.values())
+
+
+# -- non-crossing partitions ---------------------------------------------------
+
+
+def order_key_b(v: int) -> tuple[int, int]:
+    # -1 < -2 < ... < -n < 1 < 2 < ... < n
+    return (0, -v) if v < 0 else (1, v)
+
+
+def check_partition_a(p: SetPartition, n: int) -> None:
+    seen: set[int] = set()
+    for block in p:
+        if not block or seen & block:
+            raise ValueError("blocks must be nonempty and disjoint")
+        seen |= block
+    if seen != set(range(1, n + 1)):
+        raise ValueError(f"blocks do not cover 1..{n}")
+
+
+def is_noncrossing_a(p: SetPartition) -> bool:
+    return not noncrossing._any_cross(p, int)
+
+
+def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
+    """Crossings judged in the order -1 < -2 < ... < -n < 1 < 2 < ... < n."""
+    if n is None:
+        n = max(abs(v) for b in p for v in b)
+    noncrossing.check_partition_b(p, n)
+    return not noncrossing._any_cross(p, order_key_b)
+
+
+def partition_to_perm_a(p: SetPartition, n: int) -> Perm:
+    """Blocks become increasing cycles; requires a non-crossing input."""
+    check_partition_a(p, n)
+    if not is_noncrossing_a(p):
+        raise ValueError("partition is crossing")
+    out = list(range(1, n + 1))
+    for block in p:
+        vals = sorted(block)
+        for a, b in zip(vals, vals[1:] + vals[:1]):
+            out[a - 1] = b
+    return tuple(out)
+
+
+def partition_to_perm_b(p: SetPartition, n: int) -> Perm:
+    """Blocks ordered by -1 < -2 < ... < -n < 1 < ... < n become cycles."""
+    if not is_noncrossing_b(p, n):
+        raise ValueError("partition is crossing")
+    send: dict[int, int] = {}
+    for block in p:
+        vals = sorted(block, key=order_key_b)
+        for a, b in zip(vals, vals[1:] + vals[:1]):
+            send[a] = b
+    if any(send[-v] != -w for v, w in send.items()):
+        raise ValueError("blocks are inconsistent under negation")
+    perm = tuple(send[i] for i in range(1, n + 1))
+    check_perm(perm)
+    return perm
+
+
+def nc_coxeter_element(family: str, n: int) -> Perm:
+    """The Coxeter element (1, 2, ..., n) of type A, or (1, ..., n, -1, ..., -n) of type B.
+
+    It is s_1 s_2 ... s_{n-1} in type A and s_0 s_1 ... s_{n-1} in type B,
+    the element whose interval ``noncrossing.nc_elements`` lists by default.
+    """
+    word = range(1, n) if family == "A" else range(0, n)
+    return word_to_perm(tuple(word), n, family)
+
+
+def coxeter_elements_d4() -> tuple[Perm, ...]:
+    """The conjugacy class of the standard Coxeter element of D_4, sorted."""
+    return tuple(c for c, _ in noncrossing._coxeter_class_d4())
+
+
+# -- absolute order and sortability --------------------------------------------
+
+
+def leq_t(u: Perm, v: Perm) -> bool:
+    """Absolute order: l_T(v) == l_T(u) + l_T(u^-1 v)."""
+    if len(u) != len(v):
+        raise ValueError("rank mismatch")
+    return length_t(v) == length_t(u) + length_t(mul(inverse(u), v))
+
+
+def avoids_231(p: Perm) -> bool:
+    """No indices i < j < k with p[k] < p[i] < p[j]."""
+    check_perm(p, "A")
+    n = len(p)
+    # best: the largest value playing the "2" before position j, given "3" = p[j]
+    best = 0
+    for j in range(1, n - 1):
+        for i in range(j):
+            if p[i] < p[j] and p[i] > best:
+                best = p[i]
+        for k in range(j + 1, n):
+            if p[k] < best:
+                return False
+    return True

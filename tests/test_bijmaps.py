@@ -11,7 +11,15 @@ from coxcat import sortable as so
 from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType, SizeGuardError, cat_number
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
-from oracles import verify_phi_theorems_frozensets, verify_psi_theorems_words
+from oracles import (
+    ideal_des,
+    is_antichain,
+    leq,
+    maximal_elements,
+    split_lower_upper,
+    verify_phi_theorems_frozensets,
+    verify_psi_theorems_words,
+)
 
 
 A8_IDEAL = frozenset(
@@ -105,7 +113,7 @@ def phi_oracle(t, ideal):
     cycles = []
     cur = ideal
     while cur:
-        cycles.extend(shell_cycles_oracle(poset.maximal_elements(cur), t.family))
+        cycles.extend(shell_cycles_oracle(maximal_elements(poset, cur), t.family))
         cur = strip_ideal(t, cur)
     return sp.from_cycles(cycles, t.n)
 
@@ -276,7 +284,7 @@ class TestPsi:
         # the image factors as psi_a(lower part) times the upper-cell product
         word = "NNNNEEENNNNE"
         sigma, _ = bm.psi_b(word)
-        lower, upper = paths.split_lower_upper(word)
+        lower, upper = split_lower_upper(word)
         sigma1, _ = bm.psi_a(lower)
         upper_word = (0, 1, 2, 0, 1)
         sigma2 = sp.word_to_perm(upper_word, 6, "B")
@@ -398,7 +406,7 @@ class TestRowKernel:
     def test_stream_lists_every_ideal_once_with_its_statistics(self, fam, rank):
         t = GroupType(fam, rank)
         want = {
-            tuple(rp.ideal_row_starts(t, ideal)): (len(ideal), rp.ideal_maj(t, ideal), len(rp.ideal_des(t, ideal)))
+            tuple(rp.ideal_row_starts(t, ideal)): (len(ideal), rp.ideal_maj(t, ideal), len(ideal_des(t, ideal)))
             for ideal in rp.root_poset(t).ideals()
         }
         got = _stream(t)
@@ -558,8 +566,8 @@ class TestPsiRows:
             raise AssertionError("the paths were streamed before the guard")
 
         monkeypatch.setattr(paths, "_row_stream", refuse)
-        for t in (GroupType("A", 9), GroupType("B", 6)):
-            with pytest.raises(SizeGuardError, match=f"sortable enumeration guarded at rank .* for type {t.family}"):
+        for t in (GroupType("A", 10), GroupType("B", 7)):
+            with pytest.raises(SizeGuardError, match=f"ideal enumeration guarded at rank .* for type {t.family}"):
                 bm.verify_psi_theorems(t)
 
     def test_type_d_is_refused_by_name(self):
@@ -603,8 +611,8 @@ def random_ideals(draw, t):
     """The down-set of a random antichain: the maximal roots of a random draw."""
     poset = rp.root_poset(t)
     drawn = set(draw(st.lists(st.sampled_from(poset.roots), max_size=6)))
-    antichain = [r for r in drawn if not any(r != s and poset.leq(r, s) for s in drawn)]
-    assert poset.is_antichain(antichain)
+    antichain = [r for r in drawn if not any(r != s and leq(poset, r, s) for s in drawn)]
+    assert is_antichain(poset, antichain)
     return poset.ideal_from_antichain(antichain)
 
 

@@ -360,16 +360,16 @@ class TestVerify:
         assert all(r["failures"] == [] for r in reports)
 
     def test_reports_before_a_guard_are_printed(self, capsys, monkeypatch):
-        monkeypatch.setitem(qseries.SIZE_GUARDS["sortable"], "B", 2)
+        monkeypatch.setitem(qseries.SIZE_GUARDS["ideal"], "B", 2)
         code = main(["verify", "--all", "--max-n", "3", "--jobs", "1"])
         captured = capsys.readouterr()
         assert code == 2
         reports = [json.loads(line) for line in captured.out.splitlines()]
         assert [(r["identity"], r["rank"]) for r in reports] == [
-            ("phiA", 1), ("psiA", 1), ("phiA", 2), ("psiA", 2), ("phiB", 2), ("psiB", 2), ("phiB", 3),
+            ("phiA", 1), ("psiA", 1), ("phiA", 2), ("psiA", 2), ("phiB", 2), ("psiB", 2),
         ]
         assert all(r["failures"] == [] for r in reports)
-        assert "sortable enumeration guarded at rank 2 for type B" in captured.err
+        assert "ideal enumeration guarded at rank 2 for type B" in captured.err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_must_be_positive(self, capsys, jobs):
@@ -377,6 +377,30 @@ class TestVerify:
         assert code == 2
         err = capsys.readouterr().err
         assert "--jobs" in err and jobs in err
+
+    def test_deeper_sweep_passes_every_guard(self, capsys):
+        code, out = run(capsys, ["verify", "--all", "--max-n", "6"])
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert len(reports) == 21
+        assert ("psiB", 6) in [(r["identity"], r["rank"]) for r in reports]
+        assert all(r["failures"] == [] for r in reports)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--all", "--n", "9"], "--n goes only with a single phi/psi identity, not with --which all"),
+            (["--which", "d4", "--n", "9"], "--n goes only with a single phi/psi identity, not with --which d4"),
+            (["--which", "phiA", "--n", "4", "--max-n", "9"], "--max-n goes only with --which all, not with --which phiA"),
+            (["--which", "d4", "--max-n", "5"], "--max-n goes only with --which all, not with --which d4"),
+        ],
+    )
+    def test_ignored_flag_is_refused_before_any_report(self, capsys, argv, message):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_requires_n(self, capsys):
         with pytest.raises(SystemExit):

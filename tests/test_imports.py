@@ -22,6 +22,11 @@ the unchecked statistic bodies, so they may not name the checked
 statistics, ``c_sorting_word`` or the sorted ``rev_nc``; the walk of the
 sortable elements checks its word once, so it may not name
 ``is_c_sortable`` or ``c_sorting_word``.
+
+A fourth keeps test-only code out of the package: every top-level function
+and class in ``src/coxcat`` must be reached by name from ``cli.main`` or
+from a name in ``__all__``.  Reference implementations that only the
+tests call live in ``tests/oracles.py``.
 """
 
 import ast
@@ -239,3 +244,81 @@ def test_unchecked_stats_scan(source, names):
 )
 def test_sortable_walk_scan(source, names):
     assert per_object_names(source, ("enumerate_sortables",), CHECKED_SORT)[0] == names
+
+
+def _mentioned(node: ast.AST) -> set[str]:
+    """Every name and attribute name in ``node``; strings and docstrings do not count."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+    return found
+
+
+def unreached_names(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes, as ``module.name``, that no code
+    reached from ``cli.main`` or from a name in an ``__all__`` mentions.
+
+    Reaching is by name: a definition is reached once reached code mentions
+    its name, and then everything in its body is reached code, a class's
+    methods included.  Module-level statements run on import, so they are
+    reached code too; imports and ``__all__`` only bind names.
+    """
+    defs: dict[str, tuple[str, ast.AST]] = {}
+    names: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = (node.name, node)
+                if (module, node.name) == ("cli", "main"):
+                    names.add("main")
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                names.update(ast.literal_eval(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= _mentioned(node)
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for qualified, (name, node) in defs.items():
+            if qualified not in reached and name in names:
+                reached.add(qualified)
+                names |= _mentioned(node)
+                grew = True
+    return sorted(set(defs) - reached)
+
+
+def test_every_definition_is_reached():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "coxcat").glob("*.py")}
+    assert unreached_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources,unreached",
+    [
+        ({"cli": "def main():\n    return helper()\n\ndef helper():\n    pass\n"}, []),
+        ({"cli": "def main():\n    pass\n\ndef helper():\n    pass\n"}, ["cli.helper"]),
+        ({"cli": 'def main():\n    """Calls ``helper``."""\n\ndef helper():\n    pass\n'}, ["cli.helper"]),
+        ({"m": "def main():\n    return f()\n\ndef f():\n    pass\n"}, ["m.f", "m.main"]),
+        (
+            {"__init__": "from .m import f\n__all__ = ['f']\n", "m": "def f():\n    return m2.g\n", "m2": "def g():\n    pass\n"},
+            [],
+        ),
+        ({"__init__": "from .m import f, g\n__all__ = ['f']\n", "m": "def f():\n    pass\n\ndef g():\n    pass\n"}, ["m.g"]),
+        (
+            {"cli": "def main():\n    return Q.one()\n", "m": "class Q:\n    def one(self):\n        return h()\n\ndef h():\n    pass\n"},
+            [],
+        ),
+        (
+            {"cli": "def main():\n    return x.f()\n", "m": "def f():\n    pass\n\nclass C:\n    def f(self):\n        return h()\n\ndef h():\n    pass\n"},
+            ["m.C", "m.h"],
+        ),
+        ({"cli": "def main():\n    return TABLE\n", "m": "TABLE = {'a': f}\n\ndef f():\n    pass\n"}, []),
+    ],
+)
+def test_reach_scan(sources, unreached):
+    assert unreached_names(sources) == unreached

@@ -4,7 +4,17 @@ from coxcat import noncrossing as nc
 from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat.qseries import GroupType, QPoly, cat_number
-from oracles import length_t_bfs
+from oracles import (
+    coxeter_elements_d4,
+    is_noncrossing_a,
+    is_noncrossing_b,
+    leq_t,
+    length_t_bfs,
+    nc_coxeter_element,
+    order_key_b,
+    partition_to_perm_a,
+    partition_to_perm_b,
+)
 
 
 def oracle_crossing(blocks, key):
@@ -27,25 +37,25 @@ def oracle_crossing(blocks, key):
 class TestNonCrossingPredicates:
     def test_a_examples(self):
         singles = frozenset(frozenset({i}) for i in range(1, 5))
-        assert nc.is_noncrossing_a(singles)
-        assert not nc.is_noncrossing_a(frozenset([frozenset({1, 3}), frozenset({2, 4})]))
+        assert is_noncrossing_a(singles)
+        assert not is_noncrossing_a(frozenset([frozenset({1, 3}), frozenset({2, 4})]))
         p = frozenset([frozenset({1, 7, 9}), frozenset({2, 3, 4, 5}), frozenset({6}), frozenset({8})])
-        assert nc.is_noncrossing_a(p)
+        assert is_noncrossing_a(p)
 
     def test_b_examples(self):
         singles = frozenset(frozenset({v}) for v in [1, -1, 2, -2, 3, -3])
-        assert nc.is_noncrossing_b(singles, 3)
+        assert is_noncrossing_b(singles, 3)
         p = frozenset([frozenset({1, -3}), frozenset({-1, 3}), frozenset({2, -2})])
-        assert nc.is_noncrossing_b(p, 3)
+        assert is_noncrossing_b(p, 3)
         q = frozenset([frozenset({1, 2}), frozenset({-1, -2}), frozenset({3, -3})])
-        assert nc.is_noncrossing_b(q, 3) == (not oracle_crossing(q, nc._order_key_b))
+        assert is_noncrossing_b(q, 3) == (not oracle_crossing(q, order_key_b))
 
     def test_b_invariant_violations(self):
         with pytest.raises(ValueError):
-            nc.is_noncrossing_b(frozenset([frozenset({1, 2}), frozenset({-1}), frozenset({-2})]), 2)
+            is_noncrossing_b(frozenset([frozenset({1, 2}), frozenset({-1}), frozenset({-2})]), 2)
         two_symmetric = frozenset([frozenset({1, -1}), frozenset({2, -2})])
         with pytest.raises(ValueError):
-            nc.is_noncrossing_b(two_symmetric, 2)
+            is_noncrossing_b(two_symmetric, 2)
 
     def test_against_oracle_a(self):
         def partitions(values):
@@ -60,7 +70,7 @@ class TestNonCrossingPredicates:
 
         for blocks in partitions(list(range(1, 6))):
             p = frozenset(frozenset(b) for b in blocks)
-            assert nc.is_noncrossing_a(p) == (not oracle_crossing(p, int))
+            assert is_noncrossing_a(p) == (not oracle_crossing(p, int))
 
 
 class TestNCInterval:
@@ -95,7 +105,7 @@ class TestNCInterval:
                 continue
             # restrict to genuine Coxeter elements: conjugates of the standard one
             if sorted(len(cyc) for cyc in sp.to_cycles(c)) != sorted(
-                len(cyc) for cyc in sp.to_cycles(sp.coxeter_element(fam, n, "nc")[0])
+                len(cyc) for cyc in sp.to_cycles(nc_coxeter_element(fam, n))
             ):
                 continue
             count += 1
@@ -109,16 +119,16 @@ class TestNCScan:
     @pytest.mark.parametrize("fam,rank", [("A", 8), ("B", 6)])
     def test_scan_equals_walk(self, fam, rank):
         t = GroupType(fam, rank)
-        c = sp.coxeter_element(fam, t.n, "nc")[0]
+        c = nc_coxeter_element(fam, t.n)
         assert nc.nc_elements(t) == nc.nc_elements(t, c)
 
     @pytest.mark.parametrize("fam,rank", [("A", 9), ("B", 7)])
     def test_beyond_the_walk(self, fam, rank):
         t = GroupType(fam, rank)
-        c = sp.coxeter_element(fam, t.n, "nc")[0]
+        c = nc_coxeter_element(fam, t.n)
         elems = nc.nc_elements(t)
         assert len(set(elems)) == len(elems) == cat_number(t)
-        assert all(sp.leq_t(w, c) for w in elems)
+        assert all(leq_t(w, c) for w in elems)
         assert all(sp.length_t(w) <= t.rank for w in elems)
 
     @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 4)])
@@ -148,14 +158,14 @@ class TestNCScan:
 def nc_filter_oracle(t, c=None):
     """The interval [1, c] by filtering the whole group with leq_t."""
     if c is None:
-        c = sp.coxeter_element(t.family, t.n, "nc" if t.family != "D" else "sorting")[0]
-    return [w for w in sp.enumerate_group(t.family, t.n) if sp.leq_t(w, c)]
+        c = sp.coxeter_element("D", t.n)[0] if t.family == "D" else nc_coxeter_element(t.family, t.n)
+    return [w for w in sp.enumerate_group(t.family, t.n) if leq_t(w, c)]
 
 
 def coxeter_class(fam, n):
     """All conjugates of the standard Coxeter element, sorted."""
     gens = [sp.simple_reflection(i, n, fam) for i in range(1 if fam == "A" else 0, n)]
-    c0 = sp.coxeter_element(fam, n, "nc")[0]
+    c0 = nc_coxeter_element(fam, n)
     cls, frontier = {c0}, [c0]
     while frontier:
         w = frontier.pop()
@@ -185,7 +195,7 @@ class TestNCWalkAgainstFilter:
 
     def test_every_coxeter_element_d4(self):
         t = GroupType("D", 4)
-        for c in nc.coxeter_elements_d4():
+        for c in coxeter_elements_d4():
             assert nc.nc_elements(t, c) == nc_filter_oracle(t, c)
 
 
@@ -201,40 +211,40 @@ class TestNCPermTestA:
         t = GroupType("A", max(n - 1, 1))
         if n == 1:
             return
-        c = sp.coxeter_element("A", n, "nc")[0]
+        c = nc_coxeter_element("A", n)
         for w in sp.enumerate_group("A", n):
-            assert nc.nc_perm_test_a(w) == sp.leq_t(w, c)
+            assert nc.nc_perm_test_a(w) == leq_t(w, c)
 
 
 class TestPartitionCodec:
     def test_a_examples(self):
         n = 4
         whole = frozenset([frozenset(range(1, n + 1))])
-        assert nc.partition_to_perm_a(whole, n) == (2, 3, 4, 1)
+        assert partition_to_perm_a(whole, n) == (2, 3, 4, 1)
         p = frozenset([frozenset({1, 3}), frozenset({2}), frozenset({4})])
-        assert nc.partition_to_perm_a(p, 4) == (3, 2, 1, 4)
+        assert partition_to_perm_a(p, 4) == (3, 2, 1, 4)
         with pytest.raises(ValueError):
-            nc.partition_to_perm_a(frozenset([frozenset({1, 3}), frozenset({2, 4})]), 4)
+            partition_to_perm_a(frozenset([frozenset({1, 3}), frozenset({2, 4})]), 4)
 
     def test_b_zero_block_example(self):
         p = frozenset([frozenset({2, -2}), frozenset({1, -3}), frozenset({-1, 3})])
-        assert nc.partition_to_perm_b(p, 3) == (-3, -2, -1)
+        assert partition_to_perm_b(p, 3) == (-3, -2, -1)
 
     @pytest.mark.parametrize("rank", range(1, 5))
     def test_round_trip_a(self, rank):
         t = GroupType("A", rank)
         for w in nc.nc_elements(t):
             p = nc.perm_to_partition_a(w)
-            assert nc.is_noncrossing_a(p)
-            assert nc.partition_to_perm_a(p, t.n) == w
+            assert is_noncrossing_a(p)
+            assert partition_to_perm_a(p, t.n) == w
 
     @pytest.mark.parametrize("rank", range(1, 5))
     def test_round_trip_b(self, rank):
         t = GroupType("B", rank)
         for w in nc.nc_elements(t):
             p = nc.perm_to_partition_b(w)
-            assert nc.is_noncrossing_b(p, rank)
-            assert nc.partition_to_perm_b(p, rank) == w
+            assert is_noncrossing_b(p, rank)
+            assert partition_to_perm_b(p, rank) == w
             symmetric = [b for b in p if frozenset(-v for v in b) == b]
             assert len(symmetric) <= 1
 
@@ -260,14 +270,14 @@ class TestRevNC:
 
 class TestD4Counterexample:
     def test_class_of_coxeter_elements(self):
-        cls = nc.coxeter_elements_d4()
+        cls = coxeter_elements_d4()
         assert all(length_t_bfs(c, "D") == 4 for c in cls)
         assert len(cls) > 1
 
     def test_conjugated_intervals_equal_the_walk(self):
         t = GroupType("D", 4)
         pairs = list(nc._d4_intervals())
-        assert [c for c, _ in pairs] == list(nc.coxeter_elements_d4())
+        assert [c for c, _ in pairs] == list(coxeter_elements_d4())
         assert len(pairs) == 32
         for c, interval in pairs:
             assert sorted(interval, key=sp.group_order_key) == nc.nc_elements(t, c)
@@ -275,7 +285,7 @@ class TestD4Counterexample:
     def test_report(self):
         report = nc.d4_counterexample()
         assert report["failures"] == []
-        assert report["checked"] == len(nc.coxeter_elements_d4()) + 24
+        assert report["checked"] == len(coxeter_elements_d4()) + 24
 
     def test_a3_control_equality_holds(self):
         t = GroupType("A", 3)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
 from coxcat.qseries import SizeGuardError
-from oracles import length_t_bfs
+from oracles import leq_t, length_t_bfs, nc_coxeter_element
 
 
 def bfs_simple_length(target, family):
@@ -63,7 +63,7 @@ class TestKernelsAgainstDefinitions:
     def test_inv_and_maj_word(self, w):
         pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
         assert sp.inv_word(w) == sum(1 for i, j in pairs if w[i] > w[j])
-        assert sp.maj_word(w) == sum(sp.descent_set_word(w))
+        assert sp.maj_word(w) == sum(sp.des_set(w))
 
     @given(
         st.one_of(st.lists(st.integers(-4, 4), max_size=4), signed_perms(4).map(list)),
@@ -201,26 +201,25 @@ class TestLengthT:
 
 class TestLeqT:
     def test_examples(self):
-        c = sp.coxeter_element("B", 3, "nc")[0]
-        assert sp.leq_t(sp.identity(3), c)
-        assert sp.leq_t((-3, -2, -1), c)
+        c = nc_coxeter_element("B", 3)
+        assert leq_t(sp.identity(3), c)
+        assert leq_t((-3, -2, -1), c)
         refl = (2, 1, 3)
-        assert not sp.leq_t(c, refl)
+        assert not leq_t(c, refl)
 
     def test_coxeter_elements_attain_max(self):
         for fam, n in [("A", 4), ("B", 3)]:
-            c = sp.coxeter_element(fam, n, "nc" if fam != "D" else "sorting")[0]
+            c = nc_coxeter_element(fam, n)
             top = max(sp.length_t(w) for w in sp.enumerate_group(fam, n))
             assert sp.length_t(c) == top
 
 
 class TestCoxeterElement:
     def test_variants(self):
-        perm, word = sp.coxeter_element("A", 3, "sorting")
+        perm, word = sp.coxeter_element("A", 3)
         assert word == (2, 1)
         assert perm == (3, 1, 2)
-        perm, word = sp.coxeter_element("B", 4, "nc")
-        assert perm == (2, 3, 4, -1)
+        assert nc_coxeter_element("B", 4) == (2, 3, 4, -1)
         perm, word = sp.coxeter_element("A", 2)
         assert perm == (2, 1)
         assert sp.word_to_perm((1, 2), 3, "A") == (2, 3, 1)
@@ -248,9 +247,10 @@ class TestCoxeterElement:
 
     def test_words_are_reduced(self):
         for fam, n in [("A", 5), ("B", 4), ("D", 4)]:
-            for variant in ("sorting",) + (("nc",) if fam != "D" else ()):
-                perm, word = sp.coxeter_element(fam, n, variant)
-                assert sp.length_s(perm, fam) == len(word)
+            perm, word = sp.coxeter_element(fam, n)
+            assert sp.length_s(perm, fam) == len(word)
+            if fam != "D":
+                assert sp.length_s(nc_coxeter_element(fam, n), fam) == len(word)
 
 
 class TestGroupEnumeration:
@@ -259,6 +259,15 @@ class TestGroupEnumeration:
         assert len(list(sp.enumerate_group("B", 3))) == 48
         assert len(list(sp.enumerate_group("D", 3))) == 24
         assert sp.group_order("D", 4) == 192
+
+    def test_order_past_fifteen(self):
+        assert sp.group_order("A", 16) == 20922789888000
+        assert sp.group_order("B", 16) == 20922789888000 << 16
+
+    @pytest.mark.parametrize("fam", "ABD")
+    def test_negative_order_refused(self, fam):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            sp.group_order(fam, -1)
 
     @pytest.mark.parametrize("fam,n", [("A", n) for n in range(2, 7)] + [("B", n) for n in range(1, 5)])
     def test_order_key_sorts_into_enumeration_order(self, fam, n):
