@@ -9,11 +9,13 @@ It reads the ideal's row starts, which rejects any input that is not an
 order ideal, and hands them to the row kernel ``_phi_rows``: the first
 shell is the row starts (x_j, j) that row j + 1 does not cover, and
 stripping moves each start one step along its anti-diagonal, so every
-shell's intervals come from the starts by arithmetic and the cycles are
-written straight into the one-line notation.  ``psi_a``/``psi_b`` check a
-Dyck word and hand its north columns to the row kernel ``_psi``, which
-reads the cells under the path, diagonal by diagonal, as a sorting word,
-sorting the cells into factors in one pass over the rows.  The verifiers
+shell's intervals come from the starts by arithmetic, already in
+left-endpoint order, and one streaming walk per shell writes its cycles
+straight into the one-line notation.  ``psi_a``/``psi_b`` check a Dyck
+word and collect its north columns in one pass, and hand them to the row
+kernel ``_psi``, which reads the cells under the path, diagonal by
+diagonal, as a sorting word, sorting the cells into factors in one pass
+over the rows.  The verifiers
 check the counting and major-index identities exhaustively at a given
 rank; both take each path's row starts, area and maj from one pass over
 the Dyck paths (``paths._row_stream``) and build no ideal or word unless
@@ -25,7 +27,7 @@ by membership and count, and Sort(W, c) is walked only when that fails.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import takewhile
+from itertools import chain, takewhile
 
 from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
@@ -34,55 +36,6 @@ from .sortable import SortingWord, _sorting_word, enumerate_sortables
 from .signedperm import Perm, _imaj, _length_s, _maj, check_perm
 
 Root = rootposets.Root
-
-
-def _span_cycles(spans: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """The cycles of a shell, given its spans sorted by left endpoint.
-
-    The spans split into blocks wherever the previous right endpoint is
-    strictly smaller than the next left endpoint; inside a block every
-    touching pair contributes a chain point.  A block fixed by negation
-    yields the sign-crossing cycle on its positive endpoints, and of a
-    mirror pair of blocks only the positive one is read.
-    """
-    # an antichain unfolds to spans with strictly increasing lo AND hi
-    for k in range(1, len(spans)):
-        if spans[k - 1][0] >= spans[k][0] or spans[k - 1][1] >= spans[k][1]:
-            raise ValueError("not an antichain: nested or repeated spans")
-
-    cycles: list[tuple[int, ...]] = []
-    seq: list[int] = []
-    end = 0
-    for lo, hi in spans:
-        if seq and end >= lo:
-            if end == lo:
-                seq.append(lo)
-        else:
-            if seq:
-                seq.append(end)
-                _read_block(seq, cycles)
-            seq = [lo]
-        end = hi
-    if seq:
-        seq.append(end)
-        _read_block(seq, cycles)
-    return cycles
-
-
-def _read_block(seq: list[int], cycles: list[tuple[int, ...]]) -> None:
-    """Append the cycle of one block, given its start, chain points and end."""
-    for k in range(1, len(seq)):
-        if seq[k - 1] >= seq[k]:
-            raise ValueError("block endpoints are not increasing")
-    if seq[0] == -seq[-1]:
-        if seq != [-v for v in reversed(seq)]:
-            raise ValueError("fold block is not symmetric")
-        positives = [v for v in seq if v > 0]
-        cycles.append(tuple(positives) + (-positives[0],))
-    elif seq[0] > 0:
-        cycles.append(tuple(seq))
-    elif seq[-1] >= 0:
-        raise ValueError("asymmetric block straddling the fold")
 
 
 def phi(t: GroupType, ideal: frozenset[Root]) -> Perm:
@@ -96,62 +49,119 @@ def phi(t: GroupType, ideal: frozenset[Root]) -> Perm:
 def _phi_rows(t: GroupType, x) -> Perm:
     """``phi`` of the ideal with row starts ``x`` (valid ones, as ``ideal_row_starts`` gives).
 
-    Row m's start (x_m, m) is in the first shell unless row m + 1 covers
-    it.  Stripping moves every start to (x_m + 1, m - 1), and the caps
-    climb by one up to row n and fall by one after it, so a covered start
-    stays covered and an uncovered one stays uncovered: row m adds the cell
-    (x_m + k, m - k) to shell k for as long as that cell stays left of its
-    row's cap.  Cell (i, j) spans (v(j), v(i)) on the signed baseline,
-    where v(j) is n - j for j < n and n - j - 1 past it (type B's rows
-    j >= n reach below the fold); type B adds the mirror span
-    (-v(i), -v(j)) unless it is the same one.  The cycles go straight into
-    the one-line notation.
+    Row m's start (x_m, m) is in the first shell when row m holds a cell
+    and row m + 1 does not cover the start.  Stripping moves every start to
+    (x_m + 1, m - 1), and the caps climb by one up to row n and fall by one
+    after it, so a covered start stays covered and an uncovered one stays
+    uncovered: row m adds the cell (x_m + k, m - k) to shell k for as long
+    as that cell stays left of its row's cap, which is while 2k < m - x_m.
+    Cell (i, j) spans (v(j), v(i)) on the signed baseline, where v(j) is
+    n - j for j < n and n - j - 1 past it (type B's rows j >= n reach below
+    the fold), so the starts taken by descending row give every shell's
+    spans by ascending left endpoint.
+
+    Each shell is one walk over its spans that writes the one-line
+    notation as blocks open, chain and close.  A block runs on while the
+    next span starts at or before its right end; a span starting exactly
+    there adds a chain point, and a block's points (start, chain points,
+    end) are the cycle it reads.  Type B adds each span's mirror
+    (-v(i), -v(j)).  The spans of rows j < n lie right of the fold and
+    their mirrors repeat their blocks, negated, left of it, so only the
+    real ones are walked.  The spans of rows j >= n straddle the fold;
+    merged with their mirrors they open the fold block [-e, e], which the
+    walk carries on to the right, and its positive points p_1 < ... < p_r
+    are the sign-crossing cycle (p_1, ..., p_r, -p_1).
     """
     n = t.n
     caps = rootposets.planar_cells(t).caps
     last = len(caps) - 1
-    mirror = t.family == "B"
-    shells: list[list[tuple[int, int]]] = []
-    for m, a in enumerate(x):
-        if m < last and x[m + 1] <= a < caps[m + 1]:
-            continue
-        k = 0
-        while a + k < caps[m - k]:
-            j = m - k
-            lo, hi = n - j if j < n else n - j - 1, n - a - k
-            if k == len(shells):
-                shells.append([])
-            shells[k].append((lo, hi))
-            if mirror and lo != -hi:
-                shells[k].append((-hi, -lo))
-            k += 1
     line = list(range(1, n + 1))
     used = [False] * (n + 1)
-    for spans in shells:
-        spans.sort()
-        for cyc in _span_cycles(spans):
-            fold = cyc[-1] == -cyc[0]
-            for v in cyc[:-1] if fold else cyc:
-                if used[v]:
+    starts = [
+        (m, a) for m, a in enumerate(x)
+        if a < caps[m] and (m == last or not x[m + 1] <= a < caps[m + 1])
+    ]
+    if not starts:
+        return tuple(line)
+    starts.reverse()
+    # the first s starts are those whose shell-k cell is in a row m - k >= n (type B only)
+    s = len(starts) if t.family == "B" else 0
+    for k in range((max([m - a for m, a in starts]) + 1) // 2):
+        while s and starts[s - 1][0] - k < n:
+            s -= 1
+        if s:
+            reals = [(n - m + k - 1, n - a - k) for m, a in starts[:s]]
+            mirrors = [(-hi, -lo) for lo, hi in reversed(reals) if lo != -hi]
+            start = min(reals[0][0], mirrors[0][0]) if mirrors else reals[0][0]
+            prev = end = -n - 1
+            i = j = 0
+            while i < len(reals) or j < len(mirrors):
+                if j == len(mirrors) or i < len(reals) and reals[i] < mirrors[j]:
+                    lo, hi = reals[i]
+                    i += 1
+                else:
+                    lo, hi = mirrors[j]
+                    j += 1
+                if lo <= prev or hi <= end:
+                    raise ValueError("not an antichain: nested or repeated spans")
+                prev, end = lo, hi
+            if start != -end:
+                raise ValueError("fold block is not symmetric")
+            sign = -1
+        else:
+            prev = end = 0
+            sign = 1
+        # the open block's first and latest positive points; the fold block has none yet
+        first = point = 0
+        for m, a in starts[s:]:
+            if m - a <= 2 * k:
+                continue
+            lo, hi = n - m + k, n - a - k
+            if lo <= prev or hi <= end:
+                raise ValueError("not an antichain: nested or repeated spans")
+            if lo >= end > 0:
+                # the right end is the block's next point: a chain point, or its last
+                if end <= point:
+                    raise ValueError("block endpoints are not increasing")
+                if used[end]:
                     raise AssertionError("shell cycles are not disjoint")
-                used[v] = True
-            for v, w in zip(cyc, cyc[1:]):
-                line[v - 1] = w
-            if not fold:
-                line[cyc[-1] - 1] = cyc[0]
+                used[end] = True
+                if point:
+                    line[point - 1] = end
+                else:
+                    first = end
+                point = end
+                if lo > end:
+                    line[end - 1] = sign * first
+            if lo > end:
+                if used[lo]:
+                    raise AssertionError("shell cycles are not disjoint")
+                used[lo] = True
+                first = point = lo
+                sign = 1
+            prev, end = lo, hi
+        # close the last block, as above
+        if end <= point:
+            raise ValueError("block endpoints are not increasing")
+        if used[end]:
+            raise AssertionError("shell cycles are not disjoint")
+        used[end] = True
+        if point:
+            line[point - 1] = end
+        else:
+            first = end
+        line[end - 1] = sign * first
     return tuple(line)
 
 
 def psi_a(word: str) -> tuple[Perm, SortingWord]:
     """Label cell (i, j) by letter n-1-i and read the diagonals in order."""
-    n = paths._check(word, "A")
-    return _psi(paths._north_columns(word), n, "A")
+    return _psi(paths._dyck_columns(word, "A"), len(word) // 2, "A")
 
 
 def psi_b(word: str) -> tuple[Perm, SortingWord]:
     """Type-B cell reading: lower cells as in type A, upper cells by columns."""
-    n = paths._check(word, "B")
-    return _psi(paths._north_columns(word), n, "B")
+    return _psi(paths._dyck_columns(word, "B"), len(word) // 2, "B")
 
 
 def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
@@ -173,7 +183,7 @@ def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
             for i in range(a, 2 * n - j):
                 factors[n - i].append(2 * n - 1 - i - j)
     sw = SortingWord(tuple(map(tuple, takewhile(bool, factors[1:]))))
-    return signedperm._word_to_perm(sw.letters, n, family), sw
+    return signedperm._word_to_perm(chain.from_iterable(sw.factors), n, family), sw
 
 
 @lru_cache(maxsize=None)

@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
         tasks = [("d4", 4)]
     else:
         if args.n is None:
-            raise SystemExit("verify --which <single> requires --n")
+            raise ValueError(f"--which {args.which} needs --n")
         tasks = [(args.which, args.n)]
     bad = 0
     with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:

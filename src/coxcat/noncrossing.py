@@ -53,9 +53,9 @@ def check_partition_b(p: SetPartition, n: int) -> None:
         raise ValueError(f"blocks do not cover +-1..+-{n}")
 
 
-def _blocks_cross(x: Block, y: Block, key) -> bool:
+def _blocks_cross(x: Block, y: Block) -> bool:
     # crossing iff the merged sequence of block labels alternates 4+ times
-    merged = sorted([(v, 0) for v in x] + [(v, 1) for v in y], key=lambda t: key(t[0]))
+    merged = sorted([(v, 0) for v in x] + [(v, 1) for v in y])
     collapsed = [merged[0][1]]
     for _, who in merged[1:]:
         if who != collapsed[-1]:
@@ -63,8 +63,8 @@ def _blocks_cross(x: Block, y: Block, key) -> bool:
     return len(collapsed) >= 4
 
 
-def _any_cross(blocks, key) -> bool:
-    return any(_blocks_cross(x, y, key) for x, y in itertools.combinations(blocks, 2))
+def _any_cross(blocks) -> bool:
+    return any(_blocks_cross(x, y) for x, y in itertools.combinations(blocks, 2))
 
 
 def _nc_scan(family: str, n: int) -> list[Perm]:
@@ -169,7 +169,7 @@ def nc_perm_test_a(p: Perm) -> bool:
     cycles = to_cycles(p)
     if any(list(c) != sorted(c) for c in cycles):
         return False
-    return not _any_cross(map(frozenset, cycles), int)
+    return not _any_cross(map(frozenset, cycles))
 
 
 def perm_to_partition_a(p: Perm) -> SetPartition:

@@ -71,16 +71,27 @@ def _enumerate(n: int, max_norths: int) -> list[str]:
     return out
 
 
-def _north_columns(word: str) -> list[int]:
-    """x-coordinate (number of earlier east steps) of the north step in each row."""
+def _dyck_columns(word: str, family: str) -> list[int]:
+    """The north columns of a type-``family`` Dyck word, read in one pass.
+
+    Entry j is the number of east steps before the j-th north step.  Raises
+    the ValueError of ``_check`` unless the word is a Dyck word: every step
+    is N or E, no prefix has more E's than N's, the length is even, and a
+    type-A word is balanced.
+    """
     xs = []
     easts = 0
     for c in word:
         if c == "N":
             xs.append(easts)
-        else:
+        elif c == "E" and easts < len(xs):
             easts += 1
-    return xs
+        else:  # not a step, or an east step that would cross the diagonal
+            break
+    else:
+        if len(word) % 2 == 0 and (family != "A" or 2 * len(xs) == len(word)):
+            return xs
+    raise ValueError(f"not a type-{family} Dyck word: {word!r}")
 
 
 def cells_a(word: str) -> frozenset[Cell]:
@@ -103,8 +114,8 @@ def area_b(word: str) -> int:
 
 def _cells(word: str, family: str) -> frozenset[Cell]:
     """Row j holds the cells from its north column up to its cap min(j, 2n - j)."""
-    n = _check(word, family)
-    xs = _north_columns(word)
+    xs = _dyck_columns(word, family)
+    n = len(word) // 2
     return frozenset((i, j) for j, x in enumerate(xs) for i in range(x, min(j, 2 * n - j)))
 
 

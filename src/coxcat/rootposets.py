@@ -299,9 +299,10 @@ def ideal_to_dyck(t: GroupType, ideal: frozenset[Root]) -> str:
 
 def dyck_to_ideal(t: GroupType, word: str) -> frozenset[Root]:
     """The ideal under a type-``t`` Dyck word of 2n steps: row j from its north column on."""
-    if paths._check(word, t.family) != t.n:
+    x = paths._dyck_columns(word, t.family)
+    if len(word) != 2 * t.n:
         raise ValueError(f"{word!r} has {len(word)} steps, but {t.family}{t.rank} needs {2 * t.n}")
-    return _ideal_of_rows(t, paths._north_columns(word))
+    return _ideal_of_rows(t, x)
 
 
 def ideal_maj(t: GroupType, ideal: frozenset[Root]) -> int:

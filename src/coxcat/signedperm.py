@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right, insort
 
 Perm = tuple[int, ...]
 Cycle = tuple[int, ...]
 
 
 def check_perm(p: Perm, family: str = "B") -> None:
+    if family == "A" and sorted(p) == list(range(1, len(p) + 1)):
+        return  # a permutation of 1..n: every check below passes
     if sorted(map(abs, p)) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a signed permutation: {p!r}")
     if family == "A" and p and min(p) < 0:
@@ -49,12 +52,16 @@ def inverse(p: Perm) -> Perm:
 
 
 def inv_word(w) -> int:
-    """Number of pairs i < j with w[i] > w[j], for any integer sequence."""
+    """Number of pairs i < j with w[i] > w[j], for any integer sequence.
+
+    Each entry is counted against the earlier ones, kept sorted: those
+    right of its insertion point are the larger ones.
+    """
+    seen: list[int] = []
     count = 0
-    for i, a in enumerate(w):
-        for b in w[i + 1 :]:
-            if a > b:
-                count += 1
+    for a in w:
+        count += len(seen) - bisect_right(seen, a)
+        insort(seen, a)
     return count
 
 

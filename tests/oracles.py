@@ -14,6 +14,14 @@ its statistics from the per-word ``area``/``maj``/``neg_b`` and its lower
 part from ``split_lower_upper``, against the row-start verifier
 ``bijmaps.verify_psi_theorems``.
 
+phi's row kernel by span lists: every shell's spans and mirrors, sorted
+and read block by block, against the streaming walk
+``bijmaps._phi_rows``.  The old readers beside it: the north columns of an
+unchecked word, against the one-pass ``paths._dyck_columns``, the
+inversion count over all pairs, against the insertion count
+``signedperm.inv_word``, and the permutation check by absolute values,
+against ``signedperm.check_perm`` and its type-A shortcut.
+
 The reference helpers that only the tests call, each checked against the
 library or against a definition: path conjugation, the east count and
 lower/upper split of a type-B path, the partition above a path, the
@@ -158,7 +166,116 @@ def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
     return report
 
 
+# -- phi's span reader ----------------------------------------------------------
+
+
+def phi_rows_spans(t: GroupType, x) -> Perm:
+    """``bijmaps._phi_rows`` by span lists: each shell's spans and their
+    mirrors are listed, sorted, split into blocks and read into cycles.
+
+    Row m's start is in the first shell unless row m + 1 covers it, and it
+    adds the cell (x_m + k, m - k) to shell k while that cell stays left of
+    its row's cap.  Cell (i, j) spans (v(j), v(i)), where v(j) is n - j
+    for j < n and n - j - 1 past it; type B adds the mirror span
+    (-v(i), -v(j)) unless it is the same one.
+    """
+    n = t.n
+    caps = rootposets.planar_cells(t).caps
+    last = len(caps) - 1
+    mirror = t.family == "B"
+    shells: list[list[tuple[int, int]]] = []
+    for m, a in enumerate(x):
+        if m < last and x[m + 1] <= a < caps[m + 1]:
+            continue
+        k = 0
+        while a + k < caps[m - k]:
+            j = m - k
+            lo, hi = n - j if j < n else n - j - 1, n - a - k
+            if k == len(shells):
+                shells.append([])
+            shells[k].append((lo, hi))
+            if mirror and lo != -hi:
+                shells[k].append((-hi, -lo))
+            k += 1
+    line = list(range(1, n + 1))
+    used = [False] * (n + 1)
+    for spans in shells:
+        spans.sort()
+        for cyc in _span_cycles(spans):
+            fold = cyc[-1] == -cyc[0]
+            for v in cyc[:-1] if fold else cyc:
+                if used[v]:
+                    raise AssertionError("shell cycles are not disjoint")
+                used[v] = True
+            for v, w in zip(cyc, cyc[1:]):
+                line[v - 1] = w
+            if not fold:
+                line[cyc[-1] - 1] = cyc[0]
+    return tuple(line)
+
+
+def _span_cycles(spans: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The cycles of a shell, given its spans sorted by left endpoint.
+
+    The spans split into blocks wherever the previous right endpoint is
+    strictly smaller than the next left endpoint; inside a block every
+    touching pair contributes a chain point.  A block fixed by negation
+    yields the sign-crossing cycle on its positive endpoints, and of a
+    mirror pair of blocks only the positive one is read.
+    """
+    # an antichain unfolds to spans with strictly increasing lo AND hi
+    for k in range(1, len(spans)):
+        if spans[k - 1][0] >= spans[k][0] or spans[k - 1][1] >= spans[k][1]:
+            raise ValueError("not an antichain: nested or repeated spans")
+
+    cycles: list[tuple[int, ...]] = []
+    seq: list[int] = []
+    end = 0
+    for lo, hi in spans:
+        if seq and end >= lo:
+            if end == lo:
+                seq.append(lo)
+        else:
+            if seq:
+                seq.append(end)
+                _read_block(seq, cycles)
+            seq = [lo]
+        end = hi
+    if seq:
+        seq.append(end)
+        _read_block(seq, cycles)
+    return cycles
+
+
+def _read_block(seq: list[int], cycles: list[tuple[int, ...]]) -> None:
+    """Append the cycle of one block, given its start, chain points and end."""
+    for k in range(1, len(seq)):
+        if seq[k - 1] >= seq[k]:
+            raise ValueError("block endpoints are not increasing")
+    if seq[0] == -seq[-1]:
+        if seq != [-v for v in reversed(seq)]:
+            raise ValueError("fold block is not symmetric")
+        positives = [v for v in seq if v > 0]
+        cycles.append(tuple(positives) + (-positives[0],))
+    elif seq[0] > 0:
+        cycles.append(tuple(seq))
+    elif seq[-1] >= 0:
+        raise ValueError("asymmetric block straddling the fold")
+
+
 # -- paths ---------------------------------------------------------------------
+
+
+def north_columns(word: str) -> list[int]:
+    """x-coordinate (number of earlier east steps) of the north step in each row."""
+    xs = []
+    easts = 0
+    for c in word:
+        if c == "N":
+            xs.append(easts)
+        else:
+            easts += 1
+    return xs
 
 
 def conjugate_a(word: str) -> str:
@@ -197,8 +314,7 @@ def split_lower_upper(word: str) -> tuple[str, str]:
 
 def partition_of_path(word: str) -> tuple[int, ...]:
     """The partition above a type-A path inside the staircase, largest part first."""
-    paths._check(word, "A")
-    xs = paths._north_columns(word)
+    xs = paths._dyck_columns(word, "A")
     return tuple(x for x in reversed(xs) if x > 0)
 
 
@@ -302,7 +418,7 @@ def check_partition_a(p: SetPartition, n: int) -> None:
 
 
 def is_noncrossing_a(p: SetPartition) -> bool:
-    return not noncrossing._any_cross(p, int)
+    return not noncrossing._any_cross(p)
 
 
 def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
@@ -310,7 +426,8 @@ def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
     if n is None:
         n = max(abs(v) for b in p for v in b)
     noncrossing.check_partition_b(p, n)
-    return not noncrossing._any_cross(p, order_key_b)
+    # the keys list each block in the same order, so they cross as the blocks do
+    return not noncrossing._any_cross([frozenset(map(order_key_b, b)) for b in p])
 
 
 def partition_to_perm_a(p: SetPartition, n: int) -> Perm:
@@ -355,6 +472,29 @@ def nc_coxeter_element(family: str, n: int) -> Perm:
 def coxeter_elements_d4() -> tuple[Perm, ...]:
     """The conjugacy class of the standard Coxeter element of D_4, sorted."""
     return tuple(c for c, _ in noncrossing._coxeter_class_d4())
+
+
+# -- statistics ----------------------------------------------------------------
+
+
+def check_perm_abs(p: Perm, family: str = "B") -> None:
+    """``signedperm.check_perm`` without its type-A shortcut: absolute values first."""
+    if sorted(map(abs, p)) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a signed permutation: {p!r}")
+    if family == "A" and p and min(p) < 0:
+        raise ValueError(f"type A forbids negative entries: {p!r}")
+    if family == "D" and sum(1 for v in p if v < 0) % 2:
+        raise ValueError(f"type D needs an even number of negatives: {p!r}")
+
+
+def inv_word_pairs(w) -> int:
+    """Number of pairs i < j with w[i] > w[j], by the double loop over the pairs."""
+    count = 0
+    for i, a in enumerate(w):
+        for b in w[i + 1 :]:
+            if a > b:
+                count += 1
+    return count
 
 
 # -- absolute order and sortability --------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +13,13 @@ from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType, SizeGuardError, cat_number
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from oracles import (
+    _span_cycles,
     ideal_des,
     is_antichain,
     leq,
     maximal_elements,
+    north_columns,
+    phi_rows_spans,
     split_lower_upper,
     verify_phi_theorems_frozensets,
     verify_psi_theorems_words,
@@ -48,7 +52,7 @@ def b4_ideal():
 #
 # where coinciding mirror images (the right-boundary roots) collapse to a
 # single symmetric interval.  A shell's intervals, sorted by left endpoint,
-# are read into cycles as ``bijmaps._span_cycles`` does.
+# are read into cycles as ``oracles._span_cycles`` does.
 
 
 def _unfold_spans_oracle(root, family):
@@ -144,6 +148,50 @@ def psi_b_oracle(word):
         factors.append(tuple(letters))
     sw = SortingWord(tuple(factors))
     return sp.word_to_perm(sw.letters, n, "B"), sw
+
+
+def _words_up_to(length):
+    return ["".join(w) for k in range(length + 1) for w in itertools.product("NE", repeat=k)]
+
+
+FOREIGN_WORDS = ["X", "NX", "NEX", "NNEEx", "nE", "N E", "NNEE\n", "NENE ", "NE-E"]
+
+
+class TestOnePassDyckReader:
+    """``psi_a``/``psi_b``/``dyck_to_ideal`` read a word once, through
+    ``paths._dyck_columns``; each must refuse what ``paths._check`` refuses,
+    with its message, and otherwise give what the check-then-read route gave."""
+
+    WORDS = _words_up_to(10) + FOREIGN_WORDS
+
+    @pytest.mark.parametrize("fam", ["A", "B"])
+    def test_psi(self, fam):
+        psi = bm.psi_a if fam == "A" else bm.psi_b
+
+        def check_then_read(word):
+            n = paths._check(word, fam)
+            return bm._psi(north_columns(word), n, fam)
+
+        refused = 0
+        for word in self.WORDS:
+            want = _outcome(check_then_read, word)
+            assert _outcome(psi, word) == want
+            refused += want[0] == "ValueError"
+        assert 0 < refused < len(self.WORDS)
+
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 5)] + [GroupType("B", r) for r in range(1, 6)], ids=str)
+    def test_dyck_to_ideal(self, t):
+        def check_then_read(word):
+            if paths._check(word, t.family) != t.n:
+                raise ValueError(f"{word!r} has {len(word)} steps, but {t.family}{t.rank} needs {2 * t.n}")
+            return rp._ideal_of_rows(t, north_columns(word))
+
+        read = 0
+        for word in self.WORDS:
+            want = _outcome(check_then_read, word)
+            assert _outcome(rp.dyck_to_ideal, t, word) == want
+            read += isinstance(want, frozenset)
+        assert read == (cat_number(t) if t.family == "A" else len(paths.enumerate_b(t.n)))
 
 
 class TestShellCycles:
@@ -385,7 +433,7 @@ class TestAgainstOracles:
         for k in (1, 2, 3):
             for subset in itertools.combinations(roots, k):
                 spans = _spans_oracle(subset, fam)
-                assert _outcome(lambda: tuple(bm._span_cycles(spans))) == _outcome(
+                assert _outcome(lambda: tuple(_span_cycles(spans))) == _outcome(
                     shell_cycles_oracle, subset, fam
                 )
 
@@ -457,6 +505,55 @@ class TestRowKernel:
         identity = repr(sp.identity(t.n))
         assert {"check": "length", "ideal": roots, "image": identity} in report["failures"]
         assert {"check": "injectivity", "image": identity} in report["failures"]
+
+
+def _random_row_starts(t, count, seed):
+    """Row starts of ``count`` seeded random type-t paths: uniform Dyck words
+    in type A (the cycle lemma), unfolded random lattice words in type B."""
+    rng = random.Random(seed)
+    n = t.n
+    out = []
+    for _ in range(count):
+        if t.family == "A":
+            steps = ["N"] * n + ["E"] * (n + 1)
+            rng.shuffle(steps)
+            level = lowest = cut = 0
+            for k, step in enumerate(steps, start=1):
+                level += 1 if step == "N" else -1
+                if level < lowest:
+                    lowest, cut = level, k
+            word = "".join(steps[cut:] + steps[:cut])[:-1]
+        else:
+            steps = ["N"] * n + ["E"] * n
+            rng.shuffle(steps)
+            word = paths.unfold_lattice_to_b("".join(steps))
+        out.append(tuple(rp.ideal_row_starts(t, rp.dyck_to_ideal(t, word))))
+    return out
+
+
+class TestPhiWalk:
+    """The streaming shell walk ``_phi_rows`` against the span-list reader
+    ``oracles.phi_rows_spans`` that it replaced."""
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)])
+    def test_every_row_start(self, fam, rank):
+        t = GroupType(fam, rank)
+        for x, *_ in _stream(t):
+            assert bm._phi_rows(t, x) == phi_rows_spans(t, x)
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 6)])
+    def test_padded_lift_rows(self, fam, rank):
+        t, big = GroupType(fam, rank), GroupType(fam, rank + 1)
+        pad = (0,) if fam == "A" else (0, 0)
+        for x, *_ in _stream(t):
+            assert bm._phi_rows(big, pad + x) == phi_rows_spans(big, pad + x)
+
+    @pytest.mark.parametrize("t", [GroupType("A", 13), GroupType("B", 10)], ids=str)
+    def test_random_row_starts_past_the_exhaustive_ranks(self, t):
+        rows = _random_row_starts(t, 2000, seed=20081)
+        assert len(set(rows)) > 1900
+        for x in rows:
+            assert bm._phi_rows(t, x) == phi_rows_spans(t, x)
 
 
 class TestPsiRows:

@@ -403,8 +403,11 @@ class TestVerify:
         assert message in captured.err
 
     def test_requires_n(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--which", "phiA"])
+        code = main(["verify", "--which", "phiA"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: --which phiA needs --n" in captured.err
 
     @pytest.mark.parametrize("max_n", ["1", "-1", "-5"])
     def test_max_n_below_two_is_refused_before_any_report(self, capsys, max_n):

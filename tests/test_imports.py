@@ -21,7 +21,11 @@ Dyck check, the per-word statistics and split, or the word entries
 the unchecked statistic bodies, so they may not name the checked
 statistics, ``c_sorting_word`` or the sorted ``rev_nc``; the walk of the
 sortable elements checks its word once, so it may not name
-``is_c_sortable`` or ``c_sorting_word``.
+``is_c_sortable`` or ``c_sorting_word``.  phi's row kernel walks each
+shell once in left-endpoint order, so it may not name a sort or the span
+readers ``_span_cycles``/``_read_block``, and ``psi_a``, ``psi_b`` and
+``dyck_to_ideal`` read their word once, so they may not name the Dyck
+check ``_check`` or the unchecked ``_north_columns``.
 
 A fourth keeps test-only code out of the package: every top-level function
 and class in ``src/coxcat`` must be reached by name from ``cli.main`` or
@@ -46,6 +50,8 @@ PSI_WORDS = {
 }
 CHECKED_STATS = {"length_s", "maj", "imaj", "c_sorting_word", "rev_nc"}
 CHECKED_SORT = {"is_c_sortable", "c_sorting_word"}
+SPAN_SORT = {"sort", "sorted", "_span_cycles", "_read_block"}
+DYCK_PASSES = {"_check", "_north_columns"}
 # row -> (layer, functions, the names they may not use)
 ONE_PASS = {
     "paths": ("paths", ("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
@@ -54,6 +60,9 @@ ONE_PASS = {
     "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi"), PSI_WORDS),
     "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
     "sortable-walk": ("sortable", ("enumerate_sortables",), CHECKED_SORT),
+    "phi-walk": ("bijmaps", ("_phi_rows",), SPAN_SORT),
+    "psi-reader": ("bijmaps", ("psi_a", "psi_b"), DYCK_PASSES),
+    "rootposets-reader": ("rootposets", ("dyck_to_ideal",), DYCK_PASSES),
 }
 
 
@@ -244,6 +253,32 @@ def test_unchecked_stats_scan(source, names):
 )
 def test_sortable_walk_scan(source, names):
     assert per_object_names(source, ("enumerate_sortables",), CHECKED_SORT)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def _phi_rows(t, x):\n    for spans in shells:\n        spans.sort()\n", ["sort"]),
+        ("def _phi_rows(t, x):\n    return _span_cycles(sorted(spans))\n", ["_span_cycles", "sorted"]),
+        ("def _phi_rows(t, x):\n    bijmaps._read_block(seq, cycles)\n", ["_read_block"]),
+        ("def _phi_rows(t, x):\n    starts.reverse()\n    return max([m - a for m, a in starts])\n", []),
+        ('def _phi_rows(t, x):\n    """Not ``sorted``: merged."""\n', []),
+    ],
+)
+def test_phi_walk_scan(source, names):
+    assert per_object_names(source, ("_phi_rows",), SPAN_SORT)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def psi_a(word):\n    n = paths._check(word, 'A')\n    return _psi(paths._north_columns(word), n, 'A')\n", ["_check", "_north_columns"]),
+        ("def dyck_to_ideal(t, word):\n    return _ideal_of_rows(t, _north_columns(word))\n", ["_north_columns"]),
+        ("def psi_b(word):\n    return _psi(paths._dyck_columns(word, 'B'), len(word) // 2, 'B')\n", []),
+    ],
+)
+def test_dyck_reader_scan(source, names):
+    assert per_object_names(source, ("psi_a", "psi_b", "dyck_to_ideal"), DYCK_PASSES)[0] == names
 
 
 def _mentioned(node: ast.AST) -> set[str]:

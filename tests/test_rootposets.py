@@ -243,7 +243,7 @@ class TestRowStarts:
             x = rp.ideal_row_starts(t, ideal)
             assert frozenset(r for row, start in zip(rows, x) for r in row[start:]) == ideal
             if fam == "A":
-                assert x == paths._north_columns(rp.ideal_to_dyck(t, ideal))
+                assert x == paths._dyck_columns(rp.ideal_to_dyck(t, ideal), "A")
 
     def test_rejects_type_d(self):
         with pytest.raises(ValueError, match="type D"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
 from coxcat.qseries import SizeGuardError
-from oracles import leq_t, length_t_bfs, nc_coxeter_element
+from oracles import check_perm_abs, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element
 
 
 def bfs_simple_length(target, family):
@@ -59,6 +60,35 @@ class TestBasics:
 
 
 class TestKernelsAgainstDefinitions:
+    @pytest.mark.parametrize("family,n", [("A", n) for n in range(7)] + [("B", n) for n in range(6)])
+    def test_inv_word_on_whole_groups(self, family, n):
+        for p in sp.enumerate_group(family, n):
+            assert sp.inv_word(p) == inv_word_pairs(p)
+
+    @pytest.mark.parametrize(
+        "w", [[], [3, 3, 3], [2, -1, 2, -1, 0], [-5, -5, 4, -5, 4, 4], [1, 0, 0, 1, -1, -1, 2, -2]]
+    )
+    def test_inv_word_on_repeated_and_negative_entries(self, w):
+        assert sp.inv_word(w) == inv_word_pairs(w)
+
+    @pytest.mark.parametrize("family", "ABD")
+    def test_check_perm_refuses_what_the_absolute_check_refuses(self, family):
+        def outcome(check, p):
+            try:
+                check(p, family)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        words = [w for k in range(5) for w in itertools.product(range(-4, 5), repeat=k)]
+        words += [(1.0, 2), (2, 1.0), (True,), (1, 2, 3, 3), (3, 1, 2, 5)]
+        refused = 0
+        for p in words:
+            want = outcome(check_perm_abs, p)
+            assert outcome(sp.check_perm, p) == want
+            refused += want is not None
+        assert 0 < refused < len(words)
+
     @given(st.lists(st.integers(-20, 20), max_size=16))
     def test_inv_and_maj_word(self, w):
         pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
