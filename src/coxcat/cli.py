@@ -112,7 +112,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _path_poly(args):
-    """Area or maj of type-A/B paths or ideals, by one path DFS; None for any other poly.
+    """Area or maj of type-A/B paths or ideals, by the O(n^4) lattice-point pass; None otherwise.
 
     An ideal's row starts are its Dyck path, |I| is the path's area and
     ``ideal_maj`` is the path's maj, so both objects share the path

@@ -5,9 +5,16 @@ Type A paths are balanced words of length 2n weakly above the diagonal;
 type B paths have 2n steps and every prefix weakly above the diagonal,
 with a free endpoint.  Both identify with staircase-closed sets of cells
 ``(i, j)`` (0-indexed column, row) lying below the path.
+
+Area and maj add up over the steps of a path, so their generating
+polynomials come from one pass over the lattice points, in O(n^4) steps
+rather than one per path; only ``_row_stream``, which hands every path's
+row starts to the verifiers, still walks the paths one by one.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .qseries import QPoly, check_guard
 
@@ -189,51 +196,73 @@ def unfold_lattice_to_b(word: str) -> str:
     return "".join("N" if i in flips else c for i, c in enumerate(word))
 
 
+def _add_shifted(dst: list[int], src: list[int], shift: int) -> None:
+    """Add src, moved up by ``shift`` places, into dst, lengthening dst as needed."""
+    end = shift + len(src)
+    if end > len(dst):
+        dst.extend([0] * (end - len(dst)))
+    dst[shift:end] = map(add, dst[shift:end], src)
+
+
 def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     """The area and maj polynomials over all type-``family`` paths of 2n steps.
 
-    One depth-first pass over the paths, one leaf per path, carries both
-    statistics as it goes: a north step in row j adds the cap_j - easts
-    cells to its right (cap_j is j in type A and min(j, 2n - j) in type B),
-    and a north step at 0-indexed position p after an east step closes a
-    descent worth 2n - p.  A type-B leaf doubles the maj and the east
-    count, as ``maj_b`` does.  No word is built and none is re-checked;
+    A transfer-matrix pass over the lattice points, not over the paths:
+    both statistics add up over the steps, so the prefixes of k steps are
+    grouped by their north count and by whether their last step was east,
+    and each group keeps the area tallies and the maj tallies of its
+    prefixes.  A north step in row j shifts the area tallies by the
+    cap_j - easts cells to its right (cap_j is j in type A and
+    min(j, 2n - j) in type B); after an east step it closes a descent at
+    0-indexed position k, which shifts the maj tallies by 2n - k.  A
+    prefix with ``top`` north steps or 2n steps ends its group's paths (the
+    rest is forced east), and in type B it adds its east count 2n - norths
+    to the maj before the doubling of ``maj_b``.  That is O(n^2) groups
+    with O(n^2) tallies each: O(n^4) in all, against Cat(n) paths.
     ``area_a``/``maj_a``/``area_b``/``maj_b`` remain the per-word oracles.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     total = 2 * n
     if family == "A":
-        top, caps, maj_top = n, list(range(n)), n * (n - 1)
+        top, caps = n, list(range(n))
     else:
-        top, caps, maj_top = total, [min(j, total - j) for j in range(total)], 2 * n * n
-    area = [0] * (sum(caps) + 1)
-    maj = [0] * (maj_top + 1)
+        top, caps = total, [min(j, total - j) for j in range(total)]
     double = family == "B"
-
-    def rec(norths: int, easts: int, after_east: bool, a: int, m: int):
-        # after the last north step the rest of the path is forced: east steps only
-        if norths == top or norths + easts == total:
-            area[a] += 1
-            maj[2 * (m + total - norths) if double else m] += 1
-            return
-        if easts < norths:
-            rec(norths, easts + 1, True, a, m)
-        rec(norths + 1, easts, False, a + caps[norths] - easts, m + total - norths - easts if after_east else m)
-
-    rec(0, 0, False, 0, 0)
+    area: list[int] = []
+    maj: list[int] = []
+    layer = {(0, False): ([1], [1])}  # (norths, after_east) -> (area tallies, maj tallies)
+    for k in range(total + 1):
+        grown: dict[tuple[int, bool], tuple[list[int], list[int]]] = {}
+        for (norths, after_east), (a, m) in layer.items():
+            easts = k - norths
+            if norths == top or k == total:
+                _add_shifted(area, a, 0)
+                _add_shifted(maj, m, total - norths if double else 0)
+                continue
+            steps = [((norths + 1, False), caps[norths] - easts, total - k if after_east else 0)]
+            if easts < norths:
+                steps.append(((norths, True), 0, 0))
+            for key, da, dm in steps:
+                ga, gm = grown.setdefault(key, ([], []))
+                _add_shifted(ga, a, da)
+                _add_shifted(gm, m, dm)
+        layer = grown
+    if double:
+        maj[1:] = [c for x in maj[1:] for c in (0, x)]
     return QPoly(area), QPoly(maj)
 
 
 def _row_stream(family: str, n: int):
     """Row starts, area, maj and descent count of every type-``family`` path of 2n steps.
 
-    The depth-first pass of ``_stat_counts`` (E before N, one leaf per
-    path, the same area and maj tallies) that also keeps the north columns
-    and counts the E->N steps.  Row j starts at the east count of its north
-    step; a row with no north step (type B, j past the last one) starts at
-    its cap, so each leaf's starts are ``rootposets.ideal_row_starts`` of
-    the ideal under the path.  Yields ``(starts, area, maj, descents)``;
+    A depth-first pass with one leaf per path (E before N), since the
+    verifiers need every path's row starts: it adds up area and maj step by
+    step as ``_stat_counts`` does, keeps the north columns and counts the
+    E->N steps.  Row j starts at the east count of its north step; a row
+    with no north step (type B, j past the last one) starts at its cap, so
+    each leaf's starts are ``rootposets.ideal_row_starts`` of the ideal
+    under the path.  Yields ``(starts, area, maj, descents)``;
     the starts are a tuple of n (type A) or 2n (type B) entries.
     """
     total = 2 * n

@@ -69,12 +69,6 @@ class QPoly:
     def one(cls) -> "QPoly":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "QPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * exponent + (coefficient,))
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -132,44 +126,11 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Exact quotient self / other; raises InexactDivisionError otherwise."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.coeffs
-        lead = d[-1]
-        if len(rem) < len(d):
-            if any(rem):
-                raise InexactDivisionError(f"{self} not divisible by {other}")
-            return QPoly()
-        q = [0] * (len(rem) - len(d) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + len(d) - 1]
-            if c % lead:
-                raise InexactDivisionError(f"{self} not divisible by {other}")
-            q[k] = c // lead
-            if q[k]:
-                for j, y in enumerate(d):
-                    rem[k + j] -= q[k] * y
-        if any(rem):
-            raise InexactDivisionError(f"{self} not divisible by {other}")
-        return QPoly(q)
-
     def shift(self, k: int) -> "QPoly":
         """The polynomial times q^k."""
         if k < 0:
             raise ValueError("negative exponent")
         return QPoly((0,) * k + self.coeffs) if self.coeffs else self
-
-    def substitute_power(self, m: int) -> "QPoly":
-        """The polynomial with q replaced by q^m."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        out = [0] * (m * self.degree() + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            out[m * i] = c
-        return QPoly(out)
 
     def __call__(self, x: int) -> int:
         val = 0
@@ -401,6 +362,13 @@ def qcat_a(n: int) -> QPoly:
 
 
 def is_palindromic(p: QPoly, center: int) -> bool:
-    """True iff coeff(k) == coeff(center - k) for all k."""
-    top = max(p.degree(), center)
-    return all(p.coeff(k) == p.coeff(center - k) for k in range(0, top + 1))
+    """True iff coeff(k) == coeff(center - k) for all k.
+
+    No term may lie past ``center``; below it, the coefficients padded with
+    zeros up to q^center read the same backwards.
+    """
+    cs = p.coeffs
+    if len(cs) > max(center + 1, 0):
+        return False
+    padded = cs + (0,) * (center + 1 - len(cs))
+    return padded == padded[::-1]

@@ -113,7 +113,6 @@ class RootPoset:
         simple_vecs = {root_vector(s, n) for s in simple_roots(t)}
         m = len(self.roots)
         self.lower_covers: list[list[int]] = [[] for _ in range(m)]
-        self.upper_covers: list[list[int]] = [[] for _ in range(m)]
         for i in range(m):
             for j in range(m):
                 if i == j:
@@ -122,7 +121,6 @@ class RootPoset:
                 if d in simple_vecs:
                     # roots[j] covers roots[i]
                     self.lower_covers[j].append(i)
-                    self.upper_covers[i].append(j)
         self._below = [frozenset(self._descend(i)) for i in range(m)]
 
     def _descend(self, i: int) -> set[int]:
@@ -254,8 +252,8 @@ def cat_q(t: GroupType, unsafe: bool = False) -> QPoly:
 
     In types A and B the row starts of an ideal are its Dyck path and |I|
     is that path's area, so this is the area polynomial of the paths of
-    2n steps, counted in one pass without building an ideal.  Type D
-    enumerates its ideals.
+    2n steps, from the O(n^4) lattice-point pass of ``paths._stat_counts``
+    without building an ideal or a path.  Type D enumerates its ideals.
     """
     if t.family == "D":
         return gen_poly(map(len, ideals(t, unsafe=unsafe)))

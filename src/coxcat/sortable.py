@@ -53,16 +53,6 @@ class SortingWord:
             return "e"
         return " | ".join(" ".join(f"s{l}" for l in f) for f in self.factors)
 
-    @classmethod
-    def parse(cls, s: str) -> "SortingWord":
-        s = s.strip()
-        if s in ("", "e"):
-            return cls(())
-        factors = []
-        for chunk in s.split("|"):
-            factors.append(tuple(int(tok[1:]) for tok in chunk.split()))
-        return cls(tuple(factors))
-
 
 def _check_c_word(c_word, n: int, family: str):
     expect = set(range(1, n)) if family == "A" else set(range(0, n))

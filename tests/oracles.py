@@ -22,14 +22,21 @@ inversion count over all pairs, against the insertion count
 ``signedperm.inv_word``, and the permutation check by absolute values,
 against ``signedperm.check_perm`` and its type-A shortcut.
 
+The area and maj polynomials by a depth-first pass with one leaf per
+path, against the lattice-point pass ``paths._stat_counts``, and the
+palindromicity test one coefficient at a time, against
+``qseries.is_palindromic``.
+
 The reference helpers that only the tests call, each checked against the
-library or against a definition: path conjugation, the east count and
+library or against a definition: monomials, exact polynomial division and
+the substitution q -> q^m, path conjugation, the east count and
 lower/upper split of a type-B path, the partition above a path, the
 root-to-cell maps, an ideal's descent set and arc partition, the
-root-poset order, maximal elements and antichains, the non-crossing
-predicates and the partition-to-permutation codecs, absolute order,
-231-avoidance, the non-crossing Coxeter elements (1, ..., n) and
-(1, ..., n, -1, ..., -n), and the class of Coxeter elements of D_4.
+root-poset order, upper covers, maximal elements and antichains, the
+non-crossing predicates and the partition-to-permutation codecs, absolute
+order, the sorting-word parser, 231-avoidance, the non-crossing Coxeter
+elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class of
+Coxeter elements of D_4.
 """
 
 from collections import deque
@@ -37,9 +44,9 @@ from functools import lru_cache
 
 from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
 from coxcat.noncrossing import SetPartition, rev_nc
-from coxcat.qseries import GroupType, SizeGuardError
+from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError
 from coxcat.rootposets import Cell, Root, RootPoset
-from coxcat.sortable import c_sorting_word, enumerate_sortables
+from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from coxcat.signedperm import (
     Perm,
     check_perm,
@@ -166,6 +173,58 @@ def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
     return report
 
 
+# -- q-series ------------------------------------------------------------------
+
+
+def monomial(exponent: int, coefficient: int = 1) -> QPoly:
+    """The polynomial coefficient * q^exponent."""
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    return QPoly((0,) * exponent + (coefficient,))
+
+
+def divexact(p: QPoly, d: QPoly) -> QPoly:
+    """The exact quotient p / d by long division; raises InexactDivisionError otherwise."""
+    if not d:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(p.coeffs)
+    ds = d.coeffs
+    lead = ds[-1]
+    if len(rem) < len(ds):
+        if any(rem):
+            raise InexactDivisionError(f"{p} not divisible by {d}")
+        return QPoly()
+    quot = [0] * (len(rem) - len(ds) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(ds) - 1]
+        if c % lead:
+            raise InexactDivisionError(f"{p} not divisible by {d}")
+        quot[k] = c // lead
+        if quot[k]:
+            for j, y in enumerate(ds):
+                rem[k + j] -= quot[k] * y
+    if any(rem):
+        raise InexactDivisionError(f"{p} not divisible by {d}")
+    return QPoly(quot)
+
+
+def substitute_power(p: QPoly, m: int) -> QPoly:
+    """The polynomial with q replaced by q^m."""
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    out = [0] * (m * p.degree() + 1) if p.coeffs else []
+    for i, c in enumerate(p.coeffs):
+        out[m * i] = c
+    return QPoly(out)
+
+
+def is_palindromic_loop(p: QPoly, center: int) -> bool:
+    """coeff(k) == coeff(center - k) for every k up to max(degree, center), one
+    ``coeff`` call at a time; the oracle for ``qseries.is_palindromic``."""
+    top = max(p.degree(), center)
+    return all(p.coeff(k) == p.coeff(center - k) for k in range(0, top + 1))
+
+
 # -- phi's span reader ----------------------------------------------------------
 
 
@@ -278,6 +337,40 @@ def north_columns(word: str) -> list[int]:
     return xs
 
 
+def stat_counts_dfs(family: str, n: int) -> tuple[QPoly, QPoly]:
+    """The area and maj polynomials by a depth-first pass with one leaf per path.
+
+    A north step in row j adds the cap_j - easts cells to its right, and a
+    north step at 0-indexed position p after an east step closes a descent
+    worth 2n - p; a type-B leaf doubles the maj and the east count, as
+    ``maj_b`` does.  The oracle for the lattice-point pass
+    ``paths._stat_counts``.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    total = 2 * n
+    if family == "A":
+        top, caps, maj_top = n, list(range(n)), n * (n - 1)
+    else:
+        top, caps, maj_top = total, [min(j, total - j) for j in range(total)], 2 * n * n
+    area = [0] * (sum(caps) + 1)
+    maj = [0] * (maj_top + 1)
+    double = family == "B"
+
+    def rec(norths: int, easts: int, after_east: bool, a: int, m: int):
+        # after the last north step the rest of the path is forced: east steps only
+        if norths == top or norths + easts == total:
+            area[a] += 1
+            maj[2 * (m + total - norths) if double else m] += 1
+            return
+        if easts < norths:
+            rec(norths, easts + 1, True, a, m)
+        rec(norths + 1, easts, False, a + caps[norths] - easts, m + total - norths - easts if after_east else m)
+
+    rec(0, 0, False, 0, 0)
+    return QPoly(area), QPoly(maj)
+
+
 def conjugate_a(word: str) -> str:
     """Reverse the word and swap N with E; an involution on Dyck words."""
     paths._check(word, "A")
@@ -359,10 +452,21 @@ def leq(poset: RootPoset, a: Root, b: Root) -> bool:
     return a in poset.down_set(b)
 
 
+@lru_cache(maxsize=None)
+def upper_covers(poset: RootPoset) -> list[list[int]]:
+    """Entry i lists the indices of the roots that cover root i, read off ``lower_covers``."""
+    out: list[list[int]] = [[] for _ in poset.roots]
+    for j, below in enumerate(poset.lower_covers):
+        for i in below:
+            out[i].append(j)
+    return out
+
+
 def maximal_elements(poset: RootPoset, ideal: frozenset[Root]) -> list[Root]:
     """The maximal roots of an ideal, in the poset's height order."""
     idx = {poset.index[r] for r in ideal}
-    return [poset.roots[i] for i in sorted(idx) if not any(j in idx for j in poset.upper_covers[i])]
+    above = upper_covers(poset)
+    return [poset.roots[i] for i in sorted(idx) if not any(j in idx for j in above[i])]
 
 
 def is_antichain(poset: RootPoset, rs) -> bool:
@@ -505,6 +609,14 @@ def leq_t(u: Perm, v: Perm) -> bool:
     if len(u) != len(v):
         raise ValueError("rank mismatch")
     return length_t(v) == length_t(u) + length_t(mul(inverse(u), v))
+
+
+def parse_sorting_word(s: str) -> SortingWord:
+    """The sorting word printed by ``str(SortingWord)``: factors of ``s<i>`` letters split by ``|``, or ``e``."""
+    s = s.strip()
+    if s in ("", "e"):
+        return SortingWord(())
+    return SortingWord(tuple(tuple(int(tok[1:]) for tok in chunk.split()) for chunk in s.split("|")))
 
 
 def avoids_231(p: Perm) -> bool:

@@ -10,8 +10,8 @@ A second scan pins the structural target that building the Catalan objects
 costs in proportion to their number, not to the group order: the modules
 in ``CATALAN_LAYERS`` may not name a function that walks the whole group.
 
-A third keeps the generating polynomials of area and maj one pass over the
-paths, and both verifiers on row starts: in types A and B the functions
+A third keeps the generating polynomials of area and maj one pass (over the
+lattice points), and both verifiers on row starts: in types A and B the functions
 in ``ONE_PASS`` may not name the per-object enumerations, the Dyck check or
 the per-word statistics, ``phi`` and its verifier may not name the
 frozenset ideals, their statistics and lift, or ``from_cycles``, and the

@@ -1,10 +1,21 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
 
 from coxcat import paths
 from coxcat import rootposets as rp
 from coxcat.qseries import GroupType, QPoly, SizeGuardError, gen_poly, q_binomial, qcat_a, qcat_product
-from oracles import conjugate_a, neg_b, partition_of_path, path_from_partition, split_lower_upper
+from oracles import (
+    conjugate_a,
+    monomial,
+    neg_b,
+    partition_of_path,
+    path_from_partition,
+    split_lower_upper,
+    stat_counts_dfs,
+    substitute_power,
+)
 
 
 def oracle_area(word, family):
@@ -158,6 +169,11 @@ class TestConjugate:
         )
 
 
+@lru_cache(maxsize=None)
+def area_unguarded(family, n):
+    return paths.area_polynomial(family, n, unsafe=True)
+
+
 class TestPolynomials:
     def test_examples(self):
         assert paths.area_polynomial("B", 2) == QPoly([1, 2, 1, 1, 1])
@@ -174,7 +190,7 @@ class TestPolynomials:
         "family,n", [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 8)]
     )
     def test_one_pass_matches_per_word_statistics(self, family, n):
-        # the per-word statistics over the enumerated words are the oracle for the DFS
+        # the per-word statistics over the enumerated words are the oracle for the lattice-point pass
         words = paths.enumerate_a(n) if family == "A" else paths.enumerate_b(n)
         area, maj = (paths.area_a, paths.maj_a) if family == "A" else (paths.area_b, paths.maj_b)
         assert paths.area_polynomial(family, n) == gen_poly(map(area, words))
@@ -185,30 +201,37 @@ class TestPolynomials:
         with pytest.raises(ValueError, match="n must be >= 0"):
             paths.maj_polynomial("A", -1)
 
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("family,n", [("A", n) for n in range(13)] + [("B", n) for n in range(9)])
+    def test_lattice_pass_matches_the_dfs(self, family, n):
+        # the old depth-first pass, one leaf per path, is the oracle for both polynomials
+        assert paths._stat_counts(family, n) == stat_counts_dfs(family, n)
+
+    @pytest.mark.parametrize("n", range(20))
     def test_area_recurrence_a(self, n):
-        # Cat_{n+1}(q) = sum q^k Cat_k(q) Cat_{n-k}(q)
-        lhs = paths.area_polynomial("A", n + 1)
+        # Carlitz-Riordan: Cat_{n+1}(q) = sum q^k Cat_k(q) Cat_{n-k}(q), up to A n = 20
+        lhs = area_unguarded("A", n + 1)
         rhs = QPoly()
         for k in range(n + 1):
-            rhs = rhs + QPoly.monomial(k) * paths.area_polynomial("A", k) * paths.area_polynomial("A", n - k)
+            rhs = rhs + monomial(k) * area_unguarded("A", k) * area_unguarded("A", n - k)
         assert lhs == rhs
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(15))
     def test_area_recurrence_b(self, n):
-        lhs = paths.area_polynomial("B", n)
-        rhs = paths.area_polynomial("A", n)
+        lhs = area_unguarded("B", n)
+        rhs = area_unguarded("A", n)
         for k in range(n):
-            rhs = rhs + QPoly.monomial(2 * k + 1) * paths.area_polynomial("B", k) * paths.area_polynomial("A", n - k)
+            rhs = rhs + monomial(2 * k + 1) * area_unguarded("B", k) * area_unguarded("A", n - k)
         assert lhs == rhs
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(21))
     def test_maj_generating_function_a(self, n):
-        assert paths.maj_polynomial("A", n) == qcat_a(n)
+        # MacMahon, past the path guard (A n <= 12) up to A n = 20
+        assert paths.maj_polynomial("A", n, unsafe=True) == qcat_a(n)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_maj_generating_function_b(self, n):
-        assert paths.maj_polynomial("B", n) == q_binomial(2 * n, n).substitute_power(2)
+        # past the path guard (B n <= 8) up to B n = 14
+        assert paths.maj_polynomial("B", n, unsafe=True) == substitute_power(q_binomial(2 * n, n), 2)
 
 
 class TestUnfold:

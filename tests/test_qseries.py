@@ -18,11 +18,12 @@ from coxcat.qseries import (
     qcat_product,
 )
 from coxcat.qseries import _over_q_integer, _qcat, _times_q_integer
+from oracles import divexact, is_palindromic_loop, substitute_power
 
 
 def oracle_q_binomial(k, l):
     # independent route: quotient of q-factorials by long division
-    return q_factorial(k).divexact(q_factorial(l) * q_factorial(k - l))
+    return divexact(q_factorial(k), q_factorial(l) * q_factorial(k - l))
 
 
 class TestQPoly:
@@ -46,10 +47,10 @@ class TestQPoly:
 
     def test_divexact_failure(self):
         with pytest.raises(InexactDivisionError):
-            QPoly([1, 1, 1]).divexact(QPoly([1, 1]))
+            divexact(QPoly([1, 1, 1]), QPoly([1, 1]))
 
     def test_substitute_power(self):
-        assert QPoly([1, 2, 3]).substitute_power(2) == QPoly([1, 0, 2, 0, 3])
+        assert substitute_power(QPoly([1, 2, 3]), 2) == QPoly([1, 0, 2, 0, 3])
 
     @given(
         st.lists(st.integers(-9, 9), max_size=6),
@@ -68,7 +69,7 @@ class TestQPoly:
         pa, pb = QPoly(a), QPoly(b)
         if not pb:
             return
-        assert (pa * pb).divexact(pb) == pa
+        assert divexact(pa * pb, pb) == pa
 
 
 class TestQInteger:
@@ -122,7 +123,7 @@ class TestQCat:
     def test_qcat_product_examples(self):
         assert qcat_product(GroupType("A", 2)) == qcat_a(3)
         assert qcat_product(GroupType("A", 1)) == QPoly([1, 0, 1])
-        assert qcat_product(GroupType("B", 2)) == q_binomial(4, 2).substitute_power(2)
+        assert qcat_product(GroupType("B", 2)) == substitute_power(q_binomial(4, 2), 2)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_qcat_a_matches_product_and_count(self, n):
@@ -143,7 +144,7 @@ class TestQCat:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_qcat_b_is_doubled_binomial(self, n):
-        assert qcat_product(GroupType("B", n)) == q_binomial(2 * n, n).substitute_power(2)
+        assert qcat_product(GroupType("B", n)) == substitute_power(q_binomial(2 * n, n), 2)
 
 
 def dense_qcat(t):
@@ -153,7 +154,7 @@ def dense_qcat(t):
     for d in degrees(t):
         num = num * q_integer(d + h)
         den = den * q_integer(d)
-    return num.divexact(den)
+    return divexact(num, den)
 
 
 EVERY_FAMILY = (
@@ -168,7 +169,7 @@ EVERY_FAMILY = (
 class TestQIntegerKernels:
     @pytest.mark.parametrize("n", range(41))
     def test_qcat_a_matches_pascal_quotient(self, n):
-        assert qcat_a(n) == q_binomial(2 * n, n).divexact(q_integer(n + 1))
+        assert qcat_a(n) == divexact(q_binomial(2 * n, n), q_integer(n + 1))
 
     def test_every_family_is_sampled(self):
         assert {t.family for t in EVERY_FAMILY} == set(FAMILIES)
@@ -186,7 +187,7 @@ class TestQIntegerKernels:
     @given(st.lists(st.integers(-5, 5), max_size=8), st.integers(1, 6))
     def test_over_agrees_with_long_division(self, cs, d):
         try:
-            want = QPoly(cs).divexact(q_integer(d))
+            want = divexact(QPoly(cs), q_integer(d))
         except InexactDivisionError:
             with pytest.raises(InexactDivisionError):
                 _over_q_integer(cs, d)
@@ -245,6 +246,22 @@ class TestPalindromic:
         assert not is_palindromic(QPoly([1, 1]), 2)
         assert is_palindromic(qcat_a(3), 6)
         assert is_palindromic(QPoly(), 5)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_the_coefficient_loop(self, n):
+        # centres one below, at and one above the true centre n(n - 1) of qcat_a(n)
+        p = qcat_a(n)
+        for center in (n * (n - 1) - 1, n * (n - 1), n * (n - 1) + 1):
+            assert is_palindromic(p, center) == is_palindromic_loop(p, center)
+        assert is_palindromic(p, n * (n - 1))
+
+    @pytest.mark.parametrize(
+        "coeffs,center",
+        [((), -2), ((), 0), ((1,), -1), ((1,), 0), ((0, 1), 2), ((0, 1), 1), ((1, 0, 1), 3), ((2, 1, 2), 2)],
+    )
+    def test_edges_match_the_coefficient_loop(self, coeffs, center):
+        p = QPoly(coeffs)
+        assert is_palindromic(p, center) == is_palindromic_loop(p, center)
 
 
 class TestGenPoly:

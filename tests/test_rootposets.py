@@ -11,6 +11,7 @@ from oracles import (
     ideal_to_arc_partition_a,
     is_antichain,
     maximal_elements,
+    upper_covers,
 )
 
 
@@ -33,7 +34,7 @@ class TestRoots:
     def test_b2_covers(self):
         poset = rp.root_poset(GroupType("B", 2))
         up = {
-            rp.root_str(r): sorted(rp.root_str(poset.roots[j]) for j in poset.upper_covers[poset.index[r]])
+            rp.root_str(r): sorted(rp.root_str(poset.roots[j]) for j in upper_covers(poset)[poset.index[r]])
             for r in poset.roots
         }
         assert up == {
@@ -233,7 +234,7 @@ class TestRowStarts:
                 for a, b in [(i, j + 1), (i - 1, j)]
                 if 0 <= a and b < len(caps) and a < caps[b]
             }
-            assert above == {poset.roots[k] for k in poset.upper_covers[poset.index[r]]}
+            assert above == {poset.roots[k] for k in upper_covers(poset)[poset.index[r]]}
 
     @pytest.mark.parametrize("fam,rank", RANKS)
     def test_round_trip(self, fam, rank):
