@@ -22,6 +22,8 @@ from .paths import (
     area_polynomial,
     enumerate_a,
     enumerate_b,
+    is_dyck_a,
+    is_dyck_b,
     maj_a,
     maj_b,
     maj_polynomial,
@@ -52,6 +54,8 @@ __all__ = [
     "ideal_to_dyck",
     "ideals",
     "is_c_sortable",
+    "is_dyck_a",
+    "is_dyck_b",
     "is_palindromic",
     "length_s",
     "length_t",

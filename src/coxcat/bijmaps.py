@@ -15,13 +15,13 @@ straight into the one-line notation.  ``psi_a``/``psi_b`` check a Dyck
 word and collect its north columns in one pass, and hand them to the row
 kernel ``_psi``, which reads the cells under the path, diagonal by
 diagonal, as a sorting word, sorting the cells into factors in one pass
-over the rows.  The verifiers
-check the counting and major-index identities exhaustively at a given
-rank; both take each path's row starts, area and maj from one pass over
-the Dyck paths (``paths._row_stream``) and build no ideal or word unless
-a check fails.  They check each image once with ``check_perm`` and then
-take its statistics from the unchecked bodies.  psi's image set is checked
-by membership and count, and Sort(W, c) is walked only when that fails.
+over the rows.  The verifiers check the counting and major-index
+identities exhaustively at a given rank; both take each path's row
+starts, area and maj from one pass over the Dyck paths
+(``paths._row_stream``) and build no ideal or word unless a check fails.
+They check each image once with ``check_perm`` and read all its
+statistics from one pass, ``signedperm._stats``.  psi's image set is
+checked by membership and count, and Sort(W, c) is walked only if that fails.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
 from .qseries import GroupType, cat_number, check_guard
 from .sortable import SortingWord, _sorting_word, enumerate_sortables
-from .signedperm import Perm, _imaj, _length_s, _maj, check_perm
+from .signedperm import Perm, _stats, check_perm
 
 Root = rootposets.Root
 
@@ -226,27 +226,32 @@ def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     two_n = n * (n - 1) if fam == "A" else 2 * n * n
     report = _report(f"phi{fam}", t.rank)
     images = {}
+    masks = {}  # type A: each image's descent and inverse-descent masks
     for x, area, path_maj, descents in paths._row_stream(fam, n):
         report["checked"] += 1
         sigma = _phi_rows(t, x)
         check_perm(sigma, fam)
-        if _length_s(sigma, fam) != area:
+        length, sigma_maj, sigma_imaj, dmask, imask, _ = _stats(sigma, fam)
+        if length != area:
             _fail(report, "length", ideal=_roots(t, x), image=sigma)
-        total = path_maj + _maj(sigma, fam) + _imaj(sigma, fam)
+        total = path_maj + sigma_maj + sigma_imaj
         if total != two_n:
             _fail(report, "maj-identity", ideal=_roots(t, x), total=total)
         if fam == "A":
-            if descents + signedperm.des(sigma) != n - 1:
+            if descents + dmask.bit_count() != n - 1:
                 _fail(report, "des-sum", ideal=_roots(t, x))
+            masks[sigma] = dmask, imask
         if sigma in images:
             _fail(report, "injectivity", image=sigma)
         images[sigma] = x
-    target = {signedperm.rev(w) for w in _nc_scan(fam, n)}
-    if set(images) != target:
-        _fail(report, "image-set", missing=sorted(target - set(images))[:3])
+    # rev is the identity on a permutation with no negative entries
+    target = set(_nc_scan("A", n)) if fam == "A" else {signedperm.rev(w) for w in _nc_scan(fam, n)}
+    if images.keys() != target:
+        _fail(report, "image-set", missing=sorted(target - images.keys())[:3])
     if fam == "A":
-        for sigma in target:
-            if signedperm.des(sigma) != signedperm.ides(sigma):
+        for sigma in target:  # a target element that is not an image is read here
+            dmask, imask = masks[sigma] if sigma in masks else _stats(sigma, fam)[3:5]
+            if dmask.bit_count() != imask.bit_count():
                 _fail(report, "des-ides", image=sigma)
     if fam == "B":
         big = GroupType("B", t.rank + 1)
@@ -276,27 +281,30 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
         report["checked"] += 1
         sigma, sw = _psi(x, n, fam)
         check_perm(sigma, fam)
-        if _length_s(sigma, fam) != area or len(sw) != area:
+        length, sigma_maj, sigma_imaj, dmask, imask, negs = _stats(sigma, fam)
+        if length != area or len(sw) != area:
             _fail(report, "length", word=paths._word_of_rows(fam, n, x), image=sigma)
         if _sorting_word(sigma, c_word, fam) != sw or not sw.is_sortable_chain():
             _fail(report, "sorting-word", word=paths._word_of_rows(fam, n, x), emitted=str(sw))
             unsorted = True
-        total = path_maj + _maj(sigma, fam) + _imaj(sigma, fam)
+        total = path_maj + sigma_maj + sigma_imaj
         if total != two_n:
             _fail(report, "maj-identity", word=paths._word_of_rows(fam, n, x), total=total)
         if fam == "A":
             k = n - x[n - 1]  # the east steps after the last north step
-            if sigma[k - 1] != 1 or not set(range(1, k)) <= signedperm.des_set(sigma):
+            full = (1 << k) - 2  # the descents 1, ..., k - 1
+            if sigma[k - 1] != 1 or dmask & full != full:
                 _fail(report, "last-descent", word=paths._word_of_rows(fam, n, x), image=sigma)
         else:
             easts = n - sum(x[j] < 2 * n - j for j in range(n, 2 * n))
-            if easts + signedperm.neg(sigma) != n:
+            if easts + negs != n:
                 _fail(report, "neg-sum", word=paths._word_of_rows(fam, n, x), image=sigma)
             sigma1, _ = _psi(x[:n], n, "A")
             check_perm(sigma1, "B")
-            if signedperm.ides_set(sigma) != signedperm.ides_set(sigma1):
+            _, _, lower_imaj, _, lower_imask, _ = _stats(sigma1, "B")
+            if imask != lower_imask:
                 _fail(report, "ides-split", word=paths._word_of_rows(fam, n, x))
-            if _imaj(sigma, "B") != _imaj(sigma1, "B") + signedperm.neg(sigma):
+            if sigma_imaj != lower_imaj + negs:
                 _fail(report, "imaj-split", word=paths._word_of_rows(fam, n, x))
         if sigma in images:
             _fail(report, "injectivity", image=sigma)

@@ -19,7 +19,6 @@ from .signedperm import (
     group_order,
     group_order_key,
     identity,
-    inverse,
     length_s,
     length_t,
     mul,
@@ -243,8 +242,16 @@ def _d4_intervals():
     """
     base = nc_elements(GroupType("D", 4), coxeter_element("D", 4)[0])
     for c, g in _coxeter_class_d4():
-        g_inv = inverse(g)
-        yield c, [mul(mul(g, w), g_inv) for w in base]
+        yield c, [_conj(g, w) for w in base]
+
+
+def _conj(g: Perm, w: Perm) -> Perm:
+    """g w g^-1 in one pass: it sends g(i) to g(w(i))."""
+    out = [0] * len(w)
+    for gi, wi in zip(g, w):
+        v = apply_value(g, wi)
+        out[abs(gi) - 1] = v if gi > 0 else -v
+    return tuple(out)
 
 
 def d4_counterexample() -> dict:

@@ -28,21 +28,11 @@ def is_dyck_a(word: str) -> bool:
 
 def is_dyck_b(word: str) -> bool:
     """N/E word of even length whose prefixes never have more E's than N's."""
-    if len(word) % 2 or any(c not in "NE" for c in word):
+    try:
+        _dyck_columns(word, "B")
+    except ValueError:
         return False
-    lvl = 0
-    for c in word:
-        lvl += 1 if c == "N" else -1
-        if lvl < 0:
-            return False
     return True
-
-
-def _check(word: str, family: str) -> int:
-    ok = is_dyck_a(word) if family == "A" else is_dyck_b(word)
-    if not ok:
-        raise ValueError(f"not a type-{family} Dyck word: {word!r}")
-    return len(word) // 2
 
 
 def enumerate_a(n: int) -> list[str]:
@@ -82,9 +72,9 @@ def _dyck_columns(word: str, family: str) -> list[int]:
     """The north columns of a type-``family`` Dyck word, read in one pass.
 
     Entry j is the number of east steps before the j-th north step.  Raises
-    the ValueError of ``_check`` unless the word is a Dyck word: every step
+    a ValueError that names the word unless it is a Dyck word: every step
     is N or E, no prefix has more E's than N's, the length is even, and a
-    type-A word is balanced.
+    type-A word is balanced.  It is the package's one Dyck validator.
     """
     xs = []
     easts = 0
@@ -159,14 +149,14 @@ def descent_set(word: str) -> set[int]:
 
 def maj_a(word: str) -> int:
     """Sum of 2n - i over descents of the word, with N < E."""
-    n = _check(word, "A")
+    n = len(_dyck_columns(word, "A"))  # a type-A word has n north steps
     return sum(2 * n - i for i in descent_set(word))
 
 
 def maj_b(word: str) -> int:
     """Twice (number of east steps plus the sum of 2n - i over descents)."""
-    n = _check(word, "B")
-    return 2 * (word.count("E") + sum(2 * n - i for i in descent_set(word)))
+    easts = len(word) - len(_dyck_columns(word, "B"))
+    return 2 * (easts + sum(len(word) - i for i in descent_set(word)))
 
 
 def lattice_maj(word: str) -> int:

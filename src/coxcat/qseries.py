@@ -46,8 +46,8 @@ class QPoly:
     """Polynomial in q with integer coefficients, constant term first.
 
     Trailing zero coefficients are stripped; the zero polynomial has an
-    empty coefficient tuple, so ``degree()`` is ``len(coeffs) - 1`` for
-    nonzero polynomials.
+    empty coefficient tuple, so a nonzero polynomial has degree
+    ``len(coeffs) - 1``.
 
     >>> str(QPoly([1, 0, 2, 1]))
     '1 + 2q^2 + q^3'
@@ -68,14 +68,6 @@ class QPoly:
     @classmethod
     def one(cls) -> "QPoly":
         return cls((1,))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -65,26 +65,17 @@ def inv_word(w) -> int:
     return count
 
 
-def neg(p: Perm) -> int:
-    return sum(1 for v in p if v < 0)
-
-
 def length_s(p: Perm, family: str) -> int:
     """Coxeter length: inversions, corrected by the negative entries in B/D."""
     check_perm(p, family)
-    return _length_s(p, family)
-
-
-def _length_s(p: Perm, family: str) -> int:
-    """``length_s`` of a ``p`` that ``check_perm`` has already passed."""
     base = inv_word(p)
     if family == "A":
         return base
-    drop = -sum(v for v in p if v < 0)
+    negatives = [v for v in p if v < 0]
     if family == "B":
-        return base + drop
+        return base - sum(negatives)
     if family == "D":
-        return base + drop - neg(p)
+        return base - sum(negatives) - len(negatives)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -97,15 +88,6 @@ def maj_word(w) -> int:
     return total
 
 
-def des_set(w) -> set[int]:
-    """1-indexed descent positions of an integer sequence."""
-    return {i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]}
-
-
-def des(p: Perm) -> int:
-    return len(des_set(p))
-
-
 def maj(p: Perm, family: str) -> int:
     """Major index: A uses the one-line word; B doubles it and adds neg;
     D subtracts the negative entries and their count."""
@@ -114,33 +96,59 @@ def maj(p: Perm, family: str) -> int:
 
 
 def _maj(p: Perm, family: str) -> int:
-    """``maj`` of a ``p`` that ``check_perm`` has already passed."""
+    """``maj`` of a checked ``p``; ``imaj`` reads it on the inverse."""
     base = maj_word(p)
     if family == "A":
         return base
+    negatives = [v for v in p if v < 0]
     if family == "B":
-        return 2 * base + neg(p)
+        return 2 * base + len(negatives)
     if family == "D":
-        return base - sum(v for v in p if v < 0) - neg(p)
+        return base - sum(negatives) - len(negatives)
     raise ValueError(f"unknown family {family!r}")
-
-
-def ides_set(p: Perm) -> set[int]:
-    return des_set(inverse(p))
-
-
-def ides(p: Perm) -> int:
-    return des(inverse(p))
 
 
 def imaj(p: Perm, family: str) -> int:
     check_perm(p, family)
-    return _imaj(p, family)
-
-
-def _imaj(p: Perm, family: str) -> int:
-    """``imaj`` of a ``p`` that ``check_perm`` has already passed."""
     return _maj(inverse(p), family)
+
+
+def _stats(p: Perm, family: str) -> tuple[int, int, int, int, int, int]:
+    """l_S, maj, imaj, the descent and inverse-descent sets (bitmasks of
+    1-indexed positions) and neg of a checked ``p``, by the formulas of
+    ``length_s`` and ``maj``, in one pass that counts inversions as
+    ``inv_word`` does and builds the inverse."""
+    n = len(p)
+    q = [0] * n  # the inverse, its positive entries shifted down by one (order kept)
+    seen: list[int] = []
+    inv = dmask = dsum = drop = idrop = negs = 0  # drop: minus the negative entries' sum; idrop: the inverse's
+    prev = -n - 1
+    for i, v in enumerate(p):
+        inv += i - bisect_right(seen, v)
+        insort(seen, v)
+        if v > 0:
+            q[v - 1] = i
+        else:
+            q[-v - 1] = ~i
+            drop -= v
+            negs += 1
+            idrop += i + 1
+        if prev > v:
+            dmask |= 1 << i
+            dsum += i
+        prev = v
+    imask = isum = 0
+    for i in range(1, n):
+        if q[i - 1] > q[i]:
+            imask |= 1 << i
+            isum += i
+    if family == "A":
+        return inv, dsum, isum, dmask, imask, negs
+    if family == "B":
+        return inv + drop, 2 * dsum + negs, 2 * isum + negs, dmask, imask, negs
+    if family == "D":
+        return inv + drop - negs, dsum + drop - negs, isum + idrop - negs, dmask, imask, negs
+    raise ValueError(f"unknown family {family!r}")
 
 
 def rev(p: Perm) -> Perm:

@@ -34,19 +34,12 @@ class SortingWord:
 
     factors: tuple[tuple[int, ...], ...]
 
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return tuple(l for f in self.factors for l in f)
-
-    def factor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(f) for f in self.factors)
-
     def is_sortable_chain(self) -> bool:
-        sets = self.factor_sets()
-        return all(sets[i] >= sets[i + 1] for i in range(len(sets) - 1))
+        fs = self.factors
+        return all(map(frozenset.issuperset, map(frozenset, fs), fs[1:]))
 
     def __len__(self) -> int:
-        return sum(len(f) for f in self.factors)
+        return sum(map(len, self.factors))
 
     def __str__(self) -> str:
         if not self.factors:
@@ -56,9 +49,7 @@ class SortingWord:
 
 def _check_c_word(c_word, n: int, family: str):
     expect = set(range(1, n)) if family == "A" else set(range(0, n))
-    if list(c_word) and (set(c_word) != expect or len(c_word) != len(expect)):
-        raise ValueError(f"not a Coxeter word for {family}{n}: {c_word!r}")
-    if not list(c_word) and expect:
+    if set(c_word) != expect or len(c_word) != len(expect):
         raise ValueError(f"not a Coxeter word for {family}{n}: {c_word!r}")
 
 

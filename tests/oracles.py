@@ -17,10 +17,13 @@ part from ``split_lower_upper``, against the row-start verifier
 phi's row kernel by span lists: every shell's spans and mirrors, sorted
 and read block by block, against the streaming walk
 ``bijmaps._phi_rows``.  The old readers beside it: the north columns of an
-unchecked word, against the one-pass ``paths._dyck_columns``, the
-inversion count over all pairs, against the insertion count
-``signedperm.inv_word``, and the permutation check by absolute values,
-against ``signedperm.check_perm`` and its type-A shortcut.
+unchecked word and the Dyck check that reads a word three times
+(``check_dyck``, ``is_dyck_a``/``is_dyck_b``), against the one-pass
+``paths._dyck_columns``, the inversion count over all pairs, against the
+insertion count ``signedperm.inv_word``, the permutation check by
+absolute values, against ``signedperm.check_perm`` and its type-A
+shortcut, and the one-statistic helpers ``neg``, ``des_set``, ``des``,
+``ides_set`` and ``ides``, against the one-pass ``signedperm._stats``.
 
 The area and maj polynomials by a depth-first pass with one leaf per
 path, against the lattice-point pass ``paths._stat_counts``, and the
@@ -28,15 +31,15 @@ palindromicity test one coefficient at a time, against
 ``qseries.is_palindromic``.
 
 The reference helpers that only the tests call, each checked against the
-library or against a definition: monomials, exact polynomial division and
-the substitution q -> q^m, path conjugation, the east count and
-lower/upper split of a type-B path, the partition above a path, the
-root-to-cell maps, an ideal's descent set and arc partition, the
-root-poset order, upper covers, maximal elements and antichains, the
-non-crossing predicates and the partition-to-permutation codecs, absolute
-order, the sorting-word parser, 231-avoidance, the non-crossing Coxeter
-elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class of
-Coxeter elements of D_4.
+library or against a definition: a polynomial's degree and coefficients,
+monomials, exact polynomial division and the substitution q -> q^m, path
+conjugation, the east count and lower/upper split of a type-B path, the
+partition above a path, the root-to-cell maps, an ideal's descent set and
+arc partition, the root-poset order, upper covers, maximal elements and
+antichains, the non-crossing predicates and the partition-to-permutation
+codecs, absolute order, the sorting-word parser and a sorting word's
+letters, 231-avoidance, the non-crossing Coxeter elements (1, ..., n) and
+(1, ..., n, -1, ..., -n), and the class of Coxeter elements of D_4.
 """
 
 from collections import deque
@@ -107,7 +110,7 @@ def verify_phi_theorems_frozensets(t: GroupType, unsafe: bool = False) -> dict:
         if total != two_n:
             fail(report, "maj-identity", ideal=sorted(map(rootposets.root_str, ideal)), total=total)
         if fam == "A":
-            if len(ideal_des(t, ideal)) + signedperm.des(sigma) != n - 1:
+            if len(ideal_des(t, ideal)) + des(sigma) != n - 1:
                 fail(report, "des-sum", ideal=sorted(map(rootposets.root_str, ideal)))
         if sigma in images:
             fail(report, "injectivity", image=sigma)
@@ -117,7 +120,7 @@ def verify_phi_theorems_frozensets(t: GroupType, unsafe: bool = False) -> dict:
         fail(report, "image-set", missing=sorted(target - set(images))[:3])
     if fam == "A":
         for sigma in target:
-            if signedperm.des(sigma) != signedperm.ides(sigma):
+            if des(sigma) != ides(sigma):
                 fail(report, "des-ides", image=sigma)
     if fam == "B":
         big = GroupType("B", t.rank + 1)
@@ -153,16 +156,16 @@ def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
             easts_after = len(word) - word.rindex("N") - 1 if "N" in word else 0
             if easts_after:
                 k = easts_after
-                if sigma[k - 1] != 1 or not set(range(1, k)) <= signedperm.des_set(sigma):
+                if sigma[k - 1] != 1 or not set(range(1, k)) <= des_set(sigma):
                     fail(report, "last-descent", word=word, image=sigma)
         else:
-            if neg_b(word) + signedperm.neg(sigma) != n:
+            if neg_b(word) + neg(sigma) != n:
                 fail(report, "neg-sum", word=word, image=sigma)
             lower, _ = split_lower_upper(word)
             sigma1, _ = bijmaps.psi_a(lower)
-            if signedperm.ides_set(sigma) != signedperm.ides_set(sigma1):
+            if ides_set(sigma) != ides_set(sigma1):
                 fail(report, "ides-split", word=word)
-            if signedperm.imaj(sigma, "B") != signedperm.imaj(sigma1, "B") + signedperm.neg(sigma):
+            if signedperm.imaj(sigma, "B") != signedperm.imaj(sigma1, "B") + neg(sigma):
                 fail(report, "imaj-split", word=word)
         if sigma in images:
             fail(report, "injectivity", image=sigma)
@@ -174,6 +177,16 @@ def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
 
 
 # -- q-series ------------------------------------------------------------------
+
+
+def degree(p: QPoly) -> int:
+    """The degree of ``p``; -1 for the zero polynomial."""
+    return len(p.coeffs) - 1
+
+
+def coeff(p: QPoly, k: int) -> int:
+    """The coefficient of q^k in ``p``, 0 outside its terms."""
+    return p.coeffs[k] if 0 <= k < len(p.coeffs) else 0
 
 
 def monomial(exponent: int, coefficient: int = 1) -> QPoly:
@@ -212,7 +225,7 @@ def substitute_power(p: QPoly, m: int) -> QPoly:
     """The polynomial with q replaced by q^m."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    out = [0] * (m * p.degree() + 1) if p.coeffs else []
+    out = [0] * (m * degree(p) + 1) if p.coeffs else []
     for i, c in enumerate(p.coeffs):
         out[m * i] = c
     return QPoly(out)
@@ -221,8 +234,8 @@ def substitute_power(p: QPoly, m: int) -> QPoly:
 def is_palindromic_loop(p: QPoly, center: int) -> bool:
     """coeff(k) == coeff(center - k) for every k up to max(degree, center), one
     ``coeff`` call at a time; the oracle for ``qseries.is_palindromic``."""
-    top = max(p.degree(), center)
-    return all(p.coeff(k) == p.coeff(center - k) for k in range(0, top + 1))
+    top = max(degree(p), center)
+    return all(coeff(p, k) == coeff(p, center - k) for k in range(0, top + 1))
 
 
 # -- phi's span reader ----------------------------------------------------------
@@ -325,6 +338,32 @@ def _read_block(seq: list[int], cycles: list[tuple[int, ...]]) -> None:
 # -- paths ---------------------------------------------------------------------
 
 
+def is_dyck_a(word: str) -> bool:
+    """Balanced N/E word whose prefixes never have more E's than N's."""
+    return is_dyck_b(word) and 2 * word.count("N") == len(word)
+
+
+def is_dyck_b(word: str) -> bool:
+    """N/E word of even length whose prefixes never have more E's than N's."""
+    if len(word) % 2 or any(c not in "NE" for c in word):
+        return False
+    lvl = 0
+    for c in word:
+        lvl += 1 if c == "N" else -1
+        if lvl < 0:
+            return False
+    return True
+
+
+def check_dyck(word: str, family: str) -> int:
+    """The semilength of a type-``family`` Dyck word, by the three reads of
+    ``is_dyck_a``/``is_dyck_b``; the reference for ``paths._dyck_columns``."""
+    ok = is_dyck_a(word) if family == "A" else is_dyck_b(word)
+    if not ok:
+        raise ValueError(f"not a type-{family} Dyck word: {word!r}")
+    return len(word) // 2
+
+
 def north_columns(word: str) -> list[int]:
     """x-coordinate (number of earlier east steps) of the north step in each row."""
     xs = []
@@ -373,14 +412,14 @@ def stat_counts_dfs(family: str, n: int) -> tuple[QPoly, QPoly]:
 
 def conjugate_a(word: str) -> str:
     """Reverse the word and swap N with E; an involution on Dyck words."""
-    paths._check(word, "A")
+    check_dyck(word, "A")
     swap = {"N": "E", "E": "N"}
     return "".join(swap[c] for c in reversed(word))
 
 
 def neg_b(word: str) -> int:
     """Number of east steps of a type-B path."""
-    paths._check(word, "B")
+    check_dyck(word, "B")
     return word.count("E")
 
 
@@ -391,7 +430,7 @@ def split_lower_upper(word: str) -> tuple[str, str]:
     step; the upper part is the suffix following the n-th north step, and
     is empty when the path is balanced (nothing rises above height n).
     """
-    n = paths._check(word, "B")
+    n = check_dyck(word, "B")
     norths = 0
     cut = len(word)
     for pos, c in enumerate(word):
@@ -591,6 +630,27 @@ def check_perm_abs(p: Perm, family: str = "B") -> None:
         raise ValueError(f"type D needs an even number of negatives: {p!r}")
 
 
+def neg(p: Perm) -> int:
+    return sum(1 for v in p if v < 0)
+
+
+def des_set(w) -> set[int]:
+    """1-indexed descent positions of an integer sequence."""
+    return {i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]}
+
+
+def des(p: Perm) -> int:
+    return len(des_set(p))
+
+
+def ides_set(p: Perm) -> set[int]:
+    return des_set(inverse(p))
+
+
+def ides(p: Perm) -> int:
+    return des(inverse(p))
+
+
 def inv_word_pairs(w) -> int:
     """Number of pairs i < j with w[i] > w[j], by the double loop over the pairs."""
     count = 0
@@ -617,6 +677,11 @@ def parse_sorting_word(s: str) -> SortingWord:
     if s in ("", "e"):
         return SortingWord(())
     return SortingWord(tuple(tuple(int(tok[1:]) for tok in chunk.split()) for chunk in s.split("|")))
+
+
+def letters(sw: SortingWord) -> tuple[int, ...]:
+    """The reduced word a sorting word chops into factors, read straight through."""
+    return tuple(l for f in sw.factors for l in f)
 
 
 def avoids_231(p: Perm) -> bool:

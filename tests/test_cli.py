@@ -89,7 +89,7 @@ class TestPathPolynomials:
             raise AssertionError("the one-pass route enumerated or re-checked a path")
 
         monkeypatch.setattr(rootposets.RootPoset, "ideals", refuse)
-        monkeypatch.setattr(paths, "_check", refuse)
+        monkeypatch.setattr(paths, "_dyck_columns", refuse)
         monkeypatch.setattr(paths, "enumerate_a", refuse)
         for obj in ("dyck", "ideal"):
             code, out = run(capsys, ["poly", "--object", obj, "--stat", "maj", "--type", "A", "--n", "6"])
@@ -103,6 +103,8 @@ class TestPathPolynomials:
             main(["poly", "--object", "ideal", "--stat", "area", "--type", "D", "--n", "4"])
         with pytest.raises(AssertionError):
             main(["enumerate", "--object", "dyck", "--type", "A", "--n", "6"])
+        with pytest.raises(AssertionError):
+            paths.maj_a("NE")
 
     def test_unsafe_ideal_meets_no_path_guard(self, capsys):
         # B9 ideals pass the ideal guard with --unsafe; the path guard (B8) is not consulted

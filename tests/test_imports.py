@@ -17,9 +17,10 @@ the per-word statistics, ``phi`` and its verifier may not name the
 frozenset ideals, their statistics and lift, or ``from_cycles``, and the
 psi verifier and its row kernel may not name the word enumerations, the
 Dyck check, the per-word statistics and split, or the word entries
-``psi_a``/``psi_b``.  The verifiers check each image once and then call
-the unchecked statistic bodies, so they may not name the checked
-statistics, ``c_sorting_word`` or the sorted ``rev_nc``; the walk of the
+``psi_a``/``psi_b``.  The verifiers check each image once and then read
+all its statistics from one pass, ``signedperm._stats``, so they may not
+name the checked statistics, ``c_sorting_word`` or the sorted ``rev_nc``,
+nor a single statistic, a descent set, ``neg`` or ``inverse``; the walk of the
 sortable elements checks its word once, so it may not name
 ``is_c_sortable`` or ``c_sorting_word``.  phi's row kernel walks each
 shell once in left-endpoint order, so it may not name a sort or the span
@@ -52,6 +53,7 @@ CHECKED_STATS = {"length_s", "maj", "imaj", "c_sorting_word", "rev_nc"}
 CHECKED_SORT = {"is_c_sortable", "c_sorting_word"}
 SPAN_SORT = {"sort", "sorted", "_span_cycles", "_read_block"}
 DYCK_PASSES = {"_check", "_north_columns"}
+SINGLE_STATS = {"_length_s", "_maj", "_imaj", "des", "ides", "des_set", "ides_set", "neg", "inverse"}
 # row -> (layer, functions, the names they may not use)
 ONE_PASS = {
     "paths": ("paths", ("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
@@ -59,6 +61,7 @@ ONE_PASS = {
     "bijmaps": ("bijmaps", ("verify_phi_theorems", "phi", "_phi_rows"), ROW_STARTS),
     "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi"), PSI_WORDS),
     "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
+    "bijmaps-one-stats-pass": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), SINGLE_STATS),
     "sortable-walk": ("sortable", ("enumerate_sortables",), CHECKED_SORT),
     "phi-walk": ("bijmaps", ("_phi_rows",), SPAN_SORT),
     "psi-reader": ("bijmaps", ("psi_a", "psi_b"), DYCK_PASSES),
@@ -241,6 +244,19 @@ def test_psi_row_scan(source, names):
 )
 def test_unchecked_stats_scan(source, names):
     assert per_object_names(source, ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def verify_phi_theorems(t):\n    return _length_s(s, f), _maj(s, f) + _imaj(s, f)\n", ["_imaj", "_length_s", "_maj"]),
+        ("def verify_phi_theorems(t):\n    return signedperm.des(s) == signedperm.ides(s)\n", ["des", "ides"]),
+        ("def verify_psi_theorems(t):\n    return des_set(s), ides_set(s1), neg(s), inverse(s)\n", ["des_set", "ides_set", "inverse", "neg"]),
+        ("def verify_psi_theorems(t):\n    length, s_maj, s_imaj, dmask, imask, negs = _stats(s, f)\n", []),
+    ],
+)
+def test_one_stats_pass_scan(source, names):
+    assert per_object_names(source, ("verify_phi_theorems", "verify_psi_theorems"), SINGLE_STATS)[0] == names
 
 
 @pytest.mark.parametrize(

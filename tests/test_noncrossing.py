@@ -282,6 +282,17 @@ class TestD4Counterexample:
         for c, interval in pairs:
             assert sorted(interval, key=sp.group_order_key) == nc.nc_elements(t, c)
 
+    def test_one_pass_conjugation_is_the_product(self):
+        c0 = sp.coxeter_element("D", 4)[0]
+        base = nc.nc_elements(GroupType("D", 4), c0)
+        for c, g in nc._coxeter_class_d4():
+            assert nc._conj(g, c0) == c
+            g_inv = sp.inverse(g)
+            for w in base:
+                u = nc._conj(g, w)
+                assert u == sp.mul(sp.mul(g, w), g_inv)
+                sp.check_perm(u, "D")
+
     def test_report(self):
         report = nc.d4_counterexample()
         assert report["failures"] == []

@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -7,7 +8,10 @@ from coxcat import paths
 from coxcat import rootposets as rp
 from coxcat.qseries import GroupType, QPoly, SizeGuardError, gen_poly, q_binomial, qcat_a, qcat_product
 from oracles import (
+    check_dyck,
     conjugate_a,
+    is_dyck_a,
+    is_dyck_b,
     monomial,
     neg_b,
     partition_of_path,
@@ -69,6 +73,27 @@ class TestEnumerate:
         assert not paths.is_dyck_b("ENNN")
         with pytest.raises(ValueError):
             paths.cells_a("NEN")
+
+    def test_one_validator_matches_the_reference(self):
+        # the public predicates and the per-word maj read the word once, through
+        # ``_dyck_columns``; each agrees with the three-read reference ``check_dyck``
+        words = ["".join(w) for k in range(11) for w in itertools.product("NE", repeat=k)]
+        words += ["X", "NX", "NEX", "NNEEx", "nE", "N E", "NNEE\n", "NENE ", "NE-E"]
+        refused = {"A": 0, "B": 0}
+        for word in words:
+            assert paths.is_dyck_a(word) == is_dyck_a(word)
+            assert paths.is_dyck_b(word) == is_dyck_b(word)
+            for family, maj in (("A", paths.maj_a), ("B", paths.maj_b)):
+                try:
+                    check_dyck(word, family)
+                except ValueError as exc:
+                    refused[family] += 1
+                    with pytest.raises(ValueError) as got:
+                        maj(word)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert maj(word) == (oracle_maj(word) if family == "A" else 2 * oracle_maj(word[::-1], weight_2n=False))
+        assert 0 < refused["B"] < refused["A"] < len(words)
 
 
 class TestCells:
@@ -251,7 +276,7 @@ class TestUnfold:
     def test_unfold_random_words(self, letters):
         w = "".join(letters)
         img = paths.unfold_lattice_to_b(w)
-        assert paths.is_dyck_b(img)
+        assert is_dyck_b(img)
         assert paths.maj_b(img) == 2 * paths.lattice_maj(w)
 
     @pytest.mark.parametrize("n", range(6))
@@ -277,7 +302,7 @@ class TestSplit:
     def test_lower_part_is_dyck(self, n):
         for w in paths.enumerate_b(n):
             lower, upper = split_lower_upper(w)
-            assert paths.is_dyck_a(lower)
+            assert is_dyck_a(lower)
             assert lower[: len(w) - len(upper)] == w[: len(w) - len(upper)]
 
 

@@ -18,7 +18,7 @@ from coxcat.qseries import (
     qcat_product,
 )
 from coxcat.qseries import _over_q_integer, _qcat, _times_q_integer
-from oracles import divexact, is_palindromic_loop, substitute_power
+from oracles import coeff, degree, divexact, is_palindromic_loop, substitute_power
 
 
 def oracle_q_binomial(k, l):
@@ -31,8 +31,10 @@ class TestQPoly:
         assert QPoly([1, 2, 0, 0]).coeffs == (1, 2)
         assert QPoly([0, 0]).coeffs == ()
         assert not QPoly()
-        assert QPoly([3]).degree() == 0
-        assert QPoly([1, 1]).degree() == 1
+        assert degree(QPoly([3])) == 0
+        assert degree(QPoly([1, 1])) == 1
+        assert degree(QPoly()) == -1
+        assert coeff(QPoly([1, 2]), 1) == 2 and coeff(QPoly([1, 2]), 2) == coeff(QPoly([1, 2]), -1) == 0
 
     def test_str(self):
         assert str(QPoly()) == "0"
@@ -283,7 +285,7 @@ class TestGenPoly:
     def test_value_at_one_counts_inputs(self, values):
         poly = gen_poly(values)
         assert poly(1) == len(values)
-        assert all(poly.coeff(k) == values.count(k) for k in range(32))
+        assert all(coeff(poly, k) == values.count(k) for k in range(32))
 
 
 class TestGroupType:

@@ -10,6 +10,8 @@ from oracles import (
     ideal_des,
     ideal_to_arc_partition_a,
     is_antichain,
+    is_dyck_a,
+    is_dyck_b,
     maximal_elements,
     upper_covers,
 )
@@ -180,7 +182,7 @@ class TestCellDictionary:
         seen = set()
         for ideal in rp.ideals(t):
             word = rp.ideal_to_dyck(t, ideal)
-            assert paths.is_dyck_a(word)
+            assert is_dyck_a(word)
             assert len(paths.cells_a(word)) == len(ideal)
             assert rp.dyck_to_ideal(t, word) == ideal
             seen.add(word)
@@ -192,7 +194,7 @@ class TestCellDictionary:
         seen = set()
         for ideal in rp.ideals(t):
             word = rp.ideal_to_dyck(t, ideal)
-            assert paths.is_dyck_b(word)
+            assert is_dyck_b(word)
             assert len(paths.cells_b(word)) == len(ideal)
             assert rp.dyck_to_ideal(t, word) == ideal
             seen.add(word)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
 from coxcat.qseries import SizeGuardError
-from oracles import check_perm_abs, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element
+from oracles import check_perm_abs, des_set, ides_set, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg
 
 
 def bfs_simple_length(target, family):
@@ -93,7 +93,7 @@ class TestKernelsAgainstDefinitions:
     def test_inv_and_maj_word(self, w):
         pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
         assert sp.inv_word(w) == sum(1 for i, j in pairs if w[i] > w[j])
-        assert sp.maj_word(w) == sum(sp.des_set(w))
+        assert sp.maj_word(w) == sum(des_set(w))
 
     @given(
         st.one_of(st.lists(st.integers(-4, 4), max_size=4), signed_perms(4).map(list)),
@@ -132,13 +132,36 @@ class TestLengthS:
                 assert sp.length_s(w, fam) == bfs_simple_length(w, fam)
 
 
+def _mask(positions) -> int:
+    return sum(1 << i for i in positions)
+
+
+class TestStats:
+    """``_stats`` against the single statistics and the oracle descent sets."""
+
+    @pytest.mark.parametrize("fam,n", [("A", n) for n in range(7)] + [(f, n) for f in "BD" for n in range(6)])
+    def test_matches_the_single_statistics(self, fam, n):
+        for w in sp.enumerate_group(fam, n):
+            want = sp.length_s(w, fam), sp.maj(w, fam), sp.imaj(w, fam), _mask(des_set(w)), _mask(ides_set(w)), neg(w)
+            assert sp._stats(w, fam) == want
+
+    def test_worked_example(self):
+        sigma = (7, 3, 4, 5, 2, 6, 9, 8, 1)
+        assert sp._stats(sigma, "A") == (17, 20, 17, _mask({1, 4, 7, 8}), _mask({1, 2, 6, 8}), 0)
+        assert sp._stats((-2, -1), "D") == (1, 1, 1, 0, 0, 2)  # s_0, an involution
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError):
+            sp._stats((1,), "E")
+
+
 class TestMaj:
     def test_examples(self):
         assert sp.maj(sp.identity(3), "B") == 0
         sigma = (7, 3, 4, 5, 2, 6, 9, 8, 1)
-        assert sp.des_set(sigma) == {1, 4, 7, 8}
+        assert des_set(sigma) == {1, 4, 7, 8}
         assert sp.maj(sigma, "A") == 20
-        assert sp.ides_set(sigma) == {1, 2, 6, 8}
+        assert ides_set(sigma) == {1, 2, 6, 8}
         assert sp.imaj(sigma, "A") == 17
         assert sp.maj((-1, 2), "B") == 1
 

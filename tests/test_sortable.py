@@ -6,7 +6,7 @@ from coxcat import signedperm as sp
 from coxcat import sortable as so
 from coxcat.qseries import GroupType, QPoly, SizeGuardError, cat_number
 from coxcat.rootposets import cat_q
-from oracles import avoids_231, parse_sorting_word
+from oracles import avoids_231, letters, parse_sorting_word
 
 
 def oracle_231(p):
@@ -58,8 +58,18 @@ class TestSortingWord:
         assert parse_sorting_word("e") == so.SortingWord(())
 
     def test_bad_c_word(self):
-        with pytest.raises(ValueError):
-            so.c_sorting_word((2, 1), (1, 1), "A")
+        for p, c_word, fam in [((2, 1), (1, 1), "A"), ((2, 1), (), "A"), ((2, 1), (1,), "B"), ((1, 2, 3), (2, 1, 1), "A")]:
+            with pytest.raises(ValueError, match="not a Coxeter word"):
+                so.c_sorting_word(p, c_word, fam)
+        assert so.c_sorting_word((1,), (), "A") == so.SortingWord(())
+
+    def test_sortable_chain(self):
+        assert so.SortingWord(()).is_sortable_chain()
+        assert so.SortingWord(((2, 1),)).is_sortable_chain()
+        assert so.SortingWord(((3, 2, 1), (3, 1), (1,), (1,))).is_sortable_chain()
+        assert not so.SortingWord(((2,), (2, 1))).is_sortable_chain()
+        assert not so.SortingWord(((3, 2), (1,))).is_sortable_chain()
+        assert len(so.SortingWord(())) == 0 and len(so.SortingWord(((3, 2), (1,)))) == 3
 
     @pytest.mark.parametrize("fam,n", [("A", 5), ("B", 3), ("D", 4)])
     def test_reduced_and_evaluates_back(self, fam, n):
@@ -67,7 +77,7 @@ class TestSortingWord:
         for w in sp.enumerate_group(fam, n):
             sw = so.c_sorting_word(w, c, fam)
             assert len(sw) == sp.length_s(w, fam)
-            assert sp.word_to_perm(sw.letters, n, fam) == w
+            assert sp.word_to_perm(letters(sw), n, fam) == w
             assert all(set(f) <= set(c) for f in sw.factors)
 
     @pytest.mark.parametrize("fam,n", [("B", 3), ("D", 4)])
@@ -222,9 +232,8 @@ class TestUncheckedBodies:
     def test_bodies_equal_the_public_forms(self, fam, n):
         c = default_c_word(fam, n)
         for w in sp.enumerate_group(fam, n):
-            assert sp._length_s(w, fam) == sp.length_s(w, fam)
-            assert sp._maj(w, fam) == sp.maj(w, fam)
-            assert sp._imaj(w, fam) == sp.imaj(w, fam) == sp.maj(sp.inverse(w), fam)
+            assert sp._stats(w, fam)[:3] == (sp.length_s(w, fam), sp.maj(w, fam), sp.imaj(w, fam))
+            assert sp.imaj(w, fam) == sp.maj(sp.inverse(w), fam)
             sw = so._sorting_word(w, c, fam)
             assert sw == so.c_sorting_word(w, c, fam)
             assert len(sw) == sp.length_s(w, fam)
