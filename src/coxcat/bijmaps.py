@@ -18,9 +18,11 @@ diagonal, as a sorting word, sorting the cells into factors in one pass
 over the rows.  The verifiers check the counting and major-index
 identities exhaustively at a given rank; both take each path's row
 starts, area and maj from one pass over the Dyck paths
-(``paths._row_stream``) and build no ideal or word unless a check fails.
-They check each image once with ``check_perm`` and read all its
-statistics from one pass, ``signedperm._stats``.  psi's image set is
+(``paths._row_stream``) and build no ideal or word unless a check fails;
+``preimage`` looks an image up in one table from images to row starts,
+built by that pass, and builds only the one ideal or word it finds.
+The verifiers check each image once with ``check_perm`` and read all
+its statistics from one pass, ``signedperm._stats``.  psi's image set is
 checked by membership and count, and Sort(W, c) is walked only if that fails.
 """
 
@@ -187,15 +189,23 @@ def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
 
 
 @lru_cache(maxsize=None)
-def phi_inverse_table(t: GroupType) -> dict[Perm, frozenset[Root]]:
-    return {phi(t, i): i for i in rootposets.ideals(t)}
-
-
-@lru_cache(maxsize=None)
-def psi_inverse_table(t: GroupType) -> dict[Perm, str]:
+def _inverse_rows(t: GroupType, via: str) -> dict[Perm, tuple[int, ...]]:
+    """Each image of ``via`` ("phi" or "psi") at rank t, mapped to its row starts
+    by one pass over the Dyck paths through the row kernels, as the verifiers take it."""
+    if via == "phi":
+        check_guard("ideal", t.family, t.rank)
+        return {_phi_rows(t, x): x for x, _, _, _ in paths._row_stream(t.family, t.n)}
     check_guard("path", t.family, t.n)
-    psi, words = (psi_a, paths.enumerate_a) if t.family == "A" else (psi_b, paths.enumerate_b)
-    return {psi(w)[0]: w for w in words(t.n)}
+    return {_psi(x, t.n, t.family)[0]: x for x, _, _, _ in paths._row_stream(t.family, t.n)}
+
+
+def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | None:
+    """The ideal (phi) or Dyck word (psi) that ``via`` sends to ``image`` at rank t, or None;
+    phi answers to the ideal guard at the rank, psi to the path guard at n."""
+    x = _inverse_rows(t, via).get(image)
+    if x is None:
+        return None
+    return rootposets._ideal_of_rows(t, x) if via == "phi" else paths._word_of_rows(t.family, t.n, x)
 
 
 def _report(identity: str, rank: int) -> dict:
@@ -221,9 +231,8 @@ def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     the rows with two filled bottom rows.
     """
     fam, n = t.family, t.n
-    rootposets.planar_cells(t)  # raises for type D, which has no row starts
+    two_n = 2 * sum(rootposets.planar_cells(t).caps)  # twice the cell count; raises for type D
     check_guard("ideal", fam, t.rank, unsafe)
-    two_n = n * (n - 1) if fam == "A" else 2 * n * n
     report = _report(f"phi{fam}", t.rank)
     images = {}
     masks = {}  # type A: each image's descent and inverse-descent masks
@@ -270,9 +279,9 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     ideal limit: both stream the Cat(W) row starts.
     """
     fam, n = t.family, t.n
-    rootposets.planar_cells(t)  # raises for type D, which has no row starts
+    caps = rootposets.planar_cells(t).caps  # raises for type D, which has no row starts
     check_guard("ideal", fam, t.rank, unsafe)
-    two_n = n * (n - 1) if fam == "A" else 2 * n * n
+    two_n = 2 * sum(caps)  # twice the cell count, that is, of the positive roots
     report = _report(f"psi{fam}", t.rank)
     c_word = signedperm.coxeter_element(fam, n)[1]
     images = set()
@@ -296,7 +305,7 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
             if sigma[k - 1] != 1 or dmask & full != full:
                 _fail(report, "last-descent", word=paths._word_of_rows(fam, n, x), image=sigma)
         else:
-            easts = n - sum(x[j] < 2 * n - j for j in range(n, 2 * n))
+            easts = n - sum(a < cap for a, cap in zip(x[n:], caps[n:]))  # n minus the upper north steps
             if easts + negs != n:
                 _fail(report, "neg-sum", word=paths._word_of_rows(fam, n, x), image=sigma)
             sigma1, _ = _psi(x[:n], n, "A")

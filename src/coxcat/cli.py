@@ -66,44 +66,34 @@ def _serialize(kind: str, obj, fmt: str) -> str:
     raise ValueError(kind)
 
 
-def _stat_value(kind: str, obj, stat: str, args) -> int:
-    family = args.type
-    if kind == "path":
-        if stat == "area":
-            return paths.area_a(obj) if family == "A" else paths.area_b(obj)
-        if stat == "maj":
-            return paths.maj_a(obj) if family == "A" else paths.maj_b(obj)
-    if kind == "ideal":
-        if stat == "area":
-            return len(obj)
-        if stat == "maj":
-            return rootposets.ideal_maj(_group(family, args.n), obj)
-    if kind == "perm":
-        if stat == "ls":
-            return signedperm.length_s(obj, family)
-        if stat == "lt":
-            return signedperm.length_t(obj)
-        if stat == "maj":
-            return signedperm.maj(obj, family)
-        if stat == "majimaj":
-            return signedperm.maj(obj, family) + signedperm.imaj(obj, family)
-    raise ValueError(f"statistic {stat!r} undefined for {kind}")
-
-
-_DEFAULT_STATS = {"path": ("area", "maj"), "ideal": ("area", "maj"), "perm": ("ls", "majimaj")}
-# what ``_enumerate_objects`` yields for each object, and the statistics ``_stat_value`` defines on it
+# each kind's statistics, as readers of (object, args); the first two are its csv columns
+_STAT_READERS = {
+    "path": {
+        "area": lambda w, args: (paths.area_a if args.type == "A" else paths.area_b)(w),
+        "maj": lambda w, args: (paths.maj_a if args.type == "A" else paths.maj_b)(w),
+    },
+    "ideal": {
+        "area": lambda ideal, args: len(ideal),
+        "maj": lambda ideal, args: rootposets.ideal_maj(_group(args.type, args.n), ideal),
+    },
+    "perm": {
+        "ls": lambda p, args: signedperm.length_s(p, args.type),
+        "majimaj": lambda p, args: signedperm.maj(p, args.type) + signedperm.imaj(p, args.type),
+        "lt": lambda p, args: signedperm.length_t(p),
+        "maj": lambda p, args: signedperm.maj(p, args.type),
+    },
+}
+# what ``_enumerate_objects`` yields for each object
 _KIND = {"dyck": "path", "ideal": "ideal", "nc": "perm", "revnc": "perm", "sortable": "perm", "partition": "partition"}
-_KIND_STATS = {"path": ("area", "maj"), "ideal": ("area", "maj"), "perm": ("ls", "lt", "maj", "majimaj")}
 
 
 def cmd_enumerate(args) -> int:
-    objs = _enumerate_objects(args)
     lines = []
-    for kind, obj in objs:
+    for kind, obj in _enumerate_objects(args):
         line = _serialize(kind, obj, args.format)
         if args.format == "csv":
-            stats = _DEFAULT_STATS.get(kind, ())
-            vals = [str(_stat_value(kind, obj, s, args)) for s in stats]
+            readers = list(_STAT_READERS.get(kind, {}).values())[:2]
+            vals = [str(read(obj, args)) for read in readers]
             line = ",".join([_serialize(kind, obj, "text").replace(",", ";")] + vals)
         lines.append(line)
     for line in sorted(lines):
@@ -131,11 +121,12 @@ def _path_poly(args):
 
 def cmd_poly(args) -> int:
     kind = _KIND[args.object]
-    if args.stat not in _KIND_STATS.get(kind, ()):
+    read = _STAT_READERS.get(kind, {}).get(args.stat)
+    if read is None:
         raise ValueError(f"statistic {args.stat!r} undefined for {kind}")
     poly = _path_poly(args)
     if poly is None:
-        poly = gen_poly(_stat_value(kind, obj, args.stat, args) for kind, obj in _enumerate_objects(args))
+        poly = gen_poly(read(obj, args) for _, obj in _enumerate_objects(args))
     if args.format == "json":
         print(json.dumps(poly.to_json()))
     else:
@@ -172,16 +163,13 @@ def _map_line(args, t: GroupType, line: str) -> str:
     family, n = t.family, t.n
     if args.inverse:
         image = _parse_perm_line(line, n)
-        if args.via.startswith("phi"):
-            kind, preimage = "ideal", bijmaps.phi_inverse_table(t).get(image)
-        else:
-            kind, preimage = "path", bijmaps.psi_inverse_table(t).get(image)
+        preimage = bijmaps.preimage(t, args.via[:3], image)
         if preimage is None:
             raise ValueError(f"{image!r} is not in the image of {args.via}")
-        serialized = _serialize(kind, preimage, args.format)
+        serialized = _serialize("ideal" if args.via.startswith("phi") else "path", preimage, args.format)
         ls = signedperm.length_s(image, family)
         if args.format == "json":
-            return json.dumps({"preimage": json.loads(serialized) if kind == "ideal" else {"steps": preimage}, "ls": ls})
+            return json.dumps({"preimage": json.loads(serialized), "ls": ls})
         return f"{serialized}  ls={ls}"
     if args.via.startswith("phi"):
         image = bijmaps.phi(t, rootposets.ideal_from_json(json.loads(line)))

@@ -4,7 +4,9 @@ A path is a plain string over the alphabet {"N", "E"} (north/east steps).
 Type A paths are balanced words of length 2n weakly above the diagonal;
 type B paths have 2n steps and every prefix weakly above the diagonal,
 with a free endpoint.  Both identify with staircase-closed sets of cells
-``(i, j)`` (0-indexed column, row) lying below the path.
+``(i, j)`` (0-indexed column, row) lying below the path: row j runs from
+its north column up to its cap (``_caps``), so area and maj are read off
+the north columns, and the cell sets are left to the tests' oracles.
 
 Area and maj add up over the steps of a path, so their generating
 polynomials come from one pass over the lattice points, in O(n^4) steps
@@ -14,11 +16,10 @@ row starts to the verifiers, still walks the paths one by one.
 
 from __future__ import annotations
 
-from operator import add
+from functools import lru_cache
+from operator import add, sub
 
 from .qseries import QPoly, check_guard
-
-Cell = tuple[int, int]
 
 
 def is_dyck_a(word: str) -> bool:
@@ -91,45 +92,20 @@ def _dyck_columns(word: str, family: str) -> list[int]:
     raise ValueError(f"not a type-{family} Dyck word: {word!r}")
 
 
-def cells_a(word: str) -> frozenset[Cell]:
-    """Cells (i, j), 0 <= i < j < n, strictly below the path and above the diagonal."""
-    return _cells(word, "A")
+@lru_cache(maxsize=None)
+def _caps(family: str, n: int) -> tuple[int, ...]:
+    """Row j of a path of 2n steps holds the cells x_j <= i < cap_j: j in type A, min(j, 2n - j) in type B."""
+    return tuple(range(n)) if family == "A" else tuple(min(j, 2 * n - j) for j in range(2 * n))
 
 
 def area_a(word: str) -> int:
-    return len(cells_a(word))
-
-
-def cells_b(word: str) -> frozenset[Cell]:
-    """Cells (i, j), 0 <= i < j <= 2n-1-i, below a type-B path."""
-    return _cells(word, "B")
+    """The number of cells (i, j), 0 <= i < j < n, below the path: cap_j - x_j in row j."""
+    return sum(map(sub, _caps("A", len(word) // 2), _dyck_columns(word, "A")))
 
 
 def area_b(word: str) -> int:
-    return len(cells_b(word))
-
-
-def _cells(word: str, family: str) -> frozenset[Cell]:
-    """Row j holds the cells from its north column up to its cap min(j, 2n - j)."""
-    xs = _dyck_columns(word, family)
-    n = len(word) // 2
-    return frozenset((i, j) for j, x in enumerate(xs) for i in range(x, min(j, 2 * n - j)))
-
-
-def _word_from_columns(xs: list[int], total: int) -> str:
-    """The word of ``total`` steps whose j-th north step follows xs[j] east steps."""
-    word = []
-    easts = 0
-    for j, x in enumerate(xs):
-        if x < easts or x > j:
-            raise ValueError("north columns must weakly increase and stay left of the diagonal")
-        word.append("E" * (x - easts) + "N")
-        easts = x
-    word.append("E" * (total - len(xs) - easts))
-    out = "".join(word)
-    if len(out) != total:
-        raise ValueError(f"north columns do not fit a path of {total} steps")
-    return out
+    """The number of cells (i, j), 0 <= i < j <= 2n-1-i, below a type-B path: cap_j - x_j in row j."""
+    return sum(map(sub, _caps("B", len(word) // 2), _dyck_columns(word, "B")))
 
 
 def _word_of_rows(family: str, n: int, x) -> str:
@@ -138,25 +114,37 @@ def _word_of_rows(family: str, n: int, x) -> str:
     Row j's north step follows x[j] east steps; a type-B row j >= n at its
     cap 2n - j has no north step.
     """
-    cols = x if family == "A" else [a for j, a in enumerate(x) if j < n or a < 2 * n - j]
-    return _word_from_columns(cols, 2 * n)
+    caps = _caps(family, n)
+    word: list[str] = []  # one entry per north step until the closing east steps
+    easts = 0
+    for j, a in enumerate(x):
+        if j >= n and a >= caps[j]:
+            continue
+        if a < easts or a > len(word):
+            raise ValueError("north columns must weakly increase and stay left of the diagonal")
+        word.append("E" * (a - easts) + "N")
+        easts = a
+    word.append("E" * (2 * n - len(word) - easts))
+    out = "".join(word)
+    if len(out) != 2 * n:
+        raise ValueError(f"north columns do not fit a path of {2 * n} steps")
+    return out
 
 
-def descent_set(word: str) -> set[int]:
-    """1-indexed positions i with an east step followed by a north step (N < E)."""
-    return {i + 1 for i in range(len(word) - 1) if word[i] == "E" and word[i + 1] == "N"}
+def _descent_weight(xs: list[int], total: int) -> int:
+    """Sum of total - i over the descents i = j + x_j: the north steps j after an east step, x_j > x_(j-1)."""
+    return sum(total - j - x for j, (prev, x) in enumerate(zip([0, *xs], xs)) if x > prev)
 
 
 def maj_a(word: str) -> int:
     """Sum of 2n - i over descents of the word, with N < E."""
-    n = len(_dyck_columns(word, "A"))  # a type-A word has n north steps
-    return sum(2 * n - i for i in descent_set(word))
+    return _descent_weight(_dyck_columns(word, "A"), len(word))
 
 
 def maj_b(word: str) -> int:
     """Twice (number of east steps plus the sum of 2n - i over descents)."""
-    easts = len(word) - len(_dyck_columns(word, "B"))
-    return 2 * (easts + sum(len(word) - i for i in descent_set(word)))
+    xs = _dyck_columns(word, "B")
+    return 2 * (len(word) - len(xs) + _descent_weight(xs, len(word)))
 
 
 def lattice_maj(word: str) -> int:
@@ -202,22 +190,19 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     grouped by their north count and by whether their last step was east,
     and each group keeps the area tallies and the maj tallies of its
     prefixes.  A north step in row j shifts the area tallies by the
-    cap_j - easts cells to its right (cap_j is j in type A and
-    min(j, 2n - j) in type B); after an east step it closes a descent at
-    0-indexed position k, which shifts the maj tallies by 2n - k.  A
-    prefix with ``top`` north steps or 2n steps ends its group's paths (the
-    rest is forced east), and in type B it adds its east count 2n - norths
-    to the maj before the doubling of ``maj_b``.  That is O(n^2) groups
-    with O(n^2) tallies each: O(n^4) in all, against Cat(n) paths.
+    cap_j - easts cells to its right (``_caps``); after an east step it
+    closes a descent at 0-indexed position k, which shifts the maj tallies
+    by 2n - k.  A prefix with a north step in every row or with 2n steps
+    ends its group's paths (the rest is forced east), and in type B it
+    adds its east count 2n - norths to the maj before the doubling of
+    ``maj_b``.  That is O(n^2) groups with O(n^2) tallies each: O(n^4) in
+    all, against Cat(n) paths.
     ``area_a``/``maj_a``/``area_b``/``maj_b`` remain the per-word oracles.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     total = 2 * n
-    if family == "A":
-        top, caps = n, list(range(n))
-    else:
-        top, caps = total, [min(j, total - j) for j in range(total)]
+    caps = _caps(family, n)
     double = family == "B"
     area: list[int] = []
     maj: list[int] = []
@@ -226,7 +211,7 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
         grown: dict[tuple[int, bool], tuple[list[int], list[int]]] = {}
         for (norths, after_east), (a, m) in layer.items():
             easts = k - norths
-            if norths == top or k == total:
+            if norths == len(caps) or k == total:
                 _add_shifted(area, a, 0)
                 _add_shifted(maj, m, total - norths if double else 0)
                 continue
@@ -256,10 +241,8 @@ def _row_stream(family: str, n: int):
     the starts are a tuple of n (type A) or 2n (type B) entries.
     """
     total = 2 * n
-    if family == "A":
-        top, caps = n, list(range(n))
-    else:
-        top, caps = total, [min(j, total - j) for j in range(total)]
+    caps = _caps(family, n)
+    top = len(caps)
     x = list(caps)
     double = family == "B"
 

@@ -179,9 +179,9 @@ def root_poset(t: GroupType) -> RootPoset:
 class PlanarCells(NamedTuple):
     """The cell/root dictionary of a type-A or type-B rank, by rows.
 
-    Row j holds the cells (i, j) with i < ``caps[j]``, where the cap is j
-    in type A and min(j, 2n - j) in type B; ``rows[j][i]`` is the root at
-    cell (i, j) and ``cell_of`` inverts it.  Cell (i, j) is covered by
+    Row j holds the cells (i, j) with i < ``caps[j]``, the row caps of the
+    paths (``paths._caps``); ``rows[j][i]`` is the root at cell (i, j) and
+    ``cell_of`` inverts it.  Cell (i, j) is covered by
     (i, j + 1) and (i - 1, j), so an order ideal fills each row j with an
     interval [x_j, caps[j]): its row starts x are the ideal's Dyck path.
     """
@@ -194,12 +194,10 @@ class PlanarCells(NamedTuple):
 @lru_cache(maxsize=None)
 def planar_cells(t: GroupType) -> PlanarCells:
     n = t.n
-    if t.family == "A":
-        caps, root_of = tuple(range(n)), root_of_cell_a
-    elif t.family == "B":
-        caps, root_of = tuple(min(j, 2 * n - j) for j in range(2 * n)), root_of_cell_b
-    else:
+    if t.family not in ("A", "B"):
         raise ValueError("no planar cells for type D")
+    caps = paths._caps(t.family, n)
+    root_of = root_of_cell_a if t.family == "A" else root_of_cell_b
     rows = tuple(tuple(root_of((i, j), n) for i in range(cap)) for j, cap in enumerate(caps))
     cell_of = {r: (i, j) for j, row in enumerate(rows) for i, r in enumerate(row)}
     return PlanarCells(cell_of, rows, caps)
@@ -328,4 +326,10 @@ def ideal_from_json(data) -> frozenset[Root]:
     roots = data.get("roots") if isinstance(data, dict) else data
     if not isinstance(roots, list) or not all(isinstance(s, str) for s in roots):
         raise ValueError(f'expected a list of root strings or {{"roots": [...]}}, got {data!r}')
-    return frozenset(parse_root(s) for s in roots)
+    ideal: set[Root] = set()
+    for s in roots:
+        r = parse_root(s)
+        if r in ideal:
+            raise ValueError(f"root {s!r} is repeated")
+        ideal.add(r)
+    return frozenset(ideal)

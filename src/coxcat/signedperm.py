@@ -319,6 +319,8 @@ def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
 
 def word_to_perm(word, n: int, family: str = "B") -> Perm:
     """Evaluate a word in simple reflections by right multiplication."""
+    if family not in ("A", "B", "D"):
+        raise ValueError(f"unknown family {family!r}")
     if word and not 0 <= min(word) <= max(word) < n:
         raise ValueError(f"letter outside 0..{n - 1} in {tuple(word)!r}")
     if family == "D" and n < 2 and 0 in word:

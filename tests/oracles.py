@@ -30,6 +30,11 @@ path, against the lattice-point pass ``paths._stat_counts``, and the
 palindromicity test one coefficient at a time, against
 ``qseries.is_palindromic``.
 
+The cell sets of a path (``cells_a``/``cells_b``) and its descent set,
+against the area and maj that ``paths`` reads off the north columns, and
+the inverse tables of phi over every ideal and of psi over every word,
+against ``bijmaps.preimage`` and its one table of row starts.
+
 The reference helpers that only the tests call, each checked against the
 library or against a definition: a polynomial's degree and coefficients,
 monomials, exact polynomial division and the substitution q -> q^m, path
@@ -47,7 +52,7 @@ from functools import lru_cache
 
 from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
 from coxcat.noncrossing import SetPartition, rev_nc
-from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError
+from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError, check_guard
 from coxcat.rootposets import Cell, Root, RootPoset
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from coxcat.signedperm import (
@@ -364,6 +369,28 @@ def check_dyck(word: str, family: str) -> int:
     return len(word) // 2
 
 
+def cells_a(word: str) -> frozenset[Cell]:
+    """Cells (i, j), 0 <= i < j < n, strictly below the path and above the diagonal."""
+    return _cells(word, "A")
+
+
+def cells_b(word: str) -> frozenset[Cell]:
+    """Cells (i, j), 0 <= i < j <= 2n-1-i, below a type-B path."""
+    return _cells(word, "B")
+
+
+def _cells(word: str, family: str) -> frozenset[Cell]:
+    """Row j holds the cells from its north column up to its cap min(j, 2n - j)."""
+    xs = paths._dyck_columns(word, family)
+    n = len(word) // 2
+    return frozenset((i, j) for j, x in enumerate(xs) for i in range(x, min(j, 2 * n - j)))
+
+
+def descent_set(word: str) -> set[int]:
+    """1-indexed positions i with an east step followed by a north step (N < E)."""
+    return {i + 1 for i in range(len(word) - 1) if word[i] == "E" and word[i + 1] == "N"}
+
+
 def north_columns(word: str) -> list[int]:
     """x-coordinate (number of earlier east steps) of the north step in each row."""
     xs = []
@@ -458,7 +485,21 @@ def path_from_partition(lam: tuple[int, ...], n: int) -> str:
     xs = list(reversed(parts))
     if any(x > j for j, x in enumerate(xs)):
         raise ValueError("partition does not fit inside the staircase")
-    return paths._word_from_columns(xs, 2 * n)
+    return paths._word_of_rows("A", n, xs)
+
+
+@lru_cache(maxsize=None)
+def phi_inverse_table(t: GroupType) -> dict[Perm, frozenset[Root]]:
+    """Every ideal of ``t`` by its phi image: the reference for ``bijmaps.preimage``."""
+    return {bijmaps.phi(t, i): i for i in rootposets.ideals(t)}
+
+
+@lru_cache(maxsize=None)
+def psi_inverse_table(t: GroupType) -> dict[Perm, str]:
+    """Every Dyck word of ``t`` by its psi image: the reference for ``bijmaps.preimage``."""
+    check_guard("path", t.family, t.n)
+    psi, words = (bijmaps.psi_a, paths.enumerate_a) if t.family == "A" else (bijmaps.psi_b, paths.enumerate_b)
+    return {psi(w)[0]: w for w in words(t.n)}
 
 
 # -- root posets ---------------------------------------------------------------
@@ -517,7 +558,7 @@ def is_antichain(poset: RootPoset, rs) -> bool:
 
 def ideal_des(t: GroupType, ideal: frozenset[Root]) -> set[int]:
     """The descent set of the ideal's Dyck path."""
-    return paths.descent_set(rootposets.ideal_to_dyck(t, ideal))
+    return descent_set(rootposets.ideal_to_dyck(t, ideal))
 
 
 def ideal_to_arc_partition_a(t: GroupType, ideal: frozenset[Root]) -> frozenset[frozenset[int]]:

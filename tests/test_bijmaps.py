@@ -14,6 +14,8 @@ from coxcat.qseries import GroupType, SizeGuardError, cat_number
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from oracles import (
     _span_cycles,
+    cells_a,
+    cells_b,
     check_dyck,
     des,
     ideal_des,
@@ -24,7 +26,9 @@ from oracles import (
     leq,
     maximal_elements,
     north_columns,
+    phi_inverse_table,
     phi_rows_spans,
+    psi_inverse_table,
     split_lower_upper,
     verify_phi_theorems_frozensets,
     verify_psi_theorems_words,
@@ -130,7 +134,7 @@ def phi_oracle(t, ideal):
 def psi_a_oracle(word):
     """Rescan the cell set once per diagonal."""
     n = len(word) // 2
-    cells = paths.cells_a(word)
+    cells = cells_a(word)
     factors = []
     for f in range(1, n):
         diag = sorted((i, j) for i, j in cells if j - i == f)
@@ -143,7 +147,7 @@ def psi_a_oracle(word):
 
 def psi_b_oracle(word):
     n = len(word) // 2
-    ordered = sorted(paths.cells_b(word))
+    ordered = sorted(cells_b(word))
     factors = []
     for f in range(1, 2 * n):
         factor = [n - 1 - i for i, j in ordered if j < n and j - i == f]
@@ -306,7 +310,7 @@ class TestPhi:
 
     def test_inverse_table(self):
         t = GroupType("B", 3)
-        table = bm.phi_inverse_table(t)
+        table = phi_inverse_table(t)
         for ideal in rp.ideals(t):
             assert table[bm.phi(t, ideal)] == ideal
 
@@ -364,9 +368,24 @@ class TestPsi:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_round_trip_by_table(self, n):
-        table = bm.psi_inverse_table(GroupType("A", n - 1))
+        table = psi_inverse_table(GroupType("A", n - 1))
         for w in paths.enumerate_a(n):
             assert table[bm.psi_a(w)[0]] == w
+
+
+class TestPreimage:
+    """``preimage`` reads one row-start table; the tables of ideals and words are the oracles."""
+
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 7)] + [GroupType("B", r) for r in range(1, 6)], ids=str)
+    def test_matches_the_tables(self, t):
+        for via, table in (("phi", phi_inverse_table(t)), ("psi", psi_inverse_table(t))):
+            assert len(bm._inverse_rows(t, via)) == len(table) == cat_number(t)
+            for image, want in table.items():
+                assert bm.preimage(t, via, image) == want
+            others = [w for w in sp.enumerate_group(t.family, t.n) if w not in table][:5]
+            assert len(others) == min(5, sp.group_order(t.family, t.n) - len(table))
+            for image in others + [sp.identity(t.n + 1)]:
+                assert bm.preimage(t, via, image) is None
 
 
 class TestVerifiers:

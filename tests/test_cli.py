@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -57,18 +56,17 @@ class TestPolyUsageErrors:
         assert main(["poly", "--object", obj, "--stat", stat, "--type", "A", "--n", "12"]) == 2
         assert capsys.readouterr().err == f"error: statistic {stat!r} undefined for {kind}\n"
 
-    def test_the_table_is_what_stat_value_defines(self, capsys):
-        args = argparse.Namespace(type="B", n=2)
-        samples = {"path": "NENE", "ideal": frozenset(), "perm": (1, 2), "partition": frozenset()}
+    def test_every_listed_statistic_runs_and_no_other(self, capsys):
         assert tuple(cli._KIND) == cli._OBJECTS
+        assert set(cli._STAT_READERS) < set(cli._KIND.values())
         for obj, kind in cli._KIND.items():
             for stat in cli._STATS:
-                if stat in cli._KIND_STATS.get(kind, ()):
-                    assert main(["poly", "--object", obj, "--stat", stat, "--type", "B", "--n", "2"]) == 0, (obj, stat)
+                code = main(["poly", "--object", obj, "--stat", stat, "--type", "B", "--n", "2"])
+                err = capsys.readouterr().err
+                if stat in cli._STAT_READERS.get(kind, {}):
+                    assert (code, err) == (0, ""), (obj, stat)
                 else:
-                    with pytest.raises(ValueError, match="undefined"):
-                        cli._stat_value(kind, samples[kind], stat, args)
-        capsys.readouterr()
+                    assert (code, err) == (2, f"error: statistic {stat!r} undefined for {kind}\n"), (obj, stat)
 
 
 class TestPathPolynomials:
@@ -283,6 +281,21 @@ class TestMap:
         assert code == 2
         assert captured.out == ""
         assert "path enumeration guarded at n <= 8 for type B" in captured.err
+
+    @pytest.mark.parametrize("line", ['{"roots": ["e2-e1", "e2-e1"]}', '["e2-e1", "e3-e2", "e2-e1"]'])
+    def test_phi_rejects_a_repeated_root(self, capsys, monkeypatch, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        assert main(["map", "--via", "phiA", "--n", "3"]) == 2
+        assert capsys.readouterr().err == "error: line 1: root 'e2-e1' is repeated\n"
+
+    def test_inverse_phi_guarded_like_ideal_enumeration(self, capsys, monkeypatch):
+        # A10 has paths of semilength 11, inside the path guard, but is past the ideal guard
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1,2,3,4,5,6,7,8,9,10,11]\n"))
+        code = main(["map", "--via", "phiA", "--n", "11", "--inverse"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ideal enumeration guarded at rank 9 for type A" in captured.err
 
     def test_inverse_outside_image(self, capsys, monkeypatch):
         code, _ = run(

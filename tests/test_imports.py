@@ -26,7 +26,11 @@ sortable elements checks its word once, so it may not name
 shell once in left-endpoint order, so it may not name a sort or the span
 readers ``_span_cycles``/``_read_block``, and ``psi_a``, ``psi_b`` and
 ``dyck_to_ideal`` read their word once, so they may not name the Dyck
-check ``_check`` or the unchecked ``_north_columns``.
+check ``_check`` or the unchecked ``_north_columns``.  The inverse table
+of phi and psi is one pass over the row starts, so it may not name the
+ideal or word enumerations, the per-object maps or the Dyck check; and
+the per-word area and maj read the north columns, so they may not name
+the cell sets or the descent set, which are the tests' oracles.
 
 A fourth keeps test-only code out of the package: every top-level function
 and class in ``src/coxcat`` must be reached by name from ``cli.main`` or
@@ -54,6 +58,8 @@ CHECKED_SORT = {"is_c_sortable", "c_sorting_word"}
 SPAN_SORT = {"sort", "sorted", "_span_cycles", "_read_block"}
 DYCK_PASSES = {"_check", "_north_columns"}
 SINGLE_STATS = {"_length_s", "_maj", "_imaj", "des", "ides", "des_set", "ides_set", "neg", "inverse"}
+INVERSE_WORDS = {"ideals", "enumerate_a", "enumerate_b", "phi", "psi_a", "psi_b", "_dyck_columns"}
+CELL_SETS = {"_cells", "cells_a", "cells_b", "descent_set"}
 # row -> (layer, functions, the names they may not use)
 ONE_PASS = {
     "paths": ("paths", ("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
@@ -66,6 +72,8 @@ ONE_PASS = {
     "phi-walk": ("bijmaps", ("_phi_rows",), SPAN_SORT),
     "psi-reader": ("bijmaps", ("psi_a", "psi_b"), DYCK_PASSES),
     "rootposets-reader": ("rootposets", ("dyck_to_ideal",), DYCK_PASSES),
+    "inverse-rows": ("bijmaps", ("_inverse_rows",), INVERSE_WORDS),
+    "north-column-stats": ("paths", ("area_a", "area_b", "maj_a", "maj_b"), CELL_SETS),
 }
 
 
@@ -295,6 +303,31 @@ def test_phi_walk_scan(source, names):
 )
 def test_dyck_reader_scan(source, names):
     assert per_object_names(source, ("psi_a", "psi_b", "dyck_to_ideal"), DYCK_PASSES)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def _inverse_rows(t, via):\n    return {phi(t, i): i for i in rootposets.ideals(t)}\n", ["ideals", "phi"]),
+        ("def _inverse_rows(t, via):\n    return {psi_b(w)[0]: paths._dyck_columns(w, 'B') for w in enumerate_b(t.n)}\n", ["_dyck_columns", "enumerate_b", "psi_b"]),
+        ("def _inverse_rows(t, via):\n    if via == 'phi':\n        return {_phi_rows(t, x): x for x in rows}\n", []),
+    ],
+)
+def test_inverse_rows_scan(source, names):
+    assert per_object_names(source, ("_inverse_rows",), INVERSE_WORDS)[0] == names
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def area_a(word):\n    return len(cells_a(word))\n", ["cells_a"]),
+        ("def maj_b(word):\n    return 2 * sum(len(word) - i for i in descent_set(word))\n", ["descent_set"]),
+        ("def area_b(word):\n    return len(_cells(word, 'B'))\n", ["_cells"]),
+        ("def maj_a(word):\n    return _descent_weight(_dyck_columns(word, 'A'), len(word))\n", []),
+    ],
+)
+def test_north_column_scan(source, names):
+    assert per_object_names(source, ("area_a", "area_b", "maj_a", "maj_b"), CELL_SETS)[0] == names
 
 
 def _mentioned(node: ast.AST) -> set[str]:

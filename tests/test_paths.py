@@ -8,8 +8,11 @@ from coxcat import paths
 from coxcat import rootposets as rp
 from coxcat.qseries import GroupType, QPoly, SizeGuardError, gen_poly, q_binomial, qcat_a, qcat_product
 from oracles import (
+    cells_a,
+    cells_b,
     check_dyck,
     conjugate_a,
+    descent_set,
     is_dyck_a,
     is_dyck_b,
     monomial,
@@ -72,7 +75,7 @@ class TestEnumerate:
         assert paths.is_dyck_b("NENN")
         assert not paths.is_dyck_b("ENNN")
         with pytest.raises(ValueError):
-            paths.cells_a("NEN")
+            paths.area_a("NEN")
 
     def test_one_validator_matches_the_reference(self):
         # the public predicates and the per-word maj read the word once, through
@@ -100,34 +103,34 @@ class TestCells:
     def test_figure_cells(self):
         want = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
                 (1, 3), (4, 6), (5, 7)}
-        assert paths.cells_a(FIG_PATH_A8) == frozenset(want)
+        assert cells_a(FIG_PATH_A8) == frozenset(want)
 
     def test_extremes(self):
         n = 5
         full = "N" * n + "E" * n
-        assert len(paths.cells_a(full)) == n * (n - 1) // 2
-        assert paths.cells_a("NE" * n) == frozenset()
+        assert len(cells_a(full)) == n * (n - 1) // 2
+        assert cells_a("NE" * n) == frozenset()
 
     def test_area_b_examples(self):
         assert paths.area_b("NNNN") == 4
         assert paths.area_b("NENE") == 0
         assert paths.area_b("NENN") == 1
-        assert paths.cells_b("NENN") == frozenset({(1, 2)})
+        assert cells_b("NENN") == frozenset({(1, 2)})
 
     @pytest.mark.parametrize("n", range(7))
     def test_area_oracle_a(self, n):
         for w in paths.enumerate_a(n):
-            assert len(paths.cells_a(w)) == oracle_area(w, "A")
+            assert paths.area_a(w) == oracle_area(w, "A")
 
     @pytest.mark.parametrize("n", range(5))
     def test_area_oracle_b(self, n):
         for w in paths.enumerate_b(n):
-            assert len(paths.cells_b(w)) == oracle_area(w, "B")
+            assert paths.area_b(w) == oracle_area(w, "B")
 
     @pytest.mark.parametrize("n", range(6))
     def test_staircase_closure_and_round_trip(self, n):
         for w in paths.enumerate_a(n):
-            cells = paths.cells_a(w)
+            cells = cells_a(w)
             for i, j in cells:
                 if i + 1 < j:
                     assert (i + 1, j) in cells
@@ -137,7 +140,7 @@ class TestCells:
                 ideal = frozenset(rp.root_of_cell_a(c, n) for c in cells)
                 assert rp.ideal_to_dyck(GroupType("A", n - 1), ideal) == w
         for w in paths.enumerate_b(n):
-            cells = paths.cells_b(w)
+            cells = cells_b(w)
             for i, j in cells:
                 if i + 1 < j and j <= 2 * n - 1 - (i + 1):
                     assert (i + 1, j) in cells
@@ -153,13 +156,13 @@ class TestMaj:
         assert paths.maj_a("NNNEEE") == 0
         # Des(NENENE) = {2, 4}; (6-2) + (6-4)
         assert paths.maj_a("NENENE") == 6
-        assert paths.descent_set("NNNEENNENNENENEEEE") == {5, 8, 11, 13}
+        assert descent_set("NNNEENNENNENENEEEE") == {5, 8, 11, 13}
         assert paths.maj_a("NNNEENNENNENENEEEE") == 35
 
     def test_maj_b_worked_example(self):
         word = "NENNENNNENNE"
         assert neg_b(word) == 4
-        assert paths.descent_set(word) == {2, 5, 9}
+        assert descent_set(word) == {2, 5, 9}
         assert paths.maj_b(word) == 48
         assert paths.maj_b("N" * 8) == 0
         # Des(NENN) = {2}: 2 * (1 + (4-2))
@@ -176,6 +179,48 @@ class TestMaj:
     def test_maj_oracle(self, n):
         for w in paths.enumerate_a(n):
             assert paths.maj_a(w) == oracle_maj(w)
+
+
+def dyck_word(bits, family):
+    """The type-``family`` Dyck word of len(bits) steps that steps north on a
+    set bit whenever both steps are allowed, and otherwise takes the one allowed."""
+    top = len(bits) // 2 if family == "A" else len(bits)
+    word, norths = [], 0
+    for k, bit in enumerate(bits):
+        north = norths < top and (bit or 2 * norths == k)
+        word.append("N" if north else "E")
+        norths += north
+    return "".join(word)
+
+
+def cell_stats(word, family):
+    """Area and maj from the cell and descent-set oracles."""
+    weight = sum(len(word) - i for i in descent_set(word))
+    if family == "A":
+        return len(cells_a(word)), weight
+    return len(cells_b(word)), 2 * (word.count("E") + weight)
+
+
+class TestNorthColumnStats:
+    """``area_*``/``maj_*`` read the north columns; the cell sets and descent sets are the oracles."""
+
+    STATS = {"A": (paths.area_a, paths.maj_a), "B": (paths.area_b, paths.maj_b)}
+
+    @pytest.mark.parametrize("family,n", [("A", n) for n in range(9)] + [("B", n) for n in range(7)])
+    def test_every_word(self, family, n):
+        area, maj = self.STATS[family]
+        for w in paths.enumerate_a(n) if family == "A" else paths.enumerate_b(n):
+            assert (area(w), maj(w)) == cell_stats(w, family)
+
+    @given(st.sampled_from([("A", 30), ("B", 20)]).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.lists(st.booleans(), min_size=2 * case[1], max_size=2 * case[1]))
+    ))
+    def test_random_words(self, case):
+        family, bits = case
+        word = dyck_word(bits, family)
+        assert (paths.is_dyck_a if family == "A" else paths.is_dyck_b)(word)
+        area, maj = self.STATS[family]
+        assert (area(word), maj(word)) == cell_stats(word, family)
 
 
 class TestConjugate:
@@ -316,4 +361,4 @@ class TestPartitionCodec:
         for w in paths.enumerate_a(n):
             lam = partition_of_path(w)
             assert path_from_partition(lam, n) == w
-            assert len(paths.cells_a(w)) == n * (n - 1) // 2 - sum(lam)
+            assert len(cells_a(w)) == n * (n - 1) // 2 - sum(lam)

@@ -183,7 +183,7 @@ class TestCellDictionary:
         for ideal in rp.ideals(t):
             word = rp.ideal_to_dyck(t, ideal)
             assert is_dyck_a(word)
-            assert len(paths.cells_a(word)) == len(ideal)
+            assert paths.area_a(word) == len(ideal)
             assert rp.dyck_to_ideal(t, word) == ideal
             seen.add(word)
         assert seen == set(paths.enumerate_a(n))
@@ -195,7 +195,7 @@ class TestCellDictionary:
         for ideal in rp.ideals(t):
             word = rp.ideal_to_dyck(t, ideal)
             assert is_dyck_b(word)
-            assert len(paths.cells_b(word)) == len(ideal)
+            assert paths.area_b(word) == len(ideal)
             assert rp.dyck_to_ideal(t, word) == ideal
             seen.add(word)
         assert seen == set(paths.enumerate_b(rank))
@@ -218,6 +218,8 @@ class TestRowStarts:
         t = GroupType(fam, rank)
         n = t.n
         cell_of, rows, caps = rp.planar_cells(t)
+        assert caps == paths._caps(fam, n)
+        assert caps == (tuple(range(n)) if fam == "A" else tuple(min(j, 2 * n - j) for j in range(2 * n)))
         assert set(cell_of) == set(rp.positive_roots(t))
         assert [len(row) for row in rows] == list(caps)
         to_cell = cell_of_root_a if fam == "A" else cell_of_root_b
@@ -377,6 +379,13 @@ class TestSerialization:
 
     def test_ideal_from_json_accepts_a_bare_list(self):
         assert rp.ideal_from_json(["e1", "e2-e1"]) == frozenset([rp.short(1), rp.diff(1, 2)])
+
+    @pytest.mark.parametrize(
+        "data,repeat", [({"roots": ["e1", "e2-e1", "e1"]}, "e1"), (["e2 - e1", "e1", "e2-e1", "e1"], "e2-e1")]
+    )
+    def test_ideal_from_json_rejects_a_repeated_root(self, data, repeat):
+        with pytest.raises(ValueError, match=f"^root '{repeat}' is repeated$"):
+            rp.ideal_from_json(data)
 
     @pytest.mark.parametrize("data", [{"root": ["e1"]}, {"roots": "e1"}, [1, 2], "e1", None, ["e1", 2]])
     def test_ideal_from_json_rejects_other_shapes(self, data):

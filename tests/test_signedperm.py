@@ -294,6 +294,12 @@ class TestCoxeterElement:
         assert sp.word_to_perm((0,), 1, "B") == (-1,)
         assert sp.word_to_perm((), 1, "D") == (1,)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown family 'X'"):
+            sp.word_to_perm((1,), 3, "X")
+        with pytest.raises(ValueError, match="unknown family 'E'"):
+            sp.coxeter_element("E", 3)
+
     def test_simple_reflection_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside 0..2"):
             sp.simple_reflection(3, 3)
