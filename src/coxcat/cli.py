@@ -106,17 +106,18 @@ def _path_poly(args):
 
     An ideal's row starts are its Dyck path, |I| is the path's area and
     ``ideal_maj`` is the path's maj, so both objects share the path
-    polynomials.  An ideal answers to the ideal guard alone.
+    polynomials.  An ideal answers to the ideal guard alone, a path to the
+    path guard.
     """
     family = args.type
     if family == "D" or args.object not in ("dyck", "ideal") or args.stat not in ("area", "maj"):
         return None
-    unsafe = args.unsafe
     if args.object == "ideal":
-        check_guard("ideal", family, _group(family, args.n).rank, unsafe)
-        unsafe = True
-    poly = paths.area_polynomial if args.stat == "area" else paths.maj_polynomial
-    return poly(family, args.n, unsafe)
+        check_guard("ideal", family, _group(family, args.n).rank, args.unsafe)
+    else:
+        check_guard("path", family, args.n, args.unsafe)
+    area, maj = paths._stat_counts(family, args.n)
+    return area if args.stat == "area" else maj
 
 
 def cmd_poly(args) -> int:
@@ -163,6 +164,8 @@ def _map_line(args, t: GroupType, line: str) -> str:
     family, n = t.family, t.n
     if args.inverse:
         image = _parse_perm_line(line, n)
+        if len(image) != n:
+            raise ValueError(f"{image!r} has {len(image)} entries, but --n {n} needs {n}")
         preimage = bijmaps.preimage(t, args.via[:3], image)
         if preimage is None:
             raise ValueError(f"{image!r} is not in the image of {args.via}")

@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic in q and the closed-form q-Catalan numbers.
 
 Everything here is integer-exact: polynomials are dense coefficient vectors
-over Python ints, and quotients are computed by long division with an
-explicit failure signal rather than rational arithmetic.
+over Python ints.  The q-Catalan quotient prod (1 - q^(d+h)) / (1 - q^d) is
+formed by shifted subtractions and running sums, not rational arithmetic,
+and a quotient that is not a polynomial raises InexactDivisionError.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Sequence
 
 
@@ -288,49 +291,28 @@ def cat_number(t: GroupType) -> int:
     return num // den
 
 
-def _times_q_integer(cs: list[int], k: int) -> list[int]:
-    """The coefficients of cs times [k]_q: each is the sum of a window of k of cs."""
-    out = []
-    window = 0
-    for i in range(len(cs) + k - 1):
-        if i < len(cs):
-            window += cs[i]
-        if i >= k:
-            window -= cs[i - k]
-        out.append(window)
-    return out
-
-
-def _over_q_integer(cs: list[int], d: int) -> list[int]:
-    """The coefficients of cs / [d]_q, dividing cs (1 - q) by 1 - q^d.
-
-    The quotient by 1 - q^d satisfies c[i] = b[i] + c[i - d]; it is exact
-    iff that recurrence dies out, i.e. its last d terms are zero.  Raises
-    InexactDivisionError otherwise.
-    """
-    if d < 1:
-        raise ZeroDivisionError("division by [0]_q = 0")
-    c = [x - y for x, y in zip(cs + [0], [0] + cs)]
-    for i in range(d, len(c)):
-        c[i] += c[i - d]
-    cut = max(len(c) - d, 0)
-    if any(c[cut:]):
-        raise InexactDivisionError(f"{QPoly(cs)} not divisible by {q_integer(d)}")
-    return c[:cut]
-
-
 def _qcat(ds: Sequence[int], h: int) -> QPoly:
-    """prod [d + h]_q / [d]_q over the degrees d, in O(degree) steps per factor.
+    """prod [d + h]_q / [d]_q = prod (1 - q^(d+h)) / (1 - q^d) over the degrees d.
 
-    Every partial quotient is a polynomial, since the full quotient times
-    the [d]_q not yet divided out is one.
+    Multiplying by 1 - q^m subtracts the coefficient m places down; dividing
+    by 1 - q^d, as a power series, takes running sums along each residue
+    class mod d.  With prod (1 - q^d) of degree D and constant term 1, the
+    truncated series is the quotient iff its top D coefficients, those past
+    h * len(ds), are zero.  Raises InexactDivisionError otherwise.
     """
-    cs = [1]
+    if any(d < 1 for d in ds):
+        raise ZeroDivisionError("division by [0]_q = 0")
+    cs = [1] + [0] * sum(d + h for d in ds)
     for d in ds:
-        cs = _times_q_integer(cs, d + h)
+        m = d + h
+        cs[m:] = map(sub, cs[m:], cs[:-m])
     for d in ds:
-        cs = _over_q_integer(cs, d)
-    return QPoly(cs)
+        for r in range(d):
+            cs[r::d] = accumulate(cs[r::d])
+    cut = h * len(ds) + 1
+    if any(cs[cut:]):
+        raise InexactDivisionError(f"prod [d + {h}]_q / [d]_q over d in {tuple(ds)} is not a polynomial")
+    return QPoly(cs[:cut])
 
 
 @lru_cache(maxsize=None)

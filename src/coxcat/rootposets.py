@@ -256,7 +256,7 @@ def cat_q(t: GroupType, unsafe: bool = False) -> QPoly:
     if t.family == "D":
         return gen_poly(map(len, ideals(t, unsafe=unsafe)))
     check_guard("ideal", t.family, t.rank, unsafe)
-    return paths.area_polynomial(t.family, t.n, unsafe=True)
+    return paths._stat_counts(t.family, t.n)[0]
 
 
 def root_of_cell_a(cell: Cell, n: int) -> Root:
@@ -302,6 +302,11 @@ def dyck_to_ideal(t: GroupType, word: str) -> frozenset[Root]:
 
 
 def ideal_maj(t: GroupType, ideal: frozenset[Root]) -> int:
+    """The maj of the ideal's Dyck path (``ideal_to_dyck``), which exists only in types A and B."""
+    if t.family == "D":
+        raise ValueError(
+            "maj is undefined for type-D ideals: it is read off the Dyck path, which exists only in types A and B"
+        )
     word = ideal_to_dyck(t, ideal)
     return paths.maj_a(word) if t.family == "A" else paths.maj_b(word)
 

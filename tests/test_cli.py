@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coxcat import cli, paths, qseries, rootposets
+from coxcat import bijmaps, cli, paths, qseries, rootposets
 from coxcat.cli import main
 
 
@@ -68,6 +68,22 @@ class TestPolyUsageErrors:
                 else:
                     assert (code, err) == (2, f"error: statistic {stat!r} undefined for {kind}\n"), (obj, stat)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--object", "ideal", "--type", "D", "--n", "4", "--format", "csv"],
+            ["poly", "--object", "ideal", "--type", "D", "--n", "4", "--stat", "maj"],
+        ],
+        ids=" ".join,
+    )
+    def test_type_d_ideals_have_no_maj(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: maj is undefined for type-D ideals: it is read off the Dyck path, which exists only in types A and B\n"
+        )
+
 
 class TestPathPolynomials:
     """``poly`` of A/B paths and ideals by area or maj: one path DFS, no enumeration."""
@@ -103,6 +119,21 @@ class TestPathPolynomials:
             main(["enumerate", "--object", "dyck", "--type", "A", "--n", "6"])
         with pytest.raises(AssertionError):
             paths.maj_a("NE")
+
+    def test_each_route_checks_one_guard_and_reads_the_pass(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the guarded route re-entered a guarded polynomial")
+
+        monkeypatch.setattr(paths, "area_polynomial", refuse)
+        monkeypatch.setattr(paths, "maj_polynomial", refuse)
+        for obj in ("dyck", "ideal"):
+            for stat in ("area", "maj"):
+                code, out = run(capsys, ["poly", "--object", obj, "--stat", stat, "--type", "B", "--n", "3"])
+                assert code == 0
+                assert out.strip() == str(paths._stat_counts("B", 3)[stat == "maj"])
+        assert rootposets.cat_q(qseries.GroupType("B", 3)) == paths._stat_counts("B", 3)[0]
+        assert main(["poly", "--object", "dyck", "--stat", "maj", "--type", "A", "--n", "13"]) == 2
+        assert capsys.readouterr().err == "error: path enumeration guarded at n <= 12 for type A\n"
 
     def test_unsafe_ideal_meets_no_path_guard(self, capsys):
         # B9 ideals pass the ideal guard with --unsafe; the path guard (B8) is not consulted
@@ -298,13 +329,23 @@ class TestMap:
         assert "ideal enumeration guarded at rank 9 for type A" in captured.err
 
     def test_inverse_outside_image(self, capsys, monkeypatch):
-        code, _ = run(
-            capsys,
-            ["map", "--via", "psiA", "--n", "3", "--inverse"],
-            stdin="[2,3,1]\n",
-            monkeypatch=monkeypatch,
-        )
+        monkeypatch.setattr("sys.stdin", io.StringIO("[2,3,1]\n"))
+        assert main(["map", "--via", "psiA", "--n", "3", "--inverse"]) == 2
+        assert capsys.readouterr().err == "error: line 1: (2, 3, 1) is not in the image of psiA\n"
+
+    @pytest.mark.parametrize("via,line", [("psiA", "[1,2,3]"), ("phiB", "[1,-2]"), ("psiB", "[2,1,3,4,5,6,7,8,9]")])
+    def test_inverse_checks_the_length_before_building_the_table(self, capsys, monkeypatch, via, line):
+        def no_table(t, via):
+            raise AssertionError("the inverse table was built")
+
+        monkeypatch.setattr(bijmaps, "_inverse_rows", no_table)
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code = main(["map", "--via", via, "--n", "8", "--inverse"])
+        captured = capsys.readouterr()
+        image = tuple(json.loads(line))
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: {image} has {len(image)} entries, but --n 8 needs 8\n"
 
     @pytest.mark.parametrize(
         "args,message",
@@ -344,7 +385,7 @@ class TestMap:
     @pytest.mark.parametrize(
         "line,message",
         [
-            ("[3,1,2]", "(3, 1, 2) is not in the image of psiA"),
+            ("[3,1,2]", "(3, 1, 2) has 3 entries, but --n 2 needs 2"),
             ("(1,5)", "entry out of range in cycle (1, 5)"),
             ("[1,1]", "not a signed permutation: (1, 1)"),
         ],

@@ -17,7 +17,8 @@ from coxcat.qseries import (
     qcat_a,
     qcat_product,
 )
-from coxcat.qseries import _over_q_integer, _qcat, _times_q_integer
+from coxcat import qseries
+from coxcat.qseries import _qcat
 from oracles import coeff, degree, divexact, is_palindromic_loop, substitute_power
 
 
@@ -149,11 +150,10 @@ class TestQCat:
         assert qcat_product(GroupType("B", n)) == substitute_power(q_binomial(2 * n, n), 2)
 
 
-def dense_qcat(t):
+def dense_qcat(ds, h):
     """prod [d + h]_q over prod [d]_q as dense products, by long division."""
-    h = coxeter_number(t)
     num, den = QPoly.one(), QPoly.one()
-    for d in degrees(t):
+    for d in ds:
         num = num * q_integer(d + h)
         den = den * q_integer(d)
     return divexact(num, den)
@@ -178,35 +178,32 @@ class TestQIntegerKernels:
 
     @pytest.mark.parametrize("t", EVERY_FAMILY, ids=str)
     def test_qcat_product_matches_dense_quotient(self, t):
-        assert qcat_product(t) == dense_qcat(t)
+        assert qcat_product(t) == dense_qcat(degrees(t), coxeter_number(t))
 
-    @given(st.lists(st.integers(-5, 5), max_size=8), st.integers(1, 6))
-    def test_times_is_the_dense_product_and_over_inverts_it(self, cs, k):
-        times = _times_q_integer(cs, k)
-        assert QPoly(times) == QPoly(cs) * q_integer(k)
-        assert QPoly(_over_q_integer(times, k)) == QPoly(cs)
-
-    @given(st.lists(st.integers(-5, 5), max_size=8), st.integers(1, 6))
-    def test_over_agrees_with_long_division(self, cs, d):
+    @given(st.lists(st.integers(1, 7), max_size=4), st.integers(0, 6))
+    def test_qcat_agrees_with_the_dense_quotient(self, ds, h):
         try:
-            want = divexact(QPoly(cs), q_integer(d))
+            want = dense_qcat(ds, h)
         except InexactDivisionError:
             with pytest.raises(InexactDivisionError):
-                _over_q_integer(cs, d)
+                _qcat(ds, h)
         else:
-            assert QPoly(_over_q_integer(cs, d)) == want
+            assert _qcat(ds, h) == want
 
-    def test_over_rejects_a_non_multiple(self):
-        with pytest.raises(InexactDivisionError):
-            _over_q_integer([1, 1, 1], 2)
-        with pytest.raises(InexactDivisionError):
-            _over_q_integer([1], 2)
-        with pytest.raises(InexactDivisionError):
-            _over_q_integer([0, 1, 0], 5)  # a divisor of higher degree
+    def test_qcat_rejects_a_non_polynomial_quotient(self):
         with pytest.raises(InexactDivisionError):
             _qcat((3,), 2)  # [5]_q / [3]_q
+        with pytest.raises(InexactDivisionError):
+            _qcat((2, 2), 1)  # ([3]_q / [2]_q)^2
+        # [4]_q [3]_q / [3]_q [2]_q: exact as a whole, though [4]_q / [3]_q is not
+        assert _qcat((3, 2), 1) == QPoly([1, 0, 1])
         with pytest.raises(ZeroDivisionError):
-            _over_q_integer([1], 0)
+            _qcat((2, 0), 1)
+
+    def test_qcat_product_rejects_an_inconsistent_degree_table(self, monkeypatch):
+        monkeypatch.setattr(qseries, "degrees", lambda t: (3, 4))  # [7]_q [8]_q / [3]_q [4]_q
+        with pytest.raises(ArithmeticError, match="degree table for A2 is inconsistent"):
+            qcat_product.__wrapped__(GroupType("A", 2))  # past the cache
 
     def test_shift(self):
         assert QPoly([1, 2]).shift(3) == QPoly([0, 0, 0, 1, 2])

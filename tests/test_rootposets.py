@@ -253,6 +253,8 @@ class TestRowStarts:
     def test_rejects_type_d(self):
         with pytest.raises(ValueError, match="type D"):
             rp.ideal_row_starts(GroupType("D", 4), frozenset())
+        with pytest.raises(ValueError, match="maj is undefined for type-D ideals"):
+            rp.ideal_maj(GroupType("D", 4), frozenset())
 
     def test_repeated_roots_rejected(self):
         t = GroupType("A", 2)
