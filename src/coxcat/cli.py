@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import lru_cache
 
@@ -23,8 +22,13 @@ _STATS = ("area", "maj", "ls", "lt", "majimaj")
 _VIAS = ("phiA", "phiB", "psiA", "psiB")
 
 
+_MIN_N = {"A": 2, "B": 1, "D": 2}
+
+
 def _group(family: str, n: int) -> GroupType:
     """The group whose paths have semilength n: A_{n-1}, B_n or D_n."""
+    if n < _MIN_N[family]:
+        raise ValueError(f"--n {n} is too small for type {family}: it needs --n >= {_MIN_N[family]}")
     return GroupType(family, n - 1 if family == "A" else n)
 
 
@@ -241,7 +245,14 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--which {args.which} needs --n")
         tasks = [(args.which, args.n)]
     bad = 0
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    if args.jobs > 1:
+        # imported here, so that no other command pays for the process pool at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = ProcessPoolExecutor(max_workers=args.jobs)
+    else:
+        workers = nullcontext()
+    with workers as pool:
         # print each report once it is ready, in task order, so that a later
         # task's error (a size guard, say) keeps the reports already computed
         for report in (pool.map if pool else map)(_verify_task, tasks):

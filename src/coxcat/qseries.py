@@ -2,8 +2,9 @@
 
 Everything here is integer-exact: polynomials are dense coefficient vectors
 over Python ints.  The q-Catalan quotient prod (1 - q^(d+h)) / (1 - q^d) is
-formed by shifted subtractions and running sums, not rational arithmetic,
-and a quotient that is not a polynomial raises InexactDivisionError.
+formed by shifted adds and subtractions and exact running-sum divisions,
+not rational arithmetic, and a quotient that is not a polynomial raises
+InexactDivisionError.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -291,28 +292,68 @@ def cat_number(t: GroupType) -> int:
     return num // den
 
 
+def _times(cs: list[int], m: int) -> list[int]:
+    """cs times 1 - q^m: subtract the coefficient m places down."""
+    cs = cs + [0] * m
+    cs[m:] = map(sub, cs[m:], cs[:-m])
+    return cs
+
+
+def _over(cs: list[int], d: int) -> bool:
+    """Divide cs in place by 1 - q^d; False if the quotient is no polynomial.
+
+    The running sums along each residue class mod d give the power series
+    quotient to the length of cs; it is the exact quotient iff its top d
+    coefficients are zero, and those are dropped.
+    """
+    for r in range(d):
+        cs[r::d] = accumulate(cs[r::d])
+    if any(cs[-d:]):
+        return False
+    del cs[-d:]
+    return True
+
+
 def _qcat(ds: Sequence[int], h: int) -> QPoly:
     """prod [d + h]_q / [d]_q = prod (1 - q^(d+h)) / (1 - q^d) over the degrees d.
 
-    Multiplying by 1 - q^m subtracts the coefficient m places down; dividing
-    by 1 - q^d, as a power series, takes running sums along each residue
-    class mod d.  With prod (1 - q^d) of degree D and constant term 1, the
-    truncated series is the quotient iff its top D coefficients, those past
-    h * len(ds), are zero.  Raises InexactDivisionError otherwise.
+    Largest first, each degree d takes the smallest unused numerator
+    exponent m = d' + h that it divides, so (1 - q^m) / (1 - q^d) is the
+    polynomial [m/d]_{q^d}: nothing when m = d, one shifted add when
+    m = 2d, else a shifted subtraction and an exact division.  Then come
+    the unpaired numerators, then the unpaired degrees, each an exact
+    division.  The list thus grows only towards the quotient's degree
+    h * len(ds), never to the numerator's.  Every factor 1 - q^k is a
+    product of cyclotomic polynomials; if the whole quotient is a
+    polynomial, the numerator holds each of them at least as often as the
+    whole denominator, hence as any part of it, so every partial quotient
+    is a polynomial too.  The first division that leaves a remainder thus
+    proves the table inexact and raises InexactDivisionError; a degree
+    below 1 raises ZeroDivisionError before any arithmetic.
     """
-    if any(d < 1 for d in ds):
+    order = sorted(ds, reverse=True)
+    if order and order[-1] < 1:
         raise ZeroDivisionError("division by [0]_q = 0")
-    cs = [1] + [0] * sum(d + h for d in ds)
-    for d in ds:
-        m = d + h
-        cs[m:] = map(sub, cs[m:], cs[:-m])
-    for d in ds:
-        for r in range(d):
-            cs[r::d] = accumulate(cs[r::d])
-    cut = h * len(ds) + 1
-    if any(cs[cut:]):
-        raise InexactDivisionError(f"prod [d + {h}]_q / [d]_q over d in {tuple(ds)} is not a polynomial")
-    return QPoly(cs[:cut])
+    free = sorted(d + h for d in order)
+    cs = [1]
+    lone = []
+    for d in order:
+        m = next((m for m in free if m % d == 0), 0)
+        if not m:
+            lone.append(d)
+            continue
+        free.remove(m)
+        if m == 2 * d:
+            cs = list(map(add, cs + [0] * d, [0] * d + cs))
+        elif m > d:
+            cs = _times(cs, m)
+            _over(cs, d)  # exact, since d divides m
+    for m in free:
+        cs = _times(cs, m)
+    for d in lone:
+        if not _over(cs, d):
+            raise InexactDivisionError(f"prod [d + {h}]_q / [d]_q over d in {tuple(ds)} is not a polynomial")
+    return QPoly(cs)
 
 
 @lru_cache(maxsize=None)

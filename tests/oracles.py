@@ -35,6 +35,10 @@ against the area and maj that ``paths`` reads off the north columns, and
 the inverse tables of phi over every ideal and of psi over every word,
 against ``bijmaps.preimage`` and its one table of row starts.
 
+The q-Catalan quotient as one full-length power series: the numerator
+prod (1 - q^(d+h)) of degree sum(d + h), divided by every 1 - q^d,
+against the paired exact divisions of ``qseries._qcat``.
+
 The reference helpers that only the tests call, each checked against the
 library or against a definition: a polynomial's degree and coefficients,
 monomials, exact polynomial division and the substitution q -> q^m, path
@@ -49,6 +53,8 @@ letters, 231-avoidance, the non-crossing Coxeter elements (1, ..., n) and
 
 from collections import deque
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
 from coxcat.noncrossing import SetPartition, rev_nc
@@ -224,6 +230,30 @@ def divexact(p: QPoly, d: QPoly) -> QPoly:
     if any(rem):
         raise InexactDivisionError(f"{p} not divisible by {d}")
     return QPoly(quot)
+
+
+def series_qcat(ds, h) -> QPoly:
+    """prod [d + h]_q / [d]_q = prod (1 - q^(d+h)) / (1 - q^d) over the degrees d.
+
+    Multiplying by 1 - q^m subtracts the coefficient m places down; dividing
+    by 1 - q^d, as a power series, takes running sums along each residue
+    class mod d.  With prod (1 - q^d) of degree D and constant term 1, the
+    truncated series is the quotient iff its top D coefficients, those past
+    h * len(ds), are zero.  Raises InexactDivisionError otherwise.
+    """
+    if any(d < 1 for d in ds):
+        raise ZeroDivisionError("division by [0]_q = 0")
+    cs = [1] + [0] * sum(d + h for d in ds)
+    for d in ds:
+        m = d + h
+        cs[m:] = map(sub, cs[m:], cs[:-m])
+    for d in ds:
+        for r in range(d):
+            cs[r::d] = accumulate(cs[r::d])
+    cut = h * len(ds) + 1
+    if any(cs[cut:]):
+        raise InexactDivisionError(f"prod [d + {h}]_q / [d]_q over d in {tuple(ds)} is not a polynomial")
+    return QPoly(cs[:cut])
 
 
 def substitute_power(p: QPoly, m: int) -> QPoly:

@@ -475,12 +475,48 @@ class TestVerify:
         assert f"--max-n must be 0 or at least 2, got {max_n}" in captured.err
 
     def test_rank_error_names_the_group(self, capsys):
-        # --n is the classical n, so --n 1 in type A asks for A0
+        # --n is the classical n, so --n 1 in type A would ask for A0
         code = main(["verify", "--which", "phiA", "--n", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "rank must be >= 1, got A0" in captured.err
+        assert captured.err == "error: --n 1 is too small for type A: it needs --n >= 2\n"
+
+    @pytest.mark.parametrize(
+        "argv,stdin,message",
+        [
+            (["verify", "--which", "psiB", "--n", "0"], "", "--n 0 is too small for type B: it needs --n >= 1"),
+            (["map", "--via", "psiA", "--n", "1", "--inverse"], "[1]\n", "--n 1 is too small for type A: it needs --n >= 2"),
+            (["map", "--via", "psiB", "--n", "0"], "\n", "--n 0 is too small for type B: it needs --n >= 1"),
+            (["enumerate", "--object", "ideal", "--type", "D", "--n", "1"], "", "--n 1 is too small for type D: it needs --n >= 2"),
+        ],
+    )
+    def test_too_small_n_names_the_option(self, capsys, monkeypatch, argv, stdin, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("which,n", [("phiA", "2"), ("psiB", "1")])
+    def test_smallest_n_is_accepted(self, capsys, which, n):
+        code, out = run(capsys, ["verify", "--which", which, "--n", n])
+        assert code == 0
+        assert json.loads(out)["failures"] == []
+
+    def test_jobs_give_the_reports_of_one_process(self, capsys):
+        assert run(capsys, ["verify", "--all", "--max-n", "3", "--jobs", "2"]) == run(
+            capsys, ["verify", "--all", "--max-n", "3", "--jobs", "1"]
+        )
+
+    def test_import_leaves_the_process_pool_out(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, coxcat.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +21,7 @@ from coxcat.qseries import (
 )
 from coxcat import qseries
 from coxcat.qseries import _qcat
-from oracles import coeff, degree, divexact, is_palindromic_loop, substitute_power
+from oracles import coeff, degree, divexact, is_palindromic_loop, series_qcat, substitute_power
 
 
 def oracle_q_binomial(k, l):
@@ -159,6 +161,28 @@ def dense_qcat(ds, h):
     return divexact(num, den)
 
 
+def verdict(qcat, ds, h):
+    """The quotient's coefficients, or None if it is not a polynomial."""
+    try:
+        return qcat(ds, h).coeffs
+    except InexactDivisionError:
+        return None
+
+
+def exact_table(rng):
+    """Blocks c, 2c, ..., kc with c dividing h: each is a q^c-binomial, so the table is exact."""
+    h = rng.randint(0, 40)
+    ds = []
+    while rng.random() < 0.8:
+        c = rng.choice([c for c in range(1, 41) if h % c == 0])
+        k = rng.randint(1, 3)
+        if len(ds) + k > 8:
+            break
+        ds += [c * i for i in range(1, k + 1)]
+    rng.shuffle(ds)
+    return ds, h
+
+
 EVERY_FAMILY = (
     [GroupType("A", r) for r in (1, 4, 9)]
     + [GroupType("B", r) for r in (1, 4, 8)]
@@ -199,6 +223,63 @@ class TestQIntegerKernels:
         assert _qcat((3, 2), 1) == QPoly([1, 0, 1])
         with pytest.raises(ZeroDivisionError):
             _qcat((2, 0), 1)
+
+    @pytest.mark.parametrize("n", range(61))
+    def test_qcat_a_matches_the_series_oracle(self, n):
+        assert qcat_a(n) == series_qcat(range(2, n + 1), n)
+
+    @pytest.mark.parametrize("t", EVERY_FAMILY, ids=str)
+    def test_qcat_product_matches_the_series_oracle(self, t):
+        assert qcat_product(t) == series_qcat(degrees(t), coxeter_number(t))
+
+    @given(st.lists(st.integers(1, 40), max_size=8), st.integers(0, 40))
+    def test_qcat_agrees_with_the_series_oracle(self, ds, h):
+        assert verdict(_qcat, ds, h) == verdict(series_qcat, ds, h)
+
+    def test_qcat_agrees_with_the_series_oracle_on_seeded_tables(self):
+        rng = random.Random(2008)
+        exact = 0
+        for i in range(5000):
+            if i % 2:
+                ds, h = exact_table(rng)
+            else:
+                ds, h = [rng.randint(1, 40) for _ in range(rng.randint(0, 8))], rng.randint(0, 40)
+            want = verdict(series_qcat, ds, h)
+            assert verdict(_qcat, ds, h) == want, (ds, h)
+            exact += want is not None
+        assert 2500 <= exact < 5000  # both verdicts are exercised
+
+    def test_qcat_pairs_each_degree_with_a_numerator_it_divides(self, monkeypatch):
+        calls = []
+        times, over = qseries._times, qseries._over
+
+        def spy_times(cs, m):
+            calls.append(("times", m))
+            return times(cs, m)
+
+        def spy_over(cs, d):
+            calls.append(("over", d))
+            return over(cs, d)
+
+        monkeypatch.setattr(qseries, "_times", spy_times)
+        monkeypatch.setattr(qseries, "_over", spy_over)
+
+        def run(ds, h):
+            calls.clear()
+            got = verdict(_qcat, ds, h)
+            assert got == verdict(series_qcat, ds, h)
+            return got, list(calls)
+
+        # h = 0: every pair has m = d, and the quotient is 1
+        assert run((5, 3, 3, 1), 0) == ((1,), [])
+        # m = 2d: [6]_q / [3]_q = 1 + q^3 by one shifted add
+        assert run((3,), 3) == ((1, 0, 0, 1), [])
+        # m = 3d: [6]_q / [2]_q = (1 - q^6) / (1 - q^2)
+        assert run((2,), 4) == ((1, 0, 1, 0, 1), [("times", 6), ("over", 2)])
+        # 2 divides no numerator exponent 3: both multiplies succeed, the first unpaired division fails
+        assert run((2, 2), 1) == (None, [("times", 3), ("times", 3), ("over", 2)])
+        # exact as a whole, though [4]_q / [3]_q is not: 3 pairs with 3 and 2 with 4
+        assert run((3, 2), 1) == ((1, 0, 1), [])
 
     def test_qcat_product_rejects_an_inconsistent_degree_table(self, monkeypatch):
         monkeypatch.setattr(qseries, "degrees", lambda t: (3, 4))  # [7]_q [8]_q / [3]_q [4]_q
