@@ -33,7 +33,7 @@ from itertools import chain, takewhile
 
 from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
-from .qseries import GroupType, cat_number, check_guard
+from .qseries import GroupType, cat_number
 from .sortable import SortingWord, _sorting_word, enumerate_sortables
 from .signedperm import Perm, _stats, check_perm
 
@@ -193,15 +193,13 @@ def _inverse_rows(t: GroupType, via: str) -> dict[Perm, tuple[int, ...]]:
     """Each image of ``via`` ("phi" or "psi") at rank t, mapped to its row starts
     by one pass over the Dyck paths through the row kernels, as the verifiers take it."""
     if via == "phi":
-        check_guard("ideal", t.family, t.rank)
         return {_phi_rows(t, x): x for x, _, _, _ in paths._row_stream(t.family, t.n)}
-    check_guard("path", t.family, t.n)
     return {_psi(x, t.n, t.family)[0]: x for x, _, _, _ in paths._row_stream(t.family, t.n)}
 
 
 def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | None:
     """The ideal (phi) or Dyck word (psi) that ``via`` sends to ``image`` at rank t, or None;
-    phi answers to the ideal guard at the rank, psi to the path guard at n."""
+    the first call at a rank builds a table of all Cat(W) images."""
     x = _inverse_rows(t, via).get(image)
     if x is None:
         return None
@@ -223,7 +221,7 @@ def _roots(t: GroupType, x) -> list[str]:
     return sorted(map(rootposets.root_str, rootposets._ideal_of_rows(t, x)))
 
 
-def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
+def verify_phi_theorems(t: GroupType) -> dict:
     """Exhaustively check the shelling bijection and its statistics at rank t.
 
     The ideals come as row starts from one pass over the Dyck paths, which
@@ -232,7 +230,6 @@ def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     """
     fam, n = t.family, t.n
     two_n = 2 * sum(rootposets.planar_cells(t).caps)  # twice the cell count; raises for type D
-    check_guard("ideal", fam, t.rank, unsafe)
     report = _report(f"phi{fam}", t.rank)
     images = {}
     masks = {}  # type A: each image's descent and inverse-descent masks
@@ -270,17 +267,15 @@ def verify_phi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     return report
 
 
-def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
+def verify_psi_theorems(t: GroupType) -> dict:
     """Exhaustively check the cell-reading bijection and its statistics.
 
     The paths come as row starts from one pass over the Dyck paths, which
     carries each path's area and maj; the east count and the lower part of
-    a type-B path are read off its rows.  Like phi's, the guard is the
-    ideal limit: both stream the Cat(W) row starts.
+    a type-B path are read off its rows.
     """
     fam, n = t.family, t.n
     caps = rootposets.planar_cells(t).caps  # raises for type D, which has no row starts
-    check_guard("ideal", fam, t.rank, unsafe)
     two_n = 2 * sum(caps)  # twice the cell count, that is, of the positive roots
     report = _report(f"psi{fam}", t.rank)
     c_word = signedperm.coxeter_element(fam, n)[1]
@@ -321,7 +316,7 @@ def verify_psi_theorems(t: GroupType, unsafe: bool = False) -> dict:
     # Every image that passed the sorting-word check is c-sortable, and |Sort(W, c)| = Cat(W)
     # (Reading, Trans. AMS 2007), so Cat(W) distinct such images are all of Sort(W, c).
     if unsorted or len(images) != cat_number(t):
-        target = set(enumerate_sortables(t, c_word, unsafe=True))  # the rank passed the guard above
+        target = set(enumerate_sortables(t, c_word))
         if images != target:
             _fail(report, "image-set", missing=sorted(target - images)[:3])
     return report

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 from functools import lru_cache
 
 from . import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
@@ -38,11 +37,12 @@ def _enumerate_objects(args):
         check_guard("path", family, n, args.unsafe)
         return [("path", w) for w in (paths.enumerate_a if family == "A" else paths.enumerate_b)(n)]
     t = _group(family, n)
+    guard = args.object if args.object in ("ideal", "sortable") else "non-crossing"
+    check_guard(guard, family, t.rank, args.unsafe)
     if args.object == "ideal":
-        return [("ideal", i) for i in rootposets.ideals(t, unsafe=args.unsafe)]
+        return [("ideal", i) for i in rootposets.ideals(t)]
     if args.object == "sortable":
-        return [("perm", w) for w in sortable.enumerate_sortables(t, unsafe=args.unsafe)]
-    check_guard("non-crossing", family, t.rank, args.unsafe)
+        return [("perm", w) for w in sortable.enumerate_sortables(t)]
     if args.object == "nc":
         return [("perm", w) for w in noncrossing.nc_elements(t)]
     if args.object == "revnc":
@@ -170,6 +170,11 @@ def _map_line(args, t: GroupType, line: str) -> str:
         image = _parse_perm_line(line, n)
         if len(image) != n:
             raise ValueError(f"{image!r} has {len(image)} entries, but --n {n} needs {n}")
+        # the inverse table holds every ideal (phi) or path (psi) at the rank
+        if args.via.startswith("phi"):
+            check_guard("ideal", family, t.rank)
+        else:
+            check_guard("path", family, n)
         preimage = bijmaps.preimage(t, args.via[:3], image)
         if preimage is None:
             raise ValueError(f"{image!r} is not in the image of {args.via}")
@@ -210,19 +215,15 @@ _VERIFY_DEFAULT_A = 6
 _VERIFY_DEFAULT_B = 4
 
 
-def _verify_task(task) -> dict:
-    which, n = task
-    if which == "d4":
+def _verify_task(which: str, t: GroupType | None) -> dict:
+    if t is None:
         return noncrossing.d4_counterexample()
-    t = _group(which[-1], n)
     if which.startswith("phi"):
         return bijmaps.verify_phi_theorems(t)
     return bijmaps.verify_psi_theorems(t)
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None and args.which in ("all", "d4"):
         raise ValueError(f"--n goes only with a single phi/psi identity, not with --which {args.which}")
     if args.max_n and args.which != "all":
@@ -244,20 +245,17 @@ def cmd_verify(args) -> int:
         if args.n is None:
             raise ValueError(f"--which {args.which} needs --n")
         tasks = [(args.which, args.n)]
+    tasks = [(which, None if which == "d4" else _group(which[-1], n)) for which, n in tasks]
+    # both verifiers stream the Cat(W) row starts, so the ideal limit guards
+    # them, and every task is checked before the first report prints
+    for _, t in tasks:
+        if t is not None:
+            check_guard("ideal", t.family, t.rank)
     bad = 0
-    if args.jobs > 1:
-        # imported here, so that no other command pays for the process pool at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = ProcessPoolExecutor(max_workers=args.jobs)
-    else:
-        workers = nullcontext()
-    with workers as pool:
-        # print each report once it is ready, in task order, so that a later
-        # task's error (a size guard, say) keeps the reports already computed
-        for report in (pool.map if pool else map)(_verify_task, tasks):
-            print(json.dumps(report), flush=True)
-            bad += len(report["failures"])
+    for which, t in tasks:
+        report = _verify_task(which, t)
+        print(json.dumps(report), flush=True)
+        bad += len(report["failures"])
     return 1 if bad else 0
 
 
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--all", action="store_const", const="all", dest="which")
     p_ver.add_argument("--n", type=int)
     p_ver.add_argument("--max-n", type=int, default=0, help="cap for --which all sweeps")
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_self = sub.add_parser("selftest", help="fixed regression assertions")
@@ -367,9 +364,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add, sub
 
-from .qseries import QPoly, check_guard
+from .qseries import QPoly
 
 
 def is_dyck_a(word: str) -> bool:
@@ -262,13 +262,11 @@ def _row_stream(family: str, n: int):
     return rec(0, 0, False, 0, 0, 0)
 
 
-def area_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:
+def area_polynomial(family: str, n: int) -> QPoly:
     """Generating polynomial of the area statistic over all paths."""
-    check_guard("path", family, n, unsafe)
     return _stat_counts(family, n)[0]
 
 
-def maj_polynomial(family: str, n: int, unsafe: bool = False) -> QPoly:
+def maj_polynomial(family: str, n: int) -> QPoly:
     """Generating polynomial of the major index over all paths."""
-    check_guard("path", family, n, unsafe)
     return _stat_counts(family, n)[1]

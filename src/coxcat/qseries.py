@@ -25,9 +25,11 @@ class SizeGuardError(ValueError):
     """An enumeration was requested beyond its limit in ``SIZE_GUARDS``."""
 
 
-# The largest size each enumeration runs at unless ``unsafe`` is given:
-# paths by their semilength n, everything else by rank.  |NC(W)| is the
-# number of ideals, so the non-crossing walks share the ideal limits.
+# The largest size each enumeration runs at from the command line unless
+# ``--unsafe`` is given: paths by their semilength n, everything else by
+# rank.  The library itself sets no limit; only ``cli`` calls ``check_guard``.
+# |NC(W)| is the number of ideals, so the non-crossing walks share the
+# ideal limits.
 SIZE_GUARDS = {
     "path": {"A": 12, "B": 8},
     "ideal": {"A": 9, "B": 6, "D": 5},

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import paths
-from .qseries import GroupType, QPoly, check_guard, gen_poly
+from .qseries import GroupType, QPoly, gen_poly
 
 Root = tuple
 Cell = tuple[int, int]
@@ -146,9 +146,8 @@ class RootPoset:
             out |= self.down_set(r)
         return frozenset(out)
 
-    def ideals(self, unsafe: bool = False) -> list[frozenset[Root]]:
+    def ideals(self) -> list[frozenset[Root]]:
         """All order ideals, by backtracking along a height linear extension."""
-        check_guard("ideal", self.type.family, self.type.rank, unsafe)
         m = len(self.roots)
         lower = self.lower_covers  # roots are already height-sorted
         out: list[frozenset[Root]] = []
@@ -241,11 +240,11 @@ def _not_ideal_message(t: GroupType, ideal: frozenset[Root]) -> str:
     return f"not a set of distinct roots of {t.family}{t.rank}"
 
 
-def ideals(t: GroupType, unsafe: bool = False) -> list[frozenset[Root]]:
-    return root_poset(t).ideals(unsafe=unsafe)
+def ideals(t: GroupType) -> list[frozenset[Root]]:
+    return root_poset(t).ideals()
 
 
-def cat_q(t: GroupType, unsafe: bool = False) -> QPoly:
+def cat_q(t: GroupType) -> QPoly:
     """Generating polynomial of ideal sizes; the q-Catalan number by areas.
 
     In types A and B the row starts of an ideal are its Dyck path and |I|
@@ -254,8 +253,7 @@ def cat_q(t: GroupType, unsafe: bool = False) -> QPoly:
     without building an ideal or a path.  Type D enumerates its ideals.
     """
     if t.family == "D":
-        return gen_poly(map(len, ideals(t, unsafe=unsafe)))
-    check_guard("ideal", t.family, t.rank, unsafe)
+        return gen_poly(map(len, ideals(t)))
     return paths._stat_counts(t.family, t.n)[0]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import GroupType, check_guard
+from .qseries import GroupType
 from .signedperm import (
     Perm,
     check_perm,
@@ -120,7 +120,7 @@ def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:
     return w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :]
 
 
-def enumerate_sortables(t: GroupType, c_word=None, unsafe: bool = False) -> list[Perm]:
+def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:
     """All sortable elements for the given Coxeter word, in group order.
 
     Walks up the right weak order from e, stepping by ascents that are
@@ -130,7 +130,6 @@ def enumerate_sortables(t: GroupType, c_word=None, unsafe: bool = False) -> list
     result is listed in ``enumerate_group`` order.
     """
     family, n = t.family, t.n
-    check_guard("sortable", family, t.rank, unsafe)
     if c_word is None:
         c_word = coxeter_element(family, n)[1]
     _check_c_word(c_word, n, family)

@@ -101,14 +101,14 @@ def length_t_bfs(p: Perm, family: str) -> int:
     return _abs_length_table(family, len(p))[p]
 
 
-def verify_phi_theorems_frozensets(t: GroupType, unsafe: bool = False) -> dict:
+def verify_phi_theorems_frozensets(t: GroupType) -> dict:
     """``bijmaps.verify_phi_theorems`` on the frozenset ideals of ``t``."""
     fam, n = t.family, t.n
     two_n = n * (n - 1) if fam == "A" else 2 * n * n
     report = bijmaps._report(f"phi{fam}", t.rank)
     fail = bijmaps._fail
     images = {}
-    for ideal in rootposets.ideals(t, unsafe=unsafe):
+    for ideal in rootposets.ideals(t):
         report["checked"] += 1
         sigma = bijmaps.phi(t, ideal)
         if signedperm.length_s(sigma, fam) != len(ideal):
@@ -142,7 +142,7 @@ def verify_phi_theorems_frozensets(t: GroupType, unsafe: bool = False) -> dict:
     return report
 
 
-def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
+def verify_psi_theorems_words(t: GroupType) -> dict:
     """``bijmaps.verify_psi_theorems`` on the Dyck words of ``t``."""
     fam, n = t.family, t.n
     two_n = n * (n - 1) if fam == "A" else 2 * n * n
@@ -181,7 +181,7 @@ def verify_psi_theorems_words(t: GroupType, unsafe: bool = False) -> dict:
         if sigma in images:
             fail(report, "injectivity", image=sigma)
         images[sigma] = word
-    target = set(enumerate_sortables(t, c_word, unsafe=unsafe))
+    target = set(enumerate_sortables(t, c_word))
     if set(images) != target:
         fail(report, "image-set", missing=sorted(target - set(images))[:3])
     return report

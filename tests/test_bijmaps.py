@@ -10,7 +10,7 @@ from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat import sortable as so
 from coxcat.noncrossing import rev_nc
-from coxcat.qseries import GroupType, SizeGuardError, cat_number
+from coxcat.qseries import GroupType, cat_number
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from oracles import (
     _span_cycles,
@@ -623,7 +623,7 @@ class TestPsiRows:
     def test_verifier_reports_match_the_word_verifier(self, fam, n):
         t = GroupType(fam, n - 1 if fam == "A" else n)
         report = bm.verify_psi_theorems(t)
-        assert report == verify_psi_theorems_words(t, unsafe=True)
+        assert report == verify_psi_theorems_words(t)
         assert report["checked"] == len(rp.ideals(t)) and report["failures"] == []
 
     def test_clean_run_names_no_word(self, monkeypatch):
@@ -708,15 +708,6 @@ class TestPsiRows:
         checks = {f["check"] for f in report["failures"]}
         assert {"sorting-word", "image-set"} <= checks and "injectivity" not in checks
         assert {"check": "image-set", "missing": repr([lost])} in report["failures"]
-
-    def test_guard_comes_before_the_paths(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the paths were streamed before the guard")
-
-        monkeypatch.setattr(paths, "_row_stream", refuse)
-        for t in (GroupType("A", 10), GroupType("B", 7)):
-            with pytest.raises(SizeGuardError, match=f"ideal enumeration guarded at rank .* for type {t.family}"):
-                bm.verify_psi_theorems(t)
 
     def test_type_d_is_refused_by_name(self):
         # not an error from inside the loop ("type D needs an even number of negatives")

@@ -415,24 +415,31 @@ class TestVerify:
         assert any(r["identity"] == "d4-counterexample" for r in reports)
         assert all(r["failures"] == [] for r in reports)
 
-    def test_reports_before_a_guard_are_printed(self, capsys, monkeypatch):
-        monkeypatch.setitem(qseries.SIZE_GUARDS["ideal"], "B", 2)
-        code = main(["verify", "--all", "--max-n", "3", "--jobs", "1"])
+    def test_sweep_past_a_guard_prints_nothing(self, capsys, monkeypatch):
+        # every task is checked against the ideal guard before the first one runs
+        def refuse(*args):
+            raise AssertionError("a verifier ran before the guard")
+
+        monkeypatch.setattr(paths, "_row_stream", refuse)
+        code = main(["verify", "--all", "--max-n", "7"])
         captured = capsys.readouterr()
         assert code == 2
-        reports = [json.loads(line) for line in captured.out.splitlines()]
-        assert [(r["identity"], r["rank"]) for r in reports] == [
-            ("phiA", 1), ("psiA", 1), ("phiA", 2), ("psiA", 2), ("phiB", 2), ("psiB", 2),
-        ]
-        assert all(r["failures"] == [] for r in reports)
-        assert "ideal enumeration guarded at rank 2 for type B" in captured.err
+        assert captured.out == ""
+        assert captured.err == "error: ideal enumeration guarded at rank 6 for type B\n"
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_must_be_positive(self, capsys, jobs):
-        code = main(["verify", "--which", "d4", "--jobs", jobs])
+    @pytest.mark.parametrize(
+        "which,n,message", [("psiA", "11", "rank 9 for type A"), ("phiB", "7", "rank 6 for type B")], ids=["psiA", "phiB"]
+    )
+    def test_guard_comes_before_the_paths(self, capsys, monkeypatch, which, n, message):
+        def refuse(*args):
+            raise AssertionError("the paths were streamed before the guard")
+
+        monkeypatch.setattr(paths, "_row_stream", refuse)
+        code = main(["verify", "--which", which, "--n", n])
+        captured = capsys.readouterr()
         assert code == 2
-        err = capsys.readouterr().err
-        assert "--jobs" in err and jobs in err
+        assert captured.out == ""
+        assert captured.err == f"error: ideal enumeration guarded at {message}\n"
 
     def test_deeper_sweep_passes_every_guard(self, capsys):
         code, out = run(capsys, ["verify", "--all", "--max-n", "6"])
@@ -504,11 +511,6 @@ class TestVerify:
         code, out = run(capsys, ["verify", "--which", which, "--n", n])
         assert code == 0
         assert json.loads(out)["failures"] == []
-
-    def test_jobs_give_the_reports_of_one_process(self, capsys):
-        assert run(capsys, ["verify", "--all", "--max-n", "3", "--jobs", "2"]) == run(
-            capsys, ["verify", "--all", "--max-n", "3", "--jobs", "1"]
-        )
 
     def test_import_leaves_the_process_pool_out(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

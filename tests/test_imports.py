@@ -36,6 +36,10 @@ A fourth keeps test-only code out of the package: every top-level function
 and class in ``src/coxcat`` must be reached by name from ``cli.main`` or
 from a name in ``__all__``.  Reference implementations that only the
 tests call live in ``tests/oracles.py``.
+
+A fifth keeps the size guards at the command-line edge: no module but
+``cli`` calls ``check_guard``, and no function but ``check_guard`` itself
+takes an ``unsafe`` parameter, so the library sets no limit of its own.
 """
 
 import ast
@@ -406,3 +410,40 @@ def test_every_definition_is_reached():
 )
 def test_reach_scan(sources, unreached):
     assert unreached_names(sources) == unreached
+
+
+def guard_sites(sources: dict[str, str]) -> list[str]:
+    """The ``check_guard`` calls outside ``cli``, as ``module: check_guard``, and
+    the functions but ``qseries.check_guard`` that take ``unsafe``, as ``module.name``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and module != "cli":
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "check_guard":
+                    found.append(f"{module}: check_guard")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (module, node.name) != ("qseries", "check_guard"):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(arg.arg == "unsafe" for arg in params):
+                    found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_guards_only_at_the_cli():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "coxcat").glob("*.py")}
+    assert guard_sites(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources,found",
+    [
+        ({"cli": "def f(args):\n    check_guard('path', 'A', 3, args.unsafe)\n"}, []),
+        ({"qseries": "def check_guard(kind, family, size, unsafe=False):\n    pass\n"}, []),
+        ({"paths": "def area_polynomial(f, n):\n    qseries.check_guard('path', f, n)\n"}, ["paths: check_guard"]),
+        ({"rootposets": "class P:\n    def ideals(self, *, unsafe=False):\n        pass\n"}, ["rootposets.ideals"]),
+        ({"cli": "def cmd(args, unsafe):\n    pass\n"}, ["cli.cmd"]),
+        ({"sortable": '"""Guarded by ``check_guard`` in the CLI."""\n'}, []),
+    ],
+)
+def test_guard_site_scan(sources, found):
+    assert guard_sites(sources) == found

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import paths
 from coxcat import rootposets as rp
-from coxcat.qseries import GroupType, QPoly, SizeGuardError, gen_poly, q_binomial, qcat_a, qcat_product
+from coxcat.qseries import GroupType, QPoly, gen_poly, q_binomial, qcat_a, qcat_product
 from oracles import (
     cells_a,
     cells_b,
@@ -240,8 +240,8 @@ class TestConjugate:
 
 
 @lru_cache(maxsize=None)
-def area_unguarded(family, n):
-    return paths.area_polynomial(family, n, unsafe=True)
+def cached_area(family, n):
+    return paths.area_polynomial(family, n)
 
 
 class TestPolynomials:
@@ -249,12 +249,6 @@ class TestPolynomials:
         assert paths.area_polynomial("B", 2) == QPoly([1, 2, 1, 1, 1])
         assert paths.area_polynomial("A", 1) == QPoly([1])
         assert paths.maj_polynomial("B", 2) == qcat_product(GroupType("B", 2))
-
-    def test_guards(self):
-        with pytest.raises(SizeGuardError):
-            paths.area_polynomial("A", 13)
-        with pytest.raises(SizeGuardError):
-            paths.maj_polynomial("B", 9)
 
     @pytest.mark.parametrize(
         "family,n", [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 8)]
@@ -279,29 +273,29 @@ class TestPolynomials:
     @pytest.mark.parametrize("n", range(20))
     def test_area_recurrence_a(self, n):
         # Carlitz-Riordan: Cat_{n+1}(q) = sum q^k Cat_k(q) Cat_{n-k}(q), up to A n = 20
-        lhs = area_unguarded("A", n + 1)
+        lhs = cached_area("A", n + 1)
         rhs = QPoly()
         for k in range(n + 1):
-            rhs = rhs + monomial(k) * area_unguarded("A", k) * area_unguarded("A", n - k)
+            rhs = rhs + monomial(k) * cached_area("A", k) * cached_area("A", n - k)
         assert lhs == rhs
 
     @pytest.mark.parametrize("n", range(15))
     def test_area_recurrence_b(self, n):
-        lhs = area_unguarded("B", n)
-        rhs = area_unguarded("A", n)
+        lhs = cached_area("B", n)
+        rhs = cached_area("A", n)
         for k in range(n):
-            rhs = rhs + monomial(2 * k + 1) * area_unguarded("B", k) * area_unguarded("A", n - k)
+            rhs = rhs + monomial(2 * k + 1) * cached_area("B", k) * cached_area("A", n - k)
         assert lhs == rhs
 
     @pytest.mark.parametrize("n", range(21))
     def test_maj_generating_function_a(self, n):
-        # MacMahon, past the path guard (A n <= 12) up to A n = 20
-        assert paths.maj_polynomial("A", n, unsafe=True) == qcat_a(n)
+        # MacMahon, past the CLI's path guard (A n <= 12) up to A n = 20
+        assert paths.maj_polynomial("A", n) == qcat_a(n)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_maj_generating_function_b(self, n):
-        # past the path guard (B n <= 8) up to B n = 14
-        assert paths.maj_polynomial("B", n, unsafe=True) == substitute_power(q_binomial(2 * n, n), 2)
+        # past the CLI's path guard (B n <= 8) up to B n = 14
+        assert paths.maj_polynomial("B", n) == substitute_power(q_binomial(2 * n, n), 2)
 
 
 class TestUnfold:

@@ -2,7 +2,7 @@ import pytest
 
 from coxcat import paths
 from coxcat import rootposets as rp
-from coxcat.qseries import GroupType, QPoly, SizeGuardError, cat_number, gen_poly
+from coxcat.qseries import GroupType, QPoly, cat_number, gen_poly
 from oracles import (
     cell_of_root_a,
     cell_of_root_b,
@@ -73,10 +73,6 @@ class TestIdeals:
     def test_counts_match_catalan_b(self, rank):
         assert len(rp.ideals(GroupType("B", rank))) == cat_number(GroupType("B", rank))
 
-    def test_guard(self):
-        with pytest.raises(SizeGuardError):
-            rp.ideals(GroupType("A", 10))
-
     def test_all_downward_closed_and_unique(self):
         t = GroupType("B", 3)
         poset = rp.root_poset(t)
@@ -128,12 +124,6 @@ class TestCatQ:
         t = GroupType("D", 4)
         assert rp.cat_q(t) == gen_poly(map(len, rp.ideals(t)))
         assert rp.cat_q(t)(1) == cat_number(t)
-
-    def test_guard(self):
-        with pytest.raises(SizeGuardError, match="ideal enumeration guarded at rank 9 for type A"):
-            rp.cat_q(GroupType("A", 10))
-        with pytest.raises(SizeGuardError, match="ideal enumeration guarded at rank 6 for type B"):
-            rp.cat_q(GroupType("B", 7))
 
 
 class TestCellDictionary:

@@ -4,7 +4,7 @@ import pytest
 
 from coxcat import signedperm as sp
 from coxcat import sortable as so
-from coxcat.qseries import GroupType, QPoly, SizeGuardError, cat_number
+from coxcat.qseries import GroupType, QPoly, cat_number
 from coxcat.rootposets import cat_q
 from oracles import avoids_231, letters, parse_sorting_word
 
@@ -217,10 +217,6 @@ class TestEnumerateSortables:
     def test_counts_match_catalan(self, fam, rank):
         t = GroupType(fam, rank)
         assert len(so.enumerate_sortables(t)) == cat_number(t)
-
-    def test_guard(self):
-        with pytest.raises(SizeGuardError):
-            so.enumerate_sortables(GroupType("B", 6))
 
 
 class TestUncheckedBodies:
