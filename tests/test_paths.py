@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from coxcat import paths
 from coxcat import rootposets as rp
-from coxcat.qseries import GroupType, QPoly, gen_poly, q_binomial, qcat_a, qcat_product
+from coxcat.cli import main
+from coxcat.qseries import GroupType, QPoly, cat_number, gen_poly, q_binomial, qcat_a, qcat_product
 from oracles import (
     cells_a,
     cells_b,
@@ -249,6 +250,18 @@ class TestPolynomials:
         assert paths.area_polynomial("B", 2) == QPoly([1, 2, 1, 1, 1])
         assert paths.area_polynomial("A", 1) == QPoly([1])
         assert paths.maj_polynomial("B", 2) == qcat_product(GroupType("B", 2))
+
+    def test_guards(self, capsys):
+        # the path guard stands in front of these polynomials at the CLI, which
+        # refuses A13 and B9; the polynomials themselves answer there
+        assert main(["poly", "--object", "dyck", "--stat", "area", "--type", "A", "--n", "13"]) == 2
+        assert main(["poly", "--object", "dyck", "--stat", "maj", "--type", "B", "--n", "9"]) == 2
+        assert capsys.readouterr().err == (
+            "error: path enumeration guarded at n <= 12 for type A\n"
+            "error: path enumeration guarded at n <= 8 for type B\n"
+        )
+        assert paths.area_polynomial("A", 13)(1) == cat_number(GroupType("A", 12))
+        assert paths.maj_polynomial("B", 9)(1) == cat_number(GroupType("B", 9))
 
     @pytest.mark.parametrize(
         "family,n", [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 8)]

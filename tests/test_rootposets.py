@@ -2,6 +2,7 @@ import pytest
 
 from coxcat import paths
 from coxcat import rootposets as rp
+from coxcat.cli import main
 from coxcat.qseries import GroupType, QPoly, cat_number, gen_poly
 from oracles import (
     cell_of_root_a,
@@ -73,6 +74,17 @@ class TestIdeals:
     def test_counts_match_catalan_b(self, rank):
         assert len(rp.ideals(GroupType("B", rank))) == cat_number(GroupType("B", rank))
 
+    def test_guard(self, capsys, monkeypatch):
+        # the CLI refuses A10's ideals before it enumerates any
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ideals were enumerated before the guard")
+
+        monkeypatch.setattr(rp, "ideals", refuse)
+        assert main(["enumerate", "--object", "ideal", "--type", "A", "--n", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ideal enumeration guarded at rank 9 for type A\n"
+
     def test_all_downward_closed_and_unique(self):
         t = GroupType("B", 3)
         poset = rp.root_poset(t)
@@ -124,6 +136,21 @@ class TestCatQ:
         t = GroupType("D", 4)
         assert rp.cat_q(t) == gen_poly(map(len, rp.ideals(t)))
         assert rp.cat_q(t)(1) == cat_number(t)
+
+    def test_guard(self, capsys, monkeypatch):
+        # Cat(W, q) past the ideal guard: the CLI's poly refuses it before cat_q
+        # or the path pass runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the polynomial was formed before the guard")
+
+        monkeypatch.setattr(rp, "cat_q", refuse)
+        monkeypatch.setattr(paths, "_stat_counts", refuse)
+        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "A", "--n", "11"]) == 2
+        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "B", "--n", "7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ideal enumeration guarded at rank 9 for type A\n"
+            "error: ideal enumeration guarded at rank 6 for type B\n"
+        )
 
 
 class TestCellDictionary:

@@ -4,6 +4,7 @@ import pytest
 
 from coxcat import signedperm as sp
 from coxcat import sortable as so
+from coxcat.cli import main
 from coxcat.qseries import GroupType, QPoly, cat_number
 from coxcat.rootposets import cat_q
 from oracles import avoids_231, letters, parse_sorting_word
@@ -217,6 +218,17 @@ class TestEnumerateSortables:
     def test_counts_match_catalan(self, fam, rank):
         t = GroupType(fam, rank)
         assert len(so.enumerate_sortables(t)) == cat_number(t)
+
+    def test_guard(self, capsys, monkeypatch):
+        # the CLI refuses B6's sortables before it enumerates any
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sortables were enumerated before the guard")
+
+        monkeypatch.setattr(so, "enumerate_sortables", refuse)
+        assert main(["enumerate", "--object", "sortable", "--type", "B", "--n", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sortable enumeration guarded at rank 5 for type B\n"
 
 
 class TestUncheckedBodies:
