@@ -35,22 +35,21 @@ def _enumerate_objects(args):
     family, n = args.type, args.n
     if args.object == "dyck":
         check_guard("path", family, n, args.unsafe)
-        return [("path", w) for w in (paths.enumerate_a if family == "A" else paths.enumerate_b)(n)]
+        return (paths.enumerate_a if family == "A" else paths.enumerate_b)(n)
+    if args.object == "partition" and family == "D":
+        raise ValueError("no type-D set partitions")
     t = _group(family, n)
     guard = args.object if args.object in ("ideal", "sortable") else "non-crossing"
     check_guard(guard, family, t.rank, args.unsafe)
     if args.object == "ideal":
-        return [("ideal", i) for i in rootposets.ideals(t)]
+        return rootposets.ideals(t)
     if args.object == "sortable":
-        return [("perm", w) for w in sortable.enumerate_sortables(t)]
+        return sortable.enumerate_sortables(t)
     if args.object == "nc":
-        return [("perm", w) for w in noncrossing.nc_elements(t)]
+        return noncrossing.nc_elements(t)
     if args.object == "revnc":
-        return [("perm", w) for w in noncrossing.rev_nc(t)]
-    if family == "D":
-        raise ValueError("no type-D set partitions")
-    to_partition = noncrossing.perm_to_partition_a if family == "A" else noncrossing.perm_to_partition_b
-    return [("partition", to_partition(w)) for w in noncrossing.nc_elements(t)]
+        return noncrossing.rev_nc(t)
+    return [noncrossing.partition_blocks(w, family) for w in noncrossing.nc_elements(t)]
 
 
 def _serialize(kind: str, obj, fmt: str) -> str:
@@ -63,10 +62,7 @@ def _serialize(kind: str, obj, fmt: str) -> str:
     if kind == "ideal":
         return json.dumps(rootposets.ideal_to_json(obj), separators=(",", ":"))
     if kind == "partition":
-        blocks = noncrossing.partition_to_json(obj)
-        if fmt == "json":
-            return json.dumps({"blocks": blocks}, separators=(",", ":"))
-        return json.dumps(blocks, separators=(",", ":"))
+        return json.dumps({"blocks": obj} if fmt == "json" else obj, separators=(",", ":"))
     raise ValueError(kind)
 
 
@@ -87,13 +83,14 @@ _STAT_READERS = {
         "maj": lambda p, args: signedperm.maj(p, args.type),
     },
 }
-# what ``_enumerate_objects`` yields for each object
+# the kind of the objects ``_enumerate_objects`` returns for each --object
 _KIND = {"dyck": "path", "ideal": "ideal", "nc": "perm", "revnc": "perm", "sortable": "perm", "partition": "partition"}
 
 
 def cmd_enumerate(args) -> int:
+    kind = _KIND[args.object]
     lines = []
-    for kind, obj in _enumerate_objects(args):
+    for obj in _enumerate_objects(args):
         line = _serialize(kind, obj, args.format)
         if args.format == "csv":
             readers = list(_STAT_READERS.get(kind, {}).values())[:2]
@@ -131,7 +128,7 @@ def cmd_poly(args) -> int:
         raise ValueError(f"statistic {args.stat!r} undefined for {kind}")
     poly = _path_poly(args)
     if poly is None:
-        poly = gen_poly(read(obj, args) for _, obj in _enumerate_objects(args))
+        poly = gen_poly(read(obj, args) for obj in _enumerate_objects(args))
     if args.format == "json":
         print(json.dumps(poly.to_json()))
     else:
@@ -318,20 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coxcat")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, need_n=True):
+    def common(p, formats):
         p.add_argument("--type", choices=("A", "B", "D"), default="A")
-        if need_n:
-            p.add_argument("--n", type=int, required=True)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--unsafe", action="store_true", help="override rank guards")
 
     p_enum = sub.add_parser("enumerate", help="list objects one per line")
-    common(p_enum)
+    common(p_enum, ("text", "json", "csv"))
     p_enum.add_argument("--object", choices=_OBJECTS, required=True)
     p_enum.set_defaults(fn=cmd_enumerate)
 
     p_poly = sub.add_parser("poly", help="generating polynomial of a statistic")
-    common(p_poly)
+    common(p_poly, ("text", "json"))
     p_poly.add_argument("--object", choices=_OBJECTS, required=True)
     p_poly.add_argument("--stat", choices=_STATS, required=True)
     p_poly.set_defaults(fn=cmd_poly)

@@ -1,7 +1,9 @@
 """Non-crossing partitions: absolute-order intervals and set-partition models.
 
 Type A partitions live on 1..n; type B partitions live on +-1..+-n, are
-closed under negation and have at most one self-negative block.
+closed under negation and have at most one self-negative block.  The
+intervals are listed in the order their scan or walk finds them: every
+identity compares them as sets, counted by a statistic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .signedperm import (
     check_perm,
     coxeter_element,
     group_order,
-    group_order_key,
     identity,
     length_s,
     length_t,
@@ -25,50 +26,14 @@ from .signedperm import (
     reflections,
     rev,
     simple_reflection,
-    to_cycles,
 )
 from .sortable import enumerate_sortables
-
-Block = frozenset[int]
-SetPartition = frozenset[Block]
-
-
-def check_partition_b(p: SetPartition, n: int) -> None:
-    seen: set[int] = set()
-    symmetric = 0
-    for block in p:
-        if not block or seen & block:
-            raise ValueError("blocks must be nonempty and disjoint")
-        seen |= block
-        negated = frozenset(-v for v in block)
-        if negated == block:
-            symmetric += 1
-        elif negated not in p:
-            raise ValueError("blocks must close under negation")
-    if symmetric > 1:
-        raise ValueError("at most one self-negative block is allowed")
-    full = set(range(1, n + 1)) | set(range(-n, 0))
-    if seen != full:
-        raise ValueError(f"blocks do not cover +-1..+-{n}")
-
-
-def _blocks_cross(x: Block, y: Block) -> bool:
-    # crossing iff the merged sequence of block labels alternates 4+ times
-    merged = sorted([(v, 0) for v in x] + [(v, 1) for v in y])
-    collapsed = [merged[0][1]]
-    for _, who in merged[1:]:
-        if who != collapsed[-1]:
-            collapsed.append(who)
-    return len(collapsed) >= 4
-
-
-def _any_cross(blocks) -> bool:
-    return any(_blocks_cross(x, y) for x, y in itertools.combinations(blocks, 2))
 
 
 def _nc_scan(family: str, n: int) -> list[Perm]:
     """The interval [1, c] below c = (1, 2, ..., n) in type A, or below
-    c = (1, ..., n, -1, ..., -n) in type B, in no particular order.
+    c = (1, ..., n, -1, ..., -n) in type B, in the order the scan finds its
+    elements.
 
     Reads the points 1..n left to right.  Each point opens a block or joins
     the innermost open block, then closes that block or leaves it open: the
@@ -120,21 +85,23 @@ def _nc_scan(family: str, n: int) -> list[Perm]:
 
 
 def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
-    """The interval [1, c] in absolute order, listed in ``enumerate_group`` order.
+    """The interval [1, c] in absolute order, listed in walk order.
 
     c defaults to the standard Coxeter element: (1, 2, ..., n) in type A,
     (1, ..., n, -1, ..., -n) in type B, and the sorting element in type D.
     The default interval in types A and B is read off non-crossing
-    partitions by ``_nc_scan``.  Otherwise the interval is walked down from
-    c: w covers w*r, for a reflection r, exactly when l_T drops by one, and
-    absolute order is graded, so the closure of {c} under such steps is the
-    whole interval.  l_T is the cycle formula ``length_t`` in every type, so
-    the walk costs |[1, c]| times the number of reflections, never the group
+    partitions by ``_nc_scan``, in the order the scan finds them.
+    Otherwise the interval is walked down from c, one level of l_T at a
+    time, and listed level by level from c down to the identity: w covers
+    w*r, for a reflection r, exactly when l_T drops by one, and absolute
+    order is graded, so the closure of {c} under such steps is the whole
+    interval.  l_T is the cycle formula ``length_t`` in every type, so the
+    walk costs |[1, c]| times the number of reflections, never the group
     order.
     """
     if c is None:
         if t.family != "D":
-            return sorted(_nc_scan(t.family, t.n), key=group_order_key)
+            return _nc_scan(t.family, t.n)
         c = coxeter_element("D", t.n)[0]
     elif len(c) != t.n:
         raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
@@ -145,6 +112,7 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
     refl = reflections(t.family, t.n)
     found = {c}
     level = [c]
+    out = [c]
     for rank in range(t.rank - 1, -1, -1):
         below = []
         for w in level:
@@ -153,42 +121,28 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
                 if u not in found and length_t(u) == rank:
                     found.add(u)
                     below.append(u)
+        out += below
         level = below
-    return sorted(found, key=group_order_key)
+    return out
 
 
 def rev_nc(t: GroupType, c: Perm | None = None) -> list[Perm]:
-    """The image of the non-crossing interval under the rev involution."""
+    """The image of the non-crossing interval under the rev involution, in
+    the walk order of ``nc_elements``."""
     return [rev(w) for w in nc_elements(t, c)]
 
 
-def nc_perm_test_a(p: Perm) -> bool:
-    """Below the long cycle iff all cycles increase and pairwise do not cross."""
-    check_perm(p, "A")
-    cycles = to_cycles(p)
-    if any(list(c) != sorted(c) for c in cycles):
-        return False
-    return not _any_cross(map(frozenset, cycles))
+def partition_blocks(p: Perm, family: str) -> list[list[int]]:
+    """The set partition of a non-crossing element of type A or B: each
+    block sorted, the blocks in order of their least entries.
 
-
-def perm_to_partition_a(p: Perm) -> SetPartition:
-    check_perm(p, "A")
-    if not nc_perm_test_a(p):
-        raise ValueError("permutation is not non-crossing")
-    return frozenset(
-        frozenset(orbit) for orbit in _orbits(p, range(1, len(p) + 1))
-    )
-
-
-def perm_to_partition_b(p: Perm) -> SetPartition:
-    check_perm(p)
+    The blocks are the orbits of p, on 1..n in type A and on +-1..+-n in
+    type B (Reiner, 1997).  The orbits are started from the values in
+    increasing order, so each is found at its least entry.
+    """
     n = len(p)
-    blocks = frozenset(
-        frozenset(orbit)
-        for orbit in _orbits(p, list(range(1, n + 1)) + list(range(-n, 0)))
-    )
-    check_partition_b(blocks, n)
-    return blocks
+    values = range(1, n + 1) if family == "A" else [v for v in range(-n, n + 1) if v]
+    return [sorted(orbit) for orbit in _orbits(p, values)]
 
 
 def _orbits(p: Perm, values) -> list[set[int]]:
@@ -236,11 +190,12 @@ def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
 def _d4_intervals():
     """Yield (c, [1, c]) for every Coxeter element c of D_4, sorted by c.
 
-    Only [1, c0] is walked.  Conjugation by g permutes the reflections and
-    keeps l_T, so it carries [1, c0] onto [1, g c0 g^-1]; each interval is
-    listed in the order of [1, c0], not in ``enumerate_group`` order.
+    Only [1, c0], the default interval of ``nc_elements``, is walked.
+    Conjugation by g permutes the reflections and keeps l_T, so it carries
+    [1, c0] onto [1, g c0 g^-1]; each interval is listed in the walk order
+    of [1, c0].
     """
-    base = nc_elements(GroupType("D", 4), coxeter_element("D", 4)[0])
+    base = nc_elements(GroupType("D", 4))
     for c, g in _coxeter_class_d4():
         yield c, [_conj(g, w) for w in base]
 
@@ -285,8 +240,4 @@ def d4_counterexample() -> dict:
             report["failures"].append({"check": "sortable-side-cardinality", "word": repr(word)})
 
     return report
-
-
-def partition_to_json(p: SetPartition) -> list[list[int]]:
-    return sorted((sorted(b) for b in p), key=lambda b: b[0])
 

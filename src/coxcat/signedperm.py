@@ -304,14 +304,6 @@ def enumerate_group(family: str, n: int):
             yield tuple(-v if mask >> i & 1 else v for i, v in enumerate(base))
 
 
-def group_order_key(p: Perm) -> tuple[Perm, int]:
-    """Sort key that lists elements in the order ``enumerate_group`` yields them."""
-    magnitudes = tuple(map(abs, p))
-    if magnitudes == p:  # sign-free: no sign mask to build
-        return p, 0
-    return magnitudes, sum(1 << i for i, v in enumerate(p) if v < 0)
-
-
 def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
     """s_i for i >= 1 swaps positions i, i+1; s_0 is the type-specific extra one."""
     return word_to_perm((i,), n, family)

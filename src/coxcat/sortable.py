@@ -23,7 +23,6 @@ from .signedperm import (
     Perm,
     check_perm,
     coxeter_element,
-    group_order_key,
     identity,
 )
 
@@ -121,13 +120,13 @@ def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:
 
 
 def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:
-    """All sortable elements for the given Coxeter word, in group order.
+    """All sortable elements for the given Coxeter word, in walk order.
 
     Walks up the right weak order from e, stepping by ascents that are
     letters of c and keeping the sortable results: dropping the last letter
     of a sortable element's sorting word leaves a sortable element, so every
     one is reached.  The word defaults to that of ``coxeter_element``.  The
-    result is listed in ``enumerate_group`` order.
+    result is listed in the order the walk reaches it, e first.
     """
     family, n = t.family, t.n
     if c_word is None:
@@ -142,5 +141,5 @@ def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:
                 seen.add(u)
                 if _sorting_word(u, c_word, family).is_sortable_chain():
                     found.append(u)
-    return sorted(found, key=group_order_key)
+    return found
 

@@ -45,19 +45,21 @@ monomials, exact polynomial division and the substitution q -> q^m, path
 conjugation, the east count and lower/upper split of a type-B path, the
 partition above a path, the root-to-cell maps, an ideal's descent set and
 arc partition, the root-poset order, upper covers, maximal elements and
-antichains, the non-crossing predicates and the partition-to-permutation
-codecs, absolute order, the sorting-word parser and a sorting word's
-letters, 231-avoidance, the non-crossing Coxeter elements (1, ..., n) and
-(1, ..., n, -1, ..., -n), and the class of Coxeter elements of D_4.
+antichains, the non-crossing predicates (a pairwise crossing test and the
+type-B partition check) and the partition-to-permutation codecs, which
+check ``noncrossing.partition_blocks``, absolute order, the sorting-word
+parser and a sorting word's letters, 231-avoidance, the non-crossing
+Coxeter elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class
+of Coxeter elements of D_4.
 """
 
 from collections import deque
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import sub
 
 from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
-from coxcat.noncrossing import SetPartition, rev_nc
+from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError, check_guard
 from coxcat.rootposets import Cell, Root, RootPoset
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
@@ -621,6 +623,10 @@ def order_key_b(v: int) -> tuple[int, int]:
     return (0, -v) if v < 0 else (1, v)
 
 
+Block = frozenset[int]
+SetPartition = frozenset[Block]
+
+
 def check_partition_a(p: SetPartition, n: int) -> None:
     seen: set[int] = set()
     for block in p:
@@ -631,17 +637,50 @@ def check_partition_a(p: SetPartition, n: int) -> None:
         raise ValueError(f"blocks do not cover 1..{n}")
 
 
+def check_partition_b(p: SetPartition, n: int) -> None:
+    seen: set[int] = set()
+    symmetric = 0
+    for block in p:
+        if not block or seen & block:
+            raise ValueError("blocks must be nonempty and disjoint")
+        seen |= block
+        negated = frozenset(-v for v in block)
+        if negated == block:
+            symmetric += 1
+        elif negated not in p:
+            raise ValueError("blocks must close under negation")
+    if symmetric > 1:
+        raise ValueError("at most one self-negative block is allowed")
+    full = set(range(1, n + 1)) | set(range(-n, 0))
+    if seen != full:
+        raise ValueError(f"blocks do not cover +-1..+-{n}")
+
+
+def _blocks_cross(x: Block, y: Block) -> bool:
+    # crossing iff the merged sequence of block labels alternates 4+ times
+    merged = sorted([(v, 0) for v in x] + [(v, 1) for v in y])
+    collapsed = [merged[0][1]]
+    for _, who in merged[1:]:
+        if who != collapsed[-1]:
+            collapsed.append(who)
+    return len(collapsed) >= 4
+
+
+def _any_cross(blocks) -> bool:
+    return any(_blocks_cross(x, y) for x, y in combinations(blocks, 2))
+
+
 def is_noncrossing_a(p: SetPartition) -> bool:
-    return not noncrossing._any_cross(p)
+    return not _any_cross(p)
 
 
 def is_noncrossing_b(p: SetPartition, n: int | None = None) -> bool:
     """Crossings judged in the order -1 < -2 < ... < -n < 1 < 2 < ... < n."""
     if n is None:
         n = max(abs(v) for b in p for v in b)
-    noncrossing.check_partition_b(p, n)
+    check_partition_b(p, n)
     # the keys list each block in the same order, so they cross as the blocks do
-    return not noncrossing._any_cross([frozenset(map(order_key_b, b)) for b in p])
+    return not _any_cross([frozenset(map(order_key_b, b)) for b in p])
 
 
 def partition_to_perm_a(p: SetPartition, n: int) -> Perm:

@@ -169,6 +169,14 @@ class TestEnumerate:
         assert [[1], [2], [3]] in lines
         assert [[1, 2, 3]] in lines
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_no_type_d_partitions(self, capsys, n):
+        # refused before the non-crossing guard, which D6 would exceed
+        assert main(["enumerate", "--object", "partition", "--type", "D", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no type-D set partitions\n"
+
     def test_csv(self, capsys):
         code, out = run(capsys, ["enumerate", "--object", "dyck", "--type", "A", "--n", "2", "--format", "csv"])
         rows = [l.split(",") for l in out.splitlines()]
@@ -210,6 +218,13 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--object", "nonsense", "--n", "2"])
         assert exc.value.code == 2
+
+    def test_poly_has_no_csv(self, capsys):
+        # csv rows carry per-object statistics, so only enumerate has them
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--object", "dyck", "--type", "A", "--n", "3", "--stat", "area", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestMap:

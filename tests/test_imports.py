@@ -19,7 +19,7 @@ psi verifier and its row kernel may not name the word enumerations, the
 Dyck check, the per-word statistics and split, or the word entries
 ``psi_a``/``psi_b``.  The verifiers check each image once and then read
 all its statistics from one pass, ``signedperm._stats``, so they may not
-name the checked statistics, ``c_sorting_word`` or the sorted ``rev_nc``,
+name the checked statistics, ``c_sorting_word`` or ``rev_nc``,
 nor a single statistic, a descent set, ``neg`` or ``inverse``; the walk of the
 sortable elements checks its word once, so it may not name
 ``is_c_sortable`` or ``c_sorting_word``.  phi's row kernel walks each

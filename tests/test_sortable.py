@@ -182,13 +182,13 @@ class TestSortableWalkAgainstFilter:
     )
     def test_default_c_word(self, fam, n):
         t = GroupType(fam, n - 1 if fam == "A" else n)
-        assert so.enumerate_sortables(t) == sortable_filter_oracle(fam, n, default_c_word(fam, n))
+        assert sorted(so.enumerate_sortables(t)) == sorted(sortable_filter_oracle(fam, n, default_c_word(fam, n)))
 
     @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 3), ("B", 4), ("D", 4)])
     def test_every_c_word(self, fam, rank):
         t = GroupType(fam, rank)
         for c_word in itertools.permutations(default_c_word(fam, t.n)):
-            assert so.enumerate_sortables(t, c_word) == sortable_filter_oracle(fam, t.n, c_word)
+            assert sorted(so.enumerate_sortables(t, c_word)) == sorted(sortable_filter_oracle(fam, t.n, c_word))
 
     def test_bad_c_word(self):
         with pytest.raises(ValueError):
