@@ -12,9 +12,10 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from math import comb
 
 from . import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
-from .qseries import GroupType, SizeGuardError, cat_number, check_guard, gen_poly, qcat_a
+from .qseries import GroupType, SizeGuardError, cat_number, check_guard, gen_poly, q_binomial, qcat_a, qcat_product
 
 _OBJECTS = ("dyck", "ideal", "nc", "revnc", "sortable", "partition")
 _STATS = ("area", "maj", "ls", "lt", "majimaj")
@@ -31,10 +32,17 @@ def _group(family: str, n: int) -> GroupType:
     return GroupType(family, n - 1 if family == "A" else n)
 
 
+def _path_guard(args) -> None:
+    """The path guard, and a negative --n refused with an error that names the option."""
+    check_guard("path", args.type, args.n, args.unsafe)
+    if args.n < 0:
+        raise ValueError(f"--n {args.n} is too small for paths: it needs --n >= 0")
+
+
 def _enumerate_objects(args):
     family, n = args.type, args.n
     if args.object == "dyck":
-        check_guard("path", family, n, args.unsafe)
+        _path_guard(args)
         return (paths.enumerate_a if family == "A" else paths.enumerate_b)(n)
     if args.object == "partition" and family == "D":
         raise ValueError("no type-D set partitions")
@@ -103,7 +111,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _path_poly(args):
-    """Area or maj of type-A/B paths or ideals, by the O(n^4) lattice-point pass; None otherwise.
+    """Area or maj of type-A/B paths or ideals, by the lattice-point pass; None otherwise.
 
     An ideal's row starts are its Dyck path, |I| is the path's area and
     ``ideal_maj`` is the path's maj, so both objects share the path
@@ -116,7 +124,7 @@ def _path_poly(args):
     if args.object == "ideal":
         check_guard("ideal", family, _group(family, args.n).rank, args.unsafe)
     else:
-        check_guard("path", family, args.n, args.unsafe)
+        _path_guard(args)
     area, maj = paths._stat_counts(family, args.n)
     return area if args.stat == "area" else maj
 
@@ -280,6 +288,9 @@ def _selftest_cases():
         eq("B2 path count", len(paths.enumerate_b(2)), 6),
         eq("B2 areas", sorted(paths.area_b(w) for w in paths.enumerate_b(2)), [0, 1, 1, 2, 3, 4]),
         eq("maj of B6 path", paths.maj_b("NENNENNNENNE"), 48),
+        eq("A12 maj polynomial", paths.maj_polynomial("A", 12), qcat_a(12)),
+        eq("B8 maj polynomial", paths.maj_polynomial("B", 8), qcat_product(GroupType("B", 8))),
+        eq("q-binomial (20, 10) at q = 1", q_binomial(20, 10)(1), comb(20, 10)),
         eq("lattice maj", paths.lattice_maj("NEENEENNENNE"), 24),
         eq("lattice unfold", paths.unfold_lattice_to_b("NEENEENNENNE"), "NENNENNNENNE"),
         eq("cycle notation", signedperm.cycles_str(signedperm.to_cycles((4, 2, -6, 5, 1, 3))), "(1,4,5)(3,-6,-3)"),

@@ -9,17 +9,20 @@ its north column up to its cap (``_caps``), so area and maj are read off
 the north columns, and the cell sets are left to the tests' oracles.
 
 Area and maj add up over the steps of a path, so their generating
-polynomials come from one pass over the lattice points, in O(n^4) steps
-rather than one per path; only ``_row_stream``, which hands every path's
-row starts to the verifiers, still walks the paths one by one.
+polynomials come from one pass over the lattice points, not the paths,
+each group's tallies packed into one int in fields that C(2n, n) bounds
+and that must add up to the path count when unpacked.  Only
+``_row_stream``, which hands every path's row starts to the verifiers,
+still walks the paths one by one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from math import comb
+from operator import sub
 
-from .qseries import QPoly
+from .qseries import QPoly, unpack
 
 
 def is_dyck_a(word: str) -> bool:
@@ -174,14 +177,6 @@ def unfold_lattice_to_b(word: str) -> str:
     return "".join("N" if i in flips else c for i, c in enumerate(word))
 
 
-def _add_shifted(dst: list[int], src: list[int], shift: int) -> None:
-    """Add src, moved up by ``shift`` places, into dst, lengthening dst as needed."""
-    end = shift + len(src)
-    if end > len(dst):
-        dst.extend([0] * (end - len(dst)))
-    dst[shift:end] = map(add, dst[shift:end], src)
-
-
 def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     """The area and maj polynomials over all type-``family`` paths of 2n steps.
 
@@ -195,8 +190,12 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     by 2n - k.  A prefix with a north step in every row or with 2n steps
     ends its group's paths (the rest is forced east), and in type B it
     adds its east count 2n - norths to the maj before the doubling of
-    ``maj_b``.  That is O(n^2) groups with O(n^2) tallies each: O(n^4) in
-    all, against Cat(n) paths.
+    ``maj_b``.  Each group's tallies are one int, ``width`` bytes per
+    coefficient, so a shift by d places is ``<< 8 * width * d``: O(n^2)
+    shift-adds over ints of O(n^2) fields, against Cat(n) paths.  No
+    group counts more than the C(2n, n) type-B paths its prefixes extend
+    to, which sizes the fields, and ``qseries.unpack`` checks that they
+    add up to the path count.
     ``area_a``/``maj_a``/``area_b``/``maj_b`` remain the per-word oracles.
     """
     if n < 0:
@@ -204,27 +203,29 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     total = 2 * n
     caps = _caps(family, n)
     double = family == "B"
-    area: list[int] = []
-    maj: list[int] = []
-    layer = {(0, False): ([1], [1])}  # (norths, after_east) -> (area tallies, maj tallies)
+    count = comb(total, n) if double else comb(total, n) // (n + 1)
+    width = (comb(total, n).bit_length() + 8) // 8
+    bits = 8 * width
+    area = maj = 0
+    layer = {(0, False): (1, 1)}  # (norths, after_east) -> (area tallies, maj tallies), packed
     for k in range(total + 1):
-        grown: dict[tuple[int, bool], tuple[list[int], list[int]]] = {}
+        grown: dict[tuple[int, bool], tuple[int, int]] = {}
         for (norths, after_east), (a, m) in layer.items():
             easts = k - norths
             if norths == len(caps) or k == total:
-                _add_shifted(area, a, 0)
-                _add_shifted(maj, m, total - norths if double else 0)
+                area += a
+                maj += m << (bits * (total - norths)) if double else m
                 continue
             steps = [((norths + 1, False), caps[norths] - easts, total - k if after_east else 0)]
             if easts < norths:
                 steps.append(((norths, True), 0, 0))
             for key, da, dm in steps:
-                ga, gm = grown.setdefault(key, ([], []))
-                _add_shifted(ga, a, da)
-                _add_shifted(gm, m, dm)
+                ga, gm = grown.get(key, (0, 0))
+                grown[key] = ga + (a << (bits * da)), gm + (m << (bits * dm))
         layer = grown
+    area, maj = unpack(area, width, count), unpack(maj, width, count)
     if double:
-        maj[1:] = [c for x in maj[1:] for c in (0, x)]
+        maj = [c for x in maj for c in (x, 0)]
     return QPoly(area), QPoly(maj)
 
 

@@ -68,10 +68,6 @@ class QPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "QPoly":
         return cls((1,))
 
@@ -123,12 +119,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "QPoly":
-        """The polynomial times q^k."""
-        if k < 0:
-            raise ValueError("negative exponent")
-        return QPoly((0,) * k + self.coeffs) if self.coeffs else self
 
     def __call__(self, x: int) -> int:
         val = 0
@@ -275,12 +265,29 @@ def q_binomial(k: int, l: int) -> QPoly:
     if l > k:
         raise ValueError("need l <= k")
     l = min(l, k - l)
-    # row[j] holds qbinom(i, j); Pascal step: qbinom(i,j) = qbinom(i-1,j-1) + q^j qbinom(i-1,j)
-    row = [QPoly.one()] + [QPoly.zero()] * l
+    total = math.comb(k, l)  # bounds every coefficient of qbinom(i, j), i <= k and j <= l
+    width = (total.bit_length() + 8) // 8
+    bits = 8 * width
+    # row[j] holds qbinom(i, j) packed; Pascal step: qbinom(i,j) = qbinom(i-1,j-1) + q^j qbinom(i-1,j)
+    row = [1] + [0] * l
     for i in range(1, k + 1):
         for j in range(min(i, l), 0, -1):
-            row[j] = row[j - 1] + row[j].shift(j)
-    return row[l]
+            row[j] = row[j - 1] + (row[j] << (bits * j))
+    return QPoly(unpack(row[l], width, total))
+
+
+def unpack(packed: int, width: int, total: int) -> list[int]:
+    """The coefficients packed ``width`` bytes per field into ``packed``, constant term first.
+
+    A field that outgrew its width carried into the next, which lowers the
+    sum of the fields: a sum other than ``total``, the value at q = 1,
+    raises OverflowError rather than return a wrong polynomial.
+    """
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    cs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    if sum(cs) != total:
+        raise OverflowError(f"{width}-byte fields add up to {sum(cs)}, not {total}")
+    return cs
 
 
 def cat_number(t: GroupType) -> int:

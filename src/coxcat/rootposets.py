@@ -249,7 +249,7 @@ def cat_q(t: GroupType) -> QPoly:
 
     In types A and B the row starts of an ideal are its Dyck path and |I|
     is that path's area, so this is the area polynomial of the paths of
-    2n steps, from the O(n^4) lattice-point pass of ``paths._stat_counts``
+    2n steps, from the lattice-point pass of ``paths._stat_counts``
     without building an ideal or a path.  Type D enumerates its ideals.
     """
     if t.family == "D":

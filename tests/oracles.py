@@ -26,9 +26,9 @@ shortcut, and the one-statistic helpers ``neg``, ``des_set``, ``des``,
 ``ides_set`` and ``ides``, against the one-pass ``signedperm._stats``.
 
 The area and maj polynomials by a depth-first pass with one leaf per
-path, against the lattice-point pass ``paths._stat_counts``, and the
-palindromicity test one coefficient at a time, against
-``qseries.is_palindromic``.
+path, and by the lattice-point pass on coefficient lists, against the
+packed lattice-point pass ``paths._stat_counts``, and the palindromicity
+test one coefficient at a time, against ``qseries.is_palindromic``.
 
 The cell sets of a path (``cells_a``/``cells_b``) and its descent set,
 against the area and maj that ``paths`` reads off the north columns, and
@@ -56,7 +56,7 @@ of Coxeter elements of D_4.
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, combinations
-from operator import sub
+from operator import add, sub
 
 from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
 from coxcat.noncrossing import rev_nc
@@ -466,6 +466,49 @@ def stat_counts_dfs(family: str, n: int) -> tuple[QPoly, QPoly]:
         rec(norths + 1, easts, False, a + caps[norths] - easts, m + total - norths - easts if after_east else m)
 
     rec(0, 0, False, 0, 0)
+    return QPoly(area), QPoly(maj)
+
+
+def stat_counts_lists(family: str, n: int) -> tuple[QPoly, QPoly]:
+    """The lattice-point pass of ``paths._stat_counts`` with its tallies kept
+    as coefficient lists, each step an element-by-element shifted add.
+
+    The same groups, keyed by (north count, last step east), and the same
+    shifts as the packed pass; the oracle for its packing and unpacking.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+    def add_shifted(dst: list[int], src: list[int], shift: int) -> None:
+        end = shift + len(src)
+        if end > len(dst):
+            dst.extend([0] * (end - len(dst)))
+        dst[shift:end] = map(add, dst[shift:end], src)
+
+    total = 2 * n
+    caps = paths._caps(family, n)
+    double = family == "B"
+    area: list[int] = []
+    maj: list[int] = []
+    layer = {(0, False): ([1], [1])}  # (norths, after_east) -> (area tallies, maj tallies)
+    for k in range(total + 1):
+        grown: dict[tuple[int, bool], tuple[list[int], list[int]]] = {}
+        for (norths, after_east), (a, m) in layer.items():
+            easts = k - norths
+            if norths == len(caps) or k == total:
+                add_shifted(area, a, 0)
+                add_shifted(maj, m, total - norths if double else 0)
+                continue
+            steps = [((norths + 1, False), caps[norths] - easts, total - k if after_east else 0)]
+            if easts < norths:
+                steps.append(((norths, True), 0, 0))
+            for key, da, dm in steps:
+                ga, gm = grown.setdefault(key, ([], []))
+                add_shifted(ga, a, da)
+                add_shifted(gm, m, dm)
+        layer = grown
+    if double:
+        maj[1:] = [c for x in maj[1:] for c in (0, x)]
     return QPoly(area), QPoly(maj)
 
 

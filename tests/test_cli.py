@@ -511,6 +511,8 @@ class TestVerify:
             (["map", "--via", "psiA", "--n", "1", "--inverse"], "[1]\n", "--n 1 is too small for type A: it needs --n >= 2"),
             (["map", "--via", "psiB", "--n", "0"], "\n", "--n 0 is too small for type B: it needs --n >= 1"),
             (["enumerate", "--object", "ideal", "--type", "D", "--n", "1"], "", "--n 1 is too small for type D: it needs --n >= 2"),
+            (["enumerate", "--object", "dyck", "--n", "-1"], "", "--n -1 is too small for paths: it needs --n >= 0"),
+            (["poly", "--object", "dyck", "--stat", "maj", "--type", "B", "--n", "-2"], "", "--n -2 is too small for paths: it needs --n >= 0"),
         ],
     )
     def test_too_small_n_names_the_option(self, capsys, monkeypatch, argv, stdin, message):

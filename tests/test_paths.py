@@ -22,6 +22,7 @@ from oracles import (
     path_from_partition,
     split_lower_upper,
     stat_counts_dfs,
+    stat_counts_lists,
     substitute_power,
 )
 
@@ -282,6 +283,11 @@ class TestPolynomials:
     def test_lattice_pass_matches_the_dfs(self, family, n):
         # the old depth-first pass, one leaf per path, is the oracle for both polynomials
         assert paths._stat_counts(family, n) == stat_counts_dfs(family, n)
+
+    @pytest.mark.parametrize("family,n", [("A", n) for n in range(15)] + [("B", n) for n in range(11)])
+    def test_packed_pass_matches_the_list_pass(self, family, n):
+        # the same pass on coefficient lists, one element-by-element add per shift, is the oracle for the packing
+        assert paths._stat_counts(family, n) == stat_counts_lists(family, n)
 
     @pytest.mark.parametrize("n", range(20))
     def test_area_recurrence_a(self, n):

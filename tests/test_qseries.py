@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from coxcat.qseries import (
     q_integer,
     qcat_a,
     qcat_product,
+    unpack,
 )
 from coxcat import qseries
 from coxcat.qseries import _qcat
@@ -26,7 +28,10 @@ from oracles import coeff, degree, divexact, is_palindromic_loop, series_qcat, s
 
 def oracle_q_binomial(k, l):
     # independent route: quotient of q-factorials by long division
-    return divexact(q_factorial(k), q_factorial(l) * q_factorial(k - l))
+    return divexact(cached_q_factorial(k), cached_q_factorial(l) * cached_q_factorial(k - l))
+
+
+cached_q_factorial = lru_cache(maxsize=None)(q_factorial)
 
 
 class TestQPoly:
@@ -100,7 +105,7 @@ class TestQBinomial:
         with pytest.raises(ValueError):
             q_binomial(2, 3)
 
-    @pytest.mark.parametrize("k", range(13))
+    @pytest.mark.parametrize("k", range(25))
     def test_symmetry_and_oracle(self, k):
         for l in range(k + 1):
             b = q_binomial(k, l)
@@ -108,6 +113,36 @@ class TestQBinomial:
             assert b == oracle_q_binomial(k, l)
             assert all(c >= 0 for c in b.coeffs)
             assert b(1) == _binom(k, l)
+
+    @pytest.mark.parametrize("k", range(25, 61))
+    def test_value_at_one_and_palindromy(self, k):
+        # past the factorial-quotient oracle's range: qbinom(k, l) has degree l(k - l) and reads the same backwards
+        for l in range(k + 1):
+            b = q_binomial(k, l)
+            assert b(1) == _binom(k, l)
+            assert is_palindromic(b, l * (k - l)) and b.coeffs[-1] == 1
+
+
+class TestUnpack:
+    def test_round_trip(self):
+        coeffs = [1, 0, 300, 65535]
+        packed = sum(c << (16 * k) for k, c in enumerate(coeffs))
+        assert unpack(packed, 2, sum(coeffs)) == coeffs
+        assert unpack(0, 3, 0) == []
+
+    def test_a_full_field_round_trips(self):
+        # 2**(8 * width) - 1 is the largest count a field holds without carrying
+        for width in (1, 2, 3):
+            top = 2 ** (8 * width) - 1
+            packed = 5 + (top << (8 * width)) + (7 << (16 * width))
+            assert unpack(packed, width, 12 + top) == [5, top, 7]
+
+    def test_a_field_one_byte_too_narrow_raises(self):
+        # 300 needs two bytes: read one byte a field, it carries 1 into the next field and the sum drops
+        packed = 300 + (1 << 16)
+        assert unpack(packed, 2, 301) == [300, 1]
+        with pytest.raises(OverflowError, match="1-byte fields add up to 46, not 301"):
+            unpack(packed, 1, 301)
 
 
 def _binom(k, l):
@@ -285,12 +320,6 @@ class TestQIntegerKernels:
         monkeypatch.setattr(qseries, "degrees", lambda t: (3, 4))  # [7]_q [8]_q / [3]_q [4]_q
         with pytest.raises(ArithmeticError, match="degree table for A2 is inconsistent"):
             qcat_product.__wrapped__(GroupType("A", 2))  # past the cache
-
-    def test_shift(self):
-        assert QPoly([1, 2]).shift(3) == QPoly([0, 0, 0, 1, 2])
-        assert QPoly().shift(2) == QPoly()
-        with pytest.raises(ValueError):
-            QPoly.one().shift(-1)
 
 
 class TestCatNumbers:
