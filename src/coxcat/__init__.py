@@ -28,7 +28,7 @@ from .paths import (
     maj_b,
     maj_polynomial,
 )
-from .rootposets import cat_q, dyck_to_ideal, ideal_to_dyck, ideals, root_poset
+from .rootposets import cat_q, dyck_to_ideal, ideal_to_dyck, ideals
 from .signedperm import coxeter_element, length_s, length_t
 from .noncrossing import d4_counterexample, nc_elements, rev_nc
 from .sortable import c_sorting_word, enumerate_sortables, is_c_sortable
@@ -72,7 +72,6 @@ __all__ = [
     "qcat_a",
     "qcat_product",
     "rev_nc",
-    "root_poset",
     "verify_phi_theorems",
     "verify_psi_theorems",
     "__version__",

@@ -39,13 +39,16 @@ def _path_guard(args) -> None:
         raise ValueError(f"--n {args.n} is too small for paths: it needs --n >= 0")
 
 
-def _enumerate_objects(args):
+def _enumerate_objects(args, stats=()):
+    """The objects of --object; ``stats`` names the statistics to be read off them."""
     family, n = args.type, args.n
     if args.object == "dyck":
         _path_guard(args)
         return (paths.enumerate_a if family == "A" else paths.enumerate_b)(n)
     if args.object == "partition" and family == "D":
         raise ValueError("no type-D set partitions")
+    if args.object == "ideal" and family == "D" and "maj" in stats:
+        raise ValueError(rootposets.NO_TYPE_D_MAJ)
     t = _group(family, n)
     guard = args.object if args.object in ("ideal", "sortable") else "non-crossing"
     check_guard(guard, family, t.rank, args.unsafe)
@@ -97,12 +100,12 @@ _KIND = {"dyck": "path", "ideal": "ideal", "nc": "perm", "revnc": "perm", "sorta
 
 def cmd_enumerate(args) -> int:
     kind = _KIND[args.object]
+    stats = list(_STAT_READERS.get(kind, {}))[:2] if args.format == "csv" else []
     lines = []
-    for obj in _enumerate_objects(args):
+    for obj in _enumerate_objects(args, stats):
         line = _serialize(kind, obj, args.format)
         if args.format == "csv":
-            readers = list(_STAT_READERS.get(kind, {}).values())[:2]
-            vals = [str(read(obj, args)) for read in readers]
+            vals = [str(_STAT_READERS[kind][stat](obj, args)) for stat in stats]
             line = ",".join([_serialize(kind, obj, "text").replace(",", ";")] + vals)
         lines.append(line)
     for line in sorted(lines):
@@ -111,18 +114,23 @@ def cmd_enumerate(args) -> int:
 
 
 def _path_poly(args):
-    """Area or maj of type-A/B paths or ideals, by the lattice-point pass; None otherwise.
+    """Area or maj of paths or ideals, with no object listed; None otherwise.
 
-    An ideal's row starts are its Dyck path, |I| is the path's area and
-    ``ideal_maj`` is the path's maj, so both objects share the path
-    polynomials.  An ideal answers to the ideal guard alone, a path to the
-    path guard.
+    Ideal area is ``cat_q`` in every type.  In types A and B an ideal's row
+    starts are its Dyck path and ``ideal_maj`` is the path's maj, so the
+    other polynomials read the lattice-point pass.  An ideal answers to the
+    ideal guard alone, a path to the path guard.
     """
     family = args.type
-    if family == "D" or args.object not in ("dyck", "ideal") or args.stat not in ("area", "maj"):
+    if args.object not in ("dyck", "ideal") or args.stat not in ("area", "maj") or (
+        family == "D" and (args.object, args.stat) != ("ideal", "area")
+    ):
         return None
     if args.object == "ideal":
-        check_guard("ideal", family, _group(family, args.n).rank, args.unsafe)
+        t = _group(family, args.n)
+        check_guard("ideal", family, t.rank, args.unsafe)
+        if args.stat == "area":
+            return rootposets.cat_q(t)
     else:
         _path_guard(args)
     area, maj = paths._stat_counts(family, args.n)
@@ -136,7 +144,7 @@ def cmd_poly(args) -> int:
         raise ValueError(f"statistic {args.stat!r} undefined for {kind}")
     poly = _path_poly(args)
     if poly is None:
-        poly = gen_poly(read(obj, args) for obj in _enumerate_objects(args))
+        poly = gen_poly(read(obj, args) for obj in _enumerate_objects(args, (args.stat,)))
     if args.format == "json":
         print(json.dumps(poly.to_json()))
     else:
@@ -274,9 +282,7 @@ def _selftest_cases():
         ]
     )
     tB4 = GroupType("B", 4)
-    idealB4 = rootposets.root_poset(tB4).ideal_from_antichain(
-        [rootposets.diff(1, 4), rootposets.short(1)]
-    )
+    idealB4 = rootposets.dyck_to_ideal(tB4, "NNNNEEEN")
 
     def eq(name, got, want):
         return (name, got, want)
@@ -284,6 +290,8 @@ def _selftest_cases():
     cases = [
         eq("qcat_a(3)", str(qcat_a(3)), "1 + q^2 + q^3 + q^4 + q^6"),
         eq("Cat_B2(q) by areas", str(rootposets.cat_q(GroupType("B", 2))), "1 + 2q + q^2 + q^3 + q^4"),
+        eq("Cat_D4(q) by ideal sizes", str(rootposets.cat_q(GroupType("D", 4))), "1 + 4q + 6q^2 + 7q^3 + 7q^4 + 6q^5 + 6q^6 + 4q^7 + 3q^8 + 3q^9 + q^10 + q^11 + q^12"),
+        eq("Cat_D7(1) by ideal sizes", (rootposets.cat_q(GroupType("D", 7))(1), cat_number(GroupType("D", 7))), (2508, 2508)),
         eq("cat numbers", (cat_number(GroupType("H3", 3)), cat_number(GroupType("E8", 8)), cat_number(GroupType("B", 2))), (32, 25080, 6)),
         eq("B2 path count", len(paths.enumerate_b(2)), 6),
         eq("B2 areas", sorted(paths.area_b(w) for w in paths.enumerate_b(2)), [0, 1, 1, 2, 3, 4]),

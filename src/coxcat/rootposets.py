@@ -2,15 +2,16 @@
 
 Positive roots are tagged tuples: ``("diff", a, b)`` is e_b - e_a with
 a < b, ``("short", b)`` is e_b (type B only), and ``("sum", a, b)`` is
-e_a + e_b with a < b (types B and D).  The covering relation is
-"difference is a simple root"; order ideals under it are the non-nesting
-partitions of the group.
+e_a + e_b with a < b (types B and D).  A root is covered by its sum with
+each simple root that keeps it a root; order ideals under this order, as
+bitmasks over the roots in height order, are the non-nesting partitions.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from . import paths
@@ -89,90 +90,38 @@ def positive_roots(t: GroupType) -> list[Root]:
     return roots
 
 
-def simple_roots(t: GroupType) -> list[Root]:
-    n = t.n
-    simples = [diff(i, i + 1) for i in range(1, n)]
-    if t.family == "B":
-        simples.append(short(1))
-    if t.family == "D":
-        simples.append(sum_root(1, 2))
-    return simples
-
-
-class RootPoset:
-    """The poset of positive roots under the simple-difference covering."""
-
-    def __init__(self, t: GroupType):
-        if t.family not in ("A", "B", "D"):
-            raise ValueError(f"no root poset for family {t.family!r}")
-        self.type = t
-        self.roots = positive_roots(t)
-        self.index = {r: i for i, r in enumerate(self.roots)}
-        n = t.n
-        vecs = [root_vector(r, n) for r in self.roots]
-        simple_vecs = {root_vector(s, n) for s in simple_roots(t)}
-        m = len(self.roots)
-        self.lower_covers: list[list[int]] = [[] for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                d = tuple(vecs[j][k] - vecs[i][k] for k in range(n))
-                if d in simple_vecs:
-                    # roots[j] covers roots[i]
-                    self.lower_covers[j].append(i)
-        self._below = [frozenset(self._descend(i)) for i in range(m)]
-
-    def _descend(self, i: int) -> set[int]:
-        out = {i}
-        stack = [i]
-        while stack:
-            for k in self.lower_covers[stack.pop()]:
-                if k not in out:
-                    out.add(k)
-                    stack.append(k)
-        return out
-
-    def down_set(self, r: Root) -> frozenset[Root]:
-        return frozenset(self.roots[k] for k in self._below[self.index[r]])
-
-    def is_ideal(self, rs: frozenset[Root]) -> bool:
-        idx = {self.index[r] for r in rs}
-        return all(set(self.lower_covers[i]) <= idx for i in idx)
-
-    def ideal_from_antichain(self, antichain) -> frozenset[Root]:
-        out: set[Root] = set()
-        for r in antichain:
-            out |= self.down_set(r)
-        return frozenset(out)
-
-    def ideals(self) -> list[frozenset[Root]]:
-        """All order ideals, by backtracking along a height linear extension."""
-        m = len(self.roots)
-        lower = self.lower_covers  # roots are already height-sorted
-        out: list[frozenset[Root]] = []
-        chosen: list[int] = []
-        included = bytearray(m)
-
-        def rec(k: int):
-            if k == m:
-                out.append(frozenset(self.roots[i] for i in chosen))
-                return
-            rec(k + 1)
-            if all(included[j] for j in lower[k]):
-                included[k] = 1
-                chosen.append(k)
-                rec(k + 1)
-                chosen.pop()
-                included[k] = 0
-
-        rec(0)
-        return out
-
-
 @lru_cache(maxsize=None)
-def root_poset(t: GroupType) -> RootPoset:
-    return RootPoset(t)
+def _poset(t: GroupType) -> tuple[tuple[Root, ...], tuple[int, ...]]:
+    """The positive roots in height order and their lower covers, as masks.
+
+    Bit k of ``below[i]`` is set when ``roots[i]`` covers ``roots[k]``: beta
+    is covered by beta + alpha for each simple root alpha, a root of height 1,
+    that keeps it a root.
+    """
+    roots = tuple(positive_roots(t))
+    at = {root_vector(r, t.n): i for i, r in enumerate(roots)}
+    simples = [v for v, i in at.items() if root_height(roots[i], t.family) == 1]
+    below = [0] * len(roots)
+    for v, i in at.items():
+        for s in simples:
+            j = at.get(tuple(map(add, v, s)))
+            if j is not None:
+                below[j] |= 1 << i
+    return roots, tuple(below)
+
+
+def _ideal_masks(t: GroupType) -> list[int]:
+    """Every order ideal as a mask over the roots of ``_poset(t)``.
+
+    Roots join in height order, a linear extension: root i joins each ideal
+    of the roots before it that already holds all its lower covers.
+    """
+    _, below = _poset(t)
+    masks = [0]
+    for i, low in enumerate(below):
+        bit = 1 << i
+        masks += [mask | bit for mask in masks if mask & low == low]
+    return masks
 
 
 class PlanarCells(NamedTuple):
@@ -229,19 +178,22 @@ def ideal_row_starts(t: GroupType, ideal: frozenset[Root]) -> list[int]:
 
 
 def _not_ideal_message(t: GroupType, ideal: frozenset[Root]) -> str:
-    poset = root_poset(t)
-    for r in sorted(ideal, key=poset.index.__getitem__):
-        for k in poset.lower_covers[poset.index[r]]:
-            if poset.roots[k] not in ideal:
-                return (
-                    f"not an order ideal of {t.family}{t.rank}: "
-                    f"it holds {root_str(r)} but not {root_str(poset.roots[k])}"
-                )
+    roots, below = _poset(t)
+    mask = sum(1 << i for i, r in enumerate(roots) if r in ideal)
+    for i, low in enumerate(below):
+        missing = low & ~mask
+        if mask >> i & 1 and missing:
+            k = (missing & -missing).bit_length() - 1
+            return (
+                f"not an order ideal of {t.family}{t.rank}: "
+                f"it holds {root_str(roots[i])} but not {root_str(roots[k])}"
+            )
     return f"not a set of distinct roots of {t.family}{t.rank}"
 
 
 def ideals(t: GroupType) -> list[frozenset[Root]]:
-    return root_poset(t).ideals()
+    roots, _ = _poset(t)
+    return [frozenset(r for k, r in enumerate(roots) if mask >> k & 1) for mask in _ideal_masks(t)]
 
 
 def cat_q(t: GroupType) -> QPoly:
@@ -250,10 +202,11 @@ def cat_q(t: GroupType) -> QPoly:
     In types A and B the row starts of an ideal are its Dyck path and |I|
     is that path's area, so this is the area polynomial of the paths of
     2n steps, from the lattice-point pass of ``paths._stat_counts``
-    without building an ideal or a path.  Type D enumerates its ideals.
+    without building an ideal or a path.  Type D counts the bits of its
+    ideal masks.
     """
     if t.family == "D":
-        return gen_poly(map(len, ideals(t)))
+        return gen_poly(map(int.bit_count, _ideal_masks(t)))
     return paths._stat_counts(t.family, t.n)[0]
 
 
@@ -299,12 +252,13 @@ def dyck_to_ideal(t: GroupType, word: str) -> frozenset[Root]:
     return _ideal_of_rows(t, x)
 
 
+NO_TYPE_D_MAJ = "maj is undefined for type-D ideals: it is read off the Dyck path, which exists only in types A and B"
+
+
 def ideal_maj(t: GroupType, ideal: frozenset[Root]) -> int:
     """The maj of the ideal's Dyck path (``ideal_to_dyck``), which exists only in types A and B."""
     if t.family == "D":
-        raise ValueError(
-            "maj is undefined for type-D ideals: it is read off the Dyck path, which exists only in types A and B"
-        )
+        raise ValueError(NO_TYPE_D_MAJ)
     word = ideal_to_dyck(t, ideal)
     return paths.maj_a(word) if t.family == "A" else paths.maj_b(word)
 
@@ -315,8 +269,10 @@ def lift_delta(t: GroupType, ideal: frozenset[Root]) -> frozenset[Root]:
     x = ideal_row_starts(t, ideal)
     big = GroupType(t.family, t.rank + 1)
     out = _ideal_of_rows(big, [0] * (1 if t.family == "A" else 2) + x)
-    if not root_poset(big).is_ideal(out):
-        raise AssertionError("lift produced a non-ideal")
+    try:
+        ideal_row_starts(big, out)
+    except ValueError as exc:
+        raise AssertionError(f"lift produced a non-ideal: {exc}") from None
     return out
 
 

@@ -35,6 +35,12 @@ against the area and maj that ``paths`` reads off the north columns, and
 the inverse tables of phi over every ideal and of psi over every word,
 against ``bijmaps.preimage`` and its one table of row starts.
 
+The frozenset root poset ``RootPoset``: covers by an all-pairs scan of
+the root vectors against its own list of simple roots, ideals by
+backtracking, down-sets, the ideal test and antichain closure, and the
+non-ideal message read off its cover lists, against the bitmask poset
+``rootposets._poset``, its ideal masks and ``_not_ideal_message``.
+
 The q-Catalan quotient as one full-length power series: the numerator
 prod (1 - q^(d+h)) of degree sum(d + h), divided by every 1 - q^d,
 against the paired exact divisions of ``qseries._qcat``.
@@ -61,7 +67,7 @@ from operator import add, sub
 from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
 from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError, check_guard
-from coxcat.rootposets import Cell, Root, RootPoset
+from coxcat.rootposets import Cell, Root, diff, positive_roots, root_vector, short, sum_root
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from coxcat.signedperm import (
     Perm,
@@ -580,6 +586,105 @@ def psi_inverse_table(t: GroupType) -> dict[Perm, str]:
 # -- root posets ---------------------------------------------------------------
 
 
+def simple_roots(t: GroupType) -> list[Root]:
+    n = t.n
+    simples = [diff(i, i + 1) for i in range(1, n)]
+    if t.family == "B":
+        simples.append(short(1))
+    if t.family == "D":
+        simples.append(sum_root(1, 2))
+    return simples
+
+
+class RootPoset:
+    """The poset of positive roots under the simple-difference covering."""
+
+    def __init__(self, t: GroupType):
+        if t.family not in ("A", "B", "D"):
+            raise ValueError(f"no root poset for family {t.family!r}")
+        self.type = t
+        self.roots = positive_roots(t)
+        self.index = {r: i for i, r in enumerate(self.roots)}
+        n = t.n
+        vecs = [root_vector(r, n) for r in self.roots]
+        simple_vecs = {root_vector(s, n) for s in simple_roots(t)}
+        m = len(self.roots)
+        self.lower_covers: list[list[int]] = [[] for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                d = tuple(vecs[j][k] - vecs[i][k] for k in range(n))
+                if d in simple_vecs:
+                    # roots[j] covers roots[i]
+                    self.lower_covers[j].append(i)
+        self._below = [frozenset(self._descend(i)) for i in range(m)]
+
+    def _descend(self, i: int) -> set[int]:
+        out = {i}
+        stack = [i]
+        while stack:
+            for k in self.lower_covers[stack.pop()]:
+                if k not in out:
+                    out.add(k)
+                    stack.append(k)
+        return out
+
+    def down_set(self, r: Root) -> frozenset[Root]:
+        return frozenset(self.roots[k] for k in self._below[self.index[r]])
+
+    def is_ideal(self, rs: frozenset[Root]) -> bool:
+        idx = {self.index[r] for r in rs}
+        return all(set(self.lower_covers[i]) <= idx for i in idx)
+
+    def ideal_from_antichain(self, antichain) -> frozenset[Root]:
+        out: set[Root] = set()
+        for r in antichain:
+            out |= self.down_set(r)
+        return frozenset(out)
+
+    def ideals(self) -> list[frozenset[Root]]:
+        """All order ideals, by backtracking along a height linear extension."""
+        m = len(self.roots)
+        lower = self.lower_covers  # roots are already height-sorted
+        out: list[frozenset[Root]] = []
+        chosen: list[int] = []
+        included = bytearray(m)
+
+        def rec(k: int):
+            if k == m:
+                out.append(frozenset(self.roots[i] for i in chosen))
+                return
+            rec(k + 1)
+            if all(included[j] for j in lower[k]):
+                included[k] = 1
+                chosen.append(k)
+                rec(k + 1)
+                chosen.pop()
+                included[k] = 0
+
+        rec(0)
+        return out
+
+
+@lru_cache(maxsize=None)
+def root_poset(t: GroupType) -> RootPoset:
+    return RootPoset(t)
+
+
+def not_ideal_message(t: GroupType, ideal) -> str:
+    """The first root in height order that lacks a lower cover, and its lowest missing cover."""
+    poset = root_poset(t)
+    for r in sorted(ideal, key=poset.index.__getitem__):
+        for k in poset.lower_covers[poset.index[r]]:
+            if poset.roots[k] not in ideal:
+                return (
+                    f"not an order ideal of {t.family}{t.rank}: "
+                    f"it holds {rootposets.root_str(r)} but not {rootposets.root_str(poset.roots[k])}"
+                )
+    return f"not a set of distinct roots of {t.family}{t.rank}"
+
+
 def cell_of_root_a(r: Root, n: int) -> Cell:
     if r[0] != "diff":
         raise ValueError("type A has only difference roots")
@@ -649,7 +754,7 @@ def ideal_to_arc_partition_a(t: GroupType, ideal: frozenset[Root]) -> frozenset[
             x = parent[x]
         return x
 
-    for r in maximal_elements(rootposets.root_poset(t), ideal):
+    for r in maximal_elements(root_poset(t), ideal):
         ra, rb = find(r[1]), find(r[2])
         parent[max(ra, rb)] = min(ra, rb)
     blocks: dict[int, set[int]] = {}

@@ -29,6 +29,7 @@ from oracles import (
     phi_inverse_table,
     phi_rows_spans,
     psi_inverse_table,
+    root_poset,
     split_lower_upper,
     verify_phi_theorems_frozensets,
     verify_psi_theorems_words,
@@ -47,7 +48,7 @@ B4_IDEAL_ANTICHAIN = [rp.diff(1, 4), rp.short(1)]
 
 
 def b4_ideal():
-    return rp.root_poset(GroupType("B", 4)).ideal_from_antichain(B4_IDEAL_ANTICHAIN)
+    return root_poset(GroupType("B", 4)).ideal_from_antichain(B4_IDEAL_ANTICHAIN)
 
 
 # -- oracles: the frozenset shelling loop and the per-diagonal psi scans --------
@@ -122,7 +123,7 @@ def strip_ideal(t, ideal):
 
 def phi_oracle(t, ideal):
     """Shell by frozensets: the maximal elements, then strip_ideal, until empty."""
-    poset = rp.root_poset(t)
+    poset = root_poset(t)
     cycles = []
     cur = ideal
     while cur:
@@ -258,7 +259,7 @@ class TestStrip:
     @pytest.mark.parametrize("fam,rank", [("A", 5), ("B", 4)])
     def test_strip_yields_ideals(self, fam, rank):
         t = GroupType(fam, rank)
-        poset = rp.root_poset(t)
+        poset = root_poset(t)
         for ideal in rp.ideals(t):
             assert poset.is_ideal(strip_ideal(t, ideal))
 
@@ -440,7 +441,7 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 5)] + [("B", r) for r in range(1, 4)])
     def test_phi_rejects_exactly_the_non_ideals(self, fam, rank):
         t = GroupType(fam, rank)
-        poset = rp.root_poset(t)
+        poset = root_poset(t)
         for k in range(len(poset.roots) + 1):
             for subset in itertools.combinations(poset.roots, k):
                 rs = frozenset(subset)
@@ -479,7 +480,7 @@ class TestRowKernel:
         t = GroupType(fam, rank)
         want = {
             tuple(rp.ideal_row_starts(t, ideal)): (len(ideal), rp.ideal_maj(t, ideal), len(ideal_des(t, ideal)))
-            for ideal in rp.root_poset(t).ideals()
+            for ideal in root_poset(t).ideals()
         }
         got = _stream(t)
         assert len(got) == len(want)
@@ -748,7 +749,7 @@ B10 = GroupType("B", 10)
 @st.composite
 def random_ideals(draw, t):
     """The down-set of a random antichain: the maximal roots of a random draw."""
-    poset = rp.root_poset(t)
+    poset = root_poset(t)
     drawn = set(draw(st.lists(st.sampled_from(poset.roots), max_size=6)))
     antichain = [r for r in drawn if not any(r != s and leq(poset, r, s) for s in drawn)]
     assert is_antichain(poset, antichain)

@@ -73,10 +73,19 @@ class TestPolyUsageErrors:
         [
             ["enumerate", "--object", "ideal", "--type", "D", "--n", "4", "--format", "csv"],
             ["poly", "--object", "ideal", "--type", "D", "--n", "4", "--stat", "maj"],
+            ["enumerate", "--object", "ideal", "--type", "D", "--n", "6", "--format", "csv"],
+            ["poly", "--object", "ideal", "--type", "D", "--n", "6", "--stat", "maj"],
+            ["poly", "--object", "ideal", "--type", "D", "--n", "8", "--stat", "maj", "--unsafe"],
         ],
         ids=" ".join,
     )
-    def test_type_d_ideals_have_no_maj(self, capsys, argv):
+    def test_type_d_ideals_have_no_maj(self, capsys, monkeypatch, argv):
+        # refused before the ideal guard (D6 is past it) and before any ideal is listed
+        def refuse(*args):
+            raise AssertionError("type-D ideals were enumerated for a maj")
+
+        monkeypatch.setattr(rootposets, "ideals", refuse)
+        monkeypatch.setattr(rootposets, "_ideal_masks", refuse)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -102,7 +111,7 @@ class TestPathPolynomials:
         def refuse(*args, **kwargs):
             raise AssertionError("the one-pass route enumerated or re-checked a path")
 
-        monkeypatch.setattr(rootposets.RootPoset, "ideals", refuse)
+        monkeypatch.setattr(rootposets, "_ideal_masks", refuse)
         monkeypatch.setattr(paths, "_dyck_columns", refuse)
         monkeypatch.setattr(paths, "enumerate_a", refuse)
         for obj in ("dyck", "ideal"):
@@ -119,6 +128,17 @@ class TestPathPolynomials:
             main(["enumerate", "--object", "dyck", "--type", "A", "--n", "6"])
         with pytest.raises(AssertionError):
             paths.maj_a("NE")
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_type_d_ideal_area_is_cat_q(self, capsys, monkeypatch, n):
+        # one route for ideal area in every type: cat_q, with no frozenset ideal built
+        def refuse(*args):
+            raise AssertionError("poly built the frozenset ideals")
+
+        monkeypatch.setattr(rootposets, "ideals", refuse)
+        code, out = run(capsys, ["poly", "--object", "ideal", "--stat", "area", "--type", "D", "--n", str(n), "--format", "json"])
+        assert code == 0
+        assert qseries.QPoly.from_json(json.loads(out)) == rootposets.cat_q(qseries.GroupType("D", n))
 
     def test_each_route_checks_one_guard_and_reads_the_pass(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -551,6 +571,7 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok:") >= 20
+        assert "ok: Cat_D4(q) by ideal sizes\n" in out and "ok: Cat_D7(1) by ideal sizes\n" in out
 
     def test_python_dash_m(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

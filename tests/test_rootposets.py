@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from coxcat import paths
@@ -14,6 +16,8 @@ from oracles import (
     is_dyck_a,
     is_dyck_b,
     maximal_elements,
+    not_ideal_message,
+    root_poset,
     upper_covers,
 )
 
@@ -35,7 +39,7 @@ class TestRoots:
         assert len(rp.positive_roots(GroupType("D", 4))) == 12
 
     def test_b2_covers(self):
-        poset = rp.root_poset(GroupType("B", 2))
+        poset = root_poset(GroupType("B", 2))
         up = {
             rp.root_str(r): sorted(rp.root_str(poset.roots[j]) for j in upper_covers(poset)[poset.index[r]])
             for r in poset.roots
@@ -87,7 +91,7 @@ class TestIdeals:
 
     def test_all_downward_closed_and_unique(self):
         t = GroupType("B", 3)
-        poset = rp.root_poset(t)
+        poset = root_poset(t)
         ideals = rp.ideals(t)
         assert len(set(ideals)) == len(ideals)
         for ideal in ideals:
@@ -95,11 +99,52 @@ class TestIdeals:
 
     def test_antichain_round_trip(self):
         for t in [GroupType("A", 4), GroupType("B", 3), GroupType("D", 4)]:
-            poset = rp.root_poset(t)
+            poset = root_poset(t)
             for ideal in rp.ideals(t):
                 maximal = maximal_elements(poset, ideal)
                 assert is_antichain(poset, maximal)
                 assert poset.ideal_from_antichain(maximal) == ideal
+
+
+class TestMaskPoset:
+    """The bitmask poset against the frozenset ``RootPoset`` of the oracles."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [GroupType("A", r) for r in range(1, 8)]
+        + [GroupType("B", r) for r in range(1, 6)]
+        + [GroupType("D", r) for r in range(2, 7)],
+        ids=str,
+    )
+    def test_covers_and_ideals_match_the_oracle(self, t):
+        oracle = root_poset(t)
+        roots, below = rp._poset(t)
+        assert roots == tuple(oracle.roots)
+        assert below == tuple(sum(1 << k for k in covers) for covers in oracle.lower_covers)
+        got, want = rp.ideals(t), oracle.ideals()
+        assert len(got) == len(set(got)) == len(want)
+        assert set(got) == set(want)
+
+    @pytest.mark.parametrize("rank", range(2, 9))
+    def test_type_d_cat_q_counts_the_ideals(self, rank):
+        t = GroupType("D", rank)
+        assert rp.cat_q(t)(1) == cat_number(t)
+
+    @pytest.mark.parametrize("t", [GroupType("A", 4), GroupType("B", 4)], ids=str)
+    def test_not_ideal_message_matches_the_oracle(self, t):
+        rng = random.Random(20081)
+        oracle = root_poset(t)
+        checked = 0
+        while checked < 300:
+            rs = frozenset(rng.sample(oracle.roots, rng.randint(1, len(oracle.roots))))
+            if oracle.is_ideal(rs):
+                continue
+            want = not_ideal_message(t, rs)
+            assert rp._not_ideal_message(t, rs) == want
+            with pytest.raises(ValueError) as exc:
+                rp.ideal_row_starts(t, rs)
+            assert str(exc.value) == want
+            checked += 1
 
 
 class TestCatQ:
@@ -170,7 +215,7 @@ class TestCellDictionary:
     def test_b_cell_poset_isomorphism(self, n):
         """Cover-preserving bijection between cells and the B_n root poset."""
         t = GroupType("B", n)
-        poset = rp.root_poset(t)
+        poset = root_poset(t)
         cells = [(i, j) for i in range(n) for j in range(i + 1, 2 * n - i)]
         assert len(cells) == len(poset.roots) == n * n
         for r in poset.roots:
@@ -247,7 +292,7 @@ class TestRowStarts:
     @pytest.mark.parametrize("fam,rank", RANKS)
     def test_covers_are_up_a_row_and_left_a_column(self, fam, rank):
         t = GroupType(fam, rank)
-        poset = rp.root_poset(t)
+        poset = root_poset(t)
         cell_of, rows, caps = rp.planar_cells(t)
         for r, (i, j) in cell_of.items():
             above = {
@@ -321,6 +366,14 @@ class TestIdealStatistics:
         assert rp.ideal_maj(t10, lifted) == 39
         assert len(lifted) == len(A8_IDEAL) + 9
 
+    def test_lift_checks_its_output(self, monkeypatch):
+        # a lift that loses a root below another is caught, naming the pair
+        t = GroupType("A", 2)
+        rows = rp._ideal_of_rows
+        monkeypatch.setattr(rp, "_ideal_of_rows", lambda t, x: rows(t, x) - {rp.diff(1, 2)})
+        with pytest.raises(AssertionError, match="^lift produced a non-ideal: .* holds e3-e1 but not e2-e1$"):
+            rp.lift_delta(t, frozenset(rp.positive_roots(t)))
+
     def test_lift_empty_a1(self):
         t = GroupType("A", 1)
         lifted = rp.lift_delta(t, frozenset())
@@ -338,7 +391,7 @@ class TestIdealStatistics:
     def test_lift_is_injective_ideal_map(self, fam, rank):
         t = GroupType(fam, rank)
         big = GroupType(fam, rank + 1)
-        poset = rp.root_poset(big)
+        poset = root_poset(big)
         images = set()
         shift = 1 if fam == "A" else 2
         bottom = len(rp.positive_roots(big)) - len(rp.positive_roots(t)) if fam == "A" else None
