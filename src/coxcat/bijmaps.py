@@ -16,26 +16,32 @@ word and collect its north columns in one pass, and hand them to the row
 kernel ``_psi``, which reads the cells under the path, diagonal by
 diagonal, as a sorting word, sorting the cells into factors in one pass
 over the rows.  The verifiers check the counting and major-index
-identities exhaustively at a given rank; both take each path's row
+identities exhaustively at a given rank; both take every path's row
 starts, area and maj from one pass over the Dyck paths
-(``paths._row_stream``) and build no ideal or word unless a check fails;
-``preimage`` looks an image up in one table from images to row starts,
-built by that pass, and builds only the one ideal or word it finds.
-The verifiers check each image once with ``check_perm`` and read all
-its statistics from one pass, ``signedperm._stats``.  psi's image set is
-checked by membership and count, and Sort(W, c) is walked only if that fails.
+(``paths._row_stream``) and check the whole rank at once in lanes: one
+int per quantity with one guarded field per path (``_Lanes``), so each
+identity is a few dozen big-int operations and one comparison per rank.
+psi builds its images and sorting words by masked swaps
+(``_psi_lanes``), phi transposes its shell walks' images, and only a
+failing lane is decoded into its ideal or word.  psi's image set is
+checked by membership and count, and Sort(W, c) is walked only if that
+fails.  ``preimage`` looks an image up in one table from images to row
+starts, built by that pass, and builds only the one ideal or word it finds.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, takewhile
+import sys
+from array import array
+from functools import lru_cache, reduce
+from itertools import chain, count, takewhile
+from operator import or_, xor
 
 from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
 from .qseries import GroupType, cat_number
-from .sortable import SortingWord, _sorting_word, enumerate_sortables
-from .signedperm import Perm, _stats, check_perm
+from .sortable import SortingWord, enumerate_sortables
+from .signedperm import Perm, check_perm
 
 Root = rootposets.Root
 
@@ -221,47 +227,208 @@ def _roots(t: GroupType, x) -> list[str]:
     return sorted(map(rootposets.root_str, rootposets._ideal_of_rows(t, x)))
 
 
+class _Lanes:
+    """Every path at once: one int per quantity, one field (lane) per path.
+
+    The fields are ``bits`` wide, the smallest array item whose top bit, the
+    guard bit, stays above ``bound``, so ``gt`` compares all lanes without a
+    borrow crossing a field, and a sum of two values still fits.  A mask
+    holds 1 in the low bit of each chosen lane.  Signed entries are stored
+    as value + ``off``.
+    """
+
+    def __init__(self, count: int, bound: int, off: int):
+        self.code = next(c for c in "bhiq" if bound >> 8 * array(c).itemsize - 1 == 0)
+        self.bits = 8 * array(self.code).itemsize
+        self.count, self.off, self.full = count, off, (1 << self.bits) - 1
+        self.one = self.pack([1] * count)
+        self.high = self.one << self.bits - 1
+
+    def pack(self, values) -> int:
+        """One value per lane; OverflowError unless each is in [0, 2^(bits-1))."""
+        arr = array(self.code, values)  # a signed item: raises past 2^(bits-1) - 1
+        if len(arr) != self.count or arr and min(arr) < 0:
+            raise OverflowError(f"{len(arr)} values from {min(arr, default=0)} do not fit {self.count} lanes")
+        return int.from_bytes(arr.tobytes(), sys.byteorder)
+
+    def unpack(self, lane: int) -> array:
+        """The lanes' values, unsigned, since a sum may reach the guard bit."""
+        return array(self.code.upper(), lane.to_bytes(self.count * self.bits // 8, sys.byteorder))
+
+    def gt(self, a: int, b: int) -> int:
+        """The mask of the lanes where a > b."""
+        return ((a | self.high) - b - self.one & self.high) >> self.bits - 1
+
+    def differ(self, a: int, b: int = 0) -> set[int]:
+        """The lanes where a and b differ (that a mask holds, for b = 0): one comparison when none do."""
+        if a == b:
+            return set()
+        return {k for k, (u, v) in enumerate(zip(self.unpack(a), self.unpack(b))) if u != v}
+
+    def act(self, cols: list[int], s: int, mask: int) -> None:
+        """Right-multiply the masked lanes by s_s: swap columns s - 1 and s, or negate column 0."""
+        mask *= self.full
+        if s:
+            d = (cols[s - 1] ^ cols[s]) & mask
+            cols[s - 1] ^= d
+            cols[s] ^= d
+        else:
+            cols[0] ^= (cols[0] ^ (2 * self.off * self.one - cols[0])) & mask
+
+
+def _psi_lanes(lanes: _Lanes, xs: list[int], n: int) -> tuple[list[int], dict]:
+    """``_psi`` on every lane at once; ``xs[j]`` holds the lanes' row j starts.
+
+    Factor f reads the lower diagonal j - i = f, letters n-1 down to f, then
+    (when ``xs`` has upper rows) the upper column i = n - f, letters f-1
+    down to 0: each letter once, in the order of the Coxeter word, emitted
+    in the lanes where x_j <= i, and a lane's word ends before its first
+    empty factor.  Returns the images' one-line columns and the emitted
+    masks, keyed by (factor, letter) in reading order.
+    """
+    one = lanes.one
+    cols = [(v + lanes.off) * one for v in range(1, n + 1)]
+    word, alive = {}, one
+    for f in range(1, n + 1):
+        cells = [(n - 1 - i, i + 1, xs[i + f]) for i in range(n - f)]
+        cells += [(n + f - 1 - j, n - f + 1, xs[j]) for j in range(n, min(n + f, len(xs)))]
+        masks = [(s, lanes.gt(c * one, x)) for s, c, x in cells]
+        alive &= reduce(or_, [m for _, m in masks], 0)
+        for s, m in masks:
+            m &= alive
+            if m:
+                word[f, s] = m
+                lanes.act(cols, s, m)
+    return cols, word
+
+
+def _lane_stats(lanes: _Lanes, cols: list[int], family: str) -> tuple:
+    """The inverse columns, valid lanes, l_S, maj, imaj, descent and
+    inverse-descent masks (positions 1..n-1) and neg of the lanes' elements,
+    by the formulas of ``signedperm.length_s`` and ``maj``.  A lane is valid
+    when each of 1..n stands, with a sign in type B, in some column."""
+    one, off = lanes.one, lanes.off
+    q, valid = [], one
+    for a in range(1, len(cols) + 1):
+        hit = pos = 0
+        for i, col in enumerate(cols, 1):
+            for sign in (1, -1) if family == "B" else (1,):
+                e = one ^ lanes.gt(col ^ (sign * a + off) * one, 0)
+                hit |= e
+                pos |= e * (sign * i + off)
+        valid &= hit
+        q.append(pos)
+    length = sum(lanes.gt(a, b) for k, a in enumerate(cols) for b in cols[k + 1:])
+    dms, ims = ([lanes.gt(a, b) for a, b in zip(c, c[1:])] for c in (cols, q))
+    dsum, isum = (sum(i * m for i, m in enumerate(ms, 1)) for ms in (dms, ims))
+    if family == "A":
+        return q, valid, length, dsum, isum, dms, ims, 0
+    neg_masks = [lanes.gt(off * one, col) for col in cols]
+    negs = sum(neg_masks)
+    length += off * negs - sum(col & m * lanes.full for col, m in zip(cols, neg_masks))  # minus the negative entries
+    return q, valid, length, 2 * dsum + negs, 2 * isum + negs, dms, ims, negs
+
+
+def _sort_lanes(lanes: _Lanes, q: list[int], c_word) -> dict:
+    """``sortable._sorting_word`` on every lane at once, from the inverse
+    columns ``q``: the letters each pass consumes, keyed as in ``_psi_lanes``."""
+    q, found = list(q), {}
+    for f in count(1):
+        consumed = 0
+        for s in c_word:
+            m = lanes.gt(q[s - 1], q[s]) if s else lanes.gt(lanes.off * lanes.one, q[0])
+            if m:
+                found[f, s] = m
+                consumed |= m
+                lanes.act(q, s, m)
+        if not consumed:
+            return found
+
+
+def _lane_word(fields: dict, k: int) -> SortingWord:
+    """Lane k's sorting word, read off the unpacked (factor, letter) masks."""
+    factors: dict[int, list[int]] = {}
+    for (f, s), bits in fields.items():
+        if bits[k]:
+            factors.setdefault(f, []).append(s)
+    return SortingWord(tuple(map(tuple, factors.values())))
+
+
+def _repeats(images: list) -> set[int]:
+    """The lanes whose image an earlier lane already has."""
+    seen: set = set()
+    return {k for k, image in enumerate(images) if image in seen or seen.add(image)}
+
+
+# what the failure entry of each check names, of the names its verifier reads
+_NAMES = {
+    "length": ("ideal", "word", "image"),
+    "sorting-word": ("word", "emitted"),
+    "maj-identity": ("ideal", "word", "total"),
+    "des-sum": ("ideal",),
+    "last-descent": ("word", "image"),
+    "neg-sum": ("word", "image"),
+    "ides-split": ("word",),
+    "imaj-split": ("word",),
+    "injectivity": ("image",),
+}
+
+
+def _emit(report: dict, bad: dict, **read) -> None:
+    """Report the failing lanes in stream order, each with its checks in
+    ``bad``'s order, naming what ``_NAMES`` lists by ``read[name](lane)``."""
+    for k in sorted(set().union(*bad.values())):
+        for check, failed in bad.items():
+            if k in failed:
+                _fail(report, check, **{name: read[name](k) for name in _NAMES[check] if name in read})
+
+
 def verify_phi_theorems(t: GroupType) -> dict:
     """Exhaustively check the shelling bijection and its statistics at rank t.
 
-    The ideals come as row starts from one pass over the Dyck paths, which
-    carries each ideal's size, maj and descent count; the type-B lift pads
-    the rows with two filled bottom rows.
+    The ideals come as row starts, with each ideal's size, maj and descent
+    count, from one pass over the Dyck paths.  The shell walk maps each
+    ideal; the images are transposed into lanes, where every statistic is
+    checked for all of them at once.  The type-B lift pads the rows with
+    two filled bottom rows.
     """
     fam, n = t.family, t.n
     two_n = 2 * sum(rootposets.planar_cells(t).caps)  # twice the cell count; raises for type D
     report = _report(f"phi{fam}", t.rank)
-    images = {}
-    masks = {}  # type A: each image's descent and inverse-descent masks
-    for x, area, path_maj, descents in paths._row_stream(fam, n):
-        report["checked"] += 1
-        sigma = _phi_rows(t, x)
-        check_perm(sigma, fam)
-        length, sigma_maj, sigma_imaj, dmask, imask, _ = _stats(sigma, fam)
-        if length != area:
-            _fail(report, "length", ideal=_roots(t, x), image=sigma)
-        total = path_maj + sigma_maj + sigma_imaj
-        if total != two_n:
-            _fail(report, "maj-identity", ideal=_roots(t, x), total=total)
-        if fam == "A":
-            if descents + dmask.bit_count() != n - 1:
-                _fail(report, "des-sum", ideal=_roots(t, x))
-            masks[sigma] = dmask, imask
-        if sigma in images:
-            _fail(report, "injectivity", image=sigma)
-        images[sigma] = x
+    leaves = paths._row_stream(fam, n)
+    report["checked"] = len(leaves)
+    rows, areas, path_majs, path_descents = zip(*leaves)
+    images = [_phi_rows(t, x) for x in rows]
+    bound = max(two_n, 2 * n + 2)  # every statistic, and the entries stored as value + n + 1
+    lanes = _Lanes(len(images), bound, n + 1)
+    one = lanes.one
+    _, valid, length, sigma_maj, sigma_imaj, dms, ims, _ = _lane_stats(
+        lanes, [lanes.pack(map(lanes.off.__add__, col)) for col in zip(*images)], fam
+    )
+    for k in sorted(lanes.differ(valid, one)):
+        check_perm(images[k], fam)  # raises for the first element that is not a signed permutation
+    total = lanes.pack(path_majs) + sigma_maj + sigma_imaj
+    bad = {"length": lanes.differ(length, lanes.pack(areas)), "maj-identity": lanes.differ(total, two_n * one)}
+    if fam == "A":
+        bad["des-sum"] = lanes.differ(lanes.pack(path_descents) + sum(dms), (n - 1) * one)
+    image_of = dict(zip(images, rows))
+    bad["injectivity"] = _repeats(images) if len(image_of) != len(images) else set()
+    if any(bad.values()):
+        totals = lanes.unpack(total)
+        _emit(report, bad, ideal=lambda k: _roots(t, rows[k]), image=images.__getitem__, total=totals.__getitem__)
     # rev is the identity on a permutation with no negative entries
     target = set(_nc_scan("A", n)) if fam == "A" else {signedperm.rev(w) for w in _nc_scan(fam, n)}
-    if images.keys() != target:
-        _fail(report, "image-set", missing=sorted(target - images.keys())[:3])
-    if fam == "A":
-        for sigma in target:  # a target element that is not an image is read here
-            dmask, imask = masks[sigma] if sigma in masks else _stats(sigma, fam)[3:5]
-            if dmask.bit_count() != imask.bit_count():
-                _fail(report, "des-ides", image=sigma)
+    if image_of.keys() != target:
+        _fail(report, "image-set", missing=sorted(target - image_of.keys())[:3])
+    if fam == "A" and (sum(dms) != sum(ims) or image_of.keys() != target):
+        order = list(target)  # a target element that is not an image is read here
+        tl = _Lanes(len(order), bound, n + 1)
+        _, _, _, _, _, dms, ims, _ = _lane_stats(tl, [tl.pack(map(tl.off.__add__, col)) for col in zip(*order)], fam)
+        for k in sorted(tl.differ(sum(dms), sum(ims))):
+            _fail(report, "des-ides", image=order[k])
     if fam == "B":
         big = GroupType("B", t.rank + 1)
-        for sigma, x in images.items():
+        for sigma, x in image_of.items():
             if _phi_rows(big, (0, 0) + x) != sigma + (-(n + 1),):
                 _fail(report, "lift-identity", ideal=_roots(t, x))
     return report
@@ -270,53 +437,63 @@ def verify_phi_theorems(t: GroupType) -> dict:
 def verify_psi_theorems(t: GroupType) -> dict:
     """Exhaustively check the cell-reading bijection and its statistics.
 
-    The paths come as row starts from one pass over the Dyck paths, which
-    carries each path's area and maj; the east count and the lower part of
-    a type-B path are read off its rows.
+    The paths come as row starts, with each path's area and maj, from one
+    pass over the Dyck paths, and every check runs on all of them at once,
+    in lanes: ``_psi_lanes`` builds the images and their words, the greedy
+    scan ``_sort_lanes`` must read the same words off the images, and each
+    statistic is a lane sum compared with the packed area, maj or east
+    count.  Only a failing lane is decoded into its path, image and word.
     """
     fam, n = t.family, t.n
     caps = rootposets.planar_cells(t).caps  # raises for type D, which has no row starts
     two_n = 2 * sum(caps)  # twice the cell count, that is, of the positive roots
     report = _report(f"psi{fam}", t.rank)
     c_word = signedperm.coxeter_element(fam, n)[1]
-    images = set()
-    unsorted = False
-    for x, area, path_maj, _ in paths._row_stream(fam, n):
-        report["checked"] += 1
-        sigma, sw = _psi(x, n, fam)
-        check_perm(sigma, fam)
-        length, sigma_maj, sigma_imaj, dmask, imask, negs = _stats(sigma, fam)
-        if length != area or len(sw) != area:
-            _fail(report, "length", word=paths._word_of_rows(fam, n, x), image=sigma)
-        if _sorting_word(sigma, c_word, fam) != sw or not sw.is_sortable_chain():
-            _fail(report, "sorting-word", word=paths._word_of_rows(fam, n, x), emitted=str(sw))
-            unsorted = True
-        total = path_maj + sigma_maj + sigma_imaj
-        if total != two_n:
-            _fail(report, "maj-identity", word=paths._word_of_rows(fam, n, x), total=total)
-        if fam == "A":
-            k = n - x[n - 1]  # the east steps after the last north step
-            full = (1 << k) - 2  # the descents 1, ..., k - 1
-            if sigma[k - 1] != 1 or dmask & full != full:
-                _fail(report, "last-descent", word=paths._word_of_rows(fam, n, x), image=sigma)
-        else:
-            easts = n - sum(a < cap for a, cap in zip(x[n:], caps[n:]))  # n minus the upper north steps
-            if easts + negs != n:
-                _fail(report, "neg-sum", word=paths._word_of_rows(fam, n, x), image=sigma)
-            sigma1, _ = _psi(x[:n], n, "A")
-            check_perm(sigma1, "B")
-            _, _, lower_imaj, _, lower_imask, _ = _stats(sigma1, "B")
-            if imask != lower_imask:
-                _fail(report, "ides-split", word=paths._word_of_rows(fam, n, x))
-            if sigma_imaj != lower_imaj + negs:
-                _fail(report, "imaj-split", word=paths._word_of_rows(fam, n, x))
-        if sigma in images:
-            _fail(report, "injectivity", image=sigma)
-        images.add(sigma)
+    leaves = paths._row_stream(fam, n)
+    report["checked"] = len(leaves)
+    rows, areas, path_majs, _ = zip(*leaves)
+    lanes = _Lanes(len(rows), max(two_n, 2 * n + 2), n + 1)
+    one, off = lanes.one, lanes.off
+    xs = [lanes.pack(col) for col in zip(*rows)]
+    area = lanes.pack(areas)
+    cols, word = _psi_lanes(lanes, xs, n)
+    q, _, length, sigma_maj, sigma_imaj, dms, ims, negs = _lane_stats(lanes, cols, fam)
+    found = _sort_lanes(lanes, q, c_word)
+    unsorted = [word.get(key, 0) ^ found.get(key, 0) for key in word.keys() | found.keys()]
+    unsorted += [m & ~word.get((f - 1, s), 0) for (f, s), m in word.items() if f > 1]  # factors not nested
+    total = lanes.pack(path_majs) + sigma_maj + sigma_imaj
+    bad = {
+        "length": lanes.differ(length, area) | lanes.differ(sum(word.values()), area),
+        "sorting-word": lanes.differ(reduce(or_, unsorted, 0)),
+        "maj-identity": lanes.differ(total, two_n * one),
+    }
+    if fam == "A":
+        k = n * one - xs[n - 1]  # the east steps after the last north step
+        run, prefix = one, one  # prefix: 1 + how many of the descents 1, 2, ... come first
+        for m in dms:
+            run &= m
+            prefix += run
+        bad["last-descent"] = lanes.differ(q[0], k + off * one) | lanes.differ(prefix, k)  # sigma(k) = 1
+    else:
+        uppers = sum(lanes.gt(cap * one, x) for x, cap in zip(xs[n:], caps[n:]))  # n minus the east steps
+        _, _, _, _, lower_imaj, _, lower_ims, _ = _lane_stats(lanes, _psi_lanes(lanes, xs[:n], n)[0], "B")
+        bad["neg-sum"] = lanes.differ(negs, uppers)
+        bad["ides-split"] = lanes.differ(reduce(or_, map(xor, ims, lower_ims), 0))
+        bad["imaj-split"] = lanes.differ(sigma_imaj, lower_imaj + negs)
+    images = list(zip(*map(lanes.unpack, cols)))
+    distinct = set(images)
+    bad["injectivity"] = _repeats(images) if len(distinct) != len(images) else set()
+    if any(bad.values()):
+        fields, totals = {key: lanes.unpack(m) for key, m in word.items()}, lanes.unpack(total)
+        _emit(
+            report, bad, word=lambda k: paths._word_of_rows(fam, n, rows[k]), total=totals.__getitem__,
+            image=lambda k: tuple(v - off for v in images[k]), emitted=lambda k: str(_lane_word(fields, k)),
+        )
     # Every image that passed the sorting-word check is c-sortable, and |Sort(W, c)| = Cat(W)
     # (Reading, Trans. AMS 2007), so Cat(W) distinct such images are all of Sort(W, c).
-    if unsorted or len(images) != cat_number(t):
+    if bad["sorting-word"] or len(distinct) != cat_number(t):
         target = set(enumerate_sortables(t, c_word))
+        images = {tuple(v - off for v in image) for image in distinct}
         if images != target:
             _fail(report, "image-set", missing=sorted(target - images)[:3])
     return report

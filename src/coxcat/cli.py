@@ -116,10 +116,11 @@ def cmd_enumerate(args) -> int:
 def _path_poly(args):
     """Area or maj of paths or ideals, with no object listed; None otherwise.
 
-    Ideal area is ``cat_q`` in every type.  In types A and B an ideal's row
-    starts are its Dyck path and ``ideal_maj`` is the path's maj, so the
-    other polynomials read the lattice-point pass.  An ideal answers to the
-    ideal guard alone, a path to the path guard.
+    In types A and B an ideal's row starts are its Dyck path, its size the
+    path's area and ``ideal_maj`` the path's maj, so ideals read the
+    lattice-point pass as paths do and answer to the path guard at the same
+    n.  Type-D ideal area is ``cat_q``, which counts ideal masks under its
+    own guard.
     """
     family = args.type
     if args.object not in ("dyck", "ideal") or args.stat not in ("area", "maj") or (
@@ -128,11 +129,10 @@ def _path_poly(args):
         return None
     if args.object == "ideal":
         t = _group(family, args.n)
-        check_guard("ideal", family, t.rank, args.unsafe)
-        if args.stat == "area":
+        if family == "D":
+            check_guard("ideal mask", family, t.rank, args.unsafe)
             return rootposets.cat_q(t)
-    else:
-        _path_guard(args)
+    _path_guard(args)
     area, maj = paths._stat_counts(family, args.n)
     return area if args.stat == "area" else maj
 
@@ -259,11 +259,10 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--which {args.which} needs --n")
         tasks = [(args.which, args.n)]
     tasks = [(which, None if which == "d4" else _group(which[-1], n)) for which, n in tasks]
-    # both verifiers stream the Cat(W) row starts, so the ideal limit guards
-    # them, and every task is checked before the first report prints
+    # every task is checked against the verifier limit before the first report prints
     for _, t in tasks:
         if t is not None:
-            check_guard("ideal", t.family, t.rank)
+            check_guard("verify", t.family, t.rank)
     bad = 0
     for which, t in tasks:
         report = _verify_task(which, t)

@@ -12,7 +12,7 @@ Area and maj add up over the steps of a path, so their generating
 polynomials come from one pass over the lattice points, not the paths,
 each group's tallies packed into one int in fields that C(2n, n) bounds
 and that must add up to the path count when unpacked.  Only
-``_row_stream``, which hands every path's row starts to the verifiers,
+``_row_stream``, which lists every path's row starts for the verifiers,
 still walks the paths one by one.
 """
 
@@ -229,38 +229,41 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     return QPoly(area), QPoly(maj)
 
 
-def _row_stream(family: str, n: int):
+def _row_stream(family: str, n: int) -> list[tuple[tuple[int, ...], int, int, int]]:
     """Row starts, area, maj and descent count of every type-``family`` path of 2n steps.
 
     A depth-first pass with one leaf per path (E before N), since the
-    verifiers need every path's row starts: it adds up area and maj step by
-    step as ``_stat_counts`` does, keeps the north columns and counts the
-    E->N steps.  Row j starts at the east count of its north step; a row
-    with no north step (type B, j past the last one) starts at its cap, so
-    each leaf's starts are ``rootposets.ideal_row_starts`` of the ideal
-    under the path.  Yields ``(starts, area, maj, descents)``;
-    the starts are a tuple of n (type A) or 2n (type B) entries.
+    verifiers take every path's row starts at once: it adds up area and
+    maj step by step as ``_stat_counts`` does, keeps the north columns and
+    counts the E->N steps.  Row j starts at the east count of its north
+    step; a row with no north step (type B, j past the last one) starts at
+    its cap, so each leaf's starts are ``rootposets.ideal_row_starts`` of
+    the ideal under the path.  Returns the leaves ``(starts, area, maj,
+    descents)`` in path order; the starts are a tuple of n (type A) or 2n
+    (type B) entries.
     """
     total = 2 * n
     caps = _caps(family, n)
     top = len(caps)
     x = list(caps)
     double = family == "B"
+    leaves = []
 
     def rec(norths: int, easts: int, after_east: bool, a: int, m: int, d: int):
         if norths == top or norths + easts == total:
-            yield tuple(x), a, 2 * (m + total - norths) if double else m, d
+            leaves.append((tuple(x), a, 2 * (m + total - norths) if double else m, d))
             return
         if easts < norths:
-            yield from rec(norths, easts + 1, True, a, m, d)
+            rec(norths, easts + 1, True, a, m, d)
         x[norths] = easts
-        yield from rec(
+        rec(
             norths + 1, easts, False, a + caps[norths] - easts,
             m + total - norths - easts if after_east else m, d + after_east,
         )
         x[norths] = caps[norths]
 
-    return rec(0, 0, False, 0, 0, 0)
+    rec(0, 0, False, 0, 0, 0)
+    return leaves
 
 
 def area_polynomial(family: str, n: int) -> QPoly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -29,12 +29,16 @@ class SizeGuardError(ValueError):
 # ``--unsafe`` is given: paths by their semilength n, everything else by
 # rank.  The library itself sets no limit; only ``cli`` calls ``check_guard``.
 # |NC(W)| is the number of ideals, so the non-crossing walks share the
-# ideal limits.
+# ideal limits.  "ideal mask" counts type-D ideals as ``cat_q`` does
+# (0.09 s at D9), and "verify" is the phi/psi verifiers (about 1 s for phi
+# at A10 and 0.5 s at B8; psi is faster).
 SIZE_GUARDS = {
     "path": {"A": 12, "B": 8},
     "ideal": {"A": 9, "B": 6, "D": 5},
+    "ideal mask": {"D": 9},
     "non-crossing": {"A": 9, "B": 6, "D": 5},
     "sortable": {"A": 8, "B": 5, "D": 4},
+    "verify": {"A": 10, "B": 8},
 }
 
 
@@ -108,15 +112,18 @@ class QPoly:
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
             return QPoly([c * other for c in self.coeffs])
+        # Kronecker substitution on the sign parts a = a+ - a-, b = b+ - b-:
+        # no coefficient of a+ b+ + a- b- or of a+ b- + a- b+ exceeds
+        # |a|_1 |b|_1, which sizes the fields, and ``unpack`` checks them.
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return QPoly(out)
+        width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() // 8 + 1
+        ap, an, bp, bn = ([max(sign * c, 0) for c in cs] for cs in (a, b) for sign in (1, -1))
+        pa, na, pb, nb = map(_pack, (ap, an, bp, bn), repeat(width))
+        pos = unpack(pa * pb + na * nb, width, sum(ap) * sum(bp) + sum(an) * sum(bn))
+        neg = unpack(pa * nb + na * pb, width, sum(ap) * sum(bn) + sum(an) * sum(bp))
+        return QPoly(map(sub, pos + [0] * (len(neg) - len(pos)), neg + [0] * (len(pos) - len(neg))))
 
     __rmul__ = __mul__
 
@@ -274,6 +281,11 @@ def q_binomial(k: int, l: int) -> QPoly:
         for j in range(min(i, l), 0, -1):
             row[j] = row[j - 1] + (row[j] << (bits * j))
     return QPoly(unpack(row[l], width, total))
+
+
+def _pack(cs: Iterable[int], width: int) -> int:
+    """The non-negative coefficients ``cs``, ``width`` bytes each, constant term lowest: ``unpack``'s input."""
+    return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))), "little")
 
 
 def unpack(packed: int, width: int, total: int) -> list[int]:

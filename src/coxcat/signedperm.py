@@ -113,44 +113,6 @@ def imaj(p: Perm, family: str) -> int:
     return _maj(inverse(p), family)
 
 
-def _stats(p: Perm, family: str) -> tuple[int, int, int, int, int, int]:
-    """l_S, maj, imaj, the descent and inverse-descent sets (bitmasks of
-    1-indexed positions) and neg of a checked ``p``, by the formulas of
-    ``length_s`` and ``maj``, in one pass that counts inversions as
-    ``inv_word`` does and builds the inverse."""
-    n = len(p)
-    q = [0] * n  # the inverse, its positive entries shifted down by one (order kept)
-    seen: list[int] = []
-    inv = dmask = dsum = drop = idrop = negs = 0  # drop: minus the negative entries' sum; idrop: the inverse's
-    prev = -n - 1
-    for i, v in enumerate(p):
-        inv += i - bisect_right(seen, v)
-        insort(seen, v)
-        if v > 0:
-            q[v - 1] = i
-        else:
-            q[-v - 1] = ~i
-            drop -= v
-            negs += 1
-            idrop += i + 1
-        if prev > v:
-            dmask |= 1 << i
-            dsum += i
-        prev = v
-    imask = isum = 0
-    for i in range(1, n):
-        if q[i - 1] > q[i]:
-            imask |= 1 << i
-            isum += i
-    if family == "A":
-        return inv, dsum, isum, dmask, imask, negs
-    if family == "B":
-        return inv + drop, 2 * dsum + negs, 2 * isum + negs, dmask, imask, negs
-    if family == "D":
-        return inv + drop - negs, dsum + drop - negs, isum + idrop - negs, dmask, imask, negs
-    raise ValueError(f"unknown family {family!r}")
-
-
 def rev(p: Perm) -> Perm:
     """Rewrite the negative values, in place, in reversed relative order.
 

@@ -9,6 +9,11 @@ The phi verifier on frozensets: every ideal from ``rootposets.ideals``, its
 statistics from ``ideal_maj``/``ideal_des`` and its lift from
 ``lift_delta``, against the row-start verifier ``bijmaps.verify_phi_theorems``.
 
+The phi and psi verifiers one path at a time, as they ran before the
+lanes: each image from the row kernels ``_phi_rows``/``_psi``, checked by
+``check_perm`` and read by ``stats`` and the sorting scan, against the
+lane verifiers ``bijmaps.verify_phi_theorems``/``verify_psi_theorems``.
+
 The psi verifier on words: every Dyck word from ``paths.enumerate_a/b``,
 its statistics from the per-word ``area``/``maj``/``neg_b`` and its lower
 part from ``split_lower_upper``, against the row-start verifier
@@ -23,7 +28,8 @@ unchecked word and the Dyck check that reads a word three times
 insertion count ``signedperm.inv_word``, the permutation check by
 absolute values, against ``signedperm.check_perm`` and its type-A
 shortcut, and the one-statistic helpers ``neg``, ``des_set``, ``des``,
-``ides_set`` and ``ides``, against the one-pass ``signedperm._stats``.
+``ides_set`` and ``ides``, against ``stats``, the one-pass reading of all
+of an element's statistics that the verifiers' lanes are checked against.
 
 The area and maj polynomials by a depth-first pass with one leaf per
 path, and by the lattice-point pass on coefficient lists, against the
@@ -40,6 +46,9 @@ the root vectors against its own list of simple roots, ideals by
 backtracking, down-sets, the ideal test and antichain closure, and the
 non-ideal message read off its cover lists, against the bitmask poset
 ``rootposets._poset``, its ideal masks and ``_not_ideal_message``.
+
+The product of two polynomials by the schoolbook double loop, against the
+packed Kronecker product ``QPoly.__mul__``.
 
 The q-Catalan quotient as one full-length power series: the numerator
 prod (1 - q^(d+h)) of degree sum(d + h), divided by every 1 - q^d,
@@ -59,14 +68,15 @@ Coxeter elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class
 of Coxeter elements of D_4.
 """
 
+from bisect import bisect_right, insort
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import add, sub
 
-from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm
+from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
 from coxcat.noncrossing import rev_nc
-from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError, check_guard
+from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError, cat_number, check_guard
 from coxcat.rootposets import Cell, Root, diff, positive_roots, root_vector, short, sum_root
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from coxcat.signedperm import (
@@ -107,6 +117,140 @@ def length_t_bfs(p: Perm, family: str) -> int:
     """Reflection length as graph distance in the full-reflection Cayley graph."""
     check_perm(p, family)
     return _abs_length_table(family, len(p))[p]
+
+
+def stats(p: Perm, family: str) -> tuple[int, int, int, int, int, int]:
+    """l_S, maj, imaj, the descent and inverse-descent sets (bitmasks of
+    1-indexed positions) and neg of a checked ``p``, by the formulas of
+    ``signedperm.length_s`` and ``maj``, in one pass that counts inversions
+    as ``inv_word`` does and builds the inverse: what the verifiers read
+    off each image before they read all images at once in lanes."""
+    n = len(p)
+    q = [0] * n  # the inverse, its positive entries shifted down by one (order kept)
+    seen: list[int] = []
+    inv = dmask = dsum = drop = idrop = negs = 0  # drop: minus the negative entries' sum; idrop: the inverse's
+    prev = -n - 1
+    for i, v in enumerate(p):
+        inv += i - bisect_right(seen, v)
+        insort(seen, v)
+        if v > 0:
+            q[v - 1] = i
+        else:
+            q[-v - 1] = ~i
+            drop -= v
+            negs += 1
+            idrop += i + 1
+        if prev > v:
+            dmask |= 1 << i
+            dsum += i
+        prev = v
+    imask = isum = 0
+    for i in range(1, n):
+        if q[i - 1] > q[i]:
+            imask |= 1 << i
+            isum += i
+    if family == "A":
+        return inv, dsum, isum, dmask, imask, negs
+    if family == "B":
+        return inv + drop, 2 * dsum + negs, 2 * isum + negs, dmask, imask, negs
+    if family == "D":
+        return inv + drop - negs, dsum + drop - negs, isum + idrop - negs, dmask, imask, negs
+    raise ValueError(f"unknown family {family!r}")
+
+
+def verify_phi_theorems_rows(t: GroupType) -> dict:
+    """``bijmaps.verify_phi_theorems`` one path at a time: the shell walk,
+    ``check_perm`` and ``stats`` per image, against the verifier's lanes."""
+    fam, n = t.family, t.n
+    two_n = 2 * sum(rootposets.planar_cells(t).caps)
+    report = bijmaps._report(f"phi{fam}", t.rank)
+    fail, roots = bijmaps._fail, bijmaps._roots
+    images = {}
+    masks = {}  # type A: each image's descent and inverse-descent masks
+    for x, area, path_maj, descents in paths._row_stream(fam, n):
+        report["checked"] += 1
+        sigma = bijmaps._phi_rows(t, x)
+        check_perm(sigma, fam)
+        length, sigma_maj, sigma_imaj, dmask, imask, _ = stats(sigma, fam)
+        if length != area:
+            fail(report, "length", ideal=roots(t, x), image=sigma)
+        total = path_maj + sigma_maj + sigma_imaj
+        if total != two_n:
+            fail(report, "maj-identity", ideal=roots(t, x), total=total)
+        if fam == "A":
+            if descents + dmask.bit_count() != n - 1:
+                fail(report, "des-sum", ideal=roots(t, x))
+            masks[sigma] = dmask, imask
+        if sigma in images:
+            fail(report, "injectivity", image=sigma)
+        images[sigma] = x
+    scan = bijmaps._nc_scan
+    target = set(scan("A", n)) if fam == "A" else {signedperm.rev(w) for w in scan(fam, n)}
+    if images.keys() != target:
+        fail(report, "image-set", missing=sorted(target - images.keys())[:3])
+    if fam == "A":
+        for sigma in target:
+            dmask, imask = masks[sigma] if sigma in masks else stats(sigma, fam)[3:5]
+            if dmask.bit_count() != imask.bit_count():
+                fail(report, "des-ides", image=sigma)
+    if fam == "B":
+        big = GroupType("B", t.rank + 1)
+        for sigma, x in images.items():
+            if bijmaps._phi_rows(big, (0, 0) + x) != sigma + (-(n + 1),):
+                fail(report, "lift-identity", ideal=roots(t, x))
+    return report
+
+
+def verify_psi_theorems_rows(t: GroupType) -> dict:
+    """``bijmaps.verify_psi_theorems`` one path at a time: ``_psi``,
+    ``check_perm``, ``stats`` and the sorting scan per image, against the
+    verifier's lanes."""
+    fam, n = t.family, t.n
+    caps = rootposets.planar_cells(t).caps
+    two_n = 2 * sum(caps)
+    report = bijmaps._report(f"psi{fam}", t.rank)
+    fail = bijmaps._fail
+    c_word = signedperm.coxeter_element(fam, n)[1]
+    images = set()
+    unsorted = False
+    for x, area, path_maj, _ in paths._row_stream(fam, n):
+        report["checked"] += 1
+        word = paths._word_of_rows(fam, n, x)
+        sigma, sw = bijmaps._psi(x, n, fam)
+        check_perm(sigma, fam)
+        length, sigma_maj, sigma_imaj, dmask, imask, negs = stats(sigma, fam)
+        if length != area or len(sw) != area:
+            fail(report, "length", word=word, image=sigma)
+        if sortable._sorting_word(sigma, c_word, fam) != sw or not sw.is_sortable_chain():
+            fail(report, "sorting-word", word=word, emitted=str(sw))
+            unsorted = True
+        total = path_maj + sigma_maj + sigma_imaj
+        if total != two_n:
+            fail(report, "maj-identity", word=word, total=total)
+        if fam == "A":
+            k = n - x[n - 1]
+            full = (1 << k) - 2
+            if sigma[k - 1] != 1 or dmask & full != full:
+                fail(report, "last-descent", word=word, image=sigma)
+        else:
+            easts = n - sum(a < cap for a, cap in zip(x[n:], caps[n:]))
+            if easts + negs != n:
+                fail(report, "neg-sum", word=word, image=sigma)
+            sigma1, _ = bijmaps._psi(x[:n], n, "A")
+            check_perm(sigma1, "B")
+            _, _, lower_imaj, _, lower_imask, _ = stats(sigma1, "B")
+            if imask != lower_imask:
+                fail(report, "ides-split", word=word)
+            if sigma_imaj != lower_imaj + negs:
+                fail(report, "imaj-split", word=word)
+        if sigma in images:
+            fail(report, "injectivity", image=sigma)
+        images.add(sigma)
+    if unsorted or len(images) != cat_number(t):
+        target = set(bijmaps.enumerate_sortables(t, c_word))
+        if images != target:
+            fail(report, "image-set", missing=sorted(target - images)[:3])
+    return report
 
 
 def verify_phi_theorems_frozensets(t: GroupType) -> dict:
@@ -196,6 +340,20 @@ def verify_psi_theorems_words(t: GroupType) -> dict:
 
 
 # -- q-series ------------------------------------------------------------------
+
+
+def mul_schoolbook(p: QPoly, q: QPoly) -> QPoly:
+    """The product by the double loop over the coefficients, against the
+    packed Kronecker product ``QPoly.__mul__``."""
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return QPoly()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return QPoly(out)
 
 
 def degree(p: QPoly) -> int:

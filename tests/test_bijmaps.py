@@ -31,7 +31,10 @@ from oracles import (
     psi_inverse_table,
     root_poset,
     split_lower_upper,
+    stats,
     verify_phi_theorems_frozensets,
+    verify_phi_theorems_rows,
+    verify_psi_theorems_rows,
     verify_psi_theorems_words,
 )
 
@@ -499,7 +502,7 @@ class TestRowKernel:
     def test_verifier_reports_match_the_frozenset_verifier(self, fam, rank):
         t = GroupType(fam, rank)
         report = bm.verify_phi_theorems(t)
-        assert report == verify_phi_theorems_frozensets(t)
+        assert report == verify_phi_theorems_frozensets(t) == verify_phi_theorems_rows(t)
         assert report["checked"] == len(rp.ideals(t)) and report["failures"] == []
 
     def test_clean_run_names_no_ideal(self, monkeypatch):
@@ -510,7 +513,7 @@ class TestRowKernel:
         for t in (GroupType("A", 5), GroupType("B", 4)):
             assert bm.verify_phi_theorems(t)["failures"] == []
 
-    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3)])
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 7)])
     def test_corrupted_image_is_reported(self, monkeypatch, fam, rank):
         # send the full ideal to the identity, the empty ideal's image
         t = GroupType(fam, rank)
@@ -522,7 +525,7 @@ class TestRowKernel:
 
         monkeypatch.setattr(bm, "_phi_rows", corrupt)
         report = bm.verify_phi_theorems(t)
-        assert report == verify_phi_theorems_frozensets(t)
+        assert report == verify_phi_theorems_frozensets(t) == verify_phi_theorems_rows(t)
         checks = [f["check"] for f in report["failures"]]
         assert {"length", "maj-identity", "injectivity", "image-set"} <= set(checks)
         assert ("des-sum" in checks) == (fam == "A") and ("lift-identity" in checks) == (fam == "B")
@@ -530,6 +533,23 @@ class TestRowKernel:
         identity = repr(sp.identity(t.n))
         assert {"check": "length", "ideal": roots, "image": identity} in report["failures"]
         assert {"check": "injectivity", "image": identity} in report["failures"]
+
+    @pytest.mark.parametrize(
+        "fam,rank,bad", [("A", 4, (1, 1, 3, 4, 5)), ("A", 4, (1, -2, 3, 4, 5)), ("B", 3, (1, 3, -3)), ("B", 3, (0, 2, 3))]
+    )
+    def test_image_that_is_no_signed_permutation_raises(self, monkeypatch, fam, rank, bad):
+        # the lanes' validity test stands in for check_perm: the bad image raises check_perm's error
+        t = GroupType(fam, rank)
+        full = tuple(rp.ideal_row_starts(t, frozenset(rp.positive_roots(t))))
+        kernel = bm._phi_rows
+        monkeypatch.setattr(bm, "_phi_rows", lambda u, x: bad if u == t and tuple(x) == full else kernel(u, x))
+        with pytest.raises(ValueError) as want:
+            verify_phi_theorems_frozensets(t)
+        with pytest.raises(ValueError) as rows:
+            verify_phi_theorems_rows(t)
+        with pytest.raises(ValueError) as got:
+            bm.verify_phi_theorems(t)
+        assert str(got.value) == str(want.value) == str(rows.value)
 
     def test_des_ides_reads_images_and_non_images_in_target_order(self, monkeypatch):
         # The target gains two elements with des != ides, and the full ideal's image
@@ -552,6 +572,7 @@ class TestRowKernel:
         monkeypatch.setattr(bm, "_phi_rows", corrupt)
         monkeypatch.setattr(bm, "_nc_scan", widened)
         report = bm.verify_phi_theorems(t)
+        assert report == verify_phi_theorems_rows(t)
         target = set(widened("A", n))
         want = [{"check": "des-ides", "image": repr(w)} for w in target if des(w) != ides(w)]
         assert [f for f in report["failures"] if f["check"] == "des-ides"] == want
@@ -608,6 +629,27 @@ class TestPhiWalk:
             assert bm._phi_rows(t, x) == phi_rows_spans(t, x)
 
 
+def _corrupt_lane(t, image, drop_word):
+    """A ``_psi_lanes`` that puts ``image`` in the lane of t's full path, the
+    path with row starts all 0, and with ``drop_word`` clears the lane's word;
+    type B's lower-part call, on the first n rows, is left alone."""
+    kernel = bm._psi_lanes
+    rows = [x for x, *_ in paths._row_stream(t.family, t.n)]
+    k = rows.index((0,) * len(rows[0]))
+
+    def corrupt(lanes, xs, n):
+        cols, word = kernel(lanes, xs, n)
+        if len(xs) < len(rows[0]):
+            return cols, word
+        bit = lanes.pack([int(i == k) for i in range(lanes.count)])
+        cols = [c & ~(bit * lanes.full) | bit * (v + lanes.off) for c, v in zip(cols, image)]
+        if drop_word:
+            word = {key: m & ~bit for key, m in word.items() if m & ~bit}
+        return cols, word
+
+    return corrupt
+
+
 class TestPsiRows:
     """``_psi`` on streamed row starts and the psi verifier against the word verifier."""
 
@@ -624,7 +666,7 @@ class TestPsiRows:
     def test_verifier_reports_match_the_word_verifier(self, fam, n):
         t = GroupType(fam, n - 1 if fam == "A" else n)
         report = bm.verify_psi_theorems(t)
-        assert report == verify_psi_theorems_words(t)
+        assert report == verify_psi_theorems_words(t) == verify_psi_theorems_rows(t)
         assert report["checked"] == len(rp.ideals(t)) and report["failures"] == []
 
     def test_clean_run_names_no_word(self, monkeypatch):
@@ -635,9 +677,10 @@ class TestPsiRows:
         for t in (GroupType("A", 5), GroupType("B", 4)):
             assert bm.verify_psi_theorems(t)["failures"] == []
 
-    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3)])
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 7)])
     def test_corrupted_kernel_is_reported(self, monkeypatch, fam, rank):
-        # send the full path's rows to the identity, the image of the path with no cells
+        # send the full path's rows to the identity, the image of the path with no cells:
+        # in its lane for the verifier, and in the per-word kernel for the word verifier
         t = GroupType(fam, rank)
         n = t.n
         full = (0,) * (n if fam == "A" else 2 * n)
@@ -649,8 +692,9 @@ class TestPsiRows:
             return kernel(x, m, family)
 
         monkeypatch.setattr(bm, "_psi", corrupt)
+        monkeypatch.setattr(bm, "_psi_lanes", _corrupt_lane(t, sp.identity(n), drop_word=True))
         report = bm.verify_psi_theorems(t)
-        assert report == verify_psi_theorems_words(t)
+        assert report == verify_psi_theorems_words(t) == verify_psi_theorems_rows(t)
         checks = {f["check"] for f in report["failures"]}
         assert {"length", "maj-identity", "injectivity", "image-set"} <= checks
         word = repr(paths._word_of_rows(fam, n, full))
@@ -672,6 +716,7 @@ class TestPsiRows:
 
     @pytest.mark.parametrize("fam,rank", [("A", 7), ("B", 5)])
     def test_clean_run_sorts_each_image_once(self, monkeypatch, fam, rank):
+        # each image is sorted once, in its lane by ``_sort_lanes``: no per-object scan runs
         t = GroupType(fam, rank)
         body = so._sorting_word
         calls = []
@@ -681,11 +726,10 @@ class TestPsiRows:
             return body(*args)
 
         monkeypatch.setattr(so, "_sorting_word", counted)
-        monkeypatch.setattr(bm, "_sorting_word", counted)
         assert bm.verify_psi_theorems(t)["failures"] == []
-        assert len(calls) == cat_number(t)
+        assert calls == []
 
-    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3)])
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(2, 8)] + [("B", r) for r in range(2, 7)])
     def test_non_sortable_image_is_caught_by_membership(self, monkeypatch, fam, rank):
         # the full path's image becomes an element outside Sort(W, c): the images stay
         # distinct and number Cat(W), so only the sorting-word check sees it
@@ -704,8 +748,9 @@ class TestPsiRows:
             return sigma, sw
 
         monkeypatch.setattr(bm, "_psi", corrupt)
+        monkeypatch.setattr(bm, "_psi_lanes", _corrupt_lane(t, bad, drop_word=False))
         report = bm.verify_psi_theorems(t)
-        assert report == verify_psi_theorems_words(t)
+        assert report == verify_psi_theorems_words(t) == verify_psi_theorems_rows(t)
         checks = {f["check"] for f in report["failures"]}
         assert {"sorting-word", "image-set"} <= checks and "injectivity" not in checks
         assert {"check": "image-set", "missing": repr([lost])} in report["failures"]
@@ -714,6 +759,72 @@ class TestPsiRows:
         # not an error from inside the loop ("type D needs an even number of negatives")
         with pytest.raises(ValueError, match="no planar cells for type D"):
             bm.verify_psi_theorems(GroupType("D", 4))
+
+
+class TestLanes:
+    """The lane layer against the per-object kernels: ``_psi_lanes`` against
+    ``_psi``, ``_sort_lanes`` against ``_sorting_word`` and ``_lane_stats``
+    against the one-pass oracle ``stats``, past the exhaustive ranks."""
+
+    @staticmethod
+    def _per_lane(lanes, lane_masks):
+        """Each lane's bitmask of the 1-indexed positions whose mask holds it."""
+        rows = [lanes.unpack(m) for m in lane_masks]
+        return [sum(bits[k] << i for i, bits in enumerate(rows, 1)) for k in range(lanes.count)]
+
+    def _check_stats(self, lanes, cols, fam, elements):
+        q, valid, *values, dms, ims, negs = bm._lane_stats(lanes, cols, fam)
+        assert valid == lanes.one
+        inverses = list(zip(*map(lanes.unpack, q)))
+        read = list(zip(*(lanes.unpack(v) for v in values), self._per_lane(lanes, dms), self._per_lane(lanes, ims), lanes.unpack(negs)))
+        for k, sigma in enumerate(elements):
+            assert read[k] == stats(sigma, fam)
+            assert tuple(v - lanes.off for v in inverses[k]) == sp.inverse(sigma)
+        return q
+
+    @pytest.mark.parametrize("t", [GroupType("A", 13), GroupType("B", 10)], ids=str)
+    def test_random_row_starts_past_the_exhaustive_ranks(self, t):
+        fam, n = t.family, t.n
+        rows = _random_row_starts(t, 2000, seed=20231)
+        assert len(set(rows)) > 1900
+        c_word = sp.coxeter_element(fam, n)[1]
+        lanes = bm._Lanes(len(rows), 2 * sum(rp.planar_cells(t).caps), n + 1)
+        assert lanes.bits == 16
+        xs = [lanes.pack(col) for col in zip(*rows)]
+        cols, word = bm._psi_lanes(lanes, xs, n)
+        images = [tuple(v - lanes.off for v in image) for image in zip(*map(lanes.unpack, cols))]
+        want = [bm._psi(x, n, fam) for x in rows]
+        assert images == [sigma for sigma, _ in want]
+        fields = {key: lanes.unpack(m) for key, m in word.items()}
+        assert [bm._lane_word(fields, k) for k in range(len(rows))] == [sw for _, sw in want]
+        q = self._check_stats(lanes, cols, fam, images)
+        assert bm._sort_lanes(lanes, q, c_word) == word
+        assert all(so._sorting_word(sigma, c_word, fam) == sw for sigma, sw in want)
+        # phi's images, transposed into lanes as its verifier does
+        images = [bm._phi_rows(t, x) for x in rows]
+        self._check_stats(lanes, [lanes.pack(map(lanes.off.__add__, col)) for col in zip(*images)], fam, images)
+
+    def test_invalid_lanes_are_flagged(self):
+        elements = [(1, 1, 3), (2, 3, 1), (1, -2, 3), (3, 0, 1), (-3, -2, -1)]
+        lanes = bm._Lanes(len(elements), 8, 4)
+        cols = [lanes.pack(map(lanes.off.__add__, col)) for col in zip(*elements)]
+        assert list(lanes.unpack(bm._lane_stats(lanes, cols, "A")[1])) == [0, 1, 0, 0, 0]
+        assert list(lanes.unpack(bm._lane_stats(lanes, cols, "B")[1])) == [0, 1, 1, 0, 1]
+
+    def test_comparison_across_lanes(self):
+        rng = random.Random(7)
+        a, b = ([rng.randrange(128) for _ in range(500)] for _ in range(2))
+        lanes = bm._Lanes(500, 127, 0)
+        assert list(lanes.unpack(lanes.gt(lanes.pack(a), lanes.pack(b)))) == [int(u > v) for u, v in zip(a, b)]
+        assert lanes.differ(lanes.pack(a), lanes.pack(b)) == {k for k, (u, v) in enumerate(zip(a, b)) if u != v}
+
+    def test_overflowing_field_raises(self):
+        lanes = bm._Lanes(3, 127, 0)
+        assert (lanes.bits, bm._Lanes(3, 128, 0).bits, bm._Lanes(3, 40000, 0).bits) == (8, 16, 32)
+        assert list(lanes.unpack(lanes.pack([0, 127, 5]))) == [0, 127, 5]
+        for values in ([0, 128, 5], [0, -1, 5], [1, 2]):
+            with pytest.raises(OverflowError):
+                lanes.pack(values)
 
 
 class TestPhiRejects:

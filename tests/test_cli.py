@@ -155,13 +155,26 @@ class TestPathPolynomials:
         assert main(["poly", "--object", "dyck", "--stat", "maj", "--type", "A", "--n", "13"]) == 2
         assert capsys.readouterr().err == "error: path enumeration guarded at n <= 12 for type A\n"
 
-    def test_unsafe_ideal_meets_no_path_guard(self, capsys):
-        # B9 ideals pass the ideal guard with --unsafe; the path guard (B8) is not consulted
-        code, out = run(capsys, ["poly", "--object", "ideal", "--stat", "area", "--type", "B", "--n", "9", "--unsafe", "--format", "json"])
-        assert code == 0
-        assert qseries.QPoly.from_json(json.loads(out))(1) == qseries.cat_number(qseries.GroupType("B", 9))
-        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "B", "--n", "9"]) == 2
-        assert "ideal enumeration guarded at rank 6 for type B" in capsys.readouterr().err
+    def test_unsafe_ideal_meets_no_path_guard(self, capsys, monkeypatch):
+        # type-D ideals, which have no paths, answer to the ideal mask guard (D9) alone
+        monkeypatch.setattr(rootposets, "cat_q", lambda t: qseries.QPoly([t.rank]))
+        code, out = run(capsys, ["poly", "--object", "ideal", "--stat", "area", "--type", "D", "--n", "12", "--unsafe"])
+        assert (code, out) == (0, "12\n")
+        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "D", "--n", "10"]) == 2
+        assert capsys.readouterr().err == "error: ideal mask enumeration guarded at rank 9 for type D\n"
+
+    @pytest.mark.parametrize("family,n", [("A", 12), ("B", 8)])
+    def test_ideal_answers_to_the_path_guard(self, capsys, monkeypatch, family, n):
+        # A/B ideals read the lattice-point pass at the same n as paths, past the ideal guard
+        # (A11 and B8 are ideals the ideal row refuses to list), and meet the path guard one step on
+        monkeypatch.setattr(rootposets, "cat_q", lambda t: pytest.fail("poly went through cat_q"))
+        for stat in ("area", "maj"):
+            code, out = run(capsys, ["poly", "--object", "ideal", "--stat", stat, "--type", family, "--n", str(n), "--format", "json"])
+            assert code == 0
+            assert qseries.QPoly.from_json(json.loads(out)) == paths._stat_counts(family, n)[stat == "maj"]
+        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", family, "--n", str(n + 1)]) == 2
+        assert capsys.readouterr().err == f"error: path enumeration guarded at n <= {n} for type {family}\n"
+        assert main(["enumerate", "--object", "ideal", "--type", family, "--n", str(n)]) == 2
 
 
 class TestEnumerate:
@@ -451,19 +464,19 @@ class TestVerify:
         assert all(r["failures"] == [] for r in reports)
 
     def test_sweep_past_a_guard_prints_nothing(self, capsys, monkeypatch):
-        # every task is checked against the ideal guard before the first one runs
+        # every task is checked against the verify guard before the first one runs
         def refuse(*args):
             raise AssertionError("a verifier ran before the guard")
 
         monkeypatch.setattr(paths, "_row_stream", refuse)
-        code = main(["verify", "--all", "--max-n", "7"])
+        code = main(["verify", "--all", "--max-n", "9"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: ideal enumeration guarded at rank 6 for type B\n"
+        assert captured.err == "error: verify enumeration guarded at rank 8 for type B\n"
 
     @pytest.mark.parametrize(
-        "which,n,message", [("psiA", "11", "rank 9 for type A"), ("phiB", "7", "rank 6 for type B")], ids=["psiA", "phiB"]
+        "which,n,message", [("psiA", "12", "rank 10 for type A"), ("phiB", "9", "rank 8 for type B")], ids=["psiA", "phiB"]
     )
     def test_guard_comes_before_the_paths(self, capsys, monkeypatch, which, n, message):
         def refuse(*args):
@@ -474,7 +487,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: ideal enumeration guarded at {message}\n"
+        assert captured.err == f"error: verify enumeration guarded at {message}\n"
 
     def test_deeper_sweep_passes_every_guard(self, capsys):
         code, out = run(capsys, ["verify", "--all", "--max-n", "6"])

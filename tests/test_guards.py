@@ -1,5 +1,7 @@
 """Every row of the size-guard table, one step past its limit: the CLI
-refuses it and the library, which sets no limit, answers it."""
+refuses it and the library, which sets no limit, answers it.  The verify
+row is answered by the verifiers' pass over the paths, which would take
+seconds to verify one step past the limit."""
 
 import pytest
 
@@ -14,18 +16,25 @@ def test_limits_are_pinned():
     assert SIZE_GUARDS == {
         "path": {"A": 12, "B": 8},
         "ideal": {"A": 9, "B": 6, "D": 5},
+        "ideal mask": {"D": 9},
         "non-crossing": {"A": 9, "B": 6, "D": 5},
         "sortable": {"A": 8, "B": 5, "D": 4},
+        "verify": {"A": 10, "B": 8},
     }
 
 
 def library_count(kind, family, size):
     """How many objects of ``kind`` at ``size`` the library finds: paths by
-    their area polynomial, type-A ideals by ``cat_q`` (enumerating A10's
-    ideals takes seconds), the rest by enumeration."""
+    their area polynomial, type-A ideals and ideal masks by ``cat_q``
+    (enumerating A10's ideals takes seconds), the verifiers' paths by their
+    pass over the paths, the rest by enumeration."""
     if kind == "path":
         return paths.area_polynomial(family, size)(1)
     t = GroupType(family, size)
+    if kind == "verify":
+        return len(paths._row_stream(family, t.n))
+    if kind == "ideal mask":
+        return rootposets.cat_q(t)(1)
     if kind == "ideal":
         return rootposets.cat_q(t)(1) if family == "A" else len(rootposets.ideals(t))
     if kind == "sortable":
@@ -34,9 +43,14 @@ def library_count(kind, family, size):
 
 
 def cli_argv(kind, family, size):
-    """``coxcat enumerate`` at the given n (paths) or rank (the others)."""
-    obj = {"path": "dyck", "ideal": "ideal", "non-crossing": "nc", "sortable": "sortable"}[kind]
+    """The command the row guards at the given n (paths) or rank (the others):
+    ``coxcat verify``, ``poly`` of the ideal area, or ``enumerate``."""
     n = size if kind == "path" or family != "A" else size + 1
+    if kind == "verify":
+        return ["verify", "--which", f"psi{family}", "--n", str(n)]
+    if kind == "ideal mask":
+        return ["poly", "--object", "ideal", "--stat", "area", "--type", family, "--n", str(n)]
+    obj = {"path": "dyck", "ideal": "ideal", "non-crossing": "nc", "sortable": "sortable"}[kind]
     return ["enumerate", "--object", obj, "--type", family, "--n", str(n)]
 
 

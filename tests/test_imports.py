@@ -15,10 +15,10 @@ lattice points), and both verifiers on row starts: in types A and B the function
 in ``ONE_PASS`` may not name the per-object enumerations, the Dyck check or
 the per-word statistics, ``phi`` and its verifier may not name the
 frozenset ideals, their statistics and lift, or ``from_cycles``, and the
-psi verifier and its row kernel may not name the word enumerations, the
+psi verifier and its row kernels may not name the word enumerations, the
 Dyck check, the per-word statistics and split, or the word entries
-``psi_a``/``psi_b``.  The verifiers check each image once and then read
-all its statistics from one pass, ``signedperm._stats``, so they may not
+``psi_a``/``psi_b``.  The verifiers read every image's statistics at
+once, in lanes (``bijmaps._lane_stats``), so they may not
 name the checked statistics, ``c_sorting_word`` or ``rev_nc``,
 nor a single statistic, a descent set, ``neg`` or ``inverse``; the walk of the
 sortable elements checks its word once, so it may not name
@@ -69,7 +69,7 @@ ONE_PASS = {
     "paths": ("paths", ("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
     "rootposets": ("rootposets", ("cat_q",), PER_OBJECT),
     "bijmaps": ("bijmaps", ("verify_phi_theorems", "phi", "_phi_rows"), ROW_STARTS),
-    "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi"), PSI_WORDS),
+    "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi", "_psi_lanes"), PSI_WORDS),
     "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
     "bijmaps-one-stats-pass": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), SINGLE_STATS),
     "sortable-walk": ("sortable", ("enumerate_sortables",), CHECKED_SORT),

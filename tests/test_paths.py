@@ -253,11 +253,13 @@ class TestPolynomials:
         assert paths.maj_polynomial("B", 2) == qcat_product(GroupType("B", 2))
 
     def test_guards(self, capsys):
-        # the path guard stands in front of these polynomials at the CLI, which
-        # refuses A13 and B9; the polynomials themselves answer there
+        # the path guard stands in front of these polynomials at the CLI, for paths and
+        # for the ideals under them, which refuses A13 and B9; the polynomials answer there
         assert main(["poly", "--object", "dyck", "--stat", "area", "--type", "A", "--n", "13"]) == 2
         assert main(["poly", "--object", "dyck", "--stat", "maj", "--type", "B", "--n", "9"]) == 2
-        assert capsys.readouterr().err == (
+        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "A", "--n", "13"]) == 2
+        assert main(["poly", "--object", "ideal", "--stat", "maj", "--type", "B", "--n", "9"]) == 2
+        assert capsys.readouterr().err == 2 * (
             "error: path enumeration guarded at n <= 12 for type A\n"
             "error: path enumeration guarded at n <= 8 for type B\n"
         )

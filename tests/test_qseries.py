@@ -23,7 +23,7 @@ from coxcat.qseries import (
 )
 from coxcat import qseries
 from coxcat.qseries import _qcat
-from oracles import coeff, degree, divexact, is_palindromic_loop, series_qcat, substitute_power
+from oracles import coeff, degree, divexact, is_palindromic_loop, mul_schoolbook, series_qcat, substitute_power
 
 
 def oracle_q_binomial(k, l):
@@ -32,6 +32,29 @@ def oracle_q_binomial(k, l):
 
 
 cached_q_factorial = lru_cache(maxsize=None)(q_factorial)
+
+
+class TestPackedProduct:
+    """``QPoly.__mul__`` packs the sign parts of each factor; the schoolbook loop is its oracle."""
+
+    def test_random_signed_polynomials(self):
+        rng = random.Random(2007)
+        for _ in range(300):
+            a, b = ([rng.randint(-10**rng.randrange(1, 30), 10**rng.randrange(1, 30)) * rng.randrange(2) for _ in range(rng.randrange(8))] for _ in range(2))
+            assert QPoly(a) * QPoly(b) == mul_schoolbook(QPoly(a), QPoly(b))
+
+    @given(st.lists(st.integers(-1000, 1000), max_size=12), st.lists(st.integers(-1000, 1000), max_size=12))
+    def test_hypothesis(self, a, b):
+        assert QPoly(a) * QPoly(b) == mul_schoolbook(QPoly(a), QPoly(b))
+
+    def test_edge_cases(self):
+        one, zero = QPoly.one(), QPoly()
+        assert one * zero == zero * one == zero
+        assert QPoly([1, -1]) * QPoly([1, 1]) == QPoly([1, 0, -1])  # cancellation to a lower degree field
+        assert QPoly([0, 0, 5]) * QPoly([-3]) == QPoly([0, 0, -15])
+        assert q_factorial(24) == mul_schoolbook(q_factorial(23), q_integer(24))
+        big = QPoly([-(2**200), 2**199, 1])
+        assert big * big == mul_schoolbook(big, big)
 
 
 class TestQPoly:

@@ -183,18 +183,19 @@ class TestCatQ:
         assert rp.cat_q(t)(1) == cat_number(t)
 
     def test_guard(self, capsys, monkeypatch):
-        # Cat(W, q) past the ideal guard: the CLI's poly refuses it before cat_q
-        # or the path pass runs
+        # Cat(W, q) past its guard: the CLI's poly refuses it before cat_q or the path pass
+        # runs; A/B ideals answer to the path guard, type-D ideals to the ideal mask guard
         def refuse(*args, **kwargs):
             raise AssertionError("the polynomial was formed before the guard")
 
         monkeypatch.setattr(rp, "cat_q", refuse)
         monkeypatch.setattr(paths, "_stat_counts", refuse)
-        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "A", "--n", "11"]) == 2
-        assert main(["poly", "--object", "ideal", "--stat", "area", "--type", "B", "--n", "7"]) == 2
+        for family, n in (("A", 13), ("B", 9), ("D", 10)):
+            assert main(["poly", "--object", "ideal", "--stat", "area", "--type", family, "--n", str(n)]) == 2
         assert capsys.readouterr().err == (
-            "error: ideal enumeration guarded at rank 9 for type A\n"
-            "error: ideal enumeration guarded at rank 6 for type B\n"
+            "error: path enumeration guarded at n <= 12 for type A\n"
+            "error: path enumeration guarded at n <= 8 for type B\n"
+            "error: ideal mask enumeration guarded at rank 9 for type D\n"
         )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
 from coxcat.qseries import SizeGuardError
-from oracles import check_perm_abs, des_set, ides_set, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg
+from oracles import check_perm_abs, des_set, ides_set, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, stats
 
 
 def bfs_simple_length(target, family):
@@ -136,22 +136,22 @@ def _mask(positions) -> int:
 
 
 class TestStats:
-    """``_stats`` against the single statistics and the oracle descent sets."""
+    """The one-pass oracle ``stats`` against the single statistics and the oracle descent sets."""
 
     @pytest.mark.parametrize("fam,n", [("A", n) for n in range(7)] + [(f, n) for f in "BD" for n in range(6)])
     def test_matches_the_single_statistics(self, fam, n):
         for w in sp.enumerate_group(fam, n):
             want = sp.length_s(w, fam), sp.maj(w, fam), sp.imaj(w, fam), _mask(des_set(w)), _mask(ides_set(w)), neg(w)
-            assert sp._stats(w, fam) == want
+            assert stats(w, fam) == want
 
     def test_worked_example(self):
         sigma = (7, 3, 4, 5, 2, 6, 9, 8, 1)
-        assert sp._stats(sigma, "A") == (17, 20, 17, _mask({1, 4, 7, 8}), _mask({1, 2, 6, 8}), 0)
-        assert sp._stats((-2, -1), "D") == (1, 1, 1, 0, 0, 2)  # s_0, an involution
+        assert stats(sigma, "A") == (17, 20, 17, _mask({1, 4, 7, 8}), _mask({1, 2, 6, 8}), 0)
+        assert stats((-2, -1), "D") == (1, 1, 1, 0, 0, 2)  # s_0, an involution
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            sp._stats((1,), "E")
+            stats((1,), "E")
 
 
 class TestMaj:

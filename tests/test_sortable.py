@@ -7,7 +7,7 @@ from coxcat import sortable as so
 from coxcat.cli import main
 from coxcat.qseries import GroupType, QPoly, cat_number
 from coxcat.rootposets import cat_q
-from oracles import avoids_231, letters, parse_sorting_word
+from oracles import avoids_231, letters, parse_sorting_word, stats
 
 
 def oracle_231(p):
@@ -232,7 +232,7 @@ class TestEnumerateSortables:
 
 
 class TestUncheckedBodies:
-    """The private bodies the verifiers call after one ``check_perm`` per element."""
+    """The private bodies beside the checked public forms, and the one-pass oracle ``stats``."""
 
     @pytest.mark.parametrize(
         "fam,n", [("A", n) for n in range(1, 6)] + [("B", n) for n in range(1, 5)] + [("D", n) for n in range(2, 5)]
@@ -240,7 +240,7 @@ class TestUncheckedBodies:
     def test_bodies_equal_the_public_forms(self, fam, n):
         c = default_c_word(fam, n)
         for w in sp.enumerate_group(fam, n):
-            assert sp._stats(w, fam)[:3] == (sp.length_s(w, fam), sp.maj(w, fam), sp.imaj(w, fam))
+            assert stats(w, fam)[:3] == (sp.length_s(w, fam), sp.maj(w, fam), sp.imaj(w, fam))
             assert sp.imaj(w, fam) == sp.maj(sp.inverse(w), fam)
             sw = so._sorting_word(w, c, fam)
             assert sw == so.c_sorting_word(w, c, fam)
