@@ -22,11 +22,13 @@ starts, area and maj from one pass over the Dyck paths
 int per quantity with one guarded field per path (``_Lanes``), so each
 identity is a few dozen big-int operations and one comparison per rank.
 psi builds its images and sorting words by masked swaps
-(``_psi_lanes``), phi transposes its shell walks' images, and only a
+(``_psi_lanes``), phi reads every shell's blocks off masks of the row
+starts (``_phi_lanes``; ``_phi_rows`` stays the per-ideal map), and only a
 failing lane is decoded into its ideal or word.  psi's image set is
 checked by membership and count, and Sort(W, c) is walked only if that
-fails.  ``preimage`` looks an image up in one table from images to row
-starts, built by that pass, and builds only the one ideal or word it finds.
+fails; phi's is compared with the scan of [1, c].  ``preimage`` looks an
+image up in one table from images to row starts, built by that pass and
+the same lane kernels, and builds only the one ideal or word it finds.
 """
 
 from __future__ import annotations
@@ -197,10 +199,12 @@ def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
 @lru_cache(maxsize=None)
 def _inverse_rows(t: GroupType, via: str) -> dict[Perm, tuple[int, ...]]:
     """Each image of ``via`` ("phi" or "psi") at rank t, mapped to its row starts
-    by one pass over the Dyck paths through the row kernels, as the verifiers take it."""
-    if via == "phi":
-        return {_phi_rows(t, x): x for x, _, _, _ in paths._row_stream(t.family, t.n)}
-    return {_psi(x, t.n, t.family)[0]: x for x, _, _, _ in paths._row_stream(t.family, t.n)}
+    by one pass over the Dyck paths through the lane kernels, as the verifiers take it."""
+    rows = [x for x, _, _, _ in paths._row_stream(t.family, t.n)]
+    lanes = _Lanes(len(rows), 2 * t.n + 2, t.n + 1)
+    xs = [lanes.pack(col) for col in zip(*rows)]
+    cols = _phi_lanes(lanes, xs, t) if via == "phi" else _psi_lanes(lanes, xs, t.n)[0]
+    return dict(zip(zip(*map(lanes.values, cols)), rows))
 
 
 def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | None:
@@ -255,9 +259,24 @@ class _Lanes:
         """The lanes' values, unsigned, since a sum may reach the guard bit."""
         return array(self.code.upper(), lane.to_bytes(self.count * self.bits // 8, sys.byteorder))
 
+    def values(self, lane: int) -> array:
+        """The lanes' entries stored as value + ``off``, as signed values: with
+        every guard bit set, subtracting ``off`` borrows across no field, and
+        flipping the guard bits back leaves each value in two's complement."""
+        signed = (lane | self.high) - self.off * self.one ^ self.high
+        return array(self.code, signed.to_bytes(self.count * self.bits // 8, sys.byteorder))
+
     def gt(self, a: int, b: int) -> int:
         """The mask of the lanes where a > b."""
         return ((a | self.high) - b - self.one & self.high) >> self.bits - 1
+
+    def eq(self, a: int, b: int) -> int:
+        """The mask of the lanes where a == b."""
+        return self.one ^ self.gt(a ^ b, 0)
+
+    def select(self, mask: int, a: int, b: int) -> int:
+        """a in the masked lanes, b in the others."""
+        return b ^ (a ^ b) & mask * self.full
 
     def differ(self, a: int, b: int = 0) -> set[int]:
         """The lanes where a and b differ (that a mask holds, for b = 0): one comparison when none do."""
@@ -267,13 +286,66 @@ class _Lanes:
 
     def act(self, cols: list[int], s: int, mask: int) -> None:
         """Right-multiply the masked lanes by s_s: swap columns s - 1 and s, or negate column 0."""
-        mask *= self.full
         if s:
-            d = (cols[s - 1] ^ cols[s]) & mask
+            d = (cols[s - 1] ^ cols[s]) & mask * self.full
             cols[s - 1] ^= d
             cols[s] ^= d
         else:
-            cols[0] ^= (cols[0] ^ (2 * self.off * self.one - cols[0])) & mask
+            cols[0] = self.select(mask, 2 * self.off * self.one - cols[0], cols[0])
+
+
+def _phi_lanes(lanes: _Lanes, xs: list[int], t: GroupType) -> list[int]:
+    """``_phi_rows`` on every lane at once; ``xs[m]`` holds the lanes' row m starts.
+
+    Returns the images' one-line columns.  As in ``_phi_rows``, row m adds
+    a cell to shell k in the lanes where its start is uncovered and
+    m - x_m > 2k; a lower row's span (n - m + k, n - x_m - k) starts at a
+    point that m and k fix, and type B's upper rows, merged with their
+    mirrors, act as one span (0, e).  Each shell scans the points p = 1..n
+    upward, keeping the reach R, the right end of the latest span starting
+    below p (right ends grow with left ends): a span starting at p starts a
+    block where R < p and adds a chain point where R = p, and where R = p
+    and no span starts at p, a block ends.  A start or chain point maps to
+    the next chain or end point above it, an end to the latest start below
+    it, or, closing the fold block, to minus that block's first point.
+    """
+    n, one, off = t.n, lanes.one, lanes.off
+    caps = rootposets.planar_cells(t).caps
+    last = len(caps) - 1
+    points = [(p + off) * one for p in range(1, n + 1)]
+    cols = points[:]
+    starts = [lanes.gt(cap * one, x) for cap, x in zip(caps, xs)]
+    for m in range(last):  # drop the starts that row m + 1 covers
+        starts[m] &= ~lanes.gt(caps[m + 1] * one, xs[m]) | lanes.gt(xs[m + 1], xs[m])
+    for k in count():
+        act = [s & lanes.gt((m - 2 * k) * one, x) if m > 2 * k else 0 for m, (s, x) in enumerate(zip(starts, xs))]
+        if not any(act):
+            return cols
+        reach = off * one
+        for m in range(n + k, last + 1):  # the upper rows: their spans and mirrors reach e
+            for e in ((n - k + off) * one - xs[m], (m - k + 1 - n + off) * one):
+                reach = lanes.select(act[m] & lanes.gt(e, reach), e, reach)
+        opens, ends = [], []  # per point: start or chain point; chain or end point
+        for p, at in enumerate(points, 1):
+            m = n + k - p
+            begins = act[m] if m <= last else 0
+            opens.append(begins & ~lanes.gt(reach, at))
+            ends.append(lanes.eq(reach, at))
+            if begins:
+                reach = lanes.select(begins, (n - k + off) * one - xs[m], reach)
+        nxt = off * one
+        for p in range(n - 1, -1, -1):
+            if opens[p]:
+                cols[p] = lanes.select(opens[p], nxt, cols[p])
+            if ends[p]:
+                nxt = lanes.select(ends[p], points[p], nxt)
+        prev = 2 * off * one - nxt  # minus the fold block's first point
+        for p, at in enumerate(points):
+            end, start = ends[p] & ~opens[p], opens[p] & ~ends[p]
+            if end:
+                cols[p] = lanes.select(end, prev, cols[p])
+            if start:
+                prev = lanes.select(start, at, prev)
 
 
 def _psi_lanes(lanes: _Lanes, xs: list[int], n: int) -> tuple[list[int], dict]:
@@ -313,7 +385,7 @@ def _lane_stats(lanes: _Lanes, cols: list[int], family: str) -> tuple:
         hit = pos = 0
         for i, col in enumerate(cols, 1):
             for sign in (1, -1) if family == "B" else (1,):
-                e = one ^ lanes.gt(col ^ (sign * a + off) * one, 0)
+                e = lanes.eq(col, (sign * a + off) * one)
                 hit |= e
                 pos |= e * (sign * i + off)
         valid &= hit
@@ -387,10 +459,12 @@ def verify_phi_theorems(t: GroupType) -> dict:
     """Exhaustively check the shelling bijection and its statistics at rank t.
 
     The ideals come as row starts, with each ideal's size, maj and descent
-    count, from one pass over the Dyck paths.  The shell walk maps each
-    ideal; the images are transposed into lanes, where every statistic is
-    checked for all of them at once.  The type-B lift pads the rows with
-    two filled bottom rows.
+    count, from one pass over the Dyck paths, and every check runs on all
+    of them at once, in lanes: ``_phi_lanes`` builds the images, each
+    statistic is a lane sum compared with the packed size, maj or descent
+    count, and the type-B lift is ``_phi_lanes`` at the next rank on the
+    rows padded with two filled bottom rows.  Only a failing lane is
+    decoded into its ideal.
     """
     fam, n = t.family, t.n
     two_n = 2 * sum(rootposets.planar_cells(t).caps)  # twice the cell count; raises for type D
@@ -398,39 +472,41 @@ def verify_phi_theorems(t: GroupType) -> dict:
     leaves = paths._row_stream(fam, n)
     report["checked"] = len(leaves)
     rows, areas, path_majs, path_descents = zip(*leaves)
-    images = [_phi_rows(t, x) for x in rows]
     bound = max(two_n, 2 * n + 2)  # every statistic, and the entries stored as value + n + 1
-    lanes = _Lanes(len(images), bound, n + 1)
+    lanes = _Lanes(len(rows), bound, n + 1)
     one = lanes.one
-    _, valid, length, sigma_maj, sigma_imaj, dms, ims, _ = _lane_stats(
-        lanes, [lanes.pack(map(lanes.off.__add__, col)) for col in zip(*images)], fam
-    )
+    cols = _phi_lanes(lanes, [lanes.pack(col) for col in zip(*rows)], t)
+    images = list(zip(*map(lanes.values, cols)))
+    _, valid, length, sigma_maj, sigma_imaj, dms, ims, _ = _lane_stats(lanes, cols, fam)
     for k in sorted(lanes.differ(valid, one)):
         check_perm(images[k], fam)  # raises for the first element that is not a signed permutation
     total = lanes.pack(path_majs) + sigma_maj + sigma_imaj
     bad = {"length": lanes.differ(length, lanes.pack(areas)), "maj-identity": lanes.differ(total, two_n * one)}
     if fam == "A":
         bad["des-sum"] = lanes.differ(lanes.pack(path_descents) + sum(dms), (n - 1) * one)
-    image_of = dict(zip(images, rows))
-    bad["injectivity"] = _repeats(images) if len(image_of) != len(images) else set()
+    lane_of = {image: k for k, image in enumerate(images)}  # each image's last lane, by first appearance
+    bad["injectivity"] = _repeats(images) if len(lane_of) != len(images) else set()
     if any(bad.values()):
         totals = lanes.unpack(total)
         _emit(report, bad, ideal=lambda k: _roots(t, rows[k]), image=images.__getitem__, total=totals.__getitem__)
     # rev is the identity on a permutation with no negative entries
     target = set(_nc_scan("A", n)) if fam == "A" else {signedperm.rev(w) for w in _nc_scan(fam, n)}
-    if image_of.keys() != target:
-        _fail(report, "image-set", missing=sorted(target - image_of.keys())[:3])
-    if fam == "A" and (sum(dms) != sum(ims) or image_of.keys() != target):
+    if lane_of.keys() != target:
+        _fail(report, "image-set", missing=sorted(target - lane_of.keys())[:3])
+    if fam == "A" and (sum(dms) != sum(ims) or lane_of.keys() != target):
         order = list(target)  # a target element that is not an image is read here
         tl = _Lanes(len(order), bound, n + 1)
         _, _, _, _, _, dms, ims, _ = _lane_stats(tl, [tl.pack(map(tl.off.__add__, col)) for col in zip(*order)], fam)
         for k in sorted(tl.differ(sum(dms), sum(ims))):
             _fail(report, "des-ides", image=order[k])
     if fam == "B":
-        big = GroupType("B", t.rank + 1)
-        for sigma, x in image_of.items():
-            if _phi_rows(big, (0, 0) + x) != sigma + (-(n + 1),):
-                _fail(report, "lift-identity", ideal=_roots(t, x))
+        wide = _Lanes(len(rows), 2 * n + 4, n + 2)  # B_{n+1}'s entries, stored as value + n + 2
+        lifted = _phi_lanes(wide, [0, 0] + [wide.pack(col) for col in zip(*rows)], GroupType("B", t.rank + 1))
+        want = [wide.pack(lanes.unpack(col)) + wide.one for col in cols] + [wide.one]  # then -(n + 1)
+        failed = wide.differ(reduce(or_, map(xor, lifted, want)))
+        for k in lane_of.values():
+            if k in failed:
+                _fail(report, "lift-identity", ideal=_roots(t, rows[k]))
     return report
 
 
@@ -480,20 +556,19 @@ def verify_psi_theorems(t: GroupType) -> dict:
         bad["neg-sum"] = lanes.differ(negs, uppers)
         bad["ides-split"] = lanes.differ(reduce(or_, map(xor, ims, lower_ims), 0))
         bad["imaj-split"] = lanes.differ(sigma_imaj, lower_imaj + negs)
-    images = list(zip(*map(lanes.unpack, cols)))
+    images = list(zip(*map(lanes.values, cols)))
     distinct = set(images)
     bad["injectivity"] = _repeats(images) if len(distinct) != len(images) else set()
     if any(bad.values()):
         fields, totals = {key: lanes.unpack(m) for key, m in word.items()}, lanes.unpack(total)
         _emit(
             report, bad, word=lambda k: paths._word_of_rows(fam, n, rows[k]), total=totals.__getitem__,
-            image=lambda k: tuple(v - off for v in images[k]), emitted=lambda k: str(_lane_word(fields, k)),
+            image=images.__getitem__, emitted=lambda k: str(_lane_word(fields, k)),
         )
     # Every image that passed the sorting-word check is c-sortable, and |Sort(W, c)| = Cat(W)
     # (Reading, Trans. AMS 2007), so Cat(W) distinct such images are all of Sort(W, c).
     if bad["sorting-word"] or len(distinct) != cat_number(t):
         target = set(enumerate_sortables(t, c_word))
-        images = {tuple(v - off for v in image) for image in distinct}
-        if images != target:
-            _fail(report, "image-set", missing=sorted(target - images)[:3])
+        if distinct != target:
+            _fail(report, "image-set", missing=sorted(target - distinct)[:3])
     return report

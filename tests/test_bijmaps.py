@@ -470,6 +470,30 @@ def _stream(t):
     return list(paths._row_stream(t.family, t.n))
 
 
+def _full_lane(t):
+    """The lane of t's full path, the path with row starts all 0 (the full ideal's rows)."""
+    rows = [x for x, *_ in _stream(t)]
+    return rows.index((0,) * len(rows[0]))
+
+
+def _put_lane(lanes, cols, k, image):
+    """``cols`` with lane k's entries replaced by ``image``'s."""
+    bit = lanes.pack([int(i == k) for i in range(lanes.count)])
+    return [lanes.select(bit, (v + lanes.off) * lanes.one, c) for c, v in zip(cols, image)]
+
+
+def _corrupt_phi_lane(t, image):
+    """A ``_phi_lanes`` that puts ``image`` in the lane of t's full ideal at rank t
+    only; the type-B lift's call, at the next rank, is left alone."""
+    kernel, k = bm._phi_lanes, _full_lane(t)
+
+    def corrupt(lanes, xs, u):
+        cols = kernel(lanes, xs, u)
+        return _put_lane(lanes, cols, k, image) if u == t else cols
+
+    return corrupt
+
+
 class TestRowKernel:
     """The verifier's row-start stream and ``_phi_rows`` against the frozenset oracles.
 
@@ -515,7 +539,8 @@ class TestRowKernel:
 
     @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 7)])
     def test_corrupted_image_is_reported(self, monkeypatch, fam, rank):
-        # send the full ideal to the identity, the empty ideal's image
+        # send the full ideal to the identity, the empty ideal's image: in its lane
+        # for the verifier, and in the shell walk for the oracles
         t = GroupType(fam, rank)
         full = tuple(rp.ideal_row_starts(t, frozenset(rp.positive_roots(t))))
         kernel = bm._phi_rows
@@ -524,6 +549,7 @@ class TestRowKernel:
             return sp.identity(u.n) if u == t and tuple(x) == full else kernel(u, x)
 
         monkeypatch.setattr(bm, "_phi_rows", corrupt)
+        monkeypatch.setattr(bm, "_phi_lanes", _corrupt_phi_lane(t, sp.identity(t.n)))
         report = bm.verify_phi_theorems(t)
         assert report == verify_phi_theorems_frozensets(t) == verify_phi_theorems_rows(t)
         checks = [f["check"] for f in report["failures"]]
@@ -543,6 +569,7 @@ class TestRowKernel:
         full = tuple(rp.ideal_row_starts(t, frozenset(rp.positive_roots(t))))
         kernel = bm._phi_rows
         monkeypatch.setattr(bm, "_phi_rows", lambda u, x: bad if u == t and tuple(x) == full else kernel(u, x))
+        monkeypatch.setattr(bm, "_phi_lanes", _corrupt_phi_lane(t, bad))
         with pytest.raises(ValueError) as want:
             verify_phi_theorems_frozensets(t)
         with pytest.raises(ValueError) as rows:
@@ -570,6 +597,7 @@ class TestRowKernel:
             return scan(family, m) + (extras if (family, m) == ("A", n) else [])
 
         monkeypatch.setattr(bm, "_phi_rows", corrupt)
+        monkeypatch.setattr(bm, "_phi_lanes", _corrupt_phi_lane(t, extras[0]))
         monkeypatch.setattr(bm, "_nc_scan", widened)
         report = bm.verify_phi_theorems(t)
         assert report == verify_phi_theorems_rows(t)
@@ -629,20 +657,70 @@ class TestPhiWalk:
             assert bm._phi_rows(t, x) == phi_rows_spans(t, x)
 
 
+def _phi_lane_images(t, rows, filled=0):
+    """``bm._phi_lanes`` at rank t on ``rows`` under ``filled`` filled bottom rows, read back as images."""
+    lanes = bm._Lanes(len(rows), 2 * t.n + 2, t.n + 1)
+    cols = bm._phi_lanes(lanes, [0] * filled + [lanes.pack(col) for col in zip(*rows)], t)
+    return list(zip(*map(lanes.values, cols)))
+
+
+class TestPhiLanes:
+    """The lane kernel ``_phi_lanes`` against the shell walk ``_phi_rows``, which
+    public ``phi`` keeps, and the span-list reader ``oracles.phi_rows_spans``."""
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)])
+    def test_every_row_start(self, fam, rank):
+        t = GroupType(fam, rank)
+        rows = [x for x, *_ in _stream(t)]
+        want = [bm._phi_rows(t, x) for x in rows]
+        assert _phi_lane_images(t, rows) == want
+        assert want == [phi_rows_spans(t, x) for x in rows]
+
+    @pytest.mark.parametrize("t", [GroupType("A", 13), GroupType("B", 10)], ids=str)
+    def test_random_row_starts_past_the_exhaustive_ranks(self, t):
+        # ideal_row_starts pads type B's rows to 2n at their caps, as _phi_rows needs
+        rows = _random_row_starts(t, 2000, seed=20241)
+        assert len(set(rows)) > 1900
+        want = [bm._phi_rows(t, x) for x in rows]
+        assert _phi_lane_images(t, rows) == want
+        assert want == [phi_rows_spans(t, x) for x in rows]
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_lift(self, rank):
+        # the verifier's lift: two filled bottom rows, mapped at the next rank
+        t, big = GroupType("B", rank), GroupType("B", rank + 1)
+        rows = [x for x, *_ in _stream(t)]
+        lifted = _phi_lane_images(big, rows, filled=2)
+        assert lifted == [bm._phi_rows(big, (0, 0) + x) for x in rows]
+        assert lifted == [image + (-(rank + 1),) for image in _phi_lane_images(t, rows)]
+
+    def test_clean_run_walks_no_shell(self, monkeypatch):
+        calls = []
+        kernel = bm._phi_rows
+
+        def counted(u, x):
+            calls.append(u)
+            return kernel(u, x)
+
+        monkeypatch.setattr(bm, "_phi_rows", counted)
+        for t in (GroupType("A", 6), GroupType("B", 5)):
+            assert bm.verify_phi_theorems(t)["failures"] == []
+        assert calls == []
+
+
 def _corrupt_lane(t, image, drop_word):
     """A ``_psi_lanes`` that puts ``image`` in the lane of t's full path, the
     path with row starts all 0, and with ``drop_word`` clears the lane's word;
     type B's lower-part call, on the first n rows, is left alone."""
-    kernel = bm._psi_lanes
-    rows = [x for x, *_ in paths._row_stream(t.family, t.n)]
-    k = rows.index((0,) * len(rows[0]))
+    kernel, k = bm._psi_lanes, _full_lane(t)
+    width = t.n if t.family == "A" else 2 * t.n
 
     def corrupt(lanes, xs, n):
         cols, word = kernel(lanes, xs, n)
-        if len(xs) < len(rows[0]):
+        if len(xs) < width:
             return cols, word
         bit = lanes.pack([int(i == k) for i in range(lanes.count)])
-        cols = [c & ~(bit * lanes.full) | bit * (v + lanes.off) for c, v in zip(cols, image)]
+        cols = _put_lane(lanes, cols, k, image)
         if drop_word:
             word = {key: m & ~bit for key, m in word.items() if m & ~bit}
         return cols, word
@@ -800,7 +878,7 @@ class TestLanes:
         q = self._check_stats(lanes, cols, fam, images)
         assert bm._sort_lanes(lanes, q, c_word) == word
         assert all(so._sorting_word(sigma, c_word, fam) == sw for sigma, sw in want)
-        # phi's images, transposed into lanes as its verifier does
+        # phi's images from the shell walk, transposed into lanes
         images = [bm._phi_rows(t, x) for x in rows]
         self._check_stats(lanes, [lanes.pack(map(lanes.off.__add__, col)) for col in zip(*images)], fam, images)
 
@@ -817,6 +895,16 @@ class TestLanes:
         lanes = bm._Lanes(500, 127, 0)
         assert list(lanes.unpack(lanes.gt(lanes.pack(a), lanes.pack(b)))) == [int(u > v) for u, v in zip(a, b)]
         assert lanes.differ(lanes.pack(a), lanes.pack(b)) == {k for k, (u, v) in enumerate(zip(a, b)) if u != v}
+        assert list(lanes.unpack(lanes.eq(lanes.pack(a), lanes.pack(b)))) == [int(u == v) for u, v in zip(a, b)]
+        mask = lanes.gt(lanes.pack(a), lanes.pack(b))
+        assert list(lanes.unpack(lanes.select(mask, lanes.pack(a), lanes.pack(b)))) == list(map(max, a, b))
+
+    def test_signed_values(self):
+        # entries stored as value + off, negatives included, across every field width
+        for bound, off in ((20, 9), (300, 140), (40000, 20000)):
+            lanes = bm._Lanes(7, bound, off)
+            values = [-off, -1, 0, 1, off, 3, -2]
+            assert list(lanes.values(lanes.pack([v + off for v in values]))) == values
 
     def test_overflowing_field_raises(self):
         lanes = bm._Lanes(3, 127, 0)

@@ -23,8 +23,9 @@ name the checked statistics, ``c_sorting_word`` or ``rev_nc``,
 nor a single statistic, a descent set, ``neg`` or ``inverse``; the walk of the
 sortable elements checks its word once, so it may not name
 ``is_c_sortable`` or ``c_sorting_word``.  phi's row kernel walks each
-shell once in left-endpoint order, so it may not name a sort or the span
-readers ``_span_cycles``/``_read_block``, and ``psi_a``, ``psi_b`` and
+shell once in left-endpoint order, and its lane kernel reads each shell's
+points off masks, so neither may name a sort or the span readers
+``_span_cycles``/``_read_block``, and ``psi_a``, ``psi_b`` and
 ``dyck_to_ideal`` read their word once, so they may not name the Dyck
 check ``_check`` or the unchecked ``_north_columns``.  The inverse table
 of phi and psi is one pass over the row starts, so it may not name the
@@ -68,12 +69,12 @@ CELL_SETS = {"_cells", "cells_a", "cells_b", "descent_set"}
 ONE_PASS = {
     "paths": ("paths", ("_stat_counts", "area_polynomial", "maj_polynomial"), PER_OBJECT),
     "rootposets": ("rootposets", ("cat_q",), PER_OBJECT),
-    "bijmaps": ("bijmaps", ("verify_phi_theorems", "phi", "_phi_rows"), ROW_STARTS),
+    "bijmaps": ("bijmaps", ("verify_phi_theorems", "phi", "_phi_rows", "_phi_lanes"), ROW_STARTS),
     "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi", "_psi_lanes"), PSI_WORDS),
     "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
     "bijmaps-one-stats-pass": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), SINGLE_STATS),
     "sortable-walk": ("sortable", ("enumerate_sortables",), CHECKED_SORT),
-    "phi-walk": ("bijmaps", ("_phi_rows",), SPAN_SORT),
+    "phi-walk": ("bijmaps", ("_phi_rows", "_phi_lanes"), SPAN_SORT),
     "psi-reader": ("bijmaps", ("psi_a", "psi_b"), DYCK_PASSES),
     "rootposets-reader": ("rootposets", ("dyck_to_ideal",), DYCK_PASSES),
     "inverse-rows": ("bijmaps", ("_inverse_rows",), INVERSE_WORDS),
