@@ -17,9 +17,9 @@ kernel ``_psi``, which reads the cells under the path, diagonal by
 diagonal, as a sorting word, sorting the cells into factors in one pass
 over the rows.  The verifiers check the counting and major-index
 identities exhaustively at a given rank; both take every path's row
-starts, area and maj from one pass over the Dyck paths
-(``paths._row_stream``) and check the whole rank at once in lanes: one
-int per quantity with one guarded field per path (``_Lanes``), so each
+starts, area and maj from ``_rank``, one pass over the Dyck paths packed
+in the rank's one lane layout, and check the whole rank at once: one int
+per quantity with one guarded field per path (``_Lanes``), so each
 identity is a few dozen big-int operations and one comparison per rank.
 psi builds its images and sorting words by masked swaps
 (``_psi_lanes``), phi reads every shell's blocks off masks of the row
@@ -27,8 +27,8 @@ starts (``_phi_lanes``; ``_phi_rows`` stays the per-ideal map), and only a
 failing lane is decoded into its ideal or word.  psi's image set is
 checked by membership and count, and Sort(W, c) is walked only if that
 fails; phi's is compared with the scan of [1, c].  ``preimage`` looks an
-image up in one table from images to row starts, built by that pass and
-the same lane kernels, and builds only the one ideal or word it finds.
+image up in one table from images to row starts, built from ``_rank``
+and the same lane kernels, and builds only the one ideal or word it finds.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ def _phi_rows(t: GroupType, x) -> Perm:
     (-v(i), -v(j)).  The spans of rows j < n lie right of the fold and
     their mirrors repeat their blocks, negated, left of it, so only the
     real ones are walked.  The spans of rows j >= n straddle the fold;
-    merged with their mirrors they open the fold block [-e, e], which the
-    walk carries on to the right, and its positive points p_1 < ... < p_r
-    are the sign-crossing cycle (p_1, ..., p_r, -p_1).
+    with their mirrors they make the fold block [-e, e], where e is their
+    largest right end, n - x_m - k over rows m - k >= n: a mirror's right
+    end m - k + 1 - n is never larger, since x_m < cap_m = 2n - m.  The
+    walk carries that block on to the right, and its positive points
+    p_1 < ... < p_r are the sign-crossing cycle (p_1, ..., p_r, -p_1).
     """
     n = t.n
     caps = rootposets.planar_cells(t).caps
@@ -99,30 +101,11 @@ def _phi_rows(t: GroupType, x) -> Perm:
     for k in range((max([m - a for m, a in starts]) + 1) // 2):
         while s and starts[s - 1][0] - k < n:
             s -= 1
-        if s:
-            reals = [(n - m + k - 1, n - a - k) for m, a in starts[:s]]
-            mirrors = [(-hi, -lo) for lo, hi in reversed(reals) if lo != -hi]
-            start = min(reals[0][0], mirrors[0][0]) if mirrors else reals[0][0]
-            prev = end = -n - 1
-            i = j = 0
-            while i < len(reals) or j < len(mirrors):
-                if j == len(mirrors) or i < len(reals) and reals[i] < mirrors[j]:
-                    lo, hi = reals[i]
-                    i += 1
-                else:
-                    lo, hi = mirrors[j]
-                    j += 1
-                if lo <= prev or hi <= end:
-                    raise ValueError("not an antichain: nested or repeated spans")
-                prev, end = lo, hi
-            if start != -end:
-                raise ValueError("fold block is not symmetric")
-            sign = -1
-        else:
-            prev = end = 0
-            sign = 1
-        # the open block's first and latest positive points; the fold block has none yet
-        first = point = 0
+        # the fold block [-e, e] that opens the shell in type B, and the open block's
+        # first and latest positive points: the fold block has none yet
+        end = max([n - a - k for _, a in starts[:s]], default=0)
+        sign = -1 if s else 1
+        prev = first = point = 0
         for m, a in starts[s:]:
             if m - a <= 2 * k:
                 continue
@@ -199,10 +182,8 @@ def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
 @lru_cache(maxsize=None)
 def _inverse_rows(t: GroupType, via: str) -> dict[Perm, tuple[int, ...]]:
     """Each image of ``via`` ("phi" or "psi") at rank t, mapped to its row starts
-    by one pass over the Dyck paths through the lane kernels, as the verifiers take it."""
-    rows = [x for x, _, _, _ in paths._row_stream(t.family, t.n)]
-    lanes = _Lanes(len(rows), 2 * t.n + 2, t.n + 1)
-    xs = [lanes.pack(col) for col in zip(*rows)]
+    by the lane kernels on ``_rank``'s lanes, as the verifiers take them."""
+    rows, _, _, _, lanes, xs = _rank(t)
     cols = _phi_lanes(lanes, xs, t) if via == "phi" else _psi_lanes(lanes, xs, t.n)[0]
     return dict(zip(zip(*map(lanes.values, cols)), rows))
 
@@ -244,7 +225,7 @@ class _Lanes:
     def __init__(self, count: int, bound: int, off: int):
         self.code = next(c for c in "bhiq" if bound >> 8 * array(c).itemsize - 1 == 0)
         self.bits = 8 * array(self.code).itemsize
-        self.count, self.off, self.full = count, off, (1 << self.bits) - 1
+        self.count, self.bound, self.off, self.full = count, bound, off, (1 << self.bits) - 1
         self.one = self.pack([1] * count)
         self.high = self.one << self.bits - 1
 
@@ -294,20 +275,34 @@ class _Lanes:
             cols[0] = self.select(mask, 2 * self.off * self.one - cols[0], cols[0])
 
 
+def _rank(t: GroupType) -> tuple:
+    """Every path of rank t from one pass (``paths._row_stream``): the row
+    starts, the packed area, maj and descent counts, the lanes and the packed
+    row-start columns.  The lanes hold every statistic, up to twice the cell
+    count, and B_{n+1}'s entries stored as value + n + 2, so type B's lift
+    runs in them too."""
+    n = t.n
+    cells = sum(rootposets.planar_cells(t).caps)  # raises for type D, which has no row starts
+    rows, areas, majs, descents = zip(*paths._row_stream(t.family, n))
+    lanes = _Lanes(len(rows), max(2 * cells, 2 * n + 4), n + 2)
+    return rows, lanes.pack(areas), lanes.pack(majs), lanes.pack(descents), lanes, [lanes.pack(c) for c in zip(*rows)]
+
+
 def _phi_lanes(lanes: _Lanes, xs: list[int], t: GroupType) -> list[int]:
     """``_phi_rows`` on every lane at once; ``xs[m]`` holds the lanes' row m starts.
 
     Returns the images' one-line columns.  As in ``_phi_rows``, row m adds
     a cell to shell k in the lanes where its start is uncovered and
     m - x_m > 2k; a lower row's span (n - m + k, n - x_m - k) starts at a
-    point that m and k fix, and type B's upper rows, merged with their
-    mirrors, act as one span (0, e).  Each shell scans the points p = 1..n
-    upward, keeping the reach R, the right end of the latest span starting
-    below p (right ends grow with left ends): a span starting at p starts a
-    block where R < p and adds a chain point where R = p, and where R = p
-    and no span starts at p, a block ends.  A start or chain point maps to
-    the next chain or end point above it, an end to the latest start below
-    it, or, closing the fold block, to minus that block's first point.
+    point that m and k fix, and type B's upper rows act as one span (0, e),
+    with e the largest n - x_m - k over them, as in ``_phi_rows``.
+    Each shell scans the points p = 1..n upward, keeping the reach R, the
+    right end of the latest span starting below p (right ends grow with
+    left ends): a span starting at p starts a block where R < p and adds a
+    chain point where R = p, and where R = p and no span starts at p, a
+    block ends.  A start or chain point maps to the next chain or end point
+    above it, an end to the latest start below it, or, closing the fold
+    block, to minus that block's first point.
     """
     n, one, off = t.n, lanes.one, lanes.off
     caps = rootposets.planar_cells(t).caps
@@ -322,9 +317,9 @@ def _phi_lanes(lanes: _Lanes, xs: list[int], t: GroupType) -> list[int]:
         if not any(act):
             return cols
         reach = off * one
-        for m in range(n + k, last + 1):  # the upper rows: their spans and mirrors reach e
-            for e in ((n - k + off) * one - xs[m], (m - k + 1 - n + off) * one):
-                reach = lanes.select(act[m] & lanes.gt(e, reach), e, reach)
+        for m in range(n + k, last + 1):  # the upper rows' spans reach e
+            e = (n - k + off) * one - xs[m]
+            reach = lanes.select(act[m] & lanes.gt(e, reach), e, reach)
         opens, ends = [], []  # per point: start or chain point; chain or end point
         for p, at in enumerate(points, 1):
             m = n + k - p
@@ -467,23 +462,20 @@ def verify_phi_theorems(t: GroupType) -> dict:
     decoded into its ideal.
     """
     fam, n = t.family, t.n
-    two_n = 2 * sum(rootposets.planar_cells(t).caps)  # twice the cell count; raises for type D
+    rows, area, path_maj, path_des, lanes, xs = _rank(t)
+    two_n = 2 * sum(rootposets.planar_cells(t).caps)  # twice the cell count
     report = _report(f"phi{fam}", t.rank)
-    leaves = paths._row_stream(fam, n)
-    report["checked"] = len(leaves)
-    rows, areas, path_majs, path_descents = zip(*leaves)
-    bound = max(two_n, 2 * n + 2)  # every statistic, and the entries stored as value + n + 1
-    lanes = _Lanes(len(rows), bound, n + 1)
+    report["checked"] = len(rows)
     one = lanes.one
-    cols = _phi_lanes(lanes, [lanes.pack(col) for col in zip(*rows)], t)
+    cols = _phi_lanes(lanes, xs, t)
     images = list(zip(*map(lanes.values, cols)))
     _, valid, length, sigma_maj, sigma_imaj, dms, ims, _ = _lane_stats(lanes, cols, fam)
     for k in sorted(lanes.differ(valid, one)):
         check_perm(images[k], fam)  # raises for the first element that is not a signed permutation
-    total = lanes.pack(path_majs) + sigma_maj + sigma_imaj
-    bad = {"length": lanes.differ(length, lanes.pack(areas)), "maj-identity": lanes.differ(total, two_n * one)}
+    total = path_maj + sigma_maj + sigma_imaj
+    bad = {"length": lanes.differ(length, area), "maj-identity": lanes.differ(total, two_n * one)}
     if fam == "A":
-        bad["des-sum"] = lanes.differ(lanes.pack(path_descents) + sum(dms), (n - 1) * one)
+        bad["des-sum"] = lanes.differ(path_des + sum(dms), (n - 1) * one)
     lane_of = {image: k for k, image in enumerate(images)}  # each image's last lane, by first appearance
     bad["injectivity"] = _repeats(images) if len(lane_of) != len(images) else set()
     if any(bad.values()):
@@ -495,15 +487,13 @@ def verify_phi_theorems(t: GroupType) -> dict:
         _fail(report, "image-set", missing=sorted(target - lane_of.keys())[:3])
     if fam == "A" and (sum(dms) != sum(ims) or lane_of.keys() != target):
         order = list(target)  # a target element that is not an image is read here
-        tl = _Lanes(len(order), bound, n + 1)
+        tl = _Lanes(len(order), lanes.bound, lanes.off)
         _, _, _, _, _, dms, ims, _ = _lane_stats(tl, [tl.pack(map(tl.off.__add__, col)) for col in zip(*order)], fam)
         for k in sorted(tl.differ(sum(dms), sum(ims))):
             _fail(report, "des-ides", image=order[k])
     if fam == "B":
-        wide = _Lanes(len(rows), 2 * n + 4, n + 2)  # B_{n+1}'s entries, stored as value + n + 2
-        lifted = _phi_lanes(wide, [0, 0] + [wide.pack(col) for col in zip(*rows)], GroupType("B", t.rank + 1))
-        want = [wide.pack(lanes.unpack(col)) + wide.one for col in cols] + [wide.one]  # then -(n + 1)
-        failed = wide.differ(reduce(or_, map(xor, lifted, want)))
+        lifted = _phi_lanes(lanes, [0, 0] + xs, GroupType("B", t.rank + 1))
+        failed = lanes.differ(reduce(or_, map(xor, lifted, cols + [one])))  # then -(n + 1), stored as 1
         for k in lane_of.values():
             if k in failed:
                 _fail(report, "lift-identity", ideal=_roots(t, rows[k]))
@@ -521,23 +511,19 @@ def verify_psi_theorems(t: GroupType) -> dict:
     count.  Only a failing lane is decoded into its path, image and word.
     """
     fam, n = t.family, t.n
-    caps = rootposets.planar_cells(t).caps  # raises for type D, which has no row starts
+    rows, area, path_maj, _, lanes, xs = _rank(t)
+    caps = rootposets.planar_cells(t).caps
     two_n = 2 * sum(caps)  # twice the cell count, that is, of the positive roots
     report = _report(f"psi{fam}", t.rank)
+    report["checked"] = len(rows)
     c_word = signedperm.coxeter_element(fam, n)[1]
-    leaves = paths._row_stream(fam, n)
-    report["checked"] = len(leaves)
-    rows, areas, path_majs, _ = zip(*leaves)
-    lanes = _Lanes(len(rows), max(two_n, 2 * n + 2), n + 1)
     one, off = lanes.one, lanes.off
-    xs = [lanes.pack(col) for col in zip(*rows)]
-    area = lanes.pack(areas)
     cols, word = _psi_lanes(lanes, xs, n)
     q, _, length, sigma_maj, sigma_imaj, dms, ims, negs = _lane_stats(lanes, cols, fam)
     found = _sort_lanes(lanes, q, c_word)
     unsorted = [word.get(key, 0) ^ found.get(key, 0) for key in word.keys() | found.keys()]
     unsorted += [m & ~word.get((f - 1, s), 0) for (f, s), m in word.items() if f > 1]  # factors not nested
-    total = lanes.pack(path_majs) + sigma_maj + sigma_imaj
+    total = path_maj + sigma_maj + sigma_imaj
     bad = {
         "length": lanes.differ(length, area) | lanes.differ(sum(word.values()), area),
         "sorting-word": lanes.differ(reduce(or_, unsorted, 0)),

@@ -126,10 +126,10 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
     return out
 
 
-def rev_nc(t: GroupType, c: Perm | None = None) -> list[Perm]:
-    """The image of the non-crossing interval under the rev involution, in
-    the walk order of ``nc_elements``."""
-    return [rev(w) for w in nc_elements(t, c)]
+def rev_nc(t: GroupType) -> list[Perm]:
+    """The image of the default non-crossing interval [1, c] under the rev
+    involution, in the order of ``nc_elements(t)``."""
+    return [rev(w) for w in nc_elements(t)]
 
 
 def partition_blocks(p: Perm, family: str) -> list[list[int]]:

@@ -24,6 +24,7 @@ from .signedperm import (
     check_perm,
     coxeter_element,
     identity,
+    inverse,
 )
 
 
@@ -67,14 +68,7 @@ def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
 
 def _sorting_word(w: Perm, c_word, family: str) -> SortingWord:
     """``c_sorting_word`` for a ``w`` and ``c_word`` already checked."""
-    n = len(w)
-    # pos[v-1] = signed position p with w(p) = v
-    pos = [0] * n
-    for p, v in enumerate(w, start=1):
-        if v > 0:
-            pos[v - 1] = p
-        else:
-            pos[-v - 1] = -p
+    pos = list(inverse(w))  # pos[v-1] = signed position p with w(p) = v
     factors = []
     while True:
         factor = []

@@ -380,7 +380,7 @@ class TestPsi:
 class TestPreimage:
     """``preimage`` reads one row-start table; the tables of ideals and words are the oracles."""
 
-    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 7)] + [GroupType("B", r) for r in range(1, 6)], ids=str)
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 7)] + [GroupType("B", r) for r in range(1, 7)], ids=str)
     def test_matches_the_tables(self, t):
         for via, table in (("phi", phi_inverse_table(t)), ("psi", psi_inverse_table(t))):
             assert len(bm._inverse_rows(t, via)) == len(table) == cat_number(t)
@@ -390,6 +390,16 @@ class TestPreimage:
             assert len(others) == min(5, sp.group_order(t.family, t.n) - len(table))
             for image in others + [sp.identity(t.n + 1)]:
                 assert bm.preimage(t, via, image) is None
+
+    def test_seeded_round_trip_in_wider_lanes(self):
+        # at B8, 2|Phi+| = 128 no longer fits an 8-bit field's guard bit
+        t = GroupType("B", 8)
+        _, _, _, _, lanes, _ = bm._rank(t)
+        assert lanes.bits == 16
+        for word in random.Random(20251).sample(paths.enumerate_b(t.n), 200):
+            ideal = rp.dyck_to_ideal(t, word)
+            assert bm.preimage(t, "phi", bm.phi(t, ideal)) == ideal
+            assert bm.preimage(t, "psi", bm.psi_b(word)[0]) == word
 
 
 class TestVerifiers:
@@ -636,7 +646,7 @@ class TestPhiWalk:
     """The streaming shell walk ``_phi_rows`` against the span-list reader
     ``oracles.phi_rows_spans`` that it replaced."""
 
-    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)])
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 8)])
     def test_every_row_start(self, fam, rank):
         t = GroupType(fam, rank)
         for x, *_ in _stream(t):
@@ -706,6 +716,20 @@ class TestPhiLanes:
         for t in (GroupType("A", 6), GroupType("B", 5)):
             assert bm.verify_phi_theorems(t)["failures"] == []
         assert calls == []
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_clean_run_builds_one_lane_layout(self, monkeypatch, rank):
+        # the images and the type-B lift share the rank's lanes
+        built = []
+        layout = bm._Lanes
+
+        def counted(*args):
+            built.append(args)
+            return layout(*args)
+
+        monkeypatch.setattr(bm, "_Lanes", counted)
+        assert bm.verify_phi_theorems(GroupType("B", rank))["failures"] == []
+        assert len(built) == 1
 
 
 def _corrupt_lane(t, image, drop_word):
