@@ -93,29 +93,23 @@ def _phi_rows(t: GroupType, x) -> Perm:
         (m, a) for m, a in enumerate(x)
         if a < caps[m] and (m == last or not x[m + 1] <= a < caps[m + 1])
     ]
-    if not starts:
-        return tuple(line)
     starts.reverse()
     # the first s starts are those whose shell-k cell is in a row m - k >= n (type B only)
     s = len(starts) if t.family == "B" else 0
-    for k in range((max([m - a for m, a in starts]) + 1) // 2):
+    for k in range((max([m - a for m, a in starts], default=0) + 1) // 2):
         while s and starts[s - 1][0] - k < n:
             s -= 1
         # the fold block [-e, e] that opens the shell in type B, and the open block's
         # first and latest positive points: the fold block has none yet
         end = max([n - a - k for _, a in starts[:s]], default=0)
         sign = -1 if s else 1
-        prev = first = point = 0
+        first = point = 0
         for m, a in starts[s:]:
             if m - a <= 2 * k:
                 continue
             lo, hi = n - m + k, n - a - k
-            if lo <= prev or hi <= end:
-                raise ValueError("not an antichain: nested or repeated spans")
             if lo >= end > 0:
                 # the right end is the block's next point: a chain point, or its last
-                if end <= point:
-                    raise ValueError("block endpoints are not increasing")
                 if used[end]:
                     raise AssertionError("shell cycles are not disjoint")
                 used[end] = True
@@ -132,10 +126,8 @@ def _phi_rows(t: GroupType, x) -> Perm:
                 used[lo] = True
                 first = point = lo
                 sign = 1
-            prev, end = lo, hi
+            end = hi
         # close the last block, as above
-        if end <= point:
-            raise ValueError("block endpoints are not increasing")
         if used[end]:
             raise AssertionError("shell cycles are not disjoint")
         used[end] = True

@@ -72,9 +72,7 @@ def _serialize(kind: str, obj, fmt: str) -> str:
         return json.dumps(list(obj), separators=(",", ":"))
     if kind == "ideal":
         return json.dumps(rootposets.ideal_to_json(obj), separators=(",", ":"))
-    if kind == "partition":
-        return json.dumps({"blocks": obj} if fmt == "json" else obj, separators=(",", ":"))
-    raise ValueError(kind)
+    return json.dumps({"blocks": obj} if fmt == "json" else obj, separators=(",", ":"))
 
 
 # each kind's statistics, as readers of (object, args); the first two are its csv columns
@@ -152,11 +150,19 @@ def cmd_poly(args) -> int:
     return 0
 
 
+def _json_or_none(line: str):
+    """The JSON value of a line, or None when the line is not JSON."""
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
 def _parse_path_line(line: str) -> str:
     line = line.strip()
     if not line.startswith(("{", '"')):
         return line
-    data = json.loads(line)
+    data = _json_or_none(line)
     word = data.get("steps") if isinstance(data, dict) else data
     if not isinstance(word, str):
         raise ValueError(f'expected a step string or {{"steps": "..."}}, got {line!r}')
@@ -167,7 +173,7 @@ def _parse_perm_line(line: str, n: int):
     line = line.strip()
     if line.startswith("("):
         return signedperm.from_cycles(signedperm.parse_cycles(line), n)
-    data = json.loads(line)
+    data = _json_or_none(line)
     p = data.get("oneline") if isinstance(data, dict) else data
     # type(), not isinstance(): a bool is an int; floats are refused, not truncated
     if not isinstance(p, list) or not all(type(v) is int for v in p):
@@ -197,7 +203,8 @@ def _map_line(args, t: GroupType, line: str) -> str:
             return json.dumps({"preimage": json.loads(serialized), "ls": ls})
         return f"{serialized}  ls={ls}"
     if args.via.startswith("phi"):
-        image = bijmaps.phi(t, rootposets.ideal_from_json(json.loads(line)))
+        data = _json_or_none(line)
+        image = bijmaps.phi(t, rootposets.ideal_from_json(line.strip() if data is None else data))
     else:
         word = _parse_path_line(line)
         if len(word) != 2 * n:
@@ -226,14 +233,6 @@ def cmd_map(args) -> int:
 
 _VERIFY_DEFAULT_A = 6
 _VERIFY_DEFAULT_B = 4
-
-
-def _verify_task(which: str, t: GroupType | None) -> dict:
-    if t is None:
-        return noncrossing.d4_counterexample()
-    if which.startswith("phi"):
-        return bijmaps.verify_phi_theorems(t)
-    return bijmaps.verify_psi_theorems(t)
 
 
 def cmd_verify(args) -> int:
@@ -265,7 +264,10 @@ def cmd_verify(args) -> int:
             check_guard("verify", t.family, t.rank)
     bad = 0
     for which, t in tasks:
-        report = _verify_task(which, t)
+        if t is None:
+            report = noncrossing.d4_counterexample()
+        else:
+            report = (bijmaps.verify_phi_theorems if which.startswith("phi") else bijmaps.verify_psi_theorems)(t)
         print(json.dumps(report), flush=True)
         bad += len(report["failures"])
     return 1 if bad else 0

@@ -123,15 +123,10 @@ def _word_of_rows(family: str, n: int, x) -> str:
     for j, a in enumerate(x):
         if j >= n and a >= caps[j]:
             continue
-        if a < easts or a > len(word):
-            raise ValueError("north columns must weakly increase and stay left of the diagonal")
         word.append("E" * (a - easts) + "N")
         easts = a
     word.append("E" * (2 * n - len(word) - easts))
-    out = "".join(word)
-    if len(out) != 2 * n:
-        raise ValueError(f"north columns do not fit a path of {2 * n} steps")
-    return out
+    return "".join(word)
 
 
 def _descent_weight(xs: list[int], total: int) -> int:

@@ -88,26 +88,11 @@ class QPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
-            other = QPoly((other,))
+    def __add__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         return QPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly | int") -> "QPoly":
-        if isinstance(other, int):
-            other = QPoly((other,))
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "QPoly":
-        return QPoly((other,)) - self
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):

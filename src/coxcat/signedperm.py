@@ -192,10 +192,10 @@ def parse_cycles(s: str) -> tuple[Cycle, ...]:
         return ()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"bad cycle string {s!r}")
-    out = []
-    for chunk in s[1:-1].split(")("):
-        out.append(tuple(int(v) for v in chunk.split(",") if v))
-    return tuple(out)
+    try:
+        return tuple(tuple(int(v) for v in chunk.split(",") if v) for chunk in s[1:-1].split(")("))
+    except ValueError:
+        raise ValueError(f"bad cycle string {s!r}") from None
 
 
 def length_t(p: Perm) -> int:

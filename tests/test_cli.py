@@ -210,6 +210,14 @@ class TestEnumerate:
         assert captured.out == ""
         assert captured.err == "error: no type-D set partitions\n"
 
+    def test_nc_json(self, capsys):
+        code, out = run(capsys, ["enumerate", "--object", "nc", "--type", "B", "--n", "2", "--format", "json"])
+        assert code == 0
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert len(lines) == 6
+        assert lines[0] == {"oneline": [-1, 2]}
+        assert all(list(line) == ["oneline"] for line in lines)
+
     def test_csv(self, capsys):
         code, out = run(capsys, ["enumerate", "--object", "dyck", "--type", "A", "--n", "2", "--format", "csv"])
         rows = [l.split(",") for l in out.splitlines()]
@@ -311,7 +319,7 @@ class TestMap:
         assert captured.out.strip() == "[2,1,3]  ls=1"
         assert "line 2: e9-e1 is not a positive root of A2" in captured.err
 
-    @pytest.mark.parametrize("line", ['{"root": ["e2-e1"]}', "[1, 2]", '"e2-e1"'])
+    @pytest.mark.parametrize("line", ['{"root": ["e2-e1"]}', "[1, 2]", '"e2-e1"', "e2-e1", '{"roots": [e2-e1]}'])
     def test_phi_rejects_malformed_line(self, capsys, monkeypatch, line):
         monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
         code = main(["map", "--via", "phiA", "--n", "3"])
@@ -352,6 +360,16 @@ class TestMap:
         )
         assert code == 0
         assert out.strip() == "NNNNEEENNNNE  ls=14"
+
+    def test_inverse_psi_json(self, capsys, monkeypatch):
+        code, out = run(
+            capsys,
+            ["map", "--via", "psiA", "--n", "2", "--inverse", "--format", "json"],
+            stdin="[2,1]\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert json.loads(out) == {"preimage": {"steps": "NNEE"}, "ls": 1}
 
     def test_inverse_psi_guarded_like_path_enumeration(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[1,2,3,4,5,6,7,8,9]\n"))
@@ -410,7 +428,9 @@ class TestMap:
         assert captured.out == ""
         assert f"line 1: {message}" in captured.err
 
-    @pytest.mark.parametrize("line", ['{"steps": 3}', '{"steps": ["N", "E", "N", "E"]}', '{"steps": null}'])
+    @pytest.mark.parametrize(
+        "line", ['{"steps": 3}', '{"steps": ["N", "E", "N", "E"]}', '{"steps": null}', '{"steps": NENE', '"NENE']
+    )
     def test_psi_rejects_non_string_steps(self, capsys, monkeypatch, line):
         monkeypatch.setattr("sys.stdin", io.StringIO(f"NENE\n{line}\n"))
         code = main(["map", "--via", "psiA", "--n", "2"])
@@ -420,7 +440,7 @@ class TestMap:
         assert "line 2: expected a step string" in captured.err
 
     @pytest.mark.parametrize(
-        "line", ["[1.7,2]", "[1.0,2]", "[true,2]", '["1",2]', '{"oneline": [2.0, 1]}', "7"]
+        "line", ["[1.7,2]", "[1.0,2]", "[true,2]", '["1",2]', '{"oneline": [2.0, 1]}', "7", "1,2", "[1,2"]
     )
     def test_inverse_rejects_non_integer_entries(self, capsys, monkeypatch, line):
         monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
@@ -436,6 +456,9 @@ class TestMap:
             ("[3,1,2]", "(3, 1, 2) has 3 entries, but --n 2 needs 2"),
             ("(1,5)", "entry out of range in cycle (1, 5)"),
             ("[1,1]", "not a signed permutation: (1, 1)"),
+            ("(1,x)", "bad cycle string '(1,x)'"),
+            ("(1,1)", "repeated entry in cycle (1, 1)"),
+            ("(1,2", "bad cycle string '(1,2'"),
         ],
     )
     def test_inverse_errors_name_the_line(self, capsys, monkeypatch, line, message):
@@ -446,6 +469,19 @@ class TestMap:
         assert captured.out.strip() == "NNEE  ls=1"
         assert f"line 3: {message}" in captured.err
 
+    @pytest.mark.parametrize(
+        "args,line,message",
+        [
+            (["--via", "phiA", "--n", "3"], "e2-e1", 'expected a list of root strings or {"roots": [...]}, got \'e2-e1\''),
+            (["--via", "psiA", "--n", "2", "--inverse"], "1,2", 'expected a list of integers or {"oneline": [...]}, got \'1,2\''),
+            (["--via", "psiA", "--n", "2"], '{"steps": NENE', 'expected a step string or {"steps": "..."}, got \'{"steps": NENE\''),
+        ],
+    )
+    def test_line_that_is_not_json_names_the_expected_shape(self, capsys, monkeypatch, args, line, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        assert main(["map", *args]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
 
 class TestVerify:
     def test_single(self, capsys):
@@ -454,6 +490,13 @@ class TestVerify:
         report = json.loads(out)
         assert report["identity"] == "phiB"
         assert report["checked"] == 20
+        assert report["failures"] == []
+
+    def test_d4(self, capsys):
+        code, out = run(capsys, ["verify", "--which", "d4"])
+        assert code == 0
+        (report,) = [json.loads(l) for l in out.splitlines()]
+        assert report["checked"] == 56
         assert report["failures"] == []
 
     def test_all_defaults(self, capsys):

@@ -41,9 +41,13 @@ tests call live in ``tests/oracles.py``.
 A fifth keeps the size guards at the command-line edge: no module but
 ``cli`` calls ``check_guard``, and no function but ``check_guard`` itself
 takes an ``unsafe`` parameter, so the library sets no limit of its own.
+
+A sixth keeps README.md's private names current: every backticked name
+that starts with an underscore is defined in ``src/coxcat`` or ``tests``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -448,3 +452,33 @@ def test_guards_only_at_the_cli():
 )
 def test_guard_site_scan(sources, found):
     assert guard_sites(sources) == found
+
+
+def undefined_private_names(readme: str, sources: list[str]) -> list[str]:
+    """The backticked ``_name``s of ``readme`` that no function, class or assignment in ``sources`` defines."""
+    defined = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    return sorted(set(re.findall(r"`(?:[\w.]+\.)?(_\w+)`", readme)) - defined)
+
+
+def test_readme_names_only_defined_private_names():
+    readme = (ROOT / "README.md").read_text()
+    assert undefined_private_names(readme, [path.read_text() for path in MODULES]) == []
+
+
+@pytest.mark.parametrize(
+    "readme,sources,undefined",
+    [
+        ("the kernel `_qcat` and `qcat_a`", ["def _qcat():\n    pass\n"], []),
+        ("the private `_stats` reads", ["def stats():\n    pass\n"], ["_stats"]),
+        ("`bijmaps._rank` and `_TABLE`", ["_TABLE = {}\n\nclass C:\n    def _rank(self):\n        pass\n"], []),
+        ("`paths._gone`, ``_x`` and `_a.b`", ["x = 1\n"], ["_gone", "_x"]),
+    ],
+)
+def test_private_name_scan(readme, sources, undefined):
+    assert undefined_private_names(readme, sources) == undefined

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from coxcat import noncrossing as nc
@@ -304,6 +306,27 @@ class TestD4Counterexample:
         report = nc.d4_counterexample()
         assert report["failures"] == []
         assert report["checked"] == len(coxeter_elements_d4()) + 24
+
+    @staticmethod
+    def expected_failures(nc_check, sortable_check):
+        return [{"check": nc_check, "c": repr(c)} for c in coxeter_elements_d4()] + [
+            {"check": sortable_check, "word": repr(word)} for word in itertools.permutations(range(4))
+        ]
+
+    def test_corrupted_equality_names_every_c_and_word(self, monkeypatch):
+        # every polynomial read as Cat_D4(q) itself: both sides then claim the identity
+        cat_d4 = rp.cat_q(GroupType("D", 4))
+        monkeypatch.setattr(nc, "gen_poly", lambda values: cat_d4)
+        report = nc.d4_counterexample()
+        assert report["failures"] == self.expected_failures("nc-side-equality", "sortable-side-equality")
+
+    def test_corrupted_cardinality_names_every_c_and_word(self, monkeypatch):
+        # one element short on each side: the counts at q = 1 no longer agree
+        nc_elements, enumerate_sortables = nc.nc_elements, nc.enumerate_sortables
+        monkeypatch.setattr(nc, "nc_elements", lambda t, c=None: nc_elements(t, c)[1:])
+        monkeypatch.setattr(nc, "enumerate_sortables", lambda t, word: enumerate_sortables(t, word)[1:])
+        report = nc.d4_counterexample()
+        assert report["failures"] == self.expected_failures("nc-side-cardinality", "sortable-side-cardinality")
 
     def test_a3_control_equality_holds(self):
         t = GroupType("A", 3)

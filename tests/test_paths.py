@@ -280,6 +280,8 @@ class TestPolynomials:
         assert paths.area_polynomial("A", 0) == paths.maj_polynomial("B", 0) == QPoly([1])
         with pytest.raises(ValueError, match="n must be >= 0"):
             paths.maj_polynomial("A", -1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            paths.enumerate_a(-1)
 
     @pytest.mark.parametrize("family,n", [("A", n) for n in range(13)] + [("B", n) for n in range(9)])
     def test_lattice_pass_matches_the_dfs(self, family, n):
@@ -341,9 +343,11 @@ class TestUnfold:
 
     @pytest.mark.parametrize("n", range(6))
     def test_bijection_and_maj_relation(self, n):
-        from itertools import permutations
-
-        words = sorted(set("".join(p) for p in permutations("N" * n + "E" * n)))
+        # every word of n N's and n E's, from the positions of its N steps
+        words = sorted(
+            "".join("N" if i in norths else "E" for i in range(2 * n))
+            for norths in itertools.combinations(range(2 * n), n)
+        )
         images = [paths.unfold_lattice_to_b(w) for w in words]
         assert len(set(images)) == len(words)
         assert sorted(images) == paths.enumerate_b(n)

@@ -74,6 +74,14 @@ class TestQPoly:
         assert str(QPoly([-1, 0, 1])) == "-1 + q^2"
         assert str(QPoly([1, -2])) == "1 - 2q"
 
+    def test_int_operands_hash_and_repr(self):
+        p = QPoly([1, 0, 3])
+        assert QPoly([4]) == 4 and p != 1 and QPoly() == 0
+        assert p != "1 + 3q^2"
+        assert p * 2 == 2 * p == QPoly([2, 0, 6])
+        assert hash(p) == hash(QPoly([1, 0, 3, 0]))
+        assert repr(p) == "QPoly([1, 0, 3])"
+
     def test_json_round_trip(self):
         p = QPoly([1, 0, 3])
         assert QPoly.from_json(p.to_json()) == p
@@ -125,8 +133,10 @@ class TestQBinomial:
         assert q_binomial(4, 2) == oracle_q_binomial(4, 2)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need l <= k"):
             q_binomial(2, 3)
+        with pytest.raises(ValueError, match="arguments must be >= 0"):
+            q_binomial(-1, 0)
 
     @pytest.mark.parametrize("k", range(25))
     def test_symmetry_and_oracle(self, k):
@@ -182,6 +192,8 @@ class TestQCat:
         assert qcat_a(2) == QPoly([1, 0, 1])
         # maj values over the five paths of semilength 3: {0, 2, 3, 4, 6}
         assert qcat_a(3) == QPoly([1, 0, 1, 1, 1, 0, 1])
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            qcat_a(-1)
 
     def test_qcat_product_examples(self):
         assert qcat_product(GroupType("A", 2)) == qcat_a(3)
@@ -428,6 +440,8 @@ class TestGroupType:
             GroupType("D", 1)
         with pytest.raises(ValueError):
             GroupType("H3", 4)
+        with pytest.raises(ValueError, match=r"I2\(k\) needs k >= 2"):
+            GroupType("I2", 1)
 
     @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 0), ("D", -1)])
     def test_rank_error_names_what_it_got(self, family, rank):
@@ -438,6 +452,8 @@ class TestGroupType:
         assert GroupType("A", 8).n == 9
         assert GroupType("B", 5).n == 5
         assert str(GroupType("D", 4)) == "D4"
+        with pytest.raises(ValueError, match="no classical index for family E8"):
+            GroupType("E8", 8).n
 
 
 def test_doctests():

@@ -201,6 +201,7 @@ class TestCycles:
         assert sp.cycles_str(cycles) == "(1,4,5)(3,-6,-3)"
         assert sp.parse_cycles("(1,4,5)(3,-6,-3)") == cycles
         assert sp.parse_cycles("()") == ()
+        assert sp.cycles_str(()) == "()"
 
     def test_from_cycles_errors(self):
         with pytest.raises(ValueError):
@@ -293,11 +294,20 @@ class TestCoxeterElement:
         assert sp.word_to_perm((0,), 1, "B") == (-1,)
         assert sp.word_to_perm((), 1, "D") == (1,)
 
+    def test_type_a_has_no_s0(self):
+        with pytest.raises(ValueError, match="type A has no s_0"):
+            sp.word_to_perm((0,), 3, "A")
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family 'X'"):
             sp.word_to_perm((1,), 3, "X")
         with pytest.raises(ValueError, match="unknown family 'E'"):
             sp.coxeter_element("E", 3)
+        for read in (sp.length_s, sp.maj):
+            with pytest.raises(ValueError, match="unknown family 'X'"):
+                read((1, 2), "X")
+        with pytest.raises(ValueError, match="unknown family 'X'"):
+            sp.group_order("X", 2)
 
     def test_simple_reflection_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside 0..2"):
