@@ -33,8 +33,6 @@ and the same lane kernels, and builds only the one ideal or word it finds.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache, reduce
 from itertools import chain, count, takewhile
 from operator import or_, xor
@@ -43,7 +41,7 @@ from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
 from .qseries import GroupType, cat_number
 from .sortable import SortingWord, enumerate_sortables
-from .signedperm import Perm, check_perm
+from .signedperm import Perm, _Lanes, check_perm
 
 Root = rootposets.Root
 
@@ -202,69 +200,6 @@ def _fail(report: dict, what: str, **context):
 def _roots(t: GroupType, x) -> list[str]:
     """The roots of the ideal with row starts ``x``, as a failure entry names them."""
     return sorted(map(rootposets.root_str, rootposets._ideal_of_rows(t, x)))
-
-
-class _Lanes:
-    """Every path at once: one int per quantity, one field (lane) per path.
-
-    The fields are ``bits`` wide, the smallest array item whose top bit, the
-    guard bit, stays above ``bound``, so ``gt`` compares all lanes without a
-    borrow crossing a field, and a sum of two values still fits.  A mask
-    holds 1 in the low bit of each chosen lane.  Signed entries are stored
-    as value + ``off``.
-    """
-
-    def __init__(self, count: int, bound: int, off: int):
-        self.code = next(c for c in "bhiq" if bound >> 8 * array(c).itemsize - 1 == 0)
-        self.bits = 8 * array(self.code).itemsize
-        self.count, self.bound, self.off, self.full = count, bound, off, (1 << self.bits) - 1
-        self.one = self.pack([1] * count)
-        self.high = self.one << self.bits - 1
-
-    def pack(self, values) -> int:
-        """One value per lane; OverflowError unless each is in [0, 2^(bits-1))."""
-        arr = array(self.code, values)  # a signed item: raises past 2^(bits-1) - 1
-        if len(arr) != self.count or arr and min(arr) < 0:
-            raise OverflowError(f"{len(arr)} values from {min(arr, default=0)} do not fit {self.count} lanes")
-        return int.from_bytes(arr.tobytes(), sys.byteorder)
-
-    def unpack(self, lane: int) -> array:
-        """The lanes' values, unsigned, since a sum may reach the guard bit."""
-        return array(self.code.upper(), lane.to_bytes(self.count * self.bits // 8, sys.byteorder))
-
-    def values(self, lane: int) -> array:
-        """The lanes' entries stored as value + ``off``, as signed values: with
-        every guard bit set, subtracting ``off`` borrows across no field, and
-        flipping the guard bits back leaves each value in two's complement."""
-        signed = (lane | self.high) - self.off * self.one ^ self.high
-        return array(self.code, signed.to_bytes(self.count * self.bits // 8, sys.byteorder))
-
-    def gt(self, a: int, b: int) -> int:
-        """The mask of the lanes where a > b."""
-        return ((a | self.high) - b - self.one & self.high) >> self.bits - 1
-
-    def eq(self, a: int, b: int) -> int:
-        """The mask of the lanes where a == b."""
-        return self.one ^ self.gt(a ^ b, 0)
-
-    def select(self, mask: int, a: int, b: int) -> int:
-        """a in the masked lanes, b in the others."""
-        return b ^ (a ^ b) & mask * self.full
-
-    def differ(self, a: int, b: int = 0) -> set[int]:
-        """The lanes where a and b differ (that a mask holds, for b = 0): one comparison when none do."""
-        if a == b:
-            return set()
-        return {k for k, (u, v) in enumerate(zip(self.unpack(a), self.unpack(b))) if u != v}
-
-    def act(self, cols: list[int], s: int, mask: int) -> None:
-        """Right-multiply the masked lanes by s_s: swap columns s - 1 and s, or negate column 0."""
-        if s:
-            d = (cols[s - 1] ^ cols[s]) & mask * self.full
-            cols[s - 1] ^= d
-            cols[s] ^= d
-        else:
-            cols[0] = self.select(mask, 2 * self.off * self.one - cols[0], cols[0])
 
 
 def _rank(t: GroupType) -> tuple:
@@ -474,7 +409,7 @@ def verify_phi_theorems(t: GroupType) -> dict:
         totals = lanes.unpack(total)
         _emit(report, bad, ideal=lambda k: _roots(t, rows[k]), image=images.__getitem__, total=totals.__getitem__)
     # rev is the identity on a permutation with no negative entries
-    target = set(_nc_scan("A", n)) if fam == "A" else {signedperm.rev(w) for w in _nc_scan(fam, n)}
+    target = set(_nc_scan("A", n) if fam == "A" else _nc_scan(fam, n, under_rev=True))
     if lane_of.keys() != target:
         _fail(report, "image-set", missing=sorted(target - lane_of.keys())[:3])
     if fam == "A" and (sum(dms) != sum(ims) or lane_of.keys() != target):

@@ -15,12 +15,12 @@ from . import rootposets
 from .qseries import GroupType, coxeter_number, gen_poly
 from .signedperm import (
     Perm,
+    _Lanes,
     apply_value,
     check_perm,
     coxeter_element,
     group_order,
     identity,
-    length_s,
     length_t,
     mul,
     reflections,
@@ -30,7 +30,7 @@ from .signedperm import (
 from .sortable import enumerate_sortables
 
 
-def _nc_scan(family: str, n: int) -> list[Perm]:
+def _nc_scan(family: str, n: int, under_rev: bool = False) -> list[Perm]:
     """The interval [1, c] below c = (1, 2, ..., n) in type A, or below
     c = (1, ..., n, -1, ..., -n) in type B, in the order the scan finds its
     elements.
@@ -44,6 +44,12 @@ def _nc_scan(family: str, n: int) -> list[Perm]:
     open, in opening order, close through the negatives with -O_{h+1-j},
     so the last entry of O_j is sent to -first(O_{h+1-j}).  The one-line
     notation is written as the blocks grow, so no group product is taken.
+
+    With ``under_rev``, type B lists the rev images instead, in the same
+    order.
+    The open blocks' lasts rise with j, and the values -first(O_{h+1-j})
+    written there rise with them, so rev, which reverses the negatives'
+    relative order in place, sends last(O_j) to -first(O_j).
     """
     out = [0] * n
     firsts: list[int] = []  # the open blocks, outermost first
@@ -53,7 +59,7 @@ def _nc_scan(family: str, n: int) -> list[Perm]:
     def place(p: int) -> None:
         if p > n:
             if family == "B":
-                for last, first in zip(lasts, reversed(firsts)):
+                for last, first in zip(lasts, firsts if under_rev else reversed(firsts)):
                     out[last - 1] = -first
                 found.append(tuple(out))
             elif not firsts:
@@ -128,8 +134,11 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
 
 def rev_nc(t: GroupType) -> list[Perm]:
     """The image of the default non-crossing interval [1, c] under the rev
-    involution, in the order of ``nc_elements(t)``."""
-    return [rev(w) for w in nc_elements(t)]
+    involution, in the order of ``nc_elements(t)``; in types A and B the
+    scan writes the images directly."""
+    if t.family == "D":
+        return [rev(w) for w in nc_elements(t)]
+    return _nc_scan(t.family, t.n, under_rev=True)
 
 
 def partition_blocks(p: Perm, family: str) -> list[list[int]]:
@@ -187,26 +196,52 @@ def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
     return tuple(sorted(conj.items()))
 
 
-def _d4_intervals():
-    """Yield (c, [1, c]) for every Coxeter element c of D_4, sorted by c.
+def _conj_lanes(lanes: _Lanes, hits: list[dict[int, int]], g: Perm) -> list[int]:
+    """The one-line columns of g w g^-1 for the lanes' elements w, given
+    ``hits[i][v]``, the mask of the lanes where w(i + 1) = v.
 
-    Only [1, c0], the default interval of ``nc_elements``, is walked.
-    Conjugation by g permutes the reflections and keeps l_T, so it carries
-    [1, c0] onto [1, g c0 g^-1]; each interval is listed in the walk order
-    of [1, c0].
+    g w g^-1 sends g(i) to g(w(i)), so column |g(i)| holds sign(g(i)) g(v)
+    in the lanes where w(i) = v: a sum over the masks of the 2n signed
+    values, which no two lanes' entries share.
     """
-    base = nc_elements(GroupType("D", 4))
-    for c, g in _coxeter_class_d4():
-        yield c, [_conj(g, w) for w in base]
+    out = [0] * len(g)
+    off = lanes.off
+    for gi, hit in zip(g, hits):
+        sign = 1 if gi > 0 else -1
+        out[abs(gi) - 1] = sum(m * (sign * apply_value(g, v) + off) for v, m in hit.items())
+    return out
 
 
-def _conj(g: Perm, w: Perm) -> Perm:
-    """g w g^-1 in one pass: it sends g(i) to g(w(i))."""
-    out = [0] * len(w)
-    for gi, wi in zip(g, w):
-        v = apply_value(g, wi)
-        out[abs(gi) - 1] = v if gi > 0 else -v
-    return tuple(out)
+def _lengths_d(lanes: _Lanes, cols: list[int], under_rev: bool = False) -> int:
+    """The lanes' type-D lengths, l_D(w) or, with ``under_rev``, l_D(rev(w)).
+
+    l_D is the inversion count minus the negative entries and their number
+    (``signedperm.length_s``).  rev reverses the relative order of the
+    negative entries in place, so it turns every pair of negative entries
+    from inverted to not or back, and leaves the mixed pairs and the
+    negatives' sum alone: l_D(rev w) = l_D(w) + C(k, 2) - 2 nn(w), with k
+    the negative entries and nn their inverted pairs.  Each pair of columns
+    adds its inversion mask, flipped where both entries are negative.
+    """
+    one, off = lanes.one, lanes.off
+    neg = [lanes.gt(off * one, col) for col in cols]
+    length = 0
+    for i, (a, na) in enumerate(zip(cols, neg)):
+        for b, nb in zip(cols[i + 1:], neg[i + 1:]):
+            length += lanes.gt(a, b) ^ (na & nb if under_rev else 0)
+    # each negative entry v adds -v - 1 = off - 1 - (v + off)
+    return length + (off - 1) * sum(neg) - sum(col & m * lanes.full for col, m in zip(cols, neg))
+
+
+def _pack_d(elements: list[Perm], n: int) -> tuple[_Lanes, list[int]]:
+    """A lane layout for elements of D_n, with their one-line columns packed.
+
+    Entries are stored as value + n + 1; the fields hold the stored
+    entries, up to 2n + 1, and the partial sums of ``_lengths_d``, up to
+    C(n, 2) + n^2.
+    """
+    lanes = _Lanes(len(elements), n * (n - 1) // 2 + n * n, n + 1)
+    return lanes, [lanes.pack(map(lanes.off.__add__, col)) for col in zip(*elements)]
 
 
 def d4_counterexample() -> dict:
@@ -216,28 +251,38 @@ def d4_counterexample() -> dict:
     from the length generating function over rev([1, c]); the same holds
     over the sortable elements for every ordering of the simple
     reflections, although all counts agree at q = 1.
+
+    Only [1, c0], the default interval of ``nc_elements``, is walked, and
+    its elements are packed in lanes (``signedperm._Lanes``).  Conjugation
+    by g permutes the reflections and keeps l_T, so it carries [1, c0]
+    onto [1, g c0 g^-1]: each conjugate's interval is built in the lanes by
+    ``_conj_lanes``, and its rev lengths are read off them by
+    ``_lengths_d``.  Each walk's sortable elements are packed the same way.
     """
     t = GroupType("D", 4)
     cat_poly = rootposets.cat_q(t)
     report = {"identity": "d4-counterexample", "rank": 4, "checked": 0, "failures": []}
     cardinality = cat_poly(1)
 
-    for c, interval in _d4_intervals():
+    lanes, cols = _pack_d(nc_elements(t), t.n)
+    signed = [v for v in range(-t.n, t.n + 1) if v]
+    hits = [{v: lanes.eq(col, (v + lanes.off) * lanes.one) for v in signed} for col in cols]
+    for c, g in _coxeter_class_d4():
         report["checked"] += 1
-        poly = gen_poly(length_s(rev(w), "D") for w in interval)
+        poly = gen_poly(lanes.unpack(_lengths_d(lanes, _conj_lanes(lanes, hits, g), under_rev=True)))
         if poly == cat_poly:
             report["failures"].append({"check": "nc-side-equality", "c": repr(c)})
-        if poly(1) != cardinality or len(interval) != cardinality:
+        if poly(1) != cardinality or lanes.count != cardinality:
             report["failures"].append({"check": "nc-side-cardinality", "c": repr(c)})
 
     for word in itertools.permutations(range(4)):
         report["checked"] += 1
         sortables = enumerate_sortables(t, word)
-        poly = gen_poly(length_s(w, "D") for w in sortables)
+        walk, walk_cols = _pack_d(sortables, t.n)
+        poly = gen_poly(walk.unpack(_lengths_d(walk, walk_cols)))
         if poly == cat_poly:
             report["failures"].append({"check": "sortable-side-equality", "word": repr(word)})
         if len(sortables) != cardinality:
             report["failures"].append({"check": "sortable-side-cardinality", "word": repr(word)})
 
     return report
-

@@ -5,12 +5,17 @@ values form a permutation of 1..n; the group law extends by sigma(-i) =
 -sigma(i).  Type A restricts to all-positive entries, type D to an even
 number of negative ones.  Composition is (p * q)(i) = p(q(i)), so simple
 reflections act on positions under right multiplication.
+
+``_Lanes`` packs one quantity of many objects into one int, one field per
+object, so that a comparison or a masked swap acts on all of them at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from bisect import bisect_right, insort
 
 Perm = tuple[int, ...]
@@ -193,7 +198,7 @@ def parse_cycles(s: str) -> tuple[Cycle, ...]:
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"bad cycle string {s!r}")
     try:
-        return tuple(tuple(int(v) for v in chunk.split(",") if v) for chunk in s[1:-1].split(")("))
+        return tuple(tuple(int(v) for v in chunk.split(",")) for chunk in s[1:-1].split(")("))
     except ValueError:
         raise ValueError(f"bad cycle string {s!r}") from None
 
@@ -306,3 +311,67 @@ def coxeter_element(family: str, n: int) -> tuple[Perm, tuple[int, ...]]:
     """
     word = tuple(range(n - 1, 0 if family == "A" else -1, -1))
     return word_to_perm(word, n, family), word
+
+
+class _Lanes:
+    """Many objects at once: one int per quantity, one field (lane) per object
+    (a Dyck path in the verifiers, a D4 element in the counterexample report).
+
+    The fields are ``bits`` wide, the smallest array item whose top bit, the
+    guard bit, stays above ``bound``, so ``gt`` compares all lanes without a
+    borrow crossing a field, and a sum of two values still fits.  A mask
+    holds 1 in the low bit of each chosen lane.  Signed entries are stored
+    as value + ``off``.
+    """
+
+    def __init__(self, count: int, bound: int, off: int):
+        self.code = next(c for c in "bhiq" if bound >> 8 * array(c).itemsize - 1 == 0)
+        self.bits = 8 * array(self.code).itemsize
+        self.count, self.bound, self.off, self.full = count, bound, off, (1 << self.bits) - 1
+        self.one = self.pack([1] * count)
+        self.high = self.one << self.bits - 1
+
+    def pack(self, values) -> int:
+        """One value per lane; OverflowError unless each is in [0, 2^(bits-1))."""
+        arr = array(self.code, values)  # a signed item: raises past 2^(bits-1) - 1
+        if len(arr) != self.count or arr and min(arr) < 0:
+            raise OverflowError(f"{len(arr)} values from {min(arr, default=0)} do not fit {self.count} lanes")
+        return int.from_bytes(arr.tobytes(), sys.byteorder)
+
+    def unpack(self, lane: int) -> array:
+        """The lanes' values, unsigned, since a sum may reach the guard bit."""
+        return array(self.code.upper(), lane.to_bytes(self.count * self.bits // 8, sys.byteorder))
+
+    def values(self, lane: int) -> array:
+        """The lanes' entries stored as value + ``off``, as signed values: with
+        every guard bit set, subtracting ``off`` borrows across no field, and
+        flipping the guard bits back leaves each value in two's complement."""
+        signed = (lane | self.high) - self.off * self.one ^ self.high
+        return array(self.code, signed.to_bytes(self.count * self.bits // 8, sys.byteorder))
+
+    def gt(self, a: int, b: int) -> int:
+        """The mask of the lanes where a > b."""
+        return ((a | self.high) - b - self.one & self.high) >> self.bits - 1
+
+    def eq(self, a: int, b: int) -> int:
+        """The mask of the lanes where a == b."""
+        return self.one ^ self.gt(a ^ b, 0)
+
+    def select(self, mask: int, a: int, b: int) -> int:
+        """a in the masked lanes, b in the others."""
+        return b ^ (a ^ b) & mask * self.full
+
+    def differ(self, a: int, b: int = 0) -> set[int]:
+        """The lanes where a and b differ (that a mask holds, for b = 0): one comparison when none do."""
+        if a == b:
+            return set()
+        return {k for k, (u, v) in enumerate(zip(self.unpack(a), self.unpack(b))) if u != v}
+
+    def act(self, cols: list[int], s: int, mask: int) -> None:
+        """Right-multiply the masked lanes by s_s: swap columns s - 1 and s, or negate column 0."""
+        if s:
+            d = (cols[s - 1] ^ cols[s]) & mask * self.full
+            cols[s - 1] ^= d
+            cols[s] ^= d
+        else:
+            cols[0] = self.select(mask, 2 * self.off * self.one - cols[0], cols[0])

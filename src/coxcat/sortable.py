@@ -9,9 +9,10 @@ Coxeter-sortable elements and noncrossing partitions, 2007), so the
 sortable elements form a subtree of the right weak order rooted at e and
 are enumerated by walking up it.
 
-``c_sorting_word`` and ``is_c_sortable`` check the element and the word;
-``_sorting_word`` is the same scan on inputs already checked, which the
-walk and the verifiers call once per element.
+``c_sorting_word`` and ``is_c_sortable`` check the element and the word,
+then run ``_sorting_word`` or ``_is_sortable``, the same scan on inputs
+already checked; the walk calls ``_is_sortable`` once per element it
+reaches, which stops at the first letter that breaks the chain.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class SortingWord:
     """A reduced word chopped into factors by the passes through c."""
 
     factors: tuple[tuple[int, ...], ...]
-
-    def is_sortable_chain(self) -> bool:
-        fs = self.factors
-        return all(map(frozenset.issuperset, map(frozenset, fs), fs[1:]))
 
     def __len__(self) -> int:
         return sum(map(len, self.factors))
@@ -73,29 +70,61 @@ def _sorting_word(w: Perm, c_word, family: str) -> SortingWord:
     while True:
         factor = []
         for s in c_word:
-            if s == 0:
-                if family == "B":
-                    descent = pos[0] < 0
-                else:
-                    descent = pos[0] + pos[1] < 0
+            if s:
+                if pos[s - 1] < pos[s]:
+                    continue
+                pos[s - 1], pos[s] = pos[s], pos[s - 1]
+            elif family == "B":
+                if pos[0] > 0:
+                    continue
+                pos[0] = -pos[0]
+            elif pos[0] + pos[1] > 0:
+                continue
             else:
-                descent = pos[s - 1] > pos[s]
-            if descent:
-                if s == 0:
-                    if family == "B":
-                        pos[0] = -pos[0]
-                    else:
-                        pos[0], pos[1] = -pos[1], -pos[0]
-                else:
-                    pos[s - 1], pos[s] = pos[s], pos[s - 1]
-                factor.append(s)
+                pos[0], pos[1] = -pos[1], -pos[0]
+            factor.append(s)
         if not factor:
             return SortingWord(tuple(factors))
         factors.append(tuple(factor))
 
 
 def is_c_sortable(w: Perm, c_word, family: str) -> bool:
-    return c_sorting_word(w, c_word, family).is_sortable_chain()
+    check_perm(w, family)
+    _check_c_word(c_word, len(w), family)
+    return _is_sortable(w, c_word, family)
+
+
+def _is_sortable(w: Perm, c_word, family: str) -> bool:
+    """Whether the factors of ``_sorting_word(w, c_word, family)`` weakly
+    decrease, for inputs already checked.
+
+    The same greedy scan, keeping only the letters the previous pass took,
+    as a bitmask: it stops at the first letter that the previous pass did
+    not take, and builds no factors.
+    """
+    pos = list(inverse(w))
+    allowed = -1  # the letters the previous pass took: all of them before the first
+    while True:
+        took = 0
+        for s in c_word:
+            if s:
+                if pos[s - 1] < pos[s]:
+                    continue
+                pos[s - 1], pos[s] = pos[s], pos[s - 1]
+            elif family == "B":
+                if pos[0] > 0:
+                    continue
+                pos[0] = -pos[0]
+            elif pos[0] + pos[1] > 0:
+                continue
+            else:
+                pos[0], pos[1] = -pos[1], -pos[0]
+            if not allowed >> s & 1:
+                return False
+            took |= 1 << s
+        if not took:
+            return True
+        allowed = took
 
 
 def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:
@@ -133,7 +162,7 @@ def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:
             u = _times_ascent(w, s, family)
             if u is not None and u not in seen:
                 seen.add(u)
-                if _sorting_word(u, c_word, family).is_sortable_chain():
+                if _is_sortable(u, c_word, family):
                     found.append(u)
     return found
 

@@ -63,9 +63,11 @@ arc partition, the root-poset order, upper covers, maximal elements and
 antichains, the non-crossing predicates (a pairwise crossing test and the
 type-B partition check) and the partition-to-permutation codecs, which
 check ``noncrossing.partition_blocks``, absolute order, the sorting-word
-parser and a sorting word's letters, 231-avoidance, the non-crossing
+parser, a sorting word's letters and its factor chain (the reference for
+``sortable._is_sortable``), 231-avoidance, the non-crossing
 Coxeter elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class
-of Coxeter elements of D_4.
+of Coxeter elements of D_4 with their intervals conjugated one element at
+a time, which check the lanes of ``noncrossing.d4_counterexample``.
 """
 
 from bisect import bisect_right, insort
@@ -81,6 +83,7 @@ from coxcat.rootposets import Cell, Root, diff, positive_roots, root_vector, sho
 from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
 from coxcat.signedperm import (
     Perm,
+    apply_value,
     check_perm,
     group_order,
     identity,
@@ -221,7 +224,7 @@ def verify_psi_theorems_rows(t: GroupType) -> dict:
         length, sigma_maj, sigma_imaj, dmask, imask, negs = stats(sigma, fam)
         if length != area or len(sw) != area:
             fail(report, "length", word=word, image=sigma)
-        if sortable._sorting_word(sigma, c_word, fam) != sw or not sw.is_sortable_chain():
+        if sortable._sorting_word(sigma, c_word, fam) != sw or not is_sortable_chain(sw):
             fail(report, "sorting-word", word=word, emitted=str(sw))
             unsorted = True
         total = path_maj + sigma_maj + sigma_imaj
@@ -309,7 +312,7 @@ def verify_psi_theorems_words(t: GroupType) -> dict:
         area = paths.area_a(word) if fam == "A" else paths.area_b(word)
         if signedperm.length_s(sigma, fam) != area or len(sw) != area:
             fail(report, "length", word=word, image=sigma)
-        if c_sorting_word(sigma, c_word, fam) != sw or not sw.is_sortable_chain():
+        if c_sorting_word(sigma, c_word, fam) != sw or not is_sortable_chain(sw):
             fail(report, "sorting-word", word=word, emitted=str(sw))
         maj_d = paths.maj_a(word) if fam == "A" else paths.maj_b(word)
         total = maj_d + signedperm.maj(sigma, fam) + signedperm.imaj(sigma, fam)
@@ -1033,6 +1036,29 @@ def coxeter_elements_d4() -> tuple[Perm, ...]:
     return tuple(c for c, _ in noncrossing._coxeter_class_d4())
 
 
+def d4_intervals():
+    """Yield (c, [1, c]) for every Coxeter element c of D_4, sorted by c.
+
+    Only [1, c0], the default interval of ``nc_elements``, is walked.
+    Conjugation by g permutes the reflections and keeps l_T, so it carries
+    [1, c0] onto [1, g c0 g^-1]; each interval is listed in the walk order
+    of [1, c0], one element at a time, against the lanes of
+    ``noncrossing._conj_lanes``.
+    """
+    base = noncrossing.nc_elements(GroupType("D", 4))
+    for c, g in noncrossing._coxeter_class_d4():
+        yield c, [conj(g, w) for w in base]
+
+
+def conj(g: Perm, w: Perm) -> Perm:
+    """g w g^-1 in one pass: it sends g(i) to g(w(i))."""
+    out = [0] * len(w)
+    for gi, wi in zip(g, w):
+        v = apply_value(g, wi)
+        out[abs(gi) - 1] = v if gi > 0 else -v
+    return tuple(out)
+
+
 # -- statistics ----------------------------------------------------------------
 
 
@@ -1093,6 +1119,13 @@ def parse_sorting_word(s: str) -> SortingWord:
     if s in ("", "e"):
         return SortingWord(())
     return SortingWord(tuple(tuple(int(tok[1:]) for tok in chunk.split()) for chunk in s.split("|")))
+
+
+def is_sortable_chain(sw: SortingWord) -> bool:
+    """The factors' letter sets weakly decrease, as frozensets: the reference
+    for the early-exit bitmask scan ``sortable._is_sortable``."""
+    fs = sw.factors
+    return all(map(frozenset.issuperset, map(frozenset, fs), fs[1:]))
 
 
 def letters(sw: SortingWord) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcat import bijmaps as bm
+from coxcat import noncrossing as nc
 from coxcat import paths
 from coxcat import rootposets as rp
 from coxcat import signedperm as sp
@@ -22,6 +23,7 @@ from oracles import (
     ides,
     ides_set,
     is_antichain,
+    is_sortable_chain,
     letters,
     leq,
     maximal_elements,
@@ -930,6 +932,10 @@ class TestLanes:
             values = [-off, -1, 0, 1, off, 3, -2]
             assert list(lanes.values(lanes.pack([v + off for v in values]))) == values
 
+    def test_one_lane_class(self):
+        # the verifiers and the D4 report share the layout defined in signedperm
+        assert bm._Lanes is sp._Lanes is nc._Lanes
+
     def test_overflowing_field_raises(self):
         lanes = bm._Lanes(3, 127, 0)
         assert (lanes.bits, bm._Lanes(3, 128, 0).bits, bm._Lanes(3, 40000, 0).bits) == (8, 16, 32)
@@ -996,7 +1002,7 @@ def _psi_identities(t, ideal):
     sigma, sw = bm.psi_a(word) if fam == "A" else bm.psi_b(word)
     c_word = tuple(range(n - 1, 0, -1)) if fam == "A" else tuple(range(n - 1, -1, -1))
     assert c_sorting_word(sigma, c_word, fam) == sw
-    assert sw.is_sortable_chain()
+    assert is_sortable_chain(sw)
     area = paths.area_a(word) if fam == "A" else paths.area_b(word)
     assert len(sw) == sp.length_s(sigma, fam) == area
 

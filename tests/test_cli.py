@@ -459,6 +459,8 @@ class TestMap:
             ("(1,x)", "bad cycle string '(1,x)'"),
             ("(1,1)", "repeated entry in cycle (1, 1)"),
             ("(1,2", "bad cycle string '(1,2'"),
+            ("(1,,2)", "bad cycle string '(1,,2)'"),
+            ("(1,2,)", "bad cycle string '(1,2,)'"),
         ],
     )
     def test_inverse_errors_name_the_line(self, capsys, monkeypatch, line, message):

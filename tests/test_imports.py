@@ -22,7 +22,12 @@ once, in lanes (``bijmaps._lane_stats``), so they may not
 name the checked statistics, ``c_sorting_word`` or ``rev_nc``,
 nor a single statistic, a descent set, ``neg`` or ``inverse``; the walk of the
 sortable elements checks its word once, so it may not name
-``is_c_sortable`` or ``c_sorting_word``.  phi's row kernel walks each
+``is_c_sortable`` or ``c_sorting_word``, and it and ``is_c_sortable`` test
+each element with the early-exit scan, so neither may build a sorting word.
+The rev images of types A and B come from the scan, so ``rev_nc`` (off its
+type-D route) and the phi verifier may not name ``rev``, and the D4 report
+reads every length off lanes, so it may not name ``rev`` or a per-element
+length.  phi's row kernel walks each
 shell once in left-endpoint order, and its lane kernel reads each shell's
 points off masks, so neither may name a sort or the span readers
 ``_span_cycles``/``_read_block``, and ``psi_a``, ``psi_b`` and
@@ -64,6 +69,7 @@ PSI_WORDS = {
 }
 CHECKED_STATS = {"length_s", "maj", "imaj", "c_sorting_word", "rev_nc"}
 CHECKED_SORT = {"is_c_sortable", "c_sorting_word"}
+SORTING_WORDS = {"_sorting_word", "c_sorting_word", "SortingWord"}
 SPAN_SORT = {"sort", "sorted", "_span_cycles", "_read_block"}
 DYCK_PASSES = {"_check", "_north_columns"}
 SINGLE_STATS = {"_length_s", "_maj", "_imaj", "des", "ides", "des_set", "ides_set", "neg", "inverse"}
@@ -78,6 +84,10 @@ ONE_PASS = {
     "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
     "bijmaps-one-stats-pass": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), SINGLE_STATS),
     "sortable-walk": ("sortable", ("enumerate_sortables",), CHECKED_SORT),
+    "sortable-early-exit": ("sortable", ("enumerate_sortables", "is_c_sortable"), SORTING_WORDS),
+    "rev-scan": ("noncrossing", ("rev_nc",), {"rev"}),
+    "bijmaps-rev-scan": ("bijmaps", ("verify_phi_theorems",), {"rev"}),
+    "d4-lanes": ("noncrossing", ("d4_counterexample",), {"rev", "length_s", "_length_s", "_conj"}),
     "phi-walk": ("bijmaps", ("_phi_rows", "_phi_lanes"), SPAN_SORT),
     "psi-reader": ("bijmaps", ("psi_a", "psi_b"), DYCK_PASSES),
     "rootposets-reader": ("rootposets", ("dyck_to_ideal",), DYCK_PASSES),

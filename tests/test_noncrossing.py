@@ -7,7 +7,9 @@ from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat.qseries import GroupType, QPoly, cat_number
 from oracles import (
+    conj,
     coxeter_elements_d4,
+    d4_intervals,
     is_noncrossing_a,
     is_noncrossing_b,
     leq_t,
@@ -259,6 +261,14 @@ def assert_in_serialized_order(blocks):
 
 
 class TestRevNC:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_scan_writes_the_rev_images(self, n):
+        assert nc._nc_scan("B", n, under_rev=True) == [sp.rev(w) for w in nc._nc_scan("B", n)]
+
+    @pytest.mark.parametrize("t", [GroupType("A", 4), GroupType("B", 4), GroupType("D", 4)], ids=str)
+    def test_rev_nc_in_walk_order(self, t):
+        assert nc.rev_nc(t) == [sp.rev(w) for w in nc.nc_elements(t)]
+
     def test_b2_length_multiset(self):
         t = GroupType("B", 2)
         lengths = sorted(sp.length_s(w, "B") for w in nc.rev_nc(t))
@@ -285,7 +295,7 @@ class TestD4Counterexample:
 
     def test_conjugated_intervals_equal_the_walk(self):
         t = GroupType("D", 4)
-        pairs = list(nc._d4_intervals())
+        pairs = list(d4_intervals())
         assert [c for c, _ in pairs] == list(coxeter_elements_d4())
         assert len(pairs) == 32
         for c, interval in pairs:
@@ -295,12 +305,42 @@ class TestD4Counterexample:
         c0 = sp.coxeter_element("D", 4)[0]
         base = nc.nc_elements(GroupType("D", 4), c0)
         for c, g in nc._coxeter_class_d4():
-            assert nc._conj(g, c0) == c
+            assert conj(g, c0) == c
             g_inv = sp.inverse(g)
             for w in base:
-                u = nc._conj(g, w)
+                u = conj(g, w)
                 assert u == sp.mul(sp.mul(g, w), g_inv)
                 sp.check_perm(u, "D")
+
+    def test_lane_conjugates_and_rev_lengths(self):
+        # each conjugate's columns, and l_D(rev u) read off them, element by element
+        t = GroupType("D", 4)
+        lanes, cols = nc._pack_d(nc.nc_elements(t), t.n)
+        signed = [v for v in range(-t.n, t.n + 1) if v]
+        hits = [{v: lanes.eq(col, (v + lanes.off) * lanes.one) for v in signed} for col in cols]
+        for (c, g), (c1, interval) in zip(nc._coxeter_class_d4(), d4_intervals(), strict=True):
+            assert c == c1
+            conjugated = nc._conj_lanes(lanes, hits, g)
+            assert list(zip(*map(lanes.values, conjugated))) == interval
+            got = lanes.unpack(nc._lengths_d(lanes, conjugated, under_rev=True))
+            assert list(got) == [sp.length_s(sp.rev(u), "D") for u in interval]
+            assert list(lanes.unpack(nc._lengths_d(lanes, conjugated))) == [sp.length_s(u, "D") for u in interval]
+
+    def test_lane_lengths_of_every_walk(self):
+        t = GroupType("D", 4)
+        for word in itertools.permutations(range(4)):
+            sortables = nc.enumerate_sortables(t, word)
+            lanes, cols = nc._pack_d(sortables, t.n)
+            assert list(lanes.unpack(nc._lengths_d(lanes, cols))) == [sp.length_s(w, "D") for w in sortables]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lane_lengths_on_the_whole_group(self, n):
+        # every sign pattern, at D2-D6 beside D4
+        elements = list(sp.enumerate_group("D", n))[::7]
+        lanes, cols = nc._pack_d(elements, n)
+        assert list(lanes.unpack(nc._lengths_d(lanes, cols))) == [sp.length_s(w, "D") for w in elements]
+        got = lanes.unpack(nc._lengths_d(lanes, cols, under_rev=True))
+        assert list(got) == [sp.length_s(sp.rev(w), "D") for w in elements]
 
     def test_report(self):
         report = nc.d4_counterexample()

@@ -203,6 +203,11 @@ class TestCycles:
         assert sp.parse_cycles("()") == ()
         assert sp.cycles_str(()) == "()"
 
+    @pytest.mark.parametrize("s", ["(1,,2)", "(1,2,)", "(,1,2)", "(1,2)()", "(1,2)(,)"])
+    def test_parse_cycles_rejects_empty_entries(self, s):
+        with pytest.raises(ValueError, match="bad cycle string"):
+            sp.parse_cycles(s)
+
     def test_from_cycles_errors(self):
         with pytest.raises(ValueError):
             sp.from_cycles([(1, 2), (2, 3)], 3)

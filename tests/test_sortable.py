@@ -7,7 +7,7 @@ from coxcat import sortable as so
 from coxcat.cli import main
 from coxcat.qseries import GroupType, QPoly, cat_number
 from coxcat.rootposets import cat_q
-from oracles import avoids_231, letters, parse_sorting_word, stats
+from oracles import avoids_231, is_sortable_chain, letters, parse_sorting_word, stats
 
 
 def oracle_231(p):
@@ -65,11 +65,11 @@ class TestSortingWord:
         assert so.c_sorting_word((1,), (), "A") == so.SortingWord(())
 
     def test_sortable_chain(self):
-        assert so.SortingWord(()).is_sortable_chain()
-        assert so.SortingWord(((2, 1),)).is_sortable_chain()
-        assert so.SortingWord(((3, 2, 1), (3, 1), (1,), (1,))).is_sortable_chain()
-        assert not so.SortingWord(((2,), (2, 1))).is_sortable_chain()
-        assert not so.SortingWord(((3, 2), (1,))).is_sortable_chain()
+        assert is_sortable_chain(so.SortingWord(()))
+        assert is_sortable_chain(so.SortingWord(((2, 1),)))
+        assert is_sortable_chain(so.SortingWord(((3, 2, 1), (3, 1), (1,), (1,))))
+        assert not is_sortable_chain(so.SortingWord(((2,), (2, 1))))
+        assert not is_sortable_chain(so.SortingWord(((3, 2), (1,))))
         assert len(so.SortingWord(())) == 0 and len(so.SortingWord(((3, 2), (1,)))) == 3
 
     @pytest.mark.parametrize("fam,n", [("A", 5), ("B", 3), ("D", 4)])
@@ -256,3 +256,30 @@ class TestUncheckedBodies:
                 stat(p, fam)
         with pytest.raises(ValueError):
             so.c_sorting_word(p, default_c_word(fam, len(p)), fam)
+
+
+class TestEarlyExitScan:
+    """``_is_sortable`` stops at the first letter that breaks the chain; the
+    factors of ``_sorting_word`` are its reference."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [GroupType("A", r) for r in range(1, 5)] + [GroupType("B", r) for r in range(1, 5)] + [GroupType("D", r) for r in range(2, 5)],
+        ids=str,
+    )
+    def test_equals_the_factor_chain_for_every_ordering(self, t):
+        fam, n = t.family, t.n
+        elements = list(sp.enumerate_group(fam, n))
+        for c in itertools.permutations(range(1, n) if fam == "A" else range(n)):
+            for w in elements:
+                want = is_sortable_chain(so._sorting_word(w, c, fam))
+                assert so._is_sortable(w, c, fam) == want
+                assert so.is_c_sortable(w, c, fam) == want
+
+    @pytest.mark.parametrize(
+        "p,c_word,fam",
+        [((1, 1), (1, 0), "B"), ((2, 3), (1,), "A"), ((1, -2), (1,), "A"), ((1, -2), (1, 0), "D"), ((2, 1), (1, 1), "A")],
+    )
+    def test_public_form_still_checks(self, p, c_word, fam):
+        with pytest.raises(ValueError):
+            so.is_c_sortable(p, c_word, fam)
