@@ -26,9 +26,9 @@ psi builds its images and sorting words by masked swaps
 starts (``_phi_lanes``; ``_phi_rows`` stays the per-ideal map), and only a
 failing lane is decoded into its ideal or word.  psi's image set is
 checked by membership and count, and Sort(W, c) is walked only if that
-fails; phi's is compared with the scan of [1, c].  ``preimage`` looks an
-image up in one table from images to row starts, built from ``_rank``
-and the same lane kernels, and builds only the one ideal or word it finds.
+fails; phi's is compared with the scan of [1, c].  ``preimage`` reads a
+psi image's path off its sorting word (``_word_starts``), and looks a phi
+image up in one table from images to row starts, built by ``_phi_lanes``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from operator import or_, xor
 from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
 from .qseries import GroupType, cat_number
-from .sortable import SortingWord, enumerate_sortables
+from .sortable import SortingWord, _sorting_word, enumerate_sortables
 from .signedperm import Perm, _Lanes, check_perm
 
 Root = rootposets.Root
@@ -169,22 +169,42 @@ def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
     return signedperm._word_to_perm(chain.from_iterable(sw.factors), n, family), sw
 
 
+def _word_starts(letters, n: int, caps, one: int = 1) -> list[int] | None:
+    """Row starts cap_j minus the cells of row j that ((factor, letter), weight) pairs name, a weight
+    1 or a lane mask with ``one``, or None past the last row: as ``_psi`` labels cells, letter s of
+    factor f is a cell of row n-1-s+f (s >= f) or of the upper row n-1+f-s (s < f)."""
+    x = [cap * one for cap in caps]
+    for (f, s), weight in letters:
+        if n - 1 + f - s >= len(x):
+            return None
+        x[n - 1 + f - s] -= weight
+    return x
+
+
 @lru_cache(maxsize=None)
-def _inverse_rows(t: GroupType, via: str) -> dict[Perm, tuple[int, ...]]:
-    """Each image of ``via`` ("phi" or "psi") at rank t, mapped to its row starts
-    by the lane kernels on ``_rank``'s lanes, as the verifiers take them."""
+def _inverse_rows(t: GroupType) -> dict[Perm, tuple[int, ...]]:
+    """Each phi image at rank t, mapped to its row starts by ``_phi_lanes``
+    on ``_rank``'s lanes, as the verifier takes them."""
     rows, _, _, _, lanes, xs = _rank(t)
-    cols = _phi_lanes(lanes, xs, t) if via == "phi" else _psi_lanes(lanes, xs, t.n)[0]
-    return dict(zip(zip(*map(lanes.values, cols)), rows))
+    return dict(zip(zip(*map(lanes.values, _phi_lanes(lanes, xs, t))), rows))
 
 
 def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | None:
-    """The ideal (phi) or Dyck word (psi) that ``via`` sends to ``image`` at rank t, or None;
-    the first call at a rank builds a table of all Cat(W) images."""
-    x = _inverse_rows(t, via).get(image)
-    if x is None:
+    """The ideal (phi) or Dyck word (psi) that ``via`` sends to ``image`` at rank t, or None; phi reads
+    a table of all Cat(W) images, psi its path's cell reading (Reading, Trans. AMS 2007) off sort(image)."""
+    if via == "phi":
+        x = _inverse_rows(t).get(image)
+        return None if x is None else rootposets._ideal_of_rows(t, x)
+    fam, n = t.family, t.n
+    if sorted(map(abs, image)) != list(range(1, n + 1)):
+        return None  # not a signed permutation of rank t
+    sw = _sorting_word(image, signedperm.coxeter_element(fam, n)[1], fam)
+    x = _word_starts((((f, s), 1) for f, factor in enumerate(sw.factors, 1) for s in factor), n, rootposets.planar_cells(t).caps)
+    word = None if x is None else paths._word_of_rows(fam, n, x)
+    try:
+        return word if word and (psi_a if fam == "A" else psi_b)(word)[0] == image else None
+    except ValueError:  # the rows are not a path
         return None
-    return rootposets._ideal_of_rows(t, x) if via == "phi" else paths._word_of_rows(t.family, t.n, x)
 
 
 def _report(identity: str, rank: int) -> dict:
@@ -408,8 +428,7 @@ def verify_phi_theorems(t: GroupType) -> dict:
     if any(bad.values()):
         totals = lanes.unpack(total)
         _emit(report, bad, ideal=lambda k: _roots(t, rows[k]), image=images.__getitem__, total=totals.__getitem__)
-    # rev is the identity on a permutation with no negative entries
-    target = set(_nc_scan("A", n) if fam == "A" else _nc_scan(fam, n, under_rev=True))
+    target = set(_nc_scan(fam, n, under_rev=True))
     if lane_of.keys() != target:
         _fail(report, "image-set", missing=sorted(target - lane_of.keys())[:3])
     if fam == "A" and (sum(dms) != sum(ims) or lane_of.keys() != target):
@@ -469,17 +488,19 @@ def verify_psi_theorems(t: GroupType) -> dict:
         bad["neg-sum"] = lanes.differ(negs, uppers)
         bad["ides-split"] = lanes.differ(reduce(or_, map(xor, ims, lower_ims), 0))
         bad["imaj-split"] = lanes.differ(sigma_imaj, lower_imaj + negs)
+    # Images whose sorting words read back their lanes' row starts are distinct, and Cat(W) distinct
+    # images that passed the sorting-word check are all of Sort(W, c), which has Cat(W) elements.
+    if _word_starts(found.items(), n, caps, one) == xs and not any(bad.values()) and len(rows) == cat_number(t):
+        return report
     images = list(zip(*map(lanes.values, cols)))
-    distinct = set(images)
-    bad["injectivity"] = _repeats(images) if len(distinct) != len(images) else set()
+    bad["injectivity"] = _repeats(images)
     if any(bad.values()):
         fields, totals = {key: lanes.unpack(m) for key, m in word.items()}, lanes.unpack(total)
         _emit(
             report, bad, word=lambda k: paths._word_of_rows(fam, n, rows[k]), total=totals.__getitem__,
             image=images.__getitem__, emitted=lambda k: str(_lane_word(fields, k)),
         )
-    # Every image that passed the sorting-word check is c-sortable, and |Sort(W, c)| = Cat(W)
-    # (Reading, Trans. AMS 2007), so Cat(W) distinct such images are all of Sort(W, c).
+    distinct = set(images)
     if bad["sorting-word"] or len(distinct) != cat_number(t):
         target = set(enumerate_sortables(t, c_word))
         if distinct != target:

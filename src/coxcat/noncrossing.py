@@ -46,7 +46,7 @@ def _nc_scan(family: str, n: int, under_rev: bool = False) -> list[Perm]:
     notation is written as the blocks grow, so no group product is taken.
 
     With ``under_rev``, type B lists the rev images instead, in the same
-    order.
+    order; type A ignores it, since rev fixes an element with no negatives.
     The open blocks' lasts rise with j, and the values -first(O_{h+1-j})
     written there rise with them, so rev, which reverses the negatives'
     relative order in place, sends last(O_j) to -first(O_j).

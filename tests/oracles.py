@@ -39,7 +39,8 @@ test one coefficient at a time, against ``qseries.is_palindromic``.
 The cell sets of a path (``cells_a``/``cells_b``) and its descent set,
 against the area and maj that ``paths`` reads off the north columns, and
 the inverse tables of phi over every ideal and of psi over every word,
-against ``bijmaps.preimage`` and its one table of row starts.
+against ``bijmaps.preimage``: phi's table of row starts, and psi's
+reading of a path off its image's sorting word.
 
 The frozenset root poset ``RootPoset``: covers by an all-pairs scan of
 the root vectors against its own list of simple roots, ideals by

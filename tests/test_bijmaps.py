@@ -380,18 +380,52 @@ class TestPsi:
 
 
 class TestPreimage:
-    """``preimage`` reads one row-start table; the tables of ideals and words are the oracles."""
+    """``preimage`` reads phi's row-start table and psi's sorting words; the tables of
+    ideals and words are the oracles."""
 
     @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 7)] + [GroupType("B", r) for r in range(1, 7)], ids=str)
     def test_matches_the_tables(self, t):
+        assert len(bm._inverse_rows(t)) == cat_number(t)
         for via, table in (("phi", phi_inverse_table(t)), ("psi", psi_inverse_table(t))):
-            assert len(bm._inverse_rows(t, via)) == len(table) == cat_number(t)
+            assert len(table) == cat_number(t)
             for image, want in table.items():
                 assert bm.preimage(t, via, image) == want
             others = [w for w in sp.enumerate_group(t.family, t.n) if w not in table][:5]
             assert len(others) == min(5, sp.group_order(t.family, t.n) - len(table))
             for image in others + [sp.identity(t.n + 1)]:
                 assert bm.preimage(t, via, image) is None
+
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 9)] + [GroupType("B", r) for r in range(1, 7)], ids=str)
+    def test_psi_inverts_every_path(self, t):
+        for image, word in psi_inverse_table(t).items():
+            assert bm.preimage(t, "psi", image) == word
+
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 6)] + [GroupType("B", r) for r in range(1, 5)], ids=str)
+    def test_psi_refuses_every_non_image(self, t):
+        table = psi_inverse_table(t)
+        others = [w for w in sp.enumerate_group(t.family, t.n) if w not in table]
+        assert len(others) == sp.group_order(t.family, t.n) - cat_number(t)
+        assert [w for w in others if bm.preimage(t, "psi", w) is not None] == []
+
+    @pytest.mark.parametrize("image", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4), (2, 3, 1, 4), (1, -1, 2)])
+    def test_psi_refuses_what_is_no_signed_permutation_of_the_rank(self, image):
+        for t in (GroupType("A", 2), GroupType("B", 3)):
+            assert bm.preimage(t, "psi", image) is None
+
+    @pytest.mark.parametrize("image", [(-1, 2, 3), (3, -1, 2), (-3, -2, -1)])
+    def test_psi_refuses_signs_in_type_a(self, image):
+        assert bm.preimage(GroupType("A", 2), "psi", image) is None
+
+    def test_psi_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("psi's inverse enumerated the rank")
+
+        for name in ("_inverse_rows", "_rank"):
+            monkeypatch.setattr(bm, name, refuse)
+        monkeypatch.setattr(paths, "_row_stream", refuse)
+        t = GroupType("B", 40)
+        word = "N" * 30 + "E" * 10 + "NE" * 20
+        assert bm.preimage(t, "psi", bm.psi_b(word)[0]) == word
 
     def test_seeded_round_trip_in_wider_lanes(self):
         # at B8, 2|Phi+| = 128 no longer fits an 8-bit field's guard bit
@@ -605,8 +639,8 @@ class TestRowKernel:
         def corrupt(u, x):
             return extras[0] if u == t and tuple(x) == full else kernel(u, x)
 
-        def widened(family, m):
-            return scan(family, m) + (extras if (family, m) == ("A", n) else [])
+        def widened(family, m, under_rev=False):
+            return scan(family, m, under_rev) + (extras if (family, m) == ("A", n) else [])
 
         monkeypatch.setattr(bm, "_phi_rows", corrupt)
         monkeypatch.setattr(bm, "_phi_lanes", _corrupt_phi_lane(t, extras[0]))
@@ -754,6 +788,21 @@ def _corrupt_lane(t, image, drop_word):
     return corrupt
 
 
+def _twin_lanes(t):
+    """The first two lanes j < k whose paths every psi check but injectivity reads alike:
+    the same area and maj, and the same east steps after the last north step (type A),
+    or the same lower rows and number of upper rows with cells (type B)."""
+    n, caps = t.n, rp.planar_cells(t).caps
+    seen = {}
+    for k, (x, area, maj, _) in enumerate(_stream(t)):
+        uppers = sum(a < cap for a, cap in zip(x[n:], caps[n:]))
+        key = (area, maj, x[n - 1]) if t.family == "A" else (area, maj, x[:n], uppers)
+        if key in seen:
+            return seen[key], k
+        seen[key] = k
+    raise ValueError(f"no twin lanes at {t}")
+
+
 class TestPsiRows:
     """``_psi`` on streamed row starts and the psi verifier against the word verifier."""
 
@@ -805,6 +854,47 @@ class TestPsiRows:
         identity = repr(sp.identity(n))
         assert {"check": "length", "word": word, "image": identity} in report["failures"]
         assert {"check": "injectivity", "image": identity} in report["failures"]
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(4, 8)] + [("B", 5), ("B", 6)])
+    def test_two_lanes_with_one_image_are_reported(self, monkeypatch, fam, rank):
+        # lane k takes the image and the word of lane j < k, a path that every other check
+        # reads alike, so only injectivity and the image set fail, and on lane k alone
+        t = GroupType(fam, rank)
+        n = t.n
+        j, k = _twin_lanes(t)
+        rows = [x for x, *_ in _stream(t)]
+        kernel, lanes_kernel = bm._psi, bm._psi_lanes
+        image = kernel(rows[j], n, fam)[0]
+        target = paths._word_of_rows(fam, n, rows[k])
+
+        def corrupt(x, m, family):
+            hit = family == fam and m == n and paths._word_of_rows(fam, n, x) == target
+            return kernel(rows[j] if hit else x, m, family)
+
+        def corrupt_lanes(lanes, xs, m):
+            cols, word = lanes_kernel(lanes, xs, m)
+            if len(xs) < len(rows[k]):  # type B's lower-part call
+                return cols, word
+            bit, src = (lanes.pack([int(i == lane) for i in range(lanes.count)]) for lane in (k, j))
+            word = {key: mask & ~bit | bit * (mask & src == src) for key, mask in word.items()}
+            return _put_lane(lanes, cols, k, image), {key: mask for key, mask in word.items() if mask}
+
+        monkeypatch.setattr(bm, "_psi", corrupt)
+        monkeypatch.setattr(bm, "_psi_lanes", corrupt_lanes)
+        report = bm.verify_psi_theorems(t)
+        assert report == verify_psi_theorems_words(t) == verify_psi_theorems_rows(t)
+        assert report["failures"][0] == {"check": "injectivity", "image": repr(image)}
+        assert [f["check"] for f in report["failures"]] == ["injectivity", "image-set"]
+
+    def test_clean_run_unpacks_no_image(self, monkeypatch):
+        # the sorting words read back every lane's row starts, so no image tuple is built
+        def refuse(*args):
+            raise AssertionError("a clean run unpacked the images")
+
+        monkeypatch.setattr(bm._Lanes, "values", refuse)
+        monkeypatch.setattr(bm, "_repeats", refuse)
+        for t in (GroupType("A", 6), GroupType("B", 5)):
+            assert bm.verify_psi_theorems(t)["failures"] == []
 
     @pytest.mark.parametrize("fam,n", [("A", n) for n in range(2, 9)] + [("B", n) for n in range(1, 6)])
     def test_clean_run_walks_no_sortables(self, monkeypatch, fam, n):
@@ -1007,6 +1097,18 @@ def _psi_identities(t, ideal):
     assert len(sw) == sp.length_s(sigma, fam) == area
 
 
+@st.composite
+def random_dyck_words(draw, t):
+    """A Dyck word of t's paths, one drawn bit per step: north where the bit is set
+    and a north step is left, or where an east step would cross the diagonal."""
+    n, word = t.n, []
+    for up in draw(st.lists(st.booleans(), min_size=2 * t.n, max_size=2 * t.n)):
+        norths = word.count("N")
+        free = t.family == "B" or norths < n
+        word.append("N" if free and (up or 2 * norths == len(word)) else "E")
+    return "".join(word)
+
+
 class TestRandomPastExhaustive:
     @given(random_ideals(A16))
     def test_phi_a16(self, ideal):
@@ -1025,3 +1127,15 @@ class TestRandomPastExhaustive:
     @given(random_ideals(B10))
     def test_psi_b10(self, ideal):
         _psi_identities(B10, ideal)
+
+    @given(random_dyck_words(GroupType("A", 30)))
+    def test_psi_inverse_a30(self, word):
+        t = GroupType("A", 30)
+        image = bm.psi_a(word)[0]
+        assert bm.preimage(t, "psi", image) == word
+
+    @given(random_dyck_words(GroupType("B", 20)))
+    def test_psi_inverse_b20(self, word):
+        t = GroupType("B", 20)
+        image = bm.psi_b(word)[0]
+        assert bm.preimage(t, "psi", image) == word

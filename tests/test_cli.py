@@ -371,13 +371,36 @@ class TestMap:
         assert code == 0
         assert json.loads(out) == {"preimage": {"steps": "NNEE"}, "ls": 1}
 
-    def test_inverse_psi_guarded_like_path_enumeration(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("[1,2,3,4,5,6,7,8,9]\n"))
-        code = main(["map", "--via", "psiB", "--n", "9", "--inverse"])
+    def test_inverse_psi_builds_no_table(self, capsys, monkeypatch):
+        # B9 is past the path guard; psi's inverse reads one sorting word per line
+        def no_table(t):
+            raise AssertionError("the inverse table was built")
+
+        monkeypatch.setattr(bijmaps, "_inverse_rows", no_table)
+        words = ["NNENENNENNENENENEN", "NENENENENENENENENE", "N" * 18]
+        lines = [json.dumps(list(bijmaps.psi_b(word)[0])) for word in words]
+        code, out = run(capsys, ["map", "--via", "psiB", "--n", "9", "--inverse"], stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == words
+
+    @pytest.mark.parametrize("via,n", [("psiA", 30), ("psiB", 20)])
+    def test_inverse_psi_round_trip_past_the_path_guard(self, capsys, monkeypatch, via, n):
+        word = "N" * (n // 2) + "NE" * (n // 2) + "E" * (n // 2) if via == "psiA" else "NNE" * (n // 2) + "N" * (n // 2)
+        code, image = run(capsys, ["map", "--via", via, "--n", str(n)], stdin=word + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        code, out = run(capsys, ["map", "--via", via, "--n", str(n), "--inverse"], stdin=image.split()[0] + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.split()[0] == word
+
+    @pytest.mark.parametrize("line", ["NENEX", "NENE extra", "NEXE", '{"steps": "NENEX"}'])
+    def test_psi_rejects_non_step_characters(self, capsys, monkeypatch, line):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"NENE\n{line}\n"))
+        code = main(["map", "--via", "psiA", "--n", "2"])
         captured = capsys.readouterr()
+        word = json.loads(line)["steps"] if line.startswith("{") else line
         assert code == 2
-        assert captured.out == ""
-        assert "path enumeration guarded at n <= 8 for type B" in captured.err
+        assert captured.out.strip() == "[1,2]  ls=0"
+        assert captured.err == f"error: line 2: not a type-A Dyck word: {word!r}\n"
 
     @pytest.mark.parametrize("line", ['{"roots": ["e2-e1", "e2-e1"]}', '["e2-e1", "e3-e2", "e2-e1"]'])
     def test_phi_rejects_a_repeated_root(self, capsys, monkeypatch, line):
@@ -401,7 +424,7 @@ class TestMap:
 
     @pytest.mark.parametrize("via,line", [("psiA", "[1,2,3]"), ("phiB", "[1,-2]"), ("psiB", "[2,1,3,4,5,6,7,8,9]")])
     def test_inverse_checks_the_length_before_building_the_table(self, capsys, monkeypatch, via, line):
-        def no_table(t, via):
+        def no_table(t):
             raise AssertionError("the inverse table was built")
 
         monkeypatch.setattr(bijmaps, "_inverse_rows", no_table)

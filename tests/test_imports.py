@@ -32,9 +32,9 @@ shell once in left-endpoint order, and its lane kernel reads each shell's
 points off masks, so neither may name a sort or the span readers
 ``_span_cycles``/``_read_block``, and ``psi_a``, ``psi_b`` and
 ``dyck_to_ideal`` read their word once, so they may not name the Dyck
-check ``_check`` or the unchecked ``_north_columns``.  The inverse table
-of phi and psi is one pass over the row starts, so it may not name the
-ideal or word enumerations, the per-object maps or the Dyck check; and
+check ``_check`` or the unchecked ``_north_columns``.  phi's inverse table
+is one pass over the row starts, so it may not name the ideal or word
+enumerations, the per-object maps or the Dyck check; and
 the per-word area and maj read the north columns, so they may not name
 the cell sets or the descent set, which are the tests' oracles.
 
@@ -49,9 +49,15 @@ takes an ``unsafe`` parameter, so the library sets no limit of its own.
 
 A sixth keeps README.md's private names current: every backticked name
 that starts with an underscore is defined in ``src/coxcat`` or ``tests``.
+
+A seventh pins the names the benchmark calls: every attribute that
+``perfbench/run.py`` takes from a package module it loads as
+``lib["<module>"]`` exists, so moving such a name (``QPoly.from_json``,
+which parses every ``poly`` answer) out of the package fails here.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -492,3 +498,64 @@ def test_readme_names_only_defined_private_names():
 )
 def test_private_name_scan(readme, sources, undefined):
     assert undefined_private_names(readme, sources) == undefined
+
+
+def library_attributes(source: str) -> list[tuple[str, ...]]:
+    """Each attribute chain that ``source`` takes from ``lib["<module>"]``, directly or
+    through a name a function binds to it, as (module, name, ...): a chain's prefixes too."""
+
+    def module_of(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "lib":
+            return node.slice.value if isinstance(node.slice, ast.Constant) else None
+        return None
+
+    chains = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    tuples = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    for name, value in zip(target.elts, node.value.elts) if tuples else [(target, node.value)]:
+                        if isinstance(name, ast.Name) and module_of(value):
+                            aliases[name.id] = module_of(value)
+        for node in ast.walk(func):
+            names, base = [], node
+            while isinstance(base, ast.Attribute):
+                names.append(base.attr)
+                base = base.value
+            module = module_of(base) or (aliases.get(base.id) if isinstance(base, ast.Name) else None)
+            if names and module:
+                chains.add((module, *reversed(names)))
+    return sorted(chains)
+
+
+def test_benchmark_calls_only_package_names():
+    chains = library_attributes((ROOT / "perfbench" / "run.py").read_text())
+    assert ("qseries", "QPoly", "from_json") in chains and ("cli", "main") in chains
+    missing = []
+    for module, *names in chains:
+        obj = importlib.import_module("coxcat" if module == "coxcat" else f"coxcat.{module}")
+        for name in names:
+            obj = getattr(obj, name, missing)
+        if obj is missing:
+            missing.append(".".join([module, *names]))
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "source,chains",
+    [
+        ("def f(lib):\n    return lib['cli'].main(argv)\n", [("cli", "main")]),
+        (
+            "def f(lib):\n    q, p = lib['qseries'], lib['paths']\n    return q.QPoly.from_json(x), p.area_a\n",
+            [("paths", "area_a"), ("qseries", "QPoly"), ("qseries", "QPoly", "from_json")],
+        ),
+        ("def f(lib):\n    q = lib['qseries']\n    return q.qcat_a(3).coeffs\n", [("qseries", "qcat_a")]),
+        ("def f(lib):\n    return lib[name].x\n\ndef g(q):\n    return q.y\n", []),
+    ],
+)
+def test_library_attribute_scan(source, chains):
+    assert library_attributes(source) == chains
