@@ -40,7 +40,7 @@ from operator import or_, xor
 from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
 from .qseries import GroupType, cat_number
-from .sortable import SortingWord, _sorting_word, enumerate_sortables
+from .sortable import SortingWord, _sortable_tree, _sorting_word
 from .signedperm import Perm, _Lanes, check_perm
 
 Root = rootposets.Root
@@ -502,7 +502,7 @@ def verify_psi_theorems(t: GroupType) -> dict:
         )
     distinct = set(images)
     if bad["sorting-word"] or len(distinct) != cat_number(t):
-        target = set(enumerate_sortables(t, c_word))
+        target = {w for w, _ in _sortable_tree(t, c_word)}
         if distinct != target:
             _fail(report, "image-set", missing=sorted(target - distinct)[:3])
     return report

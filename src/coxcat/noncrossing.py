@@ -27,7 +27,7 @@ from .signedperm import (
     rev,
     simple_reflection,
 )
-from .sortable import enumerate_sortables
+from .sortable import _sortable_tree
 
 
 def _nc_scan(family: str, n: int, under_rev: bool = False) -> list[Perm]:
@@ -257,7 +257,9 @@ def d4_counterexample() -> dict:
     by g permutes the reflections and keeps l_T, so it carries [1, c0]
     onto [1, g c0 g^-1]: each conjugate's interval is built in the lanes by
     ``_conj_lanes``, and its rev lengths are read off them by
-    ``_lengths_d``.  Each walk's sortable elements are packed the same way.
+    ``_lengths_d``.  The sortable side takes each ordering's elements from
+    ``sortable._sortable_tree``, whose lengths are their depths in the
+    prefix tree, so no sortable element is packed or measured.
     """
     t = GroupType("D", 4)
     cat_poly = rootposets.cat_q(t)
@@ -277,12 +279,11 @@ def d4_counterexample() -> dict:
 
     for word in itertools.permutations(range(4)):
         report["checked"] += 1
-        sortables = enumerate_sortables(t, word)
-        walk, walk_cols = _pack_d(sortables, t.n)
-        poly = gen_poly(walk.unpack(_lengths_d(walk, walk_cols)))
+        lengths = [length for _, length in _sortable_tree(t, word)]
+        poly = gen_poly(lengths)
         if poly == cat_poly:
             report["failures"].append({"check": "sortable-side-equality", "word": repr(word)})
-        if len(sortables) != cardinality:
+        if len(lengths) != cardinality:
             report["failures"].append({"check": "sortable-side-cardinality", "word": repr(word)})
 
     return report

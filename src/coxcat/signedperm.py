@@ -16,16 +16,22 @@ import itertools
 import math
 import sys
 from array import array
-from bisect import bisect_right, insort
+from functools import lru_cache
 
 Perm = tuple[int, ...]
 Cycle = tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _values(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
+
+
 def check_perm(p: Perm, family: str = "B") -> None:
-    if family == "A" and sorted(p) == list(range(1, len(p) + 1)):
+    values = _values(len(p))
+    if family == "A" and values == set(p):
         return  # a permutation of 1..n: every check below passes
-    if sorted(map(abs, p)) != list(range(1, len(p) + 1)):
+    if values != set(map(abs, p)):
         raise ValueError(f"not a signed permutation: {p!r}")
     if family == "A" and p and min(p) < 0:
         raise ValueError(f"type A forbids negative entries: {p!r}")
@@ -56,24 +62,19 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def inv_word(w) -> int:
-    """Number of pairs i < j with w[i] > w[j], for any integer sequence.
-
-    Each entry is counted against the earlier ones, kept sorted: those
-    right of its insertion point are the larger ones.
-    """
-    seen: list[int] = []
-    count = 0
-    for a in w:
-        count += len(seen) - bisect_right(seen, a)
-        insort(seen, a)
-    return count
-
-
 def length_s(p: Perm, family: str) -> int:
-    """Coxeter length: inversions, corrected by the negative entries in B/D."""
+    """Coxeter length: inversions, corrected by the negative entries in B/D.
+
+    The inversions are counted with a bitmask of the values seen so far,
+    bit v + n for value v: the earlier entries above a are its bits past
+    a + n.
+    """
     check_perm(p, family)
-    base = inv_word(p)
+    n = len(p)
+    seen = base = 0
+    for a in p:
+        base += (seen >> a + n).bit_count()
+        seen |= 1 << a + n
     if family == "A":
         return base
     negatives = [v for v in p if v < 0]

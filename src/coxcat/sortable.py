@@ -5,18 +5,26 @@ first) reduced subword of the infinite repetition c|c|c|... ; w is
 sortable when the letter sets of consecutive factors weakly decrease
 under inclusion.  Every prefix of a sortable element's sorting word is
 again the sorting word of a sortable element (Reading, Clusters,
-Coxeter-sortable elements and noncrossing partitions, 2007), so the
-sortable elements form a subtree of the right weak order rooted at e and
-are enumerated by walking up it.
+Coxeter-sortable elements and noncrossing partitions, Trans. AMS 2007), so
+the sortable elements form a prefix tree rooted at e: the parent of w is
+the element of its sorting word without the last letter.
+
+``_sortable_tree`` grows that tree, deciding each child u*s from u alone:
+s comes at or after u's last letter in c|c|c|... under the nesting rule,
+is a right ascent of u, and u s u^-1 is none of the reflections recorded
+for the letters u's scan skipped.  No candidate is scanned again, and each
+element's length is its depth.  ``enumerate_sortables`` lists the tree's
+elements in the order of the weak-order walk from e.
 
 ``c_sorting_word`` and ``is_c_sortable`` check the element and the word,
 then run ``_sorting_word`` or ``_is_sortable``, the same scan on inputs
-already checked; the walk calls ``_is_sortable`` once per element it
-reaches, which stops at the first letter that breaks the chain.
+already checked; ``_is_sortable`` stops at the first letter that breaks
+the chain.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .qseries import GroupType
@@ -142,27 +150,97 @@ def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:
     return w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :]
 
 
+def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
+    """Every sortable element for a checked ``c_word`` once, with its length.
+
+    Grows the prefix tree from e, depth first: u*s is a child of u, with
+    sorting word u's followed by s, exactly when
+
+    - s, at its first place in c|c|c|... after u's last letter, lies in
+      u's last pass and among the letters of the pass before it (any
+      letter, in the first pass), or lies in the next pass and among the
+      letters of u's last pass;
+    - s is a right ascent of u;
+    - u s u^-1 is not in u's mask of skipped reflections, which holds
+      p t p^-1 for each letter t that u's scan skipped with prefix p.
+
+    **Proof.** At some letter of c|c|c|..., let p be what u's scan has taken
+    and x = p^-1 u its remainder. If the scan of u*s has taken the same
+    letters so far, its remainder is x s, and s is a right ascent of x since
+    l(x s) >= l(u s) - l(p) = l(x) + 1. A letter t that the scan took is a
+    left descent of x, so l(t x s) <= l(t x) + 1 = l(x) < l(x s): it is
+    still taken. A letter t that the scan skipped is not a left descent of
+    x; then t is a left descent of x s iff t x s = x (by the exchange
+    condition, t x s drops a letter from x followed by s, and dropping one
+    of x's would make t a left descent of x), that is, iff x^-1 t x = s, or
+    p t p^-1 = u s u^-1. So the scan of u*s retraces u's word while no
+    recorded reflection equals u s u^-1. After u's last letter the remainder
+    is s, whose only left descent is s, so the scan skips every other letter
+    up to the first s and takes it: its word is u's plus s, and u*s is
+    sortable iff the nesting rule admits s there. Every sortable element
+    other than e arises so from its parent, once.
+
+    Reflections are bits: the one exchanging the signed values x and y
+    (and -x, -y) sits at |x| n + |y| for equal signs and |y| n + |x| for
+    opposite ones, with |x| <= |y| counted from 0.  For a letter s >= 1,
+    u s u^-1 exchanges u(s) and u(s + 1); for s0 it exchanges u(1) and
+    -u(1) in type B, and u(1) and -u(2) in type D.
+    """
+    family, n = t.family, t.n
+    m = len(c_word)
+    bit = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]  # bit[x][y], negative x and y wrap around
+    for x in range(-n, n + 1):
+        for y in range(-n, n + 1):
+            if x and y and x != y:
+                i, j = sorted((abs(x) - 1, abs(y) - 1))
+                bit[x][y] = 1 << (i * n + j if (x > 0) == (y > 0) else j * n + i)
+    # element, its length, the index in c_word of its last letter, the letters of the pass
+    # before its last (all of them before the second), those of its last, its skipped reflections
+    stack = [(identity(n), 0, -1, -1, 0, 0)]
+    while stack:
+        u, length, last, before, took, skipped = stack.pop()
+        yield u, length
+        length += 1
+        for j in range(last + 1, last + 1 + m):
+            same = j < m
+            s = c_word[j] if same else c_word[j - m]
+            if s:
+                a, b = u[s - 1], u[s]
+                r, up = bit[a][b], a < b
+            elif family == "B":
+                a = u[0]
+                r, up = bit[a][-a], a > 0
+            else:
+                a, b = u[0], u[1]
+                r, up = bit[a][-b], a + b > 0
+            if up and (before if same else took) >> s & 1 and not skipped & r:
+                child = _times_ascent(u, s, family)
+                if same:
+                    stack.append((child, length, j, before, took | 1 << s, skipped))
+                else:
+                    stack.append((child, length, j - m, took, 1 << s, skipped))
+            skipped |= r
+
+
 def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:
     """All sortable elements for the given Coxeter word, in walk order.
 
-    Walks up the right weak order from e, stepping by ascents that are
-    letters of c and keeping the sortable results: dropping the last letter
-    of a sortable element's sorting word leaves a sortable element, so every
-    one is reached.  The word defaults to that of ``coxeter_element``.  The
-    result is listed in the order the walk reaches it, e first.
+    The elements are those of ``_sortable_tree``; they are listed in the
+    order of the walk up the right weak order from e that steps by the
+    ascents that are letters of c and keeps the sortable results, e first.
+    The word defaults to that of ``coxeter_element``.
     """
     family, n = t.family, t.n
     if c_word is None:
         c_word = coxeter_element(family, n)[1]
     _check_c_word(c_word, n, family)
+    unreached = {w for w, _ in _sortable_tree(t, c_word)}
     found = [identity(n)]
-    seen = set(found)
+    unreached.discard(found[0])
     for w in found:
         for s in c_word:
             u = _times_ascent(w, s, family)
-            if u is not None and u not in seen:
-                seen.add(u)
-                if _is_sortable(u, c_word, family):
-                    found.append(u)
+            if u in unreached:
+                unreached.remove(u)
+                found.append(u)
     return found
-

@@ -25,7 +25,8 @@ and read block by block, against the streaming walk
 unchecked word and the Dyck check that reads a word three times
 (``check_dyck``, ``is_dyck_a``/``is_dyck_b``), against the one-pass
 ``paths._dyck_columns``, the inversion count over all pairs, against the
-insertion count ``signedperm.inv_word``, the permutation check by
+insertion count ``inv_word``, which checks the bit count in
+``signedperm.length_s``, the permutation check by
 absolute values, against ``signedperm.check_perm`` and its type-A
 shortcut, and the one-statistic helpers ``neg``, ``des_set``, ``des``,
 ``ides_set`` and ``ides``, against ``stats``, the one-pass reading of all
@@ -65,7 +66,9 @@ antichains, the non-crossing predicates (a pairwise crossing test and the
 type-B partition check) and the partition-to-permutation codecs, which
 check ``noncrossing.partition_blocks``, absolute order, the sorting-word
 parser, a sorting word's letters and its factor chain (the reference for
-``sortable._is_sortable``), 231-avoidance, the non-crossing
+``sortable._is_sortable``), the walk that tests every candidate with that
+scan (the reference for ``sortable._sortable_tree`` and for the order of
+``enumerate_sortables``), 231-avoidance, the non-crossing
 Coxeter elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class
 of Coxeter elements of D_4 with their intervals conjugated one element at
 a time, which check the lanes of ``noncrossing.d4_counterexample``.
@@ -81,7 +84,7 @@ from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
 from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError, cat_number, check_guard
 from coxcat.rootposets import Cell, Root, diff, positive_roots, root_vector, short, sum_root
-from coxcat.sortable import SortingWord, c_sorting_word, enumerate_sortables
+from coxcat.sortable import SortingWord, c_sorting_word
 from coxcat.signedperm import (
     Perm,
     apply_value,
@@ -251,7 +254,7 @@ def verify_psi_theorems_rows(t: GroupType) -> dict:
             fail(report, "injectivity", image=sigma)
         images.add(sigma)
     if unsorted or len(images) != cat_number(t):
-        target = set(bijmaps.enumerate_sortables(t, c_word))
+        target = set(sortable_walk(t, c_word))
         if images != target:
             fail(report, "image-set", missing=sorted(target - images)[:3])
     return report
@@ -337,7 +340,7 @@ def verify_psi_theorems_words(t: GroupType) -> dict:
         if sigma in images:
             fail(report, "injectivity", image=sigma)
         images[sigma] = word
-    target = set(enumerate_sortables(t, c_word))
+    target = set(sortable_walk(t, c_word))
     if set(images) != target:
         fail(report, "image-set", missing=sorted(target - set(images))[:3])
     return report
@@ -1094,6 +1097,21 @@ def ides(p: Perm) -> int:
     return des(inverse(p))
 
 
+def inv_word(w) -> int:
+    """Number of pairs i < j with w[i] > w[j], for any integer sequence.
+
+    Each entry is counted against the earlier ones, kept sorted: those
+    right of its insertion point are the larger ones.  The reference for
+    the bit count of ``signedperm.length_s``.
+    """
+    seen: list[int] = []
+    count = 0
+    for a in w:
+        count += len(seen) - bisect_right(seen, a)
+        insort(seen, a)
+    return count
+
+
 def inv_word_pairs(w) -> int:
     """Number of pairs i < j with w[i] > w[j], by the double loop over the pairs."""
     count = 0
@@ -1112,6 +1130,28 @@ def leq_t(u: Perm, v: Perm) -> bool:
     if len(u) != len(v):
         raise ValueError("rank mismatch")
     return length_t(v) == length_t(u) + length_t(mul(inverse(u), v))
+
+
+def sortable_walk(t: GroupType, c_word=None) -> list[Perm]:
+    """The sortable elements by testing every candidate: walks up the right
+    weak order from e by the ascents that are letters of c, runs the
+    early-exit scan ``sortable._is_sortable`` on each element it reaches
+    and keeps the sortable ones, in the order it reaches them.  The
+    reference for ``sortable._sortable_tree``'s set and for the order of
+    ``enumerate_sortables``."""
+    family, n = t.family, t.n
+    if c_word is None:
+        c_word = signedperm.coxeter_element(family, n)[1]
+    found = [identity(n)]
+    seen = set(found)
+    for w in found:
+        for s in c_word:
+            u = sortable._times_ascent(w, s, family)
+            if u is not None and u not in seen:
+                seen.add(u)
+                if sortable._is_sortable(u, c_word, family):
+                    found.append(u)
+    return found
 
 
 def parse_sorting_word(s: str) -> SortingWord:

@@ -22,6 +22,7 @@ from oracles import (
     ideal_des,
     ides,
     ides_set,
+    inv_word,
     is_antichain,
     is_sortable_chain,
     letters,
@@ -334,7 +335,7 @@ class TestPsi:
         assert sw.factors == ((5, 4, 3, 2, 1, 0), (5, 4, 2, 1, 0), (5, 2, 1))
         assert sp.length_s(sigma, "B") == paths.area_b("NNNNEEENNNNE") == 14
         # inv 6 plus dropped negatives 8
-        assert sp.inv_word(sigma) == 6
+        assert inv_word(sigma) == 6
 
     def test_small_cases(self):
         assert bm.psi_a("NENE")[0] == (1, 2)
@@ -905,7 +906,7 @@ class TestPsiRows:
         def refuse(*args, **kwargs):
             raise AssertionError("a clean run walked the sortable elements")
 
-        monkeypatch.setattr(bm, "enumerate_sortables", refuse)
+        monkeypatch.setattr(bm, "_sortable_tree", refuse)
         assert bm.verify_psi_theorems(t) == expected
 
     @pytest.mark.parametrize("fam,rank", [("A", 7), ("B", 5)])

@@ -20,10 +20,14 @@ Dyck check, the per-word statistics and split, or the word entries
 ``psi_a``/``psi_b``.  The verifiers read every image's statistics at
 once, in lanes (``bijmaps._lane_stats``), so they may not
 name the checked statistics, ``c_sorting_word`` or ``rev_nc``,
-nor a single statistic, a descent set, ``neg`` or ``inverse``; the walk of the
-sortable elements checks its word once, so it may not name
-``is_c_sortable`` or ``c_sorting_word``, and it and ``is_c_sortable`` test
-each element with the early-exit scan, so neither may build a sorting word.
+nor a single statistic, a descent set, ``neg`` or ``inverse``; the sortable
+elements come from the prefix tree, whose child test reads the parent
+alone, so ``enumerate_sortables`` and ``_sortable_tree`` may not name a
+sorting scan (``is_c_sortable``, ``c_sorting_word``, ``_is_sortable``) or
+build a sorting word, and ``is_c_sortable`` tests its element with the
+early-exit scan, so it may not build a sorting word either.  The D4 report
+and the psi verifier take the sortable elements from the tree, so neither
+may name ``enumerate_sortables``.
 The rev images of types A and B come from the scan, so ``rev_nc`` (off its
 type-D route) and the phi verifier may not name ``rev``, and the D4 report
 reads every length off lanes, so it may not name ``rev`` or a per-element
@@ -89,8 +93,10 @@ ONE_PASS = {
     "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi", "_psi_lanes"), PSI_WORDS),
     "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
     "bijmaps-one-stats-pass": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), SINGLE_STATS),
-    "sortable-walk": ("sortable", ("enumerate_sortables",), CHECKED_SORT),
-    "sortable-early-exit": ("sortable", ("enumerate_sortables", "is_c_sortable"), SORTING_WORDS),
+    "sortable-walk": ("sortable", ("enumerate_sortables", "_sortable_tree"), CHECKED_SORT | SORTING_WORDS | {"_is_sortable"}),
+    "sortable-early-exit": ("sortable", ("is_c_sortable",), SORTING_WORDS),
+    "d4-sortable-tree": ("noncrossing", ("d4_counterexample",), {"enumerate_sortables"}),
+    "psi-sortable-tree": ("bijmaps", ("verify_psi_theorems",), {"enumerate_sortables"}),
     "rev-scan": ("noncrossing", ("rev_nc",), {"rev"}),
     "bijmaps-rev-scan": ("bijmaps", ("verify_phi_theorems",), {"rev"}),
     "d4-lanes": ("noncrossing", ("d4_counterexample",), {"rev", "length_s", "_length_s", "_conj"}),

@@ -5,6 +5,7 @@ import pytest
 from coxcat import noncrossing as nc
 from coxcat import rootposets as rp
 from coxcat import signedperm as sp
+from coxcat import sortable as so
 from coxcat.qseries import GroupType, QPoly, cat_number
 from oracles import (
     conj,
@@ -329,7 +330,7 @@ class TestD4Counterexample:
     def test_lane_lengths_of_every_walk(self):
         t = GroupType("D", 4)
         for word in itertools.permutations(range(4)):
-            sortables = nc.enumerate_sortables(t, word)
+            sortables = so.enumerate_sortables(t, word)
             lanes, cols = nc._pack_d(sortables, t.n)
             assert list(lanes.unpack(nc._lengths_d(lanes, cols))) == [sp.length_s(w, "D") for w in sortables]
 
@@ -362,11 +363,27 @@ class TestD4Counterexample:
 
     def test_corrupted_cardinality_names_every_c_and_word(self, monkeypatch):
         # one element short on each side: the counts at q = 1 no longer agree
-        nc_elements, enumerate_sortables = nc.nc_elements, nc.enumerate_sortables
+        nc_elements, tree = nc.nc_elements, nc._sortable_tree
         monkeypatch.setattr(nc, "nc_elements", lambda t, c=None: nc_elements(t, c)[1:])
-        monkeypatch.setattr(nc, "enumerate_sortables", lambda t, word: enumerate_sortables(t, word)[1:])
+        monkeypatch.setattr(nc, "_sortable_tree", lambda t, word: list(tree(t, word))[1:])
         report = nc.d4_counterexample()
         assert report["failures"] == self.expected_failures("nc-side-cardinality", "sortable-side-cardinality")
+
+    def test_one_corrupted_length_claims_the_identity(self, monkeypatch):
+        # (0, 1, 2, 3)'s polynomial is Cat_D4(q) with one q^7 moved to q^10, so reading one
+        # of its lengths 10 as 7 makes that ordering, and no other, claim the identity
+        tree = nc._sortable_tree
+
+        def corrupted(t, word):
+            nodes = list(tree(t, word))
+            if word == (0, 1, 2, 3):
+                k = next(k for k, (_, length) in enumerate(nodes) if length == 10)
+                nodes[k] = (nodes[k][0], 7)
+            return nodes
+
+        monkeypatch.setattr(nc, "_sortable_tree", corrupted)
+        report = nc.d4_counterexample()
+        assert report["failures"] == [{"check": "sortable-side-equality", "word": repr((0, 1, 2, 3))}]
 
     def test_a3_control_equality_holds(self):
         t = GroupType("A", 3)

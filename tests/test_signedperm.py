@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
 from coxcat.qseries import SizeGuardError
-from oracles import check_perm_abs, des_set, ides_set, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, stats
+from oracles import check_perm_abs, des_set, ides_set, inv_word, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, stats
 
 
 def bfs_simple_length(target, family):
@@ -39,9 +39,9 @@ def signed_perms(n):
 
 class TestBasics:
     def test_inv_examples(self):
-        assert sp.inv_word([1, 2, 3]) == 0
-        assert sp.inv_word([-1, -2]) == 1
-        assert sp.inv_word([1, 3, -4, -2]) == 4
+        assert inv_word([1, 2, 3]) == 0
+        assert inv_word([-1, -2]) == 1
+        assert inv_word([1, 3, -4, -2]) == 4
 
     def test_mul_inverse(self):
         p = (3, -1, 2)
@@ -62,13 +62,15 @@ class TestKernelsAgainstDefinitions:
     @pytest.mark.parametrize("family,n", [("A", n) for n in range(7)] + [("B", n) for n in range(6)])
     def test_inv_word_on_whole_groups(self, family, n):
         for p in sp.enumerate_group(family, n):
-            assert sp.inv_word(p) == inv_word_pairs(p)
+            assert inv_word(p) == inv_word_pairs(p)
+            # the bit count in length_s against the insertion count
+            assert sp.length_s(p, family) == inv_word(p) - sum(v for v in p if v < 0)
 
     @pytest.mark.parametrize(
         "w", [[], [3, 3, 3], [2, -1, 2, -1, 0], [-5, -5, 4, -5, 4, 4], [1, 0, 0, 1, -1, -1, 2, -2]]
     )
     def test_inv_word_on_repeated_and_negative_entries(self, w):
-        assert sp.inv_word(w) == inv_word_pairs(w)
+        assert inv_word(w) == inv_word_pairs(w)
 
     @pytest.mark.parametrize("family", "ABD")
     def test_check_perm_refuses_what_the_absolute_check_refuses(self, family):
@@ -91,7 +93,7 @@ class TestKernelsAgainstDefinitions:
     @given(st.lists(st.integers(-20, 20), max_size=16))
     def test_inv_and_maj_word(self, w):
         pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))]
-        assert sp.inv_word(w) == sum(1 for i, j in pairs if w[i] > w[j])
+        assert inv_word(w) == sum(1 for i, j in pairs if w[i] > w[j])
         assert sp.maj_word(w) == sum(des_set(w))
 
     @given(

@@ -7,7 +7,7 @@ from coxcat import sortable as so
 from coxcat.cli import main
 from coxcat.qseries import GroupType, QPoly, cat_number
 from coxcat.rootposets import cat_q
-from oracles import avoids_231, is_sortable_chain, letters, parse_sorting_word, stats
+from oracles import avoids_231, is_sortable_chain, letters, parse_sorting_word, sortable_walk, stats
 
 
 def oracle_231(p):
@@ -193,6 +193,44 @@ class TestSortableWalkAgainstFilter:
     def test_bad_c_word(self):
         with pytest.raises(ValueError):
             so.enumerate_sortables(GroupType("A", 2), (1, 1))
+
+
+def every_c_word(t):
+    return itertools.permutations(range(1, t.n) if t.family == "A" else range(t.n))
+
+
+class TestSortableTree:
+    """``_sortable_tree`` against the walk that scans every candidate."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [GroupType("A", r) for r in range(1, 6)] + [GroupType("B", r) for r in range(2, 6)] + [GroupType("D", r) for r in range(2, 6)],
+        ids=str,
+    )
+    def test_every_c_word(self, t):
+        for c_word in every_c_word(t):
+            nodes = list(so._sortable_tree(t, c_word))
+            elements = [w for w, _ in nodes]
+            assert len(set(elements)) == len(elements)  # each element once
+            assert set(elements) == set(sortable_walk(t, c_word))
+            assert [length for _, length in nodes] == [len(so.c_sorting_word(w, c_word, t.family)) for w in elements]
+
+    @pytest.mark.parametrize(
+        "t",
+        [GroupType("A", r) for r in range(1, 4)] + [GroupType("B", r) for r in range(1, 5)] + [GroupType("D", r) for r in range(2, 5)],
+        ids=str,
+    )
+    def test_walk_order_for_every_c_word(self, t):
+        for c_word in every_c_word(t):
+            assert so.enumerate_sortables(t, c_word) == sortable_walk(t, c_word)
+
+    @pytest.mark.parametrize(
+        "t",
+        [GroupType("A", r) for r in range(4, 8)] + [GroupType("B", r) for r in range(5, 7)] + [GroupType("D", r) for r in range(5, 7)],
+        ids=str,
+    )
+    def test_walk_order_for_the_default_word(self, t):
+        assert so.enumerate_sortables(t) == sortable_walk(t)
 
 
 class TestEnumerateSortables:
