@@ -17,9 +17,9 @@ kernel ``_psi``, which reads the cells under the path, diagonal by
 diagonal, as a sorting word, sorting the cells into factors in one pass
 over the rows.  The verifiers check the counting and major-index
 identities exhaustively at a given rank; both take every path's row
-starts, area and maj from ``_rank``, one pass over the Dyck paths packed
-in the rank's one lane layout, and check the whole rank at once: one int
-per quantity with one guarded field per path (``_Lanes``), so each
+starts, area and maj from ``_rank``, which packs the prefix tree's row
+columns in the rank's one lane layout, and check the whole rank at once:
+one int per quantity with one guarded field per path (``_Lanes``), so each
 identity is a few dozen big-int operations and one comparison per rank.
 psi builds its images and sorting words by masked swaps
 (``_psi_lanes``), phi reads every shell's blocks off masks of the row
@@ -185,8 +185,8 @@ def _word_starts(letters, n: int, caps, one: int = 1) -> list[int] | None:
 def _inverse_rows(t: GroupType) -> dict[Perm, tuple[int, ...]]:
     """Each phi image at rank t, mapped to its row starts by ``_phi_lanes``
     on ``_rank``'s lanes, as the verifier takes them."""
-    rows, _, _, _, lanes, xs = _rank(t)
-    return dict(zip(zip(*map(lanes.values, _phi_lanes(lanes, xs, t))), rows))
+    _, _, _, lanes, xs = _rank(t)
+    return dict(zip(zip(*map(lanes.values, _phi_lanes(lanes, xs, t))), zip(*map(lanes.unpack, xs))))
 
 
 def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | None:
@@ -207,8 +207,8 @@ def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | Non
         return None
 
 
-def _report(identity: str, rank: int) -> dict:
-    return {"identity": identity, "rank": rank, "checked": 0, "failures": []}
+def _report(identity: str, rank: int, checked: int = 0) -> dict:
+    return {"identity": identity, "rank": rank, "checked": checked, "failures": []}
 
 
 def _fail(report: dict, what: str, **context):
@@ -223,16 +223,22 @@ def _roots(t: GroupType, x) -> list[str]:
 
 
 def _rank(t: GroupType) -> tuple:
-    """Every path of rank t from one pass (``paths._row_stream``): the row
-    starts, the packed area, maj and descent counts, the lanes and the packed
-    row-start columns.  The lanes hold every statistic, up to twice the cell
-    count, and B_{n+1}'s entries stored as value + n + 2, so type B's lift
-    runs in them too."""
+    """Every path of rank t: the packed area (the sum of cap_j - x_j), maj and descent count, the lanes and
+    the row-start columns x_j of ``paths._row_columns``.  Row j > 0 has an E->N corner, adding 2n - j - x_j
+    to the maj (doubled in type B, plus twice the east count), where x_j > x_(j-1) and it has a north step:
+    type B's rows j >= n have one where x_j < cap_j.  The lanes hold every statistic, up to twice the cell
+    count, and B_{n+1}'s entries stored as value + n + 2, so type B's lift runs in them too."""
     n = t.n
-    cells = sum(rootposets.planar_cells(t).caps)  # raises for type D, which has no row starts
-    rows, areas, majs, descents = zip(*paths._row_stream(t.family, n))
-    lanes = _Lanes(len(rows), max(2 * cells, 2 * n + 4), n + 2)
-    return rows, lanes.pack(areas), lanes.pack(majs), lanes.pack(descents), lanes, [lanes.pack(c) for c in zip(*rows)]
+    caps = rootposets.planar_cells(t).caps  # raises for type D, which has no row starts
+    cols = paths._row_columns(t.family, n)
+    lanes = _Lanes(len(cols[0]), max(2 * sum(caps), 2 * n + 4), n + 2)
+    xs, one = list(map(lanes.spread, cols)), lanes.one
+    norths = [lanes.gt(cap * one, x) for cap, x in zip(caps[n:], xs[n:])]  # type B's rows j >= n
+    corners = [lanes.gt(x, prev) & up for prev, x, up in zip(xs, xs[1:], [one] * (n - 1) + norths)]
+    maj = sum((2 * n - j) * one - x & m * lanes.full for j, (x, m) in enumerate(zip(xs[1:], corners), 1))
+    if t.family == "B":
+        maj = 2 * (maj + n * one - sum(norths))
+    return sum(caps) * one - sum(xs), maj, sum(corners), lanes, xs
 
 
 def _phi_lanes(lanes: _Lanes, xs: list[int], t: GroupType) -> list[int]:
@@ -368,6 +374,15 @@ def _lane_word(fields: dict, k: int) -> SortingWord:
     return SortingWord(tuple(map(tuple, factors.values())))
 
 
+def _falling(lanes: _Lanes, xs: list[int]) -> bool:
+    """Whether the lanes hold distinct paths in the prefix tree's order, each above the next at their first
+    differing row.  The next lane's starts are x >> bits in a little-endian lane layout, which this needs."""
+    tied, above = lanes.one, 0
+    for x in xs:
+        above, tied = above | tied & lanes.gt(x, x >> lanes.bits), tied & lanes.eq(x, x >> lanes.bits)
+    return above == lanes.one >> lanes.bits  # every lane but the last
+
+
 def _repeats(images: list) -> set[int]:
     """The lanes whose image an earlier lane already has."""
     seen: set = set()
@@ -400,19 +415,16 @@ def _emit(report: dict, bad: dict, **read) -> None:
 def verify_phi_theorems(t: GroupType) -> dict:
     """Exhaustively check the shelling bijection and its statistics at rank t.
 
-    The ideals come as row starts, with each ideal's size, maj and descent
-    count, from one pass over the Dyck paths, and every check runs on all
-    of them at once, in lanes: ``_phi_lanes`` builds the images, each
-    statistic is a lane sum compared with the packed size, maj or descent
-    count, and the type-B lift is ``_phi_lanes`` at the next rank on the
-    rows padded with two filled bottom rows.  Only a failing lane is
-    decoded into its ideal.
+    Every check runs on all the ideals at once, in ``_rank``'s lanes:
+    ``_phi_lanes`` builds the images, each statistic is a lane sum compared
+    with the packed size, maj or descent count, and the type-B lift is
+    ``_phi_lanes`` at the next rank on the rows padded with two filled
+    bottom rows.  Only a failing lane is decoded into its ideal.
     """
     fam, n = t.family, t.n
-    rows, area, path_maj, path_des, lanes, xs = _rank(t)
+    area, path_maj, path_des, lanes, xs = _rank(t)
     two_n = 2 * sum(rootposets.planar_cells(t).caps)  # twice the cell count
-    report = _report(f"phi{fam}", t.rank)
-    report["checked"] = len(rows)
+    report = _report(f"phi{fam}", t.rank, lanes.count)
     one = lanes.one
     cols = _phi_lanes(lanes, xs, t)
     images = list(zip(*map(lanes.values, cols)))
@@ -426,7 +438,7 @@ def verify_phi_theorems(t: GroupType) -> dict:
     lane_of = {image: k for k, image in enumerate(images)}  # each image's last lane, by first appearance
     bad["injectivity"] = _repeats(images) if len(lane_of) != len(images) else set()
     if any(bad.values()):
-        totals = lanes.unpack(total)
+        totals, rows = lanes.unpack(total), list(zip(*map(lanes.unpack, xs)))
         _emit(report, bad, ideal=lambda k: _roots(t, rows[k]), image=images.__getitem__, total=totals.__getitem__)
     target = set(_nc_scan(fam, n, under_rev=True))
     if lane_of.keys() != target:
@@ -440,28 +452,26 @@ def verify_phi_theorems(t: GroupType) -> dict:
     if fam == "B":
         lifted = _phi_lanes(lanes, [0, 0] + xs, GroupType("B", t.rank + 1))
         failed = lanes.differ(reduce(or_, map(xor, lifted, cols + [one])))  # then -(n + 1), stored as 1
-        for k in lane_of.values():
-            if k in failed:
-                _fail(report, "lift-identity", ideal=_roots(t, rows[k]))
+        rows = list(zip(*map(lanes.unpack, xs))) if failed else []
+        for k in filter(failed.__contains__, lane_of.values()):
+            _fail(report, "lift-identity", ideal=_roots(t, rows[k]))
     return report
 
 
 def verify_psi_theorems(t: GroupType) -> dict:
     """Exhaustively check the cell-reading bijection and its statistics.
 
-    The paths come as row starts, with each path's area and maj, from one
-    pass over the Dyck paths, and every check runs on all of them at once,
-    in lanes: ``_psi_lanes`` builds the images and their words, the greedy
-    scan ``_sort_lanes`` must read the same words off the images, and each
+    Every check runs on all the paths at once, in ``_rank``'s lanes:
+    ``_psi_lanes`` builds the images and their words, the greedy scan
+    ``_sort_lanes`` must read the same words off the images, and each
     statistic is a lane sum compared with the packed area, maj or east
     count.  Only a failing lane is decoded into its path, image and word.
     """
     fam, n = t.family, t.n
-    rows, area, path_maj, _, lanes, xs = _rank(t)
+    area, path_maj, _, lanes, xs = _rank(t)
     caps = rootposets.planar_cells(t).caps
     two_n = 2 * sum(caps)  # twice the cell count, that is, of the positive roots
-    report = _report(f"psi{fam}", t.rank)
-    report["checked"] = len(rows)
+    report = _report(f"psi{fam}", t.rank, lanes.count)
     c_word = signedperm.coxeter_element(fam, n)[1]
     one, off = lanes.one, lanes.off
     cols, word = _psi_lanes(lanes, xs, n)
@@ -488,18 +498,16 @@ def verify_psi_theorems(t: GroupType) -> dict:
         bad["neg-sum"] = lanes.differ(negs, uppers)
         bad["ides-split"] = lanes.differ(reduce(or_, map(xor, ims, lower_ims), 0))
         bad["imaj-split"] = lanes.differ(sigma_imaj, lower_imaj + negs)
-    # Images whose sorting words read back their lanes' row starts are distinct, and Cat(W) distinct
-    # images that passed the sorting-word check are all of Sort(W, c), which has Cat(W) elements.
-    if _word_starts(found.items(), n, caps, one) == xs and not any(bad.values()) and len(rows) == cat_number(t):
+    # Images whose sorting words read back their lanes' row starts are distinct when those are, and
+    # Cat(W) distinct images that passed the sorting-word check are all of Sort(W, c), of Cat(W) elements.
+    if not any(bad.values()) and lanes.count == cat_number(t) and _falling(lanes, xs) and _word_starts(found.items(), n, caps, one) == xs:
         return report
     images = list(zip(*map(lanes.values, cols)))
     bad["injectivity"] = _repeats(images)
     if any(bad.values()):
-        fields, totals = {key: lanes.unpack(m) for key, m in word.items()}, lanes.unpack(total)
-        _emit(
-            report, bad, word=lambda k: paths._word_of_rows(fam, n, rows[k]), total=totals.__getitem__,
-            image=images.__getitem__, emitted=lambda k: str(_lane_word(fields, k)),
-        )
+        fields, totals, rows = {key: lanes.unpack(m) for key, m in word.items()}, lanes.unpack(total), list(zip(*map(lanes.unpack, xs)))
+        _emit(report, bad, word=lambda k: paths._word_of_rows(fam, n, rows[k]), total=totals.__getitem__,
+              image=images.__getitem__, emitted=lambda k: str(_lane_word(fields, k)))
     distinct = set(images)
     if bad["sorting-word"] or len(distinct) != cat_number(t):
         target = {w for w, _ in _sortable_tree(t, c_word)}

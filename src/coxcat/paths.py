@@ -11,9 +11,9 @@ the north columns, and the cell sets are left to the tests' oracles.
 Area and maj add up over the steps of a path, so their generating
 polynomials come from one pass over the lattice points, not the paths,
 each group's tallies packed into one int in fields that C(2n, n) bounds
-and that must add up to the path count when unpacked.  Only
-``_row_stream``, which lists every path's row starts for the verifiers,
-still walks the paths one by one.
+and that must add up to the path count when unpacked.  The verifiers take
+every path's row starts as one column per row, built over the prefix tree
+of the paths (``_row_columns``), with no step per path.
 """
 
 from __future__ import annotations
@@ -55,20 +55,16 @@ def _enumerate(n: int, max_norths: int) -> list[str]:
         raise ValueError("n must be >= 0")
     out: list[str] = []
 
-    def rec(prefix: list[str], norths: int, easts: int):
+    def rec(prefix: str, norths: int, easts: int):
         if norths + easts == 2 * n:
-            out.append("".join(prefix))
+            out.append(prefix)
             return
         if easts < norths:
-            prefix.append("E")
-            rec(prefix, norths, easts + 1)
-            prefix.pop()
+            rec(prefix + "E", norths, easts + 1)
         if norths < max_norths:
-            prefix.append("N")
-            rec(prefix, norths + 1, easts)
-            prefix.pop()
+            rec(prefix + "N", norths + 1, easts)
 
-    rec([], 0, 0)
+    rec("", 0, 0)
     return out
 
 
@@ -112,11 +108,8 @@ def area_b(word: str) -> int:
 
 
 def _word_of_rows(family: str, n: int, x) -> str:
-    """The type-``family`` path of 2n steps with row starts ``x``, as ``_row_stream`` yields them.
-
-    Row j's north step follows x[j] east steps; a type-B row j >= n at its
-    cap 2n - j has no north step.
-    """
+    """The type-``family`` path of 2n steps with row starts ``x``: row j's north step follows x[j] east
+    steps, and a type-B row j >= n at its cap 2n - j has none (``_row_columns`` lays out all such rows)."""
     caps = _caps(family, n)
     word: list[str] = []  # one entry per north step until the closing east steps
     easts = 0
@@ -224,41 +217,34 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     return QPoly(area), QPoly(maj)
 
 
-def _row_stream(family: str, n: int) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Row starts, area, maj and descent count of every type-``family`` path of 2n steps.
-
-    A depth-first pass with one leaf per path (E before N), since the
-    verifiers take every path's row starts at once: it adds up area and
-    maj step by step as ``_stat_counts`` does, keeps the north columns and
-    counts the E->N steps.  Row j starts at the east count of its north
-    step; a row with no north step (type B, j past the last one) starts at
-    its cap, so each leaf's starts are ``rootposets.ideal_row_starts`` of
-    the ideal under the path.  Returns the leaves ``(starts, area, maj,
-    descents)`` in path order; the starts are a tuple of n (type A) or 2n
-    (type B) entries.
-    """
-    total = 2 * n
+@lru_cache(maxsize=None)
+def _path_tree(family: str, n: int) -> tuple[list[list[bytes]], list[list[int]]]:
+    """The prefix tree of the paths of 2n steps by rows: ``children[j][v]``, the row-j starts after a row
+    j-1 start v (row 0 follows 0), E before N, so from cap_j down to v (in type B's rows j >= n, cap_j means
+    the path has ended, and later rows stay at their caps), as bytes; ``below[j][v]``, paths under a start v."""
     caps = _caps(family, n)
-    top = len(caps)
-    x = list(caps)
-    double = family == "B"
-    leaves = []
+    children = [[bytes(range(cap, v - 1, -1)) if v <= cap else bytes([cap]) for v in range(prev + 1)] for prev, cap in zip((0, *caps), caps)]
+    below = [[1] * (cap + 1) for cap in caps[-1:]]
+    for kids in reversed(children[1:]):
+        below.insert(0, [sum(map(below[0].__getitem__, kid)) for kid in kids])
+    return children, below
 
-    def rec(norths: int, easts: int, after_east: bool, a: int, m: int, d: int):
-        if norths == top or norths + easts == total:
-            leaves.append((tuple(x), a, 2 * (m + total - norths) if double else m, d))
-            return
-        if easts < norths:
-            rec(norths, easts + 1, True, a, m, d)
-        x[norths] = easts
-        rec(
-            norths + 1, easts, False, a + caps[norths] - easts,
-            m + total - norths - easts if after_east else m, d + after_east,
-        )
-        x[norths] = caps[norths]
 
-    rec(0, 0, False, 0, 0, 0)
-    return leaves
+def _row_columns(family: str, n: int) -> list[bytes]:
+    """The row starts of every type-``family`` path of 2n steps, in depth-first order (E before N), one byte
+    per path in one bytes string per row: row j starts at the east count of its north step, or at its cap if
+    it has none (``rootposets.ideal_row_starts``).  Row j's column is folded up the prefix tree
+    (``_path_tree``) level by level: one block per start v of row j, v once per path below it, then, row by
+    row up to the root, one block per start, the join of its children's blocks.  O(n^3) joins of bytes, with
+    no Python step per path or per tree node."""
+    children, below = _path_tree(family, n)
+    cols = []
+    for j, counts in enumerate(below):
+        blocks = [bytes([v]) * c for v, c in enumerate(counts)]
+        for kids in reversed(children[1:j + 1]):
+            blocks = [b"".join(map(blocks.__getitem__, kid)) for kid in kids]
+        cols.append(blocks[0])
+    return cols
 
 
 def area_polynomial(family: str, n: int) -> QPoly:

@@ -329,7 +329,7 @@ class _Lanes:
         self.code = next(c for c in "bhiq" if bound >> 8 * array(c).itemsize - 1 == 0)
         self.bits = 8 * array(self.code).itemsize
         self.count, self.bound, self.off, self.full = count, bound, off, (1 << self.bits) - 1
-        self.one = self.pack([1] * count)
+        self.one = self.spread(b"\1" * count)
         self.high = self.one << self.bits - 1
 
     def pack(self, values) -> int:
@@ -338,6 +338,12 @@ class _Lanes:
         if len(arr) != self.count or arr and min(arr) < 0:
             raise OverflowError(f"{len(arr)} values from {min(arr, default=0)} do not fit {self.count} lanes")
         return int.from_bytes(arr.tobytes(), sys.byteorder)
+
+    def spread(self, small: bytes) -> int:
+        """One value per lane from one byte per lane, each below 128: the low byte of its field."""
+        fields = bytearray(self.count * self.bits // 8)
+        fields[0 if sys.byteorder == "little" else self.bits // 8 - 1::self.bits // 8] = small
+        return int.from_bytes(fields, sys.byteorder)
 
     def unpack(self, lane: int) -> array:
         """The lanes' values, unsigned, since a sum may reach the guard bit."""

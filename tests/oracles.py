@@ -14,6 +14,11 @@ lanes: each image from the row kernels ``_phi_rows``/``_psi``, checked by
 ``check_perm`` and read by ``stats`` and the sorting scan, against the
 lane verifiers ``bijmaps.verify_phi_theorems``/``verify_psi_theorems``.
 
+The verifiers' paths one at a time: ``row_stream``, a depth-first pass with
+one leaf per path and its row starts, area, maj and descent count, against
+the byte columns of ``paths._row_columns`` and the lanes of
+``bijmaps._rank``.
+
 The psi verifier on words: every Dyck word from ``paths.enumerate_a/b``,
 its statistics from the per-word ``area``/``maj``/``neg_b`` and its lower
 part from ``split_lower_upper``, against the row-start verifier
@@ -174,7 +179,7 @@ def verify_phi_theorems_rows(t: GroupType) -> dict:
     fail, roots = bijmaps._fail, bijmaps._roots
     images = {}
     masks = {}  # type A: each image's descent and inverse-descent masks
-    for x, area, path_maj, descents in paths._row_stream(fam, n):
+    for x, area, path_maj, descents in row_stream(fam, n):
         report["checked"] += 1
         sigma = bijmaps._phi_rows(t, x)
         check_perm(sigma, fam)
@@ -220,7 +225,7 @@ def verify_psi_theorems_rows(t: GroupType) -> dict:
     c_word = signedperm.coxeter_element(fam, n)[1]
     images = set()
     unsorted = False
-    for x, area, path_maj, _ in paths._row_stream(fam, n):
+    for x, area, path_maj, _ in row_stream(fam, n):
         report["checked"] += 1
         word = paths._word_of_rows(fam, n, x)
         sigma, sw = bijmaps._psi(x, n, fam)
@@ -604,6 +609,42 @@ def north_columns(word: str) -> list[int]:
         else:
             easts += 1
     return xs
+
+
+def row_stream(family: str, n: int) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Row starts, area, maj and descent count of every type-``family`` path of 2n steps,
+    against ``paths._row_columns`` and the lanes ``bijmaps._rank`` reads off its columns.
+
+    A depth-first pass with one leaf per path (E before N): it adds up area
+    and maj step by step as ``paths._stat_counts`` does, keeps the north
+    columns and counts the E->N steps.  Row j starts at the east count of
+    its north step; a row with no north step (type B, j past the last one)
+    starts at its cap.  Returns the leaves ``(starts, area, maj,
+    descents)`` in path order; the starts are a tuple of n (type A) or 2n
+    (type B) entries.
+    """
+    total = 2 * n
+    caps = paths._caps(family, n)
+    top = len(caps)
+    x = list(caps)
+    double = family == "B"
+    leaves = []
+
+    def rec(norths: int, easts: int, after_east: bool, a: int, m: int, d: int):
+        if norths == top or norths + easts == total:
+            leaves.append((tuple(x), a, 2 * (m + total - norths) if double else m, d))
+            return
+        if easts < norths:
+            rec(norths, easts + 1, True, a, m, d)
+        x[norths] = easts
+        rec(
+            norths + 1, easts, False, a + caps[norths] - easts,
+            m + total - norths - easts if after_east else m, d + after_east,
+        )
+        x[norths] = caps[norths]
+
+    rec(0, 0, False, 0, 0, 0)
+    return leaves
 
 
 def stat_counts_dfs(family: str, n: int) -> tuple[QPoly, QPoly]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     phi_rows_spans,
     psi_inverse_table,
     root_poset,
+    row_stream,
     split_lower_upper,
     stats,
     verify_phi_theorems_frozensets,
@@ -423,7 +425,7 @@ class TestPreimage:
 
         for name in ("_inverse_rows", "_rank"):
             monkeypatch.setattr(bm, name, refuse)
-        monkeypatch.setattr(paths, "_row_stream", refuse)
+        monkeypatch.setattr(paths, "_row_columns", refuse)
         t = GroupType("B", 40)
         word = "N" * 30 + "E" * 10 + "NE" * 20
         assert bm.preimage(t, "psi", bm.psi_b(word)[0]) == word
@@ -431,7 +433,7 @@ class TestPreimage:
     def test_seeded_round_trip_in_wider_lanes(self):
         # at B8, 2|Phi+| = 128 no longer fits an 8-bit field's guard bit
         t = GroupType("B", 8)
-        _, _, _, _, lanes, _ = bm._rank(t)
+        _, _, _, lanes, _ = bm._rank(t)
         assert lanes.bits == 16
         for word in random.Random(20251).sample(paths.enumerate_b(t.n), 200):
             ideal = rp.dyck_to_ideal(t, word)
@@ -463,6 +465,56 @@ class TestVerifiers:
                 m = two_n - sp.maj(w, t.family) - sp.imaj(w, t.family)
                 rhs[m] = rhs.get(m, 0) + 1
             assert lhs == rhs
+
+
+def _row_columns_taking(lanes_from):
+    """A stand-in for ``paths._row_columns`` in which lane k takes lane
+    ``lanes_from[k]``'s row starts in every column, keeping the lane count."""
+    kernel = paths._row_columns
+
+    def stand_in(family, n):
+        return [bytes(col[lanes_from.get(k, k)] for k in range(len(col))) for col in kernel(family, n)]
+
+    return stand_in
+
+
+class TestRowColumns:
+    """``paths._row_columns`` and the lanes ``_rank`` reads off its columns,
+    against the depth-first oracle ``row_stream``, leaf for leaf."""
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 11)] + [("B", r) for r in range(1, 9)])
+    def test_columns_and_lanes_are_the_oracle_leaves(self, fam, rank):
+        t = GroupType(fam, rank)
+        leaves = row_stream(fam, t.n)
+        assert list(zip(*paths._row_columns(fam, t.n))) == [x for x, *_ in leaves]
+        area, maj, descents, lanes, xs = bm._rank(t)
+        assert lanes.count == len(leaves) == (cat_number(t) if fam == "A" else math.comb(2 * t.n, t.n))
+        assert lanes.bits == (16 if (fam, rank) == ("B", 8) else 8)  # B8 covers the 16-bit fields
+        assert list(zip(*map(lanes.unpack, xs))) == [x for x, *_ in leaves]
+        assert list(zip(*map(lanes.unpack, (area, maj, descents)))) == [tuple(leaf[1:]) for leaf in leaves]
+
+    @pytest.mark.parametrize("fam,rank", [("A", 3), ("A", 5), ("B", 2), ("B", 4)])
+    def test_a_copied_path_is_reported(self, monkeypatch, fam, rank):
+        # the count still equals Cat(W), so a clean-run shortcut on the count alone would pass
+        t = GroupType(fam, rank)
+        monkeypatch.setattr(paths, "_row_columns", _row_columns_taking({0: 1}))
+        for verify in (bm.verify_phi_theorems, bm.verify_psi_theorems):
+            report = verify(t)
+            assert report["checked"] == cat_number(t)
+            assert {f["check"] for f in report["failures"]} == {"injectivity", "image-set"}
+
+    @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3)])
+    def test_paths_in_another_order_are_checked_in_full(self, monkeypatch, fam, rank):
+        # swapped lanes leave the prefix tree's order, which the psi verifier's shortcut
+        # needs: its full checks run instead, and pass
+        t = GroupType(fam, rank)
+        assert bm._falling(*bm._rank(t)[3:])
+        monkeypatch.setattr(paths, "_row_columns", _row_columns_taking({0: 1, 1: 0}))
+        assert not bm._falling(*bm._rank(t)[3:])
+        full, repeats = [], bm._repeats
+        monkeypatch.setattr(bm, "_repeats", lambda images: full.append(t) or repeats(images))
+        assert bm.verify_phi_theorems(t)["failures"] == bm.verify_psi_theorems(t)["failures"] == []
+        assert full == [t]
 
 
 def _outcome(fn, *args):
@@ -514,7 +566,7 @@ class TestAgainstOracles:
 
 
 def _stream(t):
-    return list(paths._row_stream(t.family, t.n))
+    return list(row_stream(t.family, t.n))
 
 
 def _full_lane(t):
@@ -811,7 +863,7 @@ class TestPsiRows:
     def test_stream_rows_are_the_words_in_order(self, fam, n):
         words = paths.enumerate_a(n) if fam == "A" else paths.enumerate_b(n)
         psi = bm.psi_a if fam == "A" else bm.psi_b
-        rows = [x for x, *_ in paths._row_stream(fam, n)]
+        rows = [x for x, *_ in row_stream(fam, n)]
         assert [paths._word_of_rows(fam, n, x) for x in rows] == words
         for x, word in zip(rows, words):
             assert bm._psi(x, n, fam) == psi(word)

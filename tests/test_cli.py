@@ -536,7 +536,7 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("a verifier ran before the guard")
 
-        monkeypatch.setattr(paths, "_row_stream", refuse)
+        monkeypatch.setattr(paths, "_row_columns", refuse)
         code = main(["verify", "--all", "--max-n", "9"])
         captured = capsys.readouterr()
         assert code == 2
@@ -550,7 +550,7 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("the paths were streamed before the guard")
 
-        monkeypatch.setattr(paths, "_row_stream", refuse)
+        monkeypatch.setattr(paths, "_row_columns", refuse)
         code = main(["verify", "--which", which, "--n", n])
         captured = capsys.readouterr()
         assert code == 2

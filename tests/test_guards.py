@@ -8,6 +8,7 @@ import pytest
 from coxcat import noncrossing, paths, rootposets, sortable
 from coxcat.cli import main
 from coxcat.qseries import SIZE_GUARDS, GroupType, cat_number, check_guard
+from oracles import row_stream
 
 ROWS = [(kind, family) for kind, limits in SIZE_GUARDS.items() for family in limits]
 
@@ -26,13 +27,13 @@ def test_limits_are_pinned():
 def library_count(kind, family, size):
     """How many objects of ``kind`` at ``size`` the library finds: paths by
     their area polynomial, type-A ideals and ideal masks by ``cat_q``
-    (enumerating A10's ideals takes seconds), the verifiers' paths by their
-    pass over the paths, the rest by enumeration."""
+    (enumerating A10's ideals takes seconds), the verifiers' paths by the
+    oracle's depth-first pass over the paths, the rest by enumeration."""
     if kind == "path":
         return paths.area_polynomial(family, size)(1)
     t = GroupType(family, size)
     if kind == "verify":
-        return len(paths._row_stream(family, t.n))
+        return len(row_stream(family, t.n))
     if kind == "ideal mask":
         return rootposets.cat_q(t)(1)
     if kind == "ideal":

@@ -38,7 +38,9 @@ points off masks, so neither may name a sort or the span readers
 ``dyck_to_ideal`` read their word once, so they may not name the Dyck
 check ``_check`` or the unchecked ``_north_columns``.  phi's inverse table
 is one pass over the row starts, so it may not name the ideal or word
-enumerations, the per-object maps or the Dyck check; and
+enumerations, the per-object maps or the Dyck check; the lanes' row starts
+come from the prefix tree's byte columns, so ``_rank`` and the
+verifiers may not name the per-path stream ``_row_stream``; and
 the per-word area and maj read the north columns, so they may not name
 the cell sets or the descent set, which are the tests' oracles.
 
@@ -104,6 +106,7 @@ ONE_PASS = {
     "psi-reader": ("bijmaps", ("psi_a", "psi_b"), DYCK_PASSES),
     "rootposets-reader": ("rootposets", ("dyck_to_ideal",), DYCK_PASSES),
     "inverse-rows": ("bijmaps", ("_inverse_rows",), INVERSE_WORDS),
+    "lane-columns": ("bijmaps", ("_rank", "verify_phi_theorems", "verify_psi_theorems"), {"_row_stream"}),
     "north-column-stats": ("paths", ("area_a", "area_b", "maj_a", "maj_b"), CELL_SETS),
 }
 
