@@ -27,8 +27,9 @@ starts (``_phi_lanes``; ``_phi_rows`` stays the per-ideal map), and only a
 failing lane is decoded into its ideal or word.  psi's image set is
 checked by membership and count, and Sort(W, c) is walked only if that
 fails; phi's is compared with the scan of [1, c].  ``preimage`` reads a
-psi image's path off its sorting word (``_word_starts``), and looks a phi
-image up in one table from images to row starts, built by ``_phi_lanes``.
+psi image's path off the (pass, letter) keys of the one greedy scan
+``sortable._scan`` (``_word_starts``), and looks a phi image up in one
+table from images to row starts, built by ``_phi_lanes``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from operator import or_, xor
 from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
 from .qseries import GroupType, cat_number
-from .sortable import SortingWord, _sortable_tree, _sorting_word
+from .sortable import SortingWord, _scan, _sortable_tree
 from .signedperm import Perm, _Lanes, check_perm
 
 Root = rootposets.Root
@@ -196,10 +197,10 @@ def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | Non
         x = _inverse_rows(t).get(image)
         return None if x is None else rootposets._ideal_of_rows(t, x)
     fam, n = t.family, t.n
-    if sorted(map(abs, image)) != list(range(1, n + 1)):
+    if type(sum(image)) is not int or sorted(map(abs, image)) != list(range(1, n + 1)):
         return None  # not a signed permutation of rank t
-    sw = _sorting_word(image, signedperm.coxeter_element(fam, n)[1], fam)
-    x = _word_starts((((f, s), 1) for f, factor in enumerate(sw.factors, 1) for s in factor), n, rootposets.planar_cells(t).caps)
+    keys = _scan(image, signedperm.coxeter_element(fam, n)[1], fam)
+    x = _word_starts(((key, 1) for key in keys), n, rootposets.planar_cells(t).caps)
     word = None if x is None else paths._word_of_rows(fam, n, x)
     try:
         return word if word and (psi_a if fam == "A" else psi_b)(word)[0] == image else None
@@ -350,8 +351,8 @@ def _lane_stats(lanes: _Lanes, cols: list[int], family: str) -> tuple:
 
 
 def _sort_lanes(lanes: _Lanes, q: list[int], c_word) -> dict:
-    """``sortable._sorting_word`` on every lane at once, from the inverse
-    columns ``q``: the letters each pass consumes, keyed as in ``_psi_lanes``."""
+    """``sortable._scan`` on every lane at once, from the inverse columns
+    ``q``: the letters each pass consumes, keyed as in ``_psi_lanes``."""
     q, found = list(q), {}
     for f in count(1):
         consumed = 0
@@ -363,15 +364,6 @@ def _sort_lanes(lanes: _Lanes, q: list[int], c_word) -> dict:
                 lanes.act(q, s, m)
         if not consumed:
             return found
-
-
-def _lane_word(fields: dict, k: int) -> SortingWord:
-    """Lane k's sorting word, read off the unpacked (factor, letter) masks."""
-    factors: dict[int, list[int]] = {}
-    for (f, s), bits in fields.items():
-        if bits[k]:
-            factors.setdefault(f, []).append(s)
-    return SortingWord(tuple(map(tuple, factors.values())))
 
 
 def _falling(lanes: _Lanes, xs: list[int]) -> bool:
@@ -507,7 +499,7 @@ def verify_psi_theorems(t: GroupType) -> dict:
     if any(bad.values()):
         fields, totals, rows = {key: lanes.unpack(m) for key, m in word.items()}, lanes.unpack(total), list(zip(*map(lanes.unpack, xs)))
         _emit(report, bad, word=lambda k: paths._word_of_rows(fam, n, rows[k]), total=totals.__getitem__,
-              image=images.__getitem__, emitted=lambda k: str(_lane_word(fields, k)))
+              image=images.__getitem__, emitted=lambda k: str(SortingWord.of(key for key, bits in fields.items() if bits[k])))
     distinct = set(images)
     if bad["sorting-word"] or len(distinct) != cat_number(t):
         target = {w for w, _ in _sortable_tree(t, c_word)}

@@ -212,8 +212,8 @@ def _conj_lanes(lanes: _Lanes, hits: list[dict[int, int]], g: Perm) -> list[int]
     return out
 
 
-def _lengths_d(lanes: _Lanes, cols: list[int], under_rev: bool = False) -> int:
-    """The lanes' type-D lengths, l_D(w) or, with ``under_rev``, l_D(rev(w)).
+def _lengths_d(lanes: _Lanes, cols: list[int]) -> int:
+    """The lanes' type-D lengths under rev, l_D(rev(w)).
 
     l_D is the inversion count minus the negative entries and their number
     (``signedperm.length_s``).  rev reverses the relative order of the
@@ -228,7 +228,7 @@ def _lengths_d(lanes: _Lanes, cols: list[int], under_rev: bool = False) -> int:
     length = 0
     for i, (a, na) in enumerate(zip(cols, neg)):
         for b, nb in zip(cols[i + 1:], neg[i + 1:]):
-            length += lanes.gt(a, b) ^ (na & nb if under_rev else 0)
+            length += lanes.gt(a, b) ^ (na & nb)
     # each negative entry v adds -v - 1 = off - 1 - (v + off)
     return length + (off - 1) * sum(neg) - sum(col & m * lanes.full for col, m in zip(cols, neg))
 
@@ -271,7 +271,7 @@ def d4_counterexample() -> dict:
     hits = [{v: lanes.eq(col, (v + lanes.off) * lanes.one) for v in signed} for col in cols]
     for c, g in _coxeter_class_d4():
         report["checked"] += 1
-        poly = gen_poly(lanes.unpack(_lengths_d(lanes, _conj_lanes(lanes, hits, g), under_rev=True)))
+        poly = gen_poly(lanes.unpack(_lengths_d(lanes, _conj_lanes(lanes, hits, g))))
         if poly == cat_poly:
             report["failures"].append({"check": "nc-side-equality", "c": repr(c)})
         if poly(1) != cardinality or lanes.count != cardinality:

@@ -17,15 +17,16 @@ element's length is its depth.  ``enumerate_sortables`` lists the tree's
 elements in the order of the weak-order walk from e.
 
 ``c_sorting_word`` and ``is_c_sortable`` check the element and the word,
-then run ``_sorting_word`` or ``_is_sortable``, the same scan on inputs
-already checked; ``_is_sortable`` stops at the first letter that breaks
-the chain.
+then read the one greedy scan ``_scan``, which yields (pass, letter) keys:
+``_sorting_word`` groups them into factors, and ``_is_sortable`` stops at
+the first letter that breaks the chain.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count
 
 from .qseries import GroupType
 from .signedperm import (
@@ -51,6 +52,14 @@ class SortingWord:
             return "e"
         return " | ".join(" ".join(f"s{l}" for l in f) for f in self.factors)
 
+    @classmethod
+    def of(cls, keys) -> SortingWord:
+        """The word of the (pass, letter) keys, in order, one factor per pass."""
+        factors: dict[int, list[int]] = {}
+        for f, s in keys:
+            factors.setdefault(f, []).append(s)
+        return cls(tuple(map(tuple, factors.values())))
+
 
 def _check_c_word(c_word, n: int, family: str):
     expect = set(range(1, n)) if family == "A" else set(range(0, n))
@@ -61,10 +70,8 @@ def _check_c_word(c_word, n: int, family: str):
 def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
     """Greedy scan of c|c|c|...: consume a letter iff it is a left descent.
 
-    The inverse of the shrinking remainder is kept as the array of signed
-    positions of each value, which makes every descent test and update O(1).
-    The scan stops at the first pass through c that consumes nothing: a
-    remainder other than e has a left descent, which that pass would reach.
+    The letters are those of ``_scan``, the one greedy scan, one factor per
+    pass through c.
     """
     check_perm(w, family)
     _check_c_word(c_word, len(w), family)
@@ -73,10 +80,22 @@ def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
 
 def _sorting_word(w: Perm, c_word, family: str) -> SortingWord:
     """``c_sorting_word`` for a ``w`` and ``c_word`` already checked."""
+    return SortingWord.of(_scan(w, c_word, family))
+
+
+def _scan(w: Perm, c_word, family: str) -> Iterator[tuple[int, int]]:
+    """The greedy scan of c|c|c|... on a checked ``w``: each letter it
+    takes, as (pass, letter) with passes counted from 1, keyed as
+    ``bijmaps._sort_lanes`` keys its masks.
+
+    The inverse of the shrinking remainder is kept as the array of signed
+    positions of each value, which makes every descent test and update O(1).
+    The scan stops after the first pass through c that takes nothing: a
+    remainder other than e has a left descent, which that pass would reach.
+    """
     pos = list(inverse(w))  # pos[v-1] = signed position p with w(p) = v
-    factors = []
-    while True:
-        factor = []
+    for f in count(1):
+        took = False
         for s in c_word:
             if s:
                 if pos[s - 1] < pos[s]:
@@ -90,10 +109,10 @@ def _sorting_word(w: Perm, c_word, family: str) -> SortingWord:
                 continue
             else:
                 pos[0], pos[1] = -pos[1], -pos[0]
-            factor.append(s)
-        if not factor:
-            return SortingWord(tuple(factors))
-        factors.append(tuple(factor))
+            took = True
+            yield f, s
+        if not took:
+            return
 
 
 def is_c_sortable(w: Perm, c_word, family: str) -> bool:
@@ -106,33 +125,18 @@ def _is_sortable(w: Perm, c_word, family: str) -> bool:
     """Whether the factors of ``_sorting_word(w, c_word, family)`` weakly
     decrease, for inputs already checked.
 
-    The same greedy scan, keeping only the letters the previous pass took,
-    as a bitmask: it stops at the first letter that the previous pass did
-    not take, and builds no factors.
+    It reads ``_scan``'s letters, keeping the letters each pass took as a
+    bitmask: it stops at the first letter that the previous pass did not
+    take, and builds no factors.
     """
-    pos = list(inverse(w))
-    allowed = -1  # the letters the previous pass took: all of them before the first
-    while True:
-        took = 0
-        for s in c_word:
-            if s:
-                if pos[s - 1] < pos[s]:
-                    continue
-                pos[s - 1], pos[s] = pos[s], pos[s - 1]
-            elif family == "B":
-                if pos[0] > 0:
-                    continue
-                pos[0] = -pos[0]
-            elif pos[0] + pos[1] > 0:
-                continue
-            else:
-                pos[0], pos[1] = -pos[1], -pos[0]
-            if not allowed >> s & 1:
-                return False
-            took |= 1 << s
-        if not took:
-            return True
-        allowed = took
+    took = [-1]  # the letters each pass took: all of them before the first
+    for f, s in _scan(w, c_word, family):
+        if f == len(took):
+            took.append(0)
+        if not took[f - 1] >> s & 1:
+            return False
+        took[f] |= 1 << s
+    return True
 
 
 def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:

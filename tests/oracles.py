@@ -1108,7 +1108,9 @@ def conj(g: Perm, w: Perm) -> Perm:
 
 
 def check_perm_abs(p: Perm, family: str = "B") -> None:
-    """``signedperm.check_perm`` without its type-A shortcut: absolute values first."""
+    """``signedperm.check_perm`` without its type-A shortcut: entry types, then absolute values."""
+    if not all(isinstance(v, int) for v in p):
+        raise ValueError(f"entries must be integers: {p!r}")
     if sorted(map(abs, p)) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a signed permutation: {p!r}")
     if family == "A" and p and min(p) < 0:

@@ -410,7 +410,7 @@ class TestPreimage:
         assert len(others) == sp.group_order(t.family, t.n) - cat_number(t)
         assert [w for w in others if bm.preimage(t, "psi", w) is not None] == []
 
-    @pytest.mark.parametrize("image", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4), (2, 3, 1, 4), (1, -1, 2)])
+    @pytest.mark.parametrize("image", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4), (2, 3, 1, 4), (1, -1, 2), (1.0, 2, 3), (2, 3, 1.0)])
     def test_psi_refuses_what_is_no_signed_permutation_of_the_rank(self, image):
         for t in (GroupType("A", 2), GroupType("B", 3)):
             assert bm.preimage(t, "psi", image) is None
@@ -1043,7 +1043,7 @@ class TestLanes:
         want = [bm._psi(x, n, fam) for x in rows]
         assert images == [sigma for sigma, _ in want]
         fields = {key: lanes.unpack(m) for key, m in word.items()}
-        assert [bm._lane_word(fields, k) for k in range(len(rows))] == [sw for _, sw in want]
+        assert [SortingWord.of(key for key, bits in fields.items() if bits[k]) for k in range(len(rows))] == [sw for _, sw in want]
         q = self._check_stats(lanes, cols, fam, images)
         assert bm._sort_lanes(lanes, q, c_word) == word
         assert all(so._sorting_word(sigma, c_word, fam) == sw for sigma, sw in want)

@@ -323,24 +323,22 @@ class TestD4Counterexample:
             assert c == c1
             conjugated = nc._conj_lanes(lanes, hits, g)
             assert list(zip(*map(lanes.values, conjugated))) == interval
-            got = lanes.unpack(nc._lengths_d(lanes, conjugated, under_rev=True))
+            got = lanes.unpack(nc._lengths_d(lanes, conjugated))
             assert list(got) == [sp.length_s(sp.rev(u), "D") for u in interval]
-            assert list(lanes.unpack(nc._lengths_d(lanes, conjugated))) == [sp.length_s(u, "D") for u in interval]
 
     def test_lane_lengths_of_every_walk(self):
         t = GroupType("D", 4)
         for word in itertools.permutations(range(4)):
             sortables = so.enumerate_sortables(t, word)
             lanes, cols = nc._pack_d(sortables, t.n)
-            assert list(lanes.unpack(nc._lengths_d(lanes, cols))) == [sp.length_s(w, "D") for w in sortables]
+            assert list(lanes.unpack(nc._lengths_d(lanes, cols))) == [sp.length_s(sp.rev(w), "D") for w in sortables]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_lane_lengths_on_the_whole_group(self, n):
         # every sign pattern, at D2-D6 beside D4
         elements = list(sp.enumerate_group("D", n))[::7]
         lanes, cols = nc._pack_d(elements, n)
-        assert list(lanes.unpack(nc._lengths_d(lanes, cols))) == [sp.length_s(w, "D") for w in elements]
-        got = lanes.unpack(nc._lengths_d(lanes, cols, under_rev=True))
+        got = lanes.unpack(nc._lengths_d(lanes, cols))
         assert list(got) == [sp.length_s(sp.rev(w), "D") for w in elements]
 
     def test_report(self):

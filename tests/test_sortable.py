@@ -286,7 +286,7 @@ class TestUncheckedBodies:
 
     @pytest.mark.parametrize(
         "p,fam",
-        [((1, 1), "B"), ((5, 1), "B"), ((0, 1), "A"), ((2, 3), "A"), ((1, -2), "A"), ((1, -2), "D")],
+        [((1, 1), "B"), ((5, 1), "B"), ((0, 1), "A"), ((2, 3), "A"), ((1, -2), "A"), ((1, -2), "D"), ((1.0, 2), "A"), ((2, -1.0), "B")],
     )
     def test_public_forms_still_check(self, p, fam):
         for stat in (sp.length_s, sp.maj, sp.imaj):
@@ -298,7 +298,8 @@ class TestUncheckedBodies:
 
 class TestEarlyExitScan:
     """``_is_sortable`` stops at the first letter that breaks the chain; the
-    factors of ``_sorting_word`` are its reference."""
+    factors of ``_sorting_word`` are its reference, and ``_scan`` yields
+    their letters keyed by (factor index from 1, letter)."""
 
     @pytest.mark.parametrize(
         "t",
@@ -310,13 +311,15 @@ class TestEarlyExitScan:
         elements = list(sp.enumerate_group(fam, n))
         for c in itertools.permutations(range(1, n) if fam == "A" else range(n)):
             for w in elements:
+                sw = so.c_sorting_word(w, c, fam)
                 want = is_sortable_chain(so._sorting_word(w, c, fam))
                 assert so._is_sortable(w, c, fam) == want
                 assert so.is_c_sortable(w, c, fam) == want
+                assert list(so._scan(w, c, fam)) == [(f, s) for f, factor in enumerate(sw.factors, 1) for s in factor]
 
     @pytest.mark.parametrize(
         "p,c_word,fam",
-        [((1, 1), (1, 0), "B"), ((2, 3), (1,), "A"), ((1, -2), (1,), "A"), ((1, -2), (1, 0), "D"), ((2, 1), (1, 1), "A")],
+        [((1, 1), (1, 0), "B"), ((2, 3), (1,), "A"), ((1, -2), (1,), "A"), ((1, -2), (1, 0), "D"), ((2, 1), (1, 1), "A"), ((1.0, 2), (1,), "A")],
     )
     def test_public_form_still_checks(self, p, c_word, fam):
         with pytest.raises(ValueError):
