@@ -197,8 +197,12 @@ def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | Non
         x = _inverse_rows(t).get(image)
         return None if x is None else rootposets._ideal_of_rows(t, x)
     fam, n = t.family, t.n
-    if type(sum(image)) is not int or sorted(map(abs, image)) != list(range(1, n + 1)):
-        return None  # not a signed permutation of rank t
+    if len(image) != n:
+        return None
+    try:
+        check_perm(image, fam)
+    except ValueError:  # not a signed permutation of rank t
+        return None
     keys = _scan(image, signedperm.coxeter_element(fam, n)[1], fam)
     x = _word_starts(((key, 1) for key in keys), n, rootposets.planar_cells(t).caps)
     word = None if x is None else paths._word_of_rows(fam, n, x)

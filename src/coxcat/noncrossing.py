@@ -95,6 +95,8 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
 
     c defaults to the standard Coxeter element: (1, 2, ..., n) in type A,
     (1, ..., n, -1, ..., -n) in type B, and the sorting element in type D.
+    A given c is a Coxeter element exactly when l_T(c) is the rank and the
+    cycles of |c| have lengths n in types A and B, or 1 and n - 1 in type D.
     The default interval in types A and B is read off non-crossing
     partitions by ``_nc_scan``, in the order the scan finds them.
     Otherwise the interval is walked down from c, one level of l_T at a
@@ -113,7 +115,8 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
         raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
     else:
         check_perm(c, t.family)
-    if length_t(c) != t.rank:
+    cycles = sorted(map(len, _orbits(tuple(map(abs, c)), range(1, t.n + 1))))
+    if length_t(c) != t.rank or cycles != ([1, t.n - 1] if t.family == "D" else [t.n]):
         raise ValueError(f"{c!r} is not a Coxeter element of {t}")
     refl = reflections(t.family, t.n)
     found = {c}

@@ -28,7 +28,11 @@ def _values(n: int) -> frozenset[int]:
 
 
 def check_perm(p: Perm, family: str = "B") -> None:
-    if type(sum(p)) is not int:  # a float or other non-int entry, which set equality would let through
+    try:
+        total = sum(p)
+    except TypeError:  # entries that do not add, such as strings
+        total = None
+    if type(total) is not int:  # a float or other non-int entry, which set equality would let through
         raise ValueError(f"entries must be integers: {p!r}")
     values = _values(len(p))
     if family == "A" and values == set(p):

@@ -14,7 +14,8 @@ s comes at or after u's last letter in c|c|c|... under the nesting rule,
 is a right ascent of u, and u s u^-1 is none of the reflections recorded
 for the letters u's scan skipped.  No candidate is scanned again, and each
 element's length is its depth.  ``enumerate_sortables`` lists the tree's
-elements in the order of the weak-order walk from e.
+elements in the order it yields them: depth first from e, so e comes first
+and every other element after its parent.
 
 ``c_sorting_word`` and ``is_c_sortable`` check the element and the word,
 then read the one greedy scan ``_scan``, which yields (pass, letter) keys:
@@ -139,21 +140,6 @@ def _is_sortable(w: Perm, c_word, family: str) -> bool:
     return True
 
 
-def _times_ascent(w: Perm, s: int, family: str) -> Perm | None:
-    """w * s_s when s is a right ascent of w, else None.
-
-    Right multiplication acts on positions, so the tests are those of
-    ``c_sorting_word`` read on the one-line notation instead of its inverse.
-    """
-    if s == 0:
-        if family == "B":
-            return (-w[0],) + w[1:] if w[0] > 0 else None
-        return (-w[1], -w[0]) + w[2:] if w[0] + w[1] > 0 else None
-    if w[s - 1] > w[s]:
-        return None
-    return w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :]
-
-
 def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
     """Every sortable element for a checked ``c_word`` once, with its length.
 
@@ -218,7 +204,10 @@ def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
                 a, b = u[0], u[1]
                 r, up = bit[a][-b], a + b > 0
             if up and (before if same else took) >> s & 1 and not skipped & r:
-                child = _times_ascent(u, s, family)
+                if s:
+                    child = u[: s - 1] + (b, a) + u[s + 1 :]
+                else:
+                    child = (-a,) + u[1:] if family == "B" else (-b, -a) + u[2:]
                 if same:
                     stack.append((child, length, j, before, took | 1 << s, skipped))
                 else:
@@ -227,24 +216,10 @@ def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
 
 
 def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:
-    """All sortable elements for the given Coxeter word, in walk order.
-
-    The elements are those of ``_sortable_tree``; they are listed in the
-    order of the walk up the right weak order from e that steps by the
-    ascents that are letters of c and keeps the sortable results, e first.
-    The word defaults to that of ``coxeter_element``.
-    """
-    family, n = t.family, t.n
+    """All sortable elements for the Coxeter word (by default that of
+    ``coxeter_element``), in the order ``_sortable_tree`` yields them: depth
+    first from e, so e comes first and every element after its parent."""
     if c_word is None:
-        c_word = coxeter_element(family, n)[1]
-    _check_c_word(c_word, n, family)
-    unreached = {w for w, _ in _sortable_tree(t, c_word)}
-    found = [identity(n)]
-    unreached.discard(found[0])
-    for w in found:
-        for s in c_word:
-            u = _times_ascent(w, s, family)
-            if u in unreached:
-                unreached.remove(u)
-                found.append(u)
-    return found
+        c_word = coxeter_element(t.family, t.n)[1]
+    _check_c_word(c_word, t.n, t.family)
+    return [w for w, _ in _sortable_tree(t, c_word)]

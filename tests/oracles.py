@@ -72,7 +72,7 @@ type-B partition check) and the partition-to-permutation codecs, which
 check ``noncrossing.partition_blocks``, absolute order, the sorting-word
 parser, a sorting word's letters and its factor chain (the reference for
 ``sortable._is_sortable``), the walk that tests every candidate with that
-scan (the reference for ``sortable._sortable_tree`` and for the order of
+scan (the reference for the set of ``sortable._sortable_tree`` and of
 ``enumerate_sortables``), 231-avoidance, the non-crossing
 Coxeter elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class
 of Coxeter elements of D_4 with their intervals conjugated one element at
@@ -97,9 +97,11 @@ from coxcat.signedperm import (
     group_order,
     identity,
     inverse,
+    length_s,
     length_t,
     mul,
     reflections,
+    simple_reflection,
     word_to_perm,
 )
 
@@ -1180,17 +1182,19 @@ def sortable_walk(t: GroupType, c_word=None) -> list[Perm]:
     weak order from e by the ascents that are letters of c, runs the
     early-exit scan ``sortable._is_sortable`` on each element it reaches
     and keeps the sortable ones, in the order it reaches them.  The
-    reference for ``sortable._sortable_tree``'s set and for the order of
+    reference for the set of ``sortable._sortable_tree`` and of
     ``enumerate_sortables``."""
     family, n = t.family, t.n
     if c_word is None:
         c_word = signedperm.coxeter_element(family, n)[1]
+    steps = [simple_reflection(s, n, family) for s in c_word]
     found = [identity(n)]
     seen = set(found)
     for w in found:
-        for s in c_word:
-            u = sortable._times_ascent(w, s, family)
-            if u is not None and u not in seen:
+        length = length_s(w, family)
+        for step in steps:
+            u = mul(w, step)  # w times the letter: a step up when it is longer than w
+            if u not in seen and length_s(u, family) > length:
                 seen.add(u)
                 if sortable._is_sortable(u, c_word, family):
                     found.append(u)

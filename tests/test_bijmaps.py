@@ -410,7 +410,7 @@ class TestPreimage:
         assert len(others) == sp.group_order(t.family, t.n) - cat_number(t)
         assert [w for w in others if bm.preimage(t, "psi", w) is not None] == []
 
-    @pytest.mark.parametrize("image", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4), (2, 3, 1, 4), (1, -1, 2), (1.0, 2, 3), (2, 3, 1.0)])
+    @pytest.mark.parametrize("image", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4), (2, 3, 1, 4), (1, -1, 2), (1.0, 2, 3), (2, 3, 1.0), ("1", 2), (None, 1), ("3", 1, 2)])
     def test_psi_refuses_what_is_no_signed_permutation_of_the_rank(self, image):
         for t in (GroupType("A", 2), GroupType("B", 3)):
             assert bm.preimage(t, "psi", image) is None

@@ -95,8 +95,26 @@ class TestNCInterval:
         assert len(nc.nc_elements(GroupType("B", 3))) == 20
 
     def test_not_coxeter_rejected(self):
-        with pytest.raises(ValueError):
-            nc.nc_elements(GroupType("B", 2), (2, 1))  # a reflection, l_T = 1
+        for t, c in [
+            (GroupType("B", 2), (2, 1)),  # a reflection, l_T = 1
+            # l_T is the rank, but |c| is not one n-cycle (types A and B) or a fixed point and an (n-1)-cycle (D)
+            (GroupType("B", 2), (-1, -2)),
+            (GroupType("B", 3), (-1, 3, -2)),
+            (GroupType("D", 4), (-1, -2, -3, -4)),
+        ]:
+            with pytest.raises(ValueError, match="is not a Coxeter element"):
+                nc.nc_elements(t, c)
+
+    @pytest.mark.parametrize("t", [GroupType("A", 3), GroupType("B", 3), GroupType("D", 4)], ids=str)
+    def test_refuses_exactly_what_is_no_coxeter_element(self, t):
+        coxeter = set(coxeter_elements_d4() if t.family == "D" else coxeter_class(t.family, t.n))
+        for w in sp.enumerate_group(t.family, t.n):
+            try:
+                nc.nc_elements(t, w)
+            except ValueError:
+                assert w not in coxeter, w
+            else:
+                assert w in coxeter, w
 
     @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3)])
     def test_count_independent_of_coxeter_element(self, fam, rank):

@@ -56,6 +56,9 @@ class TestBasics:
         with pytest.raises(ValueError):
             sp.check_perm((1, -2), "D")
         sp.check_perm((-1, -2), "D")
+        for p in (("1", 2), (None, 1)):  # entries that do not add
+            with pytest.raises(ValueError, match="entries must be integers"):
+                sp.check_perm(p)
 
 
 class TestKernelsAgainstDefinitions:
@@ -82,7 +85,7 @@ class TestKernelsAgainstDefinitions:
             return None
 
         words = [w for k in range(5) for w in itertools.product(range(-4, 5), repeat=k)]
-        words += [(1.0, 2), (2, 1.0), (True,), (1, 2, 3, 3), (3, 1, 2, 5)]
+        words += [(1.0, 2), (2, 1.0), ("1", 2), (None, 1), (True,), (1, 2, 3, 3), (3, 1, 2, 5)]
         refused = 0
         for p in words:
             want = outcome(check_perm_abs, p)

@@ -222,7 +222,7 @@ class TestSortableTree:
     )
     def test_walk_order_for_every_c_word(self, t):
         for c_word in every_c_word(t):
-            assert so.enumerate_sortables(t, c_word) == sortable_walk(t, c_word)
+            assert_tree_order(t, c_word, so.enumerate_sortables(t, c_word))
 
     @pytest.mark.parametrize(
         "t",
@@ -230,7 +230,23 @@ class TestSortableTree:
         ids=str,
     )
     def test_walk_order_for_the_default_word(self, t):
-        assert so.enumerate_sortables(t) == sortable_walk(t)
+        assert_tree_order(t, sp.coxeter_element(t.family, t.n)[1], so.enumerate_sortables(t))
+
+
+def assert_tree_order(t, c_word, listed):
+    """``listed``, from ``enumerate_sortables``, has the elements in the order of the depth
+    first walk down ``_sortable_tree``, each once: e first, and every other
+    element after its parent, the element of its sorting word without the
+    last letter."""
+    fam, n = t.family, t.n
+    assert listed == [w for w, _ in so._sortable_tree(t, c_word)]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == set(sortable_walk(t, c_word))
+    assert listed[0] == sp.identity(n)
+    place = {w: i for i, w in enumerate(listed)}
+    for i, w in enumerate(listed[1:], start=1):
+        parent = sp.word_to_perm(letters(so.c_sorting_word(w, c_word, fam))[:-1], n, fam)
+        assert place[parent] < i
 
 
 class TestEnumerateSortables:
