@@ -193,6 +193,9 @@ def _inverse_rows(t: GroupType) -> dict[Perm, tuple[int, ...]]:
 def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | None:
     """The ideal (phi) or Dyck word (psi) that ``via`` sends to ``image`` at rank t, or None; phi reads
     a table of all Cat(W) images, psi its path's cell reading (Reading, Trans. AMS 2007) off sort(image)."""
+    if via not in ("phi", "psi"):
+        raise ValueError(f"no map {via!r}: preimage inverts phi or psi")
+    image = tuple(image)
     if via == "phi":
         x = _inverse_rows(t).get(image)
         return None if x is None else rootposets._ideal_of_rows(t, x)

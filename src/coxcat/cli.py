@@ -116,8 +116,8 @@ def _path_poly(args):
 
     In types A and B an ideal's row starts are its Dyck path, its size the
     path's area and ``ideal_maj`` the path's maj, so ideals read the
-    lattice-point pass as paths do and answer to the path guard at the same
-    n.  Type-D ideal area is ``cat_q``, which counts ideal masks under its
+    paths' tree fold (``paths._stat_counts``) and answer to the path guard
+    at the same n.  Type-D ideal area is ``cat_q``, which counts ideal masks under its
     own guard.
     """
     family = args.type

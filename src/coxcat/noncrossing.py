@@ -111,7 +111,7 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
         if t.family != "D":
             return _nc_scan(t.family, t.n)
         c = coxeter_element("D", t.n)[0]
-    elif len(c) != t.n:
+    elif len(c := tuple(c)) != t.n:
         raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
     else:
         check_perm(c, t.family)

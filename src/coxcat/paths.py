@@ -8,12 +8,12 @@ with a free endpoint.  Both identify with staircase-closed sets of cells
 its north column up to its cap (``_caps``), so area and maj are read off
 the north columns, and the cell sets are left to the tests' oracles.
 
-Area and maj add up over the steps of a path, so their generating
-polynomials come from one pass over the lattice points, not the paths,
-each group's tallies packed into one int in fields that C(2n, n) bounds
-and that must add up to the path count when unpacked.  The verifiers take
-every path's row starts as one column per row, built over the prefix tree
-of the paths (``_row_columns``), with no step per path.
+Area and maj add up over the rows of a path, so their generating
+polynomials and the verifiers' row starts both come from the prefix tree
+of the paths by rows (``_path_tree``), folded from the last row up with no
+step per path: ``_stat_counts`` packs each start's tallies into one int,
+in fields that C(2n, n) bounds and that must add up to the path count when
+unpacked, and ``_row_columns`` joins one column per row.
 """
 
 from __future__ import annotations
@@ -93,8 +93,13 @@ def _dyck_columns(word: str, family: str) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _caps(family: str, n: int) -> tuple[int, ...]:
-    """Row j of a path of 2n steps holds the cells x_j <= i < cap_j: j in type A, min(j, 2n - j) in type B."""
-    return tuple(range(n)) if family == "A" else tuple(min(j, 2 * n - j) for j in range(2 * n))
+    """Row j of a path of 2n steps holds the cells x_j <= i < cap_j: j in type A, min(j, 2n - j) in type B.
+    Only types A and B have paths: any other family raises ValueError."""
+    if family == "A":
+        return tuple(range(n))
+    if family == "B":
+        return tuple(min(j, 2 * n - j) for j in range(2 * n))
+    raise ValueError(f"no paths of type {family!r}")
 
 
 def area_a(word: str) -> int:
@@ -168,50 +173,39 @@ def unfold_lattice_to_b(word: str) -> str:
 def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     """The area and maj polynomials over all type-``family`` paths of 2n steps.
 
-    A transfer-matrix pass over the lattice points, not over the paths:
-    both statistics add up over the steps, so the prefixes of k steps are
-    grouped by their north count and by whether their last step was east,
-    and each group keeps the area tallies and the maj tallies of its
-    prefixes.  A north step in row j shifts the area tallies by the
-    cap_j - easts cells to its right (``_caps``); after an east step it
-    closes a descent at 0-indexed position k, which shifts the maj tallies
-    by 2n - k.  A prefix with a north step in every row or with 2n steps
-    ends its group's paths (the rest is forced east), and in type B it
-    adds its east count 2n - norths to the maj before the doubling of
-    ``maj_b``.  Each group's tallies are one int, ``width`` bytes per
-    coefficient, so a shift by d places is ``<< 8 * width * d``: O(n^2)
-    shift-adds over ints of O(n^2) fields, against Cat(n) paths.  No
-    group counts more than the C(2n, n) type-B paths its prefixes extend
-    to, which sizes the fields, and ``qseries.unpack`` checks that they
-    add up to the path count.
+    A fold up the prefix tree of the paths (``_path_tree``), not a walk
+    over them: each row-j start keeps the area tallies and the maj tallies
+    of the rows after it, and an edge into row j at start x adds that row's
+    terms, as ``bijmaps._rank`` reads them.  The area gains the cap_j - x
+    cells to its right (``_caps``); the maj gains 2n - j - x at an E->N
+    corner, where x is above its parent's start, and in a type-B row
+    j >= n at its cap, which has no north step, one east step before the
+    doubling of ``maj_b``.  Row 0 starts at 0 and adds nothing.  Each
+    start's tallies are one int, ``width`` bytes per coefficient, so a
+    shift by d places is ``<< 8 * width * d``: O(n^3) shift-adds over ints
+    of O(n^2) fields, against Cat(n) paths.  No start counts more than the
+    C(2n, n) type-B paths, which sizes the fields, and ``qseries.unpack``
+    checks that they add up to the path count.
     ``area_a``/``maj_a``/``area_b``/``maj_b`` remain the per-word oracles.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = 2 * n
+    children, _ = _path_tree(family, n)
     caps = _caps(family, n)
+    total = 2 * n
     double = family == "B"
     count = comb(total, n) if double else comb(total, n) // (n + 1)
     width = (comb(total, n).bit_length() + 8) // 8
     bits = 8 * width
-    area = maj = 0
-    layer = {(0, False): (1, 1)}  # (norths, after_east) -> (area tallies, maj tallies), packed
-    for k in range(total + 1):
-        grown: dict[tuple[int, bool], tuple[int, int]] = {}
-        for (norths, after_east), (a, m) in layer.items():
-            easts = k - norths
-            if norths == len(caps) or k == total:
-                area += a
-                maj += m << (bits * (total - norths)) if double else m
-                continue
-            steps = [((norths + 1, False), caps[norths] - easts, total - k if after_east else 0)]
-            if easts < norths:
-                steps.append(((norths, True), 0, 0))
-            for key, da, dm in steps:
-                ga, gm = grown.get(key, (0, 0))
-                grown[key] = ga + (a << (bits * da)), gm + (m << (bits * dm))
-        layer = grown
-    area, maj = unpack(area, width, count), unpack(maj, width, count)
+    area = maj = [1] * (n + 1)  # the empty tally of the rows after any start of the last row
+    for j in range(len(caps) - 1, 0, -1):
+        cap = caps[j]
+        area = [sum([area[x] << bits * (cap - x) for x in kid]) for kid in children[j]]
+        maj = [
+            sum([maj[x] << bits * (1 if j >= n and x == cap else total - j - x if x > v else 0) for x in kid])
+            for v, kid in enumerate(children[j])
+        ]
+    area, maj = unpack(area[0], width, count), unpack(maj[0], width, count)
     if double:
         maj = [c for x in maj for c in (x, 0)]
     return QPoly(area), QPoly(maj)

@@ -159,8 +159,6 @@ def gen_poly(values: Iterable[int]) -> QPoly:
     return QPoly(counts)
 
 
-_FIXED_RANK = {"H3": 3, "H4": 4, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
-
 _EXCEPTIONAL_DEGREES = {
     "H3": (2, 6, 10),
     "H4": (2, 12, 20, 30),
@@ -170,7 +168,7 @@ _EXCEPTIONAL_DEGREES = {
     "E8": (2, 8, 12, 14, 18, 20, 24, 30),
 }
 
-FAMILIES = ("A", "B", "D", "I2") + tuple(_FIXED_RANK)
+FAMILIES = ("A", "B", "D", "I2") + tuple(_EXCEPTIONAL_DEGREES)
 
 
 @dataclass(frozen=True)
@@ -194,8 +192,8 @@ class GroupType:
             raise ValueError("type D needs rank >= 2")
         if self.family == "I2" and self.rank < 2:
             raise ValueError("I2(k) needs k >= 2")
-        fixed = _FIXED_RANK.get(self.family)
-        if fixed is not None and self.rank != fixed:
+        fixed = len(_EXCEPTIONAL_DEGREES.get(self.family, ()))
+        if fixed and self.rank != fixed:
             raise ValueError(f"{self.family} has rank {fixed}")
 
     @property

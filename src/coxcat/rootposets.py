@@ -201,7 +201,7 @@ def cat_q(t: GroupType) -> QPoly:
 
     In types A and B the row starts of an ideal are its Dyck path and |I|
     is that path's area, so this is the area polynomial of the paths of
-    2n steps, from the lattice-point pass of ``paths._stat_counts``
+    2n steps, from the prefix-tree fold of ``paths._stat_counts``
     without building an ideal or a path.  Type D counts the bits of its
     ideal masks.
     """

@@ -38,8 +38,9 @@ shortcut, and the one-statistic helpers ``neg``, ``des_set``, ``des``,
 of an element's statistics that the verifiers' lanes are checked against.
 
 The area and maj polynomials by a depth-first pass with one leaf per
-path, and by the lattice-point pass on coefficient lists, against the
-packed lattice-point pass ``paths._stat_counts``, and the palindromicity
+path, and by a pass over the lattice points step by step on coefficient
+lists, against the packed fold up the paths' prefix tree
+``paths._stat_counts``, and the palindromicity
 test one coefficient at a time, against ``qseries.is_palindromic``.
 
 The cell sets of a path (``cells_a``/``cells_b``) and its descent set,
@@ -618,7 +619,7 @@ def row_stream(family: str, n: int) -> list[tuple[tuple[int, ...], int, int, int
     against ``paths._row_columns`` and the lanes ``bijmaps._rank`` reads off its columns.
 
     A depth-first pass with one leaf per path (E before N): it adds up area
-    and maj step by step as ``paths._stat_counts`` does, keeps the north
+    and maj step by step as ``stat_counts_dfs`` does, keeps the north
     columns and counts the E->N steps.  Row j starts at the east count of
     its north step; a row with no north step (type B, j past the last one)
     starts at its cap.  Returns the leaves ``(starts, area, maj,
@@ -655,8 +656,8 @@ def stat_counts_dfs(family: str, n: int) -> tuple[QPoly, QPoly]:
     A north step in row j adds the cap_j - easts cells to its right, and a
     north step at 0-indexed position p after an east step closes a descent
     worth 2n - p; a type-B leaf doubles the maj and the east count, as
-    ``maj_b`` does.  The oracle for the lattice-point pass
-    ``paths._stat_counts``.
+    ``maj_b`` does.  An oracle for the prefix-tree fold
+    ``paths._stat_counts``, which reads rows, not steps.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -684,11 +685,19 @@ def stat_counts_dfs(family: str, n: int) -> tuple[QPoly, QPoly]:
 
 
 def stat_counts_lists(family: str, n: int) -> tuple[QPoly, QPoly]:
-    """The lattice-point pass of ``paths._stat_counts`` with its tallies kept
-    as coefficient lists, each step an element-by-element shifted add.
+    """The area and maj polynomials by one pass over the lattice points, step
+    by step, with the tallies kept as coefficient lists, each step an
+    element-by-element shifted add.
 
-    The same groups, keyed by (north count, last step east), and the same
-    shifts as the packed pass; the oracle for its packing and unpacking.
+    This is the pass ``paths._stat_counts`` replaced, before it folded the
+    prefix tree of the paths by rows: the prefixes of k steps are grouped
+    by their north count and by whether their last step was east.  A north
+    step in row j shifts the area by the cap_j - easts cells to its right;
+    after an east step it closes a descent at 0-indexed position k, worth
+    2n - k to the maj.  A prefix with a north step in every row or with 2n
+    steps ends its group's paths, and in type B adds its east count to
+    the maj before the doubling.  Its own step and end rules make it an
+    oracle for the fold's row terms, as well as for its packing.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -419,6 +419,16 @@ class TestPreimage:
     def test_psi_refuses_signs_in_type_a(self, image):
         assert bm.preimage(GroupType("A", 2), "psi", image) is None
 
+    def test_reads_any_sequence_as_its_tuple(self):
+        t = GroupType("A", 1)
+        for via in ("phi", "psi"):
+            assert bm.preimage(t, via, [2, 1]) == bm.preimage(t, via, (2, 1)) is not None
+
+    @pytest.mark.parametrize("via", ["xyz", "phiA", "psiB", "", None])
+    def test_refuses_a_map_other_than_phi_or_psi(self, via):
+        with pytest.raises(ValueError, match="preimage inverts phi or psi"):
+            bm.preimage(GroupType("A", 2), via, (1, 2, 3))
+
     def test_psi_builds_no_table(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("psi's inverse enumerated the rank")

@@ -165,7 +165,7 @@ class TestPathPolynomials:
 
     @pytest.mark.parametrize("family,n", [("A", 12), ("B", 8)])
     def test_ideal_answers_to_the_path_guard(self, capsys, monkeypatch, family, n):
-        # A/B ideals read the lattice-point pass at the same n as paths, past the ideal guard
+        # A/B ideals read the paths' tree fold at the same n as paths, past the ideal guard
         # (A11 and B8 are ideals the ideal row refuses to list), and meet the path guard one step on
         monkeypatch.setattr(rootposets, "cat_q", lambda t: pytest.fail("poly went through cat_q"))
         for stat in ("area", "maj"):

@@ -105,6 +105,10 @@ class TestNCInterval:
             with pytest.raises(ValueError, match="is not a Coxeter element"):
                 nc.nc_elements(t, c)
 
+    @pytest.mark.parametrize("t,c", [(GroupType("A", 2), (2, 3, 1)), (GroupType("B", 2), (2, -1)), (GroupType("D", 4), (-1, -4, 2, 3))], ids=str)
+    def test_reads_a_list_as_its_tuple(self, t, c):
+        assert nc.nc_elements(t, list(c)) == nc.nc_elements(t, c)
+
     @pytest.mark.parametrize("t", [GroupType("A", 3), GroupType("B", 3), GroupType("D", 4)], ids=str)
     def test_refuses_exactly_what_is_no_coxeter_element(self, t):
         coxeter = set(coxeter_elements_d4() if t.family == "D" else coxeter_class(t.family, t.n))

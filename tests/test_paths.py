@@ -270,7 +270,7 @@ class TestPolynomials:
         "family,n", [("A", n) for n in range(1, 11)] + [("B", n) for n in range(1, 8)]
     )
     def test_one_pass_matches_per_word_statistics(self, family, n):
-        # the per-word statistics over the enumerated words are the oracle for the lattice-point pass
+        # the per-word statistics over the enumerated words are the oracle for the tree fold
         words = paths.enumerate_a(n) if family == "A" else paths.enumerate_b(n)
         area, maj = (paths.area_a, paths.maj_a) if family == "A" else (paths.area_b, paths.maj_b)
         assert paths.area_polynomial(family, n) == gen_poly(map(area, words))
@@ -285,13 +285,31 @@ class TestPolynomials:
 
     @pytest.mark.parametrize("family,n", [("A", n) for n in range(13)] + [("B", n) for n in range(9)])
     def test_lattice_pass_matches_the_dfs(self, family, n):
-        # the old depth-first pass, one leaf per path, is the oracle for both polynomials
+        # the old depth-first pass, one leaf per path, is the oracle for both polynomials of the tree fold
         assert paths._stat_counts(family, n) == stat_counts_dfs(family, n)
 
     @pytest.mark.parametrize("family,n", [("A", n) for n in range(15)] + [("B", n) for n in range(11)])
     def test_packed_pass_matches_the_list_pass(self, family, n):
-        # the same pass on coefficient lists, one element-by-element add per shift, is the oracle for the packing
+        # the step-by-step pass the tree fold replaced, on coefficient lists, is the oracle for the fold
         assert paths._stat_counts(family, n) == stat_counts_lists(family, n)
+
+    @pytest.mark.parametrize("family,n", [("A", 6), ("B", 4)])
+    def test_a_tree_short_of_a_child_fails_the_path_count(self, monkeypatch, family, n):
+        # the fold reads the prefix tree, and the closed-form path count, not the tree, checks what it reads
+        children, below = paths._path_tree(family, n)
+        pruned = list(map(list, children))
+        j = len(pruned) // 2
+        pruned[j][0] = pruned[j][0][:-1]
+        monkeypatch.setattr(paths, "_path_tree", lambda *args: (pruned, below))
+        with pytest.raises(OverflowError, match="add up to"):
+            paths._stat_counts(family, n)
+
+    @pytest.mark.parametrize("family", ["D", "a", "X"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_only_types_a_and_b_have_paths(self, family, n):
+        for f in (paths.area_polynomial, paths.maj_polynomial, paths._row_columns):
+            with pytest.raises(ValueError, match=f"no paths of type {family!r}"):
+                f(family, n)
 
     @pytest.mark.parametrize("n", range(20))
     def test_area_recurrence_a(self, n):

@@ -443,6 +443,13 @@ class TestGroupType:
         with pytest.raises(ValueError, match=r"I2\(k\) needs k >= 2"):
             GroupType("I2", 1)
 
+    @pytest.mark.parametrize("family,rank", [("H3", 3), ("H4", 4), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)])
+    def test_exceptional_rank_is_its_degree_count(self, family, rank):
+        assert len(degrees(GroupType(family, rank))) == rank
+        for wrong in (rank - 1, rank + 1):
+            with pytest.raises(ValueError, match=f"^{family} has rank {rank}$"):
+                GroupType(family, wrong)
+
     @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 0), ("D", -1)])
     def test_rank_error_names_what_it_got(self, family, rank):
         with pytest.raises(ValueError, match=f"rank must be >= 1, got {family}{rank}$"):
