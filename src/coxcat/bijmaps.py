@@ -26,7 +26,9 @@ psi builds its images and sorting words by masked swaps
 starts (``_phi_lanes``; ``_phi_rows`` stays the per-ideal map), and only a
 failing lane is decoded into its ideal or word.  psi's image set is
 checked by membership and count, and Sort(W, c) is walked only if that
-fails; phi's is compared with the scan of [1, c].  ``preimage`` reads a
+fails; phi's likewise, by the arc test ``_nc_lanes`` for membership, one
+int key per lane (``_image_keys``) for distinctness, and the count, and
+[1, c] is scanned only if one of those fails.  ``preimage`` reads a
 psi image's path off the (pass, letter) keys of the one greedy scan
 ``sortable._scan`` (``_word_starts``), and looks a phi image up in one
 table from images to row starts, built by ``_phi_lanes``.
@@ -34,9 +36,10 @@ table from images to row starts, built by ``_phi_lanes``.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache, reduce
-from itertools import chain, count, takewhile
-from operator import or_, xor
+from itertools import chain, count, repeat, takewhile
+from operator import add, lshift, or_, xor
 
 from . import paths, rootposets, signedperm
 from .noncrossing import _nc_scan
@@ -195,17 +198,16 @@ def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | Non
     a table of all Cat(W) images, psi its path's cell reading (Reading, Trans. AMS 2007) off sort(image)."""
     if via not in ("phi", "psi"):
         raise ValueError(f"no map {via!r}: preimage inverts phi or psi")
-    image = tuple(image)
-    if via == "phi":
-        x = _inverse_rows(t).get(image)
-        return None if x is None else rootposets._ideal_of_rows(t, x)
-    fam, n = t.family, t.n
+    image, fam, n = tuple(image), t.family, t.n
     if len(image) != n:
         return None
     try:
         check_perm(image, fam)
     except ValueError:  # not a signed permutation of rank t
         return None
+    if via == "phi":
+        x = _inverse_rows(t).get(image)
+        return None if x is None else rootposets._ideal_of_rows(t, x)
     keys = _scan(image, signedperm.coxeter_element(fam, n)[1], fam)
     x = _word_starts(((key, 1) for key in keys), n, rootposets.planar_cells(t).caps)
     word = None if x is None else paths._word_of_rows(fam, n, x)
@@ -302,6 +304,57 @@ def _phi_lanes(lanes: _Lanes, xs: list[int], t: GroupType) -> list[int]:
                 cols[p] = lanes.select(end, prev, cols[p])
             if start:
                 prev = lanes.select(start, at, prev)
+
+
+def _nc_lanes(lanes: _Lanes, cols: list[int], family: str) -> int:
+    """The mask of the lanes whose element, with one-line columns ``cols``,
+    lies in phi's target: [1, c] for c = (1, 2, ..., n) in type A, and
+    rev([1, c]) for c = (1, ..., n, -1, ..., -n) in type B.
+
+    Type A reads the arcs p -> u(p) > p: u is in [1, c], the increasing
+    non-crossing cycles of Kreweras (1972), exactly when no point inside an
+    arc is sent to its start or below, that is, p < q < u(p) implies
+    u(q) > p.  That is necessary; for the converse, induct on n.  If
+    u(m) = n with m < n, the test sends the points between m and n above m,
+    so between them: they carry a smaller element that passes the test, and
+    so do 1..m with m sent to u(n) <= m.  Splicing n in after m then closes
+    m's increasing cycle over that interval, crossing nothing (if u(n) = n,
+    drop n).  Type B (Reiner, 1997) needs
+    |u| to pass the test, every negative entry u(p) = -f to close its block
+    (f <= p), and no positive arc to span such a block: no q < f has
+    u(q) > p.  Each pair of points costs two ``gt``; the scan
+    ``noncrossing._nc_scan`` is the oracle.
+    """
+    one, off = lanes.one, lanes.off
+    points = [(p + off) * one for p in range(1, len(cols) + 1)]
+    negs = [lanes.gt(off * one, col) for col in cols] if family == "B" else []
+    absolute = [lanes.select(m, 2 * off * one - col, col) for m, col in zip(negs, cols)] if negs else cols
+    bad = 0
+    for p, (a, at) in enumerate(zip(absolute, points)):
+        for b, bt in zip(absolute[p + 1:], points[p + 1:]):  # q > p, inside the arc where u(p) > q
+            bad |= lanes.gt(a, bt) & ~lanes.gt(b, at)
+    for neg, f, at in zip(negs, absolute, points):
+        if neg:
+            spans = lanes.gt(f, at)
+            for col, qt in zip(cols, points):  # q = p adds nothing, as u(p) < 0 < p
+                spans |= lanes.gt(f, qt) & lanes.gt(col, at)
+            bad |= neg & spans
+    return one & ~bad
+
+
+def _image_keys(lanes: _Lanes, cols: list[int]) -> set:
+    """The lanes' distinct images, each as one int key: the low bytes of its
+    columns, which hold the stored entries (below 256), eight to a 64-bit
+    word.  No wider lane layout is built: the bytes are gathered by strided
+    slices and read as one array of words."""
+    width = -(-len(cols) // 8) * 8  # key bytes per lane
+    key = bytearray(width * lanes.count)
+    for i, col in enumerate(cols):
+        key[i::width] = lanes.low_bytes(col)
+    words = array("Q", key)
+    step = width // 8
+    return set(reduce(lambda high, word: map(add, word, map(lshift, high, repeat(64))),
+                      [words[j::step] for j in reversed(range(step))]))
 
 
 def _psi_lanes(lanes: _Lanes, xs: list[int], n: int) -> tuple[list[int], dict]:
@@ -418,7 +471,14 @@ def verify_phi_theorems(t: GroupType) -> dict:
     ``_phi_lanes`` builds the images, each statistic is a lane sum compared
     with the packed size, maj or descent count, and the type-B lift is
     ``_phi_lanes`` at the next rank on the rows padded with two filled
-    bottom rows.  Only a failing lane is decoded into its ideal.
+    bottom rows.  The image set is rev([1, c]) when every lane passes the
+    arc test ``_nc_lanes`` (type A: p < q < u(p) implies u(q) > p;
+    type B: |u| passes that test, and each negative entry u(p) = -f has
+    f <= p and no positive arc over [f, p]), the lanes' keys
+    (``_image_keys``) are distinct, and there are Cat(W) lanes: Cat(W)
+    distinct elements of rev([1, c]) are all of it, since |NC(W)| = Cat(W).
+    Only when a check fails are the images read out as tuples, [1, c]
+    scanned and each failing lane decoded into its ideal.
     """
     fam, n = t.family, t.n
     area, path_maj, path_des, lanes, xs = _rank(t)
@@ -426,14 +486,23 @@ def verify_phi_theorems(t: GroupType) -> dict:
     report = _report(f"phi{fam}", t.rank, lanes.count)
     one = lanes.one
     cols = _phi_lanes(lanes, xs, t)
-    images = list(zip(*map(lanes.values, cols)))
     _, valid, length, sigma_maj, sigma_imaj, dms, ims, _ = _lane_stats(lanes, cols, fam)
-    for k in sorted(lanes.differ(valid, one)):
-        check_perm(images[k], fam)  # raises for the first element that is not a signed permutation
     total = path_maj + sigma_maj + sigma_imaj
     bad = {"length": lanes.differ(length, area), "maj-identity": lanes.differ(total, two_n * one)}
     if fam == "A":
         bad["des-sum"] = lanes.differ(path_des + sum(dms), (n - 1) * one)
+    failed = set()
+    if fam == "B":
+        lifted = _phi_lanes(lanes, [0, 0] + xs, GroupType("B", t.rank + 1))
+        failed = lanes.differ(reduce(or_, map(xor, lifted, cols + [one])))  # then -(n + 1), stored as 1
+    # Cat(W) distinct images in the target are all of it, since |NC(W)| = Cat(W)
+    if (valid == one and not any(bad.values()) and not failed and (fam == "B" or sum(dms) == sum(ims))
+            and lanes.count == cat_number(t) and _nc_lanes(lanes, cols, fam) == one
+            and len(_image_keys(lanes, cols)) == lanes.count):
+        return report
+    images = list(zip(*map(lanes.values, cols)))
+    for k in sorted(lanes.differ(valid, one)):
+        check_perm(images[k], fam)  # raises for the first element that is not a signed permutation
     lane_of = {image: k for k, image in enumerate(images)}  # each image's last lane, by first appearance
     bad["injectivity"] = _repeats(images) if len(lane_of) != len(images) else set()
     if any(bad.values()):
@@ -448,10 +517,8 @@ def verify_phi_theorems(t: GroupType) -> dict:
         _, _, _, _, _, dms, ims, _ = _lane_stats(tl, [tl.pack(map(tl.off.__add__, col)) for col in zip(*order)], fam)
         for k in sorted(tl.differ(sum(dms), sum(ims))):
             _fail(report, "des-ides", image=order[k])
-    if fam == "B":
-        lifted = _phi_lanes(lanes, [0, 0] + xs, GroupType("B", t.rank + 1))
-        failed = lanes.differ(reduce(or_, map(xor, lifted, cols + [one])))  # then -(n + 1), stored as 1
-        rows = list(zip(*map(lanes.unpack, xs))) if failed else []
+    if failed:
+        rows = list(zip(*map(lanes.unpack, xs)))
         for k in filter(failed.__contains__, lane_of.values()):
             _fail(report, "lift-identity", ideal=_roots(t, rows[k]))
     return report

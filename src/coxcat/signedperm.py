@@ -351,6 +351,11 @@ class _Lanes:
         fields[0 if sys.byteorder == "little" else self.bits // 8 - 1::self.bits // 8] = small
         return int.from_bytes(fields, sys.byteorder)
 
+    def low_bytes(self, lane: int) -> bytes:
+        """The low byte of each lane's field, one byte per lane: ``spread``'s inverse for values below 256."""
+        fields = lane.to_bytes(self.count * self.bits // 8, sys.byteorder)
+        return fields[0 if sys.byteorder == "little" else self.bits // 8 - 1::self.bits // 8]
+
     def unpack(self, lane: int) -> array:
         """The lanes' values, unsigned, since a sum may reach the guard bit."""
         return array(self.code.upper(), lane.to_bytes(self.count * self.bits // 8, sys.byteorder))

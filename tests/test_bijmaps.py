@@ -415,6 +415,18 @@ class TestPreimage:
         for t in (GroupType("A", 2), GroupType("B", 3)):
             assert bm.preimage(t, "psi", image) is None
 
+    @pytest.mark.parametrize("image", [(1.0, 2, 3, 4), ("1", 2, 3, 4), (1, 2, 3), (1, 2, 3, 5)])
+    def test_phi_refuses_what_psi_refuses_before_its_table(self, monkeypatch, image):
+        # 1.0 == 1 would find the identity's row starts in phi's table
+        t = GroupType("A", 3)
+        assert bm.preimage(t, "psi", image) is None
+
+        def refuse(*args):
+            raise AssertionError("phi's inverse built its table for a non-element")
+
+        monkeypatch.setattr(bm, "_inverse_rows", refuse)
+        assert bm.preimage(t, "phi", image) is None
+
     @pytest.mark.parametrize("image", [(-1, 2, 3), (3, -1, 2), (-3, -2, -1)])
     def test_psi_refuses_signs_in_type_a(self, image):
         assert bm.preimage(GroupType("A", 2), "psi", image) is None
@@ -831,6 +843,126 @@ class TestPhiLanes:
         assert len(built) == 1
 
 
+def _lanes_of(elements, n):
+    """The elements' one-line columns in one lane layout, each entry stored as value + n + 2."""
+    lanes = bm._Lanes(len(elements), 2 * n + 4, n + 2)
+    return lanes, [lanes.pack(v + lanes.off for v in col) for col in zip(*elements)]
+
+
+def _phi_checks(w, fam):
+    """What the phi verifier's checks other than the image set read of an image: l_S, maj + imaj,
+    and in type A des and whether des = ides."""
+    length, maj, imaj, dmask, imask, _ = stats(w, fam)
+    return (length, maj + imaj) + ((dmask.bit_count(), dmask.bit_count() == imask.bit_count()) if fam == "A" else ())
+
+
+def _put_phi_image(monkeypatch, t, k, image):
+    """Stand-ins for ``_phi_rows`` and ``_phi_lanes`` that send lane k's ideal at rank t to
+    ``image``, and in type B its lift to ``image`` with -(n + 1) appended, as a true image's is."""
+    x = _stream(t)[k][0]
+    big, lifted = GroupType(t.family, t.rank + 1), image + (-(t.n + 1),)
+    kernel, lane_kernel = bm._phi_rows, bm._phi_lanes
+
+    def walk(u, y):
+        y = tuple(y)
+        return image if (u, y) == (t, x) else lifted if (u, y) == (big, (0, 0) + x) else kernel(u, y)
+
+    def columns(lanes, xs, u):
+        cols = lane_kernel(lanes, xs, u)
+        return _put_lane(lanes, cols, k, image if u == t else lifted) if u in (t, big) else cols
+
+    monkeypatch.setattr(bm, "_phi_rows", walk)
+    monkeypatch.setattr(bm, "_phi_lanes", columns)
+
+
+class TestPhiImageSet:
+    """The verifier's proof of phi's image set: every lane passes the arc test
+    ``_nc_lanes``, the lanes' keys ``_image_keys`` are distinct, and there are
+    Cat(W) lanes.  The scan ``_nc_scan`` is the arc test's oracle, and a fault
+    in any of the three falls back to it and reports as the per-path verifier."""
+
+    @pytest.mark.parametrize("fam,n", [("A", n) for n in range(1, 8)] + [("B", n) for n in range(1, 6)])
+    def test_arc_test_selects_the_scan_from_the_whole_group(self, fam, n):
+        group = list(sp.enumerate_group(fam, n))
+        lanes, cols = _lanes_of(group, n)
+        chosen = lanes.unpack(bm._nc_lanes(lanes, cols, fam))
+        assert {w for w, m in zip(group, chosen) if m} == set(nc._nc_scan(fam, n, under_rev=True))
+
+    @pytest.mark.parametrize("fam,n", [("A", 3), ("A", 8), ("A", 9), ("A", 13), ("B", 9), ("B", 17)])
+    def test_keys_count_the_distinct_images(self, fam, n):
+        # past eight columns a key spans two or three 64-bit words; the repeats differ from
+        # other elements only in their last two columns
+        rng = random.Random(20261)
+        elements = []
+        for _ in range(300):
+            w = rng.sample(range(1, n + 1), n)
+            elements.append(tuple(v * rng.choice((1, -1)) if fam == "B" else v for v in w))
+        elements += [w[:-2] + w[:-3:-1] for w in elements[:40]] + elements[40:60]
+        rng.shuffle(elements)
+        assert len(bm._image_keys(*_lanes_of(elements, n))) == len(set(elements))
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(2, 8)] + [("B", r) for r in range(2, 7)])
+    def test_an_image_outside_the_target_is_caught_by_the_arc_test_alone(self, monkeypatch, fam, rank):
+        # the first lane whose image shares its statistics with an element outside the
+        # target, which then passes every check but the arc test; S_2 and B_1 lie wholly in
+        # the target, so the ranks start at 2
+        t = GroupType(fam, rank)
+        target = set(nc._nc_scan(fam, t.n, under_rev=True))
+        outside = {}
+        for w in sp.enumerate_group(fam, t.n):
+            if w not in target:
+                outside.setdefault(_phi_checks(w, fam), w)
+        images = [bm._phi_rows(t, x) for x, *_ in _stream(t)]
+        k, lost = next((k, u) for k, u in enumerate(images) if _phi_checks(u, fam) in outside)
+        _put_phi_image(monkeypatch, t, k, outside[_phi_checks(lost, fam)])
+        report = bm.verify_phi_theorems(t)
+        assert report == verify_phi_theorems_rows(t)
+        assert report["failures"] == [{"check": "image-set", "missing": repr([lost])}]
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(4, 8)] + [("B", r) for r in range(3, 7)])
+    def test_a_repeated_image_is_caught_by_the_keys_alone(self, monkeypatch, fam, rank):
+        # lane j takes the image of an earlier lane i with the same statistics, so every
+        # image stays in the target; below A4 and B3 no two images share their statistics
+        t = GroupType(fam, rank)
+        images = [bm._phi_rows(t, x) for x, *_ in _stream(t)]
+        first = {}
+        for j, u in enumerate(images):
+            i = first.setdefault(_phi_checks(u, fam), j)
+            if i < j:
+                break
+        _put_phi_image(monkeypatch, t, j, images[i])
+        report = bm.verify_phi_theorems(t)
+        assert report == verify_phi_theorems_rows(t)
+        assert report["failures"] == [
+            {"check": "injectivity", "image": repr(images[i])},
+            {"check": "image-set", "missing": repr([images[j]])},
+        ]
+
+    @pytest.mark.parametrize("rank", range(2, 7))
+    def test_an_image_left_unreversed_is_reported(self, monkeypatch, rank):
+        # the full ideal's image u is in rev([1, c]), and w = rev(u) is in [1, c] but not
+        # in phi's target; B_1's one negative element is fixed by rev
+        t = GroupType("B", rank)
+        k = _full_lane(t)
+        w = sp.rev(bm._phi_rows(t, _stream(t)[k][0]))
+        assert w in nc._nc_scan("B", t.n) and w not in nc._nc_scan("B", t.n, under_rev=True)
+        _put_phi_image(monkeypatch, t, k, w)
+        report = bm.verify_phi_theorems(t)
+        assert report == verify_phi_theorems_rows(t)
+        assert "image-set" in [f["check"] for f in report["failures"]]
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 7)])
+    def test_clean_run_scans_no_target(self, monkeypatch, fam, rank):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a clean run scanned [1, c]")
+
+        t = GroupType(fam, rank)
+        want = verify_phi_theorems_rows(t)
+        monkeypatch.setattr(bm, "_nc_scan", refuse)
+        assert bm.verify_phi_theorems(t) == want
+        assert want["failures"] == []
+
+
 def _corrupt_lane(t, image, drop_word):
     """A ``_psi_lanes`` that puts ``image`` in the lane of t's full path, the
     path with row starts all 0, and with ``drop_word`` clears the lane's word;
@@ -1084,6 +1216,14 @@ class TestLanes:
             lanes = bm._Lanes(7, bound, off)
             values = [-off, -1, 0, 1, off, 3, -2]
             assert list(lanes.values(lanes.pack([v + off for v in values]))) == values
+
+    def test_low_bytes_invert_spread(self):
+        # every field width, with the higher bytes of each field set in a packed lane
+        small = bytes(random.Random(11).randrange(128) for _ in range(300))
+        for bound in (100, 300, 40000, 1 << 40):
+            lanes = bm._Lanes(300, bound, 0)
+            assert lanes.low_bytes(lanes.spread(small)) == small
+            assert lanes.low_bytes(lanes.pack(v + 256 * (bound > 127) for v in small)) == small
 
     def test_one_lane_class(self):
         # the verifiers and the D4 report share the layout defined in signedperm
