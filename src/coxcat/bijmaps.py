@@ -42,7 +42,7 @@ from itertools import chain, count, repeat, takewhile
 from operator import add, lshift, or_, xor
 
 from . import paths, rootposets, signedperm
-from .noncrossing import _nc_scan
+from .noncrossing import _fail, _nc_scan, _report
 from .qseries import GroupType, cat_number
 from .sortable import SortingWord, _scan, _sortable_tree
 from .signedperm import Perm, _Lanes, check_perm
@@ -173,14 +173,22 @@ def _psi(x, n: int, family: str) -> tuple[Perm, SortingWord]:
     return signedperm._word_to_perm(chain.from_iterable(sw.factors), n, family), sw
 
 
-def _word_starts(letters, n: int, caps, one: int = 1) -> list[int] | None:
+def _word_starts(letters, n: int, caps, one: int = 1) -> list[int]:
     """Row starts cap_j minus the cells of row j that ((factor, letter), weight) pairs name, a weight
-    1 or a lane mask with ``one``, or None past the last row: as ``_psi`` labels cells, letter s of
-    factor f is a cell of row n-1-s+f (s >= f) or of the upper row n-1+f-s (s < f)."""
+    1 or a lane mask with ``one``: as ``_psi`` labels cells, letter s of factor f is a cell of row
+    n-1-s+f (s >= f) or of the upper row n-1+f-s (s < f).
+
+    Every key that ``sortable._scan`` yields for a signed permutation names a row, so there is no
+    range check.  The word is s_{n-1} ... s_1 (s_0), so a pass is a bubble pass over the inverse
+    positions from the right, parking the smallest one it meets at the front.  Type A: after f - 1
+    passes the f - 1 smallest positions stand sorted at the front, so pass f takes no letter below
+    f, and s >= f.  Type B: a pass that meets a negative position parks the smallest one at the
+    front and flips it with s_0, so s_0 is taken in the first k <= n passes, k the number of
+    negative entries, and pass k + g takes no letter below g, as in type A: f - s <= n, and row
+    n-1+f-s <= 2n-1.  The verifier calls this only once ``_sort_lanes``' keys equal ``_psi_lanes``'.
+    """
     x = [cap * one for cap in caps]
     for (f, s), weight in letters:
-        if n - 1 + f - s >= len(x):
-            return None
         x[n - 1 + f - s] -= weight
     return x
 
@@ -209,22 +217,11 @@ def preimage(t: GroupType, via: str, image: Perm) -> frozenset[Root] | str | Non
         x = _inverse_rows(t).get(image)
         return None if x is None else rootposets._ideal_of_rows(t, x)
     keys = _scan(image, signedperm.coxeter_element(fam, n)[1], fam)
-    x = _word_starts(((key, 1) for key in keys), n, rootposets.planar_cells(t).caps)
-    word = None if x is None else paths._word_of_rows(fam, n, x)
+    word = paths._word_of_rows(fam, n, _word_starts(((key, 1) for key in keys), n, rootposets.planar_cells(t).caps))
     try:
-        return word if word and (psi_a if fam == "A" else psi_b)(word)[0] == image else None
+        return word if (psi_a if fam == "A" else psi_b)(word)[0] == image else None
     except ValueError:  # the rows are not a path
         return None
-
-
-def _report(identity: str, rank: int, checked: int = 0) -> dict:
-    return {"identity": identity, "rank": rank, "checked": checked, "failures": []}
-
-
-def _fail(report: dict, what: str, **context):
-    entry = {"check": what}
-    entry.update({k: repr(v) for k, v in context.items()})
-    report["failures"].append(entry)
 
 
 def _roots(t: GroupType, x) -> list[str]:
@@ -363,20 +360,24 @@ def _psi_lanes(lanes: _Lanes, xs: list[int], n: int) -> tuple[list[int], dict]:
     Factor f reads the lower diagonal j - i = f, letters n-1 down to f, then
     (when ``xs`` has upper rows) the upper column i = n - f, letters f-1
     down to 0: each letter once, in the order of the Coxeter word, emitted
-    in the lanes where x_j <= i, and a lane's word ends before its first
-    empty factor.  Returns the images' one-line columns and the emitted
-    masks, keyed by (factor, letter) in reading order.
+    in the lanes where x_j <= i.  Returns the images' one-line columns and
+    the emitted masks, keyed by (factor, letter) in reading order.
+
+    A lane's word needs no cut at its first empty factor, since every later
+    factor is empty too: a cell of factor f + 1 puts one in factor f.  A
+    lower cell (i, j), j - i = f + 1, has its right neighbour (i + 1, j) on
+    diagonal f.  An upper cell (n-f-1, j) has (n-f, j) in column n - f, or,
+    when that is past row j's cap, j = n + f and x_(n-1) <= x_j <= n-f-1,
+    so (n-f-1, n-1) is a cell of diagonal f.
     """
     one = lanes.one
     cols = [(v + lanes.off) * one for v in range(1, n + 1)]
-    word, alive = {}, one
+    word = {}
     for f in range(1, n + 1):
         cells = [(n - 1 - i, i + 1, xs[i + f]) for i in range(n - f)]
         cells += [(n + f - 1 - j, n - f + 1, xs[j]) for j in range(n, min(n + f, len(xs)))]
-        masks = [(s, lanes.gt(c * one, x)) for s, c, x in cells]
-        alive &= reduce(or_, [m for _, m in masks], 0)
-        for s, m in masks:
-            m &= alive
+        for s, c, x in cells:
+            m = lanes.gt(c * one, x)
             if m:
                 word[f, s] = m
                 lanes.act(cols, s, m)
@@ -500,13 +501,13 @@ def verify_phi_theorems(t: GroupType) -> dict:
             and lanes.count == cat_number(t) and _nc_lanes(lanes, cols, fam) == one
             and len(_image_keys(lanes, cols)) == lanes.count):
         return report
-    images = list(zip(*map(lanes.values, cols)))
+    images, rows = list(zip(*map(lanes.values, cols))), list(zip(*map(lanes.unpack, xs)))
     for k in sorted(lanes.differ(valid, one)):
         check_perm(images[k], fam)  # raises for the first element that is not a signed permutation
     lane_of = {image: k for k, image in enumerate(images)}  # each image's last lane, by first appearance
-    bad["injectivity"] = _repeats(images) if len(lane_of) != len(images) else set()
+    bad["injectivity"] = _repeats(images)
     if any(bad.values()):
-        totals, rows = lanes.unpack(total), list(zip(*map(lanes.unpack, xs)))
+        totals = lanes.unpack(total)
         _emit(report, bad, ideal=lambda k: _roots(t, rows[k]), image=images.__getitem__, total=totals.__getitem__)
     target = set(_nc_scan(fam, n, under_rev=True))
     if lane_of.keys() != target:
@@ -518,7 +519,6 @@ def verify_phi_theorems(t: GroupType) -> dict:
         for k in sorted(tl.differ(sum(dms), sum(ims))):
             _fail(report, "des-ides", image=order[k])
     if failed:
-        rows = list(zip(*map(lanes.unpack, xs)))
         for k in filter(failed.__contains__, lane_of.values()):
             _fail(report, "lift-identity", ideal=_roots(t, rows[k]))
     return report

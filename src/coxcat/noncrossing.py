@@ -90,6 +90,18 @@ def _nc_scan(family: str, n: int, under_rev: bool = False) -> list[Perm]:
     return found
 
 
+def _report(identity: str, rank: int, checked: int = 0) -> dict:
+    """An empty verifier report: each verifier's and the D4 report's shape."""
+    return {"identity": identity, "rank": rank, "checked": checked, "failures": []}
+
+
+def _fail(report: dict, what: str, **context):
+    """Add a failure entry: the check, then each named value as its repr."""
+    entry = {"check": what}
+    entry.update({k: repr(v) for k, v in context.items()})
+    report["failures"].append(entry)
+
+
 def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
     """The interval [1, c] in absolute order, listed in walk order.
 
@@ -266,27 +278,19 @@ def d4_counterexample() -> dict:
     """
     t = GroupType("D", 4)
     cat_poly = rootposets.cat_q(t)
-    report = {"identity": "d4-counterexample", "rank": 4, "checked": 0, "failures": []}
+    report = _report("d4-counterexample", 4)
     cardinality = cat_poly(1)
 
     lanes, cols = _pack_d(nc_elements(t), t.n)
     signed = [v for v in range(-t.n, t.n + 1) if v]
     hits = [{v: lanes.eq(col, (v + lanes.off) * lanes.one) for v in signed} for col in cols]
-    for c, g in _coxeter_class_d4():
+    nc_side = (("nc", "c", c, lanes.unpack(_lengths_d(lanes, _conj_lanes(lanes, hits, g)))) for c, g in _coxeter_class_d4())
+    sortable_side = (("sortable", "word", w, [length for _, length in _sortable_tree(t, w)]) for w in itertools.permutations(range(4)))
+    for side, key, value, lengths in itertools.chain(nc_side, sortable_side):  # the NC side's failures first
         report["checked"] += 1
-        poly = gen_poly(lanes.unpack(_lengths_d(lanes, _conj_lanes(lanes, hits, g))))
-        if poly == cat_poly:
-            report["failures"].append({"check": "nc-side-equality", "c": repr(c)})
-        if poly(1) != cardinality or lanes.count != cardinality:
-            report["failures"].append({"check": "nc-side-cardinality", "c": repr(c)})
-
-    for word in itertools.permutations(range(4)):
-        report["checked"] += 1
-        lengths = [length for _, length in _sortable_tree(t, word)]
         poly = gen_poly(lengths)
         if poly == cat_poly:
-            report["failures"].append({"check": "sortable-side-equality", "word": repr(word)})
-        if len(lengths) != cardinality:
-            report["failures"].append({"check": "sortable-side-cardinality", "word": repr(word)})
-
+            _fail(report, f"{side}-side-equality", **{key: value})
+        if poly(1) != cardinality or len(lengths) != cardinality:
+            _fail(report, f"{side}-side-cardinality", **{key: value})
     return report

@@ -403,7 +403,7 @@ class TestPreimage:
         for image, word in psi_inverse_table(t).items():
             assert bm.preimage(t, "psi", image) == word
 
-    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 6)] + [GroupType("B", r) for r in range(1, 5)], ids=str)
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 7)] + [GroupType("B", r) for r in range(1, 6)], ids=str)
     def test_psi_refuses_every_non_image(self, t):
         table = psi_inverse_table(t)
         others = [w for w in sp.enumerate_group(t.family, t.n) if w not in table]
@@ -1148,6 +1148,38 @@ class TestPsiRows:
         # not an error from inside the loop ("type D needs an even number of negatives")
         with pytest.raises(ValueError, match="no planar cells for type D"):
             bm.verify_psi_theorems(GroupType("D", 4))
+
+
+class TestPsiInvariants:
+    """What lets ``_word_starts`` decode with no range check and ``_psi_lanes``
+    emit with no cut at an empty factor, on every element and every path."""
+
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 7)] + [GroupType("B", r) for r in range(1, 6)], ids=str)
+    def test_every_scan_key_names_a_row(self, t):
+        # letter s of pass f is a cell of row n-1+f-s: below the last row, and a lower row in type A
+        fam, n = t.family, t.n
+        c_word = sp.coxeter_element(fam, n)[1]
+        rows = len(paths._caps(fam, n))
+        for w in sp.enumerate_group(fam, n):
+            for f, s in so._scan(w, c_word, fam):
+                assert 0 <= n - 1 + f - s < rows
+                assert fam == "B" or s >= f
+
+    @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 9)] + [GroupType("B", r) for r in range(1, 7)], ids=str)
+    def test_non_empty_factors_form_a_prefix(self, t):
+        # every cell under a path is read, by ``_psi`` and in every lane of ``_psi_lanes``
+        fam, n = t.family, t.n
+        _, _, _, lanes, xs = bm._rank(t)
+        cells = sum(rp.planar_cells(t).caps)
+        for x in zip(*map(lanes.unpack, xs)):
+            assert len(bm._psi(x, n, fam)[1]) == cells - sum(x)
+        _, word = bm._psi_lanes(lanes, xs, n)
+        assert sum(word.values()) == cells * lanes.one - sum(xs)
+        factors = [0] * (n + 1)
+        for (f, _), mask in word.items():
+            factors[f] |= mask
+        for f in range(2, n + 1):
+            assert factors[f] & ~factors[f - 1] == 0
 
 
 class TestLanes:

@@ -405,6 +405,28 @@ class TestD4Counterexample:
         report = nc.d4_counterexample()
         assert report["failures"] == [{"check": "sortable-side-equality", "word": repr((0, 1, 2, 3))}]
 
+    def test_one_conjugates_lengths_claim_the_identity(self, monkeypatch):
+        # one conjugate's lane lengths read as Cat_D4(q)'s multiset: that c, and no other
+        # c or ordering, claims the identity, and the counts still agree at q = 1
+        cat_d4 = rp.cat_q(GroupType("D", 4))
+        claimed = [d for d, k in enumerate(cat_d4.coeffs) for _ in range(k)]
+        c, g = nc._coxeter_class_d4()[5]
+        conj_lanes, lengths_d = nc._conj_lanes, nc._lengths_d
+        seen = []
+
+        def conjugated(lanes, hits, h):
+            seen.append(h)
+            return conj_lanes(lanes, hits, h)
+
+        def corrupted(lanes, cols):
+            return lanes.pack(claimed) if seen[-1] == g else lengths_d(lanes, cols)
+
+        monkeypatch.setattr(nc, "_conj_lanes", conjugated)
+        monkeypatch.setattr(nc, "_lengths_d", corrupted)
+        report = nc.d4_counterexample()
+        assert len(seen) == len(coxeter_elements_d4())
+        assert report["failures"] == [{"check": "nc-side-equality", "c": repr(c)}]
+
     def test_a3_control_equality_holds(self):
         t = GroupType("A", 3)
         lengths = [sp.length_s(w, "A") for w in nc.rev_nc(t)]
