@@ -36,7 +36,6 @@ table from images to row starts, built by ``_phi_lanes``.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache, reduce
 from itertools import chain, count, repeat, takewhile
 from operator import add, lshift, or_, xor
@@ -185,7 +184,7 @@ def _word_starts(letters, n: int, caps, one: int = 1) -> list[int]:
     f, and s >= f.  Type B: a pass that meets a negative position parks the smallest one at the
     front and flips it with s_0, so s_0 is taken in the first k <= n passes, k the number of
     negative entries, and pass k + g takes no letter below g, as in type A: f - s <= n, and row
-    n-1+f-s <= 2n-1.  The verifier calls this only once ``_sort_lanes``' keys equal ``_psi_lanes``'.
+    n-1+f-s <= 2n-1.  The verifier calls this only once ``_sort_lanes`` takes ``_psi_lanes``' keys.
     """
     x = [cap * one for cap in caps]
     for (f, s), weight in letters:
@@ -343,13 +342,12 @@ def _image_keys(lanes: _Lanes, cols: list[int]) -> set:
     """The lanes' distinct images, each as one int key: the low bytes of its
     columns, which hold the stored entries (below 256), eight to a 64-bit
     word.  No wider lane layout is built: the bytes are gathered by strided
-    slices and read as one array of words."""
+    slices into one buffer, which is read in place as 64-bit words."""
     width = -(-len(cols) // 8) * 8  # key bytes per lane
     key = bytearray(width * lanes.count)
     for i, col in enumerate(cols):
         key[i::width] = lanes.low_bytes(col)
-    words = array("Q", key)
-    step = width // 8
+    words, step = memoryview(key).cast("Q"), width // 8
     return set(reduce(lambda high, word: map(add, word, map(lshift, high, repeat(64))),
                       [words[j::step] for j in reversed(range(step))]))
 
@@ -411,20 +409,24 @@ def _lane_stats(lanes: _Lanes, cols: list[int], family: str) -> tuple:
     return q, valid, length, 2 * dsum + negs, 2 * isum + negs, dms, ims, negs
 
 
-def _sort_lanes(lanes: _Lanes, q: list[int], c_word) -> dict:
+def _sort_lanes(lanes: _Lanes, q: list[int], c_word, word: dict) -> int:
     """``sortable._scan`` on every lane at once, from the inverse columns
-    ``q``: the letters each pass consumes, keyed as in ``_psi_lanes``."""
-    q, found = list(q), {}
+    ``q``, checked as it goes against ``word``, masks keyed as in
+    ``_psi_lanes``: the mask of the lanes where a pass takes a letter that
+    ``word`` lacks or leaves one that ``word`` holds, keys past the last
+    pass included.  No word is built: ``word``'s keys are popped from a
+    shallow copy as the scan visits them, and what is left is or-ed in."""
+    q, left, wrong = list(q), dict(word), 0
     for f in count(1):
         consumed = 0
         for s in c_word:
             m = lanes.gt(q[s - 1], q[s]) if s else lanes.gt(lanes.off * lanes.one, q[0])
+            wrong |= m ^ left.pop((f, s), 0)
             if m:
-                found[f, s] = m
                 consumed |= m
                 lanes.act(q, s, m)
         if not consumed:
-            return found
+            return reduce(or_, left.values(), wrong)
 
 
 def _falling(lanes: _Lanes, xs: list[int]) -> bool:
@@ -528,10 +530,12 @@ def verify_psi_theorems(t: GroupType) -> dict:
     """Exhaustively check the cell-reading bijection and its statistics.
 
     Every check runs on all the paths at once, in ``_rank``'s lanes:
-    ``_psi_lanes`` builds the images and their words, the greedy scan
-    ``_sort_lanes`` must read the same words off the images, and each
-    statistic is a lane sum compared with the packed area, maj or east
-    count.  Only a failing lane is decoded into its path, image and word.
+    ``_psi_lanes`` builds the images and their words once, the greedy scan
+    ``_sort_lanes`` on the images must take exactly the emitted letters,
+    checked in place, and each statistic is a lane sum compared with the
+    packed area, maj or east count.  Once the scan agrees in every lane,
+    the emitted words' decode must read back every lane's row starts.
+    Only a failing lane is decoded into its path, image and word.
     """
     fam, n = t.family, t.n
     area, path_maj, _, lanes, xs = _rank(t)
@@ -542,13 +546,12 @@ def verify_psi_theorems(t: GroupType) -> dict:
     one, off = lanes.one, lanes.off
     cols, word = _psi_lanes(lanes, xs, n)
     q, _, length, sigma_maj, sigma_imaj, dms, ims, negs = _lane_stats(lanes, cols, fam)
-    found = _sort_lanes(lanes, q, c_word)
-    unsorted = [word.get(key, 0) ^ found.get(key, 0) for key in word.keys() | found.keys()]
-    unsorted += [m & ~word.get((f - 1, s), 0) for (f, s), m in word.items() if f > 1]  # factors not nested
+    unnested = (m & ~word.get((f - 1, s), 0) for (f, s), m in word.items() if f > 1)  # a letter the factor before lacks
+    unsorted = reduce(or_, unnested, _sort_lanes(lanes, q, c_word, word))
     total = path_maj + sigma_maj + sigma_imaj
     bad = {
         "length": lanes.differ(length, area) | lanes.differ(sum(word.values()), area),
-        "sorting-word": lanes.differ(reduce(or_, unsorted, 0)),
+        "sorting-word": lanes.differ(unsorted),
         "maj-identity": lanes.differ(total, two_n * one),
     }
     if fam == "A":
@@ -564,9 +567,10 @@ def verify_psi_theorems(t: GroupType) -> dict:
         bad["neg-sum"] = lanes.differ(negs, uppers)
         bad["ides-split"] = lanes.differ(reduce(or_, map(xor, ims, lower_ims), 0))
         bad["imaj-split"] = lanes.differ(sigma_imaj, lower_imaj + negs)
-    # Images whose sorting words read back their lanes' row starts are distinct when those are, and
-    # Cat(W) distinct images that passed the sorting-word check are all of Sort(W, c), of Cat(W) elements.
-    if not any(bad.values()) and lanes.count == cat_number(t) and _falling(lanes, xs) and _word_starts(found.items(), n, caps, one) == xs:
+    # With the sorting-word check clean, the scan's words are the emitted ones.  Images whose sorting
+    # words read back their lanes' row starts are distinct when those are, and Cat(W) distinct images
+    # that passed the sorting-word check are all of Sort(W, c), of Cat(W) elements.
+    if not any(bad.values()) and lanes.count == cat_number(t) and _falling(lanes, xs) and _word_starts(word.items(), n, caps, one) == xs:
         return report
     images = list(zip(*map(lanes.values, cols)))
     bad["injectivity"] = _repeats(images)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from . import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
@@ -229,8 +229,7 @@ def cmd_map(args) -> int:
     return 0
 
 
-_VERIFY_DEFAULT_A = 6
-_VERIFY_DEFAULT_B = 4
+_VERIFY_DEFAULT = {"A": 6, "B": 4}
 
 
 def cmd_verify(args) -> int:
@@ -240,32 +239,25 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-n goes only with --which all, not with --which {args.which}")
     if args.max_n and args.max_n < 2:
         raise ValueError(f"--max-n must be 0 or at least 2, got {args.max_n}")
-    tasks = []
     if args.which == "all":
-        max_a = args.max_n if args.max_n else _VERIFY_DEFAULT_A
-        max_b = args.max_n if args.max_n else _VERIFY_DEFAULT_B
-        for n in range(2, max_a + 1):
-            tasks += [("phiA", n), ("psiA", n)]
-        for n in range(2, max_b + 1):
-            tasks += [("phiB", n), ("psiB", n)]
-        tasks.append(("d4", 4))
+        pairs = [(kind + fam, n) for fam, top in _VERIFY_DEFAULT.items()
+                 for n in range(2, (args.max_n or top) + 1) for kind in ("phi", "psi")]
     elif args.which == "d4":
-        tasks = [("d4", 4)]
+        pairs = []
+    elif args.n is None:
+        raise ValueError(f"--which {args.which} needs --n")
     else:
-        if args.n is None:
-            raise ValueError(f"--which {args.which} needs --n")
-        tasks = [(args.which, args.n)]
-    tasks = [(which, None if which == "d4" else _group(which[-1], n)) for which, n in tasks]
-    # every task is checked against the verifier limit before the first report prints
-    for _, t in tasks:
-        if t is not None:
-            check_guard("verify", t.family, t.rank)
+        pairs = [(args.which, args.n)]
+    groups = [(which, _group(which[-1], n)) for which, n in pairs]
+    for _, t in groups:  # every task is checked against the verifier limit before the first report prints
+        check_guard("verify", t.family, t.rank)
+    # the verifiers are read off their module here, so a wrapper bound on it sees every call
+    tasks = [partial(bijmaps.verify_phi_theorems if w[:3] == "phi" else bijmaps.verify_psi_theorems, t) for w, t in groups]
+    if args.which in ("all", "d4"):
+        tasks.append(noncrossing.d4_counterexample)
     bad = 0
-    for which, t in tasks:
-        if t is None:
-            report = noncrossing.d4_counterexample()
-        else:
-            report = (bijmaps.verify_phi_theorems if which.startswith("phi") else bijmaps.verify_psi_theorems)(t)
+    for task in tasks:
+        report = task()
         print(json.dumps(report), flush=True)
         bad += len(report["failures"])
     return 1 if bad else 0

@@ -30,8 +30,10 @@ class SizeGuardError(ValueError):
 # rank.  The library itself sets no limit; only ``cli`` calls ``check_guard``.
 # |NC(W)| is the number of ideals, so the non-crossing walks share the
 # ideal limits.  "ideal mask" counts type-D ideals as ``cat_q`` does
-# (0.09 s at D9), and "verify" is the phi/psi verifiers (about 1 s for phi
-# at A10 and 0.5 s at B8; psi is faster).
+# (0.09 s at D9), and "verify" is the phi/psi verifiers (in process, on a
+# 2-core machine with Python 3.11: 0.05-0.09 s for phi at A10 and at B8,
+# 0.03-0.05 s for psi; one rank past the guard, 0.7-0.8 s at A11 and
+# 0.2-0.3 s at B9).
 SIZE_GUARDS = {
     "path": {"A": 12, "B": 8},
     "ideal": {"A": 9, "B": 6, "D": 5},
@@ -210,7 +212,10 @@ class GroupType:
         raise ValueError(f"no classical index for family {self.family}")
 
     def __str__(self) -> str:
-        return f"{self.family}{self.rank}"
+        """The usual name: ``A4``, ``D4``, ``I2(5)``, and ``E8`` for a family whose name fixes the rank."""
+        if self.family == "I2":
+            return f"I2({self.rank})"
+        return self.family if self.family in _EXCEPTIONAL_DEGREES else f"{self.family}{self.rank}"
 
 
 def degrees(t: GroupType) -> tuple[int, ...]:

@@ -87,7 +87,7 @@ def _sorting_word(w: Perm, c_word, family: str) -> SortingWord:
 def _scan(w: Perm, c_word, family: str) -> Iterator[tuple[int, int]]:
     """The greedy scan of c|c|c|... on a checked ``w``: each letter it
     takes, as (pass, letter) with passes counted from 1, keyed as
-    ``bijmaps._sort_lanes`` keys its masks.
+    ``bijmaps._psi_lanes`` keys its word masks.
 
     The inverse of the shrinking remainder is kept as the array of signed
     positions of each value, which makes every descent test and update O(1).

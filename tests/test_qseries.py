@@ -262,6 +262,12 @@ EVERY_FAMILY = (
 )
 
 
+def fields_id(t):
+    """A row's test id from its two fields, family then rank (``E88``, ``I212``), so the
+    ids stay put when ``GroupType``'s display name changes."""
+    return f"{t.family}{t.rank}"
+
+
 class TestQIntegerKernels:
     @pytest.mark.parametrize("n", range(41))
     def test_qcat_a_matches_pascal_quotient(self, n):
@@ -270,7 +276,7 @@ class TestQIntegerKernels:
     def test_every_family_is_sampled(self):
         assert {t.family for t in EVERY_FAMILY} == set(FAMILIES)
 
-    @pytest.mark.parametrize("t", EVERY_FAMILY, ids=str)
+    @pytest.mark.parametrize("t", EVERY_FAMILY, ids=fields_id)
     def test_qcat_product_matches_dense_quotient(self, t):
         assert qcat_product(t) == dense_qcat(degrees(t), coxeter_number(t))
 
@@ -298,7 +304,7 @@ class TestQIntegerKernels:
     def test_qcat_a_matches_the_series_oracle(self, n):
         assert qcat_a(n) == series_qcat(range(2, n + 1), n)
 
-    @pytest.mark.parametrize("t", EVERY_FAMILY, ids=str)
+    @pytest.mark.parametrize("t", EVERY_FAMILY, ids=fields_id)
     def test_qcat_product_matches_the_series_oracle(self, t):
         assert qcat_product(t) == series_qcat(degrees(t), coxeter_number(t))
 
@@ -459,6 +465,9 @@ class TestGroupType:
         assert GroupType("A", 8).n == 9
         assert GroupType("B", 5).n == 5
         assert str(GroupType("D", 4)) == "D4"
+        # a fixed-rank family's name carries its rank, and I2's parameter goes in parentheses
+        assert [str(GroupType(f, r)) for f, r in [("E8", 8), ("F4", 4), ("H3", 3), ("I2", 6), ("A", 4), ("B", 3)]] == [
+            "E8", "F4", "H3", "I2(6)", "A4", "B3"]
         with pytest.raises(ValueError, match="no classical index for family E8"):
             GroupType("E8", 8).n
 
