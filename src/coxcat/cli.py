@@ -209,8 +209,8 @@ def _map_line(args, t: GroupType, line: str) -> str:
             raise ValueError(f"{line.strip()!r} has {len(word)} steps, but --n {n} needs {2 * n}")
         image = (bijmaps.psi_a if family == "A" else bijmaps.psi_b)(word)[0]
     ls = signedperm.length_s(image, family)
-    mm = signedperm.maj(image, family) + signedperm.imaj(image, family)
     if args.format == "json":
+        mm = signedperm.maj(image, family) + signedperm.imaj(image, family)
         return json.dumps({"image": {"oneline": list(image)}, "ls": ls, "majimaj": mm})
     return f"{json.dumps(list(image), separators=(',', ':'))}  ls={ls}"
 
@@ -274,39 +274,34 @@ def _selftest_cases():
     )
     tB4 = GroupType("B", 4)
     idealB4 = rootposets.dyck_to_ideal(tB4, "NNNNEEEN")
-
-    def eq(name, got, want):
-        return (name, got, want)
-
-    cases = [
-        eq("qcat_a(3)", str(qcat_a(3)), "1 + q^2 + q^3 + q^4 + q^6"),
-        eq("Cat_B2(q) by areas", str(rootposets.cat_q(GroupType("B", 2))), "1 + 2q + q^2 + q^3 + q^4"),
-        eq("Cat_D4(q) by ideal sizes", str(rootposets.cat_q(GroupType("D", 4))), "1 + 4q + 6q^2 + 7q^3 + 7q^4 + 6q^5 + 6q^6 + 4q^7 + 3q^8 + 3q^9 + q^10 + q^11 + q^12"),
-        eq("Cat_D7(1) by ideal sizes", (rootposets.cat_q(GroupType("D", 7))(1), cat_number(GroupType("D", 7))), (2508, 2508)),
-        eq("cat numbers", (cat_number(GroupType("H3", 3)), cat_number(GroupType("E8", 8)), cat_number(GroupType("B", 2))), (32, 25080, 6)),
-        eq("B2 path count", len(paths.enumerate_b(2)), 6),
-        eq("B2 areas", sorted(paths.area_b(w) for w in paths.enumerate_b(2)), [0, 1, 1, 2, 3, 4]),
-        eq("maj of B6 path", paths.maj_b("NENNENNNENNE"), 48),
-        eq("A12 maj polynomial", paths.maj_polynomial("A", 12), qcat_a(12)),
-        eq("B8 maj polynomial", paths.maj_polynomial("B", 8), qcat_product(GroupType("B", 8))),
-        eq("q-binomial (20, 10) at q = 1", q_binomial(20, 10)(1), comb(20, 10)),
-        eq("lattice maj", paths.lattice_maj("NEENEENNENNE"), 24),
-        eq("lattice unfold", paths.unfold_lattice_to_b("NEENEENNENNE"), "NENNENNNENNE"),
-        eq("cycle notation", signedperm.cycles_str(signedperm.to_cycles((4, 2, -6, 5, 1, 3))), "(1,4,5)(3,-6,-3)"),
-        eq("rev example", signedperm.rev((2, -4, 3, -1)), (2, -1, 3, -4)),
-        eq("phi9 image", bijmaps.phi(tA8, ideal17), (7, 3, 4, 5, 2, 6, 9, 8, 1)),
-        eq("phi9 maj pair", (rootposets.ideal_maj(tA8, ideal17), signedperm.maj((7, 3, 4, 5, 2, 6, 9, 8, 1), "A"), signedperm.imaj((7, 3, 4, 5, 2, 6, 9, 8, 1), "A")), (35, 20, 17)),
-        eq("phi10 lift", bijmaps.phi(GroupType("A", 9), rootposets.lift_delta(tA8, ideal17)), (10, 6, 3, 4, 5, 7, 2, 9, 8, 1)),
-        eq("phi4 image", bijmaps.phi(tB4, idealB4), (4, 3, 2, -1)),
-        eq("phi5 lift", bijmaps.phi(GroupType("B", 5), rootposets.lift_delta(tB4, idealB4)), (4, 3, 2, -1, -5)),
-        eq("psiA word", str(bijmaps.psi_a("NNNNEEENNEEE")[1]), "s5 s4 s3 s2 s1 | s5 s4 s2 | s5"),
-        eq("psiA image", bijmaps.psi_a("NNNNEEENNEEE")[0], (6, 2, 1, 5, 4, 3)),
-        eq("psiB word", str(bijmaps.psi_b("NNNNEEENNNNE")[1]), "s5 s4 s3 s2 s1 s0 | s5 s4 s2 s1 s0 | s5 s2 s1"),
-        eq("psiB image", bijmaps.psi_b("NNNNEEENNNNE")[0], (1, -2, -6, 5, 4, 3)),
-        eq("S3 sorting words", sorted(str(sortable.c_sorting_word(w, (2, 1), "A")) for w in signedperm.enumerate_group("A", 3)), sorted(["e", "s2", "s2 s1", "s2 s1 | s2", "s1", "s1 | s2"])),
-        eq("[2,3,1] unsortable", sortable.is_c_sortable((2, 3, 1), (2, 1), "A"), False),
+    return [
+        ("qcat_a(3)", str(qcat_a(3)), "1 + q^2 + q^3 + q^4 + q^6"),
+        ("Cat_B2(q) by areas", str(rootposets.cat_q(GroupType("B", 2))), "1 + 2q + q^2 + q^3 + q^4"),
+        ("Cat_D4(q) by ideal sizes", str(rootposets.cat_q(GroupType("D", 4))), "1 + 4q + 6q^2 + 7q^3 + 7q^4 + 6q^5 + 6q^6 + 4q^7 + 3q^8 + 3q^9 + q^10 + q^11 + q^12"),
+        ("Cat_D7(1) by ideal sizes", (rootposets.cat_q(GroupType("D", 7))(1), cat_number(GroupType("D", 7))), (2508, 2508)),
+        ("cat numbers", (cat_number(GroupType("H3", 3)), cat_number(GroupType("E8", 8)), cat_number(GroupType("B", 2))), (32, 25080, 6)),
+        ("B2 path count", len(paths.enumerate_b(2)), 6),
+        ("B2 areas", sorted(paths.area_b(w) for w in paths.enumerate_b(2)), [0, 1, 1, 2, 3, 4]),
+        ("maj of B6 path", paths.maj_b("NENNENNNENNE"), 48),
+        ("A12 maj polynomial", paths.maj_polynomial("A", 12), qcat_a(12)),
+        ("B8 maj polynomial", paths.maj_polynomial("B", 8), qcat_product(GroupType("B", 8))),
+        ("q-binomial (20, 10) at q = 1", q_binomial(20, 10)(1), comb(20, 10)),
+        ("lattice maj", paths.lattice_maj("NEENEENNENNE"), 24),
+        ("lattice unfold", paths.unfold_lattice_to_b("NEENEENNENNE"), "NENNENNNENNE"),
+        ("cycle notation", signedperm.cycles_str(signedperm.to_cycles((4, 2, -6, 5, 1, 3))), "(1,4,5)(3,-6,-3)"),
+        ("rev example", signedperm.rev((2, -4, 3, -1)), (2, -1, 3, -4)),
+        ("phi9 image", bijmaps.phi(tA8, ideal17), (7, 3, 4, 5, 2, 6, 9, 8, 1)),
+        ("phi9 maj pair", (rootposets.ideal_maj(tA8, ideal17), signedperm.maj((7, 3, 4, 5, 2, 6, 9, 8, 1), "A"), signedperm.imaj((7, 3, 4, 5, 2, 6, 9, 8, 1), "A")), (35, 20, 17)),
+        ("phi10 lift", bijmaps.phi(GroupType("A", 9), rootposets.lift_delta(tA8, ideal17)), (10, 6, 3, 4, 5, 7, 2, 9, 8, 1)),
+        ("phi4 image", bijmaps.phi(tB4, idealB4), (4, 3, 2, -1)),
+        ("phi5 lift", bijmaps.phi(GroupType("B", 5), rootposets.lift_delta(tB4, idealB4)), (4, 3, 2, -1, -5)),
+        ("psiA word", str(bijmaps.psi_a("NNNNEEENNEEE")[1]), "s5 s4 s3 s2 s1 | s5 s4 s2 | s5"),
+        ("psiA image", bijmaps.psi_a("NNNNEEENNEEE")[0], (6, 2, 1, 5, 4, 3)),
+        ("psiB word", str(bijmaps.psi_b("NNNNEEENNNNE")[1]), "s5 s4 s3 s2 s1 s0 | s5 s4 s2 s1 s0 | s5 s2 s1"),
+        ("psiB image", bijmaps.psi_b("NNNNEEENNNNE")[0], (1, -2, -6, 5, 4, 3)),
+        ("S3 sorting words", sorted(str(sortable.c_sorting_word(w, (2, 1), "A")) for w in signedperm.enumerate_group("A", 3)), sorted(["e", "s2", "s2 s1", "s2 s1 | s2", "s1", "s1 | s2"])),
+        ("[2,3,1] unsortable", sortable.is_c_sortable((2, 3, 1), (2, 1), "A"), False),
     ]
-    return cases
 
 
 def cmd_selftest(args) -> int:

@@ -16,6 +16,7 @@ from .qseries import GroupType, coxeter_number, gen_poly
 from .signedperm import (
     Perm,
     _Lanes,
+    _walks,
     apply_value,
     check_perm,
     coxeter_element,
@@ -109,13 +110,17 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
     (1, ..., n, -1, ..., -n) in type B, and the sorting element in type D.
     A given c is a Coxeter element exactly when l_T(c) is the rank and the
     cycles of |c| have lengths n in types A and B, or 1 and n - 1 in type D.
+    l_T is n minus the number of cycles that do not cross sign, so the test
+    reads the shape of c's walks (``signedperm._walks``) alone: one walk of
+    length n that does not cross sign in type A, one that does in type B,
+    and two that do, of lengths 1 and n - 1, in type D.
     The default interval in types A and B is read off non-crossing
     partitions by ``_nc_scan``, in the order the scan finds them.
     Otherwise the interval is walked down from c, one level of l_T at a
     time, and listed level by level from c down to the identity: w covers
     w*r, for a reflection r, exactly when l_T drops by one, and absolute
     order is graded, so the closure of {c} under such steps is the whole
-    interval.  l_T is the cycle formula ``length_t`` in every type, so the
+    interval.  l_T is the cycle formula ``length_t`` in every type, so this
     walk costs |[1, c]| times the number of reflections, never the group
     order.
     """
@@ -127,8 +132,8 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
         raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
     else:
         check_perm(c, t.family)
-    cycles = sorted(map(len, _orbits(tuple(map(abs, c)), range(1, t.n + 1))))
-    if length_t(c) != t.rank or cycles != ([1, t.n - 1] if t.family == "D" else [t.n]):
+    shape = sorted((len(walk), crossed) for walk, crossed in _walks(c))
+    if shape != ([(1, True), (t.n - 1, True)] if t.family == "D" else [(t.n, t.family == "B")]):
         raise ValueError(f"{c!r} is not a Coxeter element of {t}")
     refl = reflections(t.family, t.n)
     found = {c}
@@ -161,28 +166,18 @@ def partition_blocks(p: Perm, family: str) -> list[list[int]]:
     block sorted, the blocks in order of their least entries.
 
     The blocks are the orbits of p, on 1..n in type A and on +-1..+-n in
-    type B (Reiner, 1997).  The orbits are started from the values in
-    increasing order, so each is found at its least entry.
+    type B (Reiner, 1997), read off the walks of ``signedperm._walks``: a
+    sign-crossing walk is one orbit together with its negatives, and any
+    other walk is one orbit in type A and two mirror orbits in type B.
+    Type A's walks come in order of their least entries already.
     """
-    n = len(p)
-    values = range(1, n + 1) if family == "A" else [v for v in range(-n, n + 1) if v]
-    return [sorted(orbit) for orbit in _orbits(p, values)]
-
-
-def _orbits(p: Perm, values) -> list[set[int]]:
-    seen: set[int] = set()
-    out = []
-    for start in values:
-        if start in seen:
-            continue
-        orbit = {start}
-        v = apply_value(p, start)
-        while v != start:
-            orbit.add(v)
-            v = apply_value(p, v)
-        seen |= orbit
-        out.append(orbit)
-    return out
+    if family == "A":
+        return [sorted(walk) for walk, _ in _walks(p)]
+    blocks = []
+    for walk, crossed in _walks(p):
+        mirror = [-v for v in walk]
+        blocks += [sorted(walk + mirror)] if crossed else [sorted(walk), sorted(mirror)]
+    return sorted(blocks)
 
 
 @lru_cache(maxsize=None)

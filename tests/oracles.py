@@ -69,8 +69,9 @@ conjugation, the east count and lower/upper split of a type-B path, the
 partition above a path, the root-to-cell maps, an ideal's descent set and
 arc partition, the root-poset order, upper covers, maximal elements and
 antichains, the non-crossing predicates (a pairwise crossing test and the
-type-B partition check) and the partition-to-permutation codecs, which
-check ``noncrossing.partition_blocks``, absolute order, the sorting-word
+type-B partition check), the partition-to-permutation codecs and the
+orbits of an element started from each value in turn, which check
+``noncrossing.partition_blocks``, absolute order, the sorting-word
 parser, a sorting word's letters and its factor chain (the reference for
 ``sortable._is_sortable``), the walk that tests every candidate with that
 scan (the reference for the set of ``sortable._sortable_tree`` and of
@@ -1075,6 +1076,32 @@ def partition_to_perm_b(p: SetPartition, n: int) -> Perm:
     perm = tuple(send[i] for i in range(1, n + 1))
     check_perm(perm)
     return perm
+
+
+def orbit_blocks(p: Perm, family: str) -> list[list[int]]:
+    """The orbits of p on 1..n in type A, or on +-1..+-n in type B, each
+    sorted, started from the values in increasing order so that each is
+    found at its least entry: the reference for
+    ``noncrossing.partition_blocks``, which reads them off the cycle walks."""
+    n = len(p)
+    values = range(1, n + 1) if family == "A" else [v for v in range(-n, n + 1) if v]
+    return [sorted(orbit) for orbit in _orbits(p, values)]
+
+
+def _orbits(p: Perm, values) -> list[set[int]]:
+    seen: set[int] = set()
+    out = []
+    for start in values:
+        if start in seen:
+            continue
+        orbit = {start}
+        v = apply_value(p, start)
+        while v != start:
+            orbit.add(v)
+            v = apply_value(p, v)
+        seen |= orbit
+        out.append(orbit)
+    return out
 
 
 def nc_coxeter_element(family: str, n: int) -> Perm:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coxcat import bijmaps, cli, paths, qseries, rootposets
+from coxcat import bijmaps, cli, paths, qseries, rootposets, signedperm
 from coxcat.cli import main
 
 
@@ -293,6 +293,15 @@ class TestMap:
         code, out = run(capsys, ["map", "--via", "psiB", "--n", "6"], stdin="NNNNEEENNNNE\n", monkeypatch=monkeypatch)
         assert code == 0
         assert out.strip() == "[1,-2,-6,5,4,3]  ls=14"
+
+    def test_text_mode_reads_no_maj(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("text mode printed no maj + imaj, yet computed it")
+
+        monkeypatch.setattr(signedperm, "imaj", forbidden)
+        code, out = run(capsys, ["map", "--via", "psiA", "--n", "3"], stdin="NNNEEE\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.strip() == "[3,2,1]  ls=3"
 
     def test_psi_a_json_steps(self, capsys, monkeypatch):
         code, out = run(capsys, ["map", "--via", "psiA", "--n", "6"], stdin='{"steps": "NNNNEEENNEEE"}\n', monkeypatch=monkeypatch)

@@ -16,6 +16,7 @@ from oracles import (
     leq_t,
     length_t_bfs,
     nc_coxeter_element,
+    orbit_blocks,
     order_key_b,
     partition_to_perm_a,
     partition_to_perm_b,
@@ -109,7 +110,9 @@ class TestNCInterval:
     def test_reads_a_list_as_its_tuple(self, t, c):
         assert nc.nc_elements(t, list(c)) == nc.nc_elements(t, c)
 
-    @pytest.mark.parametrize("t", [GroupType("A", 3), GroupType("B", 3), GroupType("D", 4)], ids=str)
+    @pytest.mark.parametrize(
+        "t", [GroupType("A", 3), GroupType("A", 4), GroupType("B", 3), GroupType("B", 4), GroupType("D", 4)], ids=str
+    )
     def test_refuses_exactly_what_is_no_coxeter_element(self, t):
         coxeter = set(coxeter_elements_d4() if t.family == "D" else coxeter_class(t.family, t.n))
         for w in sp.enumerate_group(t.family, t.n):
@@ -270,6 +273,12 @@ class TestPartitionCodec:
             increasing = all(list(cyc) == sorted(cyc) for cyc in sp.to_cycles(w))
             p = frozenset(map(frozenset, nc.partition_blocks(w, "A")))
             assert (increasing and is_noncrossing_a(p)) == leq_t(w, c)
+
+    @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(1, 5)])
+    def test_blocks_are_the_orbits_of_every_element(self, fam, rank):
+        n = GroupType(fam, rank).n
+        for w in sp.enumerate_group(fam, n):
+            assert nc.partition_blocks(w, fam) == orbit_blocks(w, fam)
 
     def test_b_blocks_example(self):
         # (1, -3)(-1, 3) with the zero block {2, -2}

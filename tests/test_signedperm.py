@@ -230,6 +230,32 @@ class TestCycles:
         assert sp.from_cycles(sp.to_cycles(p), 6) == p
 
 
+# (family, n): A1-A5, B1-B4 and D2-D4
+WALK_GROUPS = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(1, 5)] + [("D", n) for n in range(2, 5)]
+
+
+class TestWalks:
+    @pytest.mark.parametrize("fam,n", WALK_GROUPS)
+    def test_walks_read_the_cycles(self, fam, n):
+        for w in sp.enumerate_group(fam, n):
+            walks = sp._walks(w)
+            # the walks cover 1..n once by absolute value
+            assert sorted(abs(v) for walk, _ in walks for v in walk) == list(range(1, n + 1))
+            for walk, crossed in walks:
+                # each starts at its cycle's least absolute entry, with positive sign
+                assert walk[0] == min(map(abs, walk)) > 0
+                # and follows w until |w| returns to walk[0], as -walk[0] exactly when crossed
+                assert [sp.apply_value(w, v) for v in walk] == walk[1:] + [-walk[0] if crossed else walk[0]]
+            assert [walk[0] for walk, _ in walks] == sorted(walk[0] for walk, _ in walks)
+            # length_t counts in its own loop what the walks count
+            assert sp.length_t(w) == n - sum(not crossed for _, crossed in walks)
+
+    def test_examples(self):
+        assert sp._walks((4, 2, -6, 5, 1, 3)) == [([1, 4, 5], False), ([2], False), ([3, -6], True)]
+        assert sp._walks((-1,)) == [([1], True)]
+        assert sp._walks(()) == []
+
+
 class TestLengthT:
     def test_examples(self):
         assert sp.length_t(sp.identity(4)) == 0
