@@ -2,8 +2,11 @@
 
 Type A partitions live on 1..n; type B partitions live on +-1..+-n, are
 closed under negation and have at most one self-negative block.  The
-intervals are listed in the order their scan or walk finds them: every
-identity compares them as sets, counted by a statistic.
+default interval [1, c] is read off the non-crossing partitions by one scan
+in types A and B, and off the sortable tree by Reading's nc_c in type D;
+the interval below a given c is walked down from c.  Each is listed in the
+order its scan, tree or walk finds it: every identity compares them as
+sets, counted by a statistic.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .signedperm import (
     rev,
     simple_reflection,
 )
-from .sortable import _sortable_tree
+from .sortable import _reflection_bits, _sortable_nodes, _sortable_tree
 
 
 def _nc_scan(family: str, n: int, under_rev: bool = False) -> list[Perm]:
@@ -104,34 +107,37 @@ def _fail(report: dict, what: str, **context):
 
 
 def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
-    """The interval [1, c] in absolute order, listed in walk order.
+    """The interval [1, c] in absolute order.
 
     c defaults to the standard Coxeter element: (1, 2, ..., n) in type A,
     (1, ..., n, -1, ..., -n) in type B, and the sorting element in type D.
+    The default interval in types A and B is read off non-crossing
+    partitions by ``_nc_scan``, in the order the scan finds them, and in
+    type D it is Reading's nc_c of each sortable element (``_nc_tree``), in
+    the sortable tree's order, e first.
+
     A given c is a Coxeter element exactly when l_T(c) is the rank and the
     cycles of |c| have lengths n in types A and B, or 1 and n - 1 in type D.
     l_T is n minus the number of cycles that do not cross sign, so the test
     reads the shape of c's walks (``signedperm._walks``) alone: one walk of
     length n that does not cross sign in type A, one that does in type B,
     and two that do, of lengths 1 and n - 1, in type D.
-    The default interval in types A and B is read off non-crossing
-    partitions by ``_nc_scan``, in the order the scan finds them.
-    Otherwise the interval is walked down from c, one level of l_T at a
-    time, and listed level by level from c down to the identity: w covers
-    w*r, for a reflection r, exactly when l_T drops by one, and absolute
-    order is graded, so the closure of {c} under such steps is the whole
-    interval.  l_T is the cycle formula ``length_t`` in every type, so this
-    walk costs |[1, c]| times the number of reflections, never the group
-    order.
+    A conjugate of the default c need not be a product of the simple
+    reflections, so it has no sorting word, and its interval is walked down
+    from c, one level of l_T at a time, and listed level by level from c
+    down to the identity: w covers w*r, for a reflection r, exactly when
+    l_T drops by one, and absolute order is graded, so the closure of {c}
+    under such steps is the whole interval.  l_T is the cycle formula
+    ``length_t`` in every type, so this walk costs |[1, c]| times the
+    number of reflections, never the group order.
     """
     if c is None:
         if t.family != "D":
             return _nc_scan(t.family, t.n)
-        c = coxeter_element("D", t.n)[0]
-    elif len(c := tuple(c)) != t.n:
+        return _nc_tree(t, coxeter_element("D", t.n)[1])
+    if len(c := tuple(c)) != t.n:
         raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
-    else:
-        check_perm(c, t.family)
+    check_perm(c, t.family)
     shape = sorted((len(walk), crossed) for walk, crossed in _walks(c))
     if shape != ([(1, True), (t.n - 1, True)] if t.family == "D" else [(t.n, t.family == "B")]):
         raise ValueError(f"{c!r} is not a Coxeter element of {t}")
@@ -149,6 +155,55 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
                     below.append(u)
         out += below
         level = below
+    return out
+
+
+@lru_cache(maxsize=None)
+def _exchanges(n: int) -> dict[int, list[int]]:
+    """Each reflection of rank n, keyed by its bit of ``sortable._reflection_bits``,
+    as the list of its values: entry v (negative v wraps around) is r(v)."""
+    bit = _reflection_bits(n)
+    out = {}
+    for x in range(1, n + 1):
+        for y in range(-n, n + 1):
+            if bit[x][y]:
+                r = list(range(n + 1)) + list(range(-n, 0))
+                r[x], r[y], r[-x], r[-y] = y, x, -y, -x
+                out[bit[x][y]] = r
+    return out
+
+
+def _nc_tree(t: GroupType, c_word) -> list[Perm]:
+    """Reading's nc_c of every sortable element for ``c_word``, in the order
+    of ``sortable._sortable_nodes``.
+
+    nc_c(w) is the product t_(i1) t_(i2) ... t_(ij), i1 < ... < ij, of w's
+    cover reflections w s w^-1 (s a right descent of w) in the order they
+    occur among the reflections t_1, ..., t_k of w's sorting word, and it is
+    a bijection from the sortable elements onto [1, c] with l_T(nc_c(w))
+    the number of right descents of w (Reading, Clusters, Coxeter-sortable
+    elements and noncrossing partitions, Trans. AMS 2007).
+
+    The tree hands over each element's reflections t_k, ..., t_1, last
+    first, and its cover reflections as a mask.  Each cover reflection is
+    one of the t_i: for a right descent s, (w s w^-1) w = w s is shorter
+    than w, so w s w^-1 is a left inversion of w, and the left inversions
+    of w are exactly t_1, ..., t_k, all distinct.  So the walk up the cells
+    multiplies w's cover reflections on the left, last first, which leaves
+    them in the order t_(i1) ... t_(ij), and it stops once the mask is spent.
+    A left product r w applies r to w's values.
+    """
+    exchanges = _exchanges(t.n)
+    e = identity(t.n)
+    out = []
+    for _, _, inversions, covers in _sortable_nodes(t, c_word):
+        w = e
+        while covers:
+            r, inversions = inversions
+            if r & covers:
+                covers ^= r
+                w = tuple(map(exchanges[r].__getitem__, w))
+        out.append(w)
     return out
 
 
@@ -262,12 +317,12 @@ def d4_counterexample() -> dict:
     over the sortable elements for every ordering of the simple
     reflections, although all counts agree at q = 1.
 
-    Only [1, c0], the default interval of ``nc_elements``, is walked, and
-    its elements are packed in lanes (``signedperm._Lanes``).  Conjugation
-    by g permutes the reflections and keeps l_T, so it carries [1, c0]
-    onto [1, g c0 g^-1]: each conjugate's interval is built in the lanes by
-    ``_conj_lanes``, and its rev lengths are read off them by
-    ``_lengths_d``.  The sortable side takes each ordering's elements from
+    Only [1, c0], the default interval of ``nc_elements``, is built (as nc_c
+    of the sortable elements, in tree order), and its elements are packed in
+    lanes (``signedperm._Lanes``).  Conjugation by g permutes the
+    reflections and keeps l_T, so it carries [1, c0] onto [1, g c0 g^-1]:
+    each conjugate's interval is built in the lanes by ``_conj_lanes``, and
+    its rev lengths are read off them by ``_lengths_d``.  The sortable side takes each ordering's elements from
     ``sortable._sortable_tree``, whose lengths are their depths in the
     prefix tree, so no sortable element is packed or measured.
     """

@@ -229,9 +229,9 @@ def length_t(p: Perm) -> int:
     (Carter, 1972).
 
     It counts the flips in its own loop rather than over ``_walks``: the
-    type-D interval walk of ``noncrossing.nc_elements`` calls it once per
-    candidate, about 350 times per D4 report, and reading it off the walks
-    took 2.1 against 1.6 us per call over D4 (Python 3.11, Xeon).
+    interval walk of ``noncrossing.nc_elements`` below a given c calls it
+    once per candidate, and reading it off the walks took 2.1 against 1.6 us
+    per call over D4 (Python 3.11, Xeon).
     """
     check_perm(p)
     seen = [False] * len(p)

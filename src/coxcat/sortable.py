@@ -9,11 +9,14 @@ Coxeter-sortable elements and noncrossing partitions, Trans. AMS 2007), so
 the sortable elements form a prefix tree rooted at e: the parent of w is
 the element of its sorting word without the last letter.
 
-``_sortable_tree`` grows that tree, deciding each child u*s from u alone:
+``_sortable_nodes`` grows that tree, deciding each child u*s from u alone:
 s comes at or after u's last letter in c|c|c|... under the nesting rule,
 is a right ascent of u, and u s u^-1 is none of the reflections recorded
 for the letters u's scan skipped.  No candidate is scanned again, and each
-element's length is its depth.  ``enumerate_sortables`` lists the tree's
+element's length is its depth.  Each element comes with the reflections of
+its sorting word and its cover reflections, from which
+``noncrossing.nc_elements`` reads Reading's nc_c; ``_sortable_tree`` keeps
+only the element and its length.  ``enumerate_sortables`` lists the tree's
 elements in the order it yields them: depth first from e, so e comes first
 and every other element after its parent.
 
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
+from operator import itemgetter
 
 from .qseries import GroupType
 from .signedperm import (
@@ -140,8 +145,40 @@ def _is_sortable(w: Perm, c_word, family: str) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _reflection_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """The reflections of rank n as bits, read ``bit[x][y]`` for the one
+    exchanging the signed values x and y (negative x and y wrap around).
+
+    The reflection exchanging x and y (and -x, -y) sits at |x| n + |y| for
+    equal signs and |y| n + |x| for opposite ones, with |x| <= |y| counted
+    from 0; ``bit[x][y]`` is 0 for x = y and where x or y is 0.
+    """
+    bit = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]
+    for x in range(-n, n + 1):
+        for y in range(-n, n + 1):
+            if x and y and x != y:
+                i, j = sorted((abs(x) - 1, abs(y) - 1))
+                bit[x][y] = 1 << (i * n + j if (x > 0) == (y > 0) else j * n + i)
+    return tuple(map(tuple, bit))
+
+
 def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
-    """Every sortable element for a checked ``c_word`` once, with its length.
+    """Every sortable element for a checked ``c_word`` once, with its length,
+    in the order of ``_sortable_nodes``."""
+    return map(itemgetter(0, 1), _sortable_nodes(t, c_word))
+
+
+def _sortable_nodes(t: GroupType, c_word) -> Iterator[tuple[Perm, int, tuple | None, int]]:
+    """Every sortable element u for a checked ``c_word`` once, as
+    (u, length, inversions, covers).
+
+    ``inversions`` holds the reflections of u's sorting word a_1 ... a_k,
+    t_i = a_1 ... a_(i-1) a_i a_(i-1) ... a_1, as bits of
+    ``_reflection_bits``, in cons cells (t_k, (t_(k-1), ... (t_1, None))),
+    the last first; a child's cell points at its parent's, so no list is
+    copied.  ``covers`` is the mask of u's cover reflections u s u^-1, one
+    for each right descent s of u.
 
     Grows the prefix tree from e, depth first: u*s is a child of u, with
     sorting word u's followed by s, exactly when
@@ -152,7 +189,8 @@ def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
       letters of u's last pass;
     - s is a right ascent of u;
     - u s u^-1 is not in u's mask of skipped reflections, which holds
-      p t p^-1 for each letter t that u's scan skipped with prefix p.
+      p t p^-1 for each letter t that u's scan skipped with prefix p
+      (those with t a right descent of p may be left out; see below).
 
     **Proof.** At some letter of c|c|c|..., let p be what u's scan has taken
     and x = p^-1 u its remainder. If the scan of u*s has taken the same
@@ -170,27 +208,27 @@ def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
     sortable iff the nesting rule admits s there. Every sortable element
     other than e arises so from its parent, once.
 
-    Reflections are bits: the one exchanging the signed values x and y
-    (and -x, -y) sits at |x| n + |y| for equal signs and |y| n + |x| for
-    opposite ones, with |x| <= |y| counted from 0.  For a letter s >= 1,
-    u s u^-1 exchanges u(s) and u(s + 1); for s0 it exchanges u(1) and
-    -u(1) in type B, and u(1) and -u(2) in type D.
+    The loop meets every letter s once per element u, and reads u s u^-1
+    off u: for s >= 1 it exchanges u(s) and u(s + 1); for s0 it exchanges
+    u(1) and -u(1) in type B, and u(1) and -u(2) in type D.  That is the
+    child's new inversion t_(k+1) when s is an ascent, and a cover
+    reflection of u when s is a descent.  A skipped letter that is a descent
+    of u is not recorded: its reflection is an inversion of u, so of every
+    element below u in the tree, while the reflection tested at an ascent is
+    not an inversion of the element it is tested at.  An element is yielded
+    after its children are pushed, so the order is that of a walk which
+    yields each element as it pops it.
     """
     family, n = t.family, t.n
     m = len(c_word)
-    bit = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]  # bit[x][y], negative x and y wrap around
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if x and y and x != y:
-                i, j = sorted((abs(x) - 1, abs(y) - 1))
-                bit[x][y] = 1 << (i * n + j if (x > 0) == (y > 0) else j * n + i)
+    bit = _reflection_bits(n)
     # element, its length, the index in c_word of its last letter, the letters of the pass
-    # before its last (all of them before the second), those of its last, its skipped reflections
-    stack = [(identity(n), 0, -1, -1, 0, 0)]
+    # before its last (all of them before the second), those of its last, its skipped
+    # reflections, its inversions
+    stack = [(identity(n), 0, -1, -1, 0, 0, None)]
     while stack:
-        u, length, last, before, took, skipped = stack.pop()
-        yield u, length
-        length += 1
+        u, length, last, before, took, skipped, inversions = stack.pop()
+        covers = 0
         for j in range(last + 1, last + 1 + m):
             same = j < m
             s = c_word[j] if same else c_word[j - m]
@@ -203,16 +241,20 @@ def _sortable_tree(t: GroupType, c_word) -> Iterator[tuple[Perm, int]]:
             else:
                 a, b = u[0], u[1]
                 r, up = bit[a][-b], a + b > 0
-            if up and (before if same else took) >> s & 1 and not skipped & r:
+            if not up:
+                covers |= r
+                continue
+            if (before if same else took) >> s & 1 and not skipped & r:
                 if s:
                     child = u[: s - 1] + (b, a) + u[s + 1 :]
                 else:
                     child = (-a,) + u[1:] if family == "B" else (-b, -a) + u[2:]
                 if same:
-                    stack.append((child, length, j, before, took | 1 << s, skipped))
+                    stack.append((child, length + 1, j, before, took | 1 << s, skipped, (r, inversions)))
                 else:
-                    stack.append((child, length, j - m, took, 1 << s, skipped))
+                    stack.append((child, length + 1, j - m, took, 1 << s, skipped, (r, inversions)))
             skipped |= r
+        yield u, length, inversions, covers
 
 
 def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:

@@ -1122,10 +1122,10 @@ def coxeter_elements_d4() -> tuple[Perm, ...]:
 def d4_intervals():
     """Yield (c, [1, c]) for every Coxeter element c of D_4, sorted by c.
 
-    Only [1, c0], the default interval of ``nc_elements``, is walked.
+    Only [1, c0], the default interval of ``nc_elements``, is built.
     Conjugation by g permutes the reflections and keeps l_T, so it carries
-    [1, c0] onto [1, g c0 g^-1]; each interval is listed in the walk order
-    of [1, c0], one element at a time, against the lanes of
+    [1, c0] onto [1, g c0 g^-1]; each interval is listed in the order of
+    [1, c0], one element at a time, against the lanes of
     ``noncrossing._conj_lanes``.
     """
     base = noncrossing.nc_elements(GroupType("D", 4))

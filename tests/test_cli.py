@@ -672,3 +672,31 @@ class TestSelftest:
         assert proc.returncode == 0, proc.stderr
         assert "FAIL" not in proc.stdout
         assert proc.stdout.count("ok:") >= 20
+
+
+class TestBrokenPipe:
+    """A reader that leaves early (``| head -1``) ends the run with 141, 128 + SIGPIPE,
+    and nothing on stderr: exit 1 would read as a verification failure."""
+
+    @pytest.mark.parametrize(
+        "argv,keep",
+        [
+            (["enumerate", "--object", "dyck", "--type", "A", "--n", "10"], 1),  # leaves mid-listing
+            (["verify", "--which", "d4"], 0),  # leaves before the report
+            (["selftest"], 0),  # leaves before the flush at exit
+        ],
+        ids=["enumerate", "verify", "selftest"],
+    )
+    def test_exits_141_quietly(self, argv, keep):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coxcat", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        lines = [proc.stdout.readline() for _ in range(keep)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+        assert lines == [b"NENENENENENENENENENE\n"][:keep]

@@ -22,9 +22,12 @@ once, in lanes (``bijmaps._lane_stats``), so they may not
 name the checked statistics, ``c_sorting_word`` or ``rev_nc``,
 nor a single statistic, a descent set, ``neg`` or ``inverse``; the sortable
 elements come from the prefix tree, whose child test reads the parent
-alone, so ``enumerate_sortables`` and ``_sortable_tree`` may not name a
-sorting scan (``is_c_sortable``, ``c_sorting_word``, ``_is_sortable``) or
-build a sorting word, and ``is_c_sortable`` tests its element with the
+alone, so ``enumerate_sortables``, ``_sortable_tree`` and
+``_sortable_nodes`` may not name a sorting scan (``is_c_sortable``,
+``c_sorting_word``, ``_is_sortable``) or build a sorting word; type D's
+default [1, c] is nc_c read off the tree's nodes, so ``_nc_tree`` may not
+name ``length_t``, a group product, the reflection list or
+``enumerate_sortables``; and ``is_c_sortable`` tests its element with the
 early-exit scan, so it may not build a sorting word either.  The D4 report
 and the psi verifier take the sortable elements from the tree, so neither
 may name ``enumerate_sortables``.
@@ -95,10 +98,11 @@ ONE_PASS = {
     "bijmaps-psi": ("bijmaps", ("verify_psi_theorems", "_psi", "_psi_lanes"), PSI_WORDS),
     "bijmaps-checks": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), CHECKED_STATS),
     "bijmaps-one-stats-pass": ("bijmaps", ("verify_phi_theorems", "verify_psi_theorems"), SINGLE_STATS),
-    "sortable-walk": ("sortable", ("enumerate_sortables", "_sortable_tree"), CHECKED_SORT | SORTING_WORDS | {"_is_sortable"}),
+    "sortable-walk": ("sortable", ("enumerate_sortables", "_sortable_tree", "_sortable_nodes"), CHECKED_SORT | SORTING_WORDS | {"_is_sortable"}),
     "sortable-early-exit": ("sortable", ("is_c_sortable",), SORTING_WORDS),
     "d4-sortable-tree": ("noncrossing", ("d4_counterexample",), {"enumerate_sortables"}),
     "psi-sortable-tree": ("bijmaps", ("verify_psi_theorems",), {"enumerate_sortables"}),
+    "nc-tree": ("noncrossing", ("_nc_tree",), {"length_t", "mul", "reflections", "enumerate_sortables"}),
     "rev-scan": ("noncrossing", ("rev_nc",), {"rev"}),
     "bijmaps-rev-scan": ("bijmaps", ("verify_phi_theorems",), {"rev"}),
     "d4-lanes": ("noncrossing", ("d4_counterexample",), {"rev", "length_s", "_length_s", "_conj"}),

@@ -185,6 +185,50 @@ class TestNCScan:
             nc.nc_elements(GroupType(fam, rank), c)
 
 
+class TestNCTree:
+    """The default type-D interval is Reading's nc_c of the sortable tree; the
+    walk down from c0 is its oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_tree_equals_the_walk(self, n):
+        t = GroupType("D", n)
+        elems = nc.nc_elements(t)
+        assert len(set(elems)) == len(elems) == cat_number(t)
+        assert elems[0] == sp.identity(n)
+        assert set(elems) == set(nc.nc_elements(t, sp.coxeter_element("D", n)[0]))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_absolute_length_is_the_descent_count(self, n):
+        # nc_elements(t) lists nc_c(w) for the sortable elements w in tree order
+        t = GroupType("D", n)
+        gens = [sp.simple_reflection(i, n, "D") for i in range(n)]
+        for w, x in zip(so.enumerate_sortables(t), nc.nc_elements(t), strict=True):
+            descents = sum(sp.length_s(sp.mul(w, s), "D") < sp.length_s(w, "D") for s in gens)
+            assert sp.length_t(x) == descents
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_no_absolute_length(self, n, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("l_T on the default type-D path")
+
+        monkeypatch.setattr(nc, "length_t", forbidden)
+        monkeypatch.setattr(nc, "mul", forbidden)
+        elems = nc.nc_elements(GroupType("D", n))
+        assert len(set(elems)) == len(elems) == cat_number(GroupType("D", n))
+
+    @pytest.mark.parametrize(
+        "t",
+        [GroupType("A", r) for r in range(1, 5)] + [GroupType("B", r) for r in range(1, 5)] + [GroupType("D", r) for r in range(2, 5)],
+        ids=str,
+    )
+    def test_every_c_word(self, t):
+        # nc_c holds for every Coxeter word, not only the default one
+        for word in itertools.permutations(range(1, t.n) if t.family == "A" else range(t.n)):
+            got = nc._nc_tree(t, word)
+            assert len(set(got)) == len(got)
+            assert set(got) == set(nc.nc_elements(t, sp.word_to_perm(word, t.n, t.family)))
+
+
 def nc_filter_oracle(t, c=None):
     """The interval [1, c] by filtering the whole group with leq_t."""
     if c is None:

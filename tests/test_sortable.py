@@ -233,6 +233,47 @@ class TestSortableTree:
         assert_tree_order(t, sp.coxeter_element(t.family, t.n)[1], so.enumerate_sortables(t))
 
 
+class TestSortableNodes:
+    """Each node's inversion cells and cover mask against group products."""
+
+    @staticmethod
+    def bit_of(bit, r):
+        # the bit of the reflection r, read off its least moved value
+        x = next(i for i, v in enumerate(r, start=1) if v != i)
+        return bit[x][r[x - 1]]
+
+    @pytest.mark.parametrize("t", [GroupType("A", 3), GroupType("B", 3), GroupType("D", 4)], ids=str)
+    def test_inversions_and_covers(self, t):
+        fam, n = t.family, t.n
+        bit = so._reflection_bits(n)
+        gens = {s: sp.simple_reflection(s, n, fam) for s in (range(1, n) if fam == "A" else range(n))}
+        for c_word in every_c_word(t):
+            for u, length, inversions, covers in so._sortable_nodes(t, c_word):
+                cells = []
+                while inversions is not None:
+                    r, inversions = inversions
+                    cells.append(r)
+                word = letters(so.c_sorting_word(u, c_word, fam))
+                want = []
+                for k, s in enumerate(word):
+                    p = sp.word_to_perm(word[:k], n, fam)
+                    want.append(self.bit_of(bit, sp.mul(sp.mul(p, gens[s]), sp.inverse(p))))
+                assert cells[::-1] == want and len(word) == length
+                cover = 0
+                for g in gens.values():
+                    if sp.length_s(sp.mul(u, g), fam) < sp.length_s(u, fam):
+                        cover |= self.bit_of(bit, sp.mul(sp.mul(u, g), sp.inverse(u)))
+                assert covers == cover
+
+    def test_tree_is_the_nodes_projected(self):
+        t = GroupType("D", 5)
+        word = sp.coxeter_element("D", 5)[1]
+        assert list(so._sortable_tree(t, word)) == [(u, length) for u, length, _, _ in so._sortable_nodes(t, word)]
+
+    def test_bits_built_once_per_rank(self):
+        assert so._reflection_bits(5) is so._reflection_bits(5)
+
+
 def assert_tree_order(t, c_word, listed):
     """``listed``, from ``enumerate_sortables``, has the elements in the order of the depth
     first walk down ``_sortable_tree``, each once: e first, and every other
