@@ -4,9 +4,9 @@ Type A partitions live on 1..n; type B partitions live on +-1..+-n, are
 closed under negation and have at most one self-negative block.  The
 default interval [1, c] is read off the non-crossing partitions by one scan
 in types A and B, and off the sortable tree by Reading's nc_c in type D;
-the interval below a given c is walked down from c.  Each is listed in the
-order its scan, tree or walk finds it: every identity compares them as
-sets, counted by a statistic.
+the interval below any other Coxeter element is the default one
+conjugated.  Each is listed in the order its scan or tree finds it: every
+identity compares them as sets, counted by a statistic.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .signedperm import (
     coxeter_element,
     group_order,
     identity,
-    length_t,
+    inverse,
     mul,
-    reflections,
     rev,
     simple_reflection,
 )
@@ -116,46 +115,59 @@ def nc_elements(t: GroupType, c: Perm | None = None) -> list[Perm]:
     type D it is Reading's nc_c of each sortable element (``_nc_tree``), in
     the sortable tree's order, e first.
 
-    A given c is a Coxeter element exactly when l_T(c) is the rank and the
-    cycles of |c| have lengths n in types A and B, or 1 and n - 1 in type D.
-    l_T is n minus the number of cycles that do not cross sign, so the test
-    reads the shape of c's walks (``signedperm._walks``) alone: one walk of
-    length n that does not cross sign in type A, one that does in type B,
-    and two that do, of lengths 1 and n - 1, in type D.
-    A conjugate of the default c need not be a product of the simple
-    reflections, so it has no sorting word, and its interval is walked down
-    from c, one level of l_T at a time, and listed level by level from c
-    down to the identity: w covers w*r, for a reflection r, exactly when
-    l_T drops by one, and absolute order is graded, so the closure of {c}
-    under such steps is the whole interval.  l_T is the cycle formula
-    ``length_t`` in every type, so this walk costs |[1, c]| times the
-    number of reflections, never the group order.
+    Any other c is tested by ``_conjugator``, which finds a g with
+    c = g c0 g^-1 for the default c0 or refuses c as no Coxeter element.
+    Conjugation by g permutes the reflections and keeps l_T, so
+    [1, c] = g [1, c0] g^-1: the default interval, each w replaced by
+    g w g^-1, in the default interval's order, e first.  No l_T is computed.
     """
-    if c is None:
-        if t.family != "D":
-            return _nc_scan(t.family, t.n)
-        return _nc_tree(t, coxeter_element("D", t.n)[1])
+    if c is not None:
+        g = _conjugator(t, c)
+        g_inv = inverse(g)
+        return [mul(mul(g, w), g_inv) for w in nc_elements(t)]
+    if t.family != "D":
+        return _nc_scan(t.family, t.n)
+    return _nc_tree(t, coxeter_element("D", t.n)[1])
+
+
+def _conjugator(t: GroupType, c) -> Perm:
+    """A signed permutation g with c = g c0 g^-1, for the default Coxeter
+    element c0 of ``nc_elements``, or a ``ValueError`` when c is no
+    Coxeter element of t.
+
+    c0 is ``coxeter_element``'s element in type D and its inverse
+    s_1 ... s_{n-1} (s_0 s_1 ... s_{n-1} in type B) in types A and B.
+    All Coxeter elements of W are conjugate (Springer, 1974), and a
+    Coxeter element is one with l_T(c) the rank and |c| of c0's cycle type.
+    l_T is n minus the cycles that do not cross sign, so both hold exactly
+    when c's walks (``signedperm._walks``), sorted by (length, crossed),
+    have the shape of c0's.  Then pairing the walks entry by entry,
+    g(a) = b and g(-a) = -b, sends c0^k(m) to c^k(m') for the walks'
+    starts m and m', and each pair of walks returns to its start with the
+    same sign, so g c0 = c g.
+
+    g need not lie in W (in type D it may negate an odd number of values),
+    but conjugation by any signed permutation keeps the reflections of type
+    A, B and D each, so it still carries [1, c0] onto [1, c].
+    """
     if len(c := tuple(c)) != t.n:
         raise ValueError(f"{c!r} has {len(c)} entries, but {t} acts on {t.n}")
     check_perm(c, t.family)
-    shape = sorted((len(walk), crossed) for walk, crossed in _walks(c))
-    if shape != ([(1, True), (t.n - 1, True)] if t.family == "D" else [(t.n, t.family == "B")]):
+    c0 = coxeter_element(t.family, t.n)[0]
+    if t.family != "D":
+        c0 = inverse(c0)
+
+    def shape(walk):
+        return len(walk[0]), walk[1]
+
+    walks, walks0 = (sorted(_walks(w), key=shape) for w in (c, c0))
+    if list(map(shape, walks)) != list(map(shape, walks0)):
         raise ValueError(f"{c!r} is not a Coxeter element of {t}")
-    refl = reflections(t.family, t.n)
-    found = {c}
-    level = [c]
-    out = [c]
-    for rank in range(t.rank - 1, -1, -1):
-        below = []
-        for w in level:
-            for r in refl:
-                u = mul(w, r)
-                if u not in found and length_t(u) == rank:
-                    found.add(u)
-                    below.append(u)
-        out += below
-        level = below
-    return out
+    g = [0] * t.n
+    for (walk, _), (walk0, _) in zip(walks, walks0):
+        for b, a in zip(walk, walk0):
+            g[abs(a) - 1] = b if a > 0 else -b
+    return tuple(g)
 
 
 @lru_cache(maxsize=None)
@@ -238,27 +250,28 @@ def partition_blocks(p: Perm, family: str) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
     """Pairs (c, g) with c = g c0 g^-1, one for each conjugate c of the
-    standard Coxeter element c0 of D_4, sorted by c.
+    standard Coxeter element c0 of D_4, sorted by c, with g from
+    ``_conjugator``.
 
-    The class is the closure of c0 under conjugation by simple reflections;
-    conjugating by s takes (c, g) to (s c s, s g).  Its size is checked
-    against |W|/h: the centralizer of a Coxeter element is the cyclic group
-    it generates, of order h (Springer, 1974).
+    The class is the closure of c0 under conjugation by simple reflections.
+    Its size is checked against |W|/h: the centralizer of a Coxeter element
+    is the cyclic group it generates, of order h (Springer, 1974).
     """
+    t = GroupType("D", 4)
     c0 = coxeter_element("D", 4)[0]
     gens = [simple_reflection(i, 4, "D") for i in range(4)]
-    conj = {c0: identity(4)}
+    cls = {c0}
     frontier = [c0]
     while frontier:
         w = frontier.pop()
         for s in gens:
             u = mul(mul(s, w), s)
-            if u not in conj:
-                conj[u] = mul(s, conj[w])
+            if u not in cls:
+                cls.add(u)
                 frontier.append(u)
-    if len(conj) * coxeter_number(GroupType("D", 4)) != group_order("D", 4):
+    if len(cls) * coxeter_number(t) != group_order("D", 4):
         raise AssertionError("conjugacy class size mismatch")
-    return tuple(sorted(conj.items()))
+    return tuple((c, _conjugator(t, c)) for c in sorted(cls))
 
 
 def _conj_lanes(lanes: _Lanes, hits: list[dict[int, int]], g: Perm) -> list[int]:

@@ -28,7 +28,7 @@ class SizeGuardError(ValueError):
 # The largest size each enumeration runs at from the command line unless
 # ``--unsafe`` is given: paths by their semilength n, everything else by
 # rank.  The library itself sets no limit; only ``cli`` calls ``check_guard``.
-# |NC(W)| is the number of ideals, so the non-crossing walks share the
+# |NC(W)| is the number of ideals, so the non-crossing intervals share the
 # ideal limits.  "ideal mask" counts type-D ideals as ``cat_q`` does
 # (0.09 s at D9), and "verify" is the phi/psi verifiers (in process, on a
 # 2-core machine with Python 3.11: 0.05-0.09 s for phi at A10 and at B8,

@@ -2,8 +2,14 @@
 
 Reflection length by breadth-first search over the whole group: the
 distance from the identity in the Cayley graph whose generators are all the
-reflections.  It costs the group order, so it is guarded and used only at
-small rank, against the cycle formula ``signedperm.length_t``.
+reflections (``reflections``, the list of them in types A, B and D).  It
+costs the group order, so it is guarded and used only at small rank,
+against the cycle formula ``signedperm.length_t``.
+
+The interval [1, c] walked down from c, one level of l_T at a time
+(``nc_walk``), against ``noncrossing.nc_elements``: the scan in types A
+and B, the sortable tree in type D and the conjugated default interval for
+any other c.
 
 The phi verifier on frozensets: every ideal from ``rootposets.ideals``, its
 statistics from ``ideal_maj``/``ideal_des`` and its lift from
@@ -102,12 +108,32 @@ from coxcat.signedperm import (
     length_s,
     length_t,
     mul,
-    reflections,
     simple_reflection,
     word_to_perm,
 )
 
 BFS_ORDER_GUARD = 50_000
+
+
+def reflections(family: str, n: int) -> list[Perm]:
+    """All reflections: transpositions, sign-swapping pairs, and (B only) sign flips."""
+    out = []
+    ident = list(range(1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            t = ident.copy()
+            t[i - 1], t[j - 1] = j, i
+            out.append(tuple(t))
+            if family in ("B", "D"):
+                t = ident.copy()
+                t[i - 1], t[j - 1] = -j, -i
+                out.append(tuple(t))
+    if family == "B":
+        for i in range(1, n + 1):
+            t = ident.copy()
+            t[i - 1] = -i
+            out.append(tuple(t))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -1112,6 +1138,32 @@ def nc_coxeter_element(family: str, n: int) -> Perm:
     """
     word = range(1, n) if family == "A" else range(0, n)
     return word_to_perm(tuple(word), n, family)
+
+
+def nc_walk(t: GroupType, c: Perm) -> list[Perm]:
+    """The interval [1, c] below a Coxeter element c, walked down from c
+    and listed level by level from c down to the identity.
+
+    w covers w*r, for a reflection r, exactly when l_T drops by one, and
+    absolute order is graded, so the closure of {c} under such steps is the
+    whole interval.  It costs |[1, c]| times the number of reflections,
+    never the group order.
+    """
+    refl = reflections(t.family, t.n)
+    found = {c}
+    level = [c]
+    out = [c]
+    for rank in range(t.rank - 1, -1, -1):
+        below = []
+        for w in level:
+            for r in refl:
+                u = mul(w, r)
+                if u not in found and length_t(u) == rank:
+                    found.add(u)
+                    below.append(u)
+        out += below
+        level = below
+    return out
 
 
 def coxeter_elements_d4() -> tuple[Perm, ...]:

@@ -27,7 +27,9 @@ alone, so ``enumerate_sortables``, ``_sortable_tree`` and
 ``c_sorting_word``, ``_is_sortable``) or build a sorting word; type D's
 default [1, c] is nc_c read off the tree's nodes, so ``_nc_tree`` may not
 name ``length_t``, a group product, the reflection list or
-``enumerate_sortables``; and ``is_c_sortable`` tests its element with the
+``enumerate_sortables``; the interval below any other c is the default
+one conjugated, so ``nc_elements`` and ``_conjugator`` may not name
+``length_t`` or the reflection list; and ``is_c_sortable`` tests its element with the
 early-exit scan, so it may not build a sorting word either.  The D4 report
 and the psi verifier take the sortable elements from the tree, so neither
 may name ``enumerate_sortables``.
@@ -103,6 +105,7 @@ ONE_PASS = {
     "d4-sortable-tree": ("noncrossing", ("d4_counterexample",), {"enumerate_sortables"}),
     "psi-sortable-tree": ("bijmaps", ("verify_psi_theorems",), {"enumerate_sortables"}),
     "nc-tree": ("noncrossing", ("_nc_tree",), {"length_t", "mul", "reflections", "enumerate_sortables"}),
+    "nc-conjugation": ("noncrossing", ("nc_elements", "_conjugator"), {"length_t", "reflections"}),
     "rev-scan": ("noncrossing", ("rev_nc",), {"rev"}),
     "bijmaps-rev-scan": ("bijmaps", ("verify_phi_theorems",), {"rev"}),
     "d4-lanes": ("noncrossing", ("d4_counterexample",), {"rev", "length_s", "_length_s", "_conj"}),

@@ -16,6 +16,7 @@ from oracles import (
     leq_t,
     length_t_bfs,
     nc_coxeter_element,
+    nc_walk,
     orbit_blocks,
     order_key_b,
     partition_to_perm_a,
@@ -144,13 +145,13 @@ class TestNCInterval:
 
 
 class TestNCScan:
-    """The default A/B interval comes from ``_nc_scan``; the walk is its oracle."""
+    """The default A/B interval comes from ``_nc_scan``; the walk ``oracles.nc_walk`` is its oracle."""
 
     @pytest.mark.parametrize("fam,rank", [("A", 8), ("B", 6)])
     def test_scan_equals_walk(self, fam, rank):
         t = GroupType(fam, rank)
         c = nc_coxeter_element(fam, t.n)
-        assert sorted(nc.nc_elements(t)) == sorted(nc.nc_elements(t, c))
+        assert sorted(nc.nc_elements(t)) == sorted(nc_walk(t, c))
 
     @pytest.mark.parametrize("fam,rank", [("A", 9), ("B", 7)])
     def test_beyond_the_walk(self, fam, rank):
@@ -167,7 +168,7 @@ class TestNCScan:
             raise AssertionError("group arithmetic on the default A/B path")
 
         monkeypatch.setattr(nc, "mul", forbidden)
-        monkeypatch.setattr(nc, "length_t", forbidden)
+        monkeypatch.setattr(sp, "length_t", forbidden)
         assert len(nc.nc_elements(GroupType(fam, rank))) == cat_number(GroupType(fam, rank))
 
     @pytest.mark.parametrize(
@@ -187,7 +188,7 @@ class TestNCScan:
 
 class TestNCTree:
     """The default type-D interval is Reading's nc_c of the sortable tree; the
-    walk down from c0 is its oracle."""
+    walk down from c0 (``oracles.nc_walk``) is its oracle."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_tree_equals_the_walk(self, n):
@@ -195,7 +196,7 @@ class TestNCTree:
         elems = nc.nc_elements(t)
         assert len(set(elems)) == len(elems) == cat_number(t)
         assert elems[0] == sp.identity(n)
-        assert set(elems) == set(nc.nc_elements(t, sp.coxeter_element("D", n)[0]))
+        assert set(elems) == set(nc_walk(t, sp.coxeter_element("D", n)[0]))
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_absolute_length_is_the_descent_count(self, n):
@@ -211,7 +212,7 @@ class TestNCTree:
         def forbidden(*args):
             raise AssertionError("l_T on the default type-D path")
 
-        monkeypatch.setattr(nc, "length_t", forbidden)
+        monkeypatch.setattr(sp, "length_t", forbidden)
         monkeypatch.setattr(nc, "mul", forbidden)
         elems = nc.nc_elements(GroupType("D", n))
         assert len(set(elems)) == len(elems) == cat_number(GroupType("D", n))
@@ -226,7 +227,36 @@ class TestNCTree:
         for word in itertools.permutations(range(1, t.n) if t.family == "A" else range(t.n)):
             got = nc._nc_tree(t, word)
             assert len(set(got)) == len(got)
-            assert set(got) == set(nc.nc_elements(t, sp.word_to_perm(word, t.n, t.family)))
+            assert set(got) == set(nc_walk(t, sp.word_to_perm(word, t.n, t.family)))
+
+
+class TestNCConjugation:
+    """Any other c: the default interval conjugated by ``_conjugator``'s g."""
+
+    @pytest.mark.parametrize("t", [GroupType("A", 4), GroupType("B", 4), GroupType("D", 5)], ids=str)
+    def test_conjugator_sends_c0_to_c(self, t):
+        # D4's class is checked by TestD4Counterexample::test_one_pass_conjugation_is_the_product
+        c0 = sp.coxeter_element("D", t.n)[0] if t.family == "D" else nc_coxeter_element(t.family, t.n)
+        for c in coxeter_class(t.family, t.n):
+            assert conj(nc._conjugator(t, c), c0) == c
+
+    @pytest.mark.parametrize("t", [GroupType("A", 9), GroupType("B", 7), GroupType("D", 8)], ids=str)
+    def test_past_the_walk(self, t, monkeypatch):
+        # a bipartite Coxeter element: the even letters, then the odd ones
+        word = sorted(range(1, t.n) if t.family == "A" else range(t.n), key=lambda s: (s % 2, s))
+        c = sp.word_to_perm(word, t.n, t.family)
+        assert c != (sp.coxeter_element("D", t.n)[0] if t.family == "D" else nc_coxeter_element(t.family, t.n))
+
+        def forbidden(*args):
+            raise AssertionError("l_T on the conjugated interval")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sp, "length_t", forbidden)
+            elems = nc.nc_elements(t, c)
+        assert len(set(elems)) == len(elems) == cat_number(t)
+        assert elems[0] == sp.identity(t.n)
+        assert c in elems
+        assert all(leq_t(w, c) for w in elems)
 
 
 def nc_filter_oracle(t, c=None):
@@ -375,7 +405,7 @@ class TestD4Counterexample:
         assert [c for c, _ in pairs] == list(coxeter_elements_d4())
         assert len(pairs) == 32
         for c, interval in pairs:
-            assert sorted(interval) == sorted(nc.nc_elements(t, c))
+            assert sorted(interval) == sorted(nc_walk(t, c))
 
     def test_one_pass_conjugation_is_the_product(self):
         c0 = sp.coxeter_element("D", 4)[0]

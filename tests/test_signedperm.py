@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
 from coxcat.qseries import SizeGuardError
-from oracles import check_perm_abs, des_set, ides_set, inv_word, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, stats
+from oracles import check_perm_abs, des_set, ides_set, inv_word, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, reflections, stats
 
 
 def bfs_simple_length(target, family):
@@ -247,7 +247,7 @@ class TestWalks:
                 # and follows w until |w| returns to walk[0], as -walk[0] exactly when crossed
                 assert [sp.apply_value(w, v) for v in walk] == walk[1:] + [-walk[0] if crossed else walk[0]]
             assert [walk[0] for walk, _ in walks] == sorted(walk[0] for walk, _ in walks)
-            # length_t counts in its own loop what the walks count
+            # length_t is n minus the walks that do not cross sign
             assert sp.length_t(w) == n - sum(not crossed for _, crossed in walks)
 
     def test_examples(self):
@@ -264,7 +264,7 @@ class TestLengthT:
 
     def test_reflections_have_length_one(self):
         for fam, n in [("A", 4), ("B", 3), ("D", 3)]:
-            for t in sp.reflections(fam, n):
+            for t in reflections(fam, n):
                 assert length_t_bfs(t, fam) == 1
                 assert sp.length_t(t) == 1
 
