@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import prod
 
 from . import rootposets
-from .qseries import GroupType, coxeter_number, gen_poly
+from .qseries import GroupType, coxeter_number, degrees, gen_poly
 from .signedperm import (
     Perm,
     _Lanes,
@@ -23,7 +24,6 @@ from .signedperm import (
     apply_value,
     check_perm,
     coxeter_element,
-    group_order,
     identity,
     inverse,
     mul,
@@ -255,7 +255,8 @@ def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
 
     The class is the closure of c0 under conjugation by simple reflections.
     Its size is checked against |W|/h: the centralizer of a Coxeter element
-    is the cyclic group it generates, of order h (Springer, 1974).
+    is the cyclic group it generates, of order h (Springer, 1974), and |W|
+    is the product of the degrees (Humphreys, 1990, section 3.9).
     """
     t = GroupType("D", 4)
     c0 = coxeter_element("D", 4)[0]
@@ -269,7 +270,7 @@ def _coxeter_class_d4() -> tuple[tuple[Perm, Perm], ...]:
             if u not in cls:
                 cls.add(u)
                 frontier.append(u)
-    if len(cls) * coxeter_number(t) != group_order("D", 4):
+    if len(cls) * coxeter_number(t) != prod(degrees(t)):
         raise AssertionError("conjugacy class size mismatch")
     return tuple((c, _conjugator(t, c)) for c in sorted(cls))
 

@@ -145,6 +145,8 @@ def maj_b(word: str) -> int:
 
 def lattice_maj(word: str) -> int:
     """Sum of 2n - i over descents with respect to E < N, for any N/E word."""
+    if any(c not in "NE" for c in word):
+        raise ValueError(f"not an N/E word: {word!r}")
     n2 = len(word)
     return sum(n2 - i for i in range(1, n2) if word[i - 1] == "N" and word[i] == "E")
 

@@ -12,8 +12,6 @@ object, so that a comparison or a masked swap acts on all of them at once.
 
 from __future__ import annotations
 
-import itertools
-import math
 import sys
 from array import array
 from functools import lru_cache
@@ -233,30 +231,6 @@ def length_t(p: Perm) -> int:
     return len(p) - sum(not crossed for _, crossed in _walks(p))
 
 
-def group_order(family: str, n: int) -> int:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if family == "A":
-        return math.factorial(n)
-    if family == "B":
-        return math.factorial(n) << n
-    if family == "D":
-        return math.factorial(n) << (n - 1)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def enumerate_group(family: str, n: int):
-    """Iterate the whole group, deterministically."""
-    if family == "A":
-        yield from itertools.permutations(range(1, n + 1))
-        return
-    for base in itertools.permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            if family == "D" and mask.bit_count() % 2:
-                continue
-            yield tuple(-v if mask >> i & 1 else v for i, v in enumerate(base))
-
-
 def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
     """s_i for i >= 1 swaps positions i, i+1; s_0 is the type-specific extra one."""
     return word_to_perm((i,), n, family)
@@ -264,10 +238,11 @@ def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
 
 def word_to_perm(word, n: int, family: str = "B") -> Perm:
     """Evaluate a word in simple reflections by right multiplication."""
+    word = tuple(word)
     if family not in ("A", "B", "D"):
         raise ValueError(f"unknown family {family!r}")
     if word and not 0 <= min(word) <= max(word) < n:
-        raise ValueError(f"letter outside 0..{n - 1} in {tuple(word)!r}")
+        raise ValueError(f"letter outside 0..{n - 1} in {word!r}")
     if family == "D" and n < 2 and 0 in word:
         raise ValueError(f"type D's s_0 acts on the first two entries, so it needs n >= 2, got n = {n}")
     return _word_to_perm(word, n, family)

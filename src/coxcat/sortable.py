@@ -67,10 +67,15 @@ class SortingWord:
         return cls(tuple(map(tuple, factors.values())))
 
 
-def _check_c_word(c_word, n: int, family: str):
+def _check_c_word(c_word, n: int, family: str) -> tuple[int, ...]:
+    """``c_word`` read once into a tuple, checked to hold each simple reflection of ``family`` once."""
+    c_word = tuple(c_word)
+    if family == "D" and n < 2:
+        raise ValueError(f"type D's s_0 acts on the first two entries, so it needs n >= 2, got n = {n}")
     expect = set(range(1, n)) if family == "A" else set(range(0, n))
     if set(c_word) != expect or len(c_word) != len(expect):
         raise ValueError(f"not a Coxeter word for {family}{n}: {c_word!r}")
+    return c_word
 
 
 def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
@@ -80,7 +85,7 @@ def c_sorting_word(w: Perm, c_word, family: str) -> SortingWord:
     pass through c.
     """
     check_perm(w, family)
-    _check_c_word(c_word, len(w), family)
+    c_word = _check_c_word(c_word, len(w), family)
     return _sorting_word(w, c_word, family)
 
 
@@ -123,7 +128,7 @@ def _scan(w: Perm, c_word, family: str) -> Iterator[tuple[int, int]]:
 
 def is_c_sortable(w: Perm, c_word, family: str) -> bool:
     check_perm(w, family)
-    _check_c_word(c_word, len(w), family)
+    c_word = _check_c_word(c_word, len(w), family)
     return _is_sortable(w, c_word, family)
 
 
@@ -263,5 +268,5 @@ def enumerate_sortables(t: GroupType, c_word=None) -> list[Perm]:
     first from e, so e comes first and every element after its parent."""
     if c_word is None:
         c_word = coxeter_element(t.family, t.n)[1]
-    _check_c_word(c_word, t.n, t.family)
+    c_word = _check_c_word(c_word, t.n, t.family)
     return [w for w, _ in _sortable_tree(t, c_word)]

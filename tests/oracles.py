@@ -1,5 +1,11 @@
 """Slow reference implementations that the tests compare the library against.
 
+The whole group, walked one element at a time (``enumerate_group``), and
+its order by the factorial formulas of types A, B and D (``group_order``),
+against the product of the degrees ``qseries.degrees``.  The package
+builds only Catalan-sized objects, so every test that ranges over the
+whole group walks it here.
+
 Reflection length by breadth-first search over the whole group: the
 distance from the identity in the Cayley graph whose generators are all the
 reflections (``reflections``, the list of them in types A, B and D).  It
@@ -87,6 +93,8 @@ of Coxeter elements of D_4 with their intervals conjugated one element at
 a time, which check the lanes of ``noncrossing.d4_counterexample``.
 """
 
+import itertools
+import math
 from bisect import bisect_right, insort
 from collections import deque
 from functools import lru_cache
@@ -102,7 +110,6 @@ from coxcat.signedperm import (
     Perm,
     apply_value,
     check_perm,
-    group_order,
     identity,
     inverse,
     length_s,
@@ -113,6 +120,30 @@ from coxcat.signedperm import (
 )
 
 BFS_ORDER_GUARD = 50_000
+
+
+def group_order(family: str, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if family == "A":
+        return math.factorial(n)
+    if family == "B":
+        return math.factorial(n) << n
+    if family == "D":
+        return math.factorial(n) << (n - 1)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def enumerate_group(family: str, n: int):
+    """Iterate the whole group, deterministically."""
+    if family == "A":
+        yield from itertools.permutations(range(1, n + 1))
+        return
+    for base in itertools.permutations(range(1, n + 1)):
+        for mask in range(1 << n):
+            if family == "D" and mask.bit_count() % 2:
+                continue
+            yield tuple(-v if mask >> i & 1 else v for i, v in enumerate(base))
 
 
 def reflections(family: str, n: int) -> list[Perm]:

@@ -13,7 +13,7 @@ from coxcat import rootposets as rp
 from coxcat import signedperm as sp
 from coxcat import sortable as so
 from coxcat.qseries import GroupType, QPoly, cat_number, q_binomial, qcat_a, qcat_product, is_palindromic
-from oracles import avoids_231, ideal_des, length_t_bfs, monomial, root_poset, substitute_power
+from oracles import avoids_231, enumerate_group, ideal_des, length_t_bfs, monomial, root_poset, substitute_power
 
 
 def gen_poly(values) -> QPoly:
@@ -85,8 +85,8 @@ def test_criterion_05_equidistribution():
     ranges = [("A", range(2, 8)), ("B", range(1, 6)), ("D", range(2, 5))]
     for fam, ns in ranges:
         for n in ns:
-            majs = gen_poly([sp.maj(w, fam) for w in sp.enumerate_group(fam, n)])
-            lens = gen_poly([sp.length_s(w, fam) for w in sp.enumerate_group(fam, n)])
+            majs = gen_poly([sp.maj(w, fam) for w in enumerate_group(fam, n)])
+            lens = gen_poly([sp.length_s(w, fam) for w in enumerate_group(fam, n)])
             ok &= majs == lens
     report(5, "maj equidistributed with length over W", ok)
 
@@ -161,7 +161,7 @@ def test_criterion_08_worked_example_regression():
     # rev example
     ok &= sp.rev((2, -4, 3, -1)) == (2, -1, 3, -4)
     # S_3 sorting words and the unique unsortable element
-    words = {w: str(so.c_sorting_word(w, (2, 1), "A")) for w in sp.enumerate_group("A", 3)}
+    words = {w: str(so.c_sorting_word(w, (2, 1), "A")) for w in enumerate_group("A", 3)}
     ok &= words[(2, 3, 1)] == "s1 | s2" and not so.is_c_sortable((2, 3, 1), (2, 1), "A")
     ok &= sorted(words.values()) == sorted(["e", "s2", "s2 s1", "s2 s1 | s2", "s1", "s1 | s2"])
     report(8, "worked-example regressions", ok)
@@ -178,7 +178,7 @@ def test_criterion_10_oracle_cross_checks():
     # rank 5 in the symmetric-group family means one-line size 6
     for fam, ns in [("A", range(2, 7)), ("B", range(1, 4)), ("D", range(2, 6))]:
         for n in ns:
-            for w in sp.enumerate_group(fam, n):
+            for w in enumerate_group(fam, n):
                 ok &= sp.length_t(w) == length_t_bfs(w, fam)
     # cell poset is isomorphic to the B_n root poset, covers both ways
     for n in range(1, 7):
@@ -199,6 +199,6 @@ def test_criterion_10_oracle_cross_checks():
     # sortable iff 231-avoiding
     for n in range(1, 8):
         c_word = tuple(range(n - 1, 0, -1))
-        for w in sp.enumerate_group("A", n):
+        for w in enumerate_group("A", n):
             ok &= so.is_c_sortable(w, c_word, "A") == avoids_231(w)
     report(10, "independent oracle cross-checks", ok)

@@ -21,6 +21,8 @@ from oracles import (
     cells_b,
     check_dyck,
     des,
+    enumerate_group,
+    group_order,
     ideal_des,
     ides,
     ides_set,
@@ -394,8 +396,8 @@ class TestPreimage:
             assert len(table) == cat_number(t)
             for image, want in table.items():
                 assert bm.preimage(t, via, image) == want
-            others = [w for w in sp.enumerate_group(t.family, t.n) if w not in table][:5]
-            assert len(others) == min(5, sp.group_order(t.family, t.n) - len(table))
+            others = [w for w in enumerate_group(t.family, t.n) if w not in table][:5]
+            assert len(others) == min(5, group_order(t.family, t.n) - len(table))
             for image in others + [sp.identity(t.n + 1)]:
                 assert bm.preimage(t, via, image) is None
 
@@ -407,8 +409,8 @@ class TestPreimage:
     @pytest.mark.parametrize("t", [GroupType("A", r) for r in range(1, 7)] + [GroupType("B", r) for r in range(1, 6)], ids=str)
     def test_psi_refuses_every_non_image(self, t):
         table = psi_inverse_table(t)
-        others = [w for w in sp.enumerate_group(t.family, t.n) if w not in table]
-        assert len(others) == sp.group_order(t.family, t.n) - cat_number(t)
+        others = [w for w in enumerate_group(t.family, t.n) if w not in table]
+        assert len(others) == group_order(t.family, t.n) - cat_number(t)
         assert [w for w in others if bm.preimage(t, "psi", w) is not None] == []
 
     @pytest.mark.parametrize("image", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4), (2, 3, 1, 4), (1, -1, 2), (1.0, 2, 3), (2, 3, 1.0), ("1", 2), (None, 1), ("3", 1, 2)])
@@ -884,7 +886,7 @@ class TestPhiImageSet:
 
     @pytest.mark.parametrize("fam,n", [("A", n) for n in range(1, 8)] + [("B", n) for n in range(1, 6)])
     def test_arc_test_selects_the_scan_from_the_whole_group(self, fam, n):
-        group = list(sp.enumerate_group(fam, n))
+        group = list(enumerate_group(fam, n))
         lanes, cols = _lanes_of(group, n)
         chosen = lanes.unpack(bm._nc_lanes(lanes, cols, fam))
         assert {w for w, m in zip(group, chosen) if m} == set(nc._nc_scan(fam, n, under_rev=True))
@@ -910,7 +912,7 @@ class TestPhiImageSet:
         t = GroupType(fam, rank)
         target = set(nc._nc_scan(fam, t.n, under_rev=True))
         outside = {}
-        for w in sp.enumerate_group(fam, t.n):
+        for w in enumerate_group(fam, t.n):
             if w not in target:
                 outside.setdefault(_phi_checks(w, fam), w)
         images = [bm._phi_rows(t, x) for x, *_ in _stream(t)]
@@ -1141,7 +1143,7 @@ class TestPsiRows:
         n = t.n
         full = (0,) * (n if fam == "A" else 2 * n)
         c_word = sp.coxeter_element(fam, n)[1]
-        bad = next(w for w in sp.enumerate_group(fam, n) if not so.is_c_sortable(w, c_word, fam))
+        bad = next(w for w in enumerate_group(fam, n) if not so.is_c_sortable(w, c_word, fam))
         kernel = bm._psi
         lost = kernel(full, n, fam)[0]
 
@@ -1175,7 +1177,7 @@ class TestPsiInvariants:
         fam, n = t.family, t.n
         c_word = sp.coxeter_element(fam, n)[1]
         rows = len(paths._caps(fam, n))
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             for f, s in so._scan(w, c_word, fam):
                 assert 0 <= n - 1 + f - s < rows
                 assert fam == "B" or s >= f

@@ -7,8 +7,10 @@ the module.  ``from __future__`` imports are directives, and the package's
 re-exports are used through ``__all__``.
 
 A second scan pins the structural target that building the Catalan objects
-costs in proportion to their number, not to the group order: the modules
-in ``CATALAN_LAYERS`` may not name a function that walks the whole group.
+costs in proportion to their number, not to the group order: no module in
+``src/coxcat`` may name a function that walks the whole group or counts
+it per family.  The group walk and order are the tests' oracles, and the
+package reads |W| off the degrees.
 
 A third keeps the generating polynomials of area and maj one pass (a fold up
 the paths' prefix tree), and both verifiers on row starts: in types A and B the functions
@@ -41,11 +43,11 @@ shell once in left-endpoint order, and its lane kernel reads each shell's
 points off masks, so neither may name a sort or the span readers
 ``_span_cycles``/``_read_block``, and ``psi_a``, ``psi_b`` and
 ``dyck_to_ideal`` read their word once, so they may not name the Dyck
-check ``_check`` or the unchecked ``_north_columns``.  phi's inverse table
+tests ``is_dyck_a``/``is_dyck_b``, a second read.  phi's inverse table
 is one pass over the row starts, so it may not name the ideal or word
 enumerations, the per-object maps or the Dyck check; the lanes' row starts
 come from the prefix tree's byte columns, so ``_rank`` and the
-verifiers may not name the per-path stream ``_row_stream``; and
+verifiers may not name the per-path stream ``row_stream``; and
 the per-word area and maj read the north columns, so they may not name
 the cell sets or the descent set, which are the tests' oracles.
 
@@ -65,9 +67,15 @@ A seventh pins the names the benchmark calls: every attribute that
 ``perfbench/run.py`` takes from a package module it loads as
 ``lib["<module>"]`` exists, so moving such a name (``QPoly.from_json``,
 which parses every ``poly`` answer) out of the package fails here.
+
+An eighth keeps every ban above naming something: each name in
+``WHOLE_GROUP`` and in the ``ONE_PASS`` rows is defined in ``src/coxcat``
+or ``tests``, or is a builtin or a ``list`` method, so a rename cannot
+leave a row that checks nothing.
 """
 
 import ast
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -75,21 +83,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "coxcat").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-CATALAN_LAYERS = ("noncrossing", "sortable", "bijmaps", "rootposets", "paths")
-WHOLE_GROUP = {"enumerate_group", "length_t_bfs", "_abs_length_table"}
-PER_OBJECT = {"enumerate_a", "enumerate_b", "_check", "area_a", "maj_a", "ideals"}
+PACKAGE = sorted((ROOT / "src" / "coxcat").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+WHOLE_GROUP = {"enumerate_group", "group_order", "length_t_bfs", "_abs_length_table"}
+PER_OBJECT = {"enumerate_a", "enumerate_b", "_dyck_columns", "area_a", "maj_a", "ideals"}
 ROW_STARTS = {"ideals", "ideal_maj", "ideal_des", "lift_delta", "ideal_to_dyck", "from_cycles"}
 PSI_WORDS = {
-    "enumerate_a", "enumerate_b", "_check", "area_a", "area_b", "maj_a", "maj_b",
+    "enumerate_a", "enumerate_b", "_dyck_columns", "area_a", "area_b", "maj_a", "maj_b",
     "neg_b", "split_lower_upper", "psi_a", "psi_b",
 }
 CHECKED_STATS = {"length_s", "maj", "imaj", "c_sorting_word", "rev_nc"}
 CHECKED_SORT = {"is_c_sortable", "c_sorting_word"}
 SORTING_WORDS = {"_sorting_word", "c_sorting_word", "SortingWord"}
 SPAN_SORT = {"sort", "sorted", "_span_cycles", "_read_block"}
-DYCK_PASSES = {"_check", "_north_columns"}
-SINGLE_STATS = {"_length_s", "_maj", "_imaj", "des", "ides", "des_set", "ides_set", "neg", "inverse"}
+DYCK_PASSES = {"is_dyck_a", "is_dyck_b"}
+SINGLE_STATS = {"_maj", "des", "ides", "des_set", "ides_set", "neg", "inverse"}
 INVERSE_WORDS = {"ideals", "enumerate_a", "enumerate_b", "phi", "psi_a", "psi_b", "_dyck_columns"}
 CELL_SETS = {"_cells", "cells_a", "cells_b", "descent_set"}
 # row -> (layer, functions, the names they may not use)
@@ -108,12 +116,12 @@ ONE_PASS = {
     "nc-conjugation": ("noncrossing", ("nc_elements", "_conjugator"), {"length_t", "reflections"}),
     "rev-scan": ("noncrossing", ("rev_nc",), {"rev"}),
     "bijmaps-rev-scan": ("bijmaps", ("verify_phi_theorems",), {"rev"}),
-    "d4-lanes": ("noncrossing", ("d4_counterexample",), {"rev", "length_s", "_length_s", "_conj"}),
+    "d4-lanes": ("noncrossing", ("d4_counterexample",), {"rev", "length_s", "mul"}),
     "phi-walk": ("bijmaps", ("_phi_rows", "_phi_lanes"), SPAN_SORT),
     "psi-reader": ("bijmaps", ("psi_a", "psi_b"), DYCK_PASSES),
     "rootposets-reader": ("rootposets", ("dyck_to_ideal",), DYCK_PASSES),
     "inverse-rows": ("bijmaps", ("_inverse_rows",), INVERSE_WORDS),
-    "lane-columns": ("bijmaps", ("_rank", "verify_phi_theorems", "verify_psi_theorems"), {"_row_stream"}),
+    "lane-columns": ("bijmaps", ("_rank", "verify_phi_theorems", "verify_psi_theorems"), {"row_stream"}),
     "north-column-stats": ("paths", ("area_a", "area_b", "maj_a", "maj_b"), CELL_SETS),
 }
 
@@ -159,9 +167,12 @@ def test_scan(source, unused):
 
 
 def whole_group_names(source: str) -> list[str]:
+    """The ``WHOLE_GROUP`` names that ``source`` defines, names, imports or takes as an attribute."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -170,9 +181,9 @@ def whole_group_names(source: str) -> list[str]:
     return sorted(found & WHOLE_GROUP)
 
 
-@pytest.mark.parametrize("layer", CATALAN_LAYERS)
-def test_no_whole_group_code(layer):
-    assert whole_group_names((ROOT / "src" / "coxcat" / f"{layer}.py").read_text()) == []
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_no_whole_group_code(path):
+    assert whole_group_names(path.read_text()) == []
 
 
 @pytest.mark.parametrize(
@@ -182,6 +193,7 @@ def test_no_whole_group_code(layer):
         ("signedperm.length_t_bfs(w, 'D')\n", ["length_t_bfs"]),
         ("table = _abs_length_table\n", ["_abs_length_table"]),
         ('"""Listed in ``enumerate_group`` order."""\n', []),
+        ("def group_order(family, n):\n    return math.factorial(n)\n", ["group_order"]),
     ],
 )
 def test_whole_group_scan(source, names):
@@ -239,7 +251,7 @@ def test_polynomials_take_one_pass(row):
     [
         ("def cat_q(t):\n    return gen_poly(map(len, ideals(t)))\n", ["ideals"]),
         ("def area_polynomial(f, n):\n    return gen_poly(map(area_a, paths.enumerate_a(n)))\n", ["area_a", "enumerate_a"]),
-        ("def maj_polynomial(f, n):\n    return sum(1 for w in words if _check(w, f))\n", ["_check"]),
+        ("def maj_polynomial(f, n):\n    return sum(1 for w in words if _dyck_columns(w, f))\n", ["_dyck_columns"]),
         ("def cat_q(t):\n    if t.family == 'D':\n        return ideals(t)\n    return area_polynomial(t)\n", []),
         ("def cat_q(t):\n    if 'D' == t.family:\n        return 0\n    else:\n        return ideals(t)\n", ["ideals"]),
         ("def cat_q(t):\n    if t.family == 'A':\n        return root_poset(t).ideals()\n", ["ideals"]),
@@ -269,7 +281,7 @@ def test_row_start_scan(source, names):
     "source,names",
     [
         ("def verify_psi_theorems(t):\n    for w in paths.enumerate_b(t.n):\n        psi_b(w)\n", ["enumerate_b", "psi_b"]),
-        ("def _psi(word, family):\n    n = paths._check(word, family)\n", ["_check"]),
+        ("def _psi(word, family):\n    x = paths._dyck_columns(word, family)\n", ["_dyck_columns"]),
         ("def verify_psi_theorems(t):\n    lower, _ = paths.split_lower_upper(w)\n    return paths.neg_b(w), area_b(w)\n", ["area_b", "neg_b", "split_lower_upper"]),
         ("def verify_psi_theorems(t):\n    return maj_a(w) if t.family == 'A' else bijmaps.psi_a(lower)\n", ["maj_a", "psi_a"]),
         ("def verify_psi_theorems(t):\n    return _psi(x[:n], n, 'A'), paths._word_of_rows(t.family, t.n, x)\n", []),
@@ -298,7 +310,7 @@ def test_unchecked_stats_scan(source, names):
 @pytest.mark.parametrize(
     "source,names",
     [
-        ("def verify_phi_theorems(t):\n    return _length_s(s, f), _maj(s, f) + _imaj(s, f)\n", ["_imaj", "_length_s", "_maj"]),
+        ("def verify_phi_theorems(t):\n    return _length_s(s, f), _maj(s, f) + _imaj(s, f)\n", ["_maj"]),
         ("def verify_phi_theorems(t):\n    return signedperm.des(s) == signedperm.ides(s)\n", ["des", "ides"]),
         ("def verify_psi_theorems(t):\n    return des_set(s), ides_set(s1), neg(s), inverse(s)\n", ["des_set", "ides_set", "inverse", "neg"]),
         ("def verify_psi_theorems(t):\n    length, s_maj, s_imaj, dmask, imask, negs = _stats(s, f)\n", []),
@@ -337,8 +349,8 @@ def test_phi_walk_scan(source, names):
 @pytest.mark.parametrize(
     "source,names",
     [
-        ("def psi_a(word):\n    n = paths._check(word, 'A')\n    return _psi(paths._north_columns(word), n, 'A')\n", ["_check", "_north_columns"]),
-        ("def dyck_to_ideal(t, word):\n    return _ideal_of_rows(t, _north_columns(word))\n", ["_north_columns"]),
+        ("def psi_a(word):\n    assert oracles.is_dyck_a(word)\n    return _psi(paths._dyck_columns(word, 'A'), len(word) // 2, 'A')\n", ["is_dyck_a"]),
+        ("def dyck_to_ideal(t, word):\n    return _ideal_of_rows(t, _dyck_columns(word, t.family)) if is_dyck_b(word) else None\n", ["is_dyck_b"]),
         ("def psi_b(word):\n    return _psi(paths._dyck_columns(word, 'B'), len(word) // 2, 'B')\n", []),
     ],
 )
@@ -486,8 +498,8 @@ def test_guard_site_scan(sources, found):
     assert guard_sites(sources) == found
 
 
-def undefined_private_names(readme: str, sources: list[str]) -> list[str]:
-    """The backticked ``_name``s of ``readme`` that no function, class or assignment in ``sources`` defines."""
+def defined_names(sources: list[str]) -> set[str]:
+    """The names that a function, class or assignment in ``sources`` defines, methods included."""
     defined = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -495,7 +507,12 @@ def undefined_private_names(readme: str, sources: list[str]) -> list[str]:
                 defined.add(node.name)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 defined.add(node.id)
-    return sorted(set(re.findall(r"`(?:[\w.]+\.)?(_\w+)`", readme)) - defined)
+    return defined
+
+
+def undefined_private_names(readme: str, sources: list[str]) -> list[str]:
+    """The backticked ``_name``s of ``readme`` that no function, class or assignment in ``sources`` defines."""
+    return sorted(set(re.findall(r"`(?:[\w.]+\.)?(_\w+)`", readme)) - defined_names(sources))
 
 
 def test_readme_names_only_defined_private_names():
@@ -514,6 +531,29 @@ def test_readme_names_only_defined_private_names():
 )
 def test_private_name_scan(readme, sources, undefined):
     assert undefined_private_names(readme, sources) == undefined
+
+
+def undefined_banned_names(bans, sources: list[str]) -> list[str]:
+    """The names in the sets ``bans`` that ``sources`` do not define and
+    that are neither builtins nor ``list`` methods: bans that check nothing."""
+    return sorted(set().union(*bans) - defined_names(sources) - set(dir(builtins)) - set(dir(list)))
+
+
+def test_every_banned_name_is_defined():
+    bans = [WHOLE_GROUP, *(forbidden for _, _, forbidden in ONE_PASS.values())]
+    assert undefined_banned_names(bans, [path.read_text() for path in MODULES]) == []
+
+
+@pytest.mark.parametrize(
+    "bans,sources,undefined",
+    [
+        ([{"f", "_gone"}, {"sorted", "sort"}], ["def f():\n    pass\n"], ["_gone"]),
+        ([{"X", "m", "C"}], ["X = 1\n\nclass C:\n    def m(self):\n        pass\n"], []),
+        ([{"g"}], ['"""Names ``g``."""\n\ng()\n'], ["g"]),
+    ],
+)
+def test_banned_name_scan(bans, sources, undefined):
+    assert undefined_banned_names(bans, sources) == undefined
 
 
 def library_attributes(source: str) -> list[tuple[str, ...]]:

@@ -11,6 +11,7 @@ from oracles import (
     conj,
     coxeter_elements_d4,
     d4_intervals,
+    enumerate_group,
     is_noncrossing_a,
     is_noncrossing_b,
     leq_t,
@@ -116,7 +117,7 @@ class TestNCInterval:
     )
     def test_refuses_exactly_what_is_no_coxeter_element(self, t):
         coxeter = set(coxeter_elements_d4() if t.family == "D" else coxeter_class(t.family, t.n))
-        for w in sp.enumerate_group(t.family, t.n):
+        for w in enumerate_group(t.family, t.n):
             try:
                 nc.nc_elements(t, w)
             except ValueError:
@@ -131,7 +132,7 @@ class TestNCInterval:
         want = cat_number(t)
         target_lt = rank
         count = 0
-        for c in sp.enumerate_group(fam, n):
+        for c in enumerate_group(fam, n):
             if sp.length_t(c) != target_lt:
                 continue
             # restrict to genuine Coxeter elements: conjugates of the standard one
@@ -263,7 +264,7 @@ def nc_filter_oracle(t, c=None):
     """The interval [1, c] by filtering the whole group with leq_t."""
     if c is None:
         c = sp.coxeter_element("D", t.n)[0] if t.family == "D" else nc_coxeter_element(t.family, t.n)
-    return [w for w in sp.enumerate_group(t.family, t.n) if leq_t(w, c)]
+    return [w for w in enumerate_group(t.family, t.n) if leq_t(w, c)]
 
 
 def coxeter_class(fam, n):
@@ -343,7 +344,7 @@ class TestPartitionCodec:
     def test_orbits_noncrossing_exactly_below_c(self, n):
         # w <= (1, 2, ..., n) iff its cycles increase and its orbits do not cross
         c = nc_coxeter_element("A", n)
-        for w in sp.enumerate_group("A", n):
+        for w in enumerate_group("A", n):
             increasing = all(list(cyc) == sorted(cyc) for cyc in sp.to_cycles(w))
             p = frozenset(map(frozenset, nc.partition_blocks(w, "A")))
             assert (increasing and is_noncrossing_a(p)) == leq_t(w, c)
@@ -351,7 +352,7 @@ class TestPartitionCodec:
     @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(1, 5)])
     def test_blocks_are_the_orbits_of_every_element(self, fam, rank):
         n = GroupType(fam, rank).n
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             assert nc.partition_blocks(w, fam) == orbit_blocks(w, fam)
 
     def test_b_blocks_example(self):
@@ -441,7 +442,7 @@ class TestD4Counterexample:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_lane_lengths_on_the_whole_group(self, n):
         # every sign pattern, at D2-D6 beside D4
-        elements = list(sp.enumerate_group("D", n))[::7]
+        elements = list(enumerate_group("D", n))[::7]
         lanes, cols = nc._pack_d(elements, n)
         got = lanes.unpack(nc._lengths_d(lanes, cols))
         assert list(got) == [sp.length_s(sp.rev(w), "D") for w in elements]

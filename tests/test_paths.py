@@ -352,6 +352,11 @@ class TestUnfold:
         with pytest.raises(ValueError):
             paths.unfold_lattice_to_b("NNE")
 
+    @pytest.mark.parametrize("word", ["XYZ", "NEX", "NxE"])
+    def test_lattice_maj_refuses_other_letters(self, word):
+        with pytest.raises(ValueError, match=f"not an N/E word: '{word}'"):
+            paths.lattice_maj(word)
+
     @given(st.integers(1, 6).flatmap(lambda n: st.permutations(list("N" * n + "E" * n))))
     def test_unfold_random_words(self, letters):
         w = "".join(letters)

@@ -1,12 +1,13 @@
 import itertools
 from collections import deque
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
-from coxcat.qseries import SizeGuardError
-from oracles import check_perm_abs, des_set, ides_set, inv_word, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, reflections, stats
+from coxcat.qseries import GroupType, SizeGuardError, degrees
+from oracles import check_perm_abs, des_set, enumerate_group, group_order, ides_set, inv_word, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, reflections, stats
 
 
 def bfs_simple_length(target, family):
@@ -64,7 +65,7 @@ class TestBasics:
 class TestKernelsAgainstDefinitions:
     @pytest.mark.parametrize("family,n", [("A", n) for n in range(7)] + [("B", n) for n in range(6)])
     def test_inv_word_on_whole_groups(self, family, n):
-        for p in sp.enumerate_group(family, n):
+        for p in enumerate_group(family, n):
             assert inv_word(p) == inv_word_pairs(p)
             # the bit count in length_s against the insertion count
             assert sp.length_s(p, family) == inv_word(p) - sum(v for v in p if v < 0)
@@ -132,7 +133,7 @@ class TestLengthS:
 
     def test_bfs_oracle_b2_b3(self):
         for n, fam in [(2, "B"), (3, "B"), (4, "A"), (3, "D")]:
-            for w in sp.enumerate_group(fam, n):
+            for w in enumerate_group(fam, n):
                 assert sp.length_s(w, fam) == bfs_simple_length(w, fam)
 
 
@@ -145,7 +146,7 @@ class TestStats:
 
     @pytest.mark.parametrize("fam,n", [("A", n) for n in range(7)] + [(f, n) for f in "BD" for n in range(6)])
     def test_matches_the_single_statistics(self, fam, n):
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             want = sp.length_s(w, fam), sp.maj(w, fam), sp.imaj(w, fam), _mask(des_set(w)), _mask(ides_set(w)), neg(w)
             assert stats(w, fam) == want
 
@@ -175,7 +176,7 @@ class TestMaj:
     def test_equidistribution_with_length(self, fam, n):
         majs: dict[int, int] = {}
         lens: dict[int, int] = {}
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             m = sp.maj(w, fam)
             l = sp.length_s(w, fam)
             majs[m] = majs.get(m, 0) + 1
@@ -222,7 +223,7 @@ class TestCycles:
             sp.from_cycles([(1, 5)], 3)
 
     def test_round_trip_b3(self):
-        for w in sp.enumerate_group("B", 3):
+        for w in enumerate_group("B", 3):
             assert sp.from_cycles(sp.to_cycles(w), 3) == w
 
     @given(signed_perms(6))
@@ -237,7 +238,7 @@ WALK_GROUPS = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(1, 5)] 
 class TestWalks:
     @pytest.mark.parametrize("fam,n", WALK_GROUPS)
     def test_walks_read_the_cycles(self, fam, n):
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             walks = sp._walks(w)
             # the walks cover 1..n once by absolute value
             assert sorted(abs(v) for walk, _ in walks for v in walk) == list(range(1, n + 1))
@@ -274,12 +275,12 @@ class TestLengthT:
     )
     def test_cycle_formula_matches_bfs(self, fam, n):
         # one-line size 6 covers the rank-5 symmetric-group case
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             assert sp.length_t(w) == length_t_bfs(w, fam)
 
     def test_at_most_ls(self):
         for fam, n in [("A", 4), ("B", 3), ("D", 3)]:
-            for w in sp.enumerate_group(fam, n):
+            for w in enumerate_group(fam, n):
                 lt = length_t_bfs(w, fam)
                 assert lt <= sp.length_s(w, fam)
 
@@ -299,7 +300,7 @@ class TestLeqT:
     def test_coxeter_elements_attain_max(self):
         for fam, n in [("A", 4), ("B", 3)]:
             c = nc_coxeter_element(fam, n)
-            top = max(sp.length_t(w) for w in sp.enumerate_group(fam, n))
+            top = max(sp.length_t(w) for w in enumerate_group(fam, n))
             assert sp.length_t(c) == top
 
 
@@ -330,6 +331,12 @@ class TestCoxeterElement:
         assert sp.word_to_perm((0,), 1, "B") == (-1,)
         assert sp.word_to_perm((), 1, "D") == (1,)
 
+    def test_word_read_once(self):
+        # a one-shot iterator is read into a tuple before its letters are checked
+        assert sp.word_to_perm((x for x in (2, 1)), 3, "A") == sp.word_to_perm((2, 1), 3, "A")
+        with pytest.raises(ValueError, match=r"outside 0..2 in \(3,\)"):
+            sp.word_to_perm(iter((3,)), 3, "B")
+
     def test_type_a_has_no_s0(self):
         with pytest.raises(ValueError, match="type A has no s_0"):
             sp.word_to_perm((0,), 3, "A")
@@ -343,7 +350,7 @@ class TestCoxeterElement:
             with pytest.raises(ValueError, match="unknown family 'X'"):
                 read((1, 2), "X")
         with pytest.raises(ValueError, match="unknown family 'X'"):
-            sp.group_order("X", 2)
+            group_order("X", 2)
 
     def test_simple_reflection_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside 0..2"):
@@ -359,19 +366,41 @@ class TestCoxeterElement:
 
 class TestGroupEnumeration:
     def test_orders(self):
-        assert len(list(sp.enumerate_group("A", 4))) == 24
-        assert len(list(sp.enumerate_group("B", 3))) == 48
-        assert len(list(sp.enumerate_group("D", 3))) == 24
-        assert sp.group_order("D", 4) == 192
+        assert len(list(enumerate_group("A", 4))) == 24
+        assert len(list(enumerate_group("B", 3))) == 48
+        assert len(list(enumerate_group("D", 3))) == 24
+        assert group_order("D", 4) == 192
 
     def test_order_past_fifteen(self):
-        assert sp.group_order("A", 16) == 20922789888000
-        assert sp.group_order("B", 16) == 20922789888000 << 16
+        assert group_order("A", 16) == 20922789888000
+        assert group_order("B", 16) == 20922789888000 << 16
 
     @pytest.mark.parametrize("fam", "ABD")
     def test_negative_order_refused(self, fam):
         with pytest.raises(ValueError, match="n must be >= 0, got -1"):
-            sp.group_order(fam, -1)
+            group_order(fam, -1)
+
+    @pytest.mark.parametrize(
+        "t",
+        [GroupType("A", r) for r in range(1, 6)] + [GroupType("B", r) for r in range(1, 5)] + [GroupType("D", r) for r in range(2, 6)],
+        ids=str,
+    )
+    def test_order_is_the_product_of_the_degrees(self, t):
+        assert prod(degrees(t)) == group_order(t.family, t.n) == len(set(enumerate_group(t.family, t.n)))
+
+    @pytest.mark.parametrize(
+        "t,order",
+        [
+            (GroupType(family, rank), order)
+            for family, rank, order in [
+                ("H3", 3, 120), ("H4", 4, 14400), ("F4", 4, 1152), ("E6", 6, 51840),
+                ("E7", 7, 2903040), ("E8", 8, 696729600), ("I2", 5, 10),
+            ]
+        ],
+        ids=str,
+    )
+    def test_known_orders_from_the_degrees(self, t, order):
+        assert prod(degrees(t)) == order
 
 
 def test_doctests():

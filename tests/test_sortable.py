@@ -7,7 +7,7 @@ from coxcat import sortable as so
 from coxcat.cli import main
 from coxcat.qseries import GroupType, QPoly, cat_number
 from coxcat.rootposets import cat_q
-from oracles import avoids_231, is_sortable_chain, letters, parse_sorting_word, sortable_walk, stats
+from oracles import avoids_231, enumerate_group, is_sortable_chain, letters, parse_sorting_word, sortable_walk, stats
 
 
 def oracle_231(p):
@@ -31,7 +31,7 @@ def slow_left_descent(w, s, family):
 class TestSortingWord:
     def test_s3_table(self):
         c = (2, 1)
-        words = {w: str(so.c_sorting_word(w, c, "A")) for w in sp.enumerate_group("A", 3)}
+        words = {w: str(so.c_sorting_word(w, c, "A")) for w in enumerate_group("A", 3)}
         assert words == {
             (1, 2, 3): "e",
             (1, 3, 2): "s2",
@@ -64,6 +64,20 @@ class TestSortingWord:
                 so.c_sorting_word(p, c_word, fam)
         assert so.c_sorting_word((1,), (), "A") == so.SortingWord(())
 
+    def test_type_d_needs_two_entries(self):
+        # s_0 of type D acts on the first two entries: refused, not an IndexError inside the scan
+        for check in (so.c_sorting_word, so.is_c_sortable):
+            with pytest.raises(ValueError, match="type D's s_0 .* needs n >= 2, got n = 1"):
+                check((1,), (0,), "D")
+
+    def test_c_word_read_once(self):
+        # a one-shot iterator is read into a tuple at the public entry
+        t, c_word = GroupType("B", 3), (2, 1, 0)
+        assert so.enumerate_sortables(t, iter(c_word)) == so.enumerate_sortables(t, c_word)
+        for w in ((3, -1, 2), (-2, 1, 3)):
+            assert so.c_sorting_word(w, iter(c_word), "B") == so.c_sorting_word(w, c_word, "B")
+            assert so.is_c_sortable(w, (s for s in c_word), "B") == so.is_c_sortable(w, c_word, "B")
+
     def test_sortable_chain(self):
         assert is_sortable_chain(so.SortingWord(()))
         assert is_sortable_chain(so.SortingWord(((2, 1),)))
@@ -75,7 +89,7 @@ class TestSortingWord:
     @pytest.mark.parametrize("fam,n", [("A", 5), ("B", 3), ("D", 4)])
     def test_reduced_and_evaluates_back(self, fam, n):
         c = tuple(range(n - 1, 0, -1)) if fam == "A" else tuple(range(n - 1, -1, -1))
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             sw = so.c_sorting_word(w, c, fam)
             assert len(sw) == sp.length_s(w, fam)
             assert sp.word_to_perm(letters(sw), n, fam) == w
@@ -83,7 +97,7 @@ class TestSortingWord:
 
     @pytest.mark.parametrize("fam,n", [("B", 3), ("D", 4)])
     def test_descent_criteria_match_length_drop(self, fam, n):
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             pos = [0] * n
             for p, v in enumerate(w, start=1):
                 pos[abs(v) - 1] = p if v > 0 else -p
@@ -119,7 +133,7 @@ class TestLexicographicallyFirst:
         "fam,n,c_word", [("A", 3, (2, 1)), ("A", 4, (3, 2, 1)), ("A", 4, (1, 2, 3)), ("B", 2, (1, 0))]
     )
     def test_greedy_is_lex_first(self, fam, n, c_word):
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             sw = so.c_sorting_word(w, c_word, fam)
             greedy_positions = []
             offset = 0
@@ -142,12 +156,12 @@ class TestSortable:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_231_oracle(self, n):
-        for w in sp.enumerate_group("A", n):
+        for w in enumerate_group("A", n):
             assert avoids_231(w) == oracle_231(w)
 
     def test_only_231_blocks_s3(self):
         assert not so.is_c_sortable((2, 3, 1), (2, 1), "A")
-        for w in sp.enumerate_group("A", 3):
+        for w in enumerate_group("A", 3):
             assert so.is_c_sortable(w, (2, 1), "A") == (w != (2, 3, 1))
 
     def test_worked_example_b_sortable(self):
@@ -156,19 +170,19 @@ class TestSortable:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_sortable_iff_231_avoiding(self, n):
         c = tuple(range(n - 1, 0, -1))
-        for w in sp.enumerate_group("A", n):
+        for w in enumerate_group("A", n):
             assert so.is_c_sortable(w, c, "A") == avoids_231(w)
 
     def test_commutation_invariance_spot_check(self):
         # s_0 and s_2 commute in B_3, so the words (1,2,0) and (1,0,2) are
         # reduced words for the same Coxeter element and must classify alike
-        for w in sp.enumerate_group("B", 3):
+        for w in enumerate_group("B", 3):
             assert so.is_c_sortable(w, (1, 2, 0), "B") == so.is_c_sortable(w, (1, 0, 2), "B")
 
 
 def sortable_filter_oracle(fam, n, c_word):
     """The sortable elements by filtering the whole group."""
-    return [w for w in sp.enumerate_group(fam, n) if so.is_c_sortable(w, c_word, fam)]
+    return [w for w in enumerate_group(fam, n) if so.is_c_sortable(w, c_word, fam)]
 
 
 def default_c_word(fam, n):
@@ -334,7 +348,7 @@ class TestUncheckedBodies:
     )
     def test_bodies_equal_the_public_forms(self, fam, n):
         c = default_c_word(fam, n)
-        for w in sp.enumerate_group(fam, n):
+        for w in enumerate_group(fam, n):
             assert stats(w, fam)[:3] == (sp.length_s(w, fam), sp.maj(w, fam), sp.imaj(w, fam))
             assert sp.imaj(w, fam) == sp.maj(sp.inverse(w), fam)
             sw = so._sorting_word(w, c, fam)
@@ -365,7 +379,7 @@ class TestEarlyExitScan:
     )
     def test_equals_the_factor_chain_for_every_ordering(self, t):
         fam, n = t.family, t.n
-        elements = list(sp.enumerate_group(fam, n))
+        elements = list(enumerate_group(fam, n))
         for c in itertools.permutations(range(1, n) if fam == "A" else range(n)):
             for w in elements:
                 sw = so.c_sorting_word(w, c, fam)
