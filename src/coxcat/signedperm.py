@@ -241,6 +241,9 @@ def word_to_perm(word, n: int, family: str = "B") -> Perm:
     word = tuple(word)
     if family not in ("A", "B", "D"):
         raise ValueError(f"unknown family {family!r}")
+    # type(), not isinstance(): a float or bool letter would index the one-line list
+    if any(type(s) is not int for s in word):
+        raise ValueError(f"letter that is not an int in {word!r}")
     if word and not 0 <= min(word) <= max(word) < n:
         raise ValueError(f"letter outside 0..{n - 1} in {word!r}")
     if family == "D" and n < 2 and 0 in word:

@@ -73,7 +73,8 @@ def _check_c_word(c_word, n: int, family: str) -> tuple[int, ...]:
     if family == "D" and n < 2:
         raise ValueError(f"type D's s_0 acts on the first two entries, so it needs n >= 2, got n = {n}")
     expect = set(range(1, n)) if family == "A" else set(range(0, n))
-    if set(c_word) != expect or len(c_word) != len(expect):
+    # type(), not isinstance(): 2.0 == 2 and True == 1 would pass the set test
+    if any(type(s) is not int for s in c_word) or set(c_word) != expect or len(c_word) != len(expect):
         raise ValueError(f"not a Coxeter word for {family}{n}: {c_word!r}")
     return c_word
 

@@ -91,16 +91,22 @@ scan (the reference for the set of ``sortable._sortable_tree`` and of
 Coxeter elements (1, ..., n) and (1, ..., n, -1, ..., -n), and the class
 of Coxeter elements of D_4 with their intervals conjugated one element at
 a time, which check the lanes of ``noncrossing.d4_counterexample``.
+
+Beside the oracles, ``refuse``: the one way a test makes a package
+function fail on any call, so that it can show that a run never reaches it.
 """
 
+import importlib
 import itertools
 import math
+import pkgutil
 from bisect import bisect_right, insort
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import add, sub
 
+import coxcat
 from coxcat import bijmaps, noncrossing, paths, rootposets, signedperm, sortable
 from coxcat.noncrossing import rev_nc
 from coxcat.qseries import GroupType, InexactDivisionError, QPoly, SizeGuardError, cat_number, check_guard
@@ -120,6 +126,27 @@ from coxcat.signedperm import (
 )
 
 BFS_ORDER_GUARD = 50_000
+
+
+def refuse(monkeypatch, name: str) -> None:
+    """Rebind ``name``, in every ``coxcat`` module that binds it, to a function
+    that raises ``AssertionError``.
+
+    A caller reaches a function through its own module's binding: the
+    defining module's, a ``from ... import`` copy or the package's
+    re-export, so patching one module can miss the call.  At least one
+    module must bind ``name``, so a refusal cannot outlive a rename and
+    check nothing.
+    """
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"refused call to {name}")
+
+    modules = [coxcat] + [importlib.import_module(f"coxcat.{m.name}") for m in pkgutil.iter_modules(coxcat.__path__)]
+    bound = [m for m in modules if name in vars(m)]
+    assert bound, f"no coxcat module binds {name}"
+    for m in bound:
+        monkeypatch.setattr(m, name, refused)
 
 
 def group_order(family: str, n: int) -> int:

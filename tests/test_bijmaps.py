@@ -36,6 +36,7 @@ from oracles import (
     phi_inverse_table,
     phi_rows_spans,
     psi_inverse_table,
+    refuse,
     root_poset,
     row_stream,
     split_lower_upper,
@@ -364,10 +365,7 @@ class TestPsi:
         # psi builds its letters in 0..n-1, so it evaluates them without word_to_perm's check
         want = bm.psi_a("NNNNEEENNEEE"), bm.psi_b("NNNNEEENNNNE")
 
-        def refuse(*args):
-            raise AssertionError("psi called the checked word_to_perm")
-
-        monkeypatch.setattr(sp, "word_to_perm", refuse)
+        refuse(monkeypatch, "word_to_perm")
         assert (bm.psi_a("NNNNEEENNEEE"), bm.psi_b("NNNNEEENNNNE")) == want
 
     @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 6), ("B", 2), ("B", 4)])
@@ -424,10 +422,7 @@ class TestPreimage:
         t = GroupType("A", 3)
         assert bm.preimage(t, "psi", image) is None
 
-        def refuse(*args):
-            raise AssertionError("phi's inverse built its table for a non-element")
-
-        monkeypatch.setattr(bm, "_inverse_rows", refuse)
+        refuse(monkeypatch, "_inverse_rows")
         assert bm.preimage(t, "phi", image) is None
 
     @pytest.mark.parametrize("image", [(-1, 2, 3), (3, -1, 2), (-3, -2, -1)])
@@ -445,12 +440,8 @@ class TestPreimage:
             bm.preimage(GroupType("A", 2), via, (1, 2, 3))
 
     def test_psi_builds_no_table(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("psi's inverse enumerated the rank")
-
-        for name in ("_inverse_rows", "_rank"):
-            monkeypatch.setattr(bm, name, refuse)
-        monkeypatch.setattr(paths, "_row_columns", refuse)
+        for name in ("_inverse_rows", "_rank", "_row_columns"):
+            refuse(monkeypatch, name)
         t = GroupType("B", 40)
         word = "N" * 30 + "E" * 10 + "NE" * 20
         assert bm.preimage(t, "psi", bm.psi_b(word)[0]) == word
@@ -654,10 +645,7 @@ class TestRowKernel:
         assert report["checked"] == len(rp.ideals(t)) and report["failures"] == []
 
     def test_clean_run_names_no_ideal(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a clean run built an ideal")
-
-        monkeypatch.setattr(rp, "_ideal_of_rows", refuse)
+        refuse(monkeypatch, "_ideal_of_rows")
         for t in (GroupType("A", 5), GroupType("B", 4)):
             assert bm.verify_phi_theorems(t)["failures"] == []
 
@@ -956,12 +944,9 @@ class TestPhiImageSet:
 
     @pytest.mark.parametrize("fam,rank", [("A", r) for r in range(1, 8)] + [("B", r) for r in range(1, 7)])
     def test_clean_run_scans_no_target(self, monkeypatch, fam, rank):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a clean run scanned [1, c]")
-
         t = GroupType(fam, rank)
         want = verify_phi_theorems_rows(t)
-        monkeypatch.setattr(bm, "_nc_scan", refuse)
+        refuse(monkeypatch, "_nc_scan")
         assert bm.verify_phi_theorems(t) == want
         assert want["failures"] == []
 
@@ -1021,10 +1006,7 @@ class TestPsiRows:
         assert report["checked"] == len(rp.ideals(t)) and report["failures"] == []
 
     def test_clean_run_names_no_word(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a clean run built a word")
-
-        monkeypatch.setattr(paths, "_word_of_rows", refuse)
+        refuse(monkeypatch, "_word_of_rows")
         for t in (GroupType("A", 5), GroupType("B", 4)):
             assert bm.verify_psi_theorems(t)["failures"] == []
 
@@ -1086,11 +1068,8 @@ class TestPsiRows:
 
     def test_clean_run_unpacks_no_image(self, monkeypatch):
         # the sorting words read back every lane's row starts, so no image tuple is built
-        def refuse(*args):
-            raise AssertionError("a clean run unpacked the images")
-
-        monkeypatch.setattr(bm._Lanes, "values", refuse)
-        monkeypatch.setattr(bm, "_repeats", refuse)
+        monkeypatch.delattr(bm._Lanes, "values")
+        refuse(monkeypatch, "_repeats")
         for t in (GroupType("A", 6), GroupType("B", 5)):
             assert bm.verify_psi_theorems(t)["failures"] == []
 
@@ -1100,10 +1079,7 @@ class TestPsiRows:
         t = GroupType(fam, n - 1 if fam == "A" else n)
         expected = verify_psi_theorems_words(t)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a clean run walked the sortable elements")
-
-        monkeypatch.setattr(bm, "_sortable_tree", refuse)
+        refuse(monkeypatch, "_sortable_tree")
         assert bm.verify_psi_theorems(t) == expected
 
     @pytest.mark.parametrize("fam,rank", [("A", 7), ("B", 5)])

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from coxcat import bijmaps, cli, paths, qseries, rootposets, signedperm
+from coxcat import bijmaps, cli, paths, qseries, rootposets
 from coxcat.cli import main
+from oracles import refuse
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -49,10 +50,7 @@ class TestPolyUsageErrors:
         [("dyck", "ls", "path"), ("ideal", "lt", "ideal"), ("nc", "area", "perm"), ("partition", "maj", "partition")],
     )
     def test_undefined_statistic_fails_before_enumerating(self, capsys, monkeypatch, obj, stat, kind):
-        def refuse(*args):
-            raise AssertionError("poly enumerated the objects of an undefined statistic")
-
-        monkeypatch.setattr(cli, "_enumerate_objects", refuse)
+        refuse(monkeypatch, "_enumerate_objects")
         assert main(["poly", "--object", obj, "--stat", stat, "--type", "A", "--n", "12"]) == 2
         assert capsys.readouterr().err == f"error: statistic {stat!r} undefined for {kind}\n"
 
@@ -81,11 +79,8 @@ class TestPolyUsageErrors:
     )
     def test_type_d_ideals_have_no_maj(self, capsys, monkeypatch, argv):
         # refused before the ideal guard (D6 is past it) and before any ideal is listed
-        def refuse(*args):
-            raise AssertionError("type-D ideals were enumerated for a maj")
-
-        monkeypatch.setattr(rootposets, "ideals", refuse)
-        monkeypatch.setattr(rootposets, "_ideal_masks", refuse)
+        refuse(monkeypatch, "ideals")
+        refuse(monkeypatch, "_ideal_masks")
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -108,12 +103,9 @@ class TestPathPolynomials:
             assert qseries.QPoly.from_json(json.loads(out)) == poly
 
     def test_nothing_is_enumerated_or_rechecked(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the one-pass route enumerated or re-checked a path")
-
-        monkeypatch.setattr(rootposets, "_ideal_masks", refuse)
-        monkeypatch.setattr(paths, "_dyck_columns", refuse)
-        monkeypatch.setattr(paths, "enumerate_a", refuse)
+        refuse(monkeypatch, "_ideal_masks")
+        refuse(monkeypatch, "_dyck_columns")
+        refuse(monkeypatch, "enumerate_a")
         for obj in ("dyck", "ideal"):
             code, out = run(capsys, ["poly", "--object", obj, "--stat", "maj", "--type", "A", "--n", "6"])
             assert code == 0
@@ -132,20 +124,14 @@ class TestPathPolynomials:
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_type_d_ideal_area_is_cat_q(self, capsys, monkeypatch, n):
         # one route for ideal area in every type: cat_q, with no frozenset ideal built
-        def refuse(*args):
-            raise AssertionError("poly built the frozenset ideals")
-
-        monkeypatch.setattr(rootposets, "ideals", refuse)
+        refuse(monkeypatch, "ideals")
         code, out = run(capsys, ["poly", "--object", "ideal", "--stat", "area", "--type", "D", "--n", str(n), "--format", "json"])
         assert code == 0
         assert qseries.QPoly.from_json(json.loads(out)) == rootposets.cat_q(qseries.GroupType("D", n))
 
     def test_each_route_checks_one_guard_and_reads_the_pass(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the guarded route re-entered a guarded polynomial")
-
-        monkeypatch.setattr(paths, "area_polynomial", refuse)
-        monkeypatch.setattr(paths, "maj_polynomial", refuse)
+        refuse(monkeypatch, "area_polynomial")
+        refuse(monkeypatch, "maj_polynomial")
         for obj in ("dyck", "ideal"):
             for stat in ("area", "maj"):
                 code, out = run(capsys, ["poly", "--object", obj, "--stat", stat, "--type", "B", "--n", "3"])
@@ -295,10 +281,7 @@ class TestMap:
         assert out.strip() == "[1,-2,-6,5,4,3]  ls=14"
 
     def test_text_mode_reads_no_maj(self, capsys, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("text mode printed no maj + imaj, yet computed it")
-
-        monkeypatch.setattr(signedperm, "imaj", forbidden)
+        refuse(monkeypatch, "imaj")
         code, out = run(capsys, ["map", "--via", "psiA", "--n", "3"], stdin="NNNEEE\n", monkeypatch=monkeypatch)
         assert code == 0
         assert out.strip() == "[3,2,1]  ls=3"
@@ -382,10 +365,7 @@ class TestMap:
 
     def test_inverse_psi_builds_no_table(self, capsys, monkeypatch):
         # B9 is past the path guard; psi's inverse reads one sorting word per line
-        def no_table(t):
-            raise AssertionError("the inverse table was built")
-
-        monkeypatch.setattr(bijmaps, "_inverse_rows", no_table)
+        refuse(monkeypatch, "_inverse_rows")
         words = ["NNENENNENNENENENEN", "NENENENENENENENENE", "N" * 18]
         lines = [json.dumps(list(bijmaps.psi_b(word)[0])) for word in words]
         code, out = run(capsys, ["map", "--via", "psiB", "--n", "9", "--inverse"], stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch)
@@ -433,10 +413,7 @@ class TestMap:
 
     @pytest.mark.parametrize("via,line", [("psiA", "[1,2,3]"), ("phiB", "[1,-2]"), ("psiB", "[2,1,3,4,5,6,7,8,9]")])
     def test_inverse_checks_the_length_before_building_the_table(self, capsys, monkeypatch, via, line):
-        def no_table(t):
-            raise AssertionError("the inverse table was built")
-
-        monkeypatch.setattr(bijmaps, "_inverse_rows", no_table)
+        refuse(monkeypatch, "_inverse_rows")
         monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
         code = main(["map", "--via", via, "--n", "8", "--inverse"])
         captured = capsys.readouterr()
@@ -542,10 +519,7 @@ class TestVerify:
 
     def test_sweep_past_a_guard_prints_nothing(self, capsys, monkeypatch):
         # every task is checked against the verify guard before the first one runs
-        def refuse(*args):
-            raise AssertionError("a verifier ran before the guard")
-
-        monkeypatch.setattr(paths, "_row_columns", refuse)
+        refuse(monkeypatch, "_row_columns")
         code = main(["verify", "--all", "--max-n", "9"])
         captured = capsys.readouterr()
         assert code == 2
@@ -556,10 +530,7 @@ class TestVerify:
         "which,n,message", [("psiA", "12", "rank 10 for type A"), ("phiB", "9", "rank 8 for type B")], ids=["psiA", "phiB"]
     )
     def test_guard_comes_before_the_paths(self, capsys, monkeypatch, which, n, message):
-        def refuse(*args):
-            raise AssertionError("the paths were streamed before the guard")
-
-        monkeypatch.setattr(paths, "_row_columns", refuse)
+        refuse(monkeypatch, "_row_columns")
         code = main(["verify", "--which", which, "--n", n])
         captured = capsys.readouterr()
         assert code == 2

@@ -270,7 +270,7 @@ def test_one_pass_scan(source, names):
         ("def phi(t, ideal):\n    return signedperm.from_cycles(cycles, t.n)\n", ["from_cycles"]),
         ("def verify_phi_theorems(t):\n    for i in rootposets.ideals(t):\n        ideal_maj(t, i)\n", ["ideal_maj", "ideals"]),
         ("def verify_phi_theorems(t):\n    return phi(big, rootposets.lift_delta(t, i)), ideal_des(t, i)\n", ["ideal_des", "lift_delta"]),
-        ("def verify_phi_theorems(t):\n    return paths._row_stream(t.family, t.n)\n", []),
+        ("def verify_phi_theorems(t):\n    return paths._row_columns(t.family, t.n)\n", []),
     ],
 )
 def test_row_start_scan(source, names):
@@ -285,7 +285,7 @@ def test_row_start_scan(source, names):
         ("def verify_psi_theorems(t):\n    lower, _ = paths.split_lower_upper(w)\n    return paths.neg_b(w), area_b(w)\n", ["area_b", "neg_b", "split_lower_upper"]),
         ("def verify_psi_theorems(t):\n    return maj_a(w) if t.family == 'A' else bijmaps.psi_a(lower)\n", ["maj_a", "psi_a"]),
         ("def verify_psi_theorems(t):\n    return _psi(x[:n], n, 'A'), paths._word_of_rows(t.family, t.n, x)\n", []),
-        ("def psi_a(word):\n    return _psi(paths._north_columns(word), paths._check(word, 'A'), 'A')\n", []),
+        ("def psi_a(word):\n    return _psi(paths._row_columns('A', n), paths._caps('A', n), 'A')\n", []),
     ],
 )
 def test_psi_row_scan(source, names):
@@ -299,8 +299,8 @@ def test_psi_row_scan(source, names):
         ("def verify_phi_theorems(t):\n    target = set(rev_nc(t))\n", ["rev_nc"]),
         ("def verify_psi_theorems(t):\n    if c_sorting_word(s, c, f) != sw:\n        pass\n", ["c_sorting_word"]),
         ("def verify_psi_theorems(t):\n    for x, area, maj, _ in rows:\n        pass\n", ["maj"]),
-        ("def verify_psi_theorems(t):\n    check_perm(s, f)\n    return _length_s(s, f), _maj(s, f), _imaj(s, f), _sorting_word(s, c, f)\n", []),
-        ("def length_s(p, f):\n    return _length_s(p, f)\n", []),
+        ("def verify_psi_theorems(t):\n    check_perm(s, f)\n    return length_t(s), _maj(s, f), maj_word(w), _sorting_word(s, c, f)\n", []),
+        ("def length_s(p, f):\n    return length_t(p), maj_word(p)\n", []),
     ],
 )
 def test_unchecked_stats_scan(source, names):
@@ -310,10 +310,10 @@ def test_unchecked_stats_scan(source, names):
 @pytest.mark.parametrize(
     "source,names",
     [
-        ("def verify_phi_theorems(t):\n    return _length_s(s, f), _maj(s, f) + _imaj(s, f)\n", ["_maj"]),
+        ("def verify_phi_theorems(t):\n    return length_t(s), _maj(s, f) + maj_word(w)\n", ["_maj"]),
         ("def verify_phi_theorems(t):\n    return signedperm.des(s) == signedperm.ides(s)\n", ["des", "ides"]),
         ("def verify_psi_theorems(t):\n    return des_set(s), ides_set(s1), neg(s), inverse(s)\n", ["des_set", "ides_set", "inverse", "neg"]),
-        ("def verify_psi_theorems(t):\n    length, s_maj, s_imaj, dmask, imask, negs = _stats(s, f)\n", []),
+        ("def verify_psi_theorems(t):\n    length, s_maj, s_imaj, dmask, imask, negs = _lane_stats(lanes, cols, f)\n", []),
     ],
 )
 def test_one_stats_pass_scan(source, names):

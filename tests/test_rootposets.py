@@ -17,6 +17,7 @@ from oracles import (
     is_dyck_b,
     maximal_elements,
     not_ideal_message,
+    refuse,
     root_poset,
     upper_covers,
 )
@@ -80,10 +81,7 @@ class TestIdeals:
 
     def test_guard(self, capsys, monkeypatch):
         # the CLI refuses A10's ideals before it enumerates any
-        def refuse(*args, **kwargs):
-            raise AssertionError("the ideals were enumerated before the guard")
-
-        monkeypatch.setattr(rp, "ideals", refuse)
+        refuse(monkeypatch, "ideals")
         assert main(["enumerate", "--object", "ideal", "--type", "A", "--n", "11"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -185,11 +183,8 @@ class TestCatQ:
     def test_guard(self, capsys, monkeypatch):
         # Cat(W, q) past its guard: the CLI's poly refuses it before cat_q or the path pass
         # runs; A/B ideals answer to the path guard, type-D ideals to the ideal mask guard
-        def refuse(*args, **kwargs):
-            raise AssertionError("the polynomial was formed before the guard")
-
-        monkeypatch.setattr(rp, "cat_q", refuse)
-        monkeypatch.setattr(paths, "_stat_counts", refuse)
+        refuse(monkeypatch, "cat_q")
+        refuse(monkeypatch, "_stat_counts")
         for family, n in (("A", 13), ("B", 9), ("D", 10)):
             assert main(["poly", "--object", "ideal", "--stat", "area", "--type", family, "--n", str(n)]) == 2
         assert capsys.readouterr().err == (

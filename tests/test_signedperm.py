@@ -325,6 +325,12 @@ class TestCoxeterElement:
         with pytest.raises(ValueError, match="outside 0..2"):
             sp.word_to_perm(word, 3, "B")
 
+    @pytest.mark.parametrize("word", [(1.0,), (True,), (2, 1.0), ("1",), (None,)])
+    def test_letter_that_is_not_an_int_rejected(self, word):
+        # True == 1 would evaluate to s_1, and 1.0 would index the one-line list
+        with pytest.raises(ValueError, match="letter that is not an int in"):
+            sp.word_to_perm(word, 3, "A")
+
     def test_type_d_s0_needs_two_entries(self):
         with pytest.raises(ValueError, match="type D's s_0 .* needs n >= 2, got n = 1"):
             sp.word_to_perm((0,), 1, "D")

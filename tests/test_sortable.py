@@ -7,7 +7,7 @@ from coxcat import sortable as so
 from coxcat.cli import main
 from coxcat.qseries import GroupType, QPoly, cat_number
 from coxcat.rootposets import cat_q
-from oracles import avoids_231, enumerate_group, is_sortable_chain, letters, parse_sorting_word, sortable_walk, stats
+from oracles import avoids_231, enumerate_group, is_sortable_chain, letters, parse_sorting_word, refuse, sortable_walk, stats
 
 
 def oracle_231(p):
@@ -63,6 +63,15 @@ class TestSortingWord:
             with pytest.raises(ValueError, match="not a Coxeter word"):
                 so.c_sorting_word(p, c_word, fam)
         assert so.c_sorting_word((1,), (), "A") == so.SortingWord(())
+
+    @pytest.mark.parametrize("c_word", [(2.0, 1), (True, 2), (2, 1.0)])
+    def test_letter_that_is_not_an_int_rejected(self, c_word):
+        # 2.0 == 2 and True == 1 pass the set test, so the letters' type is checked
+        for check in (so.c_sorting_word, so.is_c_sortable):
+            with pytest.raises(ValueError, match=r"not a Coxeter word for A3: \("):
+                check((2, 1, 3), c_word, "A")
+        with pytest.raises(ValueError, match="not a Coxeter word"):
+            so.enumerate_sortables(GroupType("A", 2), c_word)
 
     def test_type_d_needs_two_entries(self):
         # s_0 of type D acts on the first two entries: refused, not an IndexError inside the scan
@@ -330,10 +339,7 @@ class TestEnumerateSortables:
 
     def test_guard(self, capsys, monkeypatch):
         # the CLI refuses B6's sortables before it enumerates any
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sortables were enumerated before the guard")
-
-        monkeypatch.setattr(so, "enumerate_sortables", refuse)
+        refuse(monkeypatch, "enumerate_sortables")
         assert main(["enumerate", "--object", "sortable", "--type", "B", "--n", "6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
