@@ -1,19 +1,20 @@
 """Exact polynomial arithmetic in q and the closed-form q-Catalan numbers.
 
 Everything here is integer-exact: polynomials are dense coefficient vectors
-over Python ints.  The q-Catalan quotient prod (1 - q^(d+h)) / (1 - q^d) is
-formed by shifted adds and subtractions and exact running-sum divisions,
-not rational arithmetic, and a quotient that is not a polynomial raises
-InexactDivisionError.
+over Python ints, and products run on packed ints (Kronecker substitution).
+The q-Catalan quotient prod (1 - q^(d+h)) / (1 - q^d) is formed by shifted
+adds and subtractions on one packed int, then exact running-sum divisions
+on the coefficient list, not rational arithmetic, and a quotient that is
+not a polynomial raises InexactDivisionError.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add, sub
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat, zip_longest
 from typing import Iterable, Sequence
 
 
@@ -91,60 +92,49 @@ class QPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return QPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+        return QPoly(map(sum, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other: "QPoly | int") -> "QPoly":
         if isinstance(other, int):
             return QPoly([c * other for c in self.coeffs])
-        # Kronecker substitution on the sign parts a = a+ - a-, b = b+ - b-:
-        # no coefficient of a+ b+ + a- b- or of a+ b- + a- b+ exceeds
-        # |a|_1 |b|_1, which sizes the fields, and ``unpack`` checks them.
+        # Kronecker substitution: each factor is packed as its value at
+        # q = 2^(8 width), positive part minus negative part; no coefficient
+        # of the product exceeds |a|_1 |b|_1, which sizes the fields, and
+        # ``_signed`` checks them.
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
-        width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() // 8 + 1
-        ap, an, bp, bn = ([max(sign * c, 0) for c in cs] for cs in (a, b) for sign in (1, -1))
-        pa, na, pb, nb = map(_pack, (ap, an, bp, bn), repeat(width))
-        pos = unpack(pa * pb + na * nb, width, sum(ap) * sum(bp) + sum(an) * sum(bn))
-        neg = unpack(pa * nb + na * pb, width, sum(ap) * sum(bn) + sum(an) * sum(bp))
-        return QPoly(map(sub, pos + [0] * (len(neg) - len(pos)), neg + [0] * (len(pos) - len(neg))))
+        width = _width(sum(map(abs, a)) * sum(map(abs, b)))
+        pa, pb = (_pack([max(c, 0) for c in cs], width) - _pack([max(-c, 0) for c in cs], width) for cs in (a, b))
+        return QPoly(_signed(pa * pb, width, len(a) + len(b) - 1, sum(a) * sum(b)))
 
     __rmul__ = __mul__
 
     def __call__(self, x: int) -> int:
-        val = 0
-        for c in reversed(self.coeffs):
-            val = val * x + c
-        return val
+        return reduce(lambda val, c: val * x + c, reversed(self.coeffs), 0)  # Horner's rule
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
 
     @classmethod
     def from_json(cls, data: dict) -> "QPoly":
-        return cls(data["coeffs"])
+        """Decode ``{"coeffs": [...]}``, a list of ints; a bool or float entry is refused."""
+        cs = data.get("coeffs") if isinstance(data, dict) else None
+        if not isinstance(cs, list):
+            raise ValueError(f'expected {{"coeffs": [int, ...]}}, got {data!r}')
+        for c in cs:
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not an int")
+        return cls(cs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                term = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+            if c:
+                var = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+                terms.append(("+ " if c > 0 else "- ") + ("" if abs(c) == 1 and var else str(abs(c))) + var)
+        line = " ".join(terms)
+        return "0" if not line else line[2:] if line[0] == "+" else "-" + line[2:]
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
@@ -272,7 +262,7 @@ def q_binomial(k: int, l: int) -> QPoly:
 
 
 def _pack(cs: Iterable[int], width: int) -> int:
-    """The non-negative coefficients ``cs``, ``width`` bytes each, constant term lowest: ``unpack``'s input."""
+    """The non-negative coefficients ``cs``, ``width`` bytes each, constant term lowest."""
     return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))), "little")
 
 
@@ -301,13 +291,6 @@ def cat_number(t: GroupType) -> int:
     return num // den
 
 
-def _times(cs: list[int], m: int) -> list[int]:
-    """cs times 1 - q^m: subtract the coefficient m places down."""
-    cs = cs + [0] * m
-    cs[m:] = map(sub, cs[m:], cs[:-m])
-    return cs
-
-
 def _over(cs: list[int], d: int) -> bool:
     """Divide cs in place by 1 - q^d; False if the quotient is no polynomial.
 
@@ -323,42 +306,87 @@ def _over(cs: list[int], d: int) -> bool:
     return True
 
 
-def _qcat(ds: Sequence[int], h: int) -> QPoly:
-    """prod [d + h]_q / [d]_q = prod (1 - q^(d+h)) / (1 - q^d) over the degrees d.
+def _pairing(ds: Sequence[int], h: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """``_qcat``'s plan: the pairs (d, k), the unpaired numerator exponents, the unpaired degrees.
 
     Largest first, each degree d takes the smallest unused numerator
-    exponent m = d' + h that it divides, so (1 - q^m) / (1 - q^d) is the
-    polynomial [m/d]_{q^d}: nothing when m = d, one shifted add when
-    m = 2d, else a shifted subtraction and an exact division.  Then come
-    the unpaired numerators, then the unpaired degrees, each an exact
-    division.  The list thus grows only towards the quotient's degree
-    h * len(ds), never to the numerator's.  Every factor 1 - q^k is a
-    product of cyclotomic polynomials; if the whole quotient is a
-    polynomial, the numerator holds each of them at least as often as the
-    whole denominator, hence as any part of it, so every partial quotient
-    is a polynomial too.  The first division that leaves a remainder thus
-    proves the table inexact and raises InexactDivisionError; a degree
-    below 1 raises ZeroDivisionError before any arithmetic.
+    exponent m = d' + h that it divides, and then (1 - q^m) / (1 - q^d) is
+    the polynomial [k]_{q^d} with k = m / d.  A degree below 1 raises
+    ZeroDivisionError.
     """
     order = sorted(ds, reverse=True)
     if order and order[-1] < 1:
         raise ZeroDivisionError("division by [0]_q = 0")
     free = sorted(d + h for d in order)
-    cs = [1]
-    lone = []
+    pairs, lone = [], []
     for d in order:
-        m = next((m for m in free if m % d == 0), 0)
-        if not m:
+        if m := next((m for m in free if m % d == 0), 0):
+            free.remove(m)
+            pairs.append((d, m // d))
+        else:
             lone.append(d)
-            continue
-        free.remove(m)
-        if m == 2 * d:
-            cs = list(map(add, cs + [0] * d, [0] * d + cs))
-        elif m > d:
-            cs = _times(cs, m)
-            _over(cs, d)  # exact, since d divides m
+    return pairs, free, lone
+
+
+def _width(bound: int) -> int:
+    """Bytes per field for signed coefficients of absolute value at most ``bound``: 1, 2, 4 or 8 where that suffices."""
+    width = (bound.bit_length() + 8) // 8
+    return next((w for w in (1, 2, 4, 8) if w >= width), width)
+
+
+_SIGNED_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # ``struct``'s standard sizes
+
+
+def _signed(packed: int, width: int, length: int, total: int) -> list[int]:
+    """The ``length`` signed coefficients packed ``width`` bytes per field into ``packed``, constant term first.
+
+    ``packed`` is the polynomial's value at q = 2^(8 width).  Adding
+    2^(8 width - 1) to every field keeps each field in [0, 2^(8 width)) if
+    every |coefficient| is below that offset, so no borrow crosses a field,
+    and flipping the top bits back leaves each field in two's complement.
+    Fields that wrapped move the sum of the fields by a multiple of
+    2^(8 width) - 1, which may be zero: a sum other than ``total``, the value
+    at q = 1, raises OverflowError, as in ``unpack``.
+    """
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    raw = ((packed + bias) ^ bias).to_bytes(width * length, "little")
+    code = _SIGNED_CODES.get(width)
+    cs = list(struct.unpack(f"<{length}{code}", raw)) if code else [int.from_bytes(raw[i:i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    if sum(cs) != total:
+        raise OverflowError(f"{width}-byte signed fields add up to {sum(cs)}, not {total}")
+    return cs
+
+
+def _qcat(ds: Sequence[int], h: int) -> QPoly:
+    """prod [d + h]_q / [d]_q = prod (1 - q^(d+h)) / (1 - q^d) over the degrees d.
+
+    One int packs the coefficients ``width`` bytes per field.  Each pair
+    (d, k) of ``_pairing`` multiplies it by [k]_{q^d} through k - 1 shifted
+    adds (Horner's rule), and each unpaired numerator by 1 - q^m through one
+    shifted subtraction.  The paired product's coefficients are nonnegative
+    and add up to prod k, and each 1 - q^m at most doubles the largest
+    |coefficient|, so ``_width`` of prod k * 2^(unpaired numerators) holds
+    every field, and ``_signed`` decodes the int once.  Only the unpaired
+    degrees are divided out of the list, which grows only towards the
+    quotient's degree h * len(ds), never to the numerator's.  Every factor
+    1 - q^k is a product of cyclotomic polynomials; if the whole quotient is
+    a polynomial, the numerator holds each of them at least as often as the
+    whole denominator, hence as any part of it, so every partial quotient
+    is a polynomial too.  The first division that leaves a remainder thus
+    proves the table inexact and raises InexactDivisionError; a degree
+    below 1 raises ZeroDivisionError before any arithmetic.
+    """
+    pairs, free, lone = _pairing(ds, h)
+    paired = math.prod(k for _, k in pairs)  # the paired product's value at q = 1
+    width = _width(paired << len(free))
+    packed = 1
+    for d, k in pairs:
+        step, shift = packed, 8 * width * d
+        for _ in range(k - 1):
+            packed = step + (packed << shift)
     for m in free:
-        cs = _times(cs, m)
+        packed -= packed << (8 * width * m)
+    cs = _signed(packed, width, 1 + sum(d * (k - 1) for d, k in pairs) + sum(free), 0 if free else paired)
     for d in lone:
         if not _over(cs, d):
             raise InexactDivisionError(f"prod [d + {h}]_q / [d]_q over d in {tuple(ds)} is not a polynomial")

@@ -1,5 +1,7 @@
 import random
+import re
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +24,7 @@ from coxcat.qseries import (
     unpack,
 )
 from coxcat import qseries
-from coxcat.qseries import _qcat
+from coxcat.qseries import _pairing, _qcat, _signed
 from oracles import coeff, degree, divexact, is_palindromic_loop, mul_schoolbook, series_qcat, substitute_power
 
 
@@ -85,6 +87,28 @@ class TestQPoly:
     def test_json_round_trip(self):
         p = QPoly([1, 0, 3])
         assert QPoly.from_json(p.to_json()) == p
+
+    def test_from_json_accepts_int_lists(self):
+        assert QPoly.from_json({"coeffs": []}) == QPoly()
+        assert QPoly.from_json({"coeffs": [-1, 0, 10**30, 0]}) == QPoly([-1, 0, 10**30])
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"coeffs": [1.5, True]}, "coefficient 1.5 is not an int"),
+            ({"coeffs": [1, True]}, "coefficient True is not an int"),
+            ({"coeffs": [2.0]}, "coefficient 2.0 is not an int"),
+            ({"coeffs": [1, "2"]}, "coefficient '2' is not an int"),
+            ({"coeffs": [None]}, "coefficient None is not an int"),
+            ({"coeffs": "ab"}, "got {'coeffs': 'ab'}"),
+            ({"coeffs": (1, 2)}, "got {'coeffs': (1, 2)}"),
+            ({}, "got {}"),
+            ([1, 2], "got [1, 2]"),
+        ],
+    )
+    def test_from_json_rejects_what_is_not_a_list_of_ints(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QPoly.from_json(data)
 
     def test_divexact_failure(self):
         with pytest.raises(InexactDivisionError):
@@ -326,36 +350,82 @@ class TestQIntegerKernels:
         assert 2500 <= exact < 5000  # both verdicts are exercised
 
     def test_qcat_pairs_each_degree_with_a_numerator_it_divides(self, monkeypatch):
-        calls = []
-        times, over = qseries._times, qseries._over
-
-        def spy_times(cs, m):
-            calls.append(("times", m))
-            return times(cs, m)
+        divided = []
+        over = qseries._over
 
         def spy_over(cs, d):
-            calls.append(("over", d))
+            divided.append(d)
             return over(cs, d)
 
-        monkeypatch.setattr(qseries, "_times", spy_times)
         monkeypatch.setattr(qseries, "_over", spy_over)
 
         def run(ds, h):
-            calls.clear()
+            divided.clear()
             got = verdict(_qcat, ds, h)
             assert got == verdict(series_qcat, ds, h)
-            return got, list(calls)
+            return got, _pairing(ds, h), list(divided)
 
         # h = 0: every pair has m = d, and the quotient is 1
-        assert run((5, 3, 3, 1), 0) == ((1,), [])
-        # m = 2d: [6]_q / [3]_q = 1 + q^3 by one shifted add
-        assert run((3,), 3) == ((1, 0, 0, 1), [])
-        # m = 3d: [6]_q / [2]_q = (1 - q^6) / (1 - q^2)
-        assert run((2,), 4) == ((1, 0, 1, 0, 1), [("times", 6), ("over", 2)])
-        # 2 divides no numerator exponent 3: both multiplies succeed, the first unpaired division fails
-        assert run((2, 2), 1) == (None, [("times", 3), ("times", 3), ("over", 2)])
+        assert run((5, 3, 3, 1), 0) == ((1,), ([(5, 1), (3, 1), (3, 1), (1, 1)], [], []), [])
+        # m = 2d: [6]_q / [3]_q = 1 + q^3
+        assert run((3,), 3) == ((1, 0, 0, 1), ([(3, 2)], [], []), [])
+        # m = 3d: [6]_q / [2]_q = [3]_{q^2}, with no division
+        assert run((2,), 4) == ((1, 0, 1, 0, 1), ([(2, 3)], [], []), [])
+        # 2 divides no numerator exponent 3: both stay unpaired, and the first division fails
+        assert run((2, 2), 1) == (None, ([], [3, 3], [2, 2]), [2])
         # exact as a whole, though [4]_q / [3]_q is not: 3 pairs with 3 and 2 with 4
-        assert run((3, 2), 1) == ((1, 0, 1), [])
+        assert run((3, 2), 1) == ((1, 0, 1), ([(3, 1), (2, 2)], [], []), [])
+        # qcat_a(4): 4 and 3 pair with 8 and 6, and only the unpaired degree 2 divides, exactly, into 1 - q^7
+        assert run((2, 3, 4), 4) == (qcat_a(4).coeffs, ([(4, 2), (3, 2)], [7], [2]), [2])
+
+    # ds = (2,) * c + (1,) * a with h = 1: the 2s take the numerators 2, the 1s the 2s left
+    # and then the 3s, so prod k * 2^(unpaired numerators) is 2^|a - c| * 3^min(a, c), and the
+    # table is exact iff a >= c.  Each bound sits just below or at 2^7, 2^15, 2^31 or 2^63, or past 64 bits.
+    @pytest.mark.parametrize(
+        "a,c,bound,width",
+        [
+            (5, 3, 108, 1), (7, 0, 2**7, 2), (3, 5, 108, 1), (0, 7, 2**7, 2),
+            (13, 3, 27 * 2**10, 2), (15, 0, 2**15, 4), (3, 13, 27 * 2**10, 2), (0, 15, 2**15, 4),
+            (29, 3, 27 * 2**26, 4), (31, 0, 2**31, 8), (3, 29, 27 * 2**26, 4), (0, 31, 2**31, 8),
+            (61, 3, 27 * 2**58, 8), (63, 0, 2**63, 9), (3, 61, 27 * 2**58, 8), (0, 63, 2**63, 9),
+            (80, 0, 2**80, 11),  # (1 + q)^80, whose middle coefficient needs 77 bits
+        ],
+    )
+    def test_qcat_field_width_boundaries(self, monkeypatch, a, c, bound, width):
+        ds = (2,) * c + (1,) * a
+        pairs, free, _ = _pairing(ds, 1)
+        assert prod(k for _, k in pairs) << len(free) == bound
+        widths = []
+        signed = qseries._signed
+        monkeypatch.setattr(qseries, "_signed", lambda packed, w, *rest: widths.append(w) or signed(packed, w, *rest))
+        got = verdict(_qcat, ds, 1)
+        assert widths == [width]
+        assert (got is not None) == (a >= c)
+        assert got == verdict(series_qcat, ds, 1) == verdict(dense_qcat, ds, 1)
+
+    def test_qcat_a_60_needs_fields_past_64_bits(self, monkeypatch):
+        widths = []
+        signed = qseries._signed
+        monkeypatch.setattr(qseries, "_signed", lambda packed, w, *rest: widths.append(w) or signed(packed, w, *rest))
+        got = qcat_a(60)
+        assert widths == [11]  # prod k * 2^(unpaired numerators) has 83 bits
+        # the Pascal quotient stands in for dense_qcat, whose long division takes seconds here
+        assert got == series_qcat(range(2, 61), 60) == divexact(q_binomial(120, 60), q_integer(61))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9])
+    def test_signed_decode_round_trips(self, width):
+        top = 2 ** (8 * width - 1)
+        rng = random.Random(width)
+        for cs in ([], [0], [-top], [top - 1, -top, 0, 1, -1, 0, 0], [rng.randint(-top, top - 1) for _ in range(200)]):
+            packed = sum(c << (8 * width * i) for i, c in enumerate(cs))
+            assert _signed(packed, width, len(cs), sum(cs)) == cs
+
+    def test_a_signed_field_one_byte_too_narrow_raises(self):
+        # 200 needs two signed bytes: one byte a field reads [-3, 0, -56, 1], since 200 wraps and carries 1
+        packed = -3 + (200 << 16)
+        assert _signed(packed, 2, 2, 197) == [-3, 200]
+        with pytest.raises(OverflowError, match="1-byte signed fields add up to -58, not 197"):
+            _signed(packed, 1, 4, 197)
 
     def test_qcat_product_rejects_an_inconsistent_degree_table(self, monkeypatch):
         monkeypatch.setattr(qseries, "degrees", lambda t: (3, 4))  # [7]_q [8]_q / [3]_q [4]_q
