@@ -236,8 +236,13 @@ def partition_blocks(p: Perm, family: str) -> list[list[int]]:
     type B (Reiner, 1997), read off the walks of ``signedperm._walks``: a
     sign-crossing walk is one orbit together with its negatives, and any
     other walk is one orbit in type A and two mirror orbits in type B.
-    Type A's walks come in order of their least entries already.
+    Type A's walks come in order of their least entries already.  Type D
+    has no such partitions, and ``p`` is checked first: ``_walks`` on a
+    non-permutation would never return.
     """
+    if family == "D":
+        raise ValueError("no type-D set partitions")
+    check_perm(p, family)
     if family == "A":
         return [sorted(walk) for walk, _ in _walks(p)]
     blocks = []

@@ -12,8 +12,9 @@ Area and maj add up over the rows of a path, so their generating
 polynomials and the verifiers' row starts both come from the prefix tree
 of the paths by rows (``_path_tree``), folded from the last row up with no
 step per path: ``_stat_counts`` packs each start's tallies into one int,
-in fields that C(2n, n) bounds and that must add up to the path count when
-unpacked, and ``_row_columns`` joins one column per row.
+in fields that C(2n, n) bounds, sized by ``qseries._width`` and decoded
+once by ``qseries._signed``, which checks that they add up to the path
+count, and ``_row_columns`` joins one column per row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from operator import sub
 
-from .qseries import QPoly, unpack
+from .qseries import QPoly, _signed, _width
 
 
 def is_dyck_a(word: str) -> bool:
@@ -41,18 +42,19 @@ def is_dyck_b(word: str) -> bool:
 
 def enumerate_a(n: int) -> list[str]:
     """All type-A Dyck words of semilength n, in lexicographic order (E < N)."""
-    return _enumerate(n, n)
+    return _enumerate(n, 1)
 
 
 def enumerate_b(n: int) -> list[str]:
     """All type-B Dyck words of 2n steps, in lexicographic order (E < N)."""
-    return _enumerate(n, 2 * n)
+    return _enumerate(n, 2)
 
 
-def _enumerate(n: int, max_norths: int) -> list[str]:
-    """Words of 2n steps never below the diagonal, with at most max_norths N's."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _enumerate(n: int, scale: int) -> list[str]:
+    """Words of 2n steps never below the diagonal, with at most scale * n N's."""
+    if type(n) is not int or n < 0:  # type(), not isinstance(): True would pass as n = 1
+        raise ValueError(f"n must be >= 0 and an int, got {n!r}")
+    max_norths = scale * n
     out: list[str] = []
 
     def rec(prefix: str, norths: int, easts: int):
@@ -186,18 +188,20 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     start's tallies are one int, ``width`` bytes per coefficient, so a
     shift by d places is ``<< 8 * width * d``: O(n^3) shift-adds over ints
     of O(n^2) fields, against Cat(n) paths.  No start counts more than the
-    C(2n, n) type-B paths, which sizes the fields, and ``qseries.unpack``
-    checks that they add up to the path count.
+    C(2n, n) type-B paths, which sizes the fields by ``qseries._width``, and
+    ``qseries._signed`` decodes each int once and checks that its fields add
+    up to the path count: every field is nonnegative and below the sign
+    bit, so the int's bit length gives the number of fields.
     ``area_a``/``maj_a``/``area_b``/``maj_b`` remain the per-word oracles.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if type(n) is not int or n < 0:  # type(), not isinstance(): True would pass as n = 1
+        raise ValueError(f"n must be >= 0 and an int, got {n!r}")
     children, _ = _path_tree(family, n)
     caps = _caps(family, n)
     total = 2 * n
     double = family == "B"
     count = comb(total, n) if double else comb(total, n) // (n + 1)
-    width = (comb(total, n).bit_length() + 8) // 8
+    width = _width(comb(total, n))
     bits = 8 * width
     area = maj = [1] * (n + 1)  # the empty tally of the rows after any start of the last row
     for j in range(len(caps) - 1, 0, -1):
@@ -207,7 +211,7 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
             sum([maj[x] << bits * (1 if j >= n and x == cap else total - j - x if x > v else 0) for x in kid])
             for v, kid in enumerate(children[j])
         ]
-    area, maj = unpack(area[0], width, count), unpack(maj[0], width, count)
+    area, maj = (_signed(p, width, -(-p.bit_length() // bits), count) for p in (area[0], maj[0]))
     if double:
         maj = [c for x in maj for c in (x, 0)]
     return QPoly(area), QPoly(maj)

@@ -178,6 +178,8 @@ class GroupType:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if type(self.rank) is not int:  # type(), not isinstance(): True and 2.0 would pass as ranks
+            raise ValueError(f"rank must be an int, got {self.rank!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.family}{self.rank}")
         if self.family == "D" and self.rank < 2:
@@ -251,33 +253,19 @@ def q_binomial(k: int, l: int) -> QPoly:
         raise ValueError("need l <= k")
     l = min(l, k - l)
     total = math.comb(k, l)  # bounds every coefficient of qbinom(i, j), i <= k and j <= l
-    width = (total.bit_length() + 8) // 8
+    width = _width(total)
     bits = 8 * width
     # row[j] holds qbinom(i, j) packed; Pascal step: qbinom(i,j) = qbinom(i-1,j-1) + q^j qbinom(i-1,j)
     row = [1] + [0] * l
     for i in range(1, k + 1):
         for j in range(min(i, l), 0, -1):
             row[j] = row[j - 1] + (row[j] << (bits * j))
-    return QPoly(unpack(row[l], width, total))
+    return QPoly(_signed(row[l], width, l * (k - l) + 1, total))  # the top coefficient is at q^(l (k - l))
 
 
 def _pack(cs: Iterable[int], width: int) -> int:
     """The non-negative coefficients ``cs``, ``width`` bytes each, constant term lowest."""
     return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))), "little")
-
-
-def unpack(packed: int, width: int, total: int) -> list[int]:
-    """The coefficients packed ``width`` bytes per field into ``packed``, constant term first.
-
-    A field that outgrew its width carried into the next, which lowers the
-    sum of the fields: a sum other than ``total``, the value at q = 1,
-    raises OverflowError rather than return a wrong polynomial.
-    """
-    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
-    cs = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-    if sum(cs) != total:
-        raise OverflowError(f"{width}-byte fields add up to {sum(cs)}, not {total}")
-    return cs
 
 
 def cat_number(t: GroupType) -> int:
@@ -346,7 +334,8 @@ def _signed(packed: int, width: int, length: int, total: int) -> list[int]:
     and flipping the top bits back leaves each field in two's complement.
     Fields that wrapped move the sum of the fields by a multiple of
     2^(8 width) - 1, which may be zero: a sum other than ``total``, the value
-    at q = 1, raises OverflowError, as in ``unpack``.
+    at q = 1, raises OverflowError.  It is the one decoder of every packed
+    polynomial here and in ``paths``, each sized by ``_width``.
     """
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
     raw = ((packed + bias) ^ bias).to_bytes(width * length, "little")

@@ -35,6 +35,8 @@ def check_perm(p: Perm, family: str = "B") -> None:
     values = _values(len(p))
     if family == "A" and values == set(p):
         return  # a permutation of 1..n: every check below passes
+    if family not in ("A", "B", "D"):
+        raise ValueError(f"unknown family {family!r}")
     if values != set(map(abs, p)):
         raise ValueError(f"not a signed permutation: {p!r}")
     if family == "A" and p and min(p) < 0:
@@ -84,9 +86,7 @@ def length_s(p: Perm, family: str) -> int:
     negatives = [v for v in p if v < 0]
     if family == "B":
         return base - sum(negatives)
-    if family == "D":
-        return base - sum(negatives) - len(negatives)
-    raise ValueError(f"unknown family {family!r}")
+    return base - sum(negatives) - len(negatives)  # type D, the last family ``check_perm`` lets through
 
 
 def maj_word(w) -> int:
@@ -113,9 +113,7 @@ def _maj(p: Perm, family: str) -> int:
     negatives = [v for v in p if v < 0]
     if family == "B":
         return 2 * base + len(negatives)
-    if family == "D":
-        return base - sum(negatives) - len(negatives)
-    raise ValueError(f"unknown family {family!r}")
+    return base - sum(negatives) - len(negatives)  # type D
 
 
 def imaj(p: Perm, family: str) -> int:
@@ -144,7 +142,9 @@ def _walks(p: Perm) -> list[tuple[list[int], bool]]:
     is the one place that reads p's cycles: ``to_cycles`` writes them,
     ``length_t`` counts them, ``noncrossing.partition_blocks`` reads its
     blocks off them and ``noncrossing._conjugator`` tests a Coxeter element
-    by their shape and conjugates it to the default one along them.
+    by their shape and conjugates it to the default one along them.  Each
+    of them passes p through ``check_perm`` first: on a list that is no
+    signed permutation a walk may never return.
     """
     seen = [False] * (len(p) + 1)
     out = []

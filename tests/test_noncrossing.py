@@ -1,4 +1,6 @@
 import itertools
+import re
+import signal
 
 import pytest
 
@@ -350,6 +352,33 @@ class TestPartitionCodec:
     def test_b_blocks_example(self):
         # (1, -3)(-1, 3) with the zero block {2, -2}
         assert nc.partition_blocks((-3, -2, -1), "B") == [[-3, 1], [-2, 2], [-1, 3]]
+
+    @pytest.mark.parametrize(
+        "p,fam,message",
+        [
+            ((1, 1), "A", "not a signed permutation"),
+            ((2, 2), "B", "not a signed permutation"),
+            ((-1, 1), "B", "not a signed permutation"),
+            ((1, 3), "A", "not a signed permutation"),
+            ((-1, 2), "A", "type A forbids negative entries"),
+            ((1, 2.0), "B", "entries must be integers"),
+            ((2, 1), "X", "unknown family 'X'"),
+            ((2, 1), "D", "no type-D set partitions"),
+        ],
+    )
+    def test_blocks_refuse_what_has_no_set_partition(self, p, fam, message):
+        # the cycle walk never returns on the first three, so an alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise AssertionError(f"partition_blocks({p!r}, {fam!r}) did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                nc.partition_blocks(p, fam)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def assert_in_serialized_order(blocks):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from functools import lru_cache
 
 import pytest
@@ -282,6 +283,13 @@ class TestPolynomials:
             paths.maj_polynomial("A", -1)
         with pytest.raises(ValueError, match="n must be >= 0"):
             paths.enumerate_a(-1)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+    def test_n_that_is_not_an_int_is_refused(self, n):
+        # 2.5 would enumerate words that are no Dyck paths, and True would answer as n = 1
+        for build in (paths.enumerate_a, paths.enumerate_b, lambda n: paths.area_polynomial("A", n), lambda n: paths.maj_polynomial("B", n)):
+            with pytest.raises(ValueError, match=f"^n must be >= 0 and an int, got {re.escape(repr(n))}$"):
+                build(n)
 
     @pytest.mark.parametrize("family,n", [("A", n) for n in range(13)] + [("B", n) for n in range(9)])
     def test_lattice_pass_matches_the_dfs(self, family, n):

@@ -21,7 +21,6 @@ from coxcat.qseries import (
     q_integer,
     qcat_a,
     qcat_product,
-    unpack,
 )
 from coxcat import qseries
 from coxcat.qseries import _pairing, _qcat, _signed
@@ -178,28 +177,6 @@ class TestQBinomial:
             b = q_binomial(k, l)
             assert b(1) == _binom(k, l)
             assert is_palindromic(b, l * (k - l)) and b.coeffs[-1] == 1
-
-
-class TestUnpack:
-    def test_round_trip(self):
-        coeffs = [1, 0, 300, 65535]
-        packed = sum(c << (16 * k) for k, c in enumerate(coeffs))
-        assert unpack(packed, 2, sum(coeffs)) == coeffs
-        assert unpack(0, 3, 0) == []
-
-    def test_a_full_field_round_trips(self):
-        # 2**(8 * width) - 1 is the largest count a field holds without carrying
-        for width in (1, 2, 3):
-            top = 2 ** (8 * width) - 1
-            packed = 5 + (top << (8 * width)) + (7 << (16 * width))
-            assert unpack(packed, width, 12 + top) == [5, top, 7]
-
-    def test_a_field_one_byte_too_narrow_raises(self):
-        # 300 needs two bytes: read one byte a field, it carries 1 into the next field and the sum drops
-        packed = 300 + (1 << 16)
-        assert unpack(packed, 2, 301) == [300, 1]
-        with pytest.raises(OverflowError, match="1-byte fields add up to 46, not 301"):
-            unpack(packed, 1, 301)
 
 
 def _binom(k, l):
@@ -525,6 +502,12 @@ class TestGroupType:
         for wrong in (rank - 1, rank + 1):
             with pytest.raises(ValueError, match=f"^{family} has rank {rank}$"):
                 GroupType(family, wrong)
+
+    @pytest.mark.parametrize("family,rank", [("A", True), ("B", 2.0), ("A", "3"), ("E8", 8.0), ("I2", None)])
+    def test_rank_that_is_not_an_int_is_refused(self, family, rank):
+        # True would print as ATrue, and 2.0 or "3" would fail later inside degrees or a comparison
+        with pytest.raises(ValueError, match=f"^rank must be an int, got {re.escape(repr(rank))}$"):
+            GroupType(family, rank)
 
     @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 0), ("D", -1)])
     def test_rank_error_names_what_it_got(self, family, rank):

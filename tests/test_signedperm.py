@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcat import signedperm as sp
+from coxcat import sortable as so
 from coxcat.qseries import GroupType, SizeGuardError, degrees
 from oracles import check_perm_abs, des_set, enumerate_group, group_order, ides_set, inv_word, inv_word_pairs, leq_t, length_t_bfs, nc_coxeter_element, neg, reflections, stats
 
@@ -352,9 +353,12 @@ class TestCoxeterElement:
             sp.word_to_perm((1,), 3, "X")
         with pytest.raises(ValueError, match="unknown family 'E'"):
             sp.coxeter_element("E", 3)
-        for read in (sp.length_s, sp.maj):
+        for read in (sp.check_perm, sp.length_s, sp.maj, sp.imaj):
             with pytest.raises(ValueError, match="unknown family 'X'"):
                 read((1, 2), "X")
+        for scan in (so.c_sorting_word, so.is_c_sortable):
+            with pytest.raises(ValueError, match="unknown family 'X'"):
+                scan((-2, -1, 3), (2, 1, 0), "X")
         with pytest.raises(ValueError, match="unknown family 'X'"):
             group_order("X", 2)
 
