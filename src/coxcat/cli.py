@@ -197,24 +197,23 @@ def _map_line(args, t: GroupType, line: str) -> str:
         preimage = bijmaps.preimage(t, args.via[:3], image)
         if preimage is None:
             raise ValueError(f"{image!r} is not in the image of {args.via}")
-        serialized = _serialize("ideal" if args.via.startswith("phi") else "path", preimage, args.format)
-        ls = signedperm.length_s(image, family)
-        if args.format == "json":
-            return json.dumps({"preimage": json.loads(serialized), "ls": ls})
-        return f"{serialized}  ls={ls}"
-    if args.via.startswith("phi"):
-        data = _json_or_none(line)
-        image = bijmaps.phi(t, rootposets.ideal_from_json(line.strip() if data is None else data))
+        kind, obj = ("ideal" if args.via.startswith("phi") else "path"), preimage
     else:
-        word = _parse_path_line(line)
-        if len(word) != 2 * n and set(word) <= {"N", "E"}:  # else psi names the word as no Dyck word
-            raise ValueError(f"{line.strip()!r} has {len(word)} steps, but --n {n} needs {2 * n}")
-        image = (bijmaps.psi_a if family == "A" else bijmaps.psi_b)(word)[0]
-    ls = signedperm.length_s(image, family)
-    if args.format == "json":
-        mm = signedperm.maj(image, family) + signedperm.imaj(image, family)
-        return json.dumps({"image": {"oneline": list(image)}, "ls": ls, "majimaj": mm})
-    return f"{json.dumps(list(image), separators=(',', ':'))}  ls={ls}"
+        if args.via.startswith("phi"):
+            data = _json_or_none(line)
+            image = bijmaps.phi(t, rootposets.ideal_from_json(line.strip() if data is None else data))
+        else:
+            word = _parse_path_line(line)
+            if len(word) != 2 * n and set(word) <= {"N", "E"}:  # else psi names the word as no Dyck word
+                raise ValueError(f"{line.strip()!r} has {len(word)} steps, but --n {n} needs {2 * n}")
+            image = (bijmaps.psi_a if family == "A" else bijmaps.psi_b)(word)[0]
+        kind, obj = "perm", image
+    # one answer: the preimage under --inverse, else the image, with ls of the permutation ``image``
+    serialized, ls = _serialize(kind, obj, args.format), signedperm.length_s(image, family)
+    if args.format == "text":
+        return f"{serialized}  ls={ls}"  # text mode reads no maj
+    tail = {} if args.inverse else {"majimaj": signedperm.maj(image, family) + signedperm.imaj(image, family)}
+    return json.dumps({"preimage" if args.inverse else "image": json.loads(serialized), "ls": ls, **tail})
 
 
 def cmd_map(args) -> int:
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a reader that left shows here, not in the flush at exit
         return code
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # a usage error; a KeyError or any other exception is a bug, and propagates
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

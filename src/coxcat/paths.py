@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from operator import sub
 
-from .qseries import QPoly, _signed, _width
+from .qseries import QPoly, _signed, _size, _width
 
 
 def is_dyck_a(word: str) -> bool:
@@ -52,9 +52,7 @@ def enumerate_b(n: int) -> list[str]:
 
 def _enumerate(n: int, scale: int) -> list[str]:
     """Words of 2n steps never below the diagonal, with at most scale * n N's."""
-    if type(n) is not int or n < 0:  # type(), not isinstance(): True would pass as n = 1
-        raise ValueError(f"n must be >= 0 and an int, got {n!r}")
-    max_norths = scale * n
+    max_norths = scale * _size(n)
     out: list[str] = []
 
     def rec(prefix: str, norths: int, easts: int):
@@ -194,9 +192,7 @@ def _stat_counts(family: str, n: int) -> tuple[QPoly, QPoly]:
     bit, so the int's bit length gives the number of fields.
     ``area_a``/``maj_a``/``area_b``/``maj_b`` remain the per-word oracles.
     """
-    if type(n) is not int or n < 0:  # type(), not isinstance(): True would pass as n = 1
-        raise ValueError(f"n must be >= 0 and an int, got {n!r}")
-    children, _ = _path_tree(family, n)
+    children, _ = _path_tree(family, _size(n))
     caps = _caps(family, n)
     total = 2 * n
     double = family == "B"

@@ -227,16 +227,27 @@ def coxeter_number(t: GroupType) -> int:
     return max(degrees(t))
 
 
+def _size(value, name: str = "n") -> int:
+    """``value`` if it is an int >= 0, else a ValueError that names it: the one size rule of every entry.
+
+    type(), not isinstance(): True would pass as 1, and a float 2.0 as 2.
+    """
+    if type(value) is int and value >= 0:
+        return value
+    raise ValueError(f"{name} must be >= 0 and an int, got {value!r}")
+
+
 def q_integer(k: int) -> QPoly:
-    """The q-analogue 1 + q + ... + q^(k-1); k = 0 gives the zero polynomial."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return QPoly((1,) * k)
+    """The q-analogue 1 + q + ... + q^(k-1); k = 0 gives the zero polynomial.
+
+    k is an int >= 0 (``_size``): a bool, float, string or None is a ValueError naming it.
+    """
+    return QPoly((1,) * _size(k, "k"))
 
 
 def q_factorial(k: int) -> QPoly:
     out = QPoly.one()
-    for i in range(2, k + 1):
+    for i in range(2, _size(k, "k") + 1):
         out = out * q_integer(i)
     return out
 
@@ -244,12 +255,13 @@ def q_factorial(k: int) -> QPoly:
 def q_binomial(k: int, l: int) -> QPoly:
     """The q-binomial coefficient, computed by the q-Pascal recurrence.
 
+    k and l are ints >= 0 (``_size``), and l <= k; anything else is a
+    ValueError naming the argument.
+
     >>> str(q_binomial(4, 2))
     '1 + q + 2q^2 + q^3 + q^4'
     """
-    if l < 0 or k < 0:
-        raise ValueError("arguments must be >= 0")
-    if l > k:
+    if _size(l, "l") > _size(k, "k"):
         raise ValueError("need l <= k")
     l = min(l, k - l)
     total = math.comb(k, l)  # bounds every coefficient of qbinom(i, j), i <= k and j <= l
@@ -397,9 +409,7 @@ def qcat_a(n: int) -> QPoly:
     It is the product over the degrees d = 2..n of A_{n-1}, whose Coxeter
     number is n: prod [n + d]_q / [d]_q.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _qcat(range(2, n + 1), n)
+    return _qcat(range(2, _size(n) + 1), n)
 
 
 def is_palindromic(p: QPoly, center: int) -> bool:

@@ -16,6 +16,8 @@ import sys
 from array import array
 from functools import lru_cache
 
+from .qseries import _size
+
 Perm = tuple[int, ...]
 Cycle = tuple[int, ...]
 
@@ -46,7 +48,8 @@ def check_perm(p: Perm, family: str = "B") -> None:
 
 
 def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
+    """The identity on n entries, n an int >= 0 (``qseries._size``): a bool, float, string or None is a ValueError naming it."""
+    return tuple(range(1, _size(n) + 1))
 
 
 def apply_value(p: Perm, v: int) -> int:
@@ -175,8 +178,9 @@ def to_cycles(p: Perm) -> tuple[Cycle, ...]:
 
 
 def from_cycles(cycles, n: int) -> Perm:
-    """Build a signed permutation from disjoint cycles on 1..n."""
-    out = list(range(1, n + 1))
+    """Build a signed permutation from disjoint cycles on 1..n, n an int >= 0 (``qseries._size``):
+    a bool, float, string or None is a ValueError naming it."""
+    out = list(range(1, _size(n) + 1))
     used: set[int] = set()
 
     def send(a: int, b: int):
@@ -237,8 +241,9 @@ def simple_reflection(i: int, n: int, family: str = "B") -> Perm:
 
 
 def word_to_perm(word, n: int, family: str = "B") -> Perm:
-    """Evaluate a word in simple reflections by right multiplication."""
-    word = tuple(word)
+    """Evaluate a word in simple reflections by right multiplication; n is read by ``qseries._size`` first,
+    since an empty word never reaches the range test of its letters."""
+    n, word = _size(n), tuple(word)
     if family not in ("A", "B", "D"):
         raise ValueError(f"unknown family {family!r}")
     # type(), not isinstance(): a float or bool letter would index the one-line list
@@ -271,9 +276,10 @@ def coxeter_element(family: str, n: int) -> tuple[Perm, tuple[int, ...]]:
     """A Coxeter element together with its defining reduced word.
 
     The word is s_{n-1} ... s_1 in type A and s_{n-1} ... s_1 s_0 in types
-    B and D, the word the sorting words are read against.
+    B and D, the word the sorting words are read against.  n is an int >= 0
+    (``qseries._size``): a bool, float, string or None is a ValueError naming it.
     """
-    word = tuple(range(n - 1, 0 if family == "A" else -1, -1))
+    word = tuple(range(_size(n) - 1, 0 if family == "A" else -1, -1))
     return word_to_perm(word, n, family), word
 
 

@@ -626,6 +626,26 @@ class TestVerify:
         assert (second.which, second.n, second.max_n) == ("all", None, 0)
 
 
+class TestBugsAreNoUsageErrors:
+    """Only a ValueError is a usage error (exit 2); a KeyError can only come from a bug, and propagates."""
+
+    @pytest.mark.parametrize(
+        "module,name,argv",
+        [
+            (cli, "_selftest_cases", ["selftest"]),
+            (paths, "_stat_counts", ["poly", "--object", "dyck", "--stat", "maj", "--n", "3"]),
+        ],
+    )
+    def test_key_error_propagates(self, capsys, monkeypatch, module, name, argv):
+        def broken(*args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(module, name, broken)
+        with pytest.raises(KeyError):
+            main(argv)  # neither returns 2 nor prints "error: 'x'"
+        assert capsys.readouterr().err == ""
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out = run(capsys, ["selftest"])

@@ -72,6 +72,10 @@ An eighth keeps every ban above naming something: each name in
 ``WHOLE_GROUP`` and in the ``ONE_PASS`` rows is defined in ``src/coxcat``
 or ``tests``, or is a builtin or a ``list`` method, so a rename cannot
 leave a row that checks nothing.
+
+A ninth keeps the size rule in one place: no function in ``src/coxcat``
+but ``qseries._size`` raises a message containing ``must be >= 0 and an
+int``, so every entry that takes a size reads it through ``_size``.
 """
 
 import ast
@@ -554,6 +558,50 @@ def test_every_banned_name_is_defined():
 )
 def test_banned_name_scan(bans, sources, undefined):
     assert undefined_banned_names(bans, sources) == undefined
+
+
+SIZE_RULE = "must be >= 0 and an int"
+
+
+def size_rule_sites(sources: dict[str, str]) -> list[str]:
+    """The functions but ``qseries._size``, as ``module.name``, with a ``raise`` whose text holds ``SIZE_RULE``."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (module, node.name) != ("qseries", "_size"):
+                for child in ast.walk(node):
+                    if isinstance(child, ast.Raise) and any(
+                        isinstance(part, ast.Constant) and SIZE_RULE in str(part.value) for part in ast.walk(child)
+                    ):
+                        found.add(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_size_rule_has_one_owner():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert size_rule_sites(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources,found",
+    [
+        (
+            {"qseries": "def _size(value, name='n'):\n    if type(value) is int and value >= 0:\n        return value\n"
+             "    raise ValueError(f'{name} must be >= 0 and an int, got {value!r}')\n"},
+            [],
+        ),
+        (
+            {"paths": "def _enumerate(n, scale):\n    if type(n) is not int or n < 0:\n"
+             "        raise ValueError(f'n must be >= 0 and an int, got {n!r}')\n"},
+            ["paths._enumerate"],
+        ),
+        ({"signedperm": "def _size(n):\n    raise ValueError('n must be >= 0 and an int')\n"}, ["signedperm._size"]),
+        ({"qseries": "def gen_poly(values):\n    raise ValueError('values must be >= 0')\n"}, []),
+        ({"qseries": '"""Sizes must be >= 0 and an int."""\n\ndef q_integer(k):\n    return _size(k, "k")\n'}, []),
+    ],
+)
+def test_size_rule_scan(sources, found):
+    assert size_rule_sites(sources) == found
 
 
 def library_attributes(source: str) -> list[tuple[str, ...]]:

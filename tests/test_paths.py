@@ -284,7 +284,7 @@ class TestPolynomials:
         with pytest.raises(ValueError, match="n must be >= 0"):
             paths.enumerate_a(-1)
 
-    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None, False, -1])
     def test_n_that_is_not_an_int_is_refused(self, n):
         # 2.5 would enumerate words that are no Dyck paths, and True would answer as n = 1
         for build in (paths.enumerate_a, paths.enumerate_b, lambda n: paths.area_polynomial("A", n), lambda n: paths.maj_polynomial("B", n)):

@@ -22,7 +22,7 @@ from coxcat.qseries import (
     qcat_a,
     qcat_product,
 )
-from coxcat import qseries
+from coxcat import qseries, signedperm
 from coxcat.qseries import _pairing, _qcat, _signed
 from oracles import coeff, degree, divexact, is_palindromic_loop, mul_schoolbook, series_qcat, substitute_power
 
@@ -158,7 +158,7 @@ class TestQBinomial:
     def test_domain_error(self):
         with pytest.raises(ValueError, match="need l <= k"):
             q_binomial(2, 3)
-        with pytest.raises(ValueError, match="arguments must be >= 0"):
+        with pytest.raises(ValueError, match=r"^k must be >= 0 and an int, got -1$"):
             q_binomial(-1, 0)
 
     @pytest.mark.parametrize("k", range(25))
@@ -481,6 +481,34 @@ class TestGenPoly:
         poly = gen_poly(values)
         assert poly(1) == len(values)
         assert all(coeff(poly, k) == values.count(k) for k in range(32))
+
+
+# each size-taking entry outside ``paths`` (whose four take the same values in
+# ``test_paths.py::TestPolynomials::test_n_that_is_not_an_int_is_refused``), by the
+# name its error gives the size, with the other arguments valid
+SIZE_ENTRIES = {
+    "q_integer": ("k", q_integer),
+    "q_factorial": ("k", q_factorial),
+    "q_binomial-k": ("k", lambda k: q_binomial(k, 0)),
+    "q_binomial-l": ("l", lambda l: q_binomial(3, l)),
+    "qcat_a": ("n", qcat_a),
+    "identity": ("n", signedperm.identity),
+    "word_to_perm": ("n", lambda n: signedperm.word_to_perm((), n, "A")),  # an empty word has no letter to range-test
+    "coxeter_element": ("n", lambda n: signedperm.coxeter_element("A", n)),
+    "from_cycles": ("n", lambda n: signedperm.from_cycles([], n)),
+}
+
+
+class TestSizeRule:
+    """Every size argument is read by ``qseries._size``: an int >= 0, else a ValueError naming it."""
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, -1, "3", None])
+    @pytest.mark.parametrize("entry", SIZE_ENTRIES)
+    def test_bad_size_is_refused(self, entry, value):
+        # True and False would answer as 1 and 0, and 2.0 and 2.5 would raise TypeError
+        name, call = SIZE_ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0 and an int, got {re.escape(repr(value))}$"):
+            call(value)
 
 
 class TestGroupType:
